@@ -21,19 +21,17 @@
 //!    round trips must come in below the serial run's.
 //!
 //! Run: `cargo run --release -p genedit-bench --bin batch_sweep`
-//! (`--quick` shrinks the workload for CI, `--json` prints the
+//! (`--smoke` shrinks the workload for CI, `--json` prints the
 //! document; the JSON is always written to `BENCH_batch.json`.)
 
-use genedit_bird::{DomainBundle, SPORTS};
-use genedit_core::{
-    CandidateSelection, GenEditPipeline, GenerateOptions, KnowledgeIndex, PipelineConfig,
-};
+use genedit_bench::{object, Args, Harness, Hist, Report};
+use genedit_core::{CandidateSelection, GenEditPipeline, GenerateOptions, PipelineConfig};
 use genedit_llm::{
     BatchConfig, BatchScheduler, CompletionRequest, CompletionResponse, LanguageModel, ModelError,
-    OracleConfig, OracleModel, TaskRegistry,
+    OracleModel,
 };
-use genedit_serve::{QueryRequest, ServeConfig, ServeRuntime};
-use genedit_telemetry::HistogramSummary;
+use genedit_serve::ServeConfig;
+use serde::Serialize;
 use serde_json::Value;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -95,137 +93,58 @@ impl LanguageModel for RemoteBatchModel {
     }
 }
 
-struct SweepArgs {
-    seed: u64,
-    quick: bool,
-    json: bool,
-    /// Simulated backend round-trip latency, microseconds.
-    latency_us: u64,
-    /// Requests per throughput run.
-    requests: usize,
-}
-
-fn parse_args() -> SweepArgs {
-    let mut parsed = SweepArgs {
-        seed: 42,
-        quick: false,
-        json: false,
-        latency_us: 3000,
-        requests: 0,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => parsed.json = true,
-            "--quick" | "--smoke" => parsed.quick = true,
-            "--latency-us" => {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    parsed.latency_us = v;
-                }
-            }
-            "--requests" => {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    parsed.requests = v;
-                }
-            }
-            other => {
-                if let Ok(s) = other.parse() {
-                    parsed.seed = s;
-                }
-            }
-        }
-    }
-    if parsed.requests == 0 {
-        parsed.requests = if parsed.quick { 24 } else { 48 };
-    }
-    parsed
-}
-
-struct Harness {
-    bundle: DomainBundle,
-    index: Arc<KnowledgeIndex>,
-    oracle: Arc<OracleModel>,
-    latency: Duration,
-}
-
-impl Harness {
-    fn build(seed: u64, latency: Duration) -> Harness {
-        let bundle = DomainBundle::build(&SPORTS, (8, 7, 3), seed);
-        let index = Arc::new(KnowledgeIndex::build(bundle.build_knowledge()));
-        let mut reg = TaskRegistry::new();
-        for t in &bundle.tasks {
-            reg.register(t.clone());
-        }
-        let oracle = OracleModel::with_config(
-            reg,
-            OracleConfig {
-                noise_rate: 0.0,
-                pseudo_drift_probability: 0.0,
-                drift_probability: 0.0,
-                canonical_form_penalty: 0.0,
-                ..Default::default()
-            },
-        );
-        Harness {
-            bundle,
-            index,
-            oracle: Arc::new(oracle),
-            latency,
-        }
-    }
-
-    fn request(&self, i: usize) -> QueryRequest {
-        let tasks = &self.bundle.tasks;
-        let tenant = format!("tenant-{}", i % 3);
-        QueryRequest::new(tenant, &tasks[i % tasks.len()].question)
-    }
-}
-
-/// Semantic fingerprint of a generation, excluding the trace (span
-/// timings legitimately differ). Byte-for-byte comparable.
-fn fingerprint(r: &genedit_core::GenerationResult) -> String {
-    format!(
-        "sql={:?}|reform={:?}|intents={:?}|ex={:?}|ins={:?}|schema={:?}|errors={:?}|validated={}",
-        r.sql,
-        r.reformulated,
-        r.intents,
-        r.used_examples,
-        r.used_instructions,
-        r.used_schema,
-        r.errors,
-        r.validated
-    )
-}
-
+#[derive(Serialize)]
 struct ThroughputRow {
     batched: bool,
     requests: usize,
     wall_ms: f64,
     throughput_rps: f64,
-    round_trips: usize,
+    backend_round_trips: usize,
     model_calls: usize,
     mean_batch_size: f64,
-    latency_ms: HistogramSummary,
-    /// `batch.size` histogram from the runtime's registry (batched run
-    /// only — the disabled scheduler records nothing).
-    batch_size: Option<HistogramSummary>,
-    coalesce_wait_ms: Option<HistogramSummary>,
+    latency_ms: Hist,
+}
+
+/// One measured configuration: the row, the scheduler's own `batch.size`
+/// / `batch.coalesce_wait.ms` histograms (batched run only — the
+/// disabled scheduler records nothing), and every answer's fingerprint
+/// in submit order.
+struct Throughput {
+    row: ThroughputRow,
+    batch_size: Option<Hist>,
+    coalesce_wait_ms: Option<Hist>,
     fingerprints: Vec<String>,
+}
+
+impl Serialize for Throughput {
+    /// The row, plus the scheduler histograms where they exist: the
+    /// unbatched document omits the keys rather than carrying nulls.
+    fn serialize(&self) -> Value {
+        let mut doc = self.row.serialize();
+        if let Value::Object(fields) = &mut doc {
+            for (key, hist) in [
+                ("batch_size", &self.batch_size),
+                ("coalesce_wait_ms", &self.coalesce_wait_ms),
+            ] {
+                fields.extend(hist.iter().map(|h| (key.to_string(), h.serialize())));
+            }
+        }
+        doc
+    }
 }
 
 /// Open-loop run at 8 workers, caches off: submit the whole request set
 /// at once, wait for all, fingerprint every answer in submit order.
-fn run_throughput(harness: &Harness, batch: BatchConfig, requests: usize) -> ThroughputRow {
+fn run_throughput(
+    harness: &Harness,
+    latency: Duration,
+    batch: BatchConfig,
+    requests: usize,
+) -> Throughput {
     let batched = batch.enabled();
-    let model = Arc::new(RemoteBatchModel::new(
-        Arc::clone(&harness.oracle),
-        harness.latency,
-    ));
-    let runtime = ServeRuntime::start(
+    let model = Arc::new(RemoteBatchModel::new(Arc::clone(&harness.oracle), latency));
+    let runtime = harness.serve(
         Arc::clone(&model),
-        Arc::clone(&harness.index),
-        0,
-        Arc::new(harness.bundle.db.clone()),
         ServeConfig {
             workers: 8,
             queue_capacity: requests + 8,
@@ -250,28 +169,29 @@ fn run_throughput(harness: &Harness, batch: BatchConfig, requests: usize) -> Thr
     for (ticket, t0) in tickets {
         let outcome = ticket.wait();
         let result = outcome.result().expect("throughput run lost a request");
-        fingerprints.push(fingerprint(result));
+        fingerprints.push(result.fingerprint());
         latencies.push(t0.elapsed().as_secs_f64() * 1000.0);
     }
     let wall = started.elapsed();
     let snapshot = runtime.metrics().snapshot();
     runtime.shutdown();
 
-    let batch_size = snapshot.histograms.get("batch.size").cloned();
-    let coalesce_wait_ms = snapshot.histograms.get("batch.coalesce_wait.ms").cloned();
+    let histogram = |name: &str| snapshot.histograms.get(name).cloned().map(Hist);
     let round_trips = model.round_trips.load(Ordering::Relaxed);
     let model_calls = model.calls.load(Ordering::Relaxed);
-    ThroughputRow {
-        batched,
-        requests,
-        wall_ms: wall.as_secs_f64() * 1000.0,
-        throughput_rps: requests as f64 / wall.as_secs_f64(),
-        round_trips,
-        model_calls,
-        mean_batch_size: model_calls as f64 / round_trips.max(1) as f64,
-        latency_ms: HistogramSummary::from_samples(&latencies),
-        batch_size,
-        coalesce_wait_ms,
+    Throughput {
+        row: ThroughputRow {
+            batched,
+            requests,
+            wall_ms: wall.as_secs_f64() * 1000.0,
+            throughput_rps: requests as f64 / wall.as_secs_f64(),
+            backend_round_trips: round_trips,
+            model_calls,
+            mean_batch_size: model_calls as f64 / round_trips.max(1) as f64,
+            latency_ms: Hist::from_samples(&latencies),
+        },
+        batch_size: histogram("batch.size"),
+        coalesce_wait_ms: histogram("batch.coalesce_wait.ms"),
         fingerprints,
     }
 }
@@ -283,33 +203,35 @@ fn run_throughput(harness: &Harness, batch: BatchConfig, requests: usize) -> Thr
 /// across passes — any divergence is a determinism violation.
 fn best_throughput(
     harness: &Harness,
+    latency: Duration,
     batch: BatchConfig,
     requests: usize,
     passes: usize,
     violations: &mut Vec<String>,
-) -> ThroughputRow {
-    let mut best: Option<ThroughputRow> = None;
+) -> Throughput {
+    let mut best: Option<Throughput> = None;
     for _ in 0..passes.max(1) {
-        let row = run_throughput(harness, batch.clone(), requests);
+        let run = run_throughput(harness, latency, batch.clone(), requests);
         if let Some(b) = &best {
-            if row.fingerprints != b.fingerprints {
+            if run.fingerprints != b.fingerprints {
                 violations.push(format!(
                     "answers diverged across identical measurement passes \
                      (batched = {})",
-                    row.batched
+                    run.row.batched
                 ));
             }
         }
         if best
             .as_ref()
-            .is_none_or(|b| row.throughput_rps > b.throughput_rps)
+            .is_none_or(|b| run.row.throughput_rps > b.row.throughput_rps)
         {
-            best = Some(row);
+            best = Some(run);
         }
     }
     best.expect("at least one measurement pass runs")
 }
 
+#[derive(Serialize)]
 struct EnsembleRow {
     questions: usize,
     width: usize,
@@ -318,14 +240,19 @@ struct EnsembleRow {
     speedup: f64,
     serial_round_trips: usize,
     fanout_round_trips: usize,
-    divergent: usize,
+    byte_identical: bool,
 }
 
 /// The candidate fan-out measured directly on the pipeline: `width`
 /// candidates sampled serially versus in parallel over the scheduler.
 /// Plan generation is off so both paths sample the same seed set and the
 /// outputs admit byte comparison.
-fn run_ensemble(harness: &Harness, width: usize, violations: &mut Vec<String>) -> EnsembleRow {
+fn run_ensemble(
+    harness: &Harness,
+    latency: Duration,
+    width: usize,
+    violations: &mut Vec<String>,
+) -> EnsembleRow {
     let cfg = PipelineConfig {
         candidates: width,
         candidate_selection: CandidateSelection::MajorityResult,
@@ -334,10 +261,7 @@ fn run_ensemble(harness: &Harness, width: usize, violations: &mut Vec<String>) -
     };
     let questions = harness.bundle.tasks.len().min(8);
 
-    let serial_model = Arc::new(RemoteBatchModel::new(
-        Arc::clone(&harness.oracle),
-        harness.latency,
-    ));
+    let serial_model = Arc::new(RemoteBatchModel::new(Arc::clone(&harness.oracle), latency));
     let serial = GenEditPipeline::with_config(Arc::clone(&serial_model), cfg.clone());
     let t0 = Instant::now();
     let serial_results: Vec<_> = (0..questions)
@@ -352,10 +276,7 @@ fn run_ensemble(harness: &Harness, width: usize, violations: &mut Vec<String>) -
         .collect();
     let serial_wall = t0.elapsed();
 
-    let fanout_model = Arc::new(RemoteBatchModel::new(
-        Arc::clone(&harness.oracle),
-        harness.latency,
-    ));
+    let fanout_model = Arc::new(RemoteBatchModel::new(Arc::clone(&harness.oracle), latency));
     // A window the width of the fan-out: the ensemble's simultaneous
     // candidates fill a batch instantly, while solo operator calls give
     // up on coalescing after a fraction of the round-trip latency.
@@ -363,7 +284,7 @@ fn run_ensemble(harness: &Harness, width: usize, violations: &mut Vec<String>) -
         Arc::clone(&fanout_model),
         BatchConfig {
             max_batch_size: width,
-            max_wait: harness.latency / 4,
+            max_wait: latency / 4,
             ..BatchConfig::default()
         },
     ));
@@ -388,13 +309,13 @@ fn run_ensemble(harness: &Harness, width: usize, violations: &mut Vec<String>) -
 
     let mut divergent = 0usize;
     for (i, (s, f)) in serial_results.iter().zip(&fanout_results).enumerate() {
-        if fingerprint(s) != fingerprint(f) {
+        if s.fingerprint() != f.fingerprint() {
             divergent += 1;
             violations.push(format!(
                 "ensemble fan-out diverges from serial candidates for question {i}:\n  \
                  serial: {}\n  fanout: {}",
-                fingerprint(s),
-                fingerprint(f)
+                s.fingerprint(),
+                f.fingerprint()
             ));
         }
     }
@@ -414,66 +335,30 @@ fn run_ensemble(harness: &Harness, width: usize, violations: &mut Vec<String>) -
         speedup: serial_wall.as_secs_f64() / fanout_wall.as_secs_f64().max(f64::MIN_POSITIVE),
         serial_round_trips,
         fanout_round_trips,
-        divergent,
+        byte_identical: divergent == 0,
     }
-}
-
-fn histogram_json(h: &HistogramSummary) -> Value {
-    Value::Object(vec![
-        ("count".to_string(), Value::U64(h.count as u64)),
-        ("mean".to_string(), Value::F64(h.mean)),
-        ("min".to_string(), Value::F64(h.min)),
-        ("max".to_string(), Value::F64(h.max)),
-        ("p50".to_string(), Value::F64(h.p50)),
-        ("p95".to_string(), Value::F64(h.p95)),
-        ("p99".to_string(), Value::F64(h.p99)),
-    ])
-}
-
-fn throughput_json(row: &ThroughputRow) -> Value {
-    let mut fields = vec![
-        ("batched".to_string(), Value::Bool(row.batched)),
-        ("requests".to_string(), Value::U64(row.requests as u64)),
-        ("wall_ms".to_string(), Value::F64(row.wall_ms)),
-        ("throughput_rps".to_string(), Value::F64(row.throughput_rps)),
-        (
-            "backend_round_trips".to_string(),
-            Value::U64(row.round_trips as u64),
-        ),
-        (
-            "model_calls".to_string(),
-            Value::U64(row.model_calls as u64),
-        ),
-        (
-            "mean_batch_size".to_string(),
-            Value::F64(row.mean_batch_size),
-        ),
-        ("latency_ms".to_string(), histogram_json(&row.latency_ms)),
-    ];
-    if let Some(h) = &row.batch_size {
-        fields.push(("batch_size".to_string(), histogram_json(h)));
-    }
-    if let Some(h) = &row.coalesce_wait_ms {
-        fields.push(("coalesce_wait_ms".to_string(), histogram_json(h)));
-    }
-    Value::Object(fields)
 }
 
 fn main() {
-    let args = parse_args();
-    let mut violations: Vec<String> = Vec::new();
-    let harness = Harness::build(args.seed, Duration::from_micros(args.latency_us));
+    let args = Args::parse(&["--smoke", "--latency-us N", "--requests N"]);
+    let mut report = Report::new(&args);
+    let latency_us = args.value("--latency-us").unwrap_or(3000);
+    let latency = Duration::from_micros(latency_us);
+    let default_requests = if args.smoke { 24 } else { 48 };
+    let requests = args.value("--requests").unwrap_or(default_requests) as usize;
+    let harness = Harness::build(args.seed);
 
     // Part 1+2: unbatched baseline, then the scheduler, same requests.
     // Full mode measures twice and keeps the better pass per config;
-    // quick mode stays single-pass for CI turnaround.
-    let passes = if args.quick { 1 } else { 2 };
+    // smoke mode stays single-pass for CI turnaround.
+    let passes = if args.smoke { 1 } else { 2 };
     let unbatched = best_throughput(
         &harness,
+        latency,
         BatchConfig::disabled(),
-        args.requests,
+        requests,
         passes,
-        &mut violations,
+        &mut report.violations,
     );
     // Short collection window: co-arriving calls coalesce within half a
     // round trip, and whenever the backend is busy the scheduler's
@@ -482,21 +367,22 @@ fn main() {
     // window would only burn worker time while the backend sits idle.
     let batched = best_throughput(
         &harness,
+        latency,
         BatchConfig {
             max_batch_size: 8,
-            max_wait: Duration::from_micros(args.latency_us / 2),
+            max_wait: Duration::from_micros(latency_us / 2),
             ..BatchConfig::default()
         },
-        args.requests,
+        requests,
         passes,
-        &mut violations,
+        &mut report.violations,
     );
-    let speedup = batched.throughput_rps / unbatched.throughput_rps.max(f64::MIN_POSITIVE);
+    let speedup = batched.row.throughput_rps / unbatched.row.throughput_rps.max(f64::MIN_POSITIVE);
     if speedup < 2.0 {
-        violations.push(format!(
+        report.violations.push(format!(
             "batched throughput speedup {speedup:.2}x below the 2x floor \
              ({:.1} rps vs {:.1} rps unbatched)",
-            batched.throughput_rps, unbatched.throughput_rps
+            batched.row.throughput_rps, unbatched.row.throughput_rps
         ));
     }
     let divergent = unbatched
@@ -506,82 +392,21 @@ fn main() {
         .filter(|(a, b)| a != b)
         .count();
     if divergent > 0 {
-        violations.push(format!(
-            "{divergent}/{} batched answers diverge from the unbatched baseline",
-            args.requests
+        report.violations.push(format!(
+            "{divergent}/{requests} batched answers diverge from the unbatched baseline"
         ));
     }
 
     // Part 3: candidate fan-out on the pipeline itself.
-    let ensemble = run_ensemble(&harness, 4, &mut violations);
+    let ensemble = run_ensemble(&harness, latency, 4, &mut report.violations);
 
-    let doc = Value::Object(vec![
-        (
-            "artifact".to_string(),
-            Value::Str("batch_sweep".to_string()),
-        ),
-        ("seed".to_string(), Value::U64(args.seed)),
-        (
-            "mode".to_string(),
-            Value::Str(if args.quick { "quick" } else { "full" }.to_string()),
-        ),
-        ("model_latency_us".to_string(), Value::U64(args.latency_us)),
-        ("workers".to_string(), Value::U64(8)),
-        ("requests".to_string(), Value::U64(args.requests as u64)),
-        ("unbatched".to_string(), throughput_json(&unbatched)),
-        ("batched".to_string(), throughput_json(&batched)),
-        ("batched_speedup".to_string(), Value::F64(speedup)),
-        ("byte_identical".to_string(), Value::Bool(divergent == 0)),
-        (
-            "ensemble".to_string(),
-            Value::Object(vec![
-                (
-                    "questions".to_string(),
-                    Value::U64(ensemble.questions as u64),
-                ),
-                ("width".to_string(), Value::U64(ensemble.width as u64)),
-                (
-                    "serial_wall_ms".to_string(),
-                    Value::F64(ensemble.serial_wall_ms),
-                ),
-                (
-                    "fanout_wall_ms".to_string(),
-                    Value::F64(ensemble.fanout_wall_ms),
-                ),
-                ("speedup".to_string(), Value::F64(ensemble.speedup)),
-                (
-                    "serial_round_trips".to_string(),
-                    Value::U64(ensemble.serial_round_trips as u64),
-                ),
-                (
-                    "fanout_round_trips".to_string(),
-                    Value::U64(ensemble.fanout_round_trips as u64),
-                ),
-                (
-                    "byte_identical".to_string(),
-                    Value::Bool(ensemble.divergent == 0),
-                ),
-            ]),
-        ),
-        (
-            "violations".to_string(),
-            Value::Array(violations.iter().map(|v| Value::Str(v.clone())).collect()),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&doc).expect("report serialization is infallible");
-    if let Err(err) = std::fs::write("BENCH_batch.json", &json) {
-        eprintln!("warning: could not write BENCH_batch.json: {err}");
-    }
-
-    if args.json {
-        println!("{json}");
-    } else {
+    if !args.json {
         println!(
-            "Batching sweep — {} requests, 8 workers, {}us simulated round trip (seed {})",
-            args.requests, args.latency_us, args.seed
+            "Batching sweep — {requests} requests, 8 workers, {latency_us}us simulated round trip (seed {})",
+            args.seed
         );
         println!("\nthroughput (caches off, serialized backend):");
-        for row in [&unbatched, &batched] {
+        for row in [&unbatched.row, &batched.row] {
             println!(
                 "  {}: {:6.1} rps  {:4} round trips  mean batch {:.1}  p95 latency {:6.1}ms",
                 if row.batched {
@@ -590,16 +415,15 @@ fn main() {
                     "unbatched"
                 },
                 row.throughput_rps,
-                row.round_trips,
+                row.backend_round_trips,
                 row.mean_batch_size,
                 row.latency_ms.p95
             );
         }
         println!("  batched speedup: {speedup:.2}x (floor 2x)");
         println!(
-            "  byte identity: {}/{} answers identical",
-            args.requests - divergent,
-            args.requests
+            "  byte identity: {}/{requests} answers identical",
+            requests - divergent
         );
         println!(
             "\nensemble fan-out (width {} over {} questions, plan off):",
@@ -614,16 +438,20 @@ fn main() {
             ensemble.fanout_round_trips,
             ensemble.speedup
         );
-        if violations.is_empty() {
-            println!("\nall batching invariants held");
-        } else {
-            println!("\nVIOLATIONS:");
-            for v in &violations {
-                println!("  - {v}");
-            }
-        }
     }
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
+    let doc = object! {
+        "artifact": "batch_sweep",
+        "seed": args.seed,
+        "mode": args.mode(),
+        "model_latency_us": latency_us,
+        "workers": 8u64,
+        "requests": requests,
+        "unbatched": unbatched,
+        "batched": batched,
+        "batched_speedup": speedup,
+        "byte_identical": divergent == 0,
+        "ensemble": ensemble,
+        "violations": report.violations,
+    };
+    report.finish("BENCH_batch.json", &doc)
 }

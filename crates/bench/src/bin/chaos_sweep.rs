@@ -19,22 +19,24 @@
 //! `--json` prints the document; the JSON is always written to
 //! `BENCH_chaos.json`.)
 
+use genedit_bench::{object, Args, Report};
 use genedit_bird::Workload;
 use genedit_core::{Ablation, Harness};
 use genedit_llm::{
     Clock, FaultConfig, FaultInjector, HedgePolicy, HedgedModel, OracleModel, ResiliencePolicy,
     ResilienceState, SimulatedClock, SystemClock,
 };
-use serde_json::Value;
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+#[derive(Serialize)]
 struct Row {
     rate: f64,
     ex: f64,
     tasks: usize,
     degraded: usize,
-    injected: u64,
+    injected_faults: u64,
     retries: u64,
     sheds: u64,
     exhausted: u64,
@@ -77,7 +79,7 @@ fn run_rate(workload: &Workload, seed: u64, rate: f64) -> Row {
         ex: report.ex(None),
         tasks: report.outcomes.len(),
         degraded: report.operators.values().map(|s| s.degraded).sum(),
-        injected: harness.model().log().total(),
+        injected_faults: harness.model().log().total(),
         retries: sum_prefix("model.retry."),
         sheds: sum_prefix("model.shed."),
         exhausted: sum_prefix("model.exhausted."),
@@ -94,11 +96,12 @@ const SPIKE: Duration = Duration::from_millis(25);
 /// the oracle's (near-zero) base latency.
 const SPIKE_HEDGE_DELAY: Duration = Duration::from_millis(5);
 
+#[derive(Serialize)]
 struct SpikeRow {
     rate: f64,
     ex: f64,
     tasks: usize,
-    spikes: u64,
+    latency_spikes: u64,
     hedge_fired: u64,
     hedge_won: u64,
     hedge_wasted: u64,
@@ -137,7 +140,7 @@ fn run_spike_rate(workload: &Workload, seed: u64, rate: f64) -> SpikeRow {
         rate,
         ex: report.ex(None),
         tasks: report.outcomes.len(),
-        spikes: harness.model().inner().log().latency_spikes,
+        latency_spikes: harness.model().inner().log().latency_spikes,
         hedge_fired: stats.fired,
         hedge_won: stats.won,
         hedge_wasted: stats.wasted,
@@ -146,35 +149,24 @@ fn run_spike_rate(workload: &Workload, seed: u64, rate: f64) -> SpikeRow {
     }
 }
 
-fn spike_row_json(row: &SpikeRow) -> Value {
-    Value::Object(vec![
-        ("rate".to_string(), Value::F64(row.rate)),
-        ("ex".to_string(), Value::F64(row.ex)),
-        ("tasks".to_string(), Value::U64(row.tasks as u64)),
-        ("latency_spikes".to_string(), Value::U64(row.spikes)),
-        ("hedge_fired".to_string(), Value::U64(row.hedge_fired)),
-        ("hedge_won".to_string(), Value::U64(row.hedge_won)),
-        ("hedge_wasted".to_string(), Value::U64(row.hedge_wasted)),
-        (
-            "model_calls".to_string(),
-            Value::U64(row.model_calls as u64),
-        ),
-        ("wall_ms".to_string(), Value::F64(row.wall_ms)),
-    ])
+/// `smoke`/`standard`: this sweep's `mode` leaf predates the shared
+/// `smoke`/`full` spelling and the artifact keeps it.
+fn workload_for(args: &Args) -> (Workload, &'static str) {
+    if args.smoke {
+        (Workload::small(args.seed), "smoke")
+    } else {
+        (Workload::standard(args.seed), "standard")
+    }
 }
 
 /// The `--spikes` entry point: sweep the spike rate, assert EX is
 /// untouched (spikes are timing-only), report hedge counters.
-fn spike_main(seed: u64, smoke: bool, json: bool) {
-    let workload = if smoke {
-        Workload::small(seed)
-    } else {
-        Workload::standard(seed)
-    };
+fn spike_main(args: &Args, mut report: Report) -> ! {
+    let (workload, mode) = workload_for(args);
     let rates = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
     let rows: Vec<SpikeRow> = rates
         .iter()
-        .map(|&rate| run_spike_rate(&workload, seed, rate))
+        .map(|&rate| run_spike_rate(&workload, args.seed, rate))
         .collect();
 
     // Spikes change timing, never answers: EX at every rate must equal
@@ -182,58 +174,28 @@ fn spike_main(seed: u64, smoke: bool, json: bool) {
     // spikes appear.
     let ex0 = rows[0].ex;
     let ex_stable = rows.iter().all(|r| r.ex == ex0);
-    let hedged_when_spiked = rows.iter().all(|r| r.spikes == 0 || r.hedge_fired > 0);
-
-    let doc = Value::Object(vec![
-        (
-            "artifact".to_string(),
-            Value::Str("chaos_sweep".to_string()),
-        ),
-        ("seed".to_string(), Value::U64(seed)),
-        (
-            "mode".to_string(),
-            Value::Str(if smoke { "smoke" } else { "standard" }.to_string()),
-        ),
-        (
-            "tasks".to_string(),
-            Value::U64(workload.task_count() as u64),
-        ),
-        (
-            "fault_kind".to_string(),
-            Value::Str("latency_spike".to_string()),
-        ),
-        (
-            "spike_ms".to_string(),
-            Value::F64(SPIKE.as_secs_f64() * 1e3),
-        ),
-        (
-            "hedge_delay_ms".to_string(),
-            Value::F64(SPIKE_HEDGE_DELAY.as_secs_f64() * 1e3),
-        ),
-        ("ex_stable".to_string(), Value::Bool(ex_stable)),
-        (
-            "hedged_when_spiked".to_string(),
-            Value::Bool(hedged_when_spiked),
-        ),
-        (
-            "rows".to_string(),
-            Value::Array(rows.iter().map(spike_row_json).collect()),
-        ),
-    ]);
-    let rendered = serde_json::to_string_pretty(&doc).expect("report serialization is infallible");
-    if let Err(err) = std::fs::write("BENCH_chaos.json", &rendered) {
-        eprintln!("warning: could not write BENCH_chaos.json: {err}");
+    let hedged_when_spiked = rows
+        .iter()
+        .all(|r| r.latency_spikes == 0 || r.hedge_fired > 0);
+    if !ex_stable {
+        report
+            .violations
+            .push("EX moved with the spike rate".to_string());
+    }
+    if !hedged_when_spiked {
+        report
+            .violations
+            .push("spikes landed but the hedge never fired".to_string());
     }
 
-    if json {
-        println!("{rendered}");
-    } else {
+    if !args.json {
         println!(
             "Chaos sweep (latency spikes) — hedged GenEdit under {}ms spikes \
-             (seed {seed}, {} tasks{})",
+             (seed {}, {} tasks{})",
             SPIKE.as_millis(),
+            args.seed,
             workload.task_count(),
-            if smoke { ", smoke" } else { "" }
+            if args.smoke { ", smoke" } else { "" }
         );
         println!(
             "{:>6} {:>7} {:>8} {:>9} {:>7} {:>8} {:>12} {:>10}",
@@ -244,7 +206,7 @@ fn spike_main(seed: u64, smoke: bool, json: bool) {
                 "{:>5.0}% {:>7.2} {:>8} {:>9} {:>7} {:>8} {:>12} {:>10.1}",
                 row.rate * 100.0,
                 row.ex,
-                row.spikes,
+                row.latency_spikes,
                 row.hedge_fired,
                 row.hedge_won,
                 row.hedge_wasted,
@@ -257,44 +219,29 @@ fn spike_main(seed: u64, smoke: bool, json: bool) {
             if ex_stable { "PASS" } else { "FAIL" },
             if hedged_when_spiked { "PASS" } else { "FAIL" }
         );
-        println!("wrote BENCH_chaos.json");
     }
-    if !ex_stable || !hedged_when_spiked {
-        std::process::exit(1);
-    }
-}
-
-fn row_json(row: &Row) -> Value {
-    Value::Object(vec![
-        ("rate".to_string(), Value::F64(row.rate)),
-        ("ex".to_string(), Value::F64(row.ex)),
-        ("tasks".to_string(), Value::U64(row.tasks as u64)),
-        ("degraded".to_string(), Value::U64(row.degraded as u64)),
-        ("injected_faults".to_string(), Value::U64(row.injected)),
-        ("retries".to_string(), Value::U64(row.retries)),
-        ("sheds".to_string(), Value::U64(row.sheds)),
-        ("exhausted".to_string(), Value::U64(row.exhausted)),
-        (
-            "model_calls".to_string(),
-            Value::U64(row.model_calls as u64),
-        ),
-        ("backoff_ms".to_string(), Value::F64(row.backoff_ms)),
-    ])
+    let doc = object! {
+        "artifact": "chaos_sweep",
+        "seed": args.seed,
+        "mode": mode,
+        "tasks": workload.task_count(),
+        "fault_kind": "latency_spike",
+        "spike_ms": SPIKE.as_secs_f64() * 1e3,
+        "hedge_delay_ms": SPIKE_HEDGE_DELAY.as_secs_f64() * 1e3,
+        "ex_stable": ex_stable,
+        "hedged_when_spiked": hedged_when_spiked,
+        "rows": rows,
+    };
+    report.finish("BENCH_chaos.json", &doc)
 }
 
 fn main() {
-    let args = genedit_bench::BinArgs::parse();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let seed = args.seed;
-    if std::env::args().any(|a| a == "--spikes") {
-        spike_main(seed, smoke, args.json);
-        return;
+    let args = Args::parse(&["--smoke", "--spikes"]);
+    let mut report = Report::new(&args);
+    if args.has("--spikes") {
+        spike_main(&args, report);
     }
-    let workload = if smoke {
-        Workload::small(seed)
-    } else {
-        Workload::standard(seed)
-    };
+    let (workload, mode) = workload_for(&args);
 
     // The fault-free reference: plain oracle, no resilience layer.
     let plain = Harness::new(&workload);
@@ -305,7 +252,7 @@ fn main() {
     let rates = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
     let rows: Vec<Row> = rates
         .iter()
-        .map(|&rate| run_rate(&workload, seed, rate))
+        .map(|&rate| run_rate(&workload, args.seed, rate))
         .collect();
 
     // Zero-overhead invariant: at rate 0 the resilient pipeline is
@@ -315,91 +262,65 @@ fn main() {
         && zero.model_calls == plain_calls
         && zero.retries == 0
         && zero.backoff_ms == 0.0;
-
-    let doc = Value::Object(vec![
-        (
-            "artifact".to_string(),
-            Value::Str("chaos_sweep".to_string()),
-        ),
-        ("seed".to_string(), Value::U64(seed)),
-        (
-            "mode".to_string(),
-            Value::Str(if smoke { "smoke" } else { "standard" }.to_string()),
-        ),
-        (
-            "tasks".to_string(),
-            Value::U64(workload.task_count() as u64),
-        ),
-        (
-            "fault_kind".to_string(),
-            Value::Str("transient".to_string()),
-        ),
-        (
-            "baseline".to_string(),
-            Value::Object(vec![
-                ("ex".to_string(), Value::F64(plain_ex)),
-                ("model_calls".to_string(), Value::U64(plain_calls as u64)),
-            ]),
-        ),
-        ("zero_overhead".to_string(), Value::Bool(zero_overhead)),
-        (
-            "rows".to_string(),
-            Value::Array(rows.iter().map(row_json).collect()),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&doc).expect("report serialization is infallible");
-    if let Err(err) = std::fs::write("BENCH_chaos.json", &json) {
-        eprintln!("warning: could not write BENCH_chaos.json: {err}");
+    if !zero_overhead {
+        report
+            .violations
+            .push("at rate 0 the resilient pipeline is not the plain pipeline".to_string());
     }
 
-    if args.json {
-        println!("{json}");
-        return;
-    }
-
-    println!(
-        "Chaos sweep — GenEdit EX under injected transient faults \
-         (seed {seed}, {} tasks{})",
-        workload.task_count(),
-        if smoke { ", smoke" } else { "" }
-    );
-    println!(
-        "{:>6} {:>7} {:>9} {:>9} {:>8} {:>6} {:>10} {:>12} {:>12}",
-        "rate",
-        "EX%",
-        "injected",
-        "retries",
-        "sheds",
-        "exh.",
-        "degraded",
-        "model calls",
-        "backoff ms"
-    );
-    for row in &rows {
+    if !args.json {
         println!(
-            "{:>5.0}% {:>7.2} {:>9} {:>9} {:>8} {:>6} {:>10} {:>12} {:>12.1}",
-            row.rate * 100.0,
-            row.ex,
-            row.injected,
-            row.retries,
-            row.sheds,
-            row.exhausted,
-            row.degraded,
-            row.model_calls,
-            row.backoff_ms
+            "Chaos sweep — GenEdit EX under injected transient faults \
+             (seed {}, {} tasks{})",
+            args.seed,
+            workload.task_count(),
+            if args.smoke { ", smoke" } else { "" }
+        );
+        println!(
+            "{:>6} {:>7} {:>9} {:>9} {:>8} {:>6} {:>10} {:>12} {:>12}",
+            "rate",
+            "EX%",
+            "injected",
+            "retries",
+            "sheds",
+            "exh.",
+            "degraded",
+            "model calls",
+            "backoff ms"
+        );
+        for row in &rows {
+            println!(
+                "{:>5.0}% {:>7.2} {:>9} {:>9} {:>8} {:>6} {:>10} {:>12} {:>12.1}",
+                row.rate * 100.0,
+                row.ex,
+                row.injected_faults,
+                row.retries,
+                row.sheds,
+                row.exhausted,
+                row.degraded,
+                row.model_calls,
+                row.backoff_ms
+            );
+        }
+        println!(
+            "\nzero-overhead check at rate 0: {} \
+             (plain EX {plain_ex:.2} / {plain_calls} calls vs resilient \
+             EX {:.2} / {} calls, {} retries)",
+            if zero_overhead { "PASS" } else { "FAIL" },
+            zero.ex,
+            zero.model_calls,
+            zero.retries
         );
     }
-    println!(
-        "\nzero-overhead check at rate 0: {} \
-         (plain EX {plain_ex:.2} / {plain_calls} calls vs resilient \
-         EX {:.2} / {} calls, {} retries)",
-        if zero_overhead { "PASS" } else { "FAIL" },
-        zero.ex,
-        zero.model_calls,
-        zero.retries
-    );
-    println!("wrote BENCH_chaos.json");
-    if !zero_overhead {
-        std::process::exit(1);
-    }
+    let doc = object! {
+        "artifact": "chaos_sweep",
+        "seed": args.seed,
+        "mode": mode,
+        "tasks": workload.task_count(),
+        "fault_kind": "transient",
+        "baseline": object! { "ex": plain_ex, "model_calls": plain_calls },
+        "zero_overhead": zero_overhead,
+        "rows": rows,
+    };
+    report.finish("BENCH_chaos.json", &doc)
 }

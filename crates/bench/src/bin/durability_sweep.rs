@@ -34,13 +34,14 @@
 //! CI, `--json` prints the document; the JSON is always written to
 //! `BENCH_durability.json`.)
 
+use genedit_bench::{object, Args, Report};
 use genedit_bird::{DomainBundle, SPORTS};
 use genedit_knowledge::tenants::{TenantKnowledgeStore, TenantStoreConfig};
 use genedit_knowledge::{
     DurableKnowledgeStore, Edit, FaultyFs, FsyncPolicy, IoFaultConfig, KnowledgeSet, MemFs,
     RecoveryOutcome, StagingArea, StoreConfig, StoreError, StoreFs,
 };
-use serde_json::Value;
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -149,10 +150,12 @@ fn calibrate(ops: &[Op], seed: u64) -> u64 {
     faulty.log().ops
 }
 
+#[derive(Serialize)]
 struct CrashRow {
     crash_op: u64,
     acked_log: usize,
-    outcome: RecoveryOutcome,
+    /// `RecoveryOutcome`'s debug rendering.
+    outcome: String,
     bytes_truncated: u64,
     ok: bool,
 }
@@ -221,16 +224,17 @@ fn run_crash_point(ops: &[Op], seed: u64, crash_op: u64, violations: &mut Vec<St
     CrashRow {
         crash_op,
         acked_log: acked.log().len(),
-        outcome,
+        outcome: format!("{outcome:?}"),
         bytes_truncated,
         ok,
     }
 }
 
+#[derive(Serialize)]
 struct CorruptionRow {
     rate: f64,
     runs: usize,
-    injected: u64,
+    injected_faults: u64,
     op_errors: u64,
     quarantined: u64,
     bytes_truncated: u64,
@@ -250,7 +254,7 @@ fn run_corruption_rate(
     let mut row = CorruptionRow {
         rate,
         runs,
-        injected: 0,
+        injected_faults: 0,
         op_errors: 0,
         quarantined: 0,
         bytes_truncated: 0,
@@ -276,7 +280,7 @@ fn run_corruption_rate(
                 }
             }
         }
-        row.injected += faulty.log().total();
+        row.injected_faults += faulty.log().total();
         mem.crash();
 
         let fs: Arc<dyn StoreFs> = Arc::clone(&mem) as Arc<dyn StoreFs>;
@@ -326,6 +330,7 @@ fn run_corruption_rate(
     row
 }
 
+#[derive(Serialize)]
 struct ZeroOverhead {
     byte_identical: bool,
     reopen_clean: bool,
@@ -422,6 +427,7 @@ fn calibrate_tenant(batches: &[Vec<Edit>], seed: u64) -> u64 {
     faulty.log().ops
 }
 
+#[derive(Serialize)]
 struct PageFlushRow {
     crash_op: u64,
     acked_batches: usize,
@@ -535,90 +541,24 @@ fn run_page_flush_crash(
     }
 }
 
-struct SweepArgs {
-    seed: u64,
-    points: u64,
-    json: bool,
-    smoke: bool,
-}
-
-/// `BinArgs::parse` treats any bare integer as the seed, which would eat
-/// the value of `--points N` — so this binary parses its own arguments.
-fn parse_args() -> SweepArgs {
-    let mut parsed = SweepArgs {
-        seed: 42,
-        points: 40,
-        json: false,
-        smoke: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => parsed.json = true,
-            "--smoke" => parsed.smoke = true,
-            "--points" => {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    parsed.points = v;
-                }
-            }
-            other => {
-                if let Ok(s) = other.parse() {
-                    parsed.seed = s;
-                }
-            }
-        }
-    }
-    parsed
-}
-
-fn crash_row_json(row: &CrashRow) -> Value {
-    Value::Object(vec![
-        ("crash_op".to_string(), Value::U64(row.crash_op)),
-        ("acked_log".to_string(), Value::U64(row.acked_log as u64)),
-        (
-            "outcome".to_string(),
-            Value::Str(format!("{:?}", row.outcome)),
-        ),
-        (
-            "bytes_truncated".to_string(),
-            Value::U64(row.bytes_truncated),
-        ),
-        ("ok".to_string(), Value::Bool(row.ok)),
-    ])
-}
-
-fn corruption_row_json(row: &CorruptionRow) -> Value {
-    Value::Object(vec![
-        ("rate".to_string(), Value::F64(row.rate)),
-        ("runs".to_string(), Value::U64(row.runs as u64)),
-        ("injected_faults".to_string(), Value::U64(row.injected)),
-        ("op_errors".to_string(), Value::U64(row.op_errors)),
-        ("quarantined".to_string(), Value::U64(row.quarantined)),
-        (
-            "bytes_truncated".to_string(),
-            Value::U64(row.bytes_truncated),
-        ),
-        (
-            "acked_divergence".to_string(),
-            Value::U64(row.acked_divergence as u64),
-        ),
-        ("ok".to_string(), Value::Bool(row.ok)),
-    ])
-}
-
 fn main() {
-    let args = parse_args();
-    let mut violations: Vec<String> = Vec::new();
+    let args = Args::parse(&["--smoke", "--points N"]);
+    let mut report = Report::new(&args);
 
     let ops = build_ops(args.seed);
     let total_ops = calibrate(&ops, args.seed);
 
     // Part 1: crash points evenly spaced across the workload's fs ops.
-    let points = args.points.max(1);
+    let points = args.value("--points").unwrap_or(40).max(1);
     let mut crash_rows = Vec::new();
     for k in 1..=points {
         let crash_op = ((k * total_ops) / (points + 1)).max(1);
-        crash_rows.push(run_crash_point(&ops, args.seed, crash_op, &mut violations));
+        crash_rows.push(run_crash_point(
+            &ops,
+            args.seed,
+            crash_op,
+            &mut report.violations,
+        ));
     }
 
     // Part 2: corruption rates; smoke keeps CI fast.
@@ -626,11 +566,13 @@ fn main() {
     let rates = [0.02, 0.05, 0.10, 0.20];
     let corruption_rows: Vec<CorruptionRow> = rates
         .iter()
-        .map(|&rate| run_corruption_rate(&ops, args.seed, rate, runs_per_rate, &mut violations))
+        .map(|&rate| {
+            run_corruption_rate(&ops, args.seed, rate, runs_per_rate, &mut report.violations)
+        })
         .collect();
 
     // Part 3: zero overhead without faults.
-    let zero = run_zero_overhead(&ops, &mut violations);
+    let zero = run_zero_overhead(&ops, &mut report.violations);
 
     // Part 4: crash mid-page-flush in the disk-backed tenant store.
     let batches = tenant_batches(args.seed);
@@ -643,78 +585,11 @@ fn main() {
             &batches,
             args.seed,
             crash_op,
-            &mut violations,
+            &mut report.violations,
         ));
     }
 
-    let doc = Value::Object(vec![
-        (
-            "artifact".to_string(),
-            Value::Str("durability_sweep".to_string()),
-        ),
-        ("seed".to_string(), Value::U64(args.seed)),
-        (
-            "mode".to_string(),
-            Value::Str(if args.smoke { "smoke" } else { "full" }.to_string()),
-        ),
-        ("workload_ops".to_string(), Value::U64(ops.len() as u64)),
-        ("fs_ops".to_string(), Value::U64(total_ops)),
-        ("crash_points".to_string(), Value::U64(points)),
-        (
-            "crash_rows".to_string(),
-            Value::Array(crash_rows.iter().map(crash_row_json).collect()),
-        ),
-        (
-            "corruption_rows".to_string(),
-            Value::Array(corruption_rows.iter().map(corruption_row_json).collect()),
-        ),
-        (
-            "zero_overhead".to_string(),
-            Value::Object(vec![
-                (
-                    "byte_identical".to_string(),
-                    Value::Bool(zero.byte_identical),
-                ),
-                ("reopen_clean".to_string(), Value::Bool(zero.reopen_clean)),
-                ("store_ms".to_string(), Value::F64(zero.store_ms)),
-                ("plain_ms".to_string(), Value::F64(zero.plain_ms)),
-            ]),
-        ),
-        (
-            "page_flush_rows".to_string(),
-            Value::Array(
-                page_flush_rows
-                    .iter()
-                    .map(|row| {
-                        Value::Object(vec![
-                            ("crash_op".to_string(), Value::U64(row.crash_op)),
-                            (
-                                "acked_batches".to_string(),
-                                Value::U64(row.acked_batches as u64),
-                            ),
-                            (
-                                "recovered".to_string(),
-                                Value::Str(row.recovered.to_string()),
-                            ),
-                            ("ok".to_string(), Value::Bool(row.ok)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "violations".to_string(),
-            Value::Array(violations.iter().map(|v| Value::Str(v.clone())).collect()),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&doc).expect("report serialization is infallible");
-    if let Err(err) = std::fs::write("BENCH_durability.json", &json) {
-        eprintln!("warning: could not write BENCH_durability.json: {err}");
-    }
-
-    if args.json {
-        println!("{json}");
-    } else {
+    if !args.json {
         println!(
             "Durability sweep — crash/corruption recovery of the knowledge store \
              (seed {}, {} workload ops, {} fs ops)",
@@ -727,12 +602,11 @@ fn main() {
             "\ncrash-point sweep: {passed}/{} points recovered exactly the acked prefix",
             crash_rows.len()
         );
-        let mut outcome_counts: Vec<(String, usize)> = Vec::new();
+        let mut outcome_counts: Vec<(&str, usize)> = Vec::new();
         for row in &crash_rows {
-            let key = format!("{:?}", row.outcome);
-            match outcome_counts.iter_mut().find(|(k, _)| *k == key) {
+            match outcome_counts.iter_mut().find(|(k, _)| *k == row.outcome) {
                 Some((_, n)) => *n += 1,
-                None => outcome_counts.push((key, 1)),
+                None => outcome_counts.push((&row.outcome, 1)),
             }
         }
         for (outcome, n) in &outcome_counts {
@@ -747,7 +621,7 @@ fn main() {
                 "{:>5.0}% {:>5} {:>9} {:>9} {:>11} {:>11} {:>8}",
                 row.rate * 100.0,
                 row.runs,
-                row.injected,
+                row.injected_faults,
                 row.op_errors,
                 row.quarantined,
                 row.bytes_truncated,
@@ -777,15 +651,19 @@ fn main() {
              WAL prefix ({inflight} kept a fully-durable in-flight batch)",
             page_flush_rows.len()
         );
-        if !violations.is_empty() {
-            println!("\nVIOLATIONS:");
-            for v in &violations {
-                println!("  - {v}");
-            }
-        }
-        println!("wrote BENCH_durability.json");
     }
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
+    let doc = object! {
+        "artifact": "durability_sweep",
+        "seed": args.seed,
+        "mode": args.mode(),
+        "workload_ops": ops.len(),
+        "fs_ops": total_ops,
+        "crash_points": points,
+        "crash_rows": crash_rows,
+        "corruption_rows": corruption_rows,
+        "zero_overhead": zero,
+        "page_flush_rows": page_flush_rows,
+        "violations": report.violations,
+    };
+    report.finish("BENCH_durability.json", &doc)
 }

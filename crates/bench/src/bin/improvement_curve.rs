@@ -57,7 +57,7 @@ fn degrade_all_terms(ks: &KnowledgeSet, terms: &[&str]) -> KnowledgeSet {
 }
 
 fn main() {
-    let args = genedit_bench::BinArgs::parse();
+    let args = genedit_bench::Args::parse(&[]);
     let workload = Workload::standard(args.seed);
     let oracle = OracleModel::new(workload.registry());
     let pipeline = GenEditPipeline::new(&oracle);
@@ -213,16 +213,11 @@ fn main() {
     }
 
     if args.json {
-        use serde::Serialize;
-        use serde_json::Value;
-        let doc = Value::Object(vec![
-            (
-                "artifact".to_string(),
-                Value::Str("improvement_curve".to_string()),
-            ),
-            ("seed".to_string(), Value::U64(args.seed)),
-            ("rounds".to_string(), records.serialize()),
-        ]);
+        let doc = genedit_bench::object! {
+            "artifact": "improvement_curve",
+            "seed": args.seed,
+            "rounds": records,
+        };
         println!(
             "{}",
             serde_json::to_string_pretty(&doc).expect("curve serialization is infallible")

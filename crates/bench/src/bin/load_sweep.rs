@@ -26,40 +26,18 @@
 //! (`--smoke` shrinks the workload for CI, `--json` prints the
 //! document; the JSON is always written to `BENCH_load.json`.)
 
-use genedit_bird::{DomainBundle, SPORTS};
-use genedit_core::{
-    CandidateSelection, GenEditPipeline, GenerateOptions, KnowledgeIndex, PipelineConfig,
-};
+use genedit_bench::{object, Args, Harness, Hist, Report};
+use genedit_core::{CandidateSelection, GenEditPipeline, GenerateOptions, PipelineConfig};
 use genedit_llm::{
     AdaptiveWindow, BatchConfig, BatchScheduler, CompletionRequest, CompletionResponse,
-    FaultConfig, FaultInjector, HedgePolicy, LanguageModel, ModelError, OracleConfig, OracleModel,
-    SystemClock, TaskRegistry,
+    FaultConfig, FaultInjector, HedgePolicy, LanguageModel, ModelError, OracleModel, SystemClock,
 };
 use genedit_llm::{Clock, TaskKind};
-use genedit_serve::{ObsConfig, QueryOutcome, QueryRequest, ServeConfig, ServeRuntime};
-use genedit_telemetry::{HistogramSummary, MetricsRegistry, SloConfig};
-use serde_json::Value;
+use genedit_serve::{ObsConfig, QueryOutcome, ServeConfig};
+use genedit_telemetry::{MetricsRegistry, SloConfig};
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The oracle behind a fixed simulated network round trip — the
-/// production profile hedging targets: wall time is model waits, and a
-/// duplicate dispatch runs concurrently instead of queueing.
-struct RemoteLatencyModel {
-    inner: Arc<OracleModel>,
-    latency: Duration,
-}
-
-impl LanguageModel for RemoteLatencyModel {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, ModelError> {
-        std::thread::sleep(self.latency);
-        self.inner.complete(request)
-    }
-}
 
 /// Sabotages one candidate seed per ensemble fan-out: SQL-generation
 /// calls for seed 2 return unparseable text until the prompt carries
@@ -89,52 +67,6 @@ impl LanguageModel for DissentModel {
     }
 }
 
-struct SweepArgs {
-    seed: u64,
-    smoke: bool,
-    json: bool,
-    /// Open-loop arrival rate, requests per second.
-    rps: f64,
-    /// Requests per load run.
-    requests: usize,
-}
-
-fn parse_args() -> SweepArgs {
-    let mut parsed = SweepArgs {
-        seed: 42,
-        smoke: false,
-        json: false,
-        rps: 60.0,
-        requests: 0,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => parsed.json = true,
-            "--smoke" | "--quick" => parsed.smoke = true,
-            "--rps" => {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    parsed.rps = v;
-                }
-            }
-            "--requests" => {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    parsed.requests = v;
-                }
-            }
-            other => {
-                if let Ok(s) = other.parse() {
-                    parsed.seed = s;
-                }
-            }
-        }
-    }
-    if parsed.requests == 0 {
-        parsed.requests = if parsed.smoke { 60 } else { 240 };
-    }
-    parsed
-}
-
 const BASE_LATENCY: Duration = Duration::from_millis(2);
 const SPIKE: Duration = Duration::from_millis(40);
 const SPIKE_RATE: f64 = 0.05;
@@ -145,99 +77,42 @@ const HEDGE_DELAY: Duration = Duration::from_millis(10);
 /// spiked unhedged request blows it, a hedged one does not.
 const SLO_THRESHOLD_MS: f64 = 35.0;
 
-struct Harness {
-    bundle: DomainBundle,
-    index: Arc<KnowledgeIndex>,
-    oracle: Arc<OracleModel>,
-}
-
-impl Harness {
-    fn build(seed: u64) -> Harness {
-        let bundle = DomainBundle::build(&SPORTS, (8, 7, 3), seed);
-        let index = Arc::new(KnowledgeIndex::build(bundle.build_knowledge()));
-        let mut reg = TaskRegistry::new();
-        for t in &bundle.tasks {
-            reg.register(t.clone());
-        }
-        let oracle = OracleModel::with_config(
-            reg,
-            OracleConfig {
-                noise_rate: 0.0,
-                pseudo_drift_probability: 0.0,
-                drift_probability: 0.0,
-                canonical_form_penalty: 0.0,
-                ..Default::default()
-            },
-        );
-        Harness {
-            bundle,
-            index,
-            oracle: Arc::new(oracle),
-        }
-    }
-
-    /// The seeded multi-tenant request stream: tenants round-robin over
-    /// the domain's questions, deterministically.
-    fn request(&self, i: usize) -> QueryRequest {
-        let tasks = &self.bundle.tasks;
-        let tenant = format!("tenant-{}", i % 3);
-        QueryRequest::new(tenant, &tasks[i % tasks.len()].question)
-    }
-}
-
-/// Semantic fingerprint of a generation, excluding the trace (span
-/// timings legitimately differ). Byte-for-byte comparable.
-fn fingerprint(r: &genedit_core::GenerationResult) -> String {
-    format!(
-        "sql={:?}|reform={:?}|intents={:?}|ex={:?}|ins={:?}|schema={:?}|errors={:?}|validated={}",
-        r.sql,
-        r.reformulated,
-        r.intents,
-        r.used_examples,
-        r.used_instructions,
-        r.used_schema,
-        r.errors,
-        r.validated
-    )
-}
-
+#[derive(Serialize)]
 struct LoadRow {
     hedged: bool,
     requests: usize,
     wall_ms: f64,
     throughput_rps: f64,
-    latency_ms: HistogramSummary,
+    latency_ms: Hist,
     model_calls: u64,
-    spikes: u64,
+    latency_spikes: u64,
     hedge_fired: u64,
     hedge_won: u64,
     hedge_wasted: u64,
     slo_fired: u64,
-    fingerprints: Vec<String>,
 }
 
 /// One open-loop run: `requests` arrivals paced at `rps` into the
 /// serving runtime over a spike-injecting model, hedged or not. Latency
 /// is each request's queue wait + service time as the runtime measured
-/// it.
+/// it. Returns the row and every request's fingerprint in submit order.
 fn run_load(
     harness: &Harness,
-    args: &SweepArgs,
+    seed: u64,
+    rps: u64,
+    requests: usize,
     hedged: bool,
     violations: &mut Vec<String>,
-) -> LoadRow {
+) -> (LoadRow, Vec<String>) {
     let injector = Arc::new(
         FaultInjector::new(
-            RemoteLatencyModel {
-                inner: Arc::clone(&harness.oracle),
-                latency: BASE_LATENCY,
-            },
+            harness.remote(BASE_LATENCY),
             FaultConfig {
                 latency_spike: SPIKE_RATE,
                 spike: SPIKE,
                 ..FaultConfig::default()
             },
-            args.seed,
+            seed,
         )
         .with_clock(Arc::new(SystemClock::new()) as Arc<dyn Clock>),
     );
@@ -251,14 +126,11 @@ fn run_load(
     } else {
         HedgePolicy::disabled()
     };
-    let runtime = ServeRuntime::start(
+    let runtime = harness.serve(
         Arc::clone(&injector),
-        Arc::clone(&harness.index),
-        0,
-        Arc::new(harness.bundle.db.clone()),
         ServeConfig {
             workers: 4,
-            queue_capacity: args.requests + 8,
+            queue_capacity: requests + 8,
             // Caches off so every request exercises the model stack.
             result_cache_capacity: 0,
             reform_cache_capacity: 0,
@@ -281,9 +153,9 @@ fn run_load(
             ..ServeConfig::default()
         },
     );
-    let interarrival = Duration::from_secs_f64(1.0 / args.rps.max(1.0));
+    let interarrival = Duration::from_secs_f64(1.0 / rps.max(1) as f64);
     let started = Instant::now();
-    let tickets: Vec<_> = (0..args.requests)
+    let tickets: Vec<_> = (0..requests)
         .map(|i| {
             // Open-loop pacing: arrival i is due at started + i/rps,
             // regardless of how the runtime is keeping up.
@@ -296,8 +168,8 @@ fn run_load(
                 .expect("load queue sized to fit the whole request set")
         })
         .collect();
-    let mut latencies = Vec::with_capacity(args.requests);
-    let mut fingerprints = Vec::with_capacity(args.requests);
+    let mut latencies = Vec::with_capacity(requests);
+    let mut fingerprints = Vec::with_capacity(requests);
     for (i, ticket) in tickets.into_iter().enumerate() {
         match ticket.wait() {
             QueryOutcome::Completed {
@@ -307,7 +179,7 @@ fn run_load(
                 ..
             } => {
                 latencies.push((queue_wait + service).as_secs_f64() * 1e3);
-                fingerprints.push(fingerprint(&result));
+                fingerprints.push(result.fingerprint());
             }
             other => {
                 violations.push(format!(
@@ -322,20 +194,20 @@ fn run_load(
     let stats = runtime.hedge_stats();
     let slo_fired = runtime.metrics().counter("serve.slo.fired");
     runtime.shutdown();
-    LoadRow {
+    let row = LoadRow {
         hedged,
-        requests: args.requests,
+        requests,
         wall_ms: wall.as_secs_f64() * 1e3,
-        throughput_rps: args.requests as f64 / wall.as_secs_f64(),
-        latency_ms: HistogramSummary::from_samples(&latencies),
+        throughput_rps: requests as f64 / wall.as_secs_f64(),
+        latency_ms: Hist::from_samples(&latencies),
         model_calls: injector.log().calls,
-        spikes: injector.log().latency_spikes,
+        latency_spikes: injector.log().latency_spikes,
         hedge_fired: stats.fired,
         hedge_won: stats.won,
         hedge_wasted: stats.wasted,
         slo_fired,
-        fingerprints,
-    }
+    };
+    (row, fingerprints)
 }
 
 fn label(hedged: bool) -> &'static str {
@@ -346,6 +218,7 @@ fn label(hedged: bool) -> &'static str {
     }
 }
 
+#[derive(Serialize)]
 struct VoteRow {
     questions: usize,
     corrected_questions: usize,
@@ -422,6 +295,7 @@ impl LanguageModel for EchoModel {
     }
 }
 
+#[derive(Serialize)]
 struct WindowRow {
     idle_floor_ms: f64,
     burst_window_max_ms: f64,
@@ -507,160 +381,72 @@ fn run_window(violations: &mut Vec<String>) -> WindowRow {
     }
 }
 
-fn histogram_json(h: &HistogramSummary) -> Value {
-    Value::Object(vec![
-        ("count".to_string(), Value::U64(h.count as u64)),
-        ("mean".to_string(), Value::F64(h.mean)),
-        ("min".to_string(), Value::F64(h.min)),
-        ("max".to_string(), Value::F64(h.max)),
-        ("p50".to_string(), Value::F64(h.p50)),
-        ("p95".to_string(), Value::F64(h.p95)),
-        ("p99".to_string(), Value::F64(h.p99)),
-    ])
-}
-
-fn load_row_json(row: &LoadRow) -> Value {
-    Value::Object(vec![
-        ("hedged".to_string(), Value::Bool(row.hedged)),
-        ("requests".to_string(), Value::U64(row.requests as u64)),
-        ("wall_ms".to_string(), Value::F64(row.wall_ms)),
-        ("throughput_rps".to_string(), Value::F64(row.throughput_rps)),
-        ("latency_ms".to_string(), histogram_json(&row.latency_ms)),
-        ("model_calls".to_string(), Value::U64(row.model_calls)),
-        ("latency_spikes".to_string(), Value::U64(row.spikes)),
-        ("hedge_fired".to_string(), Value::U64(row.hedge_fired)),
-        ("hedge_won".to_string(), Value::U64(row.hedge_won)),
-        ("hedge_wasted".to_string(), Value::U64(row.hedge_wasted)),
-        ("slo_fired".to_string(), Value::U64(row.slo_fired)),
-    ])
-}
-
 fn main() {
-    let args = parse_args();
-    let mut violations: Vec<String> = Vec::new();
+    let args = Args::parse(&["--smoke", "--rps N", "--requests N"]);
+    let mut report = Report::new(&args);
+    let rps = args.value("--rps").unwrap_or(60);
+    let default_requests = if args.smoke { 60 } else { 240 };
+    let requests = args.value("--requests").unwrap_or(default_requests) as usize;
     let harness = Harness::build(args.seed);
 
     // Parts 1 + 2: the same paced stream, unhedged then hedged.
-    let unhedged = run_load(&harness, &args, false, &mut violations);
-    let hedged = run_load(&harness, &args, true, &mut violations);
+    let (unhedged, plain_answers) = run_load(
+        &harness,
+        args.seed,
+        rps,
+        requests,
+        false,
+        &mut report.violations,
+    );
+    let (hedged, hedged_answers) = run_load(
+        &harness,
+        args.seed,
+        rps,
+        requests,
+        true,
+        &mut report.violations,
+    );
 
     if hedged.hedge_fired == 0 {
-        violations.push("hedged run never fired a hedge over a 5% spike schedule".to_string());
+        report
+            .violations
+            .push("hedged run never fired a hedge over a 5% spike schedule".to_string());
     }
+    let p99_improvement_ms = unhedged.latency_ms.p99 - hedged.latency_ms.p99;
     if hedged.latency_ms.p99 >= unhedged.latency_ms.p99 {
-        violations.push(format!(
+        report.violations.push(format!(
             "hedged p99 {:.1}ms did not beat unhedged p99 {:.1}ms",
             hedged.latency_ms.p99, unhedged.latency_ms.p99
         ));
     }
     let call_budget = (unhedged.model_calls as f64 * 1.15).ceil() as u64;
     if hedged.model_calls > call_budget {
-        violations.push(format!(
+        report.violations.push(format!(
             "hedging cost {} model calls, over the 15% budget ({} unhedged, cap {})",
             hedged.model_calls, unhedged.model_calls, call_budget
         ));
     }
-    let divergent = unhedged
-        .fingerprints
+    let extra_round_trips = hedged.model_calls as f64 / unhedged.model_calls.max(1) as f64 - 1.0;
+    let divergent = plain_answers
         .iter()
-        .zip(&hedged.fingerprints)
+        .zip(&hedged_answers)
         .filter(|(a, b)| a != b)
         .count();
     if divergent > 0 {
-        violations.push(format!(
-            "{divergent}/{} requests diverged between hedged and unhedged runs",
-            args.requests
+        report.violations.push(format!(
+            "{divergent}/{requests} requests diverged between hedged and unhedged runs"
         ));
     }
 
     // Part 3: the self-correcting vote never returns a minority answer.
-    let vote = run_vote(&harness, &mut violations);
+    let vote = run_vote(&harness, &mut report.violations);
 
     // Part 4: adaptive batching window.
-    let window = run_window(&mut violations);
+    let window = run_window(&mut report.violations);
 
-    let doc = Value::Object(vec![
-        ("artifact".to_string(), Value::Str("load_sweep".to_string())),
-        ("seed".to_string(), Value::U64(args.seed)),
-        (
-            "mode".to_string(),
-            Value::Str(if args.smoke { "smoke" } else { "full" }.to_string()),
-        ),
-        ("rps".to_string(), Value::F64(args.rps)),
-        ("requests".to_string(), Value::U64(args.requests as u64)),
-        (
-            "spike_ms".to_string(),
-            Value::F64(SPIKE.as_secs_f64() * 1e3),
-        ),
-        ("spike_rate".to_string(), Value::F64(SPIKE_RATE)),
-        (
-            "hedge_delay_ms".to_string(),
-            Value::F64(HEDGE_DELAY.as_secs_f64() * 1e3),
-        ),
-        ("slo_threshold_ms".to_string(), Value::F64(SLO_THRESHOLD_MS)),
-        ("unhedged".to_string(), load_row_json(&unhedged)),
-        ("hedged".to_string(), load_row_json(&hedged)),
-        (
-            "p99_improvement_ms".to_string(),
-            Value::F64(unhedged.latency_ms.p99 - hedged.latency_ms.p99),
-        ),
-        (
-            "extra_round_trip_fraction".to_string(),
-            Value::F64(hedged.model_calls as f64 / unhedged.model_calls.max(1) as f64 - 1.0),
-        ),
-        ("byte_identical".to_string(), Value::Bool(divergent == 0)),
-        (
-            "vote".to_string(),
-            Value::Object(vec![
-                ("questions".to_string(), Value::U64(vote.questions as u64)),
-                (
-                    "corrected_questions".to_string(),
-                    Value::U64(vote.corrected_questions as u64),
-                ),
-                (
-                    "minority_returned".to_string(),
-                    Value::U64(vote.minority_returned as u64),
-                ),
-            ]),
-        ),
-        (
-            "adaptive_window".to_string(),
-            Value::Object(vec![
-                (
-                    "idle_floor_ms".to_string(),
-                    Value::F64(window.idle_floor_ms),
-                ),
-                (
-                    "burst_window_max_ms".to_string(),
-                    Value::F64(window.burst_window_max_ms),
-                ),
-                (
-                    "idle_window_max_ms".to_string(),
-                    Value::F64(window.idle_window_max_ms),
-                ),
-                (
-                    "burst_largest_batch".to_string(),
-                    Value::U64(window.burst_largest_batch),
-                ),
-            ]),
-        ),
-        (
-            "violations".to_string(),
-            Value::Array(violations.iter().map(|v| Value::Str(v.clone())).collect()),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&doc).expect("report serialization is infallible");
-    if let Err(err) = std::fs::write("BENCH_load.json", &json) {
-        eprintln!("warning: could not write BENCH_load.json: {err}");
-    }
-
-    if args.json {
-        println!("{json}");
-    } else {
+    if !args.json {
         println!(
-            "Load sweep — {} requests at {:.0} rps, {:.0}ms spikes at {:.0}% (seed {})",
-            args.requests,
-            args.rps,
+            "Load sweep — {requests} requests at {rps} rps, {:.0}ms spikes at {:.0}% (seed {})",
             SPIKE.as_secs_f64() * 1e3,
             SPIKE_RATE * 100.0,
             args.seed
@@ -674,17 +460,16 @@ fn main() {
                 row.latency_ms.p95,
                 row.latency_ms.p99,
                 row.model_calls,
-                row.spikes,
+                row.latency_spikes,
                 row.hedge_won,
                 row.hedge_fired,
                 row.slo_fired,
             );
         }
         println!(
-            "  p99 improvement: {:.1}ms; extra round trips: {:.1}% (budget 15%); \
-             byte-identical: {}",
-            unhedged.latency_ms.p99 - hedged.latency_ms.p99,
-            (hedged.model_calls as f64 / unhedged.model_calls.max(1) as f64 - 1.0) * 100.0,
+            "  p99 improvement: {p99_improvement_ms:.1}ms; extra round trips: {:.1}% \
+             (budget 15%); byte-identical: {}",
+            extra_round_trips * 100.0,
             divergent == 0
         );
         println!(
@@ -700,16 +485,25 @@ fn main() {
             window.idle_window_max_ms,
             window.burst_largest_batch
         );
-        if violations.is_empty() {
-            println!("\nall load invariants held");
-        } else {
-            println!("\nVIOLATIONS:");
-            for v in &violations {
-                println!("  - {v}");
-            }
-        }
     }
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
+    let doc = object! {
+        "artifact": "load_sweep",
+        "seed": args.seed,
+        "mode": args.mode(),
+        "rps": rps as f64,
+        "requests": requests,
+        "spike_ms": SPIKE.as_secs_f64() * 1e3,
+        "spike_rate": SPIKE_RATE,
+        "hedge_delay_ms": HEDGE_DELAY.as_secs_f64() * 1e3,
+        "slo_threshold_ms": SLO_THRESHOLD_MS,
+        "unhedged": unhedged,
+        "hedged": hedged,
+        "p99_improvement_ms": p99_improvement_ms,
+        "extra_round_trip_fraction": extra_round_trips,
+        "byte_identical": divergent == 0,
+        "vote": vote,
+        "adaptive_window": window,
+        "violations": report.violations,
+    };
+    report.finish("BENCH_load.json", &doc)
 }

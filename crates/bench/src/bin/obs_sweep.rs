@@ -31,13 +31,11 @@
 //! (`--smoke` shrinks the workload for CI, `--json` prints the
 //! document; the JSON is always written to `BENCH_obs.json`.)
 
-use genedit_bird::{DomainBundle, SPORTS};
-use genedit_core::KnowledgeIndex;
+use genedit_bench::{object, Args, Harness, Report, Rng};
 use genedit_llm::{
     CompletionRequest, CompletionResponse, FaultConfig, FaultInjector, LanguageModel, ModelError,
-    OracleConfig, OracleModel, TaskRegistry,
 };
-use genedit_serve::{ObsConfig, QueryRequest, ServeConfig, ServeRuntime};
+use genedit_serve::{ObsConfig, ServeConfig};
 use genedit_telemetry::hist::MAX_RELATIVE_ERROR;
 use genedit_telemetry::metrics::nearest_rank;
 use genedit_telemetry::recorder::dump_from_jsonl;
@@ -46,79 +44,24 @@ use genedit_telemetry::{
     LogLinearHistogram, MetricsRegistry, RecorderConfig, RequestVerdict, SimulatedClock, SloConfig,
     SloTracker,
 };
-use serde_json::Value;
+use serde::Serialize;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const DUMP_PATH: &str = "BENCH_obs_recorder.jsonl";
-
-// ---------------------------------------------------------------------
-// args + seeded PRNG
-// ---------------------------------------------------------------------
-
-struct SweepArgs {
-    seed: u64,
-    smoke: bool,
-    json: bool,
-}
-
-fn parse_args() -> SweepArgs {
-    let mut parsed = SweepArgs {
-        seed: 42,
-        smoke: false,
-        json: false,
-    };
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--json" => parsed.json = true,
-            "--smoke" | "--quick" => parsed.smoke = true,
-            other => {
-                if let Ok(s) = other.parse() {
-                    parsed.seed = s;
-                }
-            }
-        }
-    }
-    parsed
-}
-
-/// xorshift64*: tiny, seeded, and good enough to shape distributions.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.max(1))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// Uniform in [0, 1).
-    fn f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Approximate standard normal (Irwin–Hall over 12 uniforms).
-    fn normal(&mut self) -> f64 {
-        (0..12).map(|_| self.f64()).sum::<f64>() - 6.0
-    }
-}
+/// Instrumentation may cost at most this fraction of extra wall clock.
+const OVERHEAD_BUDGET: f64 = 0.03;
 
 // ---------------------------------------------------------------------
 // Part 1: percentile accuracy vs exact nearest rank
 // ---------------------------------------------------------------------
 
+#[derive(Serialize)]
 struct PercentileRow {
     distribution: &'static str,
     samples: usize,
-    max_rel_error: f64,
+    max_relative_error: f64,
     worst_percentile: f64,
 }
 
@@ -188,7 +131,7 @@ fn percentile_accuracy(
         rows.push(PercentileRow {
             distribution: name,
             samples,
-            max_rel_error: max_rel,
+            max_relative_error: max_rel,
             worst_percentile: worst_p,
         });
     }
@@ -199,123 +142,69 @@ fn percentile_accuracy(
 // Part 2: instrumentation overhead on the serve workload
 // ---------------------------------------------------------------------
 
-/// Fixed per-call latency standing in for the remote LLM round trip —
-/// the production profile the 3% overhead budget is defined against.
-struct RemoteLatencyModel {
-    inner: Arc<OracleModel>,
+/// Full observability plane: metrics, an SLO tracker, and a recorder
+/// that samples every normal request (worst case).
+fn full_obs() -> ObsConfig {
+    ObsConfig {
+        metrics: true,
+        slo: Some(SloConfig::default_rules("serve.request", 0.99, 30_000.0)),
+        recorder: Some(RecorderConfig {
+            keep_normal_one_in: 1,
+            ..RecorderConfig::default()
+        }),
+        dump_path: None,
+    }
+}
+
+/// Wall time, in milliseconds, of `requests` through two workers behind
+/// a fixed per-call latency standing in for the remote LLM round trip —
+/// the production profile the overhead budget is defined against.
+fn run_workload(
+    harness: &Harness,
+    requests: usize,
     latency: Duration,
+    observability: ObsConfig,
+) -> f64 {
+    let runtime = harness.serve(
+        harness.remote(latency),
+        ServeConfig {
+            workers: 2,
+            queue_capacity: requests + 8,
+            result_cache_capacity: 0,
+            reform_cache_capacity: 0,
+            observability,
+            ..ServeConfig::default()
+        },
+    );
+    let started = Instant::now();
+    let tickets: Vec<_> = (0..requests)
+        .map(|i| {
+            runtime
+                .submit(harness.request(i))
+                .expect("overhead queue sized to fit the request set")
+        })
+        .collect();
+    for t in tickets {
+        assert!(t.wait().is_completed(), "overhead run lost a request");
+    }
+    let wall = started.elapsed().as_secs_f64() * 1e3;
+    runtime.shutdown();
+    wall
 }
 
-impl LanguageModel for RemoteLatencyModel {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, ModelError> {
-        std::thread::sleep(self.latency);
-        self.inner.complete(request)
-    }
-}
-
-struct ObsHarness {
-    bundle: DomainBundle,
-    index: Arc<KnowledgeIndex>,
-    oracle: Arc<OracleModel>,
-}
-
-impl ObsHarness {
-    fn build(seed: u64) -> ObsHarness {
-        let bundle = DomainBundle::build(&SPORTS, (8, 7, 3), seed);
-        let index = Arc::new(KnowledgeIndex::build(bundle.build_knowledge()));
-        let mut reg = TaskRegistry::new();
-        for t in &bundle.tasks {
-            reg.register(t.clone());
-        }
-        let oracle = OracleModel::with_config(
-            reg,
-            OracleConfig {
-                noise_rate: 0.0,
-                pseudo_drift_probability: 0.0,
-                drift_probability: 0.0,
-                canonical_form_penalty: 0.0,
-                ..Default::default()
-            },
-        );
-        ObsHarness {
-            bundle,
-            index,
-            oracle: Arc::new(oracle),
-        }
-    }
-
-    fn request(&self, i: usize) -> QueryRequest {
-        let tasks = &self.bundle.tasks;
-        QueryRequest::new(
-            format!("tenant-{}", i % 3),
-            &tasks[i % tasks.len()].question,
-        )
-    }
-
-    /// Full observability plane: metrics, an SLO tracker, and a
-    /// recorder that samples every normal request (worst case).
-    fn full_obs(&self) -> ObsConfig {
-        ObsConfig {
-            metrics: true,
-            slo: Some(SloConfig::default_rules("serve.request", 0.99, 30_000.0)),
-            recorder: Some(RecorderConfig {
-                keep_normal_one_in: 1,
-                ..RecorderConfig::default()
-            }),
-            dump_path: None,
-        }
-    }
-
-    fn run_workload(&self, requests: usize, latency: Duration, observability: ObsConfig) -> f64 {
-        let runtime = ServeRuntime::start(
-            RemoteLatencyModel {
-                inner: Arc::clone(&self.oracle),
-                latency,
-            },
-            Arc::clone(&self.index),
-            0,
-            Arc::new(self.bundle.db.clone()),
-            ServeConfig {
-                workers: 2,
-                queue_capacity: requests + 8,
-                result_cache_capacity: 0,
-                reform_cache_capacity: 0,
-                observability,
-                ..ServeConfig::default()
-            },
-        );
-        let started = Instant::now();
-        let tickets: Vec<_> = (0..requests)
-            .map(|i| {
-                runtime
-                    .submit(self.request(i))
-                    .expect("overhead queue sized to fit the request set")
-            })
-            .collect();
-        for t in tickets {
-            assert!(t.wait().is_completed(), "overhead run lost a request");
-        }
-        let wall = started.elapsed().as_secs_f64() * 1e3;
-        runtime.shutdown();
-        wall
-    }
-}
-
+#[derive(Serialize)]
 struct OverheadRow {
     requests: usize,
-    reps: usize,
+    repetitions: usize,
     off_ms: f64,
     on_ms: f64,
     overhead_frac: f64,
+    budget_frac: f64,
     observe_ns_enabled: f64,
     observe_ns_disabled: f64,
 }
 
-fn overhead(harness: &ObsHarness, smoke: bool, violations: &mut Vec<String>) -> OverheadRow {
+fn overhead(harness: &Harness, smoke: bool, violations: &mut Vec<String>) -> OverheadRow {
     let requests = if smoke { 24 } else { 48 };
     let latency = Duration::from_micros(3_000);
     let reps = 3;
@@ -324,7 +213,8 @@ fn overhead(harness: &ObsHarness, smoke: bool, violations: &mut Vec<String>) -> 
     let mut off = f64::INFINITY;
     let mut on = f64::INFINITY;
     for _ in 0..reps {
-        off = off.min(harness.run_workload(
+        off = off.min(run_workload(
+            harness,
             requests,
             latency,
             ObsConfig {
@@ -334,10 +224,10 @@ fn overhead(harness: &ObsHarness, smoke: bool, violations: &mut Vec<String>) -> 
                 dump_path: None,
             },
         ));
-        on = on.min(harness.run_workload(requests, latency, harness.full_obs()));
+        on = on.min(run_workload(harness, requests, latency, full_obs()));
     }
     let overhead_frac = (on - off).max(0.0) / off;
-    if overhead_frac > 0.03 {
+    if overhead_frac > OVERHEAD_BUDGET {
         violations.push(format!(
             "instrumentation overhead {:.2}% exceeds the 3% budget \
              (on {on:.1}ms vs off {off:.1}ms)",
@@ -358,10 +248,11 @@ fn overhead(harness: &ObsHarness, smoke: bool, violations: &mut Vec<String>) -> 
     let disabled = MetricsRegistry::disabled();
     OverheadRow {
         requests,
-        reps,
+        repetitions: reps,
         off_ms: off,
         on_ms: on,
         overhead_frac,
+        budget_frac: OVERHEAD_BUDGET,
         observe_ns_enabled: time_observes(&enabled),
         observe_ns_disabled: time_observes(&disabled),
     }
@@ -385,6 +276,7 @@ impl LanguageModel for AlwaysFailingModel {
     }
 }
 
+#[derive(Serialize)]
 struct RecorderRow {
     requests: usize,
     interesting_expected: usize,
@@ -396,10 +288,11 @@ struct RecorderRow {
     breach_dumped: u64,
     dump_records: usize,
     dump_error_records: usize,
+    dump_path: &'static str,
 }
 
 fn recorder_gate(
-    harness: &ObsHarness,
+    harness: &Harness,
     seed: u64,
     smoke: bool,
     violations: &mut Vec<String>,
@@ -414,18 +307,12 @@ fn recorder_gate(
         seed,
     };
     let capacity = recorder_config.interesting_capacity + recorder_config.normal_capacity;
-    let runtime = ServeRuntime::start(
+    let runtime = harness.serve(
         FaultInjector::new(
-            RemoteLatencyModel {
-                inner: Arc::clone(&harness.oracle),
-                latency: Duration::from_micros(200),
-            },
+            harness.remote(Duration::from_micros(200)),
             FaultConfig::transient_only(0.35),
             seed,
         ),
-        Arc::clone(&harness.index),
-        0,
-        Arc::new(harness.bundle.db.clone()),
         ServeConfig {
             workers: 2,
             queue_capacity: requests + 8,
@@ -499,11 +386,8 @@ fn recorder_gate(
     // --- (b) deterministic SLO breach → flight-recorder dump ----------
     let _ = std::fs::remove_file(DUMP_PATH);
     let breach_requests = if smoke { 24 } else { 40 };
-    let breach_rt = ServeRuntime::start(
+    let breach_rt = harness.serve(
         AlwaysFailingModel,
-        Arc::clone(&harness.index),
-        0,
-        Arc::new(harness.bundle.db.clone()),
         ServeConfig {
             workers: 2,
             queue_capacity: breach_requests + 8,
@@ -592,6 +476,7 @@ fn recorder_gate(
         breach_dumped: dumped,
         dump_records: records.len(),
         dump_error_records,
+        dump_path: DUMP_PATH,
     }
 }
 
@@ -599,9 +484,16 @@ fn recorder_gate(
 // Part 4: burn-rate determinism under the simulated clock
 // ---------------------------------------------------------------------
 
+#[derive(Debug, PartialEq, Serialize)]
+struct Transition {
+    t_seconds: u64,
+    transition: &'static str,
+}
+
+#[derive(Serialize)]
 struct BurnRow {
-    transitions: Vec<(u64, &'static str)>,
     deterministic: bool,
+    transitions: Vec<Transition>,
 }
 
 fn burn_rate_determinism(violations: &mut Vec<String>) -> BurnRow {
@@ -642,13 +534,13 @@ fn burn_rate_determinism(violations: &mut Vec<String>) -> BurnRow {
             }
             clock.advance(Duration::from_secs(1));
             if let Some(t) = tracker.evaluate().transition {
-                transitions.push((
-                    second,
-                    match t {
+                transitions.push(Transition {
+                    t_seconds: second,
+                    transition: match t {
                         AlertTransition::Fired => "fired",
                         AlertTransition::Resolved => "resolved",
                     },
-                ));
+                });
             }
         }
         transitions
@@ -661,28 +553,28 @@ fn burn_rate_determinism(violations: &mut Vec<String>) -> BurnRow {
             "burn-rate schedule diverged between identical runs: {a:?} vs {b:?}"
         ));
     }
-    let shape_ok = a.len() == 2 && a[0].1 == "fired" && a[1].1 == "resolved";
+    let shape_ok = a.len() == 2 && a[0].transition == "fired" && a[1].transition == "resolved";
     if !shape_ok {
         violations.push(format!(
             "expected exactly one fire + one resolve over the scripted burn, got {a:?}"
         ));
     } else {
-        if !(120..160).contains(&a[0].0) {
+        if !(120..160).contains(&a[0].t_seconds) {
             violations.push(format!(
                 "alert fired at t={}s, outside the burn window",
-                a[0].0
+                a[0].t_seconds
             ));
         }
-        if a[1].0 < 160 {
+        if a[1].t_seconds < 160 {
             violations.push(format!(
                 "alert resolved at t={}s, before the burn ended",
-                a[1].0
+                a[1].t_seconds
             ));
         }
     }
     BurnRow {
-        transitions: a,
         deterministic,
+        transitions: a,
     }
 }
 
@@ -691,154 +583,22 @@ fn burn_rate_determinism(violations: &mut Vec<String>) -> BurnRow {
 // ---------------------------------------------------------------------
 
 fn main() {
-    let args = parse_args();
-    let mut violations: Vec<String> = Vec::new();
+    let args = Args::parse(&["--smoke"]);
+    let mut report = Report::new(&args);
 
     let samples = if args.smoke { 4_000 } else { 20_000 };
-    let percentiles = percentile_accuracy(args.seed, samples, &mut violations);
+    let percentiles = percentile_accuracy(args.seed, samples, &mut report.violations);
 
-    let harness = ObsHarness::build(args.seed);
-    let overhead = overhead(&harness, args.smoke, &mut violations);
-    let recorder = recorder_gate(&harness, args.seed, args.smoke, &mut violations);
-    let burn = burn_rate_determinism(&mut violations);
+    let harness = Harness::build(args.seed);
+    let overhead = overhead(&harness, args.smoke, &mut report.violations);
+    let recorder = recorder_gate(&harness, args.seed, args.smoke, &mut report.violations);
+    let burn = burn_rate_determinism(&mut report.violations);
 
-    let doc = Value::Object(vec![
-        ("artifact".to_string(), Value::Str("obs_sweep".to_string())),
-        ("seed".to_string(), Value::U64(args.seed)),
-        (
-            "mode".to_string(),
-            Value::Str(if args.smoke { "smoke" } else { "full" }.to_string()),
-        ),
-        (
-            "percentiles".to_string(),
-            Value::Object(vec![
-                ("bound".to_string(), Value::F64(MAX_RELATIVE_ERROR)),
-                (
-                    "distributions".to_string(),
-                    Value::Array(
-                        percentiles
-                            .iter()
-                            .map(|r| {
-                                Value::Object(vec![
-                                    (
-                                        "distribution".to_string(),
-                                        Value::Str(r.distribution.to_string()),
-                                    ),
-                                    ("samples".to_string(), Value::U64(r.samples as u64)),
-                                    (
-                                        "max_relative_error".to_string(),
-                                        Value::F64(r.max_rel_error),
-                                    ),
-                                    (
-                                        "worst_percentile".to_string(),
-                                        Value::F64(r.worst_percentile),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        (
-            "overhead".to_string(),
-            Value::Object(vec![
-                ("requests".to_string(), Value::U64(overhead.requests as u64)),
-                ("repetitions".to_string(), Value::U64(overhead.reps as u64)),
-                ("off_ms".to_string(), Value::F64(overhead.off_ms)),
-                ("on_ms".to_string(), Value::F64(overhead.on_ms)),
-                (
-                    "overhead_frac".to_string(),
-                    Value::F64(overhead.overhead_frac),
-                ),
-                ("budget_frac".to_string(), Value::F64(0.03)),
-                (
-                    "observe_ns_enabled".to_string(),
-                    Value::F64(overhead.observe_ns_enabled),
-                ),
-                (
-                    "observe_ns_disabled".to_string(),
-                    Value::F64(overhead.observe_ns_disabled),
-                ),
-            ]),
-        ),
-        (
-            "recorder".to_string(),
-            Value::Object(vec![
-                ("requests".to_string(), Value::U64(recorder.requests as u64)),
-                (
-                    "interesting_expected".to_string(),
-                    Value::U64(recorder.interesting_expected as u64),
-                ),
-                (
-                    "interesting_retained".to_string(),
-                    Value::U64(recorder.interesting_retained as u64),
-                ),
-                (
-                    "evicted_interesting".to_string(),
-                    Value::U64(recorder.evicted_interesting),
-                ),
-                (
-                    "retained_total".to_string(),
-                    Value::U64(recorder.retained_total as u64),
-                ),
-                ("capacity".to_string(), Value::U64(recorder.capacity as u64)),
-                (
-                    "breach_fired".to_string(),
-                    Value::U64(recorder.breach_fired),
-                ),
-                (
-                    "breach_dumped".to_string(),
-                    Value::U64(recorder.breach_dumped),
-                ),
-                (
-                    "dump_records".to_string(),
-                    Value::U64(recorder.dump_records as u64),
-                ),
-                (
-                    "dump_error_records".to_string(),
-                    Value::U64(recorder.dump_error_records as u64),
-                ),
-                ("dump_path".to_string(), Value::Str(DUMP_PATH.to_string())),
-            ]),
-        ),
-        (
-            "burn_rate".to_string(),
-            Value::Object(vec![
-                ("deterministic".to_string(), Value::Bool(burn.deterministic)),
-                (
-                    "transitions".to_string(),
-                    Value::Array(
-                        burn.transitions
-                            .iter()
-                            .map(|(t, kind)| {
-                                Value::Object(vec![
-                                    ("t_seconds".to_string(), Value::U64(*t)),
-                                    ("transition".to_string(), Value::Str(kind.to_string())),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        (
-            "violations".to_string(),
-            Value::Array(violations.iter().map(|v| Value::Str(v.clone())).collect()),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&doc).expect("report serialization is infallible");
-    if let Err(err) = std::fs::write("BENCH_obs.json", &json) {
-        eprintln!("warning: could not write BENCH_obs.json: {err}");
-    }
-
-    if args.json {
-        println!("{json}");
-    } else {
+    if !args.json {
         println!(
             "Observability sweep — seed {}, {} mode",
             args.seed,
-            if args.smoke { "smoke" } else { "full" }
+            args.mode()
         );
         println!(
             "\npercentile accuracy (bound {:.4}%):",
@@ -849,7 +609,7 @@ fn main() {
                 "  {:<12} {:>6} samples  max rel error {:.5}% (worst at p{})",
                 r.distribution,
                 r.samples,
-                r.max_rel_error * 100.0,
+                r.max_relative_error * 100.0,
                 r.worst_percentile
             );
         }
@@ -883,16 +643,16 @@ fn main() {
             "\nburn rate: deterministic={} transitions={:?}",
             burn.deterministic, burn.transitions
         );
-        if violations.is_empty() {
-            println!("\nall observability gates held");
-        } else {
-            println!("\nVIOLATIONS:");
-            for v in &violations {
-                println!("  - {v}");
-            }
-        }
     }
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
+    let doc = object! {
+        "artifact": "obs_sweep",
+        "seed": args.seed,
+        "mode": args.mode(),
+        "percentiles": object! { "bound": MAX_RELATIVE_ERROR, "distributions": percentiles },
+        "overhead": overhead,
+        "recorder": recorder,
+        "burn_rate": burn,
+        "violations": report.violations,
+    };
+    report.finish("BENCH_obs.json", &doc)
 }

@@ -25,21 +25,20 @@
 //!    nothing.
 //!
 //! Run: `cargo run --release -p genedit-bench --bin resilience_sweep`
-//! (`--smoke`/`--quick` shrinks the workload for CI, `--json` prints
-//! the document; the JSON is always written to `BENCH_resilience.json`.)
+//! (`--smoke` shrinks the workload for CI, `--json` prints the
+//! document; the JSON is always written to `BENCH_resilience.json`.)
 
-use genedit_bird::{DomainBundle, SPORTS};
-use genedit_core::KnowledgeIndex;
+use genedit_bench::{object, Args, Harness, Report};
 use genedit_llm::{
     CompletionRequest, CompletionResponse, FaultConfig, FaultInjector, LanguageModel, ModelError,
-    OracleConfig, OracleModel, TaskRegistry,
+    OracleModel,
 };
 use genedit_serve::{
     QuarantineConfig, QuarantineState, QueryOutcome, QueryRequest, Rejected, ServeConfig,
     ServeRuntime, SupervisorConfig, Ticket, DRAIN_GRACE,
 };
 use genedit_telemetry::HistogramSummary;
-use serde_json::Value;
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -92,100 +91,6 @@ impl LanguageModel for TenantPoisonModel {
     }
 }
 
-struct SweepArgs {
-    seed: u64,
-    quick: bool,
-    json: bool,
-    /// Requests per panic-containment run.
-    requests: usize,
-    /// Steady-tenant requests per quarantine phase.
-    steady: usize,
-}
-
-fn parse_args() -> SweepArgs {
-    let mut parsed = SweepArgs {
-        seed: 42,
-        quick: false,
-        json: false,
-        requests: 0,
-        steady: 0,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => parsed.json = true,
-            "--quick" | "--smoke" => parsed.quick = true,
-            "--requests" => {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    parsed.requests = v;
-                }
-            }
-            "--steady" => {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    parsed.steady = v;
-                }
-            }
-            other => {
-                if let Ok(s) = other.parse() {
-                    parsed.seed = s;
-                }
-            }
-        }
-    }
-    if parsed.requests == 0 {
-        parsed.requests = if parsed.quick { 40 } else { 120 };
-    }
-    if parsed.steady == 0 {
-        parsed.steady = if parsed.quick { 40 } else { 100 };
-    }
-    parsed
-}
-
-struct Harness {
-    bundle: DomainBundle,
-    index: Arc<KnowledgeIndex>,
-    oracle: Arc<OracleModel>,
-}
-
-impl Harness {
-    fn build(seed: u64) -> Harness {
-        let bundle = DomainBundle::build(&SPORTS, (8, 7, 3), seed);
-        let index = Arc::new(KnowledgeIndex::build(bundle.build_knowledge()));
-        let mut reg = TaskRegistry::new();
-        for t in &bundle.tasks {
-            reg.register(t.clone());
-        }
-        let oracle = OracleModel::with_config(
-            reg,
-            OracleConfig {
-                noise_rate: 0.0,
-                pseudo_drift_probability: 0.0,
-                drift_probability: 0.0,
-                canonical_form_penalty: 0.0,
-                ..Default::default()
-            },
-        );
-        Harness {
-            bundle,
-            index,
-            oracle: Arc::new(oracle),
-        }
-    }
-
-    /// The seeded multi-tenant request stream.
-    fn request(&self, i: usize) -> QueryRequest {
-        let tasks = &self.bundle.tasks;
-        QueryRequest::new(
-            format!("tenant-{}", i % 3),
-            &tasks[i % tasks.len()].question,
-        )
-    }
-
-    fn question(&self, i: usize) -> &str {
-        &self.bundle.tasks[i % self.bundle.tasks.len()].question
-    }
-}
-
 fn fast_supervisor() -> SupervisorConfig {
     SupervisorConfig {
         poll_interval: Duration::from_millis(1),
@@ -193,21 +98,6 @@ fn fast_supervisor() -> SupervisorConfig {
         backoff_max: Duration::from_millis(10),
         respawn_budget: 100_000,
     }
-}
-
-/// Semantic fingerprint of a generation, excluding the trace.
-fn fingerprint(r: &genedit_core::GenerationResult) -> String {
-    format!(
-        "sql={:?}|reform={:?}|intents={:?}|ex={:?}|ins={:?}|schema={:?}|errors={:?}|validated={}",
-        r.sql,
-        r.reformulated,
-        r.intents,
-        r.used_examples,
-        r.used_instructions,
-        r.used_schema,
-        r.errors,
-        r.validated
-    )
 }
 
 /// Watchdog wait: the whole point of the sweep is that tickets resolve
@@ -226,18 +116,20 @@ fn wait_watchdog(ticket: &Ticket, bound: Duration) -> Option<QueryOutcome> {
     }
 }
 
+#[derive(Serialize)]
 struct PanicRow {
-    rate: f64,
+    panic_rate: f64,
     submitted: usize,
     completed: usize,
     failed: usize,
     stranded: usize,
     injected_panics: u64,
-    respawned: u64,
+    workers_respawned: u64,
     pool_recovered: bool,
-    /// Question index → fingerprint of a validated completion.
-    fingerprints: BTreeMap<usize, String>,
 }
+
+/// Question index → fingerprint of a validated completion.
+type CleanAnswers = BTreeMap<usize, String>;
 
 const WORKERS: usize = 2;
 
@@ -247,7 +139,7 @@ fn run_panic_rate(
     requests: usize,
     seed: u64,
     violations: &mut Vec<String>,
-) -> PanicRow {
+) -> (PanicRow, CleanAnswers) {
     let model = FaultInjector::new(
         TenantPoisonModel {
             inner: Arc::clone(&harness.oracle),
@@ -256,11 +148,8 @@ fn run_panic_rate(
         FaultConfig::panic_only(rate),
         seed,
     );
-    let runtime = ServeRuntime::start(
+    let runtime = harness.serve(
         model,
-        Arc::clone(&harness.index),
-        0,
-        Arc::new(harness.bundle.db.clone()),
         ServeConfig {
             workers: WORKERS,
             queue_capacity: requests + 8,
@@ -292,7 +181,7 @@ fn run_panic_rate(
                 if result.validated {
                     fingerprints
                         .entry(i % harness.bundle.tasks.len())
-                        .or_insert_with(|| fingerprint(&result));
+                        .or_insert_with(|| result.fingerprint());
                 }
             }
             Some(QueryOutcome::Failed { .. }) => {
@@ -339,19 +228,20 @@ fn run_panic_rate(
         ));
     }
     runtime.shutdown();
-    PanicRow {
-        rate,
+    let row = PanicRow {
+        panic_rate: rate,
         submitted: requests,
         completed,
         failed,
         stranded,
         injected_panics,
-        respawned,
+        workers_respawned: respawned,
         pool_recovered,
-        fingerprints,
-    }
+    };
+    (row, fingerprints)
 }
 
+#[derive(Serialize)]
 struct QuarantineRow {
     trip_requests: usize,
     quarantined_rejections: usize,
@@ -367,14 +257,11 @@ const P99_RELATIVE_MARGIN: f64 = 1.10;
 const P99_EPSILON_MS: f64 = 5.0;
 
 fn quarantine_runtime(harness: &Harness) -> ServeRuntime<TenantPoisonModel> {
-    ServeRuntime::start(
+    harness.serve(
         TenantPoisonModel {
             inner: Arc::clone(&harness.oracle),
             latency: Duration::from_micros(500),
         },
-        Arc::clone(&harness.index),
-        0,
-        Arc::new(harness.bundle.db.clone()),
         ServeConfig {
             workers: WORKERS,
             queue_capacity: 256,
@@ -507,6 +394,7 @@ fn run_quarantine(harness: &Harness, steady: usize, violations: &mut Vec<String>
     }
 }
 
+#[derive(Serialize)]
 struct DrainRow {
     queued: usize,
     timeout_ms: u64,
@@ -525,14 +413,11 @@ fn run_drain(
     timeout: Duration,
     violations: &mut Vec<String>,
 ) -> DrainRow {
-    let runtime = ServeRuntime::start(
+    let runtime = harness.serve(
         TenantPoisonModel {
             inner: Arc::clone(&harness.oracle),
             latency: Duration::from_millis(2),
         },
-        Arc::clone(&harness.index),
-        0,
-        Arc::new(harness.bundle.db.clone()),
         ServeConfig {
             workers: WORKERS,
             queue_capacity: requests + 8,
@@ -583,100 +468,65 @@ fn run_drain(
     }
 }
 
-fn panic_row_json(row: &PanicRow) -> Value {
-    Value::Object(vec![
-        ("panic_rate".to_string(), Value::F64(row.rate)),
-        ("submitted".to_string(), Value::U64(row.submitted as u64)),
-        ("completed".to_string(), Value::U64(row.completed as u64)),
-        ("failed".to_string(), Value::U64(row.failed as u64)),
-        ("stranded".to_string(), Value::U64(row.stranded as u64)),
-        (
-            "injected_panics".to_string(),
-            Value::U64(row.injected_panics),
-        ),
-        ("workers_respawned".to_string(), Value::U64(row.respawned)),
-        (
-            "pool_recovered".to_string(),
-            Value::Bool(row.pool_recovered),
-        ),
-    ])
-}
-
-fn drain_row_json(row: &DrainRow) -> Value {
-    Value::Object(vec![
-        ("queued".to_string(), Value::U64(row.queued as u64)),
-        ("timeout_ms".to_string(), Value::U64(row.timeout_ms)),
-        ("elapsed_ms".to_string(), Value::F64(row.elapsed_ms)),
-        ("within_bound".to_string(), Value::Bool(row.within_bound)),
-        ("clean".to_string(), Value::Bool(row.clean)),
-        ("forced_queued".to_string(), Value::U64(row.forced_queued)),
-        (
-            "cancelled_inflight".to_string(),
-            Value::U64(row.cancelled_inflight),
-        ),
-        (
-            "forced_inflight".to_string(),
-            Value::U64(row.forced_inflight),
-        ),
-        ("all_resolved".to_string(), Value::Bool(row.all_resolved)),
-    ])
-}
-
 fn main() {
     quiet_injected_panics();
-    let args = parse_args();
-    let mut violations: Vec<String> = Vec::new();
+    let args = Args::parse(&["--smoke", "--requests N", "--steady N"]);
+    let mut report = Report::new(&args);
+    let (default_requests, default_steady) = if args.smoke { (40, 40) } else { (120, 100) };
+    let requests = args.value("--requests").unwrap_or(default_requests) as usize;
+    let steady = args.value("--steady").unwrap_or(default_steady) as usize;
     let harness = Harness::build(args.seed);
 
     // Parts 1 + 2: panic containment at increasing rates, with the 0%
     // run doubling as the fingerprint baseline.
-    let rates = [0.0, 0.02, 0.05, 0.10];
-    let panic_rows: Vec<PanicRow> = rates
+    let (panic_rows, answers): (Vec<PanicRow>, Vec<CleanAnswers>) = [0.0, 0.02, 0.05, 0.10]
         .iter()
-        .map(|&rate| run_panic_rate(&harness, rate, args.requests, args.seed, &mut violations))
-        .collect();
-    let baseline = &panic_rows[0].fingerprints;
+        .map(|&rate| run_panic_rate(&harness, rate, requests, args.seed, &mut report.violations))
+        .unzip();
+    let baseline = &answers[0];
     let mut fingerprints_checked = 0usize;
-    for row in &panic_rows[1..] {
-        for (question, fp) in &row.fingerprints {
+    for (row, clean) in panic_rows.iter().zip(&answers).skip(1) {
+        for (question, fp) in clean {
             let Some(base) = baseline.get(question) else {
                 continue;
             };
             fingerprints_checked += 1;
             if fp != base {
-                violations.push(format!(
+                report.violations.push(format!(
                     "rate {}: clean completion for question {question} diverges from the \
                      no-fault baseline:\n  baseline: {base}\n  faulted:  {fp}",
-                    row.rate
+                    row.panic_rate
                 ));
             }
         }
     }
     if fingerprints_checked == 0 {
-        violations.push("no clean completions overlapped the baseline".to_string());
+        report
+            .violations
+            .push("no clean completions overlapped the baseline".to_string());
     }
 
     // Part 3: quarantine isolation.
-    let quarantine = run_quarantine(&harness, args.steady, &mut violations);
+    let quarantine = run_quarantine(&harness, steady, &mut report.violations);
 
     // Part 4: bounded drain — forced under a tight deadline, clean under
     // a generous one.
     let forced_drain = run_drain(
         &harness,
-        args.requests.max(32),
+        requests.max(32),
         Duration::from_millis(100),
-        &mut violations,
+        &mut report.violations,
     );
     if forced_drain.clean && forced_drain.forced_queued == 0 {
         // Not a violation — a fast machine may genuinely drain in time —
         // but the row records it either way.
         eprintln!("note: tight-deadline drain finished cleanly on this machine");
     }
-    let clean_drain = run_drain(&harness, 8, Duration::from_secs(30), &mut violations);
+    let clean_drain = run_drain(&harness, 8, Duration::from_secs(30), &mut report.violations);
     if !clean_drain.clean {
-        violations.push(format!(
-            "generous-deadline drain still forced work: {clean_drain:?}",
-            clean_drain = (
+        report.violations.push(format!(
+            "generous-deadline drain still forced work: {:?}",
+            (
                 clean_drain.forced_queued,
                 clean_drain.cancelled_inflight,
                 clean_drain.forced_inflight
@@ -684,77 +534,21 @@ fn main() {
         ));
     }
 
-    let doc = Value::Object(vec![
-        (
-            "artifact".to_string(),
-            Value::Str("resilience_sweep".to_string()),
-        ),
-        ("seed".to_string(), Value::U64(args.seed)),
-        (
-            "mode".to_string(),
-            Value::Str(if args.quick { "quick" } else { "full" }.to_string()),
-        ),
-        ("requests".to_string(), Value::U64(args.requests as u64)),
-        ("workers".to_string(), Value::U64(WORKERS as u64)),
-        (
-            "panic_containment".to_string(),
-            Value::Array(panic_rows.iter().map(panic_row_json).collect()),
-        ),
-        (
-            "fingerprints_checked".to_string(),
-            Value::U64(fingerprints_checked as u64),
-        ),
-        (
-            "quarantine".to_string(),
-            Value::Object(vec![
-                (
-                    "trip_requests".to_string(),
-                    Value::U64(quarantine.trip_requests as u64),
-                ),
-                (
-                    "quarantined_rejections".to_string(),
-                    Value::U64(quarantine.quarantined_rejections as u64),
-                ),
-                (
-                    "steady_solo_p99_ms".to_string(),
-                    Value::F64(quarantine.steady_solo_p99_ms),
-                ),
-                (
-                    "steady_mixed_p99_ms".to_string(),
-                    Value::F64(quarantine.steady_mixed_p99_ms),
-                ),
-                ("p99_ratio".to_string(), Value::F64(quarantine.p99_ratio)),
-            ]),
-        ),
-        ("forced_drain".to_string(), drain_row_json(&forced_drain)),
-        ("clean_drain".to_string(), drain_row_json(&clean_drain)),
-        (
-            "violations".to_string(),
-            Value::Array(violations.iter().map(|v| Value::Str(v.clone())).collect()),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&doc).expect("report serialization is infallible");
-    if let Err(err) = std::fs::write("BENCH_resilience.json", &json) {
-        eprintln!("warning: could not write BENCH_resilience.json: {err}");
-    }
-
-    if args.json {
-        println!("{json}");
-    } else {
+    if !args.json {
         println!(
-            "Resilience sweep — {} requests/run, {} workers (seed {})",
-            args.requests, WORKERS, args.seed
+            "Resilience sweep — {requests} requests/run, {WORKERS} workers (seed {})",
+            args.seed
         );
         println!("\npanic containment (every ticket must resolve):");
         for row in &panic_rows {
             println!(
                 "  {:>4.0}% panics: {:>3} completed, {:>3} failed, {} stranded, \
                  {} respawns, pool recovered: {}",
-                row.rate * 100.0,
+                row.panic_rate * 100.0,
                 row.completed,
                 row.failed,
                 row.stranded,
-                row.respawned,
+                row.workers_respawned,
                 row.pool_recovered
             );
         }
@@ -783,16 +577,19 @@ fn main() {
             forced_drain.forced_inflight,
             clean_drain.clean
         );
-        if violations.is_empty() {
-            println!("\nall resilience invariants held");
-        } else {
-            println!("\nVIOLATIONS:");
-            for v in &violations {
-                println!("  - {v}");
-            }
-        }
     }
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
+    let doc = object! {
+        "artifact": "resilience_sweep",
+        "seed": args.seed,
+        "mode": args.mode(),
+        "requests": requests,
+        "workers": WORKERS,
+        "panic_containment": panic_rows,
+        "fingerprints_checked": fingerprints_checked,
+        "quarantine": quarantine,
+        "forced_drain": forced_drain,
+        "clean_drain": clean_drain,
+        "violations": report.violations,
+    };
+    report.finish("BENCH_resilience.json", &doc)
 }

@@ -22,175 +22,40 @@
 //!    bug, not a performance feature.
 //!
 //! Run: `cargo run --release -p genedit-bench --bin serve_sweep`
-//! (`--quick` shrinks the workload for CI, `--json` prints the
+//! (`--smoke` shrinks the workload for CI, `--json` prints the
 //! document; the JSON is always written to `BENCH_serve.json`.)
 
-use genedit_bird::{DomainBundle, SPORTS};
-use genedit_core::KnowledgeIndex;
-use genedit_llm::{
-    CompletionRequest, CompletionResponse, LanguageModel, ModelError, OracleConfig, OracleModel,
-    TaskRegistry,
-};
-use genedit_serve::{QueryOutcome, QueryRequest, Rejected, ServeConfig, ServeRuntime};
-use genedit_telemetry::HistogramSummary;
-use serde_json::Value;
-use std::sync::Arc;
+use genedit_bench::{object, Args, Harness, Hist, Report};
+use genedit_serve::{QueryOutcome, Rejected, ServeConfig};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
-/// Wraps the oracle with a fixed per-call latency, standing in for the
-/// network round trip of a remote LLM. Worker scaling is only visible
-/// when requests spend their time *waiting* — which is exactly the
-/// production profile this runtime is built for.
-struct RemoteLatencyModel {
-    inner: Arc<OracleModel>,
-    latency: Duration,
-}
-
-impl LanguageModel for RemoteLatencyModel {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, ModelError> {
-        std::thread::sleep(self.latency);
-        self.inner.complete(request)
-    }
-}
-
-struct SweepArgs {
-    seed: u64,
-    quick: bool,
-    json: bool,
-    /// Per-model-call simulated latency, microseconds.
-    latency_us: u64,
-    /// Requests per scaling run.
-    requests: usize,
-}
-
-fn parse_args() -> SweepArgs {
-    let mut parsed = SweepArgs {
-        seed: 42,
-        quick: false,
-        json: false,
-        latency_us: 3000,
-        requests: 0,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => parsed.json = true,
-            "--quick" | "--smoke" => parsed.quick = true,
-            "--latency-us" => {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    parsed.latency_us = v;
-                }
-            }
-            "--requests" => {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    parsed.requests = v;
-                }
-            }
-            other => {
-                if let Ok(s) = other.parse() {
-                    parsed.seed = s;
-                }
-            }
-        }
-    }
-    if parsed.requests == 0 {
-        parsed.requests = if parsed.quick { 24 } else { 60 };
-    }
-    parsed
-}
-
-struct Harness {
-    bundle: DomainBundle,
-    index: Arc<KnowledgeIndex>,
-    oracle: Arc<OracleModel>,
-    latency: Duration,
-}
-
-impl Harness {
-    fn build(seed: u64, latency: Duration) -> Harness {
-        let bundle = DomainBundle::build(&SPORTS, (8, 7, 3), seed);
-        let index = Arc::new(KnowledgeIndex::build(bundle.build_knowledge()));
-        let mut reg = TaskRegistry::new();
-        for t in &bundle.tasks {
-            reg.register(t.clone());
-        }
-        let oracle = OracleModel::with_config(
-            reg,
-            OracleConfig {
-                noise_rate: 0.0,
-                pseudo_drift_probability: 0.0,
-                drift_probability: 0.0,
-                canonical_form_penalty: 0.0,
-                ..Default::default()
-            },
-        );
-        Harness {
-            bundle,
-            index,
-            oracle: Arc::new(oracle),
-            latency,
-        }
-    }
-
-    fn runtime(&self, config: ServeConfig) -> ServeRuntime<RemoteLatencyModel> {
-        ServeRuntime::start(
-            RemoteLatencyModel {
-                inner: Arc::clone(&self.oracle),
-                latency: self.latency,
-            },
-            Arc::clone(&self.index),
-            0,
-            Arc::new(self.bundle.db.clone()),
-            config,
-        )
-    }
-
-    /// The seeded multi-tenant request stream: tenants round-robin over
-    /// the domain's questions, deterministically.
-    fn request(&self, i: usize) -> QueryRequest {
-        let tasks = &self.bundle.tasks;
-        let tenant = format!("tenant-{}", i % 3);
-        QueryRequest::new(tenant, &tasks[i % tasks.len()].question)
-    }
-}
-
-/// Semantic fingerprint of a generation, excluding the trace (span
-/// timings legitimately differ). Byte-for-byte comparable.
-fn fingerprint(r: &genedit_core::GenerationResult) -> String {
-    format!(
-        "sql={:?}|reform={:?}|intents={:?}|ex={:?}|ins={:?}|schema={:?}|errors={:?}|validated={}",
-        r.sql,
-        r.reformulated,
-        r.intents,
-        r.used_examples,
-        r.used_instructions,
-        r.used_schema,
-        r.errors,
-        r.validated
-    )
-}
-
+#[derive(Serialize)]
 struct ScalingRow {
     workers: usize,
     requests: usize,
     wall_ms: f64,
     throughput_rps: f64,
-    latency_ms: HistogramSummary,
+    latency_ms: Hist,
 }
 
 /// Open-loop run: submit the whole request set at once, wait for all.
-fn run_scaling(harness: &Harness, workers: usize, requests: usize) -> ScalingRow {
-    let runtime = harness.runtime(ServeConfig {
-        workers,
-        queue_capacity: requests + 8,
-        result_cache_capacity: 0,
-        reform_cache_capacity: 0,
-        ..ServeConfig::default()
-    });
+fn run_scaling(
+    harness: &Harness,
+    latency: Duration,
+    workers: usize,
+    requests: usize,
+) -> ScalingRow {
+    let runtime = harness.serve(
+        harness.remote(latency),
+        ServeConfig {
+            workers,
+            queue_capacity: requests + 8,
+            result_cache_capacity: 0,
+            reform_cache_capacity: 0,
+            ..ServeConfig::default()
+        },
+    );
     let started = Instant::now();
     let tickets: Vec<_> = (0..requests)
         .map(|i| {
@@ -214,14 +79,15 @@ fn run_scaling(harness: &Harness, workers: usize, requests: usize) -> ScalingRow
         requests,
         wall_ms: wall.as_secs_f64() * 1000.0,
         throughput_rps: requests as f64 / wall.as_secs_f64(),
-        latency_ms: HistogramSummary::from_samples(&latencies),
+        latency_ms: Hist::from_samples(&latencies),
     }
 }
 
+#[derive(Serialize)]
 struct CacheRow {
     distinct_questions: usize,
-    cold_service_ms: HistogramSummary,
-    warm_service_ms: HistogramSummary,
+    cold_service_ms: Hist,
+    warm_service_ms: Hist,
     speedup: f64,
     hit_rate: f64,
 }
@@ -235,12 +101,15 @@ fn service_ms(outcome: &QueryOutcome) -> (f64, bool) {
     }
 }
 
-fn run_cache(harness: &Harness, violations: &mut Vec<String>) -> CacheRow {
-    let runtime = harness.runtime(ServeConfig {
-        workers: 2,
-        queue_capacity: 128,
-        ..ServeConfig::default()
-    });
+fn run_cache(harness: &Harness, latency: Duration, violations: &mut Vec<String>) -> CacheRow {
+    let runtime = harness.serve(
+        harness.remote(latency),
+        ServeConfig {
+            workers: 2,
+            queue_capacity: 128,
+            ..ServeConfig::default()
+        },
+    );
     let distinct = harness.bundle.tasks.len().min(8);
     let mut cold = Vec::new();
     let mut warm = Vec::new();
@@ -266,20 +135,11 @@ fn run_cache(harness: &Harness, violations: &mut Vec<String>) -> CacheRow {
             }
         }
     }
-    let metrics = runtime.metrics().snapshot();
-    let hits = metrics
-        .counters
-        .get("serve.cache.hit")
-        .copied()
-        .unwrap_or(0);
-    let misses = metrics
-        .counters
-        .get("serve.cache.miss")
-        .copied()
-        .unwrap_or(0);
+    let hits = runtime.metrics().counter("serve.cache.hit");
+    let misses = runtime.metrics().counter("serve.cache.miss");
     runtime.shutdown();
-    let cold_sum = HistogramSummary::from_samples(&cold);
-    let warm_sum = HistogramSummary::from_samples(&warm);
+    let cold_sum = Hist::from_samples(&cold);
+    let warm_sum = Hist::from_samples(&warm);
     let speedup = if warm_sum.mean > 0.0 {
         cold_sum.mean / warm_sum.mean
     } else {
@@ -301,6 +161,7 @@ fn run_cache(harness: &Harness, violations: &mut Vec<String>) -> CacheRow {
     }
 }
 
+#[derive(Serialize)]
 struct OverloadRow {
     submitted: usize,
     completed: usize,
@@ -312,14 +173,22 @@ struct OverloadRow {
 
 /// Flood a tiny queue with deadline-laden requests faster than one slow
 /// worker can drain it: backpressure (shed + reject) must engage.
-fn run_overload(harness: &Harness, requests: usize, violations: &mut Vec<String>) -> OverloadRow {
-    let runtime = harness.runtime(ServeConfig {
-        workers: 1,
-        queue_capacity: 4,
-        result_cache_capacity: 0,
-        reform_cache_capacity: 0,
-        ..ServeConfig::default()
-    });
+fn run_overload(
+    harness: &Harness,
+    latency: Duration,
+    requests: usize,
+    violations: &mut Vec<String>,
+) -> OverloadRow {
+    let runtime = harness.serve(
+        harness.remote(latency),
+        ServeConfig {
+            workers: 1,
+            queue_capacity: 4,
+            result_cache_capacity: 0,
+            reform_cache_capacity: 0,
+            ..ServeConfig::default()
+        },
+    );
     let mut tickets = Vec::new();
     let mut rejected_count = 0usize;
     for i in 0..requests {
@@ -337,10 +206,9 @@ fn run_overload(harness: &Harness, requests: usize, violations: &mut Vec<String>
             completed += 1;
         }
     }
-    let metrics = runtime.metrics().snapshot();
-    let shed = metrics.counters.get("serve.shed").copied().unwrap_or(0);
-    let rejected = metrics.counters.get("serve.rejected").copied().unwrap_or(0);
-    let expired = metrics.counters.get("serve.expired").copied().unwrap_or(0);
+    let shed = runtime.metrics().counter("serve.shed");
+    let rejected = runtime.metrics().counter("serve.rejected");
+    let expired = runtime.metrics().counter("serve.expired");
     runtime.shutdown();
     if shed + rejected == 0 {
         violations.push(
@@ -362,25 +230,37 @@ fn run_overload(harness: &Harness, requests: usize, violations: &mut Vec<String>
     }
 }
 
+#[derive(Serialize)]
 struct EquivalenceRow {
     questions: usize,
     divergent: usize,
+    byte_identical: bool,
 }
 
 /// Every question generated uncached, then via the cache: the semantic
 /// fingerprints must match byte for byte.
-fn run_equivalence(harness: &Harness, violations: &mut Vec<String>) -> EquivalenceRow {
+fn run_equivalence(
+    harness: &Harness,
+    latency: Duration,
+    violations: &mut Vec<String>,
+) -> EquivalenceRow {
     let distinct = harness.bundle.tasks.len().min(8);
-    let uncached_rt = harness.runtime(ServeConfig {
-        workers: 1,
-        result_cache_capacity: 0,
-        reform_cache_capacity: 0,
-        ..ServeConfig::default()
-    });
-    let cached_rt = harness.runtime(ServeConfig {
-        workers: 1,
-        ..ServeConfig::default()
-    });
+    let uncached_rt = harness.serve(
+        harness.remote(latency),
+        ServeConfig {
+            workers: 1,
+            result_cache_capacity: 0,
+            reform_cache_capacity: 0,
+            ..ServeConfig::default()
+        },
+    );
+    let cached_rt = harness.serve(
+        harness.remote(latency),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
     let mut divergent = 0usize;
     for i in 0..distinct {
         let plain = uncached_rt
@@ -404,12 +284,12 @@ fn run_equivalence(harness: &Harness, violations: &mut Vec<String>) -> Equivalen
         if !matches!(replay, QueryOutcome::Completed { cached: true, .. }) {
             violations.push(format!("equivalence question {i} replay was not cached"));
         }
-        if fingerprint(a) != fingerprint(b) {
+        if a.fingerprint() != b.fingerprint() {
             divergent += 1;
             violations.push(format!(
                 "cached result diverges from uncached for question {i}:\n  uncached: {}\n  cached:   {}",
-                fingerprint(a),
-                fingerprint(b)
+                a.fingerprint(),
+                b.fingerprint()
             ));
         }
     }
@@ -418,44 +298,27 @@ fn run_equivalence(harness: &Harness, violations: &mut Vec<String>) -> Equivalen
     EquivalenceRow {
         questions: distinct,
         divergent,
+        byte_identical: divergent == 0,
     }
 }
 
-fn histogram_json(h: &HistogramSummary) -> Value {
-    Value::Object(vec![
-        ("count".to_string(), Value::U64(h.count as u64)),
-        ("mean".to_string(), Value::F64(h.mean)),
-        ("min".to_string(), Value::F64(h.min)),
-        ("max".to_string(), Value::F64(h.max)),
-        ("p50".to_string(), Value::F64(h.p50)),
-        ("p95".to_string(), Value::F64(h.p95)),
-        ("p99".to_string(), Value::F64(h.p99)),
-    ])
-}
-
-fn scaling_row_json(row: &ScalingRow) -> Value {
-    Value::Object(vec![
-        ("workers".to_string(), Value::U64(row.workers as u64)),
-        ("requests".to_string(), Value::U64(row.requests as u64)),
-        ("wall_ms".to_string(), Value::F64(row.wall_ms)),
-        ("throughput_rps".to_string(), Value::F64(row.throughput_rps)),
-        ("latency_ms".to_string(), histogram_json(&row.latency_ms)),
-    ])
-}
-
 fn main() {
-    let args = parse_args();
-    let mut violations: Vec<String> = Vec::new();
-    let harness = Harness::build(args.seed, Duration::from_micros(args.latency_us));
+    let args = Args::parse(&["--smoke", "--latency-us N", "--requests N"]);
+    let mut report = Report::new(&args);
+    let latency_us = args.value("--latency-us").unwrap_or(3000);
+    let latency = Duration::from_micros(latency_us);
+    let default_requests = if args.smoke { 24 } else { 60 };
+    let requests = args.value("--requests").unwrap_or(default_requests) as usize;
+    let harness = Harness::build(args.seed);
 
     // Part 1: worker scaling, caches off.
     let scaling: Vec<ScalingRow> = [1usize, 2, 4]
         .iter()
-        .map(|&w| run_scaling(&harness, w, args.requests))
+        .map(|&w| run_scaling(&harness, latency, w, requests))
         .collect();
     let speedup_4x = scaling[2].throughput_rps / scaling[0].throughput_rps.max(f64::MIN_POSITIVE);
     if speedup_4x < 3.0 {
-        violations.push(format!(
+        report.violations.push(format!(
             "4-worker throughput speedup {speedup_4x:.2}x below the 3x floor \
              ({:.1} rps vs {:.1} rps)",
             scaling[2].throughput_rps, scaling[0].throughput_rps
@@ -463,103 +326,18 @@ fn main() {
     }
 
     // Part 2: cache effectiveness.
-    let cache = run_cache(&harness, &mut violations);
+    let cache = run_cache(&harness, latency, &mut report.violations);
 
     // Part 3: overload and backpressure.
-    let overload = run_overload(&harness, args.requests.max(32), &mut violations);
+    let overload = run_overload(&harness, latency, requests.max(32), &mut report.violations);
 
     // Part 4: cached = uncached, byte for byte.
-    let equivalence = run_equivalence(&harness, &mut violations);
+    let equivalence = run_equivalence(&harness, latency, &mut report.violations);
 
-    let doc = Value::Object(vec![
-        (
-            "artifact".to_string(),
-            Value::Str("serve_sweep".to_string()),
-        ),
-        ("seed".to_string(), Value::U64(args.seed)),
-        (
-            "mode".to_string(),
-            Value::Str(if args.quick { "quick" } else { "full" }.to_string()),
-        ),
-        ("model_latency_us".to_string(), Value::U64(args.latency_us)),
-        ("requests".to_string(), Value::U64(args.requests as u64)),
-        (
-            "scaling".to_string(),
-            Value::Array(scaling.iter().map(scaling_row_json).collect()),
-        ),
-        ("speedup_4_workers".to_string(), Value::F64(speedup_4x)),
-        (
-            "cache".to_string(),
-            Value::Object(vec![
-                (
-                    "distinct_questions".to_string(),
-                    Value::U64(cache.distinct_questions as u64),
-                ),
-                (
-                    "cold_service_ms".to_string(),
-                    histogram_json(&cache.cold_service_ms),
-                ),
-                (
-                    "warm_service_ms".to_string(),
-                    histogram_json(&cache.warm_service_ms),
-                ),
-                ("speedup".to_string(), Value::F64(cache.speedup)),
-                ("hit_rate".to_string(), Value::F64(cache.hit_rate)),
-            ]),
-        ),
-        (
-            "overload".to_string(),
-            Value::Object(vec![
-                (
-                    "submitted".to_string(),
-                    Value::U64(overload.submitted as u64),
-                ),
-                (
-                    "completed".to_string(),
-                    Value::U64(overload.completed as u64),
-                ),
-                ("shed".to_string(), Value::U64(overload.shed)),
-                ("rejected".to_string(), Value::U64(overload.rejected)),
-                ("expired".to_string(), Value::U64(overload.expired)),
-                (
-                    "rejection_rate".to_string(),
-                    Value::F64(overload.rejection_rate),
-                ),
-            ]),
-        ),
-        (
-            "equivalence".to_string(),
-            Value::Object(vec![
-                (
-                    "questions".to_string(),
-                    Value::U64(equivalence.questions as u64),
-                ),
-                (
-                    "divergent".to_string(),
-                    Value::U64(equivalence.divergent as u64),
-                ),
-                (
-                    "byte_identical".to_string(),
-                    Value::Bool(equivalence.divergent == 0),
-                ),
-            ]),
-        ),
-        (
-            "violations".to_string(),
-            Value::Array(violations.iter().map(|v| Value::Str(v.clone())).collect()),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&doc).expect("report serialization is infallible");
-    if let Err(err) = std::fs::write("BENCH_serve.json", &json) {
-        eprintln!("warning: could not write BENCH_serve.json: {err}");
-    }
-
-    if args.json {
-        println!("{json}");
-    } else {
+    if !args.json {
         println!(
-            "Serving sweep — {} requests/run, {}us simulated model latency (seed {})",
-            args.requests, args.latency_us, args.seed
+            "Serving sweep — {requests} requests/run, {latency_us}us simulated model latency (seed {})",
+            args.seed
         );
         println!("\nworker scaling (caches off):");
         for row in &scaling {
@@ -596,16 +374,19 @@ fn main() {
             equivalence.questions - equivalence.divergent,
             equivalence.questions
         );
-        if violations.is_empty() {
-            println!("\nall serving invariants held");
-        } else {
-            println!("\nVIOLATIONS:");
-            for v in &violations {
-                println!("  - {v}");
-            }
-        }
     }
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
+    let doc = object! {
+        "artifact": "serve_sweep",
+        "seed": args.seed,
+        "mode": args.mode(),
+        "model_latency_us": latency_us,
+        "requests": requests,
+        "scaling": scaling,
+        "speedup_4_workers": speedup_4x,
+        "cache": cache,
+        "overload": overload,
+        "equivalence": equivalence,
+        "violations": report.violations,
+    };
+    report.finish("BENCH_serve.json", &doc)
 }

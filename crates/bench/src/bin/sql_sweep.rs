@@ -23,69 +23,14 @@
 //! (`--smoke` shrinks the workload for CI, `--json` prints the
 //! document; the JSON is always written to `BENCH_sql.json`.)
 
+use genedit_bench::{object, Args, Report, Rng};
 use genedit_bird::Workload;
 use genedit_sql::value::{DataType, Value as SqlValue};
 use genedit_sql::{execute_sql, execute_sql_reference, Column, Database, ResultSet, Table};
-use serde_json::Value;
+use serde::Serialize;
 use std::time::Instant;
 
 const FLOOR: f64 = 5.0;
-
-// ---------------------------------------------------------------------
-// args + seeded PRNG
-// ---------------------------------------------------------------------
-
-struct SweepArgs {
-    seed: u64,
-    smoke: bool,
-    json: bool,
-}
-
-fn parse_args() -> SweepArgs {
-    let mut parsed = SweepArgs {
-        seed: 42,
-        smoke: false,
-        json: false,
-    };
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--json" => parsed.json = true,
-            "--smoke" | "--quick" => parsed.smoke = true,
-            other => {
-                if let Ok(s) = other.parse() {
-                    parsed.seed = s;
-                }
-            }
-        }
-    }
-    parsed
-}
-
-/// xorshift64*: tiny, seeded, deterministic table contents.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.max(1))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-
-    fn f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 // ---------------------------------------------------------------------
 // Result identity
@@ -103,39 +48,33 @@ fn render(rs: &ResultSet) -> String {
 }
 
 /// Run `sql` on both engines and require identical output (or identical
-/// failure). Returns the vectorized wall time in seconds when both
-/// succeed.
-fn check_identical(db: &Database, sql: &str, label: &str, violations: &mut Vec<String>) {
+/// failure); anything else is a violation. `Some(true)` when both
+/// succeeded and agree, `Some(false)` when both failed.
+fn check_identical(
+    db: &Database,
+    sql: &str,
+    label: &str,
+    violations: &mut Vec<String>,
+) -> Option<bool> {
     let vectorized = execute_sql(db, sql);
     let reference = execute_sql_reference(db, sql);
-    match (vectorized, reference) {
-        (Ok(v), Ok(r)) => {
-            if render(&v) != render(&r) {
-                violations.push(format!(
-                    "{label}: engines returned different results: {sql}"
-                ));
-            } else if v.fingerprint() != r.fingerprint() {
-                violations.push(format!("{label}: EX fingerprints diverged: {sql}"));
-            }
-        }
-        (Err(_), Err(_)) => {}
-        (Ok(_), Err(e)) => {
-            violations.push(format!(
-                "{label}: vectorized succeeded but reference failed ({e}): {sql}"
-            ));
-        }
-        (Err(e), Ok(_)) => {
-            violations.push(format!(
-                "{label}: reference succeeded but vectorized failed ({e}): {sql}"
-            ));
-        }
-    }
+    let violation = match (vectorized, reference) {
+        (Ok(v), Ok(r)) if render(&v) != render(&r) => "engines returned different results".into(),
+        (Ok(v), Ok(r)) if v.fingerprint() != r.fingerprint() => "EX fingerprints diverged".into(),
+        (Ok(_), Ok(_)) => return Some(true),
+        (Err(_), Err(_)) => return Some(false),
+        (Ok(_), Err(e)) => format!("vectorized succeeded but reference failed ({e})"),
+        (Err(e), Ok(_)) => format!("reference succeeded but vectorized failed ({e})"),
+    };
+    violations.push(format!("{label}: {violation}: {sql}"));
+    None
 }
 
 // ---------------------------------------------------------------------
 // Part 1: throughput floors on synthetic workloads
 // ---------------------------------------------------------------------
 
+#[derive(Serialize)]
 struct BenchRow {
     workload: &'static str,
     rows: usize,
@@ -318,9 +257,10 @@ fn throughput(seed: u64, smoke: bool, violations: &mut Vec<String>) -> Vec<Bench
 // Part 2: differential correctness over the gold suite
 // ---------------------------------------------------------------------
 
+#[derive(Serialize)]
 struct DifferentialRow {
-    tasks: usize,
     domains: usize,
+    tasks: usize,
     identical: usize,
     both_failed: usize,
 }
@@ -337,28 +277,11 @@ fn gold_differential(seed: u64, smoke: bool, violations: &mut Vec<String>) -> Di
     for bundle in &workload.domains {
         for task in &bundle.tasks {
             tasks += 1;
-            let vectorized = execute_sql(&bundle.db, &task.gold_sql);
-            let reference = execute_sql_reference(&bundle.db, &task.gold_sql);
-            match (vectorized, reference) {
-                (Ok(v), Ok(r)) => {
-                    if render(&v) != render(&r) || v.fingerprint() != r.fingerprint() {
-                        violations.push(format!(
-                            "gold task {} diverged between engines: {}",
-                            task.task_id, task.gold_sql
-                        ));
-                    } else {
-                        identical += 1;
-                    }
-                }
-                (Err(_), Err(_)) => both_failed += 1,
-                (Ok(_), Err(e)) => violations.push(format!(
-                    "gold task {}: vectorized succeeded but reference failed ({e}): {}",
-                    task.task_id, task.gold_sql
-                )),
-                (Err(e), Ok(_)) => violations.push(format!(
-                    "gold task {}: reference succeeded but vectorized failed ({e}): {}",
-                    task.task_id, task.gold_sql
-                )),
+            let label = format!("gold task {}", task.task_id);
+            match check_identical(&bundle.db, &task.gold_sql, &label, violations) {
+                Some(true) => identical += 1,
+                Some(false) => both_failed += 1,
+                None => {}
             }
         }
     }
@@ -367,8 +290,8 @@ fn gold_differential(seed: u64, smoke: bool, violations: &mut Vec<String>) -> Di
             .push("gold differential compared zero successful tasks — gate is vacuous".into());
     }
     DifferentialRow {
-        tasks,
         domains: workload.domains.len(),
+        tasks,
         identical,
         both_failed,
     }
@@ -379,85 +302,17 @@ fn gold_differential(seed: u64, smoke: bool, violations: &mut Vec<String>) -> Di
 // ---------------------------------------------------------------------
 
 fn main() {
-    let args = parse_args();
-    let mut violations: Vec<String> = Vec::new();
+    let args = Args::parse(&["--smoke"]);
+    let mut report = Report::new(&args);
 
-    let bench = throughput(args.seed, args.smoke, &mut violations);
-    let differential = gold_differential(args.seed, args.smoke, &mut violations);
+    let bench = throughput(args.seed, args.smoke, &mut report.violations);
+    let differential = gold_differential(args.seed, args.smoke, &mut report.violations);
 
-    let doc = Value::Object(vec![
-        ("artifact".to_string(), Value::Str("sql_sweep".to_string())),
-        ("seed".to_string(), Value::U64(args.seed)),
-        (
-            "mode".to_string(),
-            Value::Str(if args.smoke { "smoke" } else { "full" }.to_string()),
-        ),
-        ("speedup_floor".to_string(), Value::F64(FLOOR)),
-        (
-            "speedup_floor_enforced".to_string(),
-            Value::Bool(!args.smoke),
-        ),
-        (
-            "throughput".to_string(),
-            Value::Array(
-                bench
-                    .iter()
-                    .map(|r| {
-                        Value::Object(vec![
-                            ("workload".to_string(), Value::Str(r.workload.to_string())),
-                            ("rows".to_string(), Value::U64(r.rows as u64)),
-                            ("query".to_string(), Value::Str(r.query.to_string())),
-                            ("vectorized_ms".to_string(), Value::F64(r.vectorized_ms)),
-                            ("reference_ms".to_string(), Value::F64(r.reference_ms)),
-                            (
-                                "vectorized_rows_per_sec".to_string(),
-                                Value::F64(r.vectorized_rows_per_sec),
-                            ),
-                            (
-                                "reference_rows_per_sec".to_string(),
-                                Value::F64(r.reference_rows_per_sec),
-                            ),
-                            ("speedup".to_string(), Value::F64(r.speedup)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "gold_differential".to_string(),
-            Value::Object(vec![
-                (
-                    "domains".to_string(),
-                    Value::U64(differential.domains as u64),
-                ),
-                ("tasks".to_string(), Value::U64(differential.tasks as u64)),
-                (
-                    "identical".to_string(),
-                    Value::U64(differential.identical as u64),
-                ),
-                (
-                    "both_failed".to_string(),
-                    Value::U64(differential.both_failed as u64),
-                ),
-            ]),
-        ),
-        (
-            "violations".to_string(),
-            Value::Array(violations.iter().map(|v| Value::Str(v.clone())).collect()),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&doc).expect("report serialization is infallible");
-    if let Err(err) = std::fs::write("BENCH_sql.json", &json) {
-        eprintln!("warning: could not write BENCH_sql.json: {err}");
-    }
-
-    if args.json {
-        println!("{json}");
-    } else {
+    if !args.json {
         println!(
             "SQL engine sweep — seed {}, {} mode",
             args.seed,
-            if args.smoke { "smoke" } else { "full" }
+            args.mode()
         );
         if args.smoke {
             println!(
@@ -487,16 +342,16 @@ fn main() {
             differential.domains,
             differential.both_failed
         );
-        if violations.is_empty() {
-            println!("\nall sql gates held");
-        } else {
-            println!("\nVIOLATIONS:");
-            for v in &violations {
-                println!("  - {v}");
-            }
-        }
     }
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
+    let doc = object! {
+        "artifact": "sql_sweep",
+        "seed": args.seed,
+        "mode": args.mode(),
+        "speedup_floor": FLOOR,
+        "speedup_floor_enforced": !args.smoke,
+        "throughput": bench,
+        "gold_differential": differential,
+        "violations": report.violations,
+    };
+    report.finish("BENCH_sql.json", &doc)
 }

@@ -5,10 +5,9 @@
 use genedit_bench::paper::TABLE2;
 use genedit_bird::{EvalReport, Workload};
 use genedit_core::{Ablation, Harness};
-use genedit_llm::Difficulty;
 
 fn main() {
-    let args = genedit_bench::BinArgs::parse();
+    let args = genedit_bench::Args::parse(&[]);
     let seed = args.seed;
     let workload = Workload::standard(seed);
     let harness = Harness::new(&workload);
@@ -44,22 +43,5 @@ fn main() {
         }
     }
 
-    println!("\nPaper comparison (shape check):");
-    for r in &reports {
-        if let Some(p) = TABLE2.iter().find(|(n, ..)| *n == r.method) {
-            println!(
-                "{}",
-                genedit_bench::compare_line(
-                    &r.method,
-                    (
-                        r.ex(Some(Difficulty::Simple)),
-                        r.ex(Some(Difficulty::Moderate)),
-                        r.ex(Some(Difficulty::Challenging)),
-                        r.ex(None)
-                    ),
-                    (p.1, p.2, p.3, p.4),
-                )
-            );
-        }
-    }
+    genedit_bench::print_paper_comparison(&reports, &TABLE2);
 }

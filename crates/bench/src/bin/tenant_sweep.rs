@@ -22,13 +22,14 @@
 //! for CI, `--json` prints the document; the JSON is always written to
 //! `BENCH_tenant.json`.)
 
+use genedit_bench::{object, Args, Report};
 use genedit_core::KnowledgeIndex;
 use genedit_knowledge::tenants::{TenantKnowledgeStore, TenantStoreConfig};
 use genedit_knowledge::{
     DurableKnowledgeStore, Edit, FragmentKind, FsyncPolicy, SourceRef, SqlFragment, StagingArea,
     StoreConfig, StoreFs,
 };
-use serde_json::Value;
+use genedit_telemetry::HistogramSummary;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -73,14 +74,6 @@ fn store_over(root: &Path, fsync: FsyncPolicy) -> Arc<TenantKnowledgeStore> {
     Arc::new(TenantKnowledgeStore::open(root.to_path_buf(), config, None))
 }
 
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted_ms.len() as f64) * p).ceil() as usize;
-    sorted_ms[rank.clamp(1, sorted_ms.len()) - 1]
-}
-
 /// Fingerprint of a retrieval run: ids and exact score bits of the top
 /// examples for a probe query. Byte-identical retrieval means equal
 /// fingerprints.
@@ -94,48 +87,13 @@ fn retrieval_fingerprint(index: &KnowledgeIndex, query: &str) -> String {
         .join(",")
 }
 
-struct SweepArgs {
-    seed: u64,
-    tenants: usize,
-    json: bool,
-    smoke: bool,
-}
-
-/// Parses its own arguments so `--tenants N` is not eaten by the shared
-/// bare-integer-is-the-seed convention.
-fn parse_args() -> SweepArgs {
-    let mut parsed = SweepArgs {
-        seed: 42,
-        tenants: 10_000,
-        json: false,
-        smoke: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => parsed.json = true,
-            "--smoke" => parsed.smoke = true,
-            "--tenants" => {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    parsed.tenants = v;
-                }
-            }
-            other => {
-                if let Ok(s) = other.parse() {
-                    parsed.seed = s;
-                }
-            }
-        }
-    }
-    if parsed.smoke {
-        parsed.tenants = parsed.tenants.min(300);
-    }
-    parsed
-}
-
 fn main() {
-    let args = parse_args();
-    let mut violations: Vec<String> = Vec::new();
+    let args = Args::parse(&["--smoke", "--tenants N"]);
+    let mut report = Report::new(&args);
+    let mut tenants = args.value("--tenants").unwrap_or(10_000) as usize;
+    if args.smoke {
+        tenants = tenants.min(300);
+    }
 
     let root = std::env::temp_dir().join(format!(
         "genedit_tenant_sweep_{}_{}",
@@ -147,7 +105,7 @@ fn main() {
     // Phase 1: seed. Edits-per-tenant varies 2..=5 so page counts differ.
     let seed_store = store_over(&root, FsyncPolicy::Never);
     let seed_started = Instant::now();
-    for t in 0..args.tenants {
+    for t in 0..tenants {
         let edits = 2 + (t + args.seed as usize) % 4;
         let mut area = StagingArea::new();
         for i in 0..edits {
@@ -163,10 +121,10 @@ fn main() {
 
     // Phase 2: cold restart — fresh process image, empty buffer pool.
     let store = store_over(&root, FsyncPolicy::Always);
-    let mut latencies_ms: Vec<f64> = Vec::with_capacity(args.tenants);
+    let mut latencies_ms: Vec<f64> = Vec::with_capacity(tenants);
     let mut max_resident = 0usize;
     let read_started = Instant::now();
-    for t in 0..args.tenants {
+    for t in 0..tenants {
         let name = tenant_name(t);
         let started = Instant::now();
         let snap = store.snapshot(&name).expect("cold snapshot");
@@ -174,7 +132,7 @@ fn main() {
         latencies_ms.push(started.elapsed().as_secs_f64() * 1e3);
         let expected = 2 + (t + args.seed as usize) % 4;
         if content.examples.len() != expected {
-            violations.push(format!(
+            report.violations.push(format!(
                 "{name}: paged-in content has {} examples, seeded {expected}",
                 content.examples.len()
             ));
@@ -186,18 +144,17 @@ fn main() {
 
     // Gate 1: residency under the budget, at every observation point.
     if max_resident > POOL_BUDGET || max_resident_seed > POOL_BUDGET {
-        violations.push(format!(
+        report.violations.push(format!(
             "pool resident bytes exceeded budget: read {} / seed {} > {POOL_BUDGET}",
             max_resident, max_resident_seed
         ));
     }
 
     // Gate 2: cold page-in p99 under the floor.
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let p50 = percentile(&latencies_ms, 0.50);
-    let p99 = percentile(&latencies_ms, 0.99);
+    let page_in = HistogramSummary::from_samples(&latencies_ms);
+    let (p50, p99) = (page_in.p50, page_in.p99);
     if p99 > P99_FLOOR_MS {
-        violations.push(format!(
+        report.violations.push(format!(
             "cold page-in p99 {p99:.2} ms exceeds the {P99_FLOOR_MS:.0} ms floor"
         ));
     }
@@ -206,9 +163,9 @@ fn main() {
     // deterministic sample. Two cold loads per tenant: the first pages
     // in and writes vectors back, the second exercises the
     // stored-vector fast path.
-    let sample_every = (args.tenants / 64).max(1);
+    let sample_every = (tenants / 64).max(1);
     let mut sampled = 0usize;
-    for t in (0..args.tenants).step_by(sample_every) {
+    for t in (0..tenants).step_by(sample_every) {
         sampled += 1;
         let name = tenant_name(t);
         let probe = format!("tenant {t} revenue by region");
@@ -241,76 +198,30 @@ fn main() {
         let got_paged = retrieval_fingerprint(&paged, &probe);
         let got_vectors = retrieval_fingerprint(&from_vectors, &probe);
         if got_paged != want {
-            violations.push(format!(
+            report.violations.push(format!(
                 "{name}: paged-in retrieval diverged ({got_paged} != {want})"
             ));
         }
         if got_vectors != want {
-            violations.push(format!(
+            report.violations.push(format!(
                 "{name}: stored-vector retrieval diverged ({got_vectors} != {want})"
             ));
         }
     }
 
-    let doc = Value::Object(vec![
-        (
-            "artifact".to_string(),
-            Value::Str("tenant_sweep".to_string()),
-        ),
-        ("seed".to_string(), Value::U64(args.seed)),
-        (
-            "mode".to_string(),
-            Value::Str(if args.smoke { "smoke" } else { "full" }.to_string()),
-        ),
-        ("tenants".to_string(), Value::U64(args.tenants as u64)),
-        (
-            "pool_budget_bytes".to_string(),
-            Value::U64(POOL_BUDGET as u64),
-        ),
-        ("page_size".to_string(), Value::U64(PAGE_SIZE as u64)),
-        ("seed_seconds".to_string(), Value::F64(seed_s)),
-        ("cold_read_seconds".to_string(), Value::F64(read_s)),
-        (
-            "max_resident_bytes".to_string(),
-            Value::U64(max_resident.max(max_resident_seed) as u64),
-        ),
-        ("page_in_p50_ms".to_string(), Value::F64(p50)),
-        ("page_in_p99_ms".to_string(), Value::F64(p99)),
-        ("p99_floor_ms".to_string(), Value::F64(P99_FLOOR_MS)),
-        ("pool_hits".to_string(), Value::U64(pool_stats.hits)),
-        ("pool_misses".to_string(), Value::U64(pool_stats.misses)),
-        (
-            "pool_evictions".to_string(),
-            Value::U64(pool_stats.evictions),
-        ),
-        ("retrieval_samples".to_string(), Value::U64(sampled as u64)),
-        (
-            "violations".to_string(),
-            Value::Array(violations.iter().map(|v| Value::Str(v.clone())).collect()),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&doc).expect("report serialization is infallible");
-    if let Err(err) = std::fs::write("BENCH_tenant.json", &json) {
-        eprintln!("warning: could not write BENCH_tenant.json: {err}");
-    }
-
     let _ = std::fs::remove_dir_all(&root);
 
-    if args.json {
-        println!("{json}");
-    } else {
+    if !args.json {
         println!(
-            "Tenant sweep — {} disk-backed tenants through a {} KiB buffer pool \
-             (page size {} B, seed {})",
-            args.tenants,
+            "Tenant sweep — {tenants} disk-backed tenants through a {} KiB buffer pool \
+             (page size {PAGE_SIZE} B, seed {})",
             POOL_BUDGET / 1024,
-            PAGE_SIZE,
             args.seed
         );
         println!(
             "  seeding: {seed_s:.1} s   cold reads: {read_s:.1} s \
              ({:.0} page-ins/s)",
-            args.tenants as f64 / read_s.max(1e-9)
+            tenants as f64 / read_s.max(1e-9)
         );
         println!(
             "  residency: max {} / budget {} bytes  {}",
@@ -332,21 +243,31 @@ fn main() {
         );
         println!(
             "  retrieval: {sampled} sampled tenants byte-identical vs all-in-RAM  {}",
-            if violations.iter().any(|v| v.contains("retrieval")) {
+            if report.violations.iter().any(|v| v.contains("retrieval")) {
                 "FAIL"
             } else {
                 "PASS"
             }
         );
-        if !violations.is_empty() {
-            println!("\nVIOLATIONS:");
-            for v in &violations {
-                println!("  - {v}");
-            }
-        }
-        println!("wrote BENCH_tenant.json");
     }
-    if !violations.is_empty() {
-        std::process::exit(1);
-    }
+    let doc = object! {
+        "artifact": "tenant_sweep",
+        "seed": args.seed,
+        "mode": args.mode(),
+        "tenants": tenants,
+        "pool_budget_bytes": POOL_BUDGET,
+        "page_size": PAGE_SIZE,
+        "seed_seconds": seed_s,
+        "cold_read_seconds": read_s,
+        "max_resident_bytes": max_resident.max(max_resident_seed),
+        "page_in_p50_ms": p50,
+        "page_in_p99_ms": p99,
+        "p99_floor_ms": P99_FLOOR_MS,
+        "pool_hits": pool_stats.hits,
+        "pool_misses": pool_stats.misses,
+        "pool_evictions": pool_stats.evictions,
+        "retrieval_samples": sampled,
+        "violations": report.violations,
+    };
+    report.finish("BENCH_tenant.json", &doc)
 }

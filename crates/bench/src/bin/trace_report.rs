@@ -21,8 +21,6 @@ use genedit_llm::{OracleConfig, OracleModel, TaskRegistry};
 use genedit_telemetry::recorder::{dump_from_jsonl, RecordedRequest, RequestVerdict};
 use genedit_telemetry::span::AttrValue;
 use genedit_telemetry::{export, names, operator_breakdown, render_trace, MetricsRegistry, Tracer};
-use serde::Serialize;
-use serde_json::Value;
 use std::sync::Arc;
 
 /// How many requests the recorder view details, worst first.
@@ -154,7 +152,7 @@ fn main() {
             }
         }
     }
-    let args = genedit_bench::BinArgs::parse();
+    let args = genedit_bench::Args::parse(&[]);
     let seed = args.seed;
     let workload = Workload::small(seed);
 
@@ -193,30 +191,18 @@ fn main() {
     let usage = harness.model_usage();
 
     // ---- structured report --------------------------------------------
-    let doc = Value::Object(vec![
-        (
-            "artifact".to_string(),
-            Value::Str("trace_report".to_string()),
-        ),
-        ("seed".to_string(), Value::U64(seed)),
-        (
-            "tasks".to_string(),
-            Value::U64(workload.task_count() as u64),
-        ),
-        ("question".to_string(), Value::Str(task.question.clone())),
-        ("preprocess_trace".to_string(), preprocess_trace.serialize()),
-        ("generation_trace".to_string(), result.trace.serialize()),
-        (
-            "generation_metrics".to_string(),
-            metrics.snapshot().serialize(),
-        ),
-        ("operators".to_string(), report.operators.serialize()),
-        (
-            "suite_metrics".to_string(),
-            harness.metrics().snapshot().serialize(),
-        ),
-        ("model_usage".to_string(), usage.calls.serialize()),
-    ]);
+    let doc = genedit_bench::object! {
+        "artifact": "trace_report",
+        "seed": seed,
+        "tasks": workload.task_count(),
+        "question": task.question,
+        "preprocess_trace": preprocess_trace,
+        "generation_trace": result.trace,
+        "generation_metrics": metrics.snapshot(),
+        "operators": report.operators,
+        "suite_metrics": harness.metrics().snapshot(),
+        "model_usage": usage.calls,
+    };
     let json = serde_json::to_string_pretty(&doc).expect("report serialization is infallible");
     std::fs::write("BENCH_telemetry.json", &json).expect("write BENCH_telemetry.json");
 

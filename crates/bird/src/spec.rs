@@ -10,6 +10,7 @@
 use genedit_knowledge::Intent;
 use genedit_sql::catalog::{Column, Database, Table};
 use genedit_sql::value::{DataType, Date, Value};
+use genedit_telemetry::hash::fnv1a64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -118,7 +119,7 @@ impl DomainSpec {
 /// Generate the seeded database for a domain: entity dimension, two
 /// monthly fact tables (2022-01 … 2023-12), and a distractor table.
 pub fn generate_database(spec: &DomainSpec, seed: u64) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed ^ fnv(spec.key.as_bytes()));
+    let mut rng = StdRng::seed_from_u64(seed ^ fnv1a64(spec.key.as_bytes()));
     let mut db = Database::new(spec.db_name);
 
     let mut entities = Table::new(
@@ -200,7 +201,7 @@ pub fn generate_database(spec: &DomainSpec, seed: u64) -> Database {
         for year in [2022, 2023] {
             for month in 1..=12u8 {
                 let date = Date::new(year, month, 1).expect("valid date");
-                let base = 50 + (fnv(name.as_bytes()) % 400) as i64;
+                let base = 50 + (fnv1a64(name.as_bytes()) % 400) as i64;
                 let v1 = base + rng.gen_range(0..250);
                 fact1
                     .push_row(vec![
@@ -251,15 +252,6 @@ pub fn generate_database(spec: &DomainSpec, seed: u64) -> Database {
     }
     db.add_table(distractor).expect("fresh db");
     db
-}
-
-pub(crate) fn fnv(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 #[cfg(test)]

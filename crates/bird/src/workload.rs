@@ -290,7 +290,7 @@ fn historical_logs(spec: &DomainSpec) -> Vec<QueryLogEntry> {
 fn domain_docs(spec: &DomainSpec) -> Vec<DomainDocument> {
     let perf = spec.performance_intent();
     vec![DomainDocument {
-        doc_id: 100 + crate::spec::fnv(spec.key.as_bytes()) % 100,
+        doc_id: 100 + genedit_telemetry::hash::fnv1a64(spec.key.as_bytes()) % 100,
         title: format!("{} analytics handbook", spec.key),
         terms: vec![
             TermDefinition {

@@ -89,6 +89,27 @@ impl GenerationResult {
         }
     }
 
+    /// Canonical semantic fingerprint: everything a caller acts on — SQL,
+    /// reformulation, intents, the knowledge that entered the prompt,
+    /// validation errors and the verdict — and nothing that legitimately
+    /// differs between two runs of the same generation (span timings in
+    /// `trace`, `warnings`, attempt counts). Cached, batched, hedged and
+    /// fault-injected runs are gated on this string being byte-identical
+    /// to the plain run's.
+    pub fn fingerprint(&self) -> String {
+        format!(
+            "sql={:?}|reform={:?}|intents={:?}|ex={:?}|ins={:?}|schema={:?}|errors={:?}|validated={}",
+            self.sql,
+            self.reformulated,
+            self.intents,
+            self.used_examples,
+            self.used_instructions,
+            self.used_schema,
+            self.errors,
+            self.validated
+        )
+    }
+
     /// How many spans took their degradation path during this generation
     /// (operators or attempts marked `degraded` after losing their model
     /// call). A non-zero count means the output came from a weakened
@@ -1085,6 +1106,32 @@ mod tests {
         let (ok, note) =
             genedit_bird::score_prediction(&bundle.db, &task.gold_sql, result.sql.as_deref());
         assert!(ok, "note: {note:?}, sql: {:?}", result.sql);
+    }
+
+    #[test]
+    fn fingerprint_covers_the_answer_and_ignores_the_trace() {
+        let (bundle, index, oracle) = setup();
+        let pipeline = GenEditPipeline::new(&oracle);
+        let task = bundle
+            .tasks
+            .iter()
+            .find(|t| t.difficulty == genedit_llm::Difficulty::Challenging)
+            .unwrap();
+        let base = pipeline.generate(&task.question, &index, &bundle.db, &[]);
+        assert!(!base.used_examples.is_empty());
+
+        let mut timing_only = base.clone();
+        timing_only.trace = Trace::empty(names::GENERATE);
+        timing_only.warnings.push("model fell back".to_string());
+        assert_eq!(base.fingerprint(), timing_only.fingerprint());
+
+        let mut other_sql = base.clone();
+        other_sql.sql = Some("SELECT 1".to_string());
+        assert_ne!(base.fingerprint(), other_sql.fingerprint());
+
+        let mut fewer_examples = base.clone();
+        fewer_examples.used_examples.pop();
+        assert_ne!(base.fingerprint(), fewer_examples.fingerprint());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! regime where the byte-identity contract must hold unconditionally.
 
 use genedit_bird::Workload;
-use genedit_core::{GenEditPipeline, GenerationResult, KnowledgeIndex};
+use genedit_core::{GenEditPipeline, KnowledgeIndex};
 use genedit_llm::{
     Clock, FaultConfig, FaultInjector, HedgePolicy, HedgedModel, OracleModel, SystemClock,
 };
@@ -29,22 +29,6 @@ fn workload() -> &'static Workload {
     WORKLOAD.get_or_init(|| Workload::small(42))
 }
 
-/// Semantic fingerprint of a generation, excluding the trace (span
-/// timings legitimately differ between hedged and plain runs).
-fn fingerprint(r: &GenerationResult) -> String {
-    format!(
-        "sql={:?}|reform={:?}|intents={:?}|ex={:?}|ins={:?}|schema={:?}|errors={:?}|validated={}",
-        r.sql,
-        r.reformulated,
-        r.intents,
-        r.used_examples,
-        r.used_instructions,
-        r.used_schema,
-        r.errors,
-        r.validated
-    )
-}
-
 /// Run every task of the workload's first bundle through `pipeline`,
 /// returning the fingerprints in task order.
 fn run_all<M: genedit_llm::LanguageModel>(pipeline: &GenEditPipeline<M>) -> Vec<String> {
@@ -55,7 +39,9 @@ fn run_all<M: genedit_llm::LanguageModel>(pipeline: &GenEditPipeline<M>) -> Vec<
         .tasks
         .iter()
         .map(|task| {
-            fingerprint(&pipeline.generate(&task.question, &index, &bundle.db, &task.evidence))
+            pipeline
+                .generate(&task.question, &index, &bundle.db, &task.evidence)
+                .fingerprint()
         })
         .collect()
 }

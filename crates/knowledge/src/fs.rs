@@ -14,6 +14,7 @@
 //! silently truncate at an arbitrary byte offset, single-bit flips,
 //! failed fsyncs, failed renames, and whole-process crash points.
 
+use genedit_telemetry::hash::{hash01, hash_u64};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write};
@@ -580,34 +581,6 @@ impl StoreFs for FaultyFs {
         }
         self.inner.write_at(path, offset, data)
     }
-}
-
-// ---------------------------------------------------------------------
-// Hashing (mirrors genedit_llm::oracle::hash01 — this crate sits below
-// genedit-llm in the dependency graph, so the few lines are duplicated
-// rather than inverting the dependency)
-// ---------------------------------------------------------------------
-
-/// Deterministic draw in `[0, 1)` from string parts and a seed.
-fn hash01(parts: &[&str], seed: u64) -> f64 {
-    (hash_u64(parts, seed) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// FNV-1a over the parts and seed, finished with a splitmix64 mixer.
-fn hash_u64(parts: &[&str], seed: u64) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325 ^ seed.wrapping_mul(0x9e3779b97f4a7c15);
-    for p in parts {
-        for &b in p.as_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-        hash ^= 0xff;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    let mut z = hash.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

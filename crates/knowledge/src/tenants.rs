@@ -82,6 +82,7 @@ use crate::set::{Edit, KnowledgeContent, KnowledgeSet};
 use crate::staging::StagingArea;
 use crate::store::{DurableKnowledgeStore, StoreConfig, StoreError};
 use crate::types::{Example, Instruction, Intent, RetrievalStage, SchemaElement};
+use genedit_telemetry::hash::fnv1a64;
 use genedit_telemetry::{names, MetricsRegistry, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -392,12 +393,7 @@ impl TenantKnowledgeStore {
     }
 
     fn shard_for(&self, tenant: &str) -> &Mutex<HashMap<String, Arc<Mutex<TenantState>>>> {
-        let mut hash: u64 = 0xcbf29ce484222325;
-        for &b in tenant.as_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-        &self.shards[(hash as usize) % self.shards.len()]
+        &self.shards[(fnv1a64(tenant.as_bytes()) as usize) % self.shards.len()]
     }
 
     fn lock_shard<'a>(

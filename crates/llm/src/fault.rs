@@ -13,9 +13,9 @@
 //! retry exactly as it would against a real flaky backend.
 
 use crate::model::{CompletionRequest, CompletionResponse, LanguageModel, ModelError};
-use crate::oracle::hash01;
 use crate::prompt::TaskKind;
 use crate::resilient::Clock;
+use genedit_telemetry::hash::hash01;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 

@@ -34,13 +34,14 @@ pub mod tier;
 pub use batch::{AdaptiveWindow, BatchConfig, BatchScheduler};
 pub use cancel::CancelToken;
 pub use fault::{FaultConfig, FaultInjector, FaultKind, FaultLog};
+pub use genedit_telemetry::hash::{hash01, hash_u64};
 pub use hedge::{HedgePolicy, HedgeStats, HedgedModel};
 pub use knowledge::{Corruption, Difficulty, TaskKnowledge, TaskRegistry, TermRequirement};
 pub use model::{
     kind_label, CompletionRequest, CompletionResponse, LanguageModel, ModelError, ModelUsage,
     RecordingModel, TracedModel,
 };
-pub use oracle::{apply_drift, hash01, hash_u64, OracleConfig, OracleModel};
+pub use oracle::{apply_drift, OracleConfig, OracleModel};
 pub use prompt::{
     Plan, PlanStep, Prompt, PromptExample, PromptInstruction, PromptSchemaElement, TaskKind,
 };

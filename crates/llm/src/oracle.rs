@@ -33,6 +33,7 @@ use crate::prompt::{Plan, PlanStep, Prompt, TaskKind};
 use genedit_knowledge::{decompose, describe_fragment, FragmentKind};
 use genedit_sql::analysis::complexity;
 use genedit_sql::ast::Query;
+use genedit_telemetry::hash::{hash01, hash_u64};
 
 /// Tunable parameters of the oracle's failure model.
 #[derive(Debug, Clone)]
@@ -577,32 +578,6 @@ fn first_string_literal(sql: &str) -> Option<String> {
     }
 }
 
-/// Deterministic hash → [0, 1).
-pub fn hash01(parts: &[&str], seed: u64) -> f64 {
-    (hash_u64(parts, seed) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Deterministic FNV-1a over the parts and seed, finished with a
-/// splitmix64 mixer (raw FNV's high bits avalanche poorly, which would
-/// bias every probability threshold in the oracle).
-pub fn hash_u64(parts: &[&str], seed: u64) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325 ^ seed.wrapping_mul(0x9e3779b97f4a7c15);
-    for p in parts {
-        for &b in p.as_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-        hash ^= 0xff;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    // splitmix64 finalizer
-    hash = hash.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = hash;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -928,15 +903,5 @@ mod tests {
         let changed = apply_drift(&mut q, 1);
         assert!(changed);
         assert_ne!(before, q.to_string());
-    }
-
-    #[test]
-    fn hash01_in_unit_interval_and_deterministic() {
-        for i in 0..100u64 {
-            let v = hash01(&["a", "b"], i);
-            assert!((0.0..1.0).contains(&v));
-        }
-        assert_eq!(hash01(&["x"], 5), hash01(&["x"], 5));
-        assert_ne!(hash01(&["x"], 5), hash01(&["x"], 6));
     }
 }

@@ -20,8 +20,8 @@
 //! two runs with the same seeds produce byte-identical schedules.
 
 use crate::model::{kind_label, CompletionRequest, CompletionResponse, LanguageModel, ModelError};
-use crate::oracle::hash01;
 use crate::prompt::TaskKind;
+use genedit_telemetry::hash::hash01;
 use genedit_telemetry::{names, MetricsRegistry, Tracer};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -9,8 +9,8 @@
 //! recall for schema-linking calls.
 
 use crate::model::{CompletionRequest, CompletionResponse, LanguageModel, ModelError};
-use crate::oracle::hash01;
 use crate::prompt::TaskKind;
+use genedit_telemetry::hash::hash01;
 use std::sync::Mutex;
 
 /// A model tier with its relative price.

@@ -1,6 +1,7 @@
 //! Hashed TF-IDF embeddings and cosine similarity.
 
 use crate::token::{bigrams, tokenize};
+use genedit_telemetry::hash::fnv1a64;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -107,7 +108,7 @@ impl Embedder {
         for (term, count) in &counts {
             let tf = 1.0 + (*count as f32).ln();
             let weight = tf * self.vocabulary.idf(term);
-            let h = fnv1a(term.as_bytes());
+            let h = fnv1a64(term.as_bytes());
             let slot = (h % self.dim as u64) as usize;
             // Signed hashing halves the collision bias.
             let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
@@ -171,17 +172,6 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     } else {
         dot / (na.sqrt() * nb.sqrt())
     }
-}
-
-/// FNV-1a 64-bit hash — stable across platforms and runs, unlike
-/// `DefaultHasher`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -7,19 +7,9 @@
 //! answers after a knowledge deploy. Stale entries age out of the LRU
 //! bound like any other cold entry.
 
+use genedit_telemetry::hash::fnv1a64;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
-
-/// FNV-1a 64-bit hash — stable across platforms/runs so cache keys (and
-/// the sweep's reported hit rates) are reproducible.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
 
 /// Cache key: `(tenant, question-hash, knowledge epoch)`. Tenant scoping
 /// keeps one tenant's results invisible to another even for identical
@@ -28,7 +18,8 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 pub struct CacheKey {
     /// Tenant the entry belongs to.
     pub tenant: String,
-    /// [`fnv64`] hash of the question text.
+    /// [`fnv1a64`] of the question text — stable across platforms and runs,
+    /// so cache keys (and the sweeps' reported hit rates) are reproducible.
     pub qhash: u64,
     /// Knowledge epoch the entry was computed under.
     pub epoch: u64,
@@ -39,7 +30,7 @@ impl CacheKey {
     pub fn new(tenant: &str, question: &str, epoch: u64) -> CacheKey {
         CacheKey {
             tenant: tenant.to_string(),
-            qhash: fnv64(question.as_bytes()),
+            qhash: fnv1a64(question.as_bytes()),
             epoch,
         }
     }
@@ -149,15 +140,6 @@ mod tests {
 
     fn key(tenant: &str, q: &str, epoch: u64) -> CacheKey {
         CacheKey::new(tenant, q, epoch)
-    }
-
-    #[test]
-    fn fnv64_is_stable() {
-        // Pinned value: a silent hash change would orphan nothing (keys
-        // are ephemeral) but would break cross-run reproducibility.
-        assert_eq!(fnv64(b"revenue per club"), fnv64(b"revenue per club"));
-        assert_ne!(fnv64(b"a"), fnv64(b"b"));
-        assert_eq!(fnv64(b""), 0xcbf29ce484222325);
     }
 
     #[test]

@@ -69,7 +69,7 @@ mod sched;
 pub mod supervisor;
 pub mod tenants;
 
-pub use cache::{fnv64, CacheKey, EpochCache};
+pub use cache::{CacheKey, EpochCache};
 pub use quarantine::{Gate, QuarantineConfig, QuarantineState, TenantQuarantine};
 pub use request::{Priority, QueryOutcome, QueryRequest, Rejected, Ticket};
 pub use runtime::{DrainReport, ObsConfig, ServeConfig, ServeRuntime, DRAIN_GRACE};

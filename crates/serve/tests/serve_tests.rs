@@ -42,23 +42,6 @@ fn setup() -> (DomainBundle, KnowledgeSet, OracleModel) {
     (bundle, ks, oracle)
 }
 
-/// Canonical semantic fingerprint of a generation — everything the
-/// caller acts on, excluding the trace (span timings differ run to run).
-/// Cached replays must be byte-identical under this view.
-fn fingerprint(r: &GenerationResult) -> String {
-    format!(
-        "sql={:?}|reform={:?}|intents={:?}|ex={:?}|ins={:?}|schema={:?}|errors={:?}|validated={}",
-        r.sql,
-        r.reformulated,
-        r.intents,
-        r.used_examples,
-        r.used_instructions,
-        r.used_schema,
-        r.errors,
-        r.validated
-    )
-}
-
 /// A gate the test holds closed to pin workers inside a model call,
 /// making queue states deterministic.
 struct Gate {
@@ -130,12 +113,14 @@ fn served_result_matches_direct_pipeline() {
     let (bundle, ks, oracle) = setup();
     let index = Arc::new(KnowledgeIndex::build(ks.clone()));
     let direct = GenEditPipeline::new(&oracle);
-    let expected = fingerprint(&direct.generate(
-        &bundle.tasks[0].question,
-        &KnowledgeIndex::build(ks.clone()),
-        &bundle.db,
-        &[],
-    ));
+    let expected = direct
+        .generate(
+            &bundle.tasks[0].question,
+            &KnowledgeIndex::build(ks.clone()),
+            &bundle.db,
+            &[],
+        )
+        .fingerprint();
 
     let runtime = ServeRuntime::start(
         oracle,
@@ -153,7 +138,7 @@ fn served_result_matches_direct_pipeline() {
     let outcome = ticket.wait();
     let (result, cached, _) = completed(&outcome);
     assert!(!cached);
-    assert_eq!(fingerprint(result), expected);
+    assert_eq!(result.fingerprint(), expected);
     assert!(!result.trace.spans.is_empty());
     runtime.shutdown();
 }
@@ -178,7 +163,7 @@ fn repeat_question_hits_the_result_cache() {
     let (r2, c2, _) = completed(&second);
     assert!(!c1);
     assert!(c2, "second identical request must be served from cache");
-    assert_eq!(fingerprint(r1), fingerprint(r2));
+    assert_eq!(r1.fingerprint(), r2.fingerprint());
     let metrics = runtime.metrics();
     assert_eq!(metrics.counter("serve.cache.hit"), 1);
     assert_eq!(metrics.counter("serve.cache.miss"), 1);
@@ -501,7 +486,11 @@ fn batched_serving_matches_direct_pipeline() {
         .collect();
     let expected: Vec<String> = questions
         .iter()
-        .map(|q| fingerprint(&direct.generate(q, &direct_index, &bundle.db, &[])))
+        .map(|q| {
+            direct
+                .generate(q, &direct_index, &bundle.db, &[])
+                .fingerprint()
+        })
         .collect();
 
     let runtime = ServeRuntime::start(
@@ -530,7 +519,7 @@ fn batched_serving_matches_direct_pipeline() {
         let outcome = ticket.wait();
         let (result, _, _) = completed(&outcome);
         assert_eq!(
-            fingerprint(result),
+            result.fingerprint(),
             expected[i % questions.len()],
             "request {i} diverged under batching"
         );
@@ -555,7 +544,11 @@ fn concurrent_hammering_is_consistent_per_question() {
         .collect();
     let expected: Vec<String> = questions
         .iter()
-        .map(|q| fingerprint(&direct.generate(q, &direct_index, &bundle.db, &[])))
+        .map(|q| {
+            direct
+                .generate(q, &direct_index, &bundle.db, &[])
+                .fingerprint()
+        })
         .collect();
 
     let runtime = ServeRuntime::start(
@@ -587,7 +580,7 @@ fn concurrent_hammering_is_consistent_per_question() {
                     let outcome = ticket.wait();
                     let (result, _, _) = completed(&outcome);
                     assert_eq!(
-                        fingerprint(result),
+                        result.fingerprint(),
                         expected[qi],
                         "worker {worker} round {round} observed a torn or foreign result"
                     );
@@ -749,7 +742,11 @@ fn hedged_serving_matches_direct_pipeline() {
         .collect();
     let expected: Vec<String> = questions
         .iter()
-        .map(|q| fingerprint(&direct.generate(q, &direct_index, &bundle.db, &[])))
+        .map(|q| {
+            direct
+                .generate(q, &direct_index, &bundle.db, &[])
+                .fingerprint()
+        })
         .collect();
 
     let runtime = ServeRuntime::start(
@@ -785,7 +782,7 @@ fn hedged_serving_matches_direct_pipeline() {
         let outcome = ticket.wait();
         let (result, _, _) = completed(&outcome);
         assert_eq!(
-            fingerprint(result),
+            result.fingerprint(),
             expected[i % questions.len()],
             "request {i} diverged under hedging"
         );
@@ -947,12 +944,14 @@ fn cold_tenant_pages_in_and_matches_all_in_ram_path() {
 
     // The expected answer comes from the ordinary all-in-RAM path.
     let direct = GenEditPipeline::new(&oracle);
-    let expected = fingerprint(&direct.generate(
-        &bundle.tasks[0].question,
-        &KnowledgeIndex::build(ks),
-        &bundle.db,
-        &[],
-    ));
+    let expected = direct
+        .generate(
+            &bundle.tasks[0].question,
+            &KnowledgeIndex::build(ks),
+            &bundle.db,
+            &[],
+        )
+        .fingerprint();
 
     // The runtime's *global* snapshot is empty: only the tenant
     // directory can supply acme's knowledge.
@@ -976,7 +975,7 @@ fn cold_tenant_pages_in_and_matches_all_in_ram_path() {
     let (result, cached, _) = completed(&outcome);
     assert!(!cached);
     assert_eq!(
-        fingerprint(result),
+        result.fingerprint(),
         expected,
         "paged-in tenant index must reproduce the all-in-RAM result"
     );

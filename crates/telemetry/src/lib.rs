@@ -15,6 +15,8 @@
 //!   round-trip) for both traces and metric snapshots.
 //! - [`aggregate`] — fold a batch of traces into per-span-name
 //!   call-count / latency / LLM-call breakdowns ([`OperatorStats`]).
+//! - [`hash`] — the workspace's one stable hash (FNV-1a 64 and the
+//!   seeded `hash_u64`/`hash01` draws built on it).
 //! - [`hist`] — bounded log-linear (HDR-style) histograms with sharded
 //!   atomic counters; lock-free `observe`, mergeable snapshots,
 //!   percentiles within ≤ 1% relative error of exact nearest-rank.
@@ -37,6 +39,7 @@
 pub mod aggregate;
 pub mod clock;
 pub mod export;
+pub mod hash;
 pub mod hist;
 pub mod metrics;
 pub mod prom;

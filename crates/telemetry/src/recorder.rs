@@ -19,6 +19,7 @@
 //! and span attributes (`trace_report --recorder` renders these).
 
 use crate::export::to_jsonl;
+use crate::hash::{fnv1a64_from, FNV_OFFSET, FNV_PRIME};
 use crate::span::Trace;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -120,15 +121,13 @@ pub struct FlightRecorder {
     rings: Mutex<Rings>,
 }
 
-/// Seeded FNV-1a over the request ID: cheap, dependency-free, and
-/// deterministic, so sampling decisions replay.
-fn fnv1a(seed: u64, s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x0100_0000_01b3);
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+/// Seeded FNV-1a over the request ID: deterministic, so sampling
+/// decisions replay.
+fn sample_hash(seed: u64, request_id: &str) -> u64 {
+    fnv1a64_from(
+        FNV_OFFSET ^ seed.wrapping_mul(FNV_PRIME),
+        request_id.as_bytes(),
+    )
 }
 
 impl FlightRecorder {
@@ -171,7 +170,7 @@ impl FlightRecorder {
             return;
         }
         let one_in = self.config.keep_normal_one_in.max(1);
-        if !fnv1a(self.config.seed, &request.request_id).is_multiple_of(one_in) {
+        if !sample_hash(self.config.seed, &request.request_id).is_multiple_of(one_in) {
             rings.stats.sampled_out += 1;
             return;
         }
