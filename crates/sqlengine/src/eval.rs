@@ -1,10 +1,12 @@
 //! Expression evaluation over rows, groups, and window values.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::aggregate::Accumulator;
 use crate::ast::*;
 use crate::catalog::Database;
 use crate::error::{EngineError, EngineResult};
-use crate::exec::{execute_query_with_outer, CteMap};
+use crate::exec::{execute_query, CteMap};
 use crate::functions;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -126,10 +128,33 @@ impl<'a> Scope<'a> {
     }
 }
 
+/// Which engine runs SELECT bodies: chosen by the entry point
+/// (`execute_sql` / `execute_sql_reference`) and carried in [`EvalEnv`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Engine {
+    /// Columnar execution with the reference tail as its one fallback.
+    Vectorized,
+    /// The row-at-a-time interpreter in `reference`, end to end.
+    Reference,
+}
+
 /// External state needed by subquery evaluation.
 pub struct EvalEnv<'a> {
     pub db: &'a Database,
     pub ctes: &'a CteMap,
+    /// Keeps CTEs and subqueries in-engine with their parent query.
+    pub(crate) engine: Engine,
+}
+
+impl<'a> EvalEnv<'a> {
+    /// An environment on the default (vectorized) engine.
+    pub fn new(db: &'a Database, ctes: &'a CteMap) -> EvalEnv<'a> {
+        EvalEnv {
+            db,
+            ctes,
+            engine: Engine::Vectorized,
+        }
+    }
 }
 
 /// Evaluate `expr` in `scope`.
@@ -190,7 +215,7 @@ pub fn eval_expr(expr: &Expr, scope: &Scope<'_>, env: &EvalEnv<'_>) -> EngineRes
             if v.is_null() {
                 return Ok(Value::Null);
             }
-            let result = execute_query_with_outer(env.db, subquery, env.ctes, Some(scope))?;
+            let result = execute_query(env, subquery, Some(scope))?;
             if result.columns.len() != 1 {
                 return Err(EngineError::typing(
                     "IN subquery must return exactly one column",
@@ -277,11 +302,11 @@ pub fn eval_expr(expr: &Expr, scope: &Scope<'_>, env: &EvalEnv<'_>) -> EngineRes
         }
         Expr::Function(call) => eval_function(expr, call, scope, env),
         Expr::Exists { subquery, negated } => {
-            let result = execute_query_with_outer(env.db, subquery, env.ctes, Some(scope))?;
+            let result = execute_query(env, subquery, Some(scope))?;
             Ok(Value::Boolean(result.rows.is_empty() == *negated))
         }
         Expr::ScalarSubquery(subquery) => {
-            let result = execute_query_with_outer(env.db, subquery, env.ctes, Some(scope))?;
+            let result = execute_query(env, subquery, Some(scope))?;
             if result.columns.len() != 1 {
                 return Err(EngineError::typing(
                     "scalar subquery must return exactly one column",
@@ -691,6 +716,37 @@ pub fn collect_aggregate_calls<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
         }
         Expr::Cast { expr, .. } => collect_aggregate_calls(expr, out),
         Expr::Exists { .. } | Expr::ScalarSubquery(_) => {}
+    }
+}
+
+/// What decides a SELECT body's execution shape: whether it projects
+/// groups rather than rows, and the window calls it must pre-compute.
+pub(crate) struct SelectShape<'e> {
+    /// GROUP BY, HAVING, or an aggregate call in the projection.
+    pub aggregated: bool,
+    /// Window calls in the projection and ORDER BY, in source order.
+    pub windows: Vec<&'e Expr>,
+}
+
+impl<'e> SelectShape<'e> {
+    pub(crate) fn of(select: &'e Select, order_by: &'e [OrderItem]) -> SelectShape<'e> {
+        let mut windows = Vec::new();
+        let mut items_have_aggregates = false;
+        for item in &select.items {
+            if let SelectItem::Expr { expr, .. } = item {
+                items_have_aggregates |= contains_aggregate(expr);
+                collect_window_calls(expr, &mut windows);
+            }
+        }
+        for o in order_by {
+            collect_window_calls(&o.expr, &mut windows);
+        }
+        SelectShape {
+            aggregated: !select.group_by.is_empty()
+                || items_have_aggregates
+                || select.having.is_some(),
+            windows,
+        }
     }
 }
 

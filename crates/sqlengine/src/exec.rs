@@ -1,16 +1,21 @@
-//! Query execution: engine dispatch, set operations, and the vectorized
+//! Query execution: entry points, set operations, and the vectorized
 //! columnar planner.
 //!
-//! Two engines share one semantic contract. The default
-//! [`Engine::Vectorized`] path resolves FROM clauses into columnar
-//! [`DataChunk`] batches (hash joins for equi-joins), evaluates WHERE /
-//! group keys / aggregate arguments batch-at-a-time, and falls back to
-//! row-at-a-time evaluation for anything the batch evaluator cannot
-//! lower — so results, fingerprints, and error behavior stay identical
-//! to [`Engine::Reference`], the original materializing interpreter
-//! (kept fully reachable in `reference`). CTEs are materialized once in
-//! definition order and visible to later CTEs and the main body,
-//! matching the CTE-normal-form queries GenEdit generates (§3.1.2).
+//! Two engines share one semantic contract. [`execute_sql`] runs the
+//! vectorized engine, a two-tier planner: a SELECT body finishes
+//! *columnar* when everything in it lowers to batch operators — FROM
+//! into [`DataChunk`] batches (hash joins for equi-joins), WHERE into a
+//! selection vector, then `try_pure_path` or `try_fast_agg` — and
+//! otherwise runs the *reference* interpreter's own tail
+//! (`reference::finish_rows`) on the vectorized FROM/WHERE output. Every
+//! fallback is a call into `reference`, never a copy of it, so results,
+//! fingerprints and error behavior stay identical to
+//! [`execute_sql_reference`], which runs that interpreter end to end.
+//! CTEs are materialized once in definition order and visible to later
+//! CTEs and the main body, matching the CTE-normal-form queries GenEdit
+//! generates (§3.1.2).
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::aggregate::Accumulator;
 use crate::array::{Array, DataChunk};
@@ -18,8 +23,8 @@ use crate::ast::*;
 use crate::catalog::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{
-    collect_aggregate_calls, collect_unconditional_aggregates, collect_window_calls,
-    contains_aggregate, eval_expr, AggValues, ColMeta, EvalEnv, Relation, Scope, WindowValues,
+    collect_aggregate_calls, collect_unconditional_aggregates, eval_expr, AggValues, ColMeta,
+    Engine, EvalEnv, Relation, Scope, SelectShape, WindowValues,
 };
 use crate::key::{key_elem, key_ref, row_key, KeyElem, KeyRef};
 use crate::parser::parse_statement;
@@ -28,56 +33,23 @@ use crate::reference;
 use crate::result::ResultSet;
 use crate::value::Value;
 use crate::vector::{self, Sel};
-use crate::window::{compute_windows, unit_scope, Unit};
-use std::cell::Cell;
+use crate::window::{unit_scope, Unit};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// CTE name → materialized result, keyed by lowercase name.
 pub type CteMap = HashMap<String, Arc<ResultSet>>;
 
-// ----------------------------------------------------------------------
-// Engine selection
-// ----------------------------------------------------------------------
-
-/// Which execution engine runs SELECT bodies on this thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Batch-at-a-time columnar execution (the default).
-    Vectorized,
-    /// The original row-at-a-time interpreter, kept as the semantic
-    /// baseline for differential testing and benchmarking.
-    Reference,
-}
-
-thread_local! {
-    static ENGINE: Cell<Engine> = const { Cell::new(Engine::Vectorized) };
-}
-
-/// The engine SELECT bodies currently execute on (per thread).
-pub fn current_engine() -> Engine {
-    ENGINE.with(Cell::get)
-}
-
-/// Run `f` with `engine` selected on this thread, restoring the previous
-/// selection afterwards.
-pub fn with_engine<T>(engine: Engine, f: impl FnOnce() -> T) -> T {
-    let prev = ENGINE.with(|e| e.replace(engine));
-    let out = f();
-    ENGINE.with(|e| e.set(prev));
-    out
-}
-
 /// Parse and execute a SQL string on the reference row-at-a-time
-/// interpreter, regardless of the thread's current engine selection.
+/// interpreter, subqueries and CTEs included.
 pub fn execute_sql_reference(db: &Database, sql: &str) -> EngineResult<ResultSet> {
-    with_engine(Engine::Reference, || execute_sql(db, sql))
+    execute_on(db, &parse_statement(sql)?, Engine::Reference)
 }
 
 /// Parse and execute a SQL string against a database.
 pub fn execute_sql(db: &Database, sql: &str) -> EngineResult<ResultSet> {
-    let stmt = parse_statement(sql)?;
-    execute(db, &stmt)
+    execute(db, &parse_statement(sql)?)
 }
 
 /// Timing and output-size observations from one [`execute_sql_timed`]
@@ -92,7 +64,8 @@ pub struct ExecStats {
     pub rows: usize,
     /// Columns in the result set.
     pub columns: usize,
-    /// Columnar execution counters (all zero on the reference engine).
+    /// Counters of the columnar operators only; zero on the reference
+    /// engine and in the reference tail.
     pub counters: SqlCounters,
 }
 
@@ -153,32 +126,47 @@ pub fn execute_sql_timed(db: &Database, sql: &str) -> (EngineResult<ResultSet>, 
 
 /// Execute a parsed statement.
 pub fn execute(db: &Database, stmt: &Statement) -> EngineResult<ResultSet> {
+    execute_on(db, stmt, Engine::Vectorized)
+}
+
+fn execute_on(db: &Database, stmt: &Statement, engine: Engine) -> EngineResult<ResultSet> {
+    let ctes = CteMap::new();
+    let env = EvalEnv {
+        db,
+        ctes: &ctes,
+        engine,
+    };
     match stmt {
-        Statement::Query(q) => execute_query_with_outer(db, q, &CteMap::new(), None),
+        Statement::Query(q) => execute_query(&env, q, None),
     }
 }
 
-/// Execute a query, optionally with an outer row scope for correlated
-/// subqueries and a set of inherited CTEs.
-pub fn execute_query_with_outer(
-    db: &Database,
+/// Execute a query on `env`'s engine under its inherited CTEs,
+/// optionally with an outer row scope for correlated subqueries.
+pub(crate) fn execute_query(
+    env: &EvalEnv<'_>,
     query: &Query,
-    inherited: &CteMap,
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<ResultSet> {
-    let mut ctes = inherited.clone();
+    let mut ctes = env.ctes.clone();
     for cte in &query.ctes {
         // CTEs see previously defined CTEs but not the outer row scope.
-        let result = execute_query_with_outer(db, &cte.query, &ctes, None)?;
+        let scoped = EvalEnv {
+            ctes: &ctes,
+            ..*env
+        };
+        let result = execute_query(&scoped, &cte.query, None)?;
         ctes.insert(cte.name.to_lowercase(), Arc::new(result));
     }
+    let env = &EvalEnv {
+        ctes: &ctes,
+        ..*env
+    };
 
     match &query.body {
-        SetExpr::Select(select) => {
-            exec_select(db, select, &ctes, outer, &query.order_by, query.limit)
-        }
+        SetExpr::Select(select) => exec_select(env, select, outer, &query.order_by, query.limit),
         SetExpr::SetOp { .. } => {
-            let mut rs = exec_set_expr(db, &query.body, &ctes, outer)?;
+            let mut rs = exec_set_expr(env, &query.body, outer)?;
             sort_result_by_output(&mut rs, &query.order_by)?;
             if let Some(n) = query.limit {
                 rs.rows.truncate(n as usize);
@@ -188,38 +176,35 @@ pub fn execute_query_with_outer(
     }
 }
 
-/// Dispatch one SELECT body to the engine selected on this thread, so
-/// subqueries and CTEs stay in-engine with their parent query.
+/// Run one SELECT body on the engine its query was entered on.
 fn exec_select(
-    db: &Database,
+    env: &EvalEnv<'_>,
     select: &Select,
-    ctes: &CteMap,
     outer: Option<&Scope<'_>>,
     order_by: &[OrderItem],
     limit: Option<u64>,
 ) -> EngineResult<ResultSet> {
-    match current_engine() {
-        Engine::Vectorized => exec_select_vectorized(db, select, ctes, outer, order_by, limit),
-        Engine::Reference => reference::exec_select(db, select, ctes, outer, order_by, limit),
+    match env.engine {
+        Engine::Vectorized => exec_select_vectorized(env, select, outer, order_by, limit),
+        Engine::Reference => reference::exec_select(env, select, outer, order_by, limit),
     }
 }
 
 fn exec_set_expr(
-    db: &Database,
+    env: &EvalEnv<'_>,
     body: &SetExpr,
-    ctes: &CteMap,
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<ResultSet> {
     match body {
-        SetExpr::Select(select) => exec_select(db, select, ctes, outer, &[], None),
+        SetExpr::Select(select) => exec_select(env, select, outer, &[], None),
         SetExpr::SetOp {
             op,
             all,
             left,
             right,
         } => {
-            let l = exec_set_expr(db, left, ctes, outer)?;
-            let r = exec_set_expr(db, right, ctes, outer)?;
+            let l = exec_set_expr(env, left, outer)?;
+            let r = exec_set_expr(env, right, outer)?;
             if l.columns.len() != r.columns.len() {
                 return Err(EngineError::typing(format!(
                     "set operation arity mismatch: {} vs {} columns",
@@ -291,18 +276,15 @@ fn exec_set_expr(
 // ----------------------------------------------------------------------
 
 fn exec_select_vectorized(
-    db: &Database,
+    env: &EvalEnv<'_>,
     select: &Select,
-    ctes: &CteMap,
     outer: Option<&Scope<'_>>,
     order_by: &[OrderItem],
     limit: Option<u64>,
 ) -> EngineResult<ResultSet> {
-    let env = EvalEnv { db, ctes };
-
     // FROM → columnar source.
     let source = match &select.from {
-        Some(tr) => physical::resolve_from_columnar(db, tr, ctes, outer)?,
+        Some(tr) => physical::resolve_from_columnar(env, tr, outer)?,
         None => physical::Source {
             cols: Vec::new(),
             chunk: DataChunk::unit(),
@@ -313,8 +295,8 @@ fn exec_select_vectorized(
     // WHERE → surviving row indices (`None` = keep everything). The
     // gather is deferred so the pure path can project straight off the
     // source columns under a selection vector. Batch evaluation when the
-    // predicate lowers; otherwise the row path reproduces per-row errors
-    // exactly.
+    // predicate lowers; otherwise the reference row loop reproduces
+    // per-row errors exactly.
     let keep: Option<Vec<u32>> = match &select.selection {
         None => None,
         Some(pred) => match vector::bind(pred, &cols, outer) {
@@ -331,55 +313,17 @@ fn exec_select_vectorized(
                 )
             }
             None => {
-                let rows = chunk.to_rows();
-                let mut keep: Vec<u32> = Vec::new();
-                for (i, row) in rows.iter().enumerate() {
-                    let scope = Scope {
-                        cols: &cols,
-                        row,
-                        parent: outer,
-                        group: None,
-                        windows: None,
-                        aggs: None,
-                        unit_index: 0,
-                    };
-                    if eval_expr(pred, &scope, &env)?.as_bool()? == Some(true) {
-                        keep.push(i as u32);
-                    }
-                }
-                Some(keep)
+                let kept = reference::filter_rows(env, &cols, &chunk.to_rows(), pred, outer)?;
+                Some(kept.into_iter().map(|i| i as u32).collect())
             }
         },
     };
 
-    // Is this an aggregated query?
-    let items_have_aggregates = select.items.iter().any(|item| match item {
-        SelectItem::Expr { expr, .. } => contains_aggregate(expr),
-        _ => false,
-    });
-    let aggregated = !select.group_by.is_empty()
-        || items_have_aggregates
-        || select
-            .having
-            .as_ref()
-            .map(contains_aggregate)
-            .unwrap_or(false)
-        || select.having.is_some();
-
-    // Window calls.
-    let mut window_exprs: Vec<&Expr> = Vec::new();
-    for item in &select.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_window_calls(expr, &mut window_exprs);
-        }
-    }
-    for o in order_by {
-        collect_window_calls(&o.expr, &mut window_exprs);
-    }
+    let shape = SelectShape::of(select, order_by);
 
     // Fully columnar path: no grouping, no windows, every projected and
     // ordering expression lowers to a batch expression.
-    if !aggregated && window_exprs.is_empty() {
+    if !shape.aggregated && shape.windows.is_empty() {
         if let Some(rs) = try_pure_path(
             select,
             &cols,
@@ -400,135 +344,34 @@ fn exec_select_vectorized(
 
     // Fast aggregated path: group keys and every aggregate call lower,
     // so only representative rows ever need materializing.
-    if aggregated && window_exprs.is_empty() && select.having.is_none() {
-        if let Some(rs) = try_fast_agg(select, &cols, &filtered, outer, &env, order_by, limit)? {
+    if shape.aggregated && shape.windows.is_empty() && select.having.is_none() {
+        if let Some(rs) = try_fast_agg(select, &cols, &filtered, outer, env, order_by, limit)? {
             return Ok(rs);
         }
     }
 
-    // Hybrid path: materialize the filtered batch and run the unit
-    // pipeline, vectorizing group keys and aggregate arguments when they
-    // lower and falling back per expression when they don't.
+    // Not columnar: the reference interpreter's own tail takes over from
+    // the filtered rows.
+    physical::with_counters(|c| c.interpreter_fallbacks += 1);
     let rel = Relation {
         cols,
-        rows: filtered.to_rows(),
+        rows: filtered.into_rows(),
     };
-    let kept: Vec<usize> = (0..rel.rows.len()).collect();
-
-    let mut units: Vec<Unit> = Vec::new();
-    if aggregated {
-        if select.group_by.is_empty() {
-            units.push(Unit {
-                rep: kept.first().copied().unwrap_or(usize::MAX),
-                members: kept.clone(),
-            });
-        } else {
-            units = build_group_units(select, &rel, &filtered, &kept, outer, &env)?;
-            physical::with_counters(|c| c.agg_groups += units.len() as u64);
-        }
-        // HAVING runs through the accumulator path (no pre-computed
-        // aggregates), preserving the interpreter's per-unit laziness.
-        if let Some(having) = &select.having {
-            let mut survivors = Vec::with_capacity(units.len());
-            for unit in units {
-                let scope = unit_scope(&rel, &unit, outer, None, None, 0, aggregated);
-                if eval_expr(having, &scope, &env)?.as_bool()? == Some(true) {
-                    survivors.push(unit);
-                }
-            }
-            units = survivors;
-        }
-    } else {
-        units = kept
-            .iter()
-            .map(|&i| Unit {
-                rep: i,
-                members: vec![i],
-            })
-            .collect();
-    }
-
-    // Pre-compute unconditionally evaluated aggregates batch-at-a-time.
-    let aggs = if aggregated {
-        precompute_aggregates(select, order_by, &rel.cols, &filtered, &units, outer)?
-    } else {
-        AggValues::new()
-    };
-
-    let windows = compute_windows(&rel, &units, &window_exprs, outer, &env, aggregated)?;
-
-    finish_select(
-        select,
-        &rel,
-        &units,
-        &windows,
-        Some(&aggs),
-        outer,
-        &env,
-        order_by,
-        limit,
-        aggregated,
-    )
+    let kept = (0..rel.rows.len()).collect();
+    reference::finish_rows(env, select, &rel, kept, &shape, outer, order_by, limit)
 }
 
-/// Build GROUP BY units with typed keys, evaluating the group
-/// expressions batch-at-a-time when they lower.
-fn build_group_units(
-    select: &Select,
-    rel: &Relation,
-    chunk: &DataChunk,
-    kept: &[usize],
-    outer: Option<&Scope<'_>>,
-    env: &EvalEnv<'_>,
-) -> EngineResult<Vec<Unit>> {
-    if let Some((units, _)) = vectorized_group_units(&select.group_by, &rel.cols, chunk, outer)? {
-        return Ok(units);
-    }
-
-    // Row fallback: identical to the reference interpreter.
-    let mut units: Vec<Unit> = Vec::new();
-    let mut index: HashMap<Vec<KeyElem>, usize> = HashMap::new();
-    for &i in kept {
-        let scope = Scope {
-            cols: &rel.cols,
-            row: &rel.rows[i],
-            parent: outer,
-            group: None,
-            windows: None,
-            aggs: None,
-            unit_index: 0,
-        };
-        let mut key = Vec::with_capacity(select.group_by.len());
-        for g in &select.group_by {
-            key.push(key_elem(&eval_expr(g, &scope, env)?));
-        }
-        match index.get(&key) {
-            Some(&u) => units[u].members.push(i),
-            None => {
-                index.insert(key, units.len());
-                units.push(Unit {
-                    rep: i,
-                    members: vec![i],
-                });
-            }
-        }
-    }
-    Ok(units)
-}
-
-/// Group the chunk's rows by the batch-evaluated GROUP BY keys, in
-/// first-occurrence order (matching the interpreter's unit order).
-/// Also returns the per-row group id (`gids[i]` = unit index of row
-/// `i`), which the fast aggregation path scans instead of per-unit
-/// selection vectors. Returns `Ok(None)` when some group expression
-/// does not lower.
-#[allow(clippy::type_complexity)]
-fn vectorized_group_units(
+/// Group the chunk's rows by the batch-evaluated GROUP BY keys. Returns
+/// each group's representative (first) row in first-occurrence order —
+/// the interpreter's unit order — and the per-row group id (`gids[i]` =
+/// index into the representatives of row `i`'s group), or `Ok(None)`
+/// when some group expression does not lower.
+fn vectorized_groups(
     group_by: &[Expr],
     cols: &[ColMeta],
     chunk: &DataChunk,
     outer: Option<&Scope<'_>>,
-) -> EngineResult<Option<(Vec<Unit>, Vec<u32>)>> {
+) -> EngineResult<Option<(Vec<u32>, Vec<u32>)>> {
     let bound: Option<Vec<vector::VExpr>> = group_by
         .iter()
         .map(|g| vector::bind(g, cols, outer))
@@ -540,120 +383,31 @@ fn vectorized_group_units(
     for v in &vs {
         arrays.push(vector::eval(v, chunk, Sel::All)?);
     }
-    let mut units: Vec<Unit> = Vec::new();
+    let mut reps: Vec<u32> = Vec::new();
     let mut gids: Vec<u32> = Vec::with_capacity(chunk.len());
     if let [a] = arrays.as_slice() {
         // Single-key grouping probes with borrowed keys: no allocation
         // per row at all.
-        let mut index: HashMap<KeyRef<'_>, usize> = HashMap::new();
+        let mut index: HashMap<KeyRef<'_>, u32> = HashMap::new();
         for i in 0..chunk.len() {
-            match index.entry(key_ref(a.at(i))) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    gids.push(*e.get() as u32);
-                    units[*e.get()].members.push(i);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    gids.push(units.len() as u32);
-                    e.insert(units.len());
-                    units.push(Unit {
-                        rep: i,
-                        members: vec![i],
-                    });
-                }
-            }
+            let gid = *index.entry(key_ref(a.at(i))).or_insert_with(|| {
+                reps.push(i as u32);
+                reps.len() as u32 - 1
+            });
+            gids.push(gid);
         }
-        return Ok(Some((units, gids)));
+        return Ok(Some((reps, gids)));
     }
-    let mut index: HashMap<Vec<KeyRef<'_>>, usize> = HashMap::new();
+    let mut index: HashMap<Vec<KeyRef<'_>>, u32> = HashMap::new();
     for i in 0..chunk.len() {
         let key: Vec<KeyRef<'_>> = arrays.iter().map(|a| key_ref(a.at(i))).collect();
-        match index.get(&key) {
-            Some(&u) => {
-                gids.push(u as u32);
-                units[u].members.push(i);
-            }
-            None => {
-                gids.push(units.len() as u32);
-                index.insert(key, units.len());
-                units.push(Unit {
-                    rep: i,
-                    members: vec![i],
-                });
-            }
-        }
+        let gid = *index.entry(key).or_insert_with(|| {
+            reps.push(i as u32);
+            reps.len() as u32 - 1
+        });
+        gids.push(gid);
     }
-    Ok(Some((units, gids)))
-}
-
-/// Pre-compute per-unit values for aggregate calls that the projection
-/// and ORDER BY evaluate unconditionally. Conditionally evaluated calls
-/// (short-circuited operands, CASE branches) keep the accumulator path
-/// so their evaluation — and its errors — stays exactly as lazy as the
-/// interpreter's.
-fn precompute_aggregates(
-    select: &Select,
-    order_by: &[OrderItem],
-    cols: &[ColMeta],
-    chunk: &DataChunk,
-    units: &[Unit],
-    outer: Option<&Scope<'_>>,
-) -> EngineResult<AggValues> {
-    let mut calls: Vec<&Expr> = Vec::new();
-    for item in &select.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_unconditional_aggregates(expr, &mut calls);
-        }
-    }
-    for o in order_by {
-        collect_unconditional_aggregates(&o.expr, &mut calls);
-    }
-
-    let mut out = AggValues::new();
-    for wexpr in calls {
-        let key = wexpr.to_string();
-        if out.contains_key(&key) {
-            continue;
-        }
-        let Expr::Function(call) = wexpr else {
-            continue;
-        };
-        if call.star {
-            let mut vals = Vec::with_capacity(units.len());
-            for unit in units {
-                let mut acc = Accumulator::for_function(&call.name, call.distinct, true)?;
-                for _ in &unit.members {
-                    acc.update(&Value::Integer(1))?;
-                }
-                vals.push(acc.finish());
-            }
-            out.insert(key, vals);
-            continue;
-        }
-        if call.args.len() != 1 {
-            continue; // let the accumulator path raise the exact error
-        }
-        let Some(v) = vector::bind(&call.args[0], cols, outer) else {
-            continue;
-        };
-        // Evaluate the argument once over every member of every unit.
-        let sel: Vec<u32> = units
-            .iter()
-            .flat_map(|u| u.members.iter().map(|&i| i as u32))
-            .collect();
-        let arr = vector::eval(&v, chunk, Sel::Idx(&sel))?;
-        let mut vals = Vec::with_capacity(units.len());
-        let mut off = 0usize;
-        for unit in units {
-            let mut acc = Accumulator::for_function(&call.name, call.distinct, false)?;
-            for k in 0..unit.members.len() {
-                acc.update(&arr.get(off + k))?;
-            }
-            off += unit.members.len();
-            vals.push(acc.finish());
-        }
-        out.insert(key, vals);
-    }
-    Ok(out)
+    Ok(Some((reps, gids)))
 }
 
 /// Pre-compute aggregate values for the fast aggregated path by a
@@ -667,7 +421,7 @@ fn precompute_aggregates_by_gid(
     calls: &[&Expr],
     cols: &[ColMeta],
     chunk: &DataChunk,
-    units: &[Unit],
+    n_groups: usize,
     gids: &[u32],
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<AggValues> {
@@ -680,8 +434,8 @@ fn precompute_aggregates_by_gid(
         let Expr::Function(call) = *wexpr else {
             continue;
         };
-        let mut accs: Vec<Accumulator> = Vec::with_capacity(units.len());
-        for _ in units {
+        let mut accs: Vec<Accumulator> = Vec::with_capacity(n_groups);
+        for _ in 0..n_groups {
             accs.push(Accumulator::for_function(
                 &call.name,
                 call.distinct,
@@ -714,7 +468,7 @@ fn precompute_aggregates_by_gid(
 /// materializing the whole filtered batch row-major, gather just the
 /// representatives (one row per group) and run [`finish_select`] on
 /// that. Returns `Ok(None)` when a precondition fails, deferring to the
-/// hybrid path. Caller guarantees: aggregated, no window calls, no
+/// reference tail. Caller guarantees: aggregated, no window calls, no
 /// HAVING.
 fn try_fast_agg(
     select: &Select,
@@ -759,22 +513,34 @@ fn try_fast_agg(
         }
     }
 
-    let (units, gids) = if select.group_by.is_empty() {
-        // One implicit unit over every surviving row (rep = usize::MAX
-        // projects the empty-group row, as in the interpreter).
-        let units = vec![Unit {
-            rep: if chunk.is_empty() { usize::MAX } else { 0 },
-            members: (0..chunk.len()).collect(),
-        }];
-        (units, vec![0u32; chunk.len()])
+    let (reps, gids) = if select.group_by.is_empty() {
+        // One implicit group over every surviving row.
+        let reps = if chunk.is_empty() { vec![] } else { vec![0] };
+        (reps, vec![0u32; chunk.len()])
     } else {
-        match vectorized_group_units(&select.group_by, cols, chunk, outer)? {
-            Some(ug) => ug,
+        match vectorized_groups(&select.group_by, cols, chunk, outer)? {
+            Some(rg) => rg,
             None => return Ok(None),
         }
     };
+    // Representative rows only: unit `g` is row `g` of the slim relation,
+    // so `unit_index` matches the pre-computed aggregate slots.
+    let mut units: Vec<Unit> = (0..reps.len())
+        .map(|g| Unit {
+            rep: g,
+            members: vec![g],
+        })
+        .collect();
+    if units.is_empty() && select.group_by.is_empty() {
+        // The implicit group over no rows still projects one (empty-group)
+        // row, as in the interpreter.
+        units.push(Unit {
+            rep: usize::MAX,
+            members: Vec::new(),
+        });
+    }
 
-    let aggs = precompute_aggregates_by_gid(&all_calls, cols, chunk, &units, &gids, outer)?;
+    let aggs = precompute_aggregates_by_gid(&all_calls, cols, chunk, units.len(), &gids, outer)?;
     // Safety net: if any call still missed the pre-computed map, the
     // accumulator path would aggregate over a representative-only group
     // and silently produce wrong values — fall back instead. (The
@@ -786,26 +552,6 @@ fn try_fast_agg(
         physical::with_counters(|c| c.agg_groups += units.len() as u64);
     }
 
-    // Representative rows only, with units renumbered into the slim
-    // relation. Unit order is preserved, so `unit_index` keeps matching
-    // the pre-computed aggregate slots.
-    let mut reps: Vec<u32> = Vec::with_capacity(units.len());
-    let mut slim_units: Vec<Unit> = Vec::with_capacity(units.len());
-    for u in &units {
-        if u.rep == usize::MAX {
-            slim_units.push(Unit {
-                rep: usize::MAX,
-                members: Vec::new(),
-            });
-        } else {
-            let ri = reps.len();
-            reps.push(u.rep as u32);
-            slim_units.push(Unit {
-                rep: ri,
-                members: vec![ri],
-            });
-        }
-    }
     let rel = Relation {
         cols: cols.to_vec(),
         rows: chunk.take(&reps).into_rows(),
@@ -814,7 +560,7 @@ fn try_fast_agg(
     finish_select(
         select,
         &rel,
-        &slim_units,
+        &units,
         &windows,
         Some(&aggs),
         outer,
@@ -828,7 +574,7 @@ fn try_fast_agg(
 
 /// The fully columnar SELECT path: project column batches, then order /
 /// dedup / limit by index. Returns `Ok(None)` when some expression does
-/// not lower, sending the query to the hybrid path instead.
+/// not lower, sending the query to the reference tail instead.
 fn try_pure_path(
     select: &Select,
     cols_meta: &[ColMeta],
@@ -913,14 +659,7 @@ fn try_pure_path(
             }
         }
         order.sort_by(|&a, &b| {
-            for (k, item) in order_by.iter().enumerate() {
-                let ord = keys[a][k].total_cmp(&keys[b][k]);
-                let ord = if item.desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            a.cmp(&b) // stable
+            cmp_order_keys(order_by, |k| (&keys[a][k], &keys[b][k])).then(a.cmp(&b))
         });
     }
 
@@ -960,8 +699,9 @@ fn try_pure_path(
 // ----------------------------------------------------------------------
 
 /// Project units and apply ORDER BY / DISTINCT / LIMIT. Shared verbatim
-/// by the reference interpreter (`aggs: None`) and the hybrid vectorized
-/// path (`aggs` carrying pre-computed per-unit aggregate values).
+/// by the reference interpreter's tail (`aggs: None`) and the fast
+/// aggregated path (`aggs` carrying pre-computed per-unit aggregate
+/// values).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_select(
     select: &Select,
@@ -1081,14 +821,7 @@ pub(crate) fn finish_select(
         }
         let mut order: Vec<usize> = (0..out_rows.len()).collect();
         order.sort_by(|&a, &b| {
-            for (k, item) in order_by.iter().enumerate() {
-                let ord = keys[a][k].total_cmp(&keys[b][k]);
-                let ord = if item.desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            a.cmp(&b) // stable
+            cmp_order_keys(order_by, |k| (&keys[a][k], &keys[b][k])).then(a.cmp(&b))
         });
         let mut sorted = Vec::with_capacity(out_rows.len());
         for i in order {
@@ -1164,7 +897,7 @@ fn sort_result_by_output(rs: &mut ResultSet, order_by: &[OrderItem]) -> EngineRe
     let mut key_cols = Vec::with_capacity(order_by.len());
     for item in order_by {
         match order_key_source(item, &rs.columns)? {
-            OrderSource::OutputColumn(ci) => key_cols.push((ci, item.desc)),
+            OrderSource::OutputColumn(ci) => key_cols.push(ci),
             OrderSource::Expression => {
                 return Err(EngineError::typing(
                     "ORDER BY over a set operation must reference output columns",
@@ -1172,18 +905,28 @@ fn sort_result_by_output(rs: &mut ResultSet, order_by: &[OrderItem]) -> EngineRe
             }
         }
     }
-    rs.rows.sort_by(|a, b| {
-        for &(ci, desc) in &key_cols {
-            let ord = a[ci].total_cmp(&b[ci]);
-            let ord = if desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+    rs.rows
+        .sort_by(|a, b| cmp_order_keys(order_by, |k| (&a[key_cols[k]], &b[key_cols[k]])));
     Ok(())
 }
+
+/// Compare two rows by their ORDER BY keys: `pair(k)` yields the two
+/// values of the `k`-th item, compared by `total_cmp` and reversed when
+/// the item is `DESC`; the first unequal item decides.
+pub(crate) fn cmp_order_keys<'v>(
+    order_by: &[OrderItem],
+    pair: impl Fn(usize) -> (&'v Value, &'v Value),
+) -> Ordering {
+    for (k, item) in order_by.iter().enumerate() {
+        let (a, b) = pair(k);
+        let ord = a.total_cmp(b);
+        if ord != Ordering::Equal {
+            return if item.desc { ord.reverse() } else { ord };
+        }
+    }
+    Ordering::Equal
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1292,6 +1035,34 @@ mod tests {
         let (result, stats) = execute_sql_timed(&db, "SELECT * FROM MISSING");
         assert!(result.is_err());
         assert_eq!((stats.rows, stats.columns), (0, 0));
+    }
+
+    #[test]
+    fn interpreter_fallbacks_count_select_bodies_on_the_reference_tail() {
+        let db = test_db();
+        let fallbacks = |sql: &str| {
+            let (result, stats) = execute_sql_timed(&db, sql);
+            result.expect("query should execute");
+            stats.counters.interpreter_fallbacks
+        };
+        // Columnar tiers: pure path, fast aggregation.
+        assert_eq!(fallbacks("SELECT NAME FROM ORGS WHERE ID > 1"), 0);
+        assert_eq!(
+            fallbacks("SELECT COUNTRY, COUNT(*) FROM ORGS GROUP BY COUNTRY"),
+            0
+        );
+        // Window calls and HAVING take the reference tail, once per body.
+        assert_eq!(
+            fallbacks("SELECT NAME, ROW_NUMBER() OVER (ORDER BY ID) FROM ORGS"),
+            1
+        );
+        assert_eq!(
+            fallbacks(
+                "WITH big AS (SELECT COUNTRY FROM ORGS GROUP BY COUNTRY HAVING COUNT(*) > 1) \
+                 SELECT COUNTRY, RANK() OVER (ORDER BY COUNTRY) FROM big"
+            ),
+            2
+        );
     }
 
     #[test]

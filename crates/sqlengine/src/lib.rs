@@ -58,10 +58,7 @@ pub use ast::{
 pub use catalog::{Column, ColumnProfile, Database, Table};
 pub use display::pretty;
 pub use error::{EngineError, EngineResult};
-pub use exec::{
-    current_engine, execute, execute_sql, execute_sql_reference, execute_sql_timed, with_engine,
-    Engine, ExecStats,
-};
+pub use exec::{execute, execute_sql, execute_sql_reference, execute_sql_timed, ExecStats};
 pub use key::{key_elem, row_key, KeyElem};
 pub use parser::{parse_expression, parse_statement};
 pub use physical::SqlCounters;

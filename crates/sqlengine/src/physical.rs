@@ -1,25 +1,24 @@
 //! Columnar physical operators: batch scans, cross joins by index
-//! gathering, and hash equi-joins with a nested-loop fallback.
+//! gathering, and hash equi-joins.
 //!
 //! The hash-join planner is deliberately conservative: it only takes the
 //! hash path when the ON clause is a pure conjunction of column
 //! equalities AND the key columns' contents guarantee that every row
 //! pair the nested loop would compare is comparable under
 //! `Value::sql_cmp` with equality classes a hash key can represent.
-//! Anything else falls back to the row-at-a-time nested loop, so join
-//! results — including error behavior — are identical to the reference
-//! interpreter in every case.
+//! Anything else is handed to the reference interpreter's own nested
+//! loop (`reference::join`), so join results — including error
+//! behavior — are identical to it in every case.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::array::{ArrayBuilder, DataChunk, ValueRef};
+use crate::array::{columns_from_rows, DataChunk, ValueRef};
 use crate::ast::{BinaryOp, Expr, JoinKind, TableRef};
-use crate::catalog::Database;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{eval_expr, ColMeta, EvalEnv, Relation, Scope};
-use crate::exec::{execute_query_with_outer, CteMap};
+use crate::eval::{ColMeta, EvalEnv, Relation, Scope};
+use crate::exec::execute_query;
 use crate::key::float_key_bits;
-use crate::value::Value;
+use crate::reference;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,7 +29,9 @@ use std::time::Instant;
 // ----------------------------------------------------------------------
 
 /// Per-query columnar execution counters, accumulated in a thread-local
-/// and drained by `execute_sql_timed` into telemetry.
+/// and drained by `execute_sql_timed` into telemetry. Work done inside
+/// the reference interpreter — end to end, or as the vectorized engine's
+/// fallback — is not counted, only that the fallback was taken.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SqlCounters {
     /// Column batches materialized by scans.
@@ -39,7 +40,7 @@ pub struct SqlCounters {
     pub rows_scanned: u64,
     /// Joins executed on the hash path.
     pub hash_joins: u64,
-    /// Joins that fell back to the nested loop.
+    /// Joins handed to the reference interpreter's nested loop.
     pub nested_loop_joins: u64,
     /// Nanoseconds spent building join hash tables.
     pub join_build_ns: u64,
@@ -47,6 +48,9 @@ pub struct SqlCounters {
     pub join_probe_ns: u64,
     /// Groups produced by hash aggregation.
     pub agg_groups: u64,
+    /// SELECT bodies that did not finish on a columnar path and ran the
+    /// reference interpreter's tail after the vectorized FROM/WHERE.
+    pub interpreter_fallbacks: u64,
 }
 
 thread_local! {
@@ -58,6 +62,7 @@ thread_local! {
         join_build_ns: 0,
         join_probe_ns: 0,
         agg_groups: 0,
+        interpreter_fallbacks: 0,
     }) };
 }
 
@@ -87,60 +92,41 @@ pub struct Source {
 }
 
 impl Source {
-    /// Materialize as a row-major [`Relation`] for interpreter fallback.
-    pub fn to_relation(&self) -> Relation {
+    /// Materialize as a row-major [`Relation`], the hand-off to the
+    /// reference interpreter.
+    pub fn into_relation(self) -> Relation {
         Relation {
-            cols: self.cols.clone(),
-            rows: self.chunk.to_rows(),
+            cols: self.cols,
+            rows: self.chunk.into_rows(),
         }
-    }
-}
-
-fn chunk_from_row_refs(rows: &[Vec<Value>], width: usize) -> DataChunk {
-    let mut builders: Vec<ArrayBuilder> = (0..width)
-        .map(|_| ArrayBuilder::with_capacity(rows.len()))
-        .collect();
-    for row in rows {
-        for (b, v) in builders.iter_mut().zip(row.iter()) {
-            b.push(v.clone());
-        }
-    }
-    let cols = builders
-        .into_iter()
-        .map(|b| Arc::new(b.finish()))
-        .collect::<Vec<_>>();
-    if cols.is_empty() {
-        DataChunk::new(cols, rows.len())
-    } else {
-        let len = cols[0].len();
-        DataChunk::new(cols, len)
     }
 }
 
 /// Resolve a FROM clause into a columnar [`Source`], joining as needed.
 pub fn resolve_from_columnar(
-    db: &Database,
+    env: &EvalEnv<'_>,
     tr: &TableRef,
-    ctes: &CteMap,
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<Source> {
     match tr {
         TableRef::Named { name, alias } => {
             let qualifier = alias.clone().unwrap_or_else(|| name.clone());
-            if let Some(rs) = ctes.get(&name.to_lowercase()) {
+            if let Some(rs) = env.ctes.get(&name.to_lowercase()) {
                 let cols = rs
                     .columns
                     .iter()
                     .map(|c| ColMeta::new(Some(qualifier.clone()), c.clone()))
                     .collect();
-                let chunk = chunk_from_row_refs(&rs.rows, rs.columns.len());
+                let chunk =
+                    DataChunk::new(columns_from_rows(&rs.rows, rs.columns.len()), rs.rows.len());
                 with_counters(|c| {
                     c.batches += 1;
                     c.rows_scanned += chunk.len() as u64;
                 });
                 return Ok(Source { cols, chunk });
             }
-            let table = db
+            let table = env
+                .db
                 .table(name)
                 .ok_or_else(|| EngineError::binding(format!("no such table {name}")))?;
             let cols = table
@@ -156,7 +142,7 @@ pub fn resolve_from_columnar(
             Ok(Source { cols, chunk })
         }
         TableRef::Derived { query, alias } => {
-            let rs = execute_query_with_outer(db, query, ctes, None)?;
+            let rs = execute_query(env, query, None)?;
             let cols = rs
                 .columns
                 .iter()
@@ -174,9 +160,9 @@ pub fn resolve_from_columnar(
             kind,
             on,
         } => {
-            let l = resolve_from_columnar(db, left, ctes, outer)?;
-            let r = resolve_from_columnar(db, right, ctes, outer)?;
-            join_columnar(db, ctes, outer, l, r, *kind, on.as_ref())
+            let l = resolve_from_columnar(env, left, outer)?;
+            let r = resolve_from_columnar(env, right, outer)?;
+            join_columnar(env, outer, l, r, *kind, on.as_ref())
         }
     }
 }
@@ -200,8 +186,7 @@ fn gather_sides(l: &Source, r: &Source, lidx: &[u32], ridx: &[u32], len: usize) 
 /// Join two columnar sources, preserving the reference engine's
 /// left-major row emission order exactly.
 pub fn join_columnar(
-    db: &Database,
-    ctes: &CteMap,
+    env: &EvalEnv<'_>,
     outer: Option<&Scope<'_>>,
     l: Source,
     r: Source,
@@ -230,7 +215,13 @@ pub fn join_columnar(
             if let Some(pairs) = plan_hash_join(pred, &cols, l.cols.len(), &l, &r) {
                 Ok(hash_join(l, r, cols, kind, &pairs))
             } else {
-                nested_loop_join(db, ctes, outer, l, r, cols, kind, pred)
+                with_counters(|c| c.nested_loop_joins += 1);
+                let rel =
+                    reference::join(env, outer, l.into_relation(), r.into_relation(), kind, on)?;
+                Ok(Source {
+                    chunk: DataChunk::from_rows(rel.rows, cols.len()),
+                    cols,
+                })
             }
         }
     }
@@ -492,59 +483,13 @@ fn hash_join(
     Source { cols, chunk }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn nested_loop_join(
-    db: &Database,
-    ctes: &CteMap,
-    outer: Option<&Scope<'_>>,
-    l: Source,
-    r: Source,
-    cols: Vec<ColMeta>,
-    kind: JoinKind,
-    pred: &Expr,
-) -> EngineResult<Source> {
-    with_counters(|c| c.nested_loop_joins += 1);
-    let env = EvalEnv { db, ctes };
-    let lrows = l.chunk.to_rows();
-    let rrows = r.chunk.to_rows();
-    let mut out_rows = Vec::new();
-    for lrow in &lrows {
-        let mut matched = false;
-        for rrow in &rrows {
-            let mut combined = lrow.clone();
-            combined.extend(rrow.iter().cloned());
-            let scope = Scope {
-                cols: &cols,
-                row: &combined,
-                parent: outer,
-                group: None,
-                windows: None,
-                aggs: None,
-                unit_index: 0,
-            };
-            if eval_expr(pred, &scope, &env)?.as_bool()? == Some(true) {
-                matched = true;
-                out_rows.push(combined);
-            }
-        }
-        if kind == JoinKind::Left && !matched {
-            let mut combined = lrow.clone();
-            combined.extend(std::iter::repeat_n(Value::Null, r.cols.len()));
-            out_rows.push(combined);
-        }
-    }
-    let width = cols.len();
-    Ok(Source {
-        cols,
-        chunk: DataChunk::from_rows(out_rows, width),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::Expr as E;
-    use crate::catalog::Table;
+    use crate::catalog::{Database, Table};
+    use crate::exec::CteMap;
+    use crate::value::Value;
 
     fn src(names: &[&str], rows: Vec<Vec<Value>>) -> Source {
         let width = names.len();
@@ -569,10 +514,9 @@ mod tests {
     }
 
     fn run_join(l: Source, r: Source, kind: JoinKind, on: Expr) -> Vec<Vec<Value>> {
-        let db = Database::new("test");
-        let ctes = CteMap::new();
-        let out =
-            join_columnar(&db, &ctes, None, l, r, kind, Some(&on)).expect("join should succeed");
+        let (db, ctes) = (Database::new("test"), CteMap::new());
+        let env = EvalEnv::new(&db, &ctes);
+        let out = join_columnar(&env, None, l, r, kind, Some(&on)).expect("join should succeed");
         out.chunk.to_rows()
     }
 
@@ -700,11 +644,11 @@ mod tests {
 
     #[test]
     fn cross_join_is_left_major() {
-        let db = Database::new("test");
-        let ctes = CteMap::new();
+        let (db, ctes) = (Database::new("test"), CteMap::new());
+        let env = EvalEnv::new(&db, &ctes);
         let l = src(&["a"], vec![vec![i(1)], vec![i(2)]]);
         let r = src2("u", &["b"], vec![vec![t("x")], vec![t("y")]]);
-        let out = join_columnar(&db, &ctes, None, l, r, JoinKind::Cross, None).expect("cross join");
+        let out = join_columnar(&env, None, l, r, JoinKind::Cross, None).expect("cross join");
         assert_eq!(
             out.chunk.to_rows(),
             vec![
@@ -735,7 +679,8 @@ mod tests {
             name: "NUMS".into(),
             alias: None,
         };
-        let srcr = resolve_from_columnar(&db, &tr, &CteMap::new(), None).expect("scan");
+        let ctes = CteMap::new();
+        let srcr = resolve_from_columnar(&EvalEnv::new(&db, &ctes), &tr, None).expect("scan");
         assert_eq!(srcr.chunk.len(), 5);
         let c = take_counters();
         assert_eq!(c.batches, 1);

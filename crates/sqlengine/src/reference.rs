@@ -1,23 +1,21 @@
 //! The row-at-a-time reference interpreter.
 //!
-//! This is the original materializing executor, kept fully reachable as
-//! the semantic baseline for the vectorized engine: `sql_sweep` and the
-//! differential test suites run every query through both paths and
-//! require byte-identical results. The only change from its original
-//! form is that grouping and DISTINCT use typed [`KeyElem`] tuples
-//! instead of `"|"`-joined key strings (which could collide for text
-//! values containing `|`).
+//! This is the original materializing executor. It plays two roles:
+//! end to end it is the oracle (`execute_sql_reference`) that
+//! `sql_sweep`, `benchmark/` and the differential suites compare the
+//! vectorized engine against byte for byte; and its pieces —
+//! [`filter_rows`], [`join`], [`finish_rows`] — are the *only* fallback
+//! the vectorized engine has, called (never copied) whenever a
+//! predicate, join condition or SELECT body does not lower to batch
+//! operators. Grouping and DISTINCT use typed [`KeyElem`] tuples, so
+//! text values containing `|` cannot alias one another.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::ast::{Expr, Query};
-use crate::ast::{JoinKind, OrderItem, Select, SelectItem, TableRef};
-use crate::catalog::Database;
+use crate::ast::{Expr, JoinKind, OrderItem, Select, TableRef};
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{
-    collect_window_calls, contains_aggregate, eval_expr, ColMeta, EvalEnv, Relation, Scope,
-};
-use crate::exec::{execute_query_with_outer, finish_select, CteMap};
+use crate::eval::{eval_expr, ColMeta, EvalEnv, Relation, Scope, SelectShape};
+use crate::exec::{execute_query, finish_select};
 use crate::key::{key_elem, KeyElem};
 use crate::result::ResultSet;
 use crate::value::Value;
@@ -26,18 +24,15 @@ use std::collections::HashMap;
 
 /// Execute one SELECT body row-at-a-time.
 pub(crate) fn exec_select(
-    db: &Database,
+    env: &EvalEnv<'_>,
     select: &Select,
-    ctes: &CteMap,
     outer: Option<&Scope<'_>>,
     order_by: &[OrderItem],
     limit: Option<u64>,
 ) -> EngineResult<ResultSet> {
-    let env = EvalEnv { db, ctes };
-
     // FROM.
     let rel = match &select.from {
-        Some(tr) => resolve_from(db, tr, ctes, outer)?,
+        Some(tr) => resolve_from(env, tr, outer)?,
         None => Relation {
             cols: Vec::new(),
             rows: vec![Vec::new()],
@@ -45,40 +40,57 @@ pub(crate) fn exec_select(
     };
 
     // WHERE.
-    let mut kept: Vec<usize> = Vec::with_capacity(rel.rows.len());
-    match &select.selection {
-        Some(pred) => {
-            for (i, row) in rel.rows.iter().enumerate() {
-                let scope = Scope {
-                    cols: &rel.cols,
-                    row,
-                    parent: outer,
-                    group: None,
-                    windows: None,
-                    aggs: None,
-                    unit_index: 0,
-                };
-                if eval_expr(pred, &scope, &env)?.as_bool()? == Some(true) {
-                    kept.push(i);
-                }
-            }
-        }
-        None => kept = (0..rel.rows.len()).collect(),
-    }
+    let kept = match &select.selection {
+        Some(pred) => filter_rows(env, &rel.cols, &rel.rows, pred, outer)?,
+        None => (0..rel.rows.len()).collect(),
+    };
 
-    // Is this an aggregated query?
-    let items_have_aggregates = select.items.iter().any(|item| match item {
-        SelectItem::Expr { expr, .. } => contains_aggregate(expr),
-        _ => false,
-    });
-    let aggregated = !select.group_by.is_empty()
-        || items_have_aggregates
-        || select
-            .having
-            .as_ref()
-            .map(contains_aggregate)
-            .unwrap_or(false)
-        || select.having.is_some();
+    let shape = SelectShape::of(select, order_by);
+    finish_rows(env, select, &rel, kept, &shape, outer, order_by, limit)
+}
+
+/// Indices of the `rows` on which `pred` is true.
+pub(crate) fn filter_rows(
+    env: &EvalEnv<'_>,
+    cols: &[ColMeta],
+    rows: &[Vec<Value>],
+    pred: &Expr,
+    outer: Option<&Scope<'_>>,
+) -> EngineResult<Vec<usize>> {
+    let mut kept: Vec<usize> = Vec::with_capacity(rows.len());
+    for (i, row) in rows.iter().enumerate() {
+        let scope = Scope {
+            cols,
+            row,
+            parent: outer,
+            group: None,
+            windows: None,
+            aggs: None,
+            unit_index: 0,
+        };
+        if eval_expr(pred, &scope, env)?.as_bool()? == Some(true) {
+            kept.push(i);
+        }
+    }
+    Ok(kept)
+}
+
+/// Everything after FROM and WHERE: group the `kept` rows of `rel` into
+/// units, apply HAVING, compute window values, then project, order,
+/// dedup and limit. The vectorized engine ends here whenever a SELECT
+/// body does not finish on a columnar path.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn finish_rows(
+    env: &EvalEnv<'_>,
+    select: &Select,
+    rel: &Relation,
+    kept: Vec<usize>,
+    shape: &SelectShape<'_>,
+    outer: Option<&Scope<'_>>,
+    order_by: &[OrderItem],
+    limit: Option<u64>,
+) -> EngineResult<ResultSet> {
+    let aggregated = shape.aggregated;
 
     // Build units.
     let mut units: Vec<Unit> = Vec::new();
@@ -86,7 +98,7 @@ pub(crate) fn exec_select(
         if select.group_by.is_empty() {
             units.push(Unit {
                 rep: kept.first().copied().unwrap_or(usize::MAX),
-                members: kept.clone(),
+                members: kept,
             });
         } else {
             let mut index: HashMap<Vec<KeyElem>, usize> = HashMap::new();
@@ -102,7 +114,7 @@ pub(crate) fn exec_select(
                 };
                 let mut key = Vec::with_capacity(select.group_by.len());
                 for g in &select.group_by {
-                    key.push(key_elem(&eval_expr(g, &scope, &env)?));
+                    key.push(key_elem(&eval_expr(g, &scope, env)?));
                 }
                 match index.get(&key) {
                     Some(&u) => units[u].members.push(i),
@@ -120,8 +132,8 @@ pub(crate) fn exec_select(
         if let Some(having) = &select.having {
             let mut filtered = Vec::with_capacity(units.len());
             for unit in units {
-                let scope = unit_scope(&rel, &unit, outer, None, None, 0, aggregated);
-                if eval_expr(having, &scope, &env)?.as_bool()? == Some(true) {
+                let scope = unit_scope(rel, &unit, outer, None, None, 0, aggregated);
+                if eval_expr(having, &scope, env)?.as_bool()? == Some(true) {
                     filtered.push(unit);
                 }
             }
@@ -137,20 +149,10 @@ pub(crate) fn exec_select(
             .collect();
     }
 
-    // Window functions.
-    let mut window_exprs: Vec<&Expr> = Vec::new();
-    for item in &select.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_window_calls(expr, &mut window_exprs);
-        }
-    }
-    for o in order_by {
-        collect_window_calls(&o.expr, &mut window_exprs);
-    }
-    let windows = compute_windows(&rel, &units, &window_exprs, outer, &env, aggregated)?;
+    let windows = compute_windows(rel, &units, &shape.windows, outer, env, aggregated)?;
 
     finish_select(
-        select, &rel, &units, &windows, None, outer, &env, order_by, limit, aggregated,
+        select, rel, &units, &windows, None, outer, env, order_by, limit, aggregated,
     )
 }
 
@@ -159,15 +161,14 @@ pub(crate) fn exec_select(
 // ----------------------------------------------------------------------
 
 pub(crate) fn resolve_from(
-    db: &Database,
+    env: &EvalEnv<'_>,
     tr: &TableRef,
-    ctes: &CteMap,
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<Relation> {
     match tr {
         TableRef::Named { name, alias } => {
             let qualifier = alias.clone().unwrap_or_else(|| name.clone());
-            if let Some(rs) = ctes.get(&name.to_lowercase()) {
+            if let Some(rs) = env.ctes.get(&name.to_lowercase()) {
                 let cols = rs
                     .columns
                     .iter()
@@ -178,7 +179,8 @@ pub(crate) fn resolve_from(
                     rows: rs.rows.clone(),
                 });
             }
-            let table = db
+            let table = env
+                .db
                 .table(name)
                 .ok_or_else(|| EngineError::binding(format!("no such table {name}")))?;
             let cols = table
@@ -192,7 +194,7 @@ pub(crate) fn resolve_from(
             })
         }
         TableRef::Derived { query, alias } => {
-            let rs = exec_derived(db, query, ctes)?;
+            let rs = execute_query(env, query, None)?;
             let cols = rs
                 .columns
                 .iter()
@@ -209,27 +211,23 @@ pub(crate) fn resolve_from(
             kind,
             on,
         } => {
-            let l = resolve_from(db, left, ctes, outer)?;
-            let r = resolve_from(db, right, ctes, outer)?;
-            join(db, ctes, outer, l, r, *kind, on.as_ref())
+            let l = resolve_from(env, left, outer)?;
+            let r = resolve_from(env, right, outer)?;
+            join(env, outer, l, r, *kind, on.as_ref())
         }
     }
 }
 
-fn exec_derived(db: &Database, query: &Query, ctes: &CteMap) -> EngineResult<ResultSet> {
-    execute_query_with_outer(db, query, ctes, None)
-}
-
-fn join(
-    db: &Database,
-    ctes: &CteMap,
+/// Nested-loop join in left-major order; `on` is evaluated per row pair,
+/// so its errors surface exactly where the interpreter raises them.
+pub(crate) fn join(
+    env: &EvalEnv<'_>,
     outer: Option<&Scope<'_>>,
     l: Relation,
     r: Relation,
     kind: JoinKind,
     on: Option<&Expr>,
 ) -> EngineResult<Relation> {
-    let env = EvalEnv { db, ctes };
     let mut cols = l.cols.clone();
     cols.extend(r.cols.iter().cloned());
     let mut out = Relation::new(cols);
@@ -260,7 +258,7 @@ fn join(
                         aggs: None,
                         unit_index: 0,
                     };
-                    if eval_expr(pred, &scope, &env)?.as_bool()? == Some(true) {
+                    if eval_expr(pred, &scope, env)?.as_bool()? == Some(true) {
                         matched = true;
                         out.rows.push(combined);
                     }

@@ -14,6 +14,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::eval::{
     eval_expr, AggValues, ColMeta, EvalEnv, GroupView, Relation, Scope, WindowValues,
 };
+use crate::exec::cmp_order_keys;
 use crate::functions;
 use crate::key::{key_elem, KeyElem};
 use crate::value::Value;
@@ -117,14 +118,8 @@ pub(crate) fn compute_windows(
         for indices in partitions.values() {
             let mut sorted = indices.clone();
             sorted.sort_by(|&a, &b| {
-                for (k, o) in spec.order_by.iter().enumerate() {
-                    let ord = order_keys[a][k].total_cmp(&order_keys[b][k]);
-                    let ord = if o.desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                a.cmp(&b)
+                cmp_order_keys(&spec.order_by, |k| (&order_keys[a][k], &order_keys[b][k]))
+                    .then(a.cmp(&b))
             });
 
             let name = call.name.to_ascii_uppercase();

@@ -153,6 +153,10 @@ fn arb_agg_items() -> impl Strategy<Value = String> {
         Just("C, AVG(B) AS m, MIN(A) AS lo".to_string()),
         Just("C, K, COUNT(*) AS n, MAX(B) AS hi".to_string()),
         Just("C, COUNT(DISTINCT A) AS n".to_string()),
+        // Conditionally evaluated aggregates: declined by the fast
+        // aggregated path, so these run the reference tail.
+        Just("C, CASE WHEN COUNT(*) > 1 THEN SUM(A) END AS s".to_string()),
+        Just("C, COUNT(*) > 0 AND SUM(A) > 0 AS ok".to_string()),
     ]
 }
 
@@ -226,7 +230,9 @@ fn arb_join_query() -> impl Strategy<Value = String> {
             Just("T.K = U.K AND T.A = U.E"),
             Just("T.C = U.D"),
             Just("T.K < U.E"),
+            Just("T.K < U.K"),
             Just("T.K = U.K AND T.A > 0"),
+            Just("T.K = U.K AND T.A > U.E"),
         ],
         prop_oneof![Just("T.A, U.E"), Just("T.C, U.D"), Just("T.K, U.K, T.A"),],
         proptest::option::of(arb_predicate()),
@@ -261,6 +267,11 @@ fn arb_compound_query() -> impl Strategy<Value = String> {
             .to_string()),
         Just("SELECT C, RANK() OVER (ORDER BY A) AS r FROM T ORDER BY 1, 2".to_string()),
         Just("SELECT C, SUM(A) OVER (PARTITION BY C) AS s FROM T ORDER BY 1, 2".to_string()),
+        Just(
+            "SELECT C, COUNT(*) AS n, RANK() OVER (ORDER BY COUNT(*) DESC) AS r FROM T \
+             GROUP BY C HAVING COUNT(*) > 1 ORDER BY 1, 2"
+                .to_string()
+        ),
         Just(
             "WITH big AS (SELECT A, C FROM T WHERE A > 0) SELECT C, COUNT(*) AS n FROM big GROUP BY C"
                 .to_string()
@@ -432,4 +443,41 @@ fn pipe_bearing_group_keys_agree_between_engines() {
     // Two distinct groups, not one collided group of 2.
     assert_eq!(v.rows.len(), 2);
     assert!(v.rows.iter().all(|row| row[2] == Value::Integer(1)));
+}
+
+// ---------------------------------------------------------------------
+// Error parity on every fallback edge
+// ---------------------------------------------------------------------
+
+/// One query per way the vectorized engine hands off to `reference`,
+/// each comparing an integer with text on some row (pair): the error
+/// must surface on both engines.
+#[test]
+fn fallback_edges_raise_on_both_engines() {
+    let db = build_db(
+        &[
+            (Some(1), None, Some("a".into()), Some(1)),
+            (Some(2), None, Some("a".into()), Some(1)),
+        ],
+        &[(Some(1), Some("d".into()), Some(1))],
+    );
+    for sql in [
+        // WHERE that does not lower (EXISTS) → `reference::filter_rows`.
+        "SELECT A FROM T WHERE EXISTS (SELECT 1 FROM U WHERE U.K = T.K) AND A < C",
+        // Non-equi and mixed ON → `reference::join`.
+        "SELECT T.A FROM T JOIN U ON T.A < U.D",
+        "SELECT T.A FROM T LEFT JOIN U ON T.K = U.K AND T.A < U.D",
+        // Window, HAVING, conditional aggregate → `reference::finish_rows`.
+        "SELECT A < C AS x, ROW_NUMBER() OVER (ORDER BY A) AS rn FROM T",
+        "SELECT C, COUNT(*) AS n FROM T GROUP BY C HAVING MIN(A) < MIN(C)",
+        "SELECT C, CASE WHEN COUNT(*) > 1 THEN MIN(A) < MIN(C) END AS x FROM T GROUP BY C",
+    ] {
+        for (engine, result) in [
+            ("vectorized", execute_sql(&db, sql)),
+            ("reference", execute_sql_reference(&db, sql)),
+        ] {
+            let err = result.expect_err(sql).to_string();
+            assert!(err.contains("cannot compare"), "{engine}: {err}: {sql}");
+        }
+    }
 }

@@ -2,7 +2,7 @@
 //! hand-computed answers over the generated data.
 
 use genedit::bird::{generate_database, SPORTS};
-use genedit::sql::{execute_sql, Value};
+use genedit::sql::{execute_sql, execute_sql_reference, execute_sql_timed, Value};
 
 #[test]
 fn appendix_a_query_runs_on_generated_data() {
@@ -153,4 +153,53 @@ fn union_of_flag_slices_recovers_entities() {
     )
     .unwrap();
     assert!(all.ex_equal(&union));
+}
+
+#[test]
+fn gold_suite_is_identical_on_both_engines() {
+    let workload = genedit::bird::Workload::standard(42);
+    let mut compared = 0;
+    for bundle in &workload.domains {
+        for task in &bundle.tasks {
+            let vectorized = execute_sql(&bundle.db, &task.gold_sql).expect("gold SQL executes");
+            let reference =
+                execute_sql_reference(&bundle.db, &task.gold_sql).expect("gold SQL executes");
+            // Debug rendering keeps `Integer(2)` and `Float(2.0)` apart.
+            assert_eq!(
+                format!("{vectorized:?}"),
+                format!("{reference:?}"),
+                "task {}: {}",
+                task.task_id,
+                task.gold_sql
+            );
+            compared += 1;
+        }
+    }
+    assert_eq!(compared, 132);
+}
+
+/// Pins the traffic the two-tier planner was sized on: over the gold
+/// suite only window calls reach the reference tail.
+#[test]
+fn gold_queries_without_windows_never_leave_the_columnar_tiers() {
+    let workload = genedit::bird::Workload::standard(42);
+    let (mut windowed, mut fallbacks) = (0, 0);
+    for bundle in &workload.domains {
+        for task in &bundle.tasks {
+            let (rs, stats) = execute_sql_timed(&bundle.db, &task.gold_sql);
+            rs.expect("gold SQL executes");
+            if task.gold_sql.contains(" OVER (") {
+                windowed += 1;
+                fallbacks += stats.counters.interpreter_fallbacks;
+            } else {
+                assert_eq!(
+                    stats.counters.interpreter_fallbacks, 0,
+                    "task {} fell back to the reference tail: {}",
+                    task.task_id, task.gold_sql
+                );
+            }
+        }
+    }
+    // One fallback per window-carrying SELECT body, and nothing else.
+    assert_eq!((windowed, fallbacks), (11, 11));
 }
