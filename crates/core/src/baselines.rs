@@ -15,12 +15,15 @@
 //!   linking, whole schema dumped (empty schema section = "everything
 //!   attached" to the oracle).
 
+use crate::config::{CandidateSelection, PipelineConfig};
 use crate::index::KnowledgeIndex;
+use crate::pipeline::{Draft, GenerateOptions, Run};
 use genedit_llm::{
     hash01, CompletionRequest, LanguageModel, Plan, Prompt, PromptExample, PromptSchemaElement,
     TaskKind,
 };
 use genedit_sql::catalog::Database;
+use genedit_telemetry::Tracer;
 
 /// How a method supplies few-shot examples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,22 +194,13 @@ pub fn run_baseline(
     };
 
     // Schema.
-    let all_schema: Vec<PromptSchemaElement> = ks
-        .schema_elements()
-        .iter()
-        .map(|s| PromptSchemaElement {
-            table: s.table.clone(),
-            column: s.column.clone(),
-            description: s.description.clone(),
-            top_values: s.top_values.clone(),
-        })
-        .collect();
+    let all_schema = || ks.schema_elements().iter().map(PromptSchemaElement::from);
     let schema: Vec<PromptSchemaElement> = match profile.schema {
         SchemaStyle::Dump => Vec::new(),
-        SchemaStyle::Full => all_schema,
+        SchemaStyle::Full => all_schema().collect(),
         SchemaStyle::Linked { recall } => {
             let mut link = Prompt::new(TaskKind::SchemaLinking, question);
-            link.schema = all_schema.clone();
+            link.schema = all_schema().collect();
             // Baselines have no degradation ladder (that's GenEdit's
             // resilience story): a failed or wrong-variant linking call
             // simply links nothing.
@@ -215,8 +209,7 @@ pub fn run_baseline(
                 .ok()
                 .and_then(|r| r.as_items().map(|v| v.to_vec()))
                 .unwrap_or_default();
-            all_schema
-                .into_iter()
+            all_schema()
                 .filter(|el| keys.iter().any(|k| k == &el.key()))
                 .filter(|el| {
                     // Lossy filtering models the method's linking quality.
@@ -248,48 +241,30 @@ pub fn run_baseline(
         base.plan = Some(plan.without_pseudo_sql());
     }
 
-    // Generate with retries.
-    let mut errors: Vec<String> = Vec::new();
-    let mut last_sql = None;
-    for attempt in 0..=profile.max_retries {
-        let mut prompt = base.clone();
-        prompt.errors = errors.clone();
-        let mut round_errors = Vec::new();
-        for seed in 0..profile.candidates.max(1) as u64 {
-            let sql = match model
-                .complete(&CompletionRequest::with_seed(prompt.clone(), seed))
-                .ok()
-                .and_then(|r| r.as_sql().map(|s| s.to_string()))
-            {
-                Some(s) => s,
-                None => continue,
-            };
-            match genedit_sql::parser::parse_statement(&sql)
-                .map_err(|e| e.to_string())
-                .and_then(|_| {
-                    genedit_sql::exec::execute_sql(db, &sql)
-                        .map(|_| ())
-                        .map_err(|e| e.to_string())
-                }) {
-                Ok(()) => {
-                    return BaselineResult {
-                        sql: Some(sql),
-                        attempts: attempt + 1,
-                        validated: true,
-                    }
-                }
-                Err(e) => {
-                    round_errors.push(e);
-                    last_sql = Some(sql);
-                }
-            }
-        }
-        errors.extend(round_errors);
-    }
+    // Generate with retries: GenEdit's own generate-validate-retry step
+    // under the method's sampling budget, first valid candidate wins. Only
+    // GenEdit runs are traced, so its spans go to a tracer nobody reads.
+    let cfg = PipelineConfig {
+        candidates: profile.candidates,
+        max_retries: profile.max_retries,
+        candidate_selection: CandidateSelection::FirstValid,
+        ..PipelineConfig::default()
+    };
+    let run = Run {
+        cfg: &cfg,
+        metrics: None,
+        model,
+        tracer: &Tracer::new(profile.name),
+        index,
+        db,
+        opts: &GenerateOptions::default(),
+    };
+    let mut draft = Draft::new(base);
+    run.generate_sql(&mut draft);
     BaselineResult {
-        sql: last_sql,
-        attempts: profile.max_retries + 1,
-        validated: false,
+        sql: draft.sql,
+        attempts: draft.attempts,
+        validated: draft.validated,
     }
 }
 

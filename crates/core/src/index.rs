@@ -133,6 +133,15 @@ impl KnowledgeIndex {
         &self.embedder
     }
 
+    /// The embedding the index holds for `knowledge().schema_elements()[pos]`
+    /// — that of its [`SchemaElement::retrieval_text`].
+    ///
+    /// # Panics
+    /// If `pos` is not a position in `knowledge().schema_elements()`.
+    pub fn schema_vector(&self, pos: usize) -> &Embedding {
+        self.schema.embedding(pos)
+    }
+
     /// Top-k examples by cosine similarity to a query embedding. Examples
     /// attached to one of `intents` are boosted, implementing the paper's
     /// "uses the user intents to retrieve their associated examples …

@@ -1,14 +1,16 @@
 //! The GenEdit SQL-generation pipeline (§2.1, §3).
 //!
-//! Operators, in order (numbers match Fig. 1):
-//! 1. query reformulation into canonical form,
-//! 2. intent classification,
-//! 3. example selection (intent retrieval + cosine re-rank),
-//! 4. instruction selection (re-ranked by the query *expanded with the
-//!    selected examples* — context expansion, §3.1.1),
-//! 5. schema linking (model call + re-rank filter),
-//!    then CoT plan generation and plan-guided SQL generation with up to
-//!    `k` self-correction retries on syntactic/semantic errors.
+//! Operators, in order (numbers match Fig. 1), one step function each on
+//! `Run`, each reading what the earlier ones wrote into one `Draft`
+//! and adding its own output — that is the *compounding*:
+//! 1. `reformulate`: query reformulation into canonical form,
+//! 2. `classify_intents`: intent classification,
+//! 3. `select_examples`: intent retrieval + cosine re-rank,
+//! 4. `select_instructions`: re-ranked by the query *expanded with the
+//!    selected examples* — context expansion, §3.1.1,
+//! 5. `link_schema`: model call + re-rank filter,
+//!    then `plan` (CoT plan generation) and `generate_sql` (plan-guided,
+//!    with up to `k` self-correction retries on syntactic/semantic errors).
 
 use crate::cancel::CancelToken;
 use crate::config::{CandidateSelection, PipelineConfig};
@@ -19,10 +21,10 @@ use genedit_llm::{
     PromptInstruction, PromptSchemaElement, ResilienceState, ResilientModel, SystemClock, TaskKind,
     TracedModel,
 };
-use genedit_retrieval::{cosine, Embedder, Embedding};
+use genedit_retrieval::{cosine, Embedding};
 use genedit_sql::catalog::Database;
 use genedit_sql::exec::execute_sql_timed;
-use genedit_telemetry::{names, MetricsRegistry, Trace, Tracer};
+use genedit_telemetry::{names, MetricsRegistry, SpanGuard, Trace, Tracer};
 use std::sync::Arc;
 
 /// Everything produced by one generation run. The feedback module consumes
@@ -38,8 +40,8 @@ pub struct GenerationResult {
     pub validated: bool,
     /// Whether generation was cut short by a [`CancelToken`] (explicit
     /// cancellation or deadline expiry). A cancelled result carries
-    /// whatever operator outputs were already computed, no SQL, and a
-    /// warning naming the stage it stopped after.
+    /// whatever operator outputs were already computed, no validated SQL,
+    /// and a warning naming the stage it stopped after.
     pub cancelled: bool,
     /// The chain-of-thought plan the SQL was generated from, if any.
     pub plan: Option<Plan>,
@@ -66,29 +68,6 @@ pub struct GenerationResult {
 }
 
 impl GenerationResult {
-    /// A partial result for a generation cut short by cancellation:
-    /// whatever operator outputs exist so far, no SQL, `cancelled` set.
-    /// The caller patches in any later-stage fields it already computed;
-    /// the `generate` wrapper fills trace and warnings as usual.
-    fn cancelled_at(reformulated: String, intents: Vec<String>) -> GenerationResult {
-        GenerationResult {
-            sql: None,
-            attempts: 0,
-            validated: false,
-            cancelled: true,
-            plan: None,
-            reformulated,
-            intents,
-            errors: Vec::new(),
-            used_examples: Vec::new(),
-            used_instructions: Vec::new(),
-            used_schema: Vec::new(),
-            final_prompt: Prompt::new(TaskKind::SqlGeneration, ""),
-            warnings: Vec::new(),
-            trace: Trace::empty(names::GENERATE),
-        }
-    }
-
     /// Canonical semantic fingerprint: everything a caller acts on — SQL,
     /// reformulation, intents, the knowledge that entered the prompt,
     /// validation errors and the verdict — and nothing that legitimately
@@ -273,18 +252,29 @@ impl<M: LanguageModel> GenEditPipeline<M> {
             if let Some(request_id) = opts.request_id {
                 root.attr("request_id", request_id);
             }
-            // Resilience wraps *outside* tracing so every retried attempt
-            // is its own `llm.complete` span and each backoff an
-            // `llm.retry` span.
+            // Every completion lands as an `llm.complete` child of
+            // whichever operator span is open when it fires. Resilience
+            // wraps *outside* tracing so every retried attempt is its own
+            // `llm.complete` span and each backoff an `llm.retry` span.
             let traced = TracedModel::new(&self.model, &tracer);
-            let r = match &self.resilience {
+            let resilient;
+            let model: &dyn LanguageModel = match &self.resilience {
                 Some(state) => {
-                    let resilient =
-                        ResilientModel::new(traced, Arc::clone(state)).with_tracer(&tracer);
-                    self.generate_core(&resilient, &tracer, question, index, db, evidence, opts)
+                    resilient = ResilientModel::new(traced, Arc::clone(state)).with_tracer(&tracer);
+                    &resilient
                 }
-                None => self.generate_core(&traced, &tracer, question, index, db, evidence, opts),
+                None => &traced,
             };
+            let run = Run {
+                cfg: &self.config,
+                metrics: self.metrics.as_deref(),
+                model,
+                tracer: &tracer,
+                index,
+                db,
+                opts,
+            };
+            let r = run.generate_core(question, evidence);
             root.attr("attempts", r.attempts)
                 .attr("validated", r.validated);
             if r.cancelled {
@@ -301,653 +291,638 @@ impl<M: LanguageModel> GenEditPipeline<M> {
         }
         result
     }
+}
 
-    /// The pipeline body. `model` is the traced (and, when resilience is
-    /// on, retry-wrapped) view of `self.model`, so every completion lands
-    /// as an `llm.complete` child of whichever operator span is open when
-    /// it fires. Operators that lose their model call entirely take their
-    /// degradation path: a warning plus a `degraded` span attribute, never
-    /// a panic or a poisoned result. The trace and warnings fields of the
-    /// returned result are placeholders; the `generate` wrapper fills them
-    /// after the tracer finishes.
-    #[allow(clippy::too_many_arguments)]
-    fn generate_core<L: LanguageModel>(
-        &self,
-        model: &L,
-        tracer: &Tracer,
-        question: &str,
-        index: &KnowledgeIndex,
-        db: &Database,
-        evidence: &[String],
-        opts: &GenerateOptions<'_>,
-    ) -> GenerationResult {
-        let cfg = &self.config;
-        let ks = index.knowledge();
-        // Ensemble fan-out engages only on explicit request, so the
-        // default serial path (and its call accounting) is untouched.
-        let ensemble = opts.ensemble_width.filter(|w| *w > 1);
-        let cancelled = |stage: &str| -> bool {
-            match opts.cancel {
-                Some(token) if token.is_cancelled() => {
-                    tracer.warning(format!("generation cancelled after {stage}"));
-                    true
-                }
-                _ => false,
-            }
-        };
+/// What the operator steps accumulate. `prompt` is the SQL-generation
+/// prompt under construction — the reformulation as its question, the
+/// selected knowledge as its sections, the CoT plan, the self-correction
+/// errors so far — so a later step reads an earlier one's output from it.
+pub(crate) struct Draft {
+    prompt: Prompt,
+    intents: Vec<String>,
+    used_examples: Vec<ExampleId>,
+    used_instructions: Vec<InstructionId>,
+    /// Generation rounds started.
+    pub(crate) attempts: usize,
+    /// The validated winner, else the last candidate to fail validation.
+    pub(crate) sql: Option<String>,
+    pub(crate) validated: bool,
+}
 
-        // ---- operator 1: reformulation -------------------------------
-        let reformulated = if let Some(cached) = &opts.reformulation {
-            // Warm path: a serving-layer cache already holds this
-            // question's canonical form for the current knowledge epoch.
-            if cfg.use_reformulation {
-                let span = tracer.span(names::REFORMULATE);
-                span.attr("cached", true)
-                    .attr("chars_in", question.len())
-                    .attr("chars_out", cached.len());
-                span.finish();
-            }
-            cached.clone()
-        } else if cfg.use_reformulation {
-            let span = tracer.span(names::REFORMULATE);
-            let prompt = Prompt::new(TaskKind::Reformulate, question);
-            let text = match model.complete(&CompletionRequest::new(prompt)) {
-                Ok(response) => match response.as_text() {
-                    Some(t) => t.to_string(),
-                    None => {
-                        tracer.warning(
-                            "reformulation returned no text; falling back to the raw question",
-                        );
-                        span.attr("degraded", true);
-                        question.to_string()
-                    }
-                },
-                Err(err) => {
-                    tracer.warning(format!(
-                        "reformulation failed ({err}); falling back to the raw question"
-                    ));
-                    span.attr("degraded", true);
-                    question.to_string()
-                }
-            };
-            span.attr("chars_in", question.len())
-                .attr("chars_out", text.len());
-            span.finish();
-            text
-        } else {
-            question.to_string()
-        };
-        if cancelled("reformulation") {
-            return GenerationResult::cancelled_at(reformulated, Vec::new());
+impl Draft {
+    pub(crate) fn new(prompt: Prompt) -> Draft {
+        Draft {
+            prompt,
+            intents: Vec::new(),
+            used_examples: Vec::new(),
+            used_instructions: Vec::new(),
+            attempts: 0,
+            sql: None,
+            validated: false,
         }
+    }
 
-        // ---- operator 2: intent classification -----------------------
-        let intents: Vec<String> = if cfg.use_intent_classification {
-            let span = tracer.span(names::INTENT);
-            let mut prompt = Prompt::new(TaskKind::IntentClassification, &reformulated);
-            prompt.intent_candidates = ks.intents().iter().map(|i| i.key.clone()).collect();
-            let candidates = prompt.intent_candidates.len();
-            let matched = match model.complete(&CompletionRequest::new(prompt)) {
-                Ok(response) => match response.as_items() {
-                    Some(v) => v.to_vec(),
-                    None => {
-                        tracer.warning(
-                            "intent classification returned no item list; assuming no intents",
-                        );
-                        span.attr("degraded", true);
-                        Vec::new()
-                    }
-                },
-                // No intents = no retrieval boost: downstream selection
-                // ranks over the whole knowledge set (all intents).
-                Err(err) => {
-                    tracer.warning(format!(
-                        "intent classification failed ({err}); retrieving over all intents"
-                    ));
-                    span.attr("degraded", true);
-                    Vec::new()
-                }
-            };
-            span.attr("candidates", candidates)
-                .attr("matched", matched.len());
-            span.finish();
-            matched
-        } else {
-            Vec::new()
-        };
-        if cancelled("intent classification") {
-            return GenerationResult::cancelled_at(reformulated, intents);
-        }
-
-        // ---- operator 3: example selection ---------------------------
-        let query_emb = match (&opts.reformulation, &opts.query_embedding) {
-            // Only trust a cached embedding when it travelled with the
-            // reformulation it embeds (same cache entry, same epoch).
-            (Some(_), Some(emb)) if emb.len() == index.embedder().dim() => emb.clone(),
-            _ => index.embedder().embed(&reformulated),
-        };
-        let (prompt_examples, used_examples): (Vec<PromptExample>, Vec<ExampleId>) =
-            if cfg.use_examples {
-                let span = tracer.span(names::EXAMPLES);
-                let top = index.top_examples(&query_emb, &intents, cfg.example_top_k);
-                let ids: Vec<ExampleId> = top.iter().map(|(e, _)| e.id).collect();
-                let rendered = top
-                    .iter()
-                    .map(|(e, _)| PromptExample {
-                        description: e.description.clone(),
-                        sql: e.fragment.sql.clone(),
-                        kind: match e.fragment.kind {
-                            FragmentKind::FullQuery => None,
-                            k => Some(k),
-                        },
-                        term: e.term.clone(),
-                    })
-                    .collect();
-                span.attr("candidates", ks.examples().len())
-                    .attr("selected", ids.len());
-                span.finish();
-                (rendered, ids)
-            } else {
-                (Vec::new(), Vec::new())
-            };
-        if cancelled("example selection") {
-            let mut r = GenerationResult::cancelled_at(reformulated, intents);
-            r.used_examples = used_examples;
-            return r;
-        }
-
-        // ---- operator 4: instruction selection (context expansion) ---
-        let example_texts: Vec<String> = prompt_examples
+    /// The selected examples as expansion texts for the later re-ranks.
+    fn example_texts(&self) -> Vec<String> {
+        self.prompt
+            .examples
             .iter()
             .map(|e| format!("{} {}", e.description, e.sql))
-            .collect();
-        let (prompt_instructions, used_instructions): (Vec<PromptInstruction>, Vec<InstructionId>) =
-            if cfg.use_instructions {
-                let span = tracer.span(names::INSTRUCTIONS);
-                let mut expansions: Vec<&str> = example_texts.iter().map(|s| s.as_str()).collect();
-                let hints = ks.retrieval_hints(RetrievalStage::InstructionSelection);
-                expansions.extend(hints.iter().copied());
-                let expanded = index.embedder().embed_expanded(&reformulated, &expansions);
-                let top = index.top_instructions(&expanded, &intents, cfg.instruction_top_k);
-                let ids: Vec<InstructionId> = top.iter().map(|(i, _)| i.id).collect();
-                let rendered = top
-                    .iter()
-                    .map(|(i, _)| PromptInstruction {
-                        text: i.text.clone(),
-                        sql_hint: i.sql_hint.clone(),
-                        term: i.term.clone(),
-                    })
-                    .collect();
-                span.attr("candidates", ks.instructions().len())
-                    .attr("selected", ids.len())
-                    .attr("expansions", expansions.len());
-                span.finish();
-                (rendered, ids)
-            } else {
-                (Vec::new(), Vec::new())
-            };
-        if cancelled("instruction selection") {
-            let mut r = GenerationResult::cancelled_at(reformulated, intents);
-            r.used_examples = used_examples;
-            r.used_instructions = used_instructions;
-            return r;
-        }
+            .collect()
+    }
 
-        // ---- operator 5: schema linking ------------------------------
-        let all_schema: Vec<PromptSchemaElement> = ks
-            .schema_elements()
-            .iter()
-            .map(|s| PromptSchemaElement {
-                table: s.table.clone(),
-                column: s.column.clone(),
-                description: s.description.clone(),
-                top_values: s.top_values.clone(),
-            })
-            .collect();
-        let schema: Vec<PromptSchemaElement> = if cfg.use_schema_linking {
-            let span = tracer.span(names::SCHEMA_LINKING);
-            span.attr("candidates", all_schema.len());
-            // The LLM identifies relevant elements over the full schema…
-            let mut link_prompt = Prompt::new(TaskKind::SchemaLinking, &reformulated);
-            link_prompt.schema = all_schema.clone();
-            link_prompt.hints = ks
-                .retrieval_hints(RetrievalStage::SchemaLinking)
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            let keys: Vec<String> = match model.complete(&CompletionRequest::new(link_prompt)) {
-                Ok(response) => match response.as_items() {
-                    Some(v) => v.to_vec(),
-                    None => {
-                        tracer.warning("schema linking returned no item list; linking no elements");
-                        span.attr("degraded", true);
-                        Vec::new()
-                    }
-                },
-                // Degradation: link everything — the full schema flows
-                // into the re-rank filter below, so generation still gets
-                // a bounded (if less precise) schema section.
-                Err(err) => {
-                    tracer.warning(format!(
-                        "schema linking failed ({err}); passing the full schema to the re-ranker"
-                    ));
-                    span.attr("degraded", true);
-                    all_schema.iter().map(|el| el.key()).collect()
-                }
-            };
-            let linked: Vec<PromptSchemaElement> = all_schema
-                .iter()
-                .filter(|el| keys.iter().any(|k| k == &el.key()))
-                .cloned()
-                .collect();
-            span.attr("linked", linked.len());
-            // …then a re-ranker filters to manage the generation model's
-            // context (§3.1.1), using the example+instruction-expanded
-            // query embedding (more context expansion).
-            let kept = if linked.len() > cfg.schema_top_k {
-                let instruction_texts: Vec<String> =
-                    prompt_instructions.iter().map(|i| i.text.clone()).collect();
-                let mut expansions: Vec<&str> = example_texts.iter().map(|s| s.as_str()).collect();
-                expansions.extend(instruction_texts.iter().map(|s| s.as_str()));
-                let expanded = index.embedder().embed_expanded(&reformulated, &expansions);
-                let texts: Vec<String> = linked
-                    .iter()
-                    .map(|el| {
-                        format!(
-                            "{} {} {}",
-                            el.key(),
-                            el.description,
-                            el.top_values.join(" ")
-                        )
-                    })
-                    .collect();
-                let scores = score_against(index.embedder(), &expanded, &texts);
-                let scored: Vec<(PromptSchemaElement, f32)> =
-                    linked.into_iter().zip(scores).collect();
-                let (kept, stats) =
-                    genedit_retrieval::rerank_top_k_with_stats(scored, cfg.schema_top_k);
-                if let Some(metrics) = &self.metrics {
-                    stats.record(metrics, "schema_linking");
-                }
-                kept.into_iter().map(|(el, _)| el).collect()
-            } else {
-                linked
-            };
-            span.attr("kept", kept.len());
-            span.finish();
-            kept
-        } else {
-            // Ablation: no linking — the full warehouse schema ships with
-            // the prompt (empty section = "everything attached" to the
-            // oracle, matching how un-linked deployments dump the DDL).
-            Vec::new()
-        };
-        let used_schema: Vec<String> = schema.iter().map(|s| s.key()).collect();
-        if cancelled("schema linking") {
-            let mut r = GenerationResult::cancelled_at(reformulated, intents);
-            r.used_examples = used_examples;
-            r.used_instructions = used_instructions;
-            r.used_schema = used_schema;
-            return r;
-        }
-
-        // ---- base prompt ----------------------------------------------
-        let mut base = Prompt::new(TaskKind::SqlGeneration, &reformulated);
-        base.original_question = Some(question.to_string());
-        base.examples = prompt_examples;
-        base.instructions = prompt_instructions;
-        base.schema = schema;
-        if cfg.include_evidence {
-            base.evidence = evidence.to_vec();
-        }
-
-        // ---- CoT plan (§3.1.2) ----------------------------------------
-        let plan: Option<Plan> = if cfg.use_plan {
-            let span = tracer.span(names::PLAN);
-            let mut plan_prompt = base.clone();
-            plan_prompt.task = TaskKind::PlanGeneration;
-            // Ensemble mode samples `width` chain-of-thought plans in
-            // parallel (one seed each) and keeps the plan the most
-            // candidates structurally agree on, ties toward the earliest
-            // seed. The serial path is a single seed-0 call, exactly as
-            // before.
-            let completions = match ensemble {
-                Some(width) => {
-                    span.attr("ensemble", width);
-                    complete_parallel(model, &plan_prompt, width as u64)
-                }
-                None => vec![model.complete(&CompletionRequest::new(plan_prompt.clone()))],
-            };
-            let candidates: Vec<Plan> = completions
-                .iter()
-                .filter_map(|c| c.as_ref().ok().and_then(|r| r.as_plan()).cloned())
-                .collect();
-            let voted = candidates
-                .iter()
-                .enumerate()
-                .max_by_key(|(i, p)| {
-                    let votes = candidates.iter().filter(|other| other == p).count();
-                    (votes, std::cmp::Reverse(*i))
-                })
-                .map(|(_, p)| p.clone());
-            let p = if let Some(p) = voted {
-                Some(p)
-            } else {
-                // No candidate parsed as a plan: degrade exactly like the
-                // single-call path, keyed off the first completion.
-                match completions.into_iter().next() {
-                    Some(Ok(_)) => {
-                        tracer.warning("plan generation returned no plan; using an empty plan");
-                        span.attr("degraded", true);
-                        Some(Plan::default())
-                    }
-                    Some(Err(err)) => {
-                        // Degradation: generate SQL directly, plan-free —
-                        // the prompt simply ships without a plan section.
-                        tracer.warning(format!(
-                            "plan generation failed ({err}); generating SQL without a plan"
-                        ));
-                        span.attr("degraded", true);
-                        None
-                    }
-                    None => None,
-                }
-            };
-            span.attr("steps", p.as_ref().map(|p| p.steps.len()).unwrap_or(0))
-                .attr("pseudo_sql", cfg.use_pseudo_sql);
-            span.finish();
-            p.map(|p| {
-                if cfg.use_pseudo_sql {
-                    p
-                } else {
-                    p.without_pseudo_sql()
-                }
-            })
-        } else {
-            None
-        };
-        base.plan = plan.clone();
-
-        // ---- generation with self-correction --------------------------
-        let mut errors: Vec<String> = Vec::new();
-        let mut last_sql: Option<String> = None;
-        for attempt in 0..=cfg.max_retries {
-            if cancelled(if attempt == 0 {
-                "plan generation"
-            } else {
-                "a self-correction attempt"
-            }) {
-                let mut r = GenerationResult::cancelled_at(reformulated, intents);
-                r.plan = plan;
-                r.used_examples = used_examples;
-                r.used_instructions = used_instructions;
-                r.used_schema = used_schema;
-                r.errors = errors;
-                r.attempts = attempt;
-                r.sql = last_sql;
-                return r;
-            }
-            let width = ensemble.unwrap_or_else(|| cfg.candidates.max(1));
-            let attempt_span = tracer.span(names::SQL_ATTEMPT);
-            attempt_span
-                .attr("attempt", attempt + 1)
-                .attr("candidates", width);
-            if ensemble.is_some() {
-                attempt_span.attr("ensemble", true);
-            }
-            if let Some(cause) = errors.last() {
-                attempt_span.attr("retry_cause", cause.as_str());
-            }
-            let mut prompt = base.clone();
-            prompt.errors = errors.clone();
-            let mut round_errors: Vec<String> = Vec::new();
-            // Valid candidates this round, with their result fingerprints
-            // (used by self-consistency voting).
-            let mut valid: Vec<(String, Vec<String>)> = Vec::new();
-            // Every candidate that produced SQL, in seed order, with its
-            // execution outcome — the raw material for the minority
-            // self-correction round under `MajorityResult` selection.
-            let mut records: Vec<(u64, String, Result<Vec<String>, String>)> = Vec::new();
-            // Ensemble mode fans all candidate completions out in
-            // parallel up front; candidates are then processed in seed
-            // order, so the outcome is byte-identical to the serial
-            // loop over the same seeds. The serial path keeps its lazy
-            // one-call-per-seed shape so `FirstValid` can stop early
-            // without paying for unused candidates.
-            let fanned: Option<Vec<Result<CompletionResponse, ModelError>>> =
-                ensemble.map(|w| complete_parallel(model, &prompt, w as u64));
-            for seed in 0..width as u64 {
-                let completion = match &fanned {
-                    Some(v) => v[seed as usize].clone(),
-                    None => model.complete(&CompletionRequest::with_seed(prompt.clone(), seed)),
-                };
-                let sql = match completion {
-                    Ok(response) => match response.as_sql() {
-                        Some(s) => s.to_string(),
-                        None => {
-                            tracer.warning("model returned no SQL for a generation candidate");
-                            attempt_span.attr("degraded", true);
-                            continue;
-                        }
-                    },
-                    // Transport failures do NOT join `errors`: prompt
-                    // error history must reflect only SQL feedback, or
-                    // the self-correction semantics would shift.
-                    Err(err) => {
-                        tracer.warning(format!("SQL generation candidate failed ({err})"));
-                        attempt_span.attr("degraded", true);
-                        continue;
-                    }
-                };
-                match self.validate_traced(tracer, db, &sql, seed) {
-                    Ok(fingerprint) => {
-                        if cfg.candidate_selection == CandidateSelection::FirstValid {
-                            return GenerationResult {
-                                sql: Some(sql),
-                                attempts: attempt + 1,
-                                validated: true,
-                                cancelled: false,
-                                plan,
-                                reformulated,
-                                intents,
-                                errors,
-                                used_examples,
-                                used_instructions,
-                                used_schema,
-                                final_prompt: prompt,
-                                warnings: Vec::new(),
-                                trace: Trace::empty(names::GENERATE),
-                            };
-                        }
-                        records.push((seed, sql.clone(), Ok(fingerprint.clone())));
-                        valid.push((sql, fingerprint));
-                    }
-                    Err(e) => {
-                        records.push((seed, sql.clone(), Err(e.clone())));
-                        round_errors.push(e);
-                        last_sql = Some(sql);
-                    }
-                }
-            }
-            // Minority self-correction (SelECT-SQL-style): once a
-            // majority execution signature exists, every candidate that
-            // landed outside it — invalid SQL, or valid SQL whose result
-            // disagrees — gets ONE corrective completion carrying its
-            // evidence (the execution error, or the disagreement), and
-            // the vote is re-taken over the repaired field. Candidates
-            // whose correction does not validate keep their original
-            // outcome, so the round can only grow the valid set. One
-            // round, bounded: at most one extra model call per minority
-            // candidate per attempt.
-            let has_invalid = records.iter().any(|(_, _, o)| o.is_err());
-            let has_dissent = {
-                let first = valid.first().map(|(_, fp)| fp);
-                valid.iter().any(|(_, fp)| Some(fp) != first)
-            };
-            if !valid.is_empty() && (has_invalid || has_dissent) {
-                let total = records.len();
-                let majority_fp = valid
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(i, (_, fp))| {
-                        let votes = valid.iter().filter(|(_, other)| other == fp).count();
-                        (votes, std::cmp::Reverse(*i))
-                    })
-                    .map(|(_, (_, fp))| fp.clone());
-                if let Some(majority_fp) = majority_fp {
-                    let majority_votes = valid.iter().filter(|(_, fp)| *fp == majority_fp).count();
-                    let fixes: Vec<(usize, CompletionRequest)> = records
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(ri, (seed, _, outcome))| {
-                            let evidence = match outcome {
-                                Ok(fp) if *fp != majority_fp => format!(
-                                    "execution result disagreed with {majority_votes} of \
-                                     {total} candidates"
-                                ),
-                                Ok(_) => return None,
-                                Err(e) => e.clone(),
-                            };
-                            let mut p = prompt.clone();
-                            p.errors.push(evidence);
-                            Some((ri, CompletionRequest::with_seed(p, *seed)))
-                        })
-                        .collect();
-                    if !fixes.is_empty() {
-                        attempt_span.attr("corrected", fixes.len());
-                        let requests: Vec<CompletionRequest> =
-                            fixes.iter().map(|(_, r)| r.clone()).collect();
-                        // Ensemble mode corrects in parallel (the calls
-                        // coalesce over a batching scheduler exactly like
-                        // the original fan-out); results are processed in
-                        // seed order either way, so serial and fanned
-                        // corrections are byte-identical.
-                        let responses = if fanned.is_some() {
-                            complete_requests_parallel(model, &requests)
-                        } else {
-                            requests.iter().map(|r| model.complete(r)).collect()
-                        };
-                        let mut recovered = 0usize;
-                        for ((ri, _), response) in fixes.iter().zip(responses) {
-                            let Ok(response) = response else { continue };
-                            let Some(sql) = response.as_sql() else {
-                                continue;
-                            };
-                            let seed = records[*ri].0;
-                            if let Ok(fp) = self.validate_traced(tracer, db, sql, seed) {
-                                if records[*ri].2.is_err() || fp == majority_fp {
-                                    records[*ri] = (seed, sql.to_string(), Ok(fp));
-                                    recovered += 1;
-                                }
-                            }
-                        }
-                        attempt_span.attr("corrected_recovered", recovered);
-                        // Re-vote over the repaired field, still in seed
-                        // order so the tie-break stays deterministic.
-                        valid = records
-                            .iter()
-                            .filter_map(|(_, sql, outcome)| {
-                                outcome.as_ref().ok().map(|fp| (sql.clone(), fp.clone()))
-                            })
-                            .collect();
-                    }
-                }
-            }
-            // Self-consistency: the result the most candidates agree on
-            // wins (grouped by execution signature — the sorted result
-            // fingerprint); ties break toward the earliest candidate.
-            // Falls back to the first valid candidate rather than
-            // panicking on an (impossible) empty vote.
-            let winner = valid
-                .iter()
-                .enumerate()
-                .max_by_key(|(i, (_, fp))| {
-                    let votes = valid.iter().filter(|(_, other)| other == fp).count();
-                    (votes, std::cmp::Reverse(*i))
-                })
-                .map(|(_, (sql, _))| sql.clone())
-                .or_else(|| valid.first().map(|(sql, _)| sql.clone()));
-            if let Some(winner) = winner {
-                attempt_span.attr("valid", valid.len());
-                let winner_fp = valid
-                    .iter()
-                    .find(|(sql, _)| *sql == winner)
-                    .map(|(_, fp)| fp.clone())
-                    .unwrap_or_default();
-                let winner_votes = valid.iter().filter(|(_, fp)| *fp == winner_fp).count();
-                let groups = {
-                    let mut fps: Vec<&Vec<String>> = valid.iter().map(|(_, fp)| fp).collect();
-                    fps.sort();
-                    fps.dedup();
-                    fps.len()
-                };
-                attempt_span
-                    .attr("vote_total", valid.len())
-                    .attr("vote_groups", groups)
-                    .attr("vote_votes", winner_votes);
-                return GenerationResult {
-                    sql: Some(winner),
-                    attempts: attempt + 1,
-                    validated: true,
-                    cancelled: false,
-                    plan,
-                    reformulated,
-                    intents,
-                    errors,
-                    used_examples,
-                    used_instructions,
-                    used_schema,
-                    final_prompt: prompt,
-                    warnings: Vec::new(),
-                    trace: Trace::empty(names::GENERATE),
-                };
-            }
-            attempt_span.attr("errors", round_errors.len());
-            attempt_span.finish();
-            errors.extend(round_errors);
-        }
-
-        let final_prompt = {
-            let mut p = base;
-            p.errors = errors.clone();
-            p
-        };
+    /// The one place a draft becomes a result — validated, exhausted, or
+    /// `cancelled` with whatever the steps run so far wrote. `generate_with`
+    /// fills the trace and warnings once the tracer finishes.
+    fn into_result(self, cancelled: bool) -> GenerationResult {
         GenerationResult {
-            sql: last_sql,
-            attempts: cfg.max_retries + 1,
-            validated: false,
-            cancelled: false,
-            plan,
-            reformulated,
-            intents,
-            errors,
-            used_examples,
-            used_instructions,
-            used_schema,
-            final_prompt,
+            sql: self.sql,
+            attempts: self.attempts,
+            validated: self.validated,
+            cancelled,
+            plan: self.prompt.plan.clone(),
+            reformulated: self.prompt.question.clone(),
+            intents: self.intents,
+            errors: self.prompt.errors.clone(),
+            used_examples: self.used_examples,
+            used_instructions: self.used_instructions,
+            used_schema: self.prompt.schema.iter().map(|s| s.key()).collect(),
+            final_prompt: if cancelled {
+                Prompt::new(TaskKind::SqlGeneration, "")
+            } else {
+                self.prompt
+            },
             warnings: Vec::new(),
             trace: Trace::empty(names::GENERATE),
         }
     }
+}
 
-    /// Instrumented validation: records a `sql.validate` span with parse
-    /// and execution timings, and folds [`ExecStats`] into the registry
-    /// when one is attached. Error strings match [`validate`] exactly so
-    /// the self-correction prompts are unchanged.
-    fn validate_traced(
+/// One generation in flight — the request, the pipeline's settings and
+/// the traced (under resilience, retry-wrapped) model — with the operator
+/// steps as its methods. [`run_baseline`](crate::run_baseline) builds one
+/// for `generate_sql` alone.
+pub(crate) struct Run<'a> {
+    pub(crate) cfg: &'a PipelineConfig,
+    pub(crate) metrics: Option<&'a MetricsRegistry>,
+    pub(crate) model: &'a dyn LanguageModel,
+    pub(crate) tracer: &'a Tracer,
+    pub(crate) index: &'a KnowledgeIndex,
+    pub(crate) db: &'a Database,
+    pub(crate) opts: &'a GenerateOptions<'a>,
+}
+
+type Completion = Result<CompletionResponse, ModelError>;
+
+/// An operator step: reads the draft so far, adds its own output.
+type Step<'a> = fn(&Run<'a>, &mut Draft);
+
+/// The warnings of an operator that lost its model call: to an answer of
+/// the wrong response variant, or to a failed call (`{err}` is its error).
+struct Degraded {
+    wrong_variant: &'static str,
+    failed: &'static str,
+}
+
+/// Which of the two happened, for operators whose fallback differs.
+enum Lost {
+    WrongVariant,
+    Failed,
+}
+
+const REFORMULATION: Degraded = Degraded {
+    wrong_variant: "reformulation returned no text; falling back to the raw question",
+    failed: "reformulation failed ({err}); falling back to the raw question",
+};
+const INTENTS: Degraded = Degraded {
+    wrong_variant: "intent classification returned no item list; assuming no intents",
+    failed: "intent classification failed ({err}); retrieving over all intents",
+};
+const SCHEMA_LINKING: Degraded = Degraded {
+    wrong_variant: "schema linking returned no item list; linking no elements",
+    failed: "schema linking failed ({err}); passing the full schema to the re-ranker",
+};
+const PLAN: Degraded = Degraded {
+    wrong_variant: "plan generation returned no plan; using an empty plan",
+    failed: "plan generation failed ({err}); generating SQL without a plan",
+};
+const SQL_CANDIDATE: Degraded = Degraded {
+    wrong_variant: "model returned no SQL for a generation candidate",
+    failed: "SQL generation candidate failed ({err})",
+};
+
+/// A sampled candidate that produced SQL, and what executing it gave: the
+/// result fingerprint the vote groups by, or the error self-correction sees.
+struct Candidate {
+    seed: u64,
+    sql: String,
+    outcome: Result<Vec<String>, String>,
+}
+
+/// The one vote: the position of the item whose key the most items
+/// share, and how many do; ties break toward the earliest. `None` only
+/// when there is nothing to vote on.
+fn plurality<T, K: PartialEq>(items: &[T], key: impl Fn(&T) -> &K) -> Option<(usize, usize)> {
+    items
+        .iter()
+        .map(|item| items.iter().filter(|o| key(o) == key(item)).count())
+        .enumerate()
+        .max_by_key(|&(i, votes)| (votes, std::cmp::Reverse(i)))
+}
+
+/// The candidates whose SQL executed, in seed order.
+fn valid(candidates: &[Candidate]) -> Vec<&Candidate> {
+    candidates.iter().filter(|c| c.outcome.is_ok()).collect()
+}
+
+fn items(response: &CompletionResponse) -> Option<Vec<String>> {
+    response.as_items().map(<[String]>::to_vec)
+}
+
+impl<'a> Run<'a> {
+    /// The operator chain; a cancellation after a step reports its stage.
+    const STEPS: [(Step<'a>, &'static str); 6] = [
+        (Self::reformulate, "reformulation"),
+        (Self::classify_intents, "intent classification"),
+        (Self::select_examples, "example selection"),
+        (Self::select_instructions, "instruction selection"),
+        (Self::link_schema, "schema linking"),
+        (Self::plan, "plan generation"),
+    ];
+
+    /// The pipeline body: run the chain over one draft, checking for
+    /// cancellation between steps — never mid-operator, operators are the
+    /// unit of useful work — then generate SQL from what it accumulated.
+    fn generate_core(&self, question: &str, evidence: &[String]) -> GenerationResult {
+        let mut prompt = Prompt::new(TaskKind::SqlGeneration, question);
+        prompt.original_question = Some(question.to_string());
+        if self.cfg.include_evidence {
+            prompt.evidence = evidence.to_vec();
+        }
+        let mut draft = Draft::new(prompt);
+        for (step, stage) in Self::STEPS {
+            step(self, &mut draft);
+            if self.cancelled(stage) {
+                return draft.into_result(true);
+            }
+        }
+        let cancelled = self.generate_sql(&mut draft);
+        draft.into_result(cancelled)
+    }
+
+    fn cancelled(&self, stage: &str) -> bool {
+        let fired = self.opts.cancel.is_some_and(CancelToken::is_cancelled);
+        if fired {
+            self.tracer
+                .warning(format!("generation cancelled after {stage}"));
+        }
+        fired
+    }
+
+    /// Ensemble fan-out engages only on explicit request, so the default
+    /// serial path (and its call accounting) is untouched.
+    fn ensemble(&self) -> Option<usize> {
+        self.opts.ensemble_width.filter(|w| *w > 1)
+    }
+
+    /// The one degrade rule: an operator that loses its model call never
+    /// panics or poisons the result — it warns, marks its span `degraded`,
+    /// and the caller continues on the operator's fallback.
+    fn or_degrade<T>(
         &self,
-        tracer: &Tracer,
-        db: &Database,
-        sql: &str,
-        seed: u64,
-    ) -> Result<Vec<String>, String> {
-        let span = tracer.span(names::VALIDATE);
+        span: &SpanGuard<'_>,
+        completion: Completion,
+        payload: impl FnOnce(&CompletionResponse) -> Option<T>,
+        texts: &Degraded,
+    ) -> Result<T, Lost> {
+        let lost = match completion {
+            Ok(response) => match payload(&response) {
+                Some(value) => return Ok(value),
+                None => {
+                    self.tracer.warning(texts.wrong_variant);
+                    Lost::WrongVariant
+                }
+            },
+            Err(err) => {
+                let err = err.to_string();
+                self.tracer.warning(texts.failed.replace("{err}", &err));
+                Lost::Failed
+            }
+        };
+        span.attr("degraded", true);
+        Err(lost)
+    }
+
+    /// The one fan-out and candidate source: the completions of
+    /// `requests`, **in request order**. Serially it is lazy — a request
+    /// is built and sent when its completion is pulled, so `FirstValid`
+    /// pays for no candidate past its first valid one. An ensemble issues
+    /// every request up front, one scoped thread each (the concurrent
+    /// calls coalesce into one round trip over a
+    /// [`BatchScheduler`](genedit_llm::BatchScheduler)), and replays the
+    /// results in order, so votes are independent of scheduling. A
+    /// panicking thread is a [`ModelError::Transient`] for its request.
+    fn completions<'r>(
+        &'r self,
+        requests: impl Iterator<Item = CompletionRequest> + 'r,
+    ) -> Box<dyn Iterator<Item = Completion> + 'r> {
+        let model = self.model;
+        if self.ensemble().is_none() {
+            return Box::new(requests.map(move |request| model.complete(&request)));
+        }
+        let requests: Vec<CompletionRequest> = requests.collect();
+        let done: Vec<Completion> = std::thread::scope(|scope| {
+            let handles: Vec<_> = requests
+                .iter()
+                .map(|request| scope.spawn(move || model.complete(request)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join().unwrap_or_else(|_| {
+                        Err(ModelError::Transient(
+                            "ensemble candidate thread panicked".to_string(),
+                        ))
+                    })
+                })
+                .collect()
+        });
+        Box::new(done.into_iter())
+    }
+
+    /// Operator 1: reformulation.
+    fn reformulate(&self, draft: &mut Draft) {
+        // Warm path: a serving-layer cache already holds this question's
+        // canonical form for the current knowledge epoch.
+        let cached = self.opts.reformulation.as_ref();
+        if !self.cfg.use_reformulation {
+            if let Some(cached) = cached {
+                draft.prompt.question = cached.clone();
+            }
+            return;
+        }
+        let span = self.tracer.span(names::REFORMULATE);
+        let chars_in = draft.prompt.question.len();
+        if let Some(cached) = cached {
+            span.attr("cached", true);
+            draft.prompt.question = cached.clone();
+        } else {
+            let prompt = Prompt::new(TaskKind::Reformulate, &draft.prompt.question);
+            let completion = self.model.complete(&CompletionRequest::new(prompt));
+            let text = |r: &CompletionResponse| r.as_text().map(str::to_string);
+            // Degraded, the raw question stands.
+            if let Ok(text) = self.or_degrade(&span, completion, text, &REFORMULATION) {
+                draft.prompt.question = text;
+            }
+        }
+        span.attr("chars_in", chars_in)
+            .attr("chars_out", draft.prompt.question.len());
+    }
+
+    /// Operator 2: intent classification.
+    fn classify_intents(&self, draft: &mut Draft) {
+        if !self.cfg.use_intent_classification {
+            return;
+        }
+        let span = self.tracer.span(names::INTENT);
+        let mut prompt = Prompt::new(TaskKind::IntentClassification, &draft.prompt.question);
+        let intents = self.index.knowledge().intents();
+        prompt.intent_candidates = intents.iter().map(|i| i.key.clone()).collect();
+        // Degraded = no intents = no retrieval boost: downstream selection
+        // ranks over the whole knowledge set (all intents).
+        let completion = self.model.complete(&CompletionRequest::new(prompt));
+        draft.intents = self
+            .or_degrade(&span, completion, items, &INTENTS)
+            .unwrap_or_default();
+        span.attr("candidates", intents.len())
+            .attr("matched", draft.intents.len());
+    }
+
+    /// Operator 3: example selection.
+    fn select_examples(&self, draft: &mut Draft) {
+        if !self.cfg.use_examples {
+            return;
+        }
+        let query = match (&self.opts.reformulation, &self.opts.query_embedding) {
+            // Only trust a cached embedding when it travelled with the
+            // reformulation it embeds (same cache entry, same epoch).
+            (Some(_), Some(emb)) if emb.len() == self.index.embedder().dim() => emb.clone(),
+            _ => self.index.embedder().embed(&draft.prompt.question),
+        };
+        let span = self.tracer.span(names::EXAMPLES);
+        let top = self
+            .index
+            .top_examples(&query, &draft.intents, self.cfg.example_top_k);
+        draft.used_examples = top.iter().map(|(e, _)| e.id).collect();
+        draft.prompt.examples = top
+            .iter()
+            .map(|(e, _)| PromptExample {
+                description: e.description.clone(),
+                sql: e.fragment.sql.clone(),
+                kind: match e.fragment.kind {
+                    FragmentKind::FullQuery => None,
+                    k => Some(k),
+                },
+                term: e.term.clone(),
+            })
+            .collect();
+        span.attr("candidates", self.index.knowledge().examples().len())
+            .attr("selected", top.len());
+    }
+
+    /// Operator 4: instruction selection (context expansion).
+    fn select_instructions(&self, draft: &mut Draft) {
+        if !self.cfg.use_instructions {
+            return;
+        }
+        let example_texts = draft.example_texts();
+        let span = self.tracer.span(names::INSTRUCTIONS);
+        let ks = self.index.knowledge();
+        let mut expansions: Vec<&str> = example_texts.iter().map(String::as_str).collect();
+        expansions.extend(ks.retrieval_hints(RetrievalStage::InstructionSelection));
+        let embedder = self.index.embedder();
+        let expanded = embedder.embed_expanded(&draft.prompt.question, &expansions);
+        let top =
+            self.index
+                .top_instructions(&expanded, &draft.intents, self.cfg.instruction_top_k);
+        draft.used_instructions = top.iter().map(|(i, _)| i.id).collect();
+        draft.prompt.instructions = top
+            .iter()
+            .map(|(i, _)| PromptInstruction {
+                text: i.text.clone(),
+                sql_hint: i.sql_hint.clone(),
+                term: i.term.clone(),
+            })
+            .collect();
+        span.attr("candidates", ks.instructions().len())
+            .attr("selected", top.len())
+            .attr("expansions", expansions.len());
+    }
+
+    /// Operator 5: schema linking. Ablated, the schema section stays
+    /// empty, which the oracle reads as "everything attached" — matching
+    /// how un-linked deployments dump the DDL.
+    fn link_schema(&self, draft: &mut Draft) {
+        if !self.cfg.use_schema_linking {
+            return;
+        }
+        let ks = self.index.knowledge();
+        let span = self.tracer.span(names::SCHEMA_LINKING);
+        span.attr("candidates", ks.schema_elements().len());
+        // The LLM identifies relevant elements over the full schema…
+        let mut prompt = Prompt::new(TaskKind::SchemaLinking, &draft.prompt.question);
+        prompt.schema = ks.schema_elements().iter().map(Into::into).collect();
+        let hints = ks.retrieval_hints(RetrievalStage::SchemaLinking);
+        prompt.hints = hints.iter().map(|s| s.to_string()).collect();
+        let request = CompletionRequest::new(prompt);
+        let completion = self.model.complete(&request);
+        let all = request.prompt.schema;
+        let keys = match self.or_degrade(&span, completion, items, &SCHEMA_LINKING) {
+            Ok(keys) => keys,
+            Err(Lost::WrongVariant) => Vec::new(),
+            // Degradation: link everything — the full schema flows into
+            // the re-rank filter below, so generation still gets a
+            // bounded (if less precise) schema section.
+            Err(Lost::Failed) => all.iter().map(|el| el.key()).collect(),
+        };
+        // Each with its position in `ks.schema_elements()`, where the
+        // index keeps its embedding.
+        let linked: Vec<(usize, PromptSchemaElement)> = all
+            .into_iter()
+            .enumerate()
+            .filter(|(_, el)| keys.contains(&el.key()))
+            .collect();
+        span.attr("linked", linked.len());
+        let top_k = self.cfg.schema_top_k;
+        if linked.len() <= top_k {
+            draft.prompt.schema = linked.into_iter().map(|(_, el)| el).collect();
+        } else {
+            // …then a re-ranker filters to manage the generation model's
+            // context (§3.1.1), using the example+instruction-expanded
+            // query embedding (more context expansion).
+            let mut texts = draft.example_texts();
+            texts.extend(draft.prompt.instructions.iter().map(|i| i.text.clone()));
+            let expansions: Vec<&str> = texts.iter().map(String::as_str).collect();
+            let embedder = self.index.embedder();
+            let expanded = embedder.embed_expanded(&draft.prompt.question, &expansions);
+            // `cosine` against the vector the index already holds for the
+            // element, not `top_schema`: its pre-normalised dot product
+            // differs from `cosine` in the last ulp.
+            let scored: Vec<(PromptSchemaElement, f32)> = linked
+                .into_iter()
+                .map(|(pos, el)| (el, cosine(&expanded, self.index.schema_vector(pos))))
+                .collect();
+            let (kept, stats) = genedit_retrieval::rerank_top_k_with_stats(scored, top_k);
+            if let Some(metrics) = self.metrics {
+                stats.record(metrics, "schema_linking");
+            }
+            draft.prompt.schema = kept.into_iter().map(|(el, _)| el).collect();
+        }
+        span.attr("kept", draft.prompt.schema.len());
+    }
+
+    /// CoT plan (§3.1.2). The serial path is a single seed-0 call; an
+    /// ensemble samples one plan per seed and keeps the plan the most
+    /// candidates structurally agree on.
+    fn plan(&self, draft: &mut Draft) {
+        if !self.cfg.use_plan {
+            return;
+        }
+        let span = self.tracer.span(names::PLAN);
+        if let Some(width) = self.ensemble() {
+            span.attr("ensemble", width);
+        }
+        let mut prompt = draft.prompt.clone();
+        prompt.task = TaskKind::PlanGeneration;
+        let seeds = 0..self.ensemble().unwrap_or(1) as u64;
+        let requests = seeds.map(|seed| CompletionRequest::with_seed(prompt.clone(), seed));
+        let completions: Vec<Completion> = self.completions(requests).collect();
+        let plans: Vec<Plan> = completions
+            .iter()
+            .filter_map(|c| c.as_ref().ok().and_then(|r| r.as_plan()).cloned())
+            .collect();
+        let plan = match plurality(&plans, |p| p) {
+            Some((voted, _)) => Some(plans[voted].clone()),
+            // No candidate parsed as a plan: degrade exactly like the
+            // single-call path, keyed off the first completion — to an
+            // empty plan if it answered, else to generating SQL directly
+            // (the prompt ships without a plan section).
+            None => {
+                let first = completions.into_iter().next();
+                match first.map(|c| self.or_degrade(&span, c, |_| None::<Plan>, &PLAN)) {
+                    Some(Err(Lost::WrongVariant)) => Some(Plan::default()),
+                    _ => None,
+                }
+            }
+        };
+        span.attr("steps", plan.as_ref().map_or(0, |p| p.steps.len()))
+            .attr("pseudo_sql", self.cfg.use_pseudo_sql);
+        draft.prompt.plan = match plan {
+            Some(p) if !self.cfg.use_pseudo_sql => Some(p.without_pseudo_sql()),
+            p => p,
+        };
+    }
+
+    /// Plan-guided SQL generation with self-correction: up to
+    /// `max_retries + 1` rounds, each failed round's validation errors
+    /// joining the next round's prompt. Returns whether a cancellation cut
+    /// it short; the outcome is in `draft.sql` / `draft.validated`.
+    pub(crate) fn generate_sql(&self, draft: &mut Draft) -> bool {
+        let width = self.ensemble().unwrap_or(self.cfg.candidates.max(1));
+        for attempt in 0..=self.cfg.max_retries {
+            if attempt > 0 && self.cancelled("a self-correction attempt") {
+                return true;
+            }
+            draft.attempts = attempt + 1;
+            let span = self.tracer.span(names::SQL_ATTEMPT);
+            span.attr("attempt", attempt + 1).attr("candidates", width);
+            if self.ensemble().is_some() {
+                span.attr("ensemble", true);
+            }
+            if let Some(cause) = draft.prompt.errors.last() {
+                span.attr("retry_cause", cause.as_str());
+            }
+            match self.sql_round(&span, &draft.prompt, width) {
+                Ok(sql) => {
+                    draft.sql = Some(sql);
+                    draft.validated = true;
+                    return false;
+                }
+                Err(failed) => {
+                    span.attr("errors", failed.len());
+                    if let Some(last) = failed.last() {
+                        draft.sql = Some(last.sql.clone());
+                    }
+                    let errors = failed.into_iter().filter_map(|c| c.outcome.err());
+                    draft.prompt.errors.extend(errors);
+                }
+            }
+        }
+        false
+    }
+
+    /// One generation round: sample `width` candidates in seed order and
+    /// validate each by execution. `FirstValid` returns its first valid
+    /// candidate; `MajorityResult` lets every candidate run, corrects the
+    /// minority and takes the vote. `Err` carries the round's candidates
+    /// when none of them validated.
+    fn sql_round(
+        &self,
+        span: &SpanGuard<'_>,
+        prompt: &Prompt,
+        width: usize,
+    ) -> Result<String, Vec<Candidate>> {
+        let first_valid = self.cfg.candidate_selection == CandidateSelection::FirstValid;
+        let requests =
+            (0..width as u64).map(|seed| CompletionRequest::with_seed(prompt.clone(), seed));
+        let sql = |r: &CompletionResponse| r.as_sql().map(str::to_string);
+        let mut candidates: Vec<Candidate> = Vec::new();
+        for (seed, completion) in (0u64..).zip(self.completions(requests)) {
+            // A lost candidate does NOT join the errors: prompt error
+            // history must reflect only SQL feedback, or the
+            // self-correction semantics would shift.
+            let Ok(sql) = self.or_degrade(span, completion, sql, &SQL_CANDIDATE) else {
+                continue;
+            };
+            let outcome = self.validate(&sql, seed);
+            if first_valid && outcome.is_ok() {
+                return Ok(sql);
+            }
+            candidates.push(Candidate { seed, sql, outcome });
+        }
+        self.correct_minority(span, prompt, &mut candidates);
+        // Self-consistency: the result the most candidates agree on wins
+        // (grouped by execution signature); ties break toward the
+        // earliest candidate.
+        let valid = valid(&candidates);
+        let Some((winner, votes)) = plurality(&valid, |c| &c.outcome) else {
+            return Err(candidates);
+        };
+        let winner = valid[winner].sql.clone();
+        let mut groups: Vec<_> = valid.iter().map(|c| &c.outcome).collect();
+        groups.sort();
+        groups.dedup();
+        span.attr("valid", valid.len())
+            .attr("vote_total", valid.len())
+            .attr("vote_groups", groups.len())
+            .attr("vote_votes", votes);
+        Ok(winner)
+    }
+
+    /// Minority self-correction (SelECT-SQL-style): once a majority
+    /// execution signature exists, every candidate that landed outside it
+    /// — invalid SQL, or valid SQL whose result disagrees — gets ONE
+    /// corrective completion carrying its evidence (the execution error,
+    /// or the disagreement), and the caller re-takes the vote over the
+    /// repaired field. Candidates whose correction does not validate keep
+    /// their original outcome, so the round can only grow the valid set.
+    /// One round, bounded: at most one extra model call per minority
+    /// candidate per attempt.
+    fn correct_minority(
+        &self,
+        span: &SpanGuard<'_>,
+        prompt: &Prompt,
+        candidates: &mut [Candidate],
+    ) {
+        let valid = valid(candidates);
+        let Some((majority, votes)) = plurality(&valid, |c| &c.outcome) else {
+            return;
+        };
+        let majority = valid[majority].outcome.clone();
+        let total = candidates.len();
+        let minority: Vec<(usize, CompletionRequest)> = candidates
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, c)| {
+                let evidence = match &c.outcome {
+                    Err(e) => e.clone(),
+                    agreed if *agreed == majority => return None,
+                    Ok(_) => {
+                        format!("execution result disagreed with {votes} of {total} candidates")
+                    }
+                };
+                let mut p = prompt.clone();
+                p.errors.push(evidence);
+                Some((slot, CompletionRequest::with_seed(p, c.seed)))
+            })
+            .collect();
+        if minority.is_empty() {
+            return;
+        }
+        span.attr("corrected", minority.len());
+        let (slots, requests): (Vec<usize>, Vec<CompletionRequest>) = minority.into_iter().unzip();
+        // Every correction is collected before any is validated, and they
+        // are applied in seed order, so serial and fanned corrections are
+        // byte-identical and the re-vote's tie-break stays deterministic.
+        let corrections: Vec<Completion> = self.completions(requests.into_iter()).collect();
+        let mut recovered = 0usize;
+        for (slot, correction) in slots.into_iter().zip(corrections) {
+            let Some(sql) = correction.ok().and_then(|r| r.as_sql().map(str::to_string)) else {
+                continue;
+            };
+            let seed = candidates[slot].seed;
+            let outcome = self.validate(&sql, seed);
+            if outcome.is_ok() && (candidates[slot].outcome.is_err() || outcome == majority) {
+                candidates[slot] = Candidate { seed, sql, outcome };
+                recovered += 1;
+            }
+        }
+        span.attr("corrected_recovered", recovered);
+    }
+
+    /// Syntactic + semantic validation: parse, then execute against the
+    /// database (execution-guided checking, as in the paper's
+    /// self-correction citation 25), under a `sql.validate` span. Returns
+    /// the result fingerprint the vote groups by, or the error string the
+    /// next prompt carries.
+    fn validate(&self, sql: &str, seed: u64) -> Result<Vec<String>, String> {
+        let span = self.tracer.span(names::VALIDATE);
         span.attr("seed", seed).attr("sql_chars", sql.len());
-        let (result, stats) = execute_sql_timed(db, sql);
-        if let Some(metrics) = &self.metrics {
+        let (result, stats) = execute_sql_timed(self.db, sql);
+        if let Some(metrics) = self.metrics {
             stats.record(metrics, "validate");
         }
-        let out = match result {
+        match result {
             Ok(rs) => {
                 span.attr("rows", stats.rows).attr("columns", stats.columns);
                 Ok(rs.fingerprint())
@@ -957,115 +932,8 @@ impl<M: LanguageModel> GenEditPipeline<M> {
                 span.attr("error", msg.as_str());
                 Err(msg)
             }
-        };
-        span.finish();
-        out
+        }
     }
-}
-
-/// Issue `width` completions of the same prompt (seeds `0..width`) in
-/// parallel, one scoped thread per seed, returning results **in seed
-/// order** so downstream voting is independent of scheduling. Over a
-/// [`BatchScheduler`](genedit_llm::BatchScheduler) the concurrent calls
-/// coalesce into a single backend round trip. A panicking candidate
-/// thread surfaces as a [`ModelError::Transient`] for that seed only.
-fn complete_parallel<L: LanguageModel>(
-    model: &L,
-    prompt: &Prompt,
-    width: u64,
-) -> Vec<Result<CompletionResponse, ModelError>> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..width)
-            .map(|seed| {
-                let request = CompletionRequest::with_seed(prompt.clone(), seed);
-                scope.spawn(move || model.complete(&request))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(ModelError::Transient(
-                        "ensemble candidate thread panicked".to_string(),
-                    ))
-                })
-            })
-            .collect()
-    })
-}
-
-/// Issue an arbitrary set of completion requests in parallel, one scoped
-/// thread per request, returning results **in input order** (the caller
-/// passes minority-correction requests in seed order, so downstream
-/// re-voting stays deterministic). Like [`complete_parallel`], concurrent
-/// calls over a [`BatchScheduler`](genedit_llm::BatchScheduler) coalesce
-/// into one backend round trip.
-fn complete_requests_parallel<L: LanguageModel>(
-    model: &L,
-    requests: &[CompletionRequest],
-) -> Vec<Result<CompletionResponse, ModelError>> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = requests
-            .iter()
-            .map(|request| scope.spawn(move || model.complete(request)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(ModelError::Transient(
-                        "correction candidate thread panicked".to_string(),
-                    ))
-                })
-            })
-            .collect()
-    })
-}
-
-/// Cosine-score `texts` against a query embedding, returning one score
-/// per text in input order. Small batches stay on the calling thread;
-/// larger re-rank batches split across a few scoped threads, overlapping
-/// the independent embedding computations (the retrieval-side fan-out of
-/// DESIGN.md §12). Chunks are joined in spawn order, so the output is
-/// identical to the serial loop.
-fn score_against(embedder: &Embedder, query: &Embedding, texts: &[String]) -> Vec<f32> {
-    const PAR_THRESHOLD: usize = 8;
-    const THREADS: usize = 4;
-    if texts.len() < PAR_THRESHOLD {
-        return texts
-            .iter()
-            .map(|t| cosine(query, &embedder.embed(t)))
-            .collect();
-    }
-    let chunk = texts.len().div_ceil(THREADS);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = texts
-            .chunks(chunk)
-            .map(|c| {
-                scope.spawn(move || {
-                    c.iter()
-                        .map(|t| cosine(query, &embedder.embed(t)))
-                        .collect::<Vec<f32>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_default())
-            .collect()
-    })
-}
-
-/// Syntactic + semantic validation: parse, then execute against the
-/// database (execution-guided checking, as in the paper's self-correction
-/// citation 25). Returns the result fingerprint for candidate voting.
-/// The pipeline itself goes through `validate_traced`, which must agree
-/// with this reference implementation on every error string.
-#[cfg(test)]
-fn validate(db: &Database, sql: &str) -> Result<Vec<String>, String> {
-    genedit_sql::parser::parse_statement(sql).map_err(|e| e.to_string())?;
-    let rs = genedit_sql::exec::execute_sql(db, sql).map_err(|e| e.to_string())?;
-    Ok(rs.fingerprint())
 }
 
 #[cfg(test)]
@@ -1464,12 +1332,196 @@ mod tests {
         );
     }
 
+    /// The reference for `Run::validate`: parse, then execute.
+    fn validate(db: &Database, sql: &str) -> Result<Vec<String>, String> {
+        genedit_sql::parser::parse_statement(sql).map_err(|e| e.to_string())?;
+        let rs = genedit_sql::exec::execute_sql(db, sql).map_err(|e| e.to_string())?;
+        Ok(rs.fingerprint())
+    }
+
     #[test]
     fn validation_catches_bad_sql() {
         let (bundle, _, _) = setup();
         assert!(validate(&bundle.db, "SELECT * FROM SPORTS_ORGS").is_ok());
         assert!(validate(&bundle.db, "SELEC nope").is_err());
         assert!(validate(&bundle.db, "SELECT * FROM MISSING_TABLE").is_err());
+    }
+
+    fn run_over<'a>(
+        model: &'a dyn LanguageModel,
+        tracer: &'a Tracer,
+        cfg: &'a PipelineConfig,
+        opts: &'a GenerateOptions<'a>,
+        bundle: &'a DomainBundle,
+        index: &'a KnowledgeIndex,
+    ) -> Run<'a> {
+        Run {
+            cfg,
+            metrics: None,
+            model,
+            tracer,
+            index,
+            db: &bundle.db,
+            opts,
+        }
+    }
+
+    /// GenEdit and the baselines both validate through `Run::validate`;
+    /// it must agree with the reference on every verdict and error
+    /// string, or the self-correction prompts would shift.
+    #[test]
+    fn traced_validation_agrees_with_the_reference() {
+        let (bundle, index, oracle) = setup();
+        let (tracer, cfg, opts) = (
+            Tracer::new("t"),
+            PipelineConfig::default(),
+            Default::default(),
+        );
+        let run = run_over(&oracle, &tracer, &cfg, &opts, &bundle, &index);
+        for sql in [
+            "SELECT * FROM SPORTS_ORGS",
+            "SELEC nope",
+            "SELECT * FROM MISSING_TABLE",
+            "SELECT NO_SUCH_COLUMN FROM SPORTS_ORGS",
+        ] {
+            assert_eq!(run.validate(sql, 0), validate(&bundle.db, sql), "{sql}");
+        }
+    }
+
+    /// Answers every task with something usable — except that its SQL
+    /// never parses, so every round fails — and fires `token` on its
+    /// `fire_on`-th call.
+    struct CancelOnCall {
+        token: CancelToken,
+        fire_on: usize,
+        calls: std::sync::atomic::AtomicUsize,
+        schema_keys: Vec<String>,
+    }
+
+    impl LanguageModel for CancelOnCall {
+        fn name(&self) -> &str {
+            "cancel-on-call"
+        }
+
+        fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, ModelError> {
+            let call = 1 + self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            if call == self.fire_on {
+                self.token.cancel();
+            }
+            Ok(match request.prompt.task {
+                TaskKind::Reformulate => CompletionResponse::Text("canonical".to_string()),
+                TaskKind::IntentClassification => CompletionResponse::Items(vec!["i".to_string()]),
+                TaskKind::SchemaLinking => CompletionResponse::Items(self.schema_keys.clone()),
+                TaskKind::PlanGeneration => CompletionResponse::Plan(Plan {
+                    steps: vec![genedit_llm::PlanStep {
+                        description: "scan".to_string(),
+                        pseudo_sql: None,
+                        scope: "main".to_string(),
+                        kind: None,
+                    }],
+                }),
+                _ => CompletionResponse::Sql("SELEC nope".to_string()),
+            })
+        }
+    }
+
+    /// What a cancelled result carries, as
+    /// `(intents, examples, instructions, schema, plan)` presence flags.
+    fn carried(r: &GenerationResult) -> [bool; 5] {
+        [
+            !r.intents.is_empty(),
+            !r.used_examples.is_empty(),
+            !r.used_instructions.is_empty(),
+            !r.used_schema.is_empty(),
+            r.plan.is_some(),
+        ]
+    }
+
+    /// The cancellation ladder: a token that fires during a stage is
+    /// honoured at the boundary after it, and the partial result carries
+    /// exactly what the steps run so far produced.
+    #[test]
+    fn cancellation_returns_what_the_steps_so_far_produced() {
+        let (bundle, index, _) = setup();
+        let schema_keys: Vec<String> = index.knowledge().schema_elements()[..2]
+            .iter()
+            .map(|s| s.key())
+            .collect();
+        let stub = |fire_on| CancelOnCall {
+            token: CancelToken::new(),
+            fire_on,
+            calls: Default::default(),
+            schema_keys: schema_keys.clone(),
+        };
+
+        // Model calls: 1 reformulation, 2 intents, 3 schema linking,
+        // 4 plan, 5-6 the first round's two candidates.
+        for (fire_on, stage, expect, attempts) in [
+            (1, "reformulation", [false; 5], 0),
+            (
+                2,
+                "intent classification",
+                [true, false, false, false, false],
+                0,
+            ),
+            (3, "schema linking", [true, true, true, true, false], 0),
+            (4, "plan generation", [true; 5], 0),
+            (6, "a self-correction attempt", [true; 5], 1),
+        ] {
+            let model = stub(fire_on);
+            let opts = GenerateOptions {
+                cancel: Some(&model.token),
+                ..Default::default()
+            };
+            let r = GenEditPipeline::new(&model).generate_with(
+                "question",
+                &index,
+                &bundle.db,
+                &[],
+                &opts,
+            );
+            assert!(r.cancelled && !r.validated, "{stage}");
+            assert_eq!(r.warnings, [format!("generation cancelled after {stage}")]);
+            assert_eq!(r.reformulated, "canonical");
+            assert_eq!(carried(&r), expect, "{stage}");
+            assert_eq!(r.attempts, attempts, "{stage}");
+            // Only a finished round leaves its errors and failing SQL.
+            assert_eq!(r.errors.len(), 2 * attempts, "{stage}");
+            assert_eq!(r.sql.is_some(), attempts > 0, "{stage}");
+            assert_eq!(r.final_prompt, Prompt::new(TaskKind::SqlGeneration, ""));
+            assert_eq!(
+                r.trace.spans[0].attr("cancelled"),
+                Some(&genedit_telemetry::AttrValue::Bool(true))
+            );
+        }
+
+        // The two retrieval-only steps make no model call, so no stub can
+        // fire a token inside them: walk the chain by hand and cancel at
+        // their boundaries.
+        for (steps, expect) in [
+            (3, [true, true, false, false, false]),
+            (4, [true, true, true, false, false]),
+        ] {
+            let (model, tracer, cfg) = (stub(0), Tracer::new("t"), PipelineConfig::default());
+            let opts = GenerateOptions {
+                cancel: Some(&model.token),
+                ..Default::default()
+            };
+            let run = run_over(&model, &tracer, &cfg, &opts, &bundle, &index);
+            let mut draft = Draft::new(Prompt::new(TaskKind::SqlGeneration, "question"));
+            for (step, stage) in &Run::STEPS[..steps] {
+                assert!(!run.cancelled(stage));
+                step(&run, &mut draft);
+            }
+            model.token.cancel();
+            let stage = Run::STEPS[steps - 1].1;
+            assert!(run.cancelled(stage));
+            assert_eq!(carried(&draft.into_result(true)), expect, "{stage}");
+            assert_eq!(
+                tracer.finish().warnings,
+                [format!("generation cancelled after {stage}")]
+            );
+        }
     }
 
     #[test]

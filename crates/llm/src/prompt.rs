@@ -7,7 +7,7 @@
 //! (typed sections) and renders them to text on demand; the oracle model
 //! inspects the structure, real deployments would send the rendered text.
 
-use genedit_knowledge::FragmentKind;
+use genedit_knowledge::{FragmentKind, SchemaElement};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -73,6 +73,17 @@ impl PromptSchemaElement {
         match &self.column {
             Some(c) => format!("{}.{}", self.table.to_uppercase(), c.to_uppercase()),
             None => self.table.to_uppercase(),
+        }
+    }
+}
+
+impl From<&SchemaElement> for PromptSchemaElement {
+    fn from(element: &SchemaElement) -> PromptSchemaElement {
+        PromptSchemaElement {
+            table: element.table.clone(),
+            column: element.column.clone(),
+            description: element.description.clone(),
+            top_values: element.top_values.clone(),
         }
     }
 }

@@ -68,6 +68,15 @@ impl VectorIndex {
         });
     }
 
+    /// The embedding stored by the `pos`-th [`VectorIndex::insert`], as it
+    /// was inserted (searches normalise on the fly, not in place).
+    ///
+    /// # Panics
+    /// If `pos >= self.len()`.
+    pub fn embedding(&self, pos: usize) -> &Embedding {
+        &self.items[pos].embedding
+    }
+
     /// Remove every item with the given id. Returns how many were removed.
     pub fn remove(&mut self, id: usize) -> usize {
         let before = self.items.len();

@@ -555,7 +555,7 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
                         &shed.request_id,
                         RequestVerdict::Cancelled,
                         shed.enqueued_at.elapsed().as_secs_f64() * 1e3,
-                        Trace::empty(names::SERVE_REQUEST),
+                        &Trace::empty(names::SERVE_REQUEST),
                         None,
                     );
                     shed.cell.complete(QueryOutcome::Shed);
@@ -674,7 +674,7 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
                 &admitted.request_id,
                 RequestVerdict::Cancelled,
                 admitted.enqueued_at.elapsed().as_secs_f64() * 1e3,
-                Trace::empty(names::SERVE_REQUEST),
+                &Trace::empty(names::SERVE_REQUEST),
                 None,
             );
             admitted.cancel.cancel();
@@ -741,7 +741,7 @@ fn resolve_leftovers<M>(shared: &Shared<M>) {
             &admitted.request_id,
             RequestVerdict::Cancelled,
             admitted.enqueued_at.elapsed().as_secs_f64() * 1e3,
-            Trace::empty(names::SERVE_REQUEST),
+            &Trace::empty(names::SERVE_REQUEST),
             None,
         );
         admitted.cell.complete(QueryOutcome::Cancelled);
@@ -855,7 +855,7 @@ fn serve_one_contained<M: LanguageModel + 'static, L: LanguageModel>(
                 &request_id,
                 RequestVerdict::Panicked,
                 enqueued_at.elapsed().as_secs_f64() * 1e3,
-                Trace::empty(names::SERVE_REQUEST),
+                &Trace::empty(names::SERVE_REQUEST),
                 Some(true),
             );
             cell.complete(QueryOutcome::Failed { reason });
@@ -932,7 +932,7 @@ fn serve_one<M: LanguageModel + 'static, L: LanguageModel>(
             &request_id,
             RequestVerdict::Cancelled,
             queue_wait.as_secs_f64() * 1e3,
-            Trace::empty(names::SERVE_REQUEST),
+            &Trace::empty(names::SERVE_REQUEST),
             expired.then_some(true),
         );
         cell.complete(outcome);
@@ -1004,7 +1004,7 @@ fn serve_one<M: LanguageModel + 'static, L: LanguageModel>(
             &request_id,
             RequestVerdict::Cancelled,
             (queue_wait + started.elapsed()).as_secs_f64() * 1e3,
-            result.trace.clone(),
+            &result.trace,
             expired.then_some(true),
         );
         cell.complete(outcome);
@@ -1059,9 +1059,6 @@ fn finish<M>(
     shared
         .metrics
         .observe_with_exemplar(names::SERVE_REQUEST, latency_ms, request_id);
-    shared
-        .metrics
-        .observe(&format!("serve.latency_ms.{tenant}"), latency_ms);
     if result.validated {
         shared.quarantine.on_success(tenant, probe);
     } else {
@@ -1079,7 +1076,7 @@ fn finish<M>(
         request_id,
         verdict,
         latency_ms,
-        result.trace.clone(),
+        &result.trace,
         Some(verdict == RequestVerdict::Error),
     );
     cell.complete(QueryOutcome::Completed {
@@ -1102,7 +1099,7 @@ fn record_outcome<M>(
     request_id: &str,
     verdict: RequestVerdict,
     latency_ms: f64,
-    trace: Trace,
+    trace: &Trace,
     slo_error: Option<bool>,
 ) {
     if let Some(recorder) = &shared.recorder {
@@ -1110,7 +1107,7 @@ fn record_outcome<M>(
             request_id: request_id.to_string(),
             verdict,
             latency_ms,
-            trace,
+            trace: trace.clone(),
         });
     }
     let (Some(slo), Some(error)) = (&shared.slo, slo_error) else {

@@ -178,6 +178,36 @@ fn repeat_question_hits_the_result_cache() {
     runtime.shutdown();
 }
 
+/// Tenant names are caller-supplied, so no metric may be keyed by one: a
+/// histogram per tenant would grow the registry by ~100 KiB for every
+/// tenant ever seen.
+#[test]
+fn metric_cardinality_does_not_grow_with_tenants() {
+    let (bundle, ks, oracle) = setup();
+    let runtime = ServeRuntime::start(
+        oracle,
+        Arc::new(KnowledgeIndex::build(ks)),
+        0,
+        Arc::new(bundle.db.clone()),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let q = &bundle.tasks[1].question;
+    let serve = |tenant: &str| {
+        let outcome = runtime.submit(QueryRequest::new(tenant, q)).unwrap().wait();
+        assert!(!completed(&outcome).1, "{tenant} must miss the cache");
+        let snapshot = runtime.metrics().snapshot();
+        snapshot.histograms.keys().cloned().collect::<BTreeSet<_>>()
+    };
+    let after_one = serve("tenant-0");
+    for tenant in ["tenant-1", "tenant-2", "tenant-3"] {
+        assert_eq!(serve(tenant), after_one);
+    }
+    runtime.shutdown();
+}
+
 /// Satellite requirement: a staged-edit commit through the durable store
 /// bumps the knowledge epoch; after the runtime publishes the new
 /// snapshot, a previously cached question is regenerated (cache miss +
