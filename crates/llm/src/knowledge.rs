@@ -12,7 +12,7 @@ use crate::mutate;
 use genedit_sql::ast::{Query, Statement};
 use genedit_sql::parser::parse_statement;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// BIRD difficulty strata (§3.3, Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -170,6 +170,11 @@ impl TaskKnowledge {
 pub struct TaskRegistry {
     tasks: Vec<TaskKnowledge>,
     by_norm: HashMap<String, usize>,
+    /// Each task's content-token set, computed once at registration: the
+    /// pipeline asks every operator after the first about the
+    /// *reformulated* question, which the exact map never holds, so the
+    /// overlap scan below is the common path, not the fallback.
+    content: Vec<BTreeSet<String>>,
 }
 
 impl TaskRegistry {
@@ -182,6 +187,7 @@ impl TaskRegistry {
     pub fn register(&mut self, task: TaskKnowledge) {
         let key = normalize(&task.question);
         self.by_norm.insert(key, self.tasks.len());
+        self.content.push(content_tokens(&task.question));
         self.tasks.push(task);
     }
 
@@ -214,18 +220,15 @@ impl TaskRegistry {
         if let Some(&i) = self.by_norm.get(&key) {
             return Some(&self.tasks[i]);
         }
-        let q_tokens: std::collections::BTreeSet<String> =
-            content_tokens(question).into_iter().collect();
+        let q_tokens = content_tokens(question);
         let mut best: Option<(f64, usize)> = None;
-        for (i, t) in self.tasks.iter().enumerate() {
-            let t_tokens: std::collections::BTreeSet<String> =
-                content_tokens(&t.question).into_iter().collect();
-            let inter = q_tokens.intersection(&t_tokens).count() as f64;
-            let union = q_tokens.union(&t_tokens).count() as f64;
-            if union == 0.0 {
+        for (i, t_tokens) in self.content.iter().enumerate() {
+            let inter = q_tokens.intersection(t_tokens).count();
+            let union = q_tokens.len() + t_tokens.len() - inter;
+            if union == 0 {
                 continue;
             }
-            let j = inter / union;
+            let j = inter as f64 / union as f64;
             if best.map(|(b, _)| j > b).unwrap_or(true) {
                 best = Some((j, i));
             }
@@ -254,7 +257,7 @@ const STOPWORDS: &[&str] = &[
     "for", "at", "on", "by", "per", "to", "and", "or", "with", "from",
 ];
 
-fn content_tokens(text: &str) -> Vec<String> {
+fn content_tokens(text: &str) -> BTreeSet<String> {
     tokens(text)
         .into_iter()
         .filter(|t| !STOPWORDS.contains(&t.as_str()))
@@ -319,6 +322,36 @@ mod tests {
             .lookup("Show me our 5 sports organisations with the best QoQFP in Canada for Q2 2023")
             .unwrap();
         assert_eq!(hit.task_id, "t1");
+    }
+
+    /// The pipeline asks every operator after the first about the
+    /// *reformulated* question; each must still find its own task.
+    #[test]
+    fn reformulated_questions_resolve_to_their_own_task() {
+        use crate::{
+            CompletionRequest, CompletionResponse, LanguageModel, OracleModel, Prompt, TaskKind,
+        };
+        let mut r = TaskRegistry::new();
+        // Only ids and questions cross over: the workload's tasks are
+        // typed by the non-test build of this crate.
+        for t in genedit_bird::Workload::small(42).all_tasks() {
+            r.register(task(&t.task_id, &t.question));
+        }
+        assert!(!r.is_empty());
+        let oracle = OracleModel::new(r.clone());
+        for t in r.tasks() {
+            let request = CompletionRequest::new(Prompt::new(TaskKind::Reformulate, &t.question));
+            let Ok(CompletionResponse::Text(reformulated)) = oracle.complete(&request) else {
+                panic!("oracle did not reformulate {:?}", t.question);
+            };
+            assert_ne!(normalize(&reformulated), normalize(&t.question));
+            assert_eq!(r.lookup(&t.question).unwrap().task_id, t.task_id);
+            assert_eq!(
+                r.lookup(&reformulated).map(|hit| hit.task_id.as_str()),
+                Some(t.task_id.as_str()),
+                "{reformulated:?}"
+            );
+        }
     }
 
     #[test]

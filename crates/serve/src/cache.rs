@@ -7,9 +7,12 @@
 //! answers after a knowledge deploy. Stale entries age out of the LRU
 //! bound like any other cold entry.
 
+use crate::lock;
 use genedit_telemetry::hash::fnv1a64;
+use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard};
+use std::hash::Hash;
+use std::sync::Mutex;
 
 /// Cache key: `(tenant, question-hash, knowledge epoch)`. Tenant scoping
 /// keeps one tenant's results invisible to another even for identical
@@ -36,20 +39,76 @@ impl CacheKey {
     }
 }
 
-struct Entry<V> {
-    value: V,
-    last_used: u64,
+/// A least-recently-used map: the one recency bookkeeping behind both
+/// [`EpochCache`] and the tenant directory. Not thread-safe and not
+/// self-bounding — the owner wraps it in its mutex and names the bound
+/// on every insert.
+pub(crate) struct Lru<K, V> {
+    map: HashMap<K, (V, u64)>,
+    tick: u64,
 }
 
-struct Inner<V> {
-    map: HashMap<CacheKey, Entry<V>>,
-    tick: u64,
+impl<K: Hash + Eq + Clone, V> Lru<K, V> {
+    pub fn new() -> Lru<K, V> {
+        Lru {
+            map: HashMap::new(),
+            tick: 0,
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Look up a key, refreshing its recency on hit.
+    pub fn get<Q: Hash + Eq + ?Sized>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
+        self.tick += 1;
+        let tick = self.tick;
+        self.map.get_mut(key).map(|(value, last_used)| {
+            *last_used = tick;
+            &*value
+        })
+    }
+
+    /// Insert (or replace) an entry as the most recent, then evict the
+    /// least-recently-used ones down to `capacity`. Returns how many
+    /// were evicted.
+    pub fn insert(&mut self, key: K, value: V, capacity: usize) -> usize {
+        self.tick += 1;
+        self.map.insert(key, (value, self.tick));
+        let mut evicted = 0;
+        while self.map.len() > capacity {
+            // O(n) scan is fine: capacity is a small config bound, not
+            // data-sized.
+            let Some(coldest) = self
+                .map
+                .iter()
+                .min_by_key(|(_, (_, last_used))| *last_used)
+                .map(|(key, _)| key.clone())
+            else {
+                break;
+            };
+            self.map.remove(&coldest);
+            evicted += 1;
+        }
+        evicted
+    }
+
+    pub fn remove<Q: Hash + Eq + ?Sized>(&mut self, key: &Q)
+    where
+        K: Borrow<Q>,
+    {
+        self.map.remove(key);
+    }
 }
 
 /// A thread-safe bounded LRU map keyed by [`CacheKey`]. Capacity 0
 /// disables the cache entirely (every `get` misses, `insert` is a no-op).
 pub struct EpochCache<V> {
-    inner: Mutex<Inner<V>>,
+    inner: Mutex<Lru<CacheKey, V>>,
     capacity: usize,
 }
 
@@ -57,18 +116,9 @@ impl<V: Clone> EpochCache<V> {
     /// Cache holding at most `capacity` entries (0 disables caching).
     pub fn new(capacity: usize) -> EpochCache<V> {
         EpochCache {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                tick: 0,
-            }),
+            inner: Mutex::new(Lru::new()),
             capacity,
         }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Inner<V>> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// The configured entry bound.
@@ -78,7 +128,7 @@ impl<V: Clone> EpochCache<V> {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        lock(&self.inner).len()
     }
 
     /// Whether the cache holds no entries.
@@ -91,13 +141,7 @@ impl<V: Clone> EpochCache<V> {
         if self.capacity == 0 {
             return None;
         }
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.get_mut(key).map(|e| {
-            e.last_used = tick;
-            e.value.clone()
-        })
+        lock(&self.inner).get(key).cloned()
     }
 
     /// Insert (or refresh) an entry. Returns the number of entries
@@ -106,31 +150,7 @@ impl<V: Clone> EpochCache<V> {
         if self.capacity == 0 {
             return 0;
         }
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let mut evicted = 0;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            // Evict the least-recently-used entry. O(n) scan is fine:
-            // capacity is a small config bound, not data-sized.
-            if let Some(lru) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&lru);
-                evicted = 1;
-            }
-        }
-        inner.map.insert(
-            key,
-            Entry {
-                value,
-                last_used: tick,
-            },
-        );
-        evicted
+        lock(&self.inner).insert(key, value, self.capacity)
     }
 }
 

@@ -75,3 +75,13 @@ pub use request::{Priority, QueryOutcome, QueryRequest, Rejected, Ticket};
 pub use runtime::{DrainReport, ObsConfig, ServeConfig, ServeRuntime, DRAIN_GRACE};
 pub use supervisor::SupervisorConfig;
 pub use tenants::TenantDirectory;
+
+/// Lock a mutex whether or not a panicking thread poisoned it. Panics are
+/// contained per request (see [`runtime`]) and every structure these
+/// mutexes guard is consistent between statements, so one poisoned lock
+/// must not wedge the runtime for every request after it.
+pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}

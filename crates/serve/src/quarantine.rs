@@ -25,9 +25,10 @@
 //! with zero wall-clock sleeps; the serving runtime wires a
 //! [`SystemClock`](genedit_telemetry::SystemClock).
 
+use crate::lock;
 use genedit_telemetry::{Clock, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Quarantine policy knobs.
@@ -155,12 +156,6 @@ impl TenantQuarantine {
         self.config.enabled
     }
 
-    fn lock(&self) -> MutexGuard<'_, HashMap<String, TenantState>> {
-        self.tenants
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Admission check for `tenant`, advancing Open → HalfOpen when the
     /// cooldown has elapsed.
     pub fn check(&self, tenant: &str) -> Gate {
@@ -168,7 +163,7 @@ impl TenantQuarantine {
             return Gate::Admit;
         }
         let now = self.clock.now();
-        let mut tenants = self.lock();
+        let mut tenants = lock(&self.tenants);
         let Some(state) = tenants.get_mut(tenant) else {
             return Gate::Admit;
         };
@@ -218,7 +213,7 @@ impl TenantQuarantine {
         if !self.config.enabled || !probe {
             return;
         }
-        let mut tenants = self.lock();
+        let mut tenants = lock(&self.tenants);
         if let Some(TenantState::HalfOpen { inflight, .. }) = tenants.get_mut(tenant) {
             *inflight = inflight.saturating_sub(1);
         }
@@ -229,7 +224,7 @@ impl TenantQuarantine {
             return;
         }
         let now = self.clock.now();
-        let mut tenants = self.lock();
+        let mut tenants = lock(&self.tenants);
         let state = tenants
             .entry(tenant.to_string())
             .or_insert_with(|| TenantState::Closed {
@@ -286,7 +281,7 @@ impl TenantQuarantine {
     /// The tenant's current breaker state (Closed for unknown tenants).
     /// Pure read: does **not** advance Open → HalfOpen.
     pub fn state(&self, tenant: &str) -> QuarantineState {
-        match self.lock().get(tenant) {
+        match lock(&self.tenants).get(tenant) {
             None | Some(TenantState::Closed { .. }) => QuarantineState::Closed,
             Some(TenantState::Open { .. }) => QuarantineState::Open,
             Some(TenantState::HalfOpen { .. }) => QuarantineState::HalfOpen,

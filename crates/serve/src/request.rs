@@ -1,7 +1,8 @@
 //! Request, outcome, and completion-handle types for the serving runtime.
 
+use crate::lock;
 use genedit_core::{CancelToken, GenerationResult};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Scheduling priority. Deficit round-robin serves requests by *cost*:
@@ -170,14 +171,8 @@ pub(crate) struct TicketCell {
 }
 
 impl TicketCell {
-    fn lock(&self) -> MutexGuard<'_, TicketState> {
-        self.state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     pub(crate) fn complete(&self, outcome: QueryOutcome) {
-        let mut state = self.lock();
+        let mut state = lock(&self.state);
         if state.outcome.is_none() {
             state.outcome = Some(outcome);
         }
@@ -189,7 +184,7 @@ impl TicketCell {
     /// guard consults this to catch request paths that would otherwise
     /// return without ever resolving the ticket.
     pub(crate) fn is_complete(&self) -> bool {
-        self.lock().outcome.is_some()
+        lock(&self.state).outcome.is_some()
     }
 }
 
@@ -233,7 +228,7 @@ impl Ticket {
 
     /// Block until the request reaches a terminal state.
     pub fn wait(&self) -> QueryOutcome {
-        let mut state = self.cell.lock();
+        let mut state = lock(&self.cell.state);
         loop {
             if let Some(outcome) = state.outcome.clone() {
                 return outcome;
@@ -248,7 +243,7 @@ impl Ticket {
 
     /// The outcome, if the request already finished.
     pub fn try_wait(&self) -> Option<QueryOutcome> {
-        self.cell.lock().outcome.clone()
+        lock(&self.cell.state).outcome.clone()
     }
 }
 

@@ -13,8 +13,13 @@
 //!   admission (see [`crate::quarantine`]);
 //! - [`ServeRuntime::shutdown_with_deadline`] drains with a bound,
 //!   force-resolving stragglers instead of joining forever.
+//!
+//! However an admitted request ends — served, shed, expired, cancelled,
+//! drained or panicked — it ends in `resolve`, which holds the one table
+//! of what each ending means.
 
 use crate::cache::{CacheKey, EpochCache};
+use crate::lock;
 use crate::quarantine::{Gate, QuarantineConfig, QuarantineState, TenantQuarantine};
 use crate::request::{QueryOutcome, QueryRequest, Rejected, Ticket, TicketCell};
 use crate::sched::{Admitted, DrrScheduler};
@@ -26,6 +31,7 @@ use crate::supervisor::{
 use genedit_core::{
     CancelToken, GenEditPipeline, GenerateOptions, GenerationResult, KnowledgeIndex, PipelineConfig,
 };
+use genedit_knowledge::tenants::TenantStoreError;
 use genedit_llm::{
     BatchConfig, BatchScheduler, HedgePolicy, HedgeStats, HedgedModel, LanguageModel,
 };
@@ -41,7 +47,7 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -94,10 +100,6 @@ pub struct ServeConfig {
     /// (oldest-deadline-first) or rejected with
     /// [`Rejected::QueueFull`].
     pub queue_capacity: usize,
-    /// DRR quantum: deficit credited per ring visit. With the default
-    /// priority costs (1/2/4), quantum 2 serves one Normal request per
-    /// tenant per round.
-    pub quantum: u32,
     /// Capacity of the full-result cache (0 disables).
     pub result_cache_capacity: usize,
     /// Capacity of the reformulation/embedding cache (0 disables).
@@ -144,7 +146,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 2,
             queue_capacity: 64,
-            quantum: 2,
             result_cache_capacity: 256,
             reform_cache_capacity: 256,
             pipeline: PipelineConfig::default(),
@@ -180,13 +181,6 @@ pub struct DrainReport {
     pub elapsed: Duration,
 }
 
-/// The published view of deployed knowledge: an immutable index plus the
-/// epoch it was built at. Swapped atomically by [`ServeRuntime::publish`].
-struct Snapshot {
-    epoch: u64,
-    index: Arc<KnowledgeIndex>,
-}
-
 /// An admitted request currently executing on a worker: enough state for
 /// the drain path to cancel it cooperatively and, failing that, resolve
 /// its ticket directly (completion is first-wins, so racing the worker
@@ -199,7 +193,10 @@ struct InFlight {
 struct Shared<M> {
     sched: Mutex<DrrScheduler>,
     available: Condvar,
-    snapshot: RwLock<Snapshot>,
+    /// The published view of deployed knowledge: an immutable index plus
+    /// the epoch it was built at, swapped together by
+    /// [`ServeRuntime::publish`].
+    published: Mutex<(u64, Arc<KnowledgeIndex>)>,
     db: Arc<Database>,
     /// The shared model every worker pipeline runs over: a process-wide
     /// [`BatchScheduler`] (so concurrent same-kind calls across workers
@@ -228,15 +225,11 @@ struct Shared<M> {
 
 impl<M> Shared<M> {
     fn lock_sched(&self) -> MutexGuard<'_, DrrScheduler> {
-        self.sched
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        lock(&self.sched)
     }
 
     fn lock_inflight(&self) -> MutexGuard<'_, HashMap<u64, InFlight>> {
-        self.inflight
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        lock(&self.inflight)
     }
 
     /// Flip the shutdown flag **under the scheduler lock**. `submit`
@@ -277,20 +270,6 @@ fn spawn_worker<M: LanguageModel + 'static>(
     thread::Builder::new()
         .name(format!("serve-worker-{slot}"))
         .spawn(move || worker_loop(&shared))
-}
-
-/// Stop and join whatever workers exist (used when `try_start` fails
-/// partway through spawning the pool).
-fn abort_pool<M>(shared: &Shared<M>, table: &WorkerTable) {
-    shared.begin_shutdown();
-    shared.available.notify_all();
-    let handles: Vec<JoinHandle<()>> = lock_table(table)
-        .iter_mut()
-        .filter_map(|slot| slot.handle.take())
-        .collect();
-    for handle in handles {
-        handle.join().ok();
-    }
 }
 
 impl<M: LanguageModel + 'static> ServeRuntime<M> {
@@ -347,9 +326,9 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             HedgedModel::new(batch, config.hedge.clone()).with_metrics(Arc::clone(&metrics)),
         );
         let shared = Arc::new(Shared {
-            sched: Mutex::new(DrrScheduler::new(config.quantum)),
+            sched: Mutex::new(DrrScheduler::new()),
             available: Condvar::new(),
-            snapshot: RwLock::new(Snapshot { epoch, index }),
+            published: Mutex::new((epoch, index)),
             db,
             model,
             metrics,
@@ -364,52 +343,46 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             service_seq: AtomicU64::new(0),
             config,
         });
-        let table: WorkerTable = Arc::new(Mutex::new(Vec::with_capacity(workers)));
-        for i in 0..workers {
-            // A failed spawn is surfaced, not silently swallowed: a pool
-            // that quietly started with fewer workers than configured
-            // would serve at reduced capacity with no signal anywhere.
-            match spawn_worker(&shared, i) {
-                Ok(handle) => lock_table(&table).push(WorkerSlot::new(handle)),
-                Err(err) => {
-                    abort_pool(&shared, &table);
-                    return Err(err);
-                }
+        let runtime = ServeRuntime {
+            shared,
+            table: Arc::new(Mutex::new(Vec::with_capacity(workers))),
+            supervisor: Mutex::new(None),
+        };
+        // A failed spawn is surfaced, not silently swallowed: a pool that
+        // quietly started with fewer workers than configured would serve
+        // at reduced capacity with no signal anywhere. The workers that
+        // did start are stopped and joined by the ordinary drain.
+        match runtime.spawn_pool(workers) {
+            Ok(()) => Ok(runtime),
+            Err(err) => {
+                runtime.shutdown();
+                Err(err)
             }
         }
-        shared
+    }
+
+    fn spawn_pool(&self, workers: usize) -> io::Result<()> {
+        for slot in 0..workers {
+            let handle = spawn_worker(&self.shared, slot)?;
+            lock_table(&self.table).push(WorkerSlot::new(handle));
+        }
+        self.shared
             .metrics
             .set_gauge("serve.workers.alive", workers as f64);
-        let supervisor = {
-            let sup_table = Arc::clone(&table);
-            let sup_config = shared.config.supervisor.clone();
-            let sup_metrics = Arc::clone(&shared.metrics);
-            let flag_shared = Arc::clone(&shared);
-            let spawn_shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("serve-supervisor".to_string())
-                .spawn(move || {
-                    supervisor_loop(
-                        sup_table,
-                        sup_config,
-                        sup_metrics,
-                        move || flag_shared.shutdown.load(Ordering::SeqCst),
-                        move |slot| spawn_worker(&spawn_shared, slot),
-                    )
-                })
-        };
-        let supervisor = match supervisor {
-            Ok(handle) => Some(handle),
-            Err(err) => {
-                abort_pool(&shared, &table);
-                return Err(err);
-            }
-        };
-        Ok(ServeRuntime {
-            shared,
-            table,
-            supervisor: Mutex::new(supervisor),
-        })
+        let (table, shared) = (Arc::clone(&self.table), Arc::clone(&self.shared));
+        let supervisor = thread::Builder::new()
+            .name("serve-supervisor".to_string())
+            .spawn(move || {
+                supervisor_loop(
+                    table,
+                    shared.config.supervisor.clone(),
+                    Arc::clone(&shared.metrics),
+                    || shared.shutdown.load(Ordering::SeqCst),
+                    |slot| spawn_worker(&shared, slot),
+                )
+            })?;
+        *lock(&self.supervisor) = Some(supervisor);
+        Ok(())
     }
 
     /// The runtime's metrics registry (`serve.*` counters and latency
@@ -459,11 +432,7 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
 
     /// The epoch of the currently published knowledge snapshot.
     pub fn epoch(&self) -> u64 {
-        self.shared
-            .snapshot
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .epoch
+        lock(&self.shared.published).0
     }
 
     /// Publish a new knowledge snapshot. In-flight generations keep the
@@ -471,13 +440,7 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
     /// requests see the new epoch, so every cache entry written under
     /// the old epoch silently stops matching.
     pub fn publish(&self, index: Arc<KnowledgeIndex>, epoch: u64) {
-        let mut snap = self
-            .shared
-            .snapshot
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        snap.index = index;
-        snap.epoch = epoch;
+        *lock(&self.shared.published) = (epoch, index);
     }
 
     /// Admit a request, returning a [`Ticket`] to wait on — or apply
@@ -495,26 +458,19 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
         // under the scheduler lock below, where it cannot race
         // `begin_shutdown`.
         if self.shared.shutdown.load(Ordering::SeqCst) {
-            self.shared.metrics.incr("serve.rejected", 1);
-            return Err(Rejected::ShuttingDown);
+            return self.reject(Rejected::ShuttingDown, &request, false);
         }
         // A deadline already in the past can only ever expire unexecuted;
         // reject it up front instead of letting it occupy a queue slot
         // (and possibly shed a still-viable request) on the way to the
         // same outcome.
-        if let Some(deadline) = request.deadline {
-            if Instant::now() >= deadline {
-                self.shared.metrics.incr("serve.rejected", 1);
-                return Err(Rejected::DeadlineExpired);
-            }
+        if request.deadline.is_some_and(|d| Instant::now() >= d) {
+            return self.reject(Rejected::DeadlineExpired, &request, false);
         }
         let probe = match self.shared.quarantine.check(&request.tenant) {
             Gate::Admit => false,
             Gate::AdmitProbe => true,
-            Gate::Reject => {
-                self.shared.metrics.incr("serve.rejected", 1);
-                return Err(Rejected::Quarantined);
-            }
+            Gate::Reject => return self.reject(Rejected::Quarantined, &request, false),
         };
         let cancel = match request.deadline {
             Some(deadline) => CancelToken::with_deadline(deadline),
@@ -532,40 +488,17 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             // enqueueing now would strand the ticket behind a pool that
             // is already exiting.
             drop(sched);
-            self.shared.quarantine.on_abandoned(&request.tenant, probe);
-            self.shared.metrics.incr("serve.rejected", 1);
-            return Err(Rejected::ShuttingDown);
+            return self.reject(Rejected::ShuttingDown, &request, probe);
         }
+        let mut shed = None;
         if sched.len() >= self.shared.config.queue_capacity.max(1) {
-            let victim = sched.earliest_deadline().and_then(|(deadline, seq)| {
-                let incoming_later = match request.deadline {
-                    Some(d) => d > deadline,
-                    None => true,
-                };
-                incoming_later.then(|| sched.remove(seq)).flatten()
-            });
-            match victim {
-                Some(shed) => {
-                    self.shared.metrics.incr("serve.shed", 1);
-                    self.shared
-                        .quarantine
-                        .on_abandoned(&shed.request.tenant, shed.probe);
-                    record_outcome(
-                        &self.shared,
-                        &shed.request_id,
-                        RequestVerdict::Cancelled,
-                        shed.enqueued_at.elapsed().as_secs_f64() * 1e3,
-                        &Trace::empty(names::SERVE_REQUEST),
-                        None,
-                    );
-                    shed.cell.complete(QueryOutcome::Shed);
-                }
-                None => {
-                    drop(sched);
-                    self.shared.quarantine.on_abandoned(&request.tenant, probe);
-                    self.shared.metrics.incr("serve.rejected", 1);
-                    return Err(Rejected::QueueFull);
-                }
+            shed = sched
+                .earliest_deadline()
+                .filter(|(earliest, _)| request.deadline.is_none_or(|d| d > *earliest))
+                .and_then(|(_, victim)| sched.remove(victim));
+            if shed.is_none() {
+                drop(sched);
+                return self.reject(Rejected::QueueFull, &request, probe);
             }
         }
         let cost = request.priority.cost();
@@ -581,6 +514,9 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
         });
         let depth = sched.len();
         drop(sched);
+        if let Some(victim) = shed {
+            resolve(&self.shared, &victim, Ending::Shed);
+        }
         self.shared.metrics.incr("serve.admitted", 1);
         self.shared
             .metrics
@@ -589,22 +525,26 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
         Ok(ticket)
     }
 
-    fn join_supervisor(&self) {
-        let handle = self
-            .supervisor
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .take();
-        if let Some(handle) = handle {
-            handle.join().ok();
-        }
+    /// Refuse a submission. A probe refused after the quarantine gate
+    /// let it through hands its half-open slot back.
+    fn reject(
+        &self,
+        reason: Rejected,
+        request: &QueryRequest,
+        probe: bool,
+    ) -> Result<Ticket, Rejected> {
+        self.shared.quarantine.on_abandoned(&request.tenant, probe);
+        self.shared.metrics.incr("serve.rejected", 1);
+        Err(reason)
     }
 
     /// Stop accepting work, drain the queue, and join the workers.
     /// Already-queued requests still execute (or expire on their own
-    /// deadlines). Anything left unexecutable — e.g. queued work behind
-    /// a pool whose every worker retired — is resolved as
-    /// [`QueryOutcome::Cancelled`] rather than left hanging.
+    /// deadlines): this is [`ServeRuntime::shutdown_with_deadline`]
+    /// without the deadline, so nothing running is ever forced. Only
+    /// work left unexecutable — queued behind a pool whose every worker
+    /// retired — is resolved as [`QueryOutcome::Cancelled`] rather than
+    /// left hanging.
     ///
     /// Takes `&self` so shutdown can come from any thread, including one
     /// racing live `submit` calls; those lose deterministically (the
@@ -612,17 +552,7 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
     /// there) and answer [`Rejected::ShuttingDown`]. Calling shutdown
     /// again is a no-op.
     pub fn shutdown(&self) {
-        self.shared.begin_shutdown();
-        self.shared.available.notify_all();
-        self.join_supervisor();
-        let handles: Vec<JoinHandle<()>> = lock_table(&self.table)
-            .iter_mut()
-            .filter_map(|slot| slot.handle.take())
-            .collect();
-        for handle in handles {
-            handle.join().ok();
-        }
-        resolve_leftovers(&self.shared);
+        self.drain(None);
     }
 
     /// Graceful drain with a bound: stop admission immediately, give
@@ -635,11 +565,19 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
     /// still wedged at that point are detached, not joined: the caller
     /// gets its bound, and every admitted ticket has already resolved.
     pub fn shutdown_with_deadline(&self, timeout: Duration) -> DrainReport {
+        self.drain(Some(timeout))
+    }
+
+    /// The one drain. `timeout: None` waits for quiescence however long
+    /// it takes.
+    fn drain(&self, timeout: Option<Duration>) -> DrainReport {
         let started = Instant::now();
-        let deadline = started + timeout;
         self.shared.begin_shutdown();
         self.shared.available.notify_all();
-        self.join_supervisor();
+        let supervisor = lock(&self.supervisor).take();
+        if let Some(handle) = supervisor {
+            handle.join().ok();
+        }
         // Phase 1: cooperative drain. Workers keep executing queued work;
         // we just watch for quiescence. The queue→in-flight handoff
         // happens under the scheduler lock, so sampling the queue first
@@ -655,30 +593,17 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             if inflight == 0 && alive_workers(&self.table) == 0 {
                 break;
             }
-            if Instant::now() >= deadline {
+            if timeout.is_some_and(|t| started.elapsed() >= t) {
                 break;
             }
             thread::sleep(Duration::from_millis(1));
         }
         // Phase 2: force. Evict whatever is still queued and cancel
         // whatever is still running.
-        let mut forced_queued = 0u64;
-        for admitted in self.shared.lock_sched().drain_all() {
-            forced_queued += 1;
-            self.shared.metrics.incr("serve.drain.forced_queued", 1);
-            self.shared
-                .quarantine
-                .on_abandoned(&admitted.request.tenant, admitted.probe);
-            record_outcome(
-                &self.shared,
-                &admitted.request_id,
-                RequestVerdict::Cancelled,
-                admitted.enqueued_at.elapsed().as_secs_f64() * 1e3,
-                &Trace::empty(names::SERVE_REQUEST),
-                None,
-            );
+        let leftovers = self.shared.lock_sched().drain_all();
+        for admitted in &leftovers {
             admitted.cancel.cancel();
-            admitted.cell.complete(QueryOutcome::Cancelled);
+            resolve(&self.shared, admitted, Ending::Drained);
         }
         let mut cancelled_inflight = 0u64;
         for entry in self.shared.lock_inflight().values() {
@@ -690,10 +615,7 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
         // its completion already taken (first-wins) and simply exits.
         if cancelled_inflight > 0 {
             let grace_deadline = Instant::now() + DRAIN_GRACE;
-            while Instant::now() < grace_deadline {
-                if self.shared.lock_inflight().is_empty() {
-                    break;
-                }
+            while Instant::now() < grace_deadline && !self.shared.lock_inflight().is_empty() {
                 thread::sleep(Duration::from_millis(1));
             }
         }
@@ -709,14 +631,15 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             .filter_map(|slot| slot.handle.take())
             .collect();
         for handle in handles {
-            if handle.is_finished() {
+            // Only a worker whose ticket was just resolved over its head
+            // can be wedged; every other one is on its way out.
+            if forced_inflight == 0 || handle.is_finished() {
                 handle.join().ok();
             } else {
                 detached_workers += 1;
-                drop(handle);
             }
         }
-        resolve_leftovers(&self.shared);
+        let forced_queued = leftovers.len() as u64;
         DrainReport {
             clean: forced_queued == 0 && cancelled_inflight == 0 && forced_inflight == 0,
             forced_queued,
@@ -725,26 +648,6 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             detached_workers,
             elapsed: started.elapsed(),
         }
-    }
-}
-
-/// Resolve any request still sitting in the queue after the workers are
-/// gone (e.g. submitted in the instant before shutdown, with the whole
-/// pool already retired). Invariant: every admitted ticket resolves.
-fn resolve_leftovers<M>(shared: &Shared<M>) {
-    for admitted in shared.lock_sched().drain_all() {
-        shared
-            .quarantine
-            .on_abandoned(&admitted.request.tenant, admitted.probe);
-        record_outcome(
-            shared,
-            &admitted.request_id,
-            RequestVerdict::Cancelled,
-            admitted.enqueued_at.elapsed().as_secs_f64() * 1e3,
-            &Trace::empty(names::SERVE_REQUEST),
-            None,
-        );
-        admitted.cell.complete(QueryOutcome::Cancelled);
     }
 }
 
@@ -781,7 +684,7 @@ fn worker_loop<M: LanguageModel + 'static>(shared: &Arc<Shared<M>>) {
         shared
             .metrics
             .set_gauge("serve.queue_depth", shared.lock_sched().len() as f64);
-        if !serve_one_contained(shared, &pipeline, admitted) {
+        if !serve_one_contained(shared, &pipeline, &admitted) {
             // The request panicked. Its ticket is resolved and the panic
             // recorded; this worker retires ("let it crash") and the
             // supervisor respawns the slot on a fresh thread.
@@ -806,19 +709,18 @@ fn panic_summary(payload: &(dyn std::any::Any + Send)) -> String {
 /// the guard drops — resolves the ticket with a generic failure. The
 /// guard lives *outside* the `catch_unwind` boundary, so it fires even
 /// if the panic-handling path itself unwinds; in the normal panic path
-/// the catch arm has already completed the ticket with the real payload
+/// the catch arm has already resolved the request with the real payload
 /// summary (completion is first-wins, the guard is a backstop).
 struct Containment<'a, M> {
     shared: &'a Shared<M>,
-    cell: Arc<TicketCell>,
-    seq: u64,
+    admitted: &'a Admitted,
 }
 
 impl<M> Drop for Containment<'_, M> {
     fn drop(&mut self) {
-        self.shared.lock_inflight().remove(&self.seq);
-        if !self.cell.is_complete() {
-            self.cell.complete(QueryOutcome::Failed {
+        self.shared.lock_inflight().remove(&self.admitted.seq);
+        if !self.admitted.cell.is_complete() {
+            self.admitted.cell.complete(QueryOutcome::Failed {
                 reason: "request abandoned without a recorded outcome".to_string(),
             });
         }
@@ -830,48 +732,19 @@ impl<M> Drop for Containment<'_, M> {
 fn serve_one_contained<M: LanguageModel + 'static, L: LanguageModel>(
     shared: &Arc<Shared<M>>,
     pipeline: &GenEditPipeline<L>,
-    admitted: Admitted,
+    admitted: &Admitted,
 ) -> bool {
-    let seq = admitted.seq;
-    let request_id = admitted.request_id.clone();
-    let tenant = admitted.request.tenant.clone();
-    let probe = admitted.probe;
-    let enqueued_at = admitted.enqueued_at;
-    let cell = Arc::clone(&admitted.cell);
-    let guard = Containment {
+    let _guard = Containment {
         shared: shared.as_ref(),
-        cell: Arc::clone(&cell),
-        seq,
+        admitted,
     };
-    let outcome = catch_unwind(AssertUnwindSafe(|| serve_one(shared, pipeline, admitted)));
-    let survived = match outcome {
+    match catch_unwind(AssertUnwindSafe(|| serve_one(shared, pipeline, admitted))) {
         Ok(()) => true,
         Err(payload) => {
             let reason = panic_summary(payload.as_ref());
-            shared.metrics.incr("serve.panic", 1);
-            shared.quarantine.on_failure(&tenant, probe);
-            record_outcome(
-                shared,
-                &request_id,
-                RequestVerdict::Panicked,
-                enqueued_at.elapsed().as_secs_f64() * 1e3,
-                &Trace::empty(names::SERVE_REQUEST),
-                Some(true),
-            );
-            cell.complete(QueryOutcome::Failed { reason });
+            resolve(shared, admitted, Ending::Panicked { reason });
             false
         }
-    };
-    drop(guard);
-    survived
-}
-
-/// Resolve a fired cancel token into its outcome: deadline expiry wins
-/// over explicit cancellation when both hold.
-fn cancelled_outcome(deadline: Option<Instant>) -> QueryOutcome {
-    match deadline {
-        Some(d) if Instant::now() >= d => QueryOutcome::Expired,
-        _ => QueryOutcome::Cancelled,
     }
 }
 
@@ -886,78 +759,45 @@ fn resolve_index<M: LanguageModel + 'static>(
     tenant: &str,
 ) -> (u64, Arc<KnowledgeIndex>) {
     if let Some(dir) = &shared.config.tenants {
-        if dir.knows(tenant) {
-            match dir.index_for(tenant) {
-                Ok(pair) => return pair,
-                Err(_) => shared.metrics.incr("serve.tenant.error", 1),
-            }
+        match dir.index_for(tenant) {
+            Ok(pair) => return pair,
+            Err(TenantStoreError::UnknownTenant(_)) => {}
+            Err(_) => shared.metrics.incr("serve.tenant.error", 1),
         }
     }
-    let snap = shared
-        .snapshot
-        .read()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    (snap.epoch, Arc::clone(&snap.index))
+    lock(&shared.published).clone()
 }
 
 fn serve_one<M: LanguageModel + 'static, L: LanguageModel>(
     shared: &Shared<M>,
     pipeline: &GenEditPipeline<L>,
-    admitted: Admitted,
+    admitted: &Admitted,
 ) {
     let Admitted {
         request_id,
         request,
-        cell,
         cancel,
-        enqueued_at,
-        probe,
         ..
     } = admitted;
-    let started = Instant::now();
-    let queue_wait = started.duration_since(enqueued_at);
+    let queue_wait = admitted.enqueued_at.elapsed();
     if cancel.is_cancelled() {
         // Expired or cancelled while still queued: never executed.
-        let outcome = cancelled_outcome(request.deadline);
-        let expired = matches!(outcome, QueryOutcome::Expired);
-        match outcome {
-            QueryOutcome::Expired => shared.metrics.incr("serve.expired", 1),
-            _ => shared.metrics.incr("serve.cancelled", 1),
-        }
-        shared.quarantine.on_abandoned(&request.tenant, probe);
-        // A missed deadline burns error budget; an explicit client
-        // cancel does not.
-        record_outcome(
-            shared,
-            &request_id,
-            RequestVerdict::Cancelled,
-            queue_wait.as_secs_f64() * 1e3,
-            &Trace::empty(names::SERVE_REQUEST),
-            expired.then_some(true),
-        );
-        cell.complete(outcome);
-        return;
+        return resolve(shared, admitted, Ending::gave_up(request.deadline, None));
     }
     let service_seq = shared.service_seq.fetch_add(1, Ordering::SeqCst);
+    let completed = |result, cached| Ending::Completed {
+        result: Box::new(result),
+        cached,
+        queue_wait,
+        service_seq,
+    };
     let (epoch, index) = resolve_index(shared, &request.tenant);
     let key = CacheKey::new(&request.tenant, &request.question, epoch);
 
     if shared.results.capacity() > 0 {
         if let Some(result) = shared.results.get(&key) {
             shared.metrics.incr("serve.cache.hit", 1);
-            finish(
-                shared,
-                &request.tenant,
-                &request_id,
-                cell,
-                result,
-                true,
-                queue_wait,
-                started,
-                service_seq,
-                probe,
-            );
-            return;
+            return resolve(shared, admitted, completed(result, true));
         }
         shared.metrics.incr("serve.cache.miss", 1);
     }
@@ -977,11 +817,11 @@ fn serve_one<M: LanguageModel + 'static, L: LanguageModel>(
         }
     };
     let opts = GenerateOptions {
-        cancel: Some(&cancel),
+        cancel: Some(cancel),
         reformulation,
         query_embedding,
         ensemble_width: shared.config.ensemble_width,
-        request_id: Some(&request_id),
+        request_id: Some(request_id),
     };
     let result = pipeline.generate_with(
         &request.question,
@@ -992,23 +832,8 @@ fn serve_one<M: LanguageModel + 'static, L: LanguageModel>(
     );
 
     if result.cancelled {
-        let outcome = cancelled_outcome(request.deadline);
-        let expired = matches!(outcome, QueryOutcome::Expired);
-        match outcome {
-            QueryOutcome::Expired => shared.metrics.incr("serve.expired", 1),
-            _ => shared.metrics.incr("serve.cancelled", 1),
-        }
-        shared.quarantine.on_abandoned(&request.tenant, probe);
-        record_outcome(
-            shared,
-            &request_id,
-            RequestVerdict::Cancelled,
-            (queue_wait + started.elapsed()).as_secs_f64() * 1e3,
-            &result.trace,
-            expired.then_some(true),
-        );
-        cell.complete(outcome);
-        return;
+        let partial = Some(result.trace);
+        return resolve(shared, admitted, Ending::gave_up(request.deadline, partial));
     }
 
     if shared.reforms.capacity() > 0 && !result.reformulated.is_empty() {
@@ -1026,80 +851,140 @@ fn serve_one<M: LanguageModel + 'static, L: LanguageModel>(
             shared.metrics.incr("serve.cache.evicted", evicted as u64);
         }
     }
-    finish(
-        shared,
-        &request.tenant,
-        &request_id,
-        cell,
-        result,
-        false,
-        queue_wait,
-        started,
-        service_seq,
-        probe,
-    );
+    resolve(shared, admitted, completed(result, false));
 }
 
-#[allow(clippy::too_many_arguments)]
-fn finish<M>(
-    shared: &Shared<M>,
-    tenant: &str,
-    request_id: &str,
-    cell: Arc<TicketCell>,
-    result: GenerationResult,
-    cached: bool,
-    queue_wait: Duration,
-    started: Instant,
-    service_seq: u64,
-    probe: bool,
-) {
-    let service = started.elapsed();
-    let latency_ms = (queue_wait + service).as_secs_f64() * 1e3;
-    shared.metrics.incr("serve.completed", 1);
-    shared
-        .metrics
-        .observe_with_exemplar(names::SERVE_REQUEST, latency_ms, request_id);
-    if result.validated {
-        shared.quarantine.on_success(tenant, probe);
-    } else {
-        shared.quarantine.on_failure(tenant, probe);
+/// How an admitted request ended: the variants of [`QueryOutcome`], with
+/// a forced drain told apart from a caller's cancel because the two are
+/// counted apart.
+enum Ending {
+    /// The pipeline ran, or a cached result was replayed.
+    Completed {
+        /// Boxed as [`QueryOutcome::Completed`] wants it.
+        result: Box<GenerationResult>,
+        cached: bool,
+        queue_wait: Duration,
+        service_seq: u64,
+    },
+    /// Evicted from a saturated queue for a request with more runway.
+    Shed,
+    /// The deadline passed, while queued (`partial: None`) or
+    /// mid-generation (the trace up to where the pipeline noticed).
+    Expired { partial: Option<Trace> },
+    /// The caller cancelled; `partial` as for `Expired`.
+    Cancelled { partial: Option<Trace> },
+    /// Still queued when a drain ran out of patience.
+    Drained,
+    /// The worker panicked serving it.
+    Panicked { reason: String },
+}
+
+impl Ending {
+    /// A fired cancel token as an ending: deadline expiry wins over
+    /// explicit cancellation when both hold.
+    fn gave_up(deadline: Option<Instant>, partial: Option<Trace>) -> Ending {
+        match deadline {
+            Some(d) if Instant::now() >= d => Ending::Expired { partial },
+            _ => Ending::Cancelled { partial },
+        }
     }
-    let verdict = if !result.validated {
-        RequestVerdict::Error
-    } else if result.degraded_operator_count() > 0 {
-        RequestVerdict::Degraded
-    } else {
-        RequestVerdict::Ok
+}
+
+/// What an ending tells the tenant's quarantine breaker.
+type Charge = fn(&TenantQuarantine, &str, bool);
+const HEALTHY: Charge = TenantQuarantine::on_success;
+const FAILING: Charge = TenantQuarantine::on_failure;
+const NEUTRAL: Charge = TenantQuarantine::on_abandoned;
+
+/// The one way out: every path on which an admitted request ends calls
+/// this, once. (A bounded drain may already have resolved the ticket
+/// over a wedged worker's head: completion is first-wins, and the
+/// accounting of the worker's own late ending still stands.) Never call
+/// it holding the scheduler lock: it takes the quarantine, recorder and
+/// ticket locks and wakes the waiter.
+///
+/// Order: counter, latency histogram (completions only), quarantine
+/// charge, then the flight recorder *before* the SLO tracker — so an
+/// alert fired by this very request dumps a ring that already contains
+/// it — and the ticket last, so a woken caller sees all of it.
+fn resolve<M>(shared: &Shared<M>, admitted: &Admitted, ending: Ending) {
+    use RequestVerdict as V;
+    let latency = admitted.enqueued_at.elapsed();
+    let latency_ms = latency.as_secs_f64() * 1e3;
+    // The endings table: the counter that moves, the quarantine charge,
+    // the flight-recorder verdict, and the SLO error flag. `None` keeps
+    // the request out of the SLO window altogether: a missed deadline
+    // burns error budget, a caller's cancel, a shed and a drain do not.
+    let (counter, charge, verdict, slo_error) = match &ending {
+        Ending::Completed { result, .. } => {
+            match (result.validated, result.degraded_operator_count()) {
+                (false, _) => ("serve.completed", FAILING, V::Error, Some(true)),
+                (true, 0) => ("serve.completed", HEALTHY, V::Ok, Some(false)),
+                (true, _) => ("serve.completed", HEALTHY, V::Degraded, Some(false)),
+            }
+        }
+        Ending::Shed => ("serve.shed", NEUTRAL, V::Cancelled, None),
+        Ending::Expired { .. } => ("serve.expired", NEUTRAL, V::Cancelled, Some(true)),
+        Ending::Cancelled { .. } => ("serve.cancelled", NEUTRAL, V::Cancelled, None),
+        Ending::Drained => ("serve.drain.forced_queued", NEUTRAL, V::Cancelled, None),
+        Ending::Panicked { .. } => ("serve.panic", FAILING, V::Panicked, Some(true)),
     };
+    // What the caller sees, and the partial trace of a generation that
+    // gave up (a completed one carries its trace in the result).
+    let (outcome, partial) = match ending {
+        Ending::Completed {
+            result,
+            cached,
+            queue_wait,
+            service_seq,
+        } => {
+            let outcome = QueryOutcome::Completed {
+                result,
+                cached,
+                queue_wait,
+                service: latency.saturating_sub(queue_wait),
+                service_seq,
+            };
+            (outcome, None)
+        }
+        Ending::Shed => (QueryOutcome::Shed, None),
+        Ending::Expired { partial } => (QueryOutcome::Expired, partial),
+        Ending::Cancelled { partial } => (QueryOutcome::Cancelled, partial),
+        Ending::Drained => (QueryOutcome::Cancelled, None),
+        Ending::Panicked { reason } => (QueryOutcome::Failed { reason }, None),
+    };
+    shared.metrics.incr(counter, 1);
+    if outcome.is_completed() {
+        shared.metrics.observe_with_exemplar(
+            names::SERVE_REQUEST,
+            latency_ms,
+            &admitted.request_id,
+        );
+    }
+    charge(&shared.quarantine, &admitted.request.tenant, admitted.probe);
+    let trace = outcome.result().map(|r| &r.trace).or(partial.as_ref());
     record_outcome(
         shared,
-        request_id,
+        &admitted.request_id,
         verdict,
         latency_ms,
-        &result.trace,
-        Some(verdict == RequestVerdict::Error),
+        trace,
+        slo_error,
     );
-    cell.complete(QueryOutcome::Completed {
-        result: Box::new(result),
-        cached,
-        queue_wait,
-        service,
-        service_seq,
-    });
+    admitted.cell.complete(outcome);
 }
 
-/// Feed one finished (or abandoned) request into the observability
-/// plane: the flight recorder first — so an alert fired by this very
-/// request dumps a ring that already contains it — then the SLO tracker
-/// and its alert state machine. `slo_error`: `None` keeps the request
-/// out of the SLO (explicit client cancels, shed requests), `Some(e)`
-/// counts it with error flag `e`.
+/// Feed one ended request into the observability plane: the flight
+/// recorder, then the SLO tracker and its alert state machine.
+/// `trace: None` records an empty one (the request never ran);
+/// `slo_error: None` keeps the request out of the SLO, `Some(e)` counts
+/// it with error flag `e`.
 fn record_outcome<M>(
     shared: &Shared<M>,
     request_id: &str,
     verdict: RequestVerdict,
     latency_ms: f64,
-    trace: &Trace,
+    trace: Option<&Trace>,
     slo_error: Option<bool>,
 ) {
     if let Some(recorder) = &shared.recorder {
@@ -1107,7 +992,9 @@ fn record_outcome<M>(
             request_id: request_id.to_string(),
             verdict,
             latency_ms,
-            trace: trace.clone(),
+            trace: trace
+                .cloned()
+                .unwrap_or_else(|| Trace::empty(names::SERVE_REQUEST)),
         });
     }
     let (Some(slo), Some(error)) = (&shared.slo, slo_error) else {

@@ -2,10 +2,10 @@
 //! load shedding.
 //!
 //! Each tenant owns a FIFO sub-queue; active tenants sit in a ring.
-//! Every ring visit credits the tenant `quantum` deficit; the head
+//! Every ring visit credits the tenant `QUANTUM` deficit; the head
 //! request runs once the deficit covers its [`Priority`](crate::Priority)
 //! cost. A tenant that floods the queue therefore cannot starve others:
-//! per round, every active tenant drains roughly `quantum / cost`
+//! per round, every active tenant drains roughly `QUANTUM / cost`
 //! requests regardless of how much is queued behind them.
 
 use crate::request::{QueryRequest, TicketCell};
@@ -13,6 +13,10 @@ use genedit_core::CancelToken;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// DRR quantum: deficit credited per ring visit. With the priority costs
+/// (1/2/4), quantum 2 serves one Normal request per tenant per round.
+const QUANTUM: u32 = 2;
 
 /// A request that passed admission, queued with its completion handle.
 pub(crate) struct Admitted {
@@ -43,16 +47,14 @@ pub(crate) struct DrrScheduler {
     /// Round-robin ring over tenants with queued work.
     ring: VecDeque<String>,
     queued: usize,
-    quantum: u32,
 }
 
 impl DrrScheduler {
-    pub fn new(quantum: u32) -> DrrScheduler {
+    pub fn new() -> DrrScheduler {
         DrrScheduler {
             tenants: HashMap::new(),
             ring: VecDeque::new(),
             queued: 0,
-            quantum: quantum.max(1),
         }
     }
 
@@ -81,8 +83,8 @@ impl DrrScheduler {
         if self.queued == 0 {
             return None;
         }
-        // Each visit adds `quantum` to the tenant's deficit, so any head
-        // request becomes affordable within ceil(cost / quantum) ring
+        // Each visit adds `QUANTUM` to the tenant's deficit, so any head
+        // request becomes affordable within ceil(cost / QUANTUM) ring
         // passes — the loop always terminates with a pop.
         loop {
             let tenant = self.ring.pop_front()?;
@@ -93,7 +95,7 @@ impl DrrScheduler {
                 q.deficit = 0;
                 continue;
             }
-            q.deficit = q.deficit.saturating_add(self.quantum);
+            q.deficit = q.deficit.saturating_add(QUANTUM);
             let affordable = q
                 .queue
                 .front()
@@ -188,7 +190,7 @@ mod tests {
 
     #[test]
     fn single_tenant_is_fifo() {
-        let mut s = DrrScheduler::new(2);
+        let mut s = DrrScheduler::new();
         for seq in 0..5 {
             s.push(admitted(seq, "acme", Priority::Normal));
         }
@@ -199,7 +201,7 @@ mod tests {
 
     #[test]
     fn flooding_tenant_cannot_starve_others() {
-        let mut s = DrrScheduler::new(2);
+        let mut s = DrrScheduler::new();
         // Hot tenant floods 10 requests before cold's single one arrives.
         for seq in 0..10 {
             s.push(admitted(seq, "hot", Priority::Normal));
@@ -216,7 +218,7 @@ mod tests {
 
     #[test]
     fn high_priority_drains_faster_within_budget() {
-        let mut s = DrrScheduler::new(2);
+        let mut s = DrrScheduler::new();
         // Tenant A queues Low (cost 4) work, tenant B High (cost 1).
         for seq in 0..3 {
             s.push(admitted(seq, "a", Priority::Low));
@@ -237,7 +239,7 @@ mod tests {
 
     #[test]
     fn earliest_deadline_and_remove() {
-        let mut s = DrrScheduler::new(2);
+        let mut s = DrrScheduler::new();
         s.push(with_deadline(admitted(0, "a", Priority::Normal), 500));
         s.push(with_deadline(admitted(1, "b", Priority::Normal), 100));
         s.push(admitted(2, "c", Priority::Normal)); // no deadline: never shed
@@ -251,7 +253,7 @@ mod tests {
 
     #[test]
     fn pop_drains_across_tenants() {
-        let mut s = DrrScheduler::new(2);
+        let mut s = DrrScheduler::new();
         for seq in 0..4 {
             s.push(admitted(
                 seq,

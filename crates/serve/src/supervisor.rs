@@ -77,9 +77,7 @@ impl WorkerSlot {
 pub(crate) type WorkerTable = Arc<Mutex<Vec<WorkerSlot>>>;
 
 pub(crate) fn lock_table(table: &WorkerTable) -> MutexGuard<'_, Vec<WorkerSlot>> {
-    table
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+    crate::lock(table)
 }
 
 /// Live workers in the pool right now.

@@ -14,26 +14,18 @@
 //! back with [`TenantKnowledgeStore::put_vectors`], so the *next* cold
 //! page-in of the same epoch skips re-embedding entirely.
 
+use crate::cache::Lru;
+use crate::lock;
 use genedit_core::KnowledgeIndex;
 use genedit_knowledge::tenants::{TenantKnowledgeStore, TenantStoreError};
 use genedit_telemetry::{names, MetricsRegistry};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One cached tenant index: valid only while the tenant stays at `epoch`.
-struct CachedIndex {
-    epoch: u64,
-    index: Arc<KnowledgeIndex>,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct DirState {
-    map: HashMap<String, CachedIndex>,
-    tick: u64,
-}
+/// Resident indexes by tenant, each valid only while the tenant stays at
+/// the epoch it was built at.
+type Resident = Lru<String, (u64, Arc<KnowledgeIndex>)>;
 
 /// A bounded cache of per-tenant retrieval indexes over a disk-backed
 /// [`TenantKnowledgeStore`]. See the module docs for the page-in path.
@@ -41,7 +33,7 @@ pub struct TenantDirectory {
     store: Arc<TenantKnowledgeStore>,
     /// Most-recently-used indexes kept resident; least-recent evicted.
     capacity: usize,
-    inner: Mutex<DirState>,
+    inner: Mutex<Resident>,
     metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -68,7 +60,7 @@ impl TenantDirectory {
         TenantDirectory {
             store,
             capacity: capacity.max(1),
-            inner: Mutex::new(DirState::default()),
+            inner: Mutex::new(Lru::new()),
             metrics,
         }
     }
@@ -76,12 +68,6 @@ impl TenantDirectory {
     /// The backing tenant store.
     pub fn store(&self) -> &Arc<TenantKnowledgeStore> {
         &self.store
-    }
-
-    fn lock(&self) -> MutexGuard<'_, DirState> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     fn incr(&self, name: &str) {
@@ -99,16 +85,10 @@ impl TenantDirectory {
     /// paging in from disk if the tenant is cold or its epoch moved.
     pub fn index_for(&self, tenant: &str) -> Result<(u64, Arc<KnowledgeIndex>), TenantStoreError> {
         let epoch = self.store.epoch(tenant)?;
-        {
-            let mut state = self.lock();
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some(cached) = state.map.get_mut(tenant) {
-                if cached.epoch == epoch {
-                    cached.last_used = tick;
-                    self.incr("serve.tenant.hit");
-                    return Ok((epoch, Arc::clone(&cached.index)));
-                }
+        if let Some((cached_epoch, index)) = lock(&self.inner).get(tenant) {
+            if *cached_epoch == epoch {
+                self.incr("serve.tenant.hit");
+                return Ok((epoch, Arc::clone(index)));
             }
         }
 
@@ -132,27 +112,9 @@ impl TenantDirectory {
             m.observe_duration(names::SERVE_TENANT_PAGE_IN, started.elapsed());
         }
 
-        let mut state = self.lock();
-        state.tick += 1;
-        let tick = state.tick;
-        state.map.insert(
-            tenant.to_string(),
-            CachedIndex {
-                epoch,
-                index: Arc::clone(&index),
-                last_used: tick,
-            },
-        );
-        while state.map.len() > self.capacity {
-            let Some(coldest) = state
-                .map
-                .iter()
-                .min_by_key(|(_, c)| c.last_used)
-                .map(|(t, _)| t.clone())
-            else {
-                break;
-            };
-            state.map.remove(&coldest);
+        let resident = (epoch, Arc::clone(&index));
+        let evicted = lock(&self.inner).insert(tenant.to_string(), resident, self.capacity);
+        for _ in 0..evicted {
             self.incr("serve.tenant.evictions");
         }
         Ok((epoch, index))
@@ -163,13 +125,12 @@ impl TenantDirectory {
     /// epoch — the epoch check in [`TenantDirectory::index_for`] makes
     /// this optional, but eager invalidation frees the memory now.
     pub fn invalidate(&self, tenant: &str) {
-        let mut state = self.lock();
-        state.map.remove(tenant);
+        lock(&self.inner).remove(tenant);
     }
 
     /// Number of tenant indexes currently resident.
     pub fn resident(&self) -> usize {
-        self.lock().map.len()
+        lock(&self.inner).len()
     }
 }
 
