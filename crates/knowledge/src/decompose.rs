@@ -189,7 +189,7 @@ fn decompose_select(select: &Select, scope: &str, out: &mut Vec<SqlFragment>) {
         ));
     }
     if let Some(selection) = &select.selection {
-        for conjunct in split_conjuncts(selection) {
+        for conjunct in selection.conjuncts() {
             out.push(SqlFragment::new(
                 FragmentKind::Where,
                 format!("WHERE {conjunct}"),
@@ -212,26 +212,6 @@ fn decompose_select(select: &Select, scope: &str, out: &mut Vec<SqlFragment>) {
             scope,
         ));
     }
-}
-
-/// Split an expression on top-level ANDs.
-pub fn split_conjuncts(e: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        match e {
-            Expr::Binary {
-                op: BinaryOp::And,
-                left,
-                right,
-            } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            other => out.push(other),
-        }
-    }
-    walk(e, &mut out);
-    out
 }
 
 #[cfg(test)]
@@ -344,7 +324,7 @@ mod tests {
     #[test]
     fn conjunct_splitting_respects_or() {
         let e = genedit_sql::parse_expression("a = 1 AND (b = 2 OR c = 3) AND d = 4").unwrap();
-        let parts = split_conjuncts(&e);
+        let parts = e.conjuncts();
         assert_eq!(parts.len(), 3);
     }
 

@@ -36,7 +36,7 @@ pub mod store;
 pub mod tenants;
 pub mod types;
 
-pub use decompose::{decompose, decompose_sql, split_conjuncts, to_cte_normal_form};
+pub use decompose::{decompose, decompose_sql, to_cte_normal_form};
 pub use fs::{FaultyFs, IoFaultConfig, IoFaultLog, MemFs, RealFs, StoreFs};
 pub use journal::{
     crc32, encode_record, scan, FsyncPolicy, Journal, JournalError, JournalRecord, ScanEnd,

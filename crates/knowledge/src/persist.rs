@@ -196,6 +196,23 @@ mod tests {
         ks
     }
 
+    /// `serde_json::to_string(&sample())` as written before the set's
+    /// private state type and `KnowledgeContent` became one struct.
+    const SNAPSHOT_BEFORE_THE_MERGE: &str = r#"{"state":{"intents":[{"key":"fin","name":"Financial","description":"money"}],"examples":[{"id":0,"intent":"fin","description":"revenue per viewer","fragment":{"kind":"TermDefinition","sql":"CAST(R AS FLOAT) / NULLIF(V, 0)","scope":"main"},"term":"RPV","provenance":{"source":{"Document":{"doc_id":1,"section":"terms"}},"tick":1}}],"instructions":[{"id":0,"intent":null,"text":"use conditional aggregation across periods","sql_hint":null,"term":null,"provenance":{"source":"Manual","tick":2}}],"schema_elements":[],"retrieval_hints":[],"next_example_id":1,"next_instruction_id":1,"tick":3},"log":[{"seq":0,"tick":0,"edit":{"AddIntent":{"key":"fin","name":"Financial","description":"money"}},"outcome":"Applied"},{"seq":1,"tick":1,"edit":{"InsertExample":{"intent":"fin","description":"revenue per viewer","fragment":{"kind":"TermDefinition","sql":"CAST(R AS FLOAT) / NULLIF(V, 0)","scope":"main"},"term":"RPV","source":{"Document":{"doc_id":1,"section":"terms"}}}},"outcome":{"InsertedExample":0}},{"seq":2,"tick":2,"edit":{"InsertInstruction":{"intent":null,"text":"use conditional aggregation across periods","sql_hint":null,"term":null,"source":"Manual"}},"outcome":{"InsertedInstruction":0}}],"checkpoints":[[{"id":0,"label":"first","log_len":2},{"intents":[{"key":"fin","name":"Financial","description":"money"}],"examples":[{"id":0,"intent":"fin","description":"revenue per viewer","fragment":{"kind":"TermDefinition","sql":"CAST(R AS FLOAT) / NULLIF(V, 0)","scope":"main"},"term":"RPV","provenance":{"source":{"Document":{"doc_id":1,"section":"terms"}},"tick":1}}],"instructions":[],"schema_elements":[],"retrieval_hints":[],"next_example_id":1,"next_instruction_id":0,"tick":2}]]}"#;
+
+    #[test]
+    fn snapshots_encode_as_they_did_before_the_state_type_merged() {
+        assert_eq!(
+            serde_json::to_string(&sample()).unwrap(),
+            SNAPSHOT_BEFORE_THE_MERGE
+        );
+        let decoded = from_json(SNAPSHOT_BEFORE_THE_MERGE).unwrap();
+        assert_eq!(
+            serde_json::to_string(&decoded).unwrap(),
+            SNAPSHOT_BEFORE_THE_MERGE
+        );
+    }
+
     #[test]
     fn json_round_trip_preserves_everything() {
         let ks = sample();

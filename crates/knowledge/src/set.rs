@@ -172,24 +172,12 @@ pub struct CheckpointInfo {
     pub log_len: usize,
 }
 
-/// The mutable state (separate from the log so checkpoints can snapshot
-/// it cheaply and equality checks stay meaningful).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-struct State {
-    intents: Vec<Intent>,
-    examples: Vec<Example>,
-    instructions: Vec<Instruction>,
-    schema_elements: Vec<SchemaElement>,
-    retrieval_hints: Vec<(RetrievalStage, String)>,
-    next_example_id: u64,
-    next_instruction_id: u64,
-    tick: u64,
-}
-
 /// The full materialized content of a knowledge set, detached from its
 /// audit log and checkpoints — the unit the paged tenant store persists
 /// as page records and restores on page-in. Two sets with equal content
-/// are [`KnowledgeSet::content_eq`] regardless of edit history.
+/// are [`KnowledgeSet::content_eq`] regardless of edit history. It is also
+/// the set's own mutable state: kept apart from the log so that
+/// checkpoints snapshot it cheaply and equality checks stay meaningful.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct KnowledgeContent {
     /// All registered intents.
@@ -214,9 +202,9 @@ pub struct KnowledgeContent {
 /// schema elements grouped by user intents, with a full audit history.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KnowledgeSet {
-    state: State,
+    state: KnowledgeContent,
     log: Vec<LoggedEdit>,
-    checkpoints: Vec<(CheckpointInfo, State)>,
+    checkpoints: Vec<(CheckpointInfo, KnowledgeContent)>,
 }
 
 impl KnowledgeSet {
@@ -550,16 +538,7 @@ impl KnowledgeSet {
     /// Detach the materialized content (state without log/checkpoints).
     /// The paged tenant store persists this as page records.
     pub fn content(&self) -> KnowledgeContent {
-        KnowledgeContent {
-            intents: self.state.intents.clone(),
-            examples: self.state.examples.clone(),
-            instructions: self.state.instructions.clone(),
-            schema_elements: self.state.schema_elements.clone(),
-            retrieval_hints: self.state.retrieval_hints.clone(),
-            next_example_id: self.state.next_example_id,
-            next_instruction_id: self.state.next_instruction_id,
-            tick: self.state.tick,
-        }
+        self.state.clone()
     }
 
     /// Rebuild a set from detached content with an empty log and no
@@ -569,16 +548,7 @@ impl KnowledgeSet {
     /// round trip).
     pub fn from_content(content: KnowledgeContent) -> KnowledgeSet {
         KnowledgeSet {
-            state: State {
-                intents: content.intents,
-                examples: content.examples,
-                instructions: content.instructions,
-                schema_elements: content.schema_elements,
-                retrieval_hints: content.retrieval_hints,
-                next_example_id: content.next_example_id,
-                next_instruction_id: content.next_instruction_id,
-                tick: content.tick,
-            },
+            state: content,
             log: Vec::new(),
             checkpoints: Vec::new(),
         }

@@ -10,135 +10,11 @@
 
 use genedit_sql::ast::*;
 
-/// Apply `f` to every expression in the query (including CTEs, subqueries,
-/// ON conditions, group/order lists). `f` receives a mutable reference and
-/// may replace the node wholesale.
-pub fn visit_exprs_mut(query: &mut Query, f: &mut dyn FnMut(&mut Expr)) {
-    for cte in &mut query.ctes {
-        visit_exprs_mut(&mut cte.query, f);
-    }
-    visit_set_expr(&mut query.body, f);
-    for o in &mut query.order_by {
-        visit_expr(&mut o.expr, f);
-    }
-}
-
-fn visit_set_expr(body: &mut SetExpr, f: &mut dyn FnMut(&mut Expr)) {
-    match body {
-        SetExpr::Select(s) => {
-            for item in &mut s.items {
-                if let SelectItem::Expr { expr, .. } = item {
-                    visit_expr(expr, f);
-                }
-            }
-            if let Some(from) = &mut s.from {
-                visit_table_ref(from, f);
-            }
-            if let Some(w) = &mut s.selection {
-                visit_expr(w, f);
-            }
-            for g in &mut s.group_by {
-                visit_expr(g, f);
-            }
-            if let Some(h) = &mut s.having {
-                visit_expr(h, f);
-            }
-        }
-        SetExpr::SetOp { left, right, .. } => {
-            visit_set_expr(left, f);
-            visit_set_expr(right, f);
-        }
-    }
-}
-
-fn visit_table_ref(tr: &mut TableRef, f: &mut dyn FnMut(&mut Expr)) {
-    match tr {
-        TableRef::Named { .. } => {}
-        TableRef::Derived { query, .. } => visit_exprs_mut(query, f),
-        TableRef::Join {
-            left, right, on, ..
-        } => {
-            visit_table_ref(left, f);
-            visit_table_ref(right, f);
-            if let Some(on) = on {
-                visit_expr(on, f);
-            }
-        }
-    }
-}
-
-fn visit_expr(e: &mut Expr, f: &mut dyn FnMut(&mut Expr)) {
-    // Children first so replacements at the parent see mutated children.
-    match e {
-        Expr::Literal(_) | Expr::Column { .. } => {}
-        Expr::Unary { expr, .. } => visit_expr(expr, f),
-        Expr::Binary { left, right, .. } => {
-            visit_expr(left, f);
-            visit_expr(right, f);
-        }
-        Expr::IsNull { expr, .. } => visit_expr(expr, f),
-        Expr::InList { expr, list, .. } => {
-            visit_expr(expr, f);
-            for i in list {
-                visit_expr(i, f);
-            }
-        }
-        Expr::InSubquery { expr, subquery, .. } => {
-            visit_expr(expr, f);
-            visit_exprs_mut(subquery, f);
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            visit_expr(expr, f);
-            visit_expr(low, f);
-            visit_expr(high, f);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            visit_expr(expr, f);
-            visit_expr(pattern, f);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            if let Some(op) = operand {
-                visit_expr(op, f);
-            }
-            for (w, t) in branches {
-                visit_expr(w, f);
-                visit_expr(t, f);
-            }
-            if let Some(el) = else_expr {
-                visit_expr(el, f);
-            }
-        }
-        Expr::Cast { expr, .. } => visit_expr(expr, f),
-        Expr::Function(call) => {
-            for a in &mut call.args {
-                visit_expr(a, f);
-            }
-            if let Some(spec) = &mut call.over {
-                for p in &mut spec.partition_by {
-                    visit_expr(p, f);
-                }
-                for o in &mut spec.order_by {
-                    visit_expr(&mut o.expr, f);
-                }
-            }
-        }
-        Expr::Exists { subquery, .. } => visit_exprs_mut(subquery, f),
-        Expr::ScalarSubquery(subquery) => visit_exprs_mut(subquery, f),
-    }
-    f(e);
-}
-
 /// Rename every column reference `from` → `to` (case-insensitive match).
 /// Returns how many references changed.
 pub fn rename_column(query: &mut Query, from: &str, to: &str) -> usize {
     let mut n = 0;
-    visit_exprs_mut(query, &mut |e| {
+    query.walk_exprs_mut(&mut |e| {
         if let Expr::Column { name, .. } = e {
             if name.eq_ignore_ascii_case(from) {
                 *name = to.to_string();
@@ -150,50 +26,25 @@ pub fn rename_column(query: &mut Query, from: &str, to: &str) -> usize {
 }
 
 /// Rename every base-table reference `from` → `to`. Returns change count.
+/// Reaches FROM clauses through WITH, set operations and derived tables,
+/// not those of expression subqueries.
 pub fn rename_table(query: &mut Query, from: &str, to: &str) -> usize {
     let mut n = 0;
-    fn walk_ref(tr: &mut TableRef, from: &str, to: &str, n: &mut usize) {
-        match tr {
-            TableRef::Named { name, .. } => {
-                if name.eq_ignore_ascii_case(from) {
-                    *name = to.to_string();
-                    *n += 1;
-                }
-            }
-            TableRef::Derived { query, .. } => walk_query(query, from, to, n),
-            TableRef::Join { left, right, .. } => {
-                walk_ref(left, from, to, n);
-                walk_ref(right, from, to, n);
+    query.walk_mut(&mut |node| {
+        if let NodeMut::Table(TableRef::Named { name, .. }) = node {
+            if name.eq_ignore_ascii_case(from) {
+                *name = to.to_string();
+                n += 1;
             }
         }
-    }
-    fn walk_set(body: &mut SetExpr, from: &str, to: &str, n: &mut usize) {
-        match body {
-            SetExpr::Select(s) => {
-                if let Some(fr) = &mut s.from {
-                    walk_ref(fr, from, to, n);
-                }
-            }
-            SetExpr::SetOp { left, right, .. } => {
-                walk_set(left, from, to, n);
-                walk_set(right, from, to, n);
-            }
-        }
-    }
-    fn walk_query(q: &mut Query, from: &str, to: &str, n: &mut usize) {
-        for cte in &mut q.ctes {
-            walk_query(&mut cte.query, from, to, n);
-        }
-        walk_set(&mut q.body, from, to, n);
-    }
-    walk_query(query, from, to, &mut n);
+    });
     n
 }
 
 /// Replace every string literal equal to `from` with `to`.
 pub fn replace_string_literal(query: &mut Query, from: &str, to: &str) -> usize {
     let mut n = 0;
-    visit_exprs_mut(query, &mut |e| {
+    query.walk_exprs_mut(&mut |e| {
         if let Expr::Literal(Literal::String(s)) = e {
             if s == from {
                 *s = to.to_string();
@@ -207,7 +58,7 @@ pub fn replace_string_literal(query: &mut Query, from: &str, to: &str) -> usize 
 /// Swap one aggregate/function name for another everywhere.
 pub fn rename_function(query: &mut Query, from: &str, to: &str) -> usize {
     let mut n = 0;
-    visit_exprs_mut(query, &mut |e| {
+    query.walk_exprs_mut(&mut |e| {
         if let Expr::Function(call) = e {
             if call.name.eq_ignore_ascii_case(from) {
                 call.name = to.to_ascii_uppercase();
@@ -223,7 +74,7 @@ pub fn rename_function(query: &mut Query, from: &str, to: &str) -> usize {
 /// when calculating the change in performance metrics").
 pub fn strip_neg_one_multiplier(query: &mut Query) -> usize {
     let mut n = 0;
-    visit_exprs_mut(query, &mut |e| {
+    query.walk_exprs_mut(&mut |e| {
         let replacement = match e {
             Expr::Binary {
                 op: BinaryOp::Mul,
@@ -264,7 +115,7 @@ pub fn flip_order_directions(query: &mut Query) -> usize {
     for cte in &mut query.ctes {
         n += flip_order_directions(&mut cte.query);
     }
-    visit_exprs_mut(query, &mut |e| {
+    query.walk_exprs_mut(&mut |e| {
         if let Expr::Function(call) = e {
             if let Some(spec) = &mut call.over {
                 for o in &mut spec.order_by {
@@ -278,80 +129,29 @@ pub fn flip_order_directions(query: &mut Query) -> usize {
 }
 
 /// Remove WHERE conjuncts whose rendered text contains `marker`
-/// (case-insensitive). Applies in every SELECT of the query. Returns how
-/// many conjuncts were removed.
+/// (case-insensitive). Applies in every SELECT reachable through WITH, set
+/// operations and derived tables, not in expression subqueries. Returns
+/// how many conjuncts were removed.
 pub fn drop_where_conjunct(query: &mut Query, marker: &str) -> usize {
+    let marker = marker.to_uppercase();
     let mut n = 0;
-    fn rebuild(conjuncts: Vec<Expr>) -> Option<Expr> {
-        let mut it = conjuncts.into_iter();
-        let first = it.next()?;
-        Some(it.fold(first, Expr::and))
-    }
-    fn walk_select(s: &mut Select, marker: &str, n: &mut usize) {
-        if let Some(selection) = s.selection.take() {
-            let parts = split_owned_conjuncts(selection);
-            let kept: Vec<Expr> = parts
-                .into_iter()
-                .filter(|c| {
-                    let keep = !c
-                        .to_string()
-                        .to_uppercase()
-                        .contains(&marker.to_uppercase());
-                    if !keep {
-                        *n += 1;
-                    }
-                    keep
-                })
-                .collect();
-            s.selection = rebuild(kept);
-        }
-        if let Some(from) = &mut s.from {
-            walk_ref(from, marker, n);
-        }
-    }
-    fn walk_ref(tr: &mut TableRef, marker: &str, n: &mut usize) {
-        match tr {
-            TableRef::Named { .. } => {}
-            TableRef::Derived { query, .. } => walk_query(query, marker, n),
-            TableRef::Join { left, right, .. } => {
-                walk_ref(left, marker, n);
-                walk_ref(right, marker, n);
-            }
-        }
-    }
-    fn walk_set(body: &mut SetExpr, marker: &str, n: &mut usize) {
-        match body {
-            SetExpr::Select(s) => walk_select(s, marker, n),
-            SetExpr::SetOp { left, right, .. } => {
-                walk_set(left, marker, n);
-                walk_set(right, marker, n);
-            }
-        }
-    }
-    fn walk_query(q: &mut Query, marker: &str, n: &mut usize) {
-        for cte in &mut q.ctes {
-            walk_query(&mut cte.query, marker, n);
-        }
-        walk_set(&mut q.body, marker, n);
-    }
-    walk_query(query, marker, &mut n);
+    query.walk_mut(&mut |node| {
+        let NodeMut::Body(SetExpr::Select(s)) = node else {
+            return;
+        };
+        let Some(selection) = &s.selection else {
+            return;
+        };
+        let conjuncts = selection.conjuncts();
+        let kept: Vec<Expr> = conjuncts
+            .iter()
+            .filter(|c| !c.to_string().to_uppercase().contains(&marker))
+            .map(|c| (*c).clone())
+            .collect();
+        n += conjuncts.len() - kept.len();
+        s.selection = kept.into_iter().reduce(Expr::and);
+    });
     n
-}
-
-/// Split an owned expression on top-level ANDs.
-pub fn split_owned_conjuncts(e: Expr) -> Vec<Expr> {
-    match e {
-        Expr::Binary {
-            op: BinaryOp::And,
-            left,
-            right,
-        } => {
-            let mut out = split_owned_conjuncts(*left);
-            out.extend(split_owned_conjuncts(*right));
-            out
-        }
-        other => vec![other],
-    }
 }
 
 /// Truncate rendered SQL to produce a *syntactic* error — models the

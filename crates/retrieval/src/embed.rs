@@ -101,12 +101,16 @@ impl Embedder {
     pub fn embed(&self, text: &str) -> Embedding {
         let mut vec = vec![0f32; self.dim];
         let toks = tokenize(text);
-        let mut counts: HashMap<String, usize> = HashMap::new();
-        for t in toks.iter().chain(bigrams(&toks).iter()) {
-            *counts.entry(t.clone()).or_insert(0) += 1;
-        }
-        for (term, count) in &counts {
-            let tf = 1.0 + (*count as f32).ln();
+        let grams = bigrams(&toks);
+        // Sorted, so that equal terms are adjacent (a run is a count) and
+        // terms that hash to one slot add up in the same order on every
+        // call: f32 addition is not associative, and the vector must be
+        // bit-identical each time.
+        let mut terms: Vec<&str> = toks.iter().chain(&grams).map(String::as_str).collect();
+        terms.sort_unstable();
+        for run in terms.chunk_by(|a, b| a == b) {
+            let term = run[0];
+            let tf = 1.0 + (run.len() as f32).ln();
             let weight = tf * self.vocabulary.idf(term);
             let h = fnv1a64(term.as_bytes());
             let slot = (h % self.dim as u64) as usize;
@@ -186,6 +190,29 @@ mod tests {
     fn embedding_is_deterministic() {
         let e = embedder(&["revenue per viewer", "quarterly revenue"]);
         assert_eq!(e.embed("revenue for Q2"), e.embed("revenue for Q2"));
+    }
+
+    /// With 8 slots for ~80 terms of unequal weight, every slot sums many
+    /// terms: any dependence on the order they are met in shows in the bits.
+    #[test]
+    fn embedding_is_bit_identical_when_terms_collide() {
+        let docs: Vec<String> = (0..60)
+            .map(|d| {
+                let terms: Vec<String> = (0..40)
+                    .map(|t| format!("w{}", (d * 7 + t * t) % 97))
+                    .collect();
+                terms.join(" ")
+            })
+            .collect();
+        let vocabulary = Vocabulary::fit(docs.iter().map(String::as_str));
+        let e = Embedder::with_dim(vocabulary, 8);
+        for doc in &docs {
+            let bits = |v: Embedding| v.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
+            let first = bits(e.embed(doc));
+            for _ in 0..50 {
+                assert_eq!(bits(e.embed(doc)), first, "{doc}");
+            }
+        }
     }
 
     #[test]

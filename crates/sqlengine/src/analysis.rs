@@ -42,305 +42,65 @@ impl ComplexityScore {
 
 /// Compute the complexity breakdown for a query.
 pub fn complexity(query: &Query) -> ComplexityScore {
-    let mut score = ComplexityScore::default();
-    walk_query(query, &mut score);
-    score
-}
-
-fn walk_query(query: &Query, s: &mut ComplexityScore) {
-    s.ctes += query.ctes.len();
-    for cte in &query.ctes {
-        walk_query(&cte.query, s);
-    }
-    walk_set_expr(&query.body, s);
-    for o in &query.order_by {
-        walk_expr(&o.expr, s);
-    }
-}
-
-fn walk_set_expr(body: &SetExpr, s: &mut ComplexityScore) {
-    match body {
-        SetExpr::Select(select) => walk_select(select, s),
-        SetExpr::SetOp { left, right, .. } => {
-            s.set_ops += 1;
-            walk_set_expr(left, s);
-            walk_set_expr(right, s);
-        }
-    }
-}
-
-fn walk_select(select: &Select, s: &mut ComplexityScore) {
-    for item in &select.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            walk_expr(expr, s);
-        }
-    }
-    if let Some(from) = &select.from {
-        walk_table_ref(from, s);
-    }
-    if let Some(w) = &select.selection {
-        s.predicates += count_conjuncts(w);
-        walk_expr(w, s);
-    }
-    for g in &select.group_by {
-        walk_expr(g, s);
-    }
-    if let Some(h) = &select.having {
-        s.predicates += count_conjuncts(h);
-        walk_expr(h, s);
-    }
-}
-
-fn count_conjuncts(e: &Expr) -> usize {
-    match e {
-        Expr::Binary {
-            op: BinaryOp::And,
-            left,
-            right,
-        } => count_conjuncts(left) + count_conjuncts(right),
-        _ => 1,
-    }
-}
-
-fn walk_table_ref(tr: &TableRef, s: &mut ComplexityScore) {
-    match tr {
-        TableRef::Named { .. } => {}
-        TableRef::Derived { query, .. } => {
-            s.subqueries += 1;
-            walk_query(query, s);
-        }
-        TableRef::Join {
-            left, right, on, ..
-        } => {
-            s.joins += 1;
-            walk_table_ref(left, s);
-            walk_table_ref(right, s);
-            if let Some(on) = on {
-                walk_expr(on, s);
-            }
-        }
-    }
-}
-
-fn walk_expr(e: &Expr, s: &mut ComplexityScore) {
-    match e {
-        Expr::Literal(_) | Expr::Column { .. } => {}
-        Expr::Unary { expr, .. } => walk_expr(expr, s),
-        Expr::Binary { left, right, .. } => {
-            walk_expr(left, s);
-            walk_expr(right, s);
-        }
-        Expr::IsNull { expr, .. } => walk_expr(expr, s),
-        Expr::InList { expr, list, .. } => {
-            walk_expr(expr, s);
-            for i in list {
-                walk_expr(i, s);
-            }
-        }
-        Expr::InSubquery { expr, subquery, .. } => {
-            s.subqueries += 1;
-            walk_expr(expr, s);
-            walk_query(subquery, s);
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            walk_expr(expr, s);
-            walk_expr(low, s);
-            walk_expr(high, s);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            walk_expr(expr, s);
-            walk_expr(pattern, s);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            s.case_exprs += 1;
-            if let Some(op) = operand {
-                walk_expr(op, s);
-            }
-            for (w, t) in branches {
-                walk_expr(w, s);
-                walk_expr(t, s);
-            }
-            if let Some(el) = else_expr {
-                walk_expr(el, s);
-            }
-        }
-        Expr::Cast { expr, .. } => walk_expr(expr, s),
-        Expr::Function(call) => {
-            if call.over.is_some() {
-                s.windows += 1;
-                if let Some(spec) = &call.over {
-                    for p in &spec.partition_by {
-                        walk_expr(p, s);
-                    }
-                    for o in &spec.order_by {
-                        walk_expr(&o.expr, s);
-                    }
+    let mut s = ComplexityScore {
+        ctes: query.ctes.len(),
+        ..Default::default()
+    };
+    query.walk(&mut |node| {
+        match node {
+            Node::Query(nested) => s.ctes += nested.ctes.len(),
+            Node::Body(SetExpr::SetOp { .. }) => s.set_ops += 1,
+            // WHERE and HAVING count one predicate per top-level conjunct.
+            Node::Body(SetExpr::Select(select)) => {
+                for p in select.selection.iter().chain(&select.having) {
+                    s.predicates += p.conjuncts().len();
                 }
-            } else if crate::functions::is_aggregate(&call.name) {
-                s.aggregates += 1;
             }
-            for a in &call.args {
-                walk_expr(a, s);
+            Node::Table(TableRef::Join { .. }) => s.joins += 1,
+            Node::Table(TableRef::Derived { .. }) => s.subqueries += 1,
+            Node::Expr(Expr::Case { .. }) => s.case_exprs += 1,
+            Node::Expr(Expr::Function(call)) if call.over.is_some() => s.windows += 1,
+            Node::Expr(Expr::Function(call)) if crate::functions::is_aggregate(&call.name) => {
+                s.aggregates += 1
             }
+            Node::Expr(e) if e.subquery().is_some() => s.subqueries += 1,
+            _ => {}
         }
-        Expr::Exists { subquery, .. } => {
-            s.subqueries += 1;
-            walk_query(subquery, s);
-        }
-        Expr::ScalarSubquery(subquery) => {
-            s.subqueries += 1;
-            walk_query(subquery, s);
-        }
-    }
+        true
+    });
+    s
 }
 
 /// All table names referenced in FROM clauses, excluding CTE names defined
 /// by the query itself. Names are returned uppercased.
 pub fn referenced_tables(query: &Query) -> BTreeSet<String> {
     let mut tables = BTreeSet::new();
-    let mut cte_names = BTreeSet::new();
-    collect_tables(query, &mut tables, &mut cte_names);
+    collect_tables(query, &BTreeSet::new(), &mut tables);
     tables
 }
 
-fn collect_tables(query: &Query, tables: &mut BTreeSet<String>, cte_names: &mut BTreeSet<String>) {
-    // CTE names defined here shadow base tables for the whole query.
-    let mut local = cte_names.clone();
-    for cte in &query.ctes {
-        collect_tables(&cte.query, tables, &mut local);
-        local.insert(cte.name.to_uppercase());
-    }
-    collect_tables_set_expr(&query.body, tables, &local);
-    for o in &query.order_by {
-        collect_tables_expr(&o.expr, tables, &local);
-    }
-}
-
-fn collect_tables_set_expr(
-    body: &SetExpr,
-    tables: &mut BTreeSet<String>,
-    cte_names: &BTreeSet<String>,
-) {
-    match body {
-        SetExpr::Select(select) => {
-            if let Some(from) = &select.from {
-                collect_tables_ref(from, tables, cte_names);
+/// `outer` holds the CTE names in scope where `query` stands: a nested
+/// query inherits them, and a name this query defines shadows base tables
+/// from its definition onward (later CTEs, the body, ORDER BY).
+fn collect_tables(query: &Query, outer: &BTreeSet<String>, tables: &mut BTreeSet<String>) {
+    let mut scope = outer.clone();
+    query.walk(&mut |node| match node {
+        Node::Query(nested) => {
+            collect_tables(nested, &scope, tables);
+            if let Some(cte) = query.ctes.iter().find(|c| std::ptr::eq(&*c.query, nested)) {
+                scope.insert(cte.name.to_uppercase());
             }
-            for item in &select.items {
-                if let SelectItem::Expr { expr, .. } = item {
-                    collect_tables_expr(expr, tables, cte_names);
-                }
-            }
-            if let Some(w) = &select.selection {
-                collect_tables_expr(w, tables, cte_names);
-            }
-            if let Some(h) = &select.having {
-                collect_tables_expr(h, tables, cte_names);
-            }
+            false
         }
-        SetExpr::SetOp { left, right, .. } => {
-            collect_tables_set_expr(left, tables, cte_names);
-            collect_tables_set_expr(right, tables, cte_names);
-        }
-    }
-}
-
-fn collect_tables_ref(tr: &TableRef, tables: &mut BTreeSet<String>, cte_names: &BTreeSet<String>) {
-    match tr {
-        TableRef::Named { name, .. } => {
+        Node::Table(TableRef::Named { name, .. }) => {
             let upper = name.to_uppercase();
-            if !cte_names.contains(&upper) {
+            if !scope.contains(&upper) {
                 tables.insert(upper);
             }
+            true
         }
-        TableRef::Derived { query, .. } => {
-            let mut local = cte_names.clone();
-            collect_tables(query, tables, &mut local);
-        }
-        TableRef::Join {
-            left, right, on, ..
-        } => {
-            collect_tables_ref(left, tables, cte_names);
-            collect_tables_ref(right, tables, cte_names);
-            if let Some(on) = on {
-                collect_tables_expr(on, tables, cte_names);
-            }
-        }
-    }
-}
-
-fn collect_tables_expr(e: &Expr, tables: &mut BTreeSet<String>, cte_names: &BTreeSet<String>) {
-    match e {
-        Expr::InSubquery { subquery, expr, .. } => {
-            collect_tables_expr(expr, tables, cte_names);
-            let mut local = cte_names.clone();
-            collect_tables(subquery, tables, &mut local);
-        }
-        Expr::Exists { subquery, .. } | Expr::ScalarSubquery(subquery) => {
-            let mut local = cte_names.clone();
-            collect_tables(subquery, tables, &mut local);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            collect_tables_expr(expr, tables, cte_names)
-        }
-        Expr::Binary { left, right, .. } => {
-            collect_tables_expr(left, tables, cte_names);
-            collect_tables_expr(right, tables, cte_names);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_tables_expr(expr, tables, cte_names);
-            for i in list {
-                collect_tables_expr(i, tables, cte_names);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_tables_expr(expr, tables, cte_names);
-            collect_tables_expr(low, tables, cte_names);
-            collect_tables_expr(high, tables, cte_names);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_tables_expr(expr, tables, cte_names);
-            collect_tables_expr(pattern, tables, cte_names);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            if let Some(op) = operand {
-                collect_tables_expr(op, tables, cte_names);
-            }
-            for (w, t) in branches {
-                collect_tables_expr(w, tables, cte_names);
-                collect_tables_expr(t, tables, cte_names);
-            }
-            if let Some(el) = else_expr {
-                collect_tables_expr(el, tables, cte_names);
-            }
-        }
-        Expr::Function(call) => {
-            for a in &call.args {
-                collect_tables_expr(a, tables, cte_names);
-            }
-            if let Some(spec) = &call.over {
-                for p in &spec.partition_by {
-                    collect_tables_expr(p, tables, cte_names);
-                }
-                for o in &spec.order_by {
-                    collect_tables_expr(&o.expr, tables, cte_names);
-                }
-            }
-        }
-        Expr::Literal(_) | Expr::Column { .. } => {}
-    }
+        _ => true,
+    });
 }
 
 /// All column names syntactically referenced anywhere in the query,
@@ -348,131 +108,13 @@ fn collect_tables_expr(e: &Expr, tables: &mut BTreeSet<String>, cte_names: &BTre
 /// but is the practical ground truth for schema-linking recall.
 pub fn referenced_columns(query: &Query) -> BTreeSet<String> {
     let mut cols = BTreeSet::new();
-    collect_cols_query(query, &mut cols);
-    cols
-}
-
-fn collect_cols_query(query: &Query, cols: &mut BTreeSet<String>) {
-    for cte in &query.ctes {
-        collect_cols_query(&cte.query, cols);
-    }
-    collect_cols_set_expr(&query.body, cols);
-    for o in &query.order_by {
-        collect_cols_expr(&o.expr, cols);
-    }
-}
-
-fn collect_cols_set_expr(body: &SetExpr, cols: &mut BTreeSet<String>) {
-    match body {
-        SetExpr::Select(select) => {
-            for item in &select.items {
-                if let SelectItem::Expr { expr, .. } = item {
-                    collect_cols_expr(expr, cols);
-                }
-            }
-            if let Some(from) = &select.from {
-                collect_cols_ref(from, cols);
-            }
-            if let Some(w) = &select.selection {
-                collect_cols_expr(w, cols);
-            }
-            for g in &select.group_by {
-                collect_cols_expr(g, cols);
-            }
-            if let Some(h) = &select.having {
-                collect_cols_expr(h, cols);
-            }
-        }
-        SetExpr::SetOp { left, right, .. } => {
-            collect_cols_set_expr(left, cols);
-            collect_cols_set_expr(right, cols);
-        }
-    }
-}
-
-fn collect_cols_ref(tr: &TableRef, cols: &mut BTreeSet<String>) {
-    match tr {
-        TableRef::Named { .. } => {}
-        TableRef::Derived { query, .. } => collect_cols_query(query, cols),
-        TableRef::Join {
-            left, right, on, ..
-        } => {
-            collect_cols_ref(left, cols);
-            collect_cols_ref(right, cols);
-            if let Some(on) = on {
-                collect_cols_expr(on, cols);
-            }
-        }
-    }
-}
-
-fn collect_cols_expr(e: &Expr, cols: &mut BTreeSet<String>) {
-    match e {
-        Expr::Column { name, .. } => {
+    query.walk(&mut |node| {
+        if let Node::Expr(Expr::Column { name, .. }) = node {
             cols.insert(name.to_uppercase());
         }
-        Expr::Literal(_) => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            collect_cols_expr(expr, cols)
-        }
-        Expr::Binary { left, right, .. } => {
-            collect_cols_expr(left, cols);
-            collect_cols_expr(right, cols);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_cols_expr(expr, cols);
-            for i in list {
-                collect_cols_expr(i, cols);
-            }
-        }
-        Expr::InSubquery { expr, subquery, .. } => {
-            collect_cols_expr(expr, cols);
-            collect_cols_query(subquery, cols);
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_cols_expr(expr, cols);
-            collect_cols_expr(low, cols);
-            collect_cols_expr(high, cols);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_cols_expr(expr, cols);
-            collect_cols_expr(pattern, cols);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            if let Some(op) = operand {
-                collect_cols_expr(op, cols);
-            }
-            for (w, t) in branches {
-                collect_cols_expr(w, cols);
-                collect_cols_expr(t, cols);
-            }
-            if let Some(el) = else_expr {
-                collect_cols_expr(el, cols);
-            }
-        }
-        Expr::Function(call) => {
-            for a in &call.args {
-                collect_cols_expr(a, cols);
-            }
-            if let Some(spec) = &call.over {
-                for p in &spec.partition_by {
-                    collect_cols_expr(p, cols);
-                }
-                for o in &spec.order_by {
-                    collect_cols_expr(&o.expr, cols);
-                }
-            }
-        }
-        Expr::Exists { subquery, .. } | Expr::ScalarSubquery(subquery) => {
-            collect_cols_query(subquery, cols)
-        }
-    }
+        true
+    });
+    cols
 }
 
 #[cfg(test)]
@@ -528,6 +170,17 @@ mod tests {
         assert_eq!(
             tables.into_iter().collect::<Vec<_>>(),
             vec!["T".to_string(), "U".to_string(), "V".to_string()]
+        );
+    }
+
+    #[test]
+    fn referenced_tables_in_group_by_subquery() {
+        let tables = referenced_tables(&q(
+            "SELECT COUNT(*) FROM t GROUP BY (SELECT MAX(b) FROM u WHERE u.a = t.a)",
+        ));
+        assert_eq!(
+            tables.into_iter().collect::<Vec<_>>(),
+            vec!["T".to_string(), "U".to_string()]
         );
     }
 

@@ -555,51 +555,15 @@ pub fn literal_value(l: &Literal) -> Value {
 /// Does this expression contain an aggregate call (not counting window
 /// calls and not descending into subqueries)?
 pub fn contains_aggregate(expr: &Expr) -> bool {
-    match expr {
-        Expr::Function(call) => {
-            if call.over.is_none() && functions::is_aggregate(&call.name) {
-                return true;
-            }
-            // Window-call arguments may contain aggregates
-            // (e.g. RANK() OVER (ORDER BY SUM(x))).
-            if let Some(spec) = &call.over {
-                if spec.partition_by.iter().any(contains_aggregate)
-                    || spec.order_by.iter().any(|o| contains_aggregate(&o.expr))
-                {
-                    return true;
-                }
-            }
-            call.args.iter().any(contains_aggregate)
-        }
-        Expr::Literal(_) | Expr::Column { .. } => false,
-        Expr::Unary { expr, .. } => contains_aggregate(expr),
-        Expr::Binary { left, right, .. } => contains_aggregate(left) || contains_aggregate(right),
-        Expr::IsNull { expr, .. } => contains_aggregate(expr),
-        Expr::InList { expr, list, .. } => {
-            contains_aggregate(expr) || list.iter().any(contains_aggregate)
-        }
-        Expr::InSubquery { expr, .. } => contains_aggregate(expr),
-        Expr::Between {
-            expr, low, high, ..
-        } => contains_aggregate(expr) || contains_aggregate(low) || contains_aggregate(high),
-        Expr::Like { expr, pattern, .. } => contains_aggregate(expr) || contains_aggregate(pattern),
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            operand.as_deref().map(contains_aggregate).unwrap_or(false)
-                || branches
-                    .iter()
-                    .any(|(w, t)| contains_aggregate(w) || contains_aggregate(t))
-                || else_expr
-                    .as_deref()
-                    .map(contains_aggregate)
-                    .unwrap_or(false)
-        }
-        Expr::Cast { expr, .. } => contains_aggregate(expr),
-        Expr::Exists { .. } | Expr::ScalarSubquery(_) => false,
-    }
+    let mut found = false;
+    expr.walk(&mut |e| {
+        // A window call is not an aggregate itself, but its arguments and
+        // its specification may hold one (RANK() OVER (ORDER BY SUM(x))).
+        found |= matches!(e, Expr::Function(call)
+            if call.over.is_none() && functions::is_aggregate(&call.name));
+        !found
+    });
+    found
 }
 
 /// Collect aggregate calls that are evaluated unconditionally whenever
@@ -608,49 +572,27 @@ pub fn contains_aggregate(expr: &Expr) -> bool {
 /// `IN`-list items) where the row engine might skip them (and thereby
 /// skip their errors). The planner may safely pre-compute exactly these.
 pub fn collect_unconditional_aggregates<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
-    match expr {
-        Expr::Function(call) => {
-            if call.over.is_some() {
-                return; // window calls are pre-computed separately
-            }
-            if functions::is_aggregate(&call.name) {
-                out.push(expr);
-                return; // arguments evaluate per group member, not here
-            }
-            for a in &call.args {
-                collect_unconditional_aggregates(a, out);
-            }
-        }
-        Expr::Literal(_) | Expr::Column { .. } => {}
-        Expr::Unary { expr, .. } => collect_unconditional_aggregates(expr, out),
-        Expr::Binary { left, op, right } => {
-            collect_unconditional_aggregates(left, out);
-            // AND/OR may short-circuit the right operand per row.
-            if !matches!(op, BinaryOp::And | BinaryOp::Or) {
-                collect_unconditional_aggregates(right, out);
-            }
-        }
-        Expr::IsNull { expr, .. } => collect_unconditional_aggregates(expr, out),
-        // List items evaluate lazily (and not at all for a NULL probe).
-        Expr::InList { expr, .. } => collect_unconditional_aggregates(expr, out),
-        Expr::InSubquery { expr, .. } => collect_unconditional_aggregates(expr, out),
-        Expr::Between {
-            expr, low, high, ..
+    expr.walk(&mut |e| match e {
+        Expr::Function(_) => descend_past_call(e, out),
+        // AND/OR may short-circuit the right operand per row.
+        Expr::Binary {
+            left,
+            op: BinaryOp::And | BinaryOp::Or,
+            ..
         } => {
-            collect_unconditional_aggregates(expr, out);
-            collect_unconditional_aggregates(low, out);
-            collect_unconditional_aggregates(high, out);
+            collect_unconditional_aggregates(left, out);
+            false
         }
-        Expr::Like { expr, pattern, .. } => {
+        // List items evaluate lazily (and not at all for a NULL probe).
+        Expr::InList { expr, .. } => {
             collect_unconditional_aggregates(expr, out);
-            collect_unconditional_aggregates(pattern, out);
+            false
         }
         // Every part of a CASE after the first WHEN is conditional;
         // treat the whole construct conservatively.
-        Expr::Case { .. } => {}
-        Expr::Cast { expr, .. } => collect_unconditional_aggregates(expr, out),
-        Expr::Exists { .. } | Expr::ScalarSubquery(_) => {}
-    }
+        Expr::Case { .. } => false,
+        _ => true,
+    });
 }
 
 /// Collect every aggregate call in an expression tree, including calls
@@ -660,62 +602,21 @@ pub fn collect_unconditional_aggregates<'e>(expr: &'e Expr, out: &mut Vec<&'e Ex
 /// collected set is a superset of [`collect_unconditional_aggregates`];
 /// the two agree exactly when no aggregate sits behind a lazy position.
 pub fn collect_aggregate_calls<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
-    match expr {
-        Expr::Function(call) => {
-            if call.over.is_some() {
-                return; // window calls are pre-computed separately
-            }
-            if functions::is_aggregate(&call.name) {
-                out.push(expr);
-                return; // arguments evaluate per group member, not here
-            }
-            for a in &call.args {
-                collect_aggregate_calls(a, out);
-            }
+    expr.walk(&mut |e| descend_past_call(e, out));
+}
+
+/// What both aggregate collectors do at a node: record an aggregate call,
+/// and say whether the walk goes on below `e`.
+fn descend_past_call<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) -> bool {
+    match e {
+        // Window calls are pre-computed separately.
+        Expr::Function(call) if call.over.is_some() => false,
+        // Arguments evaluate per group member, not here.
+        Expr::Function(call) if functions::is_aggregate(&call.name) => {
+            out.push(e);
+            false
         }
-        Expr::Literal(_) | Expr::Column { .. } => {}
-        Expr::Unary { expr, .. } => collect_aggregate_calls(expr, out),
-        Expr::Binary { left, right, .. } => {
-            collect_aggregate_calls(left, out);
-            collect_aggregate_calls(right, out);
-        }
-        Expr::IsNull { expr, .. } => collect_aggregate_calls(expr, out),
-        Expr::InList { expr, list, .. } => {
-            collect_aggregate_calls(expr, out);
-            for e in list {
-                collect_aggregate_calls(e, out);
-            }
-        }
-        Expr::InSubquery { expr, .. } => collect_aggregate_calls(expr, out),
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_aggregate_calls(expr, out);
-            collect_aggregate_calls(low, out);
-            collect_aggregate_calls(high, out);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_aggregate_calls(expr, out);
-            collect_aggregate_calls(pattern, out);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            if let Some(o) = operand.as_deref() {
-                collect_aggregate_calls(o, out);
-            }
-            for (w, t) in branches {
-                collect_aggregate_calls(w, out);
-                collect_aggregate_calls(t, out);
-            }
-            if let Some(e) = else_expr.as_deref() {
-                collect_aggregate_calls(e, out);
-            }
-        }
-        Expr::Cast { expr, .. } => collect_aggregate_calls(expr, out),
-        Expr::Exists { .. } | Expr::ScalarSubquery(_) => {}
+        _ => true,
     }
 }
 
@@ -753,57 +654,16 @@ impl<'e> SelectShape<'e> {
 /// Collect all window calls (functions with OVER) in an expression tree,
 /// not descending into subqueries.
 pub fn collect_window_calls<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
-    match expr {
-        Expr::Function(call) => {
-            if call.over.is_some() {
-                out.push(expr);
-            }
+    expr.walk(&mut |e| match e {
+        // Below a window call only its arguments are searched, not its
+        // PARTITION BY / ORDER BY.
+        Expr::Function(call) if call.over.is_some() => {
+            out.push(e);
             for a in &call.args {
                 collect_window_calls(a, out);
             }
+            false
         }
-        Expr::Literal(_) | Expr::Column { .. } => {}
-        Expr::Unary { expr, .. } => collect_window_calls(expr, out),
-        Expr::Binary { left, right, .. } => {
-            collect_window_calls(left, out);
-            collect_window_calls(right, out);
-        }
-        Expr::IsNull { expr, .. } => collect_window_calls(expr, out),
-        Expr::InList { expr, list, .. } => {
-            collect_window_calls(expr, out);
-            for e in list {
-                collect_window_calls(e, out);
-            }
-        }
-        Expr::InSubquery { expr, .. } => collect_window_calls(expr, out),
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_window_calls(expr, out);
-            collect_window_calls(low, out);
-            collect_window_calls(high, out);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_window_calls(expr, out);
-            collect_window_calls(pattern, out);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            if let Some(op) = operand {
-                collect_window_calls(op, out);
-            }
-            for (w, t) in branches {
-                collect_window_calls(w, out);
-                collect_window_calls(t, out);
-            }
-            if let Some(e) = else_expr {
-                collect_window_calls(e, out);
-            }
-        }
-        Expr::Cast { expr, .. } => collect_window_calls(expr, out),
-        Expr::Exists { .. } | Expr::ScalarSubquery(_) => {}
-    }
+        _ => true,
+    });
 }

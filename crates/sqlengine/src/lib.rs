@@ -52,8 +52,8 @@ mod window;
 pub use analysis::{complexity, referenced_columns, referenced_tables, ComplexityScore};
 pub use array::{Array, ArrayBuilder, Bitmap, DataChunk, ValueRef};
 pub use ast::{
-    BinaryOp, Cte, Expr, FunctionCall, JoinKind, Literal, OrderItem, Query, Select, SelectItem,
-    SetExpr, SetOp, Statement, TableRef, UnaryOp, WindowSpec,
+    BinaryOp, Cte, Expr, FunctionCall, JoinKind, Literal, Node, NodeMut, OrderItem, Query, Select,
+    SelectItem, SetExpr, SetOp, Statement, TableRef, UnaryOp, WindowSpec,
 };
 pub use catalog::{Column, ColumnProfile, Database, Table};
 pub use display::pretty;

@@ -3,6 +3,10 @@
 //! Entry points: [`parse_statement`] for a full statement and
 //! [`parse_expression`] for a standalone scalar expression (used by the
 //! knowledge-set decomposer when it round-trips clause fragments).
+//!
+//! Every consumer of the tree recurses over it, and SQL arrives from a
+//! model, so the parser bounds the height of what it builds (`MAX_DEPTH`
+//! below): deeper SQL is a parse error.
 
 use crate::ast::*;
 use crate::error::{EngineError, EngineResult};
@@ -57,10 +61,20 @@ const RESERVED: &[&str] = &[
     "FALSE",
 ];
 
+/// The tallest tree the parser builds, in nodes from the statement down to
+/// the deepest operator, call, `CASE` or subquery (parentheses count too:
+/// they cost the parser a level even though they leave no node). Taller
+/// SQL is a parse error, so whatever parsed can be printed, walked, bound
+/// and executed by plain recursion. Sized to the smallest stack a query
+/// runs on, a 2 MiB serve worker, in a debug build: there a tree of nested
+/// `CASE` at the bound, the costliest shape, needs about 1.6 MiB to parse.
+/// By this count the deepest gold query of the benchmark workload is 10.
+const MAX_DEPTH: usize = 64;
+
 /// Parse a single SQL statement (a query, optionally `;`-terminated).
 pub fn parse_statement(sql: &str) -> EngineResult<Statement> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let query = p.parse_query()?;
     p.eat_kind(&TokenKind::Semicolon);
     if let Some(tok) = p.peek() {
@@ -75,7 +89,7 @@ pub fn parse_statement(sql: &str) -> EngineResult<Statement> {
 /// Parse a standalone scalar expression.
 pub fn parse_expression(sql: &str) -> EngineResult<Expr> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let expr = p.parse_expr()?;
     if let Some(tok) = p.peek() {
         return Err(EngineError::parse(
@@ -89,9 +103,61 @@ pub fn parse_expression(sql: &str) -> EngineResult<Expr> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels open above the token being parsed.
+    depth: usize,
+    /// `depth` plus the height of what has been parsed below it so far —
+    /// by the innermost chain in progress (see [`Parser::open_chain`]), or
+    /// by the whole parse outside one.
+    peak: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+            peak: 0,
+        }
+    }
+
+    fn check_depth(&self) -> EngineResult<()> {
+        if self.peak > MAX_DEPTH {
+            return Err(self.err(format!("SQL nested deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
+    /// One level down, for a production that recurses: a bracket, a
+    /// prefix operator, a nested query. The caller takes the level off
+    /// again (`self.depth -= 1`) once it has its operand; an error in
+    /// between abandons the parse, so `?` needs no cleanup.
+    fn descend(&mut self) -> EngineResult<()> {
+        self.depth += 1;
+        self.peak = self.peak.max(self.depth);
+        self.check_depth()
+    }
+
+    /// A loop that folds `a op b op c` into a left-deep chain does not
+    /// recurse, but each link pushes everything parsed before it one level
+    /// down — the first operand most of all, and nobody knew how long the
+    /// chain would get when that one was parsed. So a chain measures
+    /// itself: it starts `peak` afresh, every operand raises it to its own
+    /// height, every [`Parser::link`] adds the new node on top, and
+    /// [`Parser::close_chain`] hands the total to the enclosing chain.
+    fn open_chain(&mut self) -> usize {
+        std::mem::replace(&mut self.peak, self.depth)
+    }
+
+    fn link(&mut self) -> EngineResult<()> {
+        self.peak += 1;
+        self.check_depth()
+    }
+
+    fn close_chain(&mut self, outer_peak: usize) {
+        self.peak = self.peak.max(outer_peak);
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -192,6 +258,7 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn parse_query(&mut self) -> EngineResult<Query> {
+        self.descend()?;
         let mut ctes = Vec::new();
         if self.eat_kw("WITH") {
             if self.peek_kw("RECURSIVE") {
@@ -234,6 +301,7 @@ impl Parser {
             }
         }
 
+        self.depth -= 1;
         Ok(Query {
             ctes,
             body,
@@ -254,6 +322,7 @@ impl Parser {
     }
 
     fn parse_set_expr(&mut self) -> EngineResult<SetExpr> {
+        let outer = self.open_chain();
         let mut left = self.parse_set_term()?;
         loop {
             let op = if self.peek_kw("UNION") {
@@ -268,6 +337,7 @@ impl Parser {
             self.pos += 1;
             let all = self.eat_kw("ALL");
             let right = self.parse_set_term()?;
+            self.link()?;
             left = SetExpr::SetOp {
                 op,
                 all,
@@ -275,13 +345,16 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.close_chain(outer);
         Ok(left)
     }
 
     fn parse_set_term(&mut self) -> EngineResult<SetExpr> {
         if self.eat_kind(&TokenKind::LParen) {
             // Parenthesized set expression or select.
+            self.descend()?;
             let inner = self.parse_set_expr()?;
+            self.depth -= 1;
             self.expect_kind(&TokenKind::RParen)?;
             Ok(inner)
         } else {
@@ -386,6 +459,7 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn parse_table_ref(&mut self) -> EngineResult<TableRef> {
+        let outer = self.open_chain();
         let mut left = self.parse_table_factor()?;
         loop {
             let kind = if self.peek_kw("JOIN") || self.peek_kw("INNER") {
@@ -419,6 +493,7 @@ impl Parser {
             } else {
                 None
             };
+            self.link()?;
             left = TableRef::Join {
                 left: Box::new(left),
                 right: Box::new(right),
@@ -426,6 +501,7 @@ impl Parser {
                 on,
             };
         }
+        self.close_chain(outer);
         Ok(left)
     }
 
@@ -454,24 +530,33 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn parse_expr(&mut self) -> EngineResult<Expr> {
-        self.parse_or()
+        self.descend()?;
+        let expr = self.parse_or()?;
+        self.depth -= 1;
+        Ok(expr)
     }
 
     fn parse_or(&mut self) -> EngineResult<Expr> {
+        let outer = self.open_chain();
         let mut left = self.parse_and()?;
         while self.eat_kw("OR") {
             let right = self.parse_and()?;
+            self.link()?;
             left = Expr::binary(left, BinaryOp::Or, right);
         }
+        self.close_chain(outer);
         Ok(left)
     }
 
     fn parse_and(&mut self) -> EngineResult<Expr> {
+        let outer = self.open_chain();
         let mut left = self.parse_not()?;
         while self.eat_kw("AND") {
             let right = self.parse_not()?;
+            self.link()?;
             left = Expr::binary(left, BinaryOp::And, right);
         }
+        self.close_chain(outer);
         Ok(left)
     }
 
@@ -497,7 +582,9 @@ impl Parser {
             });
         }
         if self.eat_kw("NOT") {
+            self.descend()?;
             let inner = self.parse_not()?;
+            self.depth -= 1;
             Ok(Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(inner),
@@ -507,8 +594,22 @@ impl Parser {
         }
     }
 
+    /// A comparison or postfix predicate is a chain of at most one link.
     fn parse_comparison(&mut self) -> EngineResult<Expr> {
+        let outer = self.open_chain();
         let left = self.parse_additive()?;
+        let after_left = self.pos;
+        let expr = self.parse_predicate(left)?;
+        if self.pos > after_left {
+            self.link()?;
+        }
+        self.close_chain(outer);
+        Ok(expr)
+    }
+
+    /// What may follow the left operand of a comparison; `left` itself
+    /// when nothing does.
+    fn parse_predicate(&mut self, left: Expr) -> EngineResult<Expr> {
         // Postfix predicates: IS [NOT] NULL, [NOT] IN, [NOT] BETWEEN, [NOT] LIKE.
         if self.eat_kw("IS") {
             let negated = self.eat_kw("NOT");
@@ -599,6 +700,7 @@ impl Parser {
     }
 
     fn parse_additive(&mut self) -> EngineResult<Expr> {
+        let outer = self.open_chain();
         let mut left = self.parse_multiplicative()?;
         loop {
             let op = match self.peek().map(|t| &t.kind) {
@@ -609,12 +711,15 @@ impl Parser {
             };
             self.pos += 1;
             let right = self.parse_multiplicative()?;
+            self.link()?;
             left = Expr::binary(left, op, right);
         }
+        self.close_chain(outer);
         Ok(left)
     }
 
     fn parse_multiplicative(&mut self) -> EngineResult<Expr> {
+        let outer = self.open_chain();
         let mut left = self.parse_unary()?;
         loop {
             let op = match self.peek().map(|t| &t.kind) {
@@ -625,14 +730,18 @@ impl Parser {
             };
             self.pos += 1;
             let right = self.parse_unary()?;
+            self.link()?;
             left = Expr::binary(left, op, right);
         }
+        self.close_chain(outer);
         Ok(left)
     }
 
     fn parse_unary(&mut self) -> EngineResult<Expr> {
         if self.eat_kind(&TokenKind::Minus) {
+            self.descend()?;
             let inner = self.parse_unary()?;
+            self.depth -= 1;
             // Fold negation into numeric literals so `-5` is one canonical
             // AST node; the printer relies on this for round-tripping.
             return Ok(match inner {
@@ -645,7 +754,10 @@ impl Parser {
             });
         }
         if self.eat_kind(&TokenKind::Plus) {
-            return self.parse_unary();
+            self.descend()?;
+            let inner = self.parse_unary()?;
+            self.depth -= 1;
+            return Ok(inner);
         }
         self.parse_primary()
     }
@@ -880,8 +992,7 @@ mod tests {
         let q = parse_ok(
             "SELECT * FROM a JOIN b ON a.id = b.id LEFT JOIN c ON b.id = c.id CROSS JOIN d",
         );
-        let s = q.as_select().unwrap();
-        assert_eq!(s.from.as_ref().unwrap().join_count(), 3);
+        assert_eq!(crate::analysis::complexity(&q).joins, 3);
     }
 
     #[test]
@@ -1134,5 +1245,117 @@ mod tests {
         "#;
         let q = parse_ok(sql);
         assert_eq!(q.ctes.len(), 3);
+    }
+
+    /// One SQL text per nesting construct, `n` levels deep, with what a
+    /// level costs against [`MAX_DEPTH`]: 2 where it brings a bracket *and*
+    /// an operator or a query *and* its select item. All run against
+    /// [`one_row_db`].
+    fn nested_shapes(n: usize) -> Vec<(&'static str, usize, String)> {
+        let wrap = |open: &str, core: &str, close: &str| {
+            format!("SELECT {}{core}{}", open.repeat(n), close.repeat(n))
+        };
+        let joins: String = (0..n)
+            .map(|i| format!(" JOIN nums b{i} ON b{i}.n = a.n"))
+            .collect();
+        let derived = ("(SELECT * FROM ".repeat(n), ") AS t".repeat(n));
+        vec![
+            ("parentheses", 1, wrap("(", "1", ")")),
+            ("NOT", 1, wrap("NOT ", "TRUE", "")),
+            (
+                "unary minus",
+                1,
+                format!("{} FROM nums", wrap("- ", "n", "")),
+            ),
+            ("+", 1, wrap("", "1", " + 1")),
+            ("*", 1, wrap("", "1", " * 1")),
+            ("AND", 1, wrap("", "TRUE", " AND TRUE")),
+            ("OR", 1, wrap("", "FALSE", " OR FALSE")),
+            ("CASE", 1, wrap("CASE WHEN TRUE THEN ", "1", " END")),
+            ("call arguments", 1, wrap("ABS(", "1", ")")),
+            ("comparisons", 2, wrap("(TRUE = ", "TRUE", ")")),
+            ("scalar subqueries", 2, wrap("(SELECT ", "1", ")")),
+            ("set operations", 1, wrap("", "1", " UNION ALL SELECT 1")),
+            ("joins", 1, format!("SELECT COUNT(*) FROM nums a{joins}")),
+            (
+                "derived tables",
+                1,
+                format!("SELECT * FROM {}nums{}", derived.0, derived.1),
+            ),
+            (
+                "WITH",
+                2,
+                wrap("* FROM (WITH c AS (SELECT ", "1", ") SELECT * FROM c) AS t"),
+            ),
+        ]
+    }
+
+    fn one_row_db() -> crate::catalog::Database {
+        use crate::catalog::{Column, Database, Table};
+        let mut db = Database::new("d");
+        let mut nums = Table::new("nums", vec![Column::new("n", DataType::Integer)]);
+        nums.push_row(vec![crate::value::Value::Integer(1)])
+            .unwrap();
+        db.add_table(nums).unwrap();
+        db
+    }
+
+    /// Run `f` on a thread with the stack `spawn_worker` of the serving
+    /// runtime gets.
+    fn on_a_worker_stack(f: impl FnOnce() + Send + 'static) {
+        let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(f);
+        worker.unwrap().join().unwrap();
+    }
+
+    #[test]
+    fn sql_nested_too_deep_is_a_parse_error_not_a_stack_overflow() {
+        on_a_worker_stack(|| {
+            for (what, _, sql) in nested_shapes(10_000) {
+                match parse_statement(&sql) {
+                    Err(e @ EngineError::Parse { .. }) => {
+                        assert!(e.to_string().contains("nested deeper"), "{what}: {e}")
+                    }
+                    other => panic!("{what}: expected a parse error, got {other:?}"),
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn depth_adds_up_along_a_path_and_not_across_siblings() {
+        let nots = "NOT ".repeat(40);
+        let ands = " AND TRUE".repeat(40);
+        // 40 NOTs end up *under* the 40 ANDs parsed after them.
+        assert!(parse_statement(&format!("SELECT {nots}TRUE{ands}")).is_err());
+        assert!(parse_statement(&format!("SELECT {nots}TRUE")).is_ok());
+        assert!(parse_statement(&format!("SELECT TRUE{ands}")).is_ok());
+        // Two 40-link products side by side are one level taller than one.
+        let product = format!("1{}", " * 1".repeat(40));
+        assert!(parse_statement(&format!("SELECT {product} + {product}")).is_ok());
+    }
+
+    #[test]
+    fn sql_at_the_bound_prints_walks_and_runs_on_a_worker_stack() {
+        on_a_worker_stack(|| {
+            let db = one_row_db();
+            for at in 0..nested_shapes(0).len() {
+                let (what, cost, _) = nested_shapes(0).swap_remove(at);
+                let sql_at = |n: usize| nested_shapes(n).swap_remove(at).2;
+                let deepest = (1..=MAX_DEPTH)
+                    .rev()
+                    .find(|&n| parse_statement(&sql_at(n)).is_ok())
+                    .unwrap();
+                // The query and its select item are levels too.
+                assert!(deepest * cost >= MAX_DEPTH - 3, "{what}: {deepest}");
+                let sql = &sql_at(deepest);
+                let query = parse_ok(sql);
+                assert!(!query.to_string().is_empty());
+                assert_eq!(query.clone(), query);
+                crate::analysis::complexity(&query);
+                let fast = crate::exec::execute_sql(&db, sql).unwrap();
+                let reference = crate::exec::execute_sql_reference(&db, sql).unwrap();
+                assert!(fast.ex_equal(&reference), "{what}: engines disagree");
+            }
+        });
     }
 }

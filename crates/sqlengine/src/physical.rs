@@ -314,8 +314,7 @@ fn plan_hash_join(
     l: &Source,
     r: &Source,
 ) -> Option<Vec<KeyPair>> {
-    let mut conjuncts = Vec::new();
-    split_conjuncts(pred, &mut conjuncts);
+    let conjuncts = pred.conjuncts();
     let mut pairs = Vec::with_capacity(conjuncts.len());
     for c in conjuncts {
         let Expr::Binary { left, op, right } = c else {
@@ -343,20 +342,6 @@ fn plan_hash_join(
         });
     }
     Some(pairs)
-}
-
-fn split_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-    if let Expr::Binary {
-        left,
-        op: BinaryOp::And,
-        right,
-    } = e
-    {
-        split_conjuncts(left, out);
-        split_conjuncts(right, out);
-    } else {
-        out.push(e);
-    }
 }
 
 /// Resolve a column reference to exactly one combined-column index.
