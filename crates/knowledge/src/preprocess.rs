@@ -63,6 +63,50 @@ pub struct DomainDocument {
     pub guidelines: Vec<Guideline>,
 }
 
+impl DomainDocument {
+    /// What a document contributes to the knowledge set, as edits in
+    /// ingestion order — the one document → edits rule, shared by
+    /// pre-processing and [`crate::refresh::refresh_document`]. Each term
+    /// becomes a "means" instruction and, when it has SQL, a
+    /// term-definition example; each guideline becomes an instruction.
+    /// Every edit's provenance points back at the document.
+    pub fn edits(&self) -> Vec<Edit> {
+        let from_section = |section: &str| SourceRef::Document {
+            doc_id: self.doc_id,
+            section: section.into(),
+        };
+        let mut edits = Vec::new();
+        for term in &self.terms {
+            edits.push(Edit::InsertInstruction {
+                intent: term.intent.clone(),
+                text: format!("{} means: {}", term.term, term.meaning),
+                sql_hint: term.sql.clone(),
+                term: Some(term.term.clone()),
+                source: from_section("terms"),
+            });
+            if let Some(sql) = &term.sql {
+                edits.push(Edit::InsertExample {
+                    intent: term.intent.clone(),
+                    description: format!("{} ({})", term.term, term.meaning),
+                    fragment: SqlFragment::new(FragmentKind::TermDefinition, sql.clone(), "main"),
+                    term: Some(term.term.clone()),
+                    source: from_section("terms"),
+                });
+            }
+        }
+        for g in &self.guidelines {
+            edits.push(Edit::InsertInstruction {
+                intent: g.intent.clone(),
+                text: g.text.clone(),
+                sql_hint: g.sql_hint.clone(),
+                term: None,
+                source: from_section(&g.section),
+            });
+        }
+        edits
+    }
+}
+
 /// Configuration of the pre-processing run.
 #[derive(Debug, Clone, Default)]
 pub struct PreprocessConfig {
@@ -173,41 +217,8 @@ pub fn build_knowledge_set_traced(
     // Instructions and term-definition examples from documents.
     let span = tracer.span("knowledge.instructions");
     for doc in docs {
-        for term in &doc.terms {
-            applied(ks.apply(Edit::InsertInstruction {
-                intent: term.intent.clone(),
-                text: format!("{} means: {}", term.term, term.meaning),
-                sql_hint: term.sql.clone(),
-                term: Some(term.term.clone()),
-                source: SourceRef::Document {
-                    doc_id: doc.doc_id,
-                    section: "terms".into(),
-                },
-            }))?;
-            if let Some(sql) = &term.sql {
-                applied(ks.apply(Edit::InsertExample {
-                    intent: term.intent.clone(),
-                    description: format!("{} ({})", term.term, term.meaning),
-                    fragment: SqlFragment::new(FragmentKind::TermDefinition, sql.clone(), "main"),
-                    term: Some(term.term.clone()),
-                    source: SourceRef::Document {
-                        doc_id: doc.doc_id,
-                        section: "terms".into(),
-                    },
-                }))?;
-            }
-        }
-        for g in &doc.guidelines {
-            applied(ks.apply(Edit::InsertInstruction {
-                intent: g.intent.clone(),
-                text: g.text.clone(),
-                sql_hint: g.sql_hint.clone(),
-                term: None,
-                source: SourceRef::Document {
-                    doc_id: doc.doc_id,
-                    section: g.section.clone(),
-                },
-            }))?;
+        for edit in doc.edits() {
+            applied(ks.apply(edit))?;
         }
     }
 

@@ -8,8 +8,8 @@
 //! like any other.
 
 use crate::preprocess::DomainDocument;
-use crate::set::{Edit, KnowledgeError, KnowledgeSet};
-use crate::types::{FragmentKind, SourceRef, SqlFragment};
+use crate::set::{Edit, EditOutcome, KnowledgeError, KnowledgeSet};
+use crate::types::SourceRef;
 
 /// Summary of one document refresh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,45 +61,13 @@ pub fn refresh_document(
         report.removed_examples += 1;
     }
 
-    // Re-ingest the new version (mirrors the pre-processing rules).
-    for term in &doc.terms {
-        ks.apply(Edit::InsertInstruction {
-            intent: term.intent.clone(),
-            text: format!("{} means: {}", term.term, term.meaning),
-            sql_hint: term.sql.clone(),
-            term: Some(term.term.clone()),
-            source: SourceRef::Document {
-                doc_id: doc.doc_id,
-                section: "terms".into(),
-            },
-        })?;
-        report.inserted_instructions += 1;
-        if let Some(sql) = &term.sql {
-            ks.apply(Edit::InsertExample {
-                intent: term.intent.clone(),
-                description: format!("{} ({})", term.term, term.meaning),
-                fragment: SqlFragment::new(FragmentKind::TermDefinition, sql.clone(), "main"),
-                term: Some(term.term.clone()),
-                source: SourceRef::Document {
-                    doc_id: doc.doc_id,
-                    section: "terms".into(),
-                },
-            })?;
-            report.inserted_examples += 1;
+    // Re-ingest the new version by the pre-processing rule.
+    for edit in doc.edits() {
+        match ks.apply(edit)? {
+            EditOutcome::InsertedExample(_) => report.inserted_examples += 1,
+            EditOutcome::InsertedInstruction(_) => report.inserted_instructions += 1,
+            EditOutcome::Applied => {}
         }
-    }
-    for g in &doc.guidelines {
-        ks.apply(Edit::InsertInstruction {
-            intent: g.intent.clone(),
-            text: g.text.clone(),
-            sql_hint: g.sql_hint.clone(),
-            term: None,
-            source: SourceRef::Document {
-                doc_id: doc.doc_id,
-                section: g.section.clone(),
-            },
-        })?;
-        report.inserted_instructions += 1;
     }
     Ok((checkpoint, report))
 }
