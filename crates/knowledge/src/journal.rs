@@ -11,7 +11,7 @@
 //! / [`JournalRecord::BatchCommit`] markers. Recovery only applies a batch
 //! once its commit marker is on disk, so a crash in the middle of a merge
 //! rolls the whole merge back — the journal never replays a half-applied
-//! merge (mirroring `StagingArea::commit`'s in-memory atomicity).
+//! merge (replay and `StagingArea::commit` run the same `KnowledgeSet::merge`).
 
 use crate::fs::StoreFs;
 use crate::set::Edit;

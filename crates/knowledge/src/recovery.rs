@@ -117,8 +117,8 @@ struct ReplayOutcome {
 }
 
 /// Replay the valid record prefix onto `base`. Batches apply atomically:
-/// buffered until their commit marker, rolled back wholesale if any edit
-/// inside refuses. `offsets[i]` is the byte offset of `records[i]`.
+/// buffered until their commit marker, then merged all or nothing
+/// ([`KnowledgeSet::merge`]). `offsets[i]` is the byte offset of `records[i]`.
 fn replay_into(
     base: &mut KnowledgeSet,
     records: &[JournalRecord],
@@ -159,26 +159,18 @@ fn replay_into(
                 edits.push(edit.clone());
                 false
             }
+            // A committed batch replays as the merge it was journaled as;
+            // a miscounted batch or a refusing edit never comes from the
+            // writer, and leaves `base` as the prefix before the batch.
             (Some((label, count, edits, _)), JournalRecord::BatchCommit) => {
-                if edits.len() != *count as usize {
-                    true
-                } else {
-                    // Apply the batch atomically, mirroring
-                    // `StagingArea::commit`: checkpoint first, roll the
-                    // whole batch back if any edit refuses.
-                    let backup = base.clone();
-                    base.checkpoint(label.clone());
-                    let failed = edits.drain(..).any(|edit| base.apply(edit).is_err());
-                    if failed {
-                        *base = backup;
-                        true
-                    } else {
-                        outcome.batches += 1;
-                        outcome.edits += *count as usize;
-                        pending = None;
-                        false
-                    }
+                let merged = edits.len() == *count as usize
+                    && base.merge(label.clone(), edits.drain(..)).is_ok();
+                if merged {
+                    outcome.batches += 1;
+                    outcome.edits += *count as usize;
+                    pending = None;
                 }
+                !merged
             }
             // Checkpoints and nested batches inside an open batch never
             // come from the writer either.

@@ -8,7 +8,7 @@
 //! like any other.
 
 use crate::preprocess::DomainDocument;
-use crate::set::{Edit, EditOutcome, KnowledgeError, KnowledgeSet};
+use crate::set::{Edit, KnowledgeError, KnowledgeSet};
 use crate::types::SourceRef;
 
 /// Summary of one document refresh.
@@ -25,50 +25,38 @@ pub struct RefreshReport {
 }
 
 /// Replace all knowledge derived from `doc.doc_id` with the content of the
-/// supplied (new) document version. A checkpoint labeled with the document
-/// id is recorded before the refresh so it can be reverted as a unit.
+/// supplied (new) document version: the deletes of everything the old
+/// version contributed, then [`DomainDocument::edits`] of the new one, as
+/// one [`KnowledgeSet::merge`] — all or nothing, and revertible as a unit
+/// through the returned checkpoint, which is labeled with the document id.
 pub fn refresh_document(
     ks: &mut KnowledgeSet,
     doc: &DomainDocument,
 ) -> Result<(u64, RefreshReport), KnowledgeError> {
-    let checkpoint = ks.checkpoint(format!("refresh doc {}", doc.doc_id));
-    let mut report = RefreshReport {
-        removed_examples: 0,
-        removed_instructions: 0,
-        inserted_examples: 0,
-        inserted_instructions: 0,
-    };
-
-    // Remove everything previously derived from this document.
-    let stale_instructions: Vec<_> = ks
+    let id = doc.doc_id;
+    let stale = |s: &SourceRef| matches!(s, SourceRef::Document { doc_id, .. } if *doc_id == id);
+    let mut edits: Vec<Edit> = ks
         .instructions()
         .iter()
-        .filter(|i| matches!(i.provenance.source, SourceRef::Document { doc_id, .. } if doc_id == doc.doc_id))
-        .map(|i| i.id)
+        .filter(|i| stale(&i.provenance.source))
+        .map(|i| Edit::DeleteInstruction { id: i.id })
         .collect();
-    for id in stale_instructions {
-        ks.apply(Edit::DeleteInstruction { id })?;
-        report.removed_instructions += 1;
-    }
-    let stale_examples: Vec<_> = ks
-        .examples()
-        .iter()
-        .filter(|e| matches!(e.provenance.source, SourceRef::Document { doc_id, .. } if doc_id == doc.doc_id))
-        .map(|e| e.id)
-        .collect();
-    for id in stale_examples {
-        ks.apply(Edit::DeleteExample { id })?;
-        report.removed_examples += 1;
-    }
+    edits.extend(
+        ks.examples()
+            .iter()
+            .filter(|e| stale(&e.provenance.source))
+            .map(|e| Edit::DeleteExample { id: e.id }),
+    );
+    edits.extend(doc.edits());
 
-    // Re-ingest the new version by the pre-processing rule.
-    for edit in doc.edits() {
-        match ks.apply(edit)? {
-            EditOutcome::InsertedExample(_) => report.inserted_examples += 1,
-            EditOutcome::InsertedInstruction(_) => report.inserted_instructions += 1,
-            EditOutcome::Applied => {}
-        }
-    }
+    let count = |kind: fn(&Edit) -> bool| edits.iter().filter(|e| kind(e)).count();
+    let report = RefreshReport {
+        removed_examples: count(|e| matches!(e, Edit::DeleteExample { .. })),
+        removed_instructions: count(|e| matches!(e, Edit::DeleteInstruction { .. })),
+        inserted_examples: count(|e| matches!(e, Edit::InsertExample { .. })),
+        inserted_instructions: count(|e| matches!(e, Edit::InsertInstruction { .. })),
+    };
+    let checkpoint = ks.merge(format!("refresh doc {id}"), edits)?;
     Ok((checkpoint, report))
 }
 

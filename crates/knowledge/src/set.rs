@@ -516,6 +516,31 @@ impl KnowledgeSet {
         id
     }
 
+    /// Merge a batch as a unit — what "merge these staged edits" means
+    /// wherever it is said (staging, the durable store, journal replay,
+    /// document refresh): record a checkpoint labelled `label`, then
+    /// apply every edit in order. If one refuses, that checkpoint is
+    /// popped and content, clock and log are restored from it, so the
+    /// set is exactly as it was — the checkpoint *is* the backup. On
+    /// success the returned id reverts the whole merge.
+    pub fn merge(
+        &mut self,
+        label: impl Into<String>,
+        edits: impl IntoIterator<Item = Edit>,
+    ) -> Result<u64, KnowledgeError> {
+        let checkpoint = self.checkpoint(label);
+        for edit in edits {
+            if let Err(refused) = self.apply(edit) {
+                if let Some((info, content)) = self.checkpoints.pop() {
+                    self.state = content;
+                    self.log.truncate(info.log_len);
+                }
+                return Err(refused);
+            }
+        }
+        Ok(checkpoint)
+    }
+
     /// Revert to a prior checkpoint. The log is truncated to the
     /// checkpoint position; later checkpoints are discarded.
     pub fn revert_to(&mut self, checkpoint_id: u64) -> Result<(), KnowledgeError> {

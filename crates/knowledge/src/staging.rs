@@ -14,29 +14,15 @@ use std::fmt;
 /// Why a [`StagingArea::commit`] failed.
 #[derive(Debug)]
 pub enum CommitError {
-    /// A staged edit refused to apply; the merge was rolled back to the
-    /// pre-merge checkpoint and the deployed set is unchanged.
+    /// A staged edit refused to apply; the deployed set is exactly as it
+    /// was before the merge (see [`KnowledgeSet::merge`]).
     Apply(KnowledgeError),
-    /// A staged edit refused to apply *and* the rollback to the pre-merge
-    /// checkpoint failed too — the deployed set may hold a partial merge
-    /// and should be restored from its audit log or a durable store.
-    RollbackFailed {
-        /// The error that aborted the merge.
-        apply: KnowledgeError,
-        /// The error that then broke the rollback.
-        rollback: KnowledgeError,
-    },
 }
 
 impl fmt::Display for CommitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CommitError::Apply(e) => write!(f, "staged edit no longer applies: {e}"),
-            CommitError::RollbackFailed { apply, rollback } => write!(
-                f,
-                "staged edit no longer applies ({apply}) and rollback failed ({rollback}); \
-                 the deployed set may be partially merged"
-            ),
         }
     }
 }
@@ -112,29 +98,26 @@ impl StagingArea {
     }
 
     /// Merge the staged edits into the deployed set, consuming the area.
-    /// A checkpoint labeled `label` is recorded *before* the merge so the
-    /// merge can be reverted as a unit.
+    /// All or nothing: a partial merge would leave the deployed set
+    /// inconsistent with what was regression-tested. Returns the
+    /// pre-merge checkpoint, which reverts the merge as a unit.
     pub fn commit(self, base: &mut KnowledgeSet, label: &str) -> Result<u64, CommitError> {
-        let checkpoint = base.checkpoint(label);
-        for s in self.staged {
-            if let Err(apply) = base.apply(s.edit) {
-                // Roll the whole merge back; partial merges would leave the
-                // deployed set inconsistent with what was regression-tested.
-                return Err(match base.revert_to(checkpoint) {
-                    Ok(()) => CommitError::Apply(apply),
-                    Err(rollback) => CommitError::RollbackFailed { apply, rollback },
-                });
-            }
-        }
-        Ok(checkpoint)
+        base.merge(label, self.staged.into_iter().map(|s| s.edit))
+            .map_err(CommitError::Apply)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs::{MemFs, StoreFs};
+    use crate::journal::{encode_record, JournalRecord};
+    use crate::recovery::RecoveryOutcome;
     use crate::set::EditOutcome;
+    use crate::store::{DurableKnowledgeStore, StoreConfig, StoreError};
     use crate::types::{FragmentKind, SourceRef, SqlFragment};
+    use std::path::Path;
+    use std::sync::Arc;
 
     fn insert_edit(desc: &str) -> Edit {
         Edit::InsertExample {
@@ -179,6 +162,28 @@ mod tests {
         assert_eq!(base.examples().len(), 0);
     }
 
+    /// The doomed batch of `commit_is_atomic_on_failure`: an insert that
+    /// would succeed, then a delete of `id` twice — the second refuses.
+    fn doomed_batch(id: crate::types::ExampleId) -> Vec<Edit> {
+        vec![
+            insert_edit("ok"),
+            Edit::DeleteExample { id },
+            Edit::DeleteExample { id },
+        ]
+    }
+
+    /// Content, checkpoints, log and clock are all as in `before`.
+    fn assert_untouched(set: &KnowledgeSet, before: &KnowledgeSet, path: &str) {
+        assert!(set.content_eq(before), "{path}: content moved");
+        assert_eq!(
+            set.checkpoints().len(),
+            before.checkpoints().len(),
+            "{path}: a checkpoint for a merge that never happened"
+        );
+        assert_eq!(set.log().len(), before.log().len(), "{path}: log moved");
+        assert_eq!(set.tick(), before.tick(), "{path}: clock moved");
+    }
+
     #[test]
     fn commit_is_atomic_on_failure() {
         let mut base = KnowledgeSet::new();
@@ -186,16 +191,62 @@ mod tests {
             EditOutcome::InsertedExample(id) => id,
             _ => unreachable!(),
         };
-        let mut area = StagingArea::new();
-        area.stage(insert_edit("ok")); // would succeed
-        area.stage(Edit::DeleteExample { id });
-        area.stage(Edit::DeleteExample { id }); // second delete fails
         let before = base.clone();
-        match area.commit(&mut base, "doomed") {
+        let area = || {
+            let mut area = StagingArea::new();
+            for edit in doomed_batch(id) {
+                area.stage(edit);
+            }
+            area
+        };
+
+        // In memory.
+        match area().commit(&mut base, "doomed") {
             Err(CommitError::Apply(_)) => {}
             other => panic!("expected CommitError::Apply, got {other:?}"),
         }
-        assert!(base.content_eq(&before));
+        assert_untouched(&base, &before, "StagingArea::commit");
+
+        // Through the durable store: same refusal, same nothing.
+        let mem: Arc<dyn StoreFs> = Arc::new(MemFs::new());
+        let open = || {
+            DurableKnowledgeStore::open_with(
+                Arc::clone(&mem),
+                "k.json",
+                "k.wal",
+                StoreConfig::default(),
+                None,
+            )
+            .unwrap()
+        };
+        let mut store = open();
+        store.apply(insert_edit("victim")).unwrap();
+        assert!(matches!(
+            store.commit(area(), "doomed"),
+            Err(StoreError::Knowledge(_))
+        ));
+        assert_untouched(store.set(), &before, "DurableKnowledgeStore::commit");
+        drop(store);
+
+        // Replayed from a journal: a commit-terminated batch holding the
+        // refusing edit is corruption, and the prefix before it survives
+        // without the batch's checkpoint.
+        let mut records = vec![JournalRecord::BatchStart {
+            label: "doomed".into(),
+            count: 3,
+        }];
+        records.extend(doomed_batch(id).into_iter().map(JournalRecord::Edit));
+        records.push(JournalRecord::BatchCommit);
+        for record in &records {
+            mem.append(Path::new("k.wal"), &encode_record(record).unwrap())
+                .unwrap();
+        }
+        let reopened = open();
+        assert_eq!(
+            reopened.recovery_report().outcome,
+            RecoveryOutcome::Quarantined
+        );
+        assert_untouched(reopened.set(), &before, "journal replay");
     }
 
     #[test]

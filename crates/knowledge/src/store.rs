@@ -10,8 +10,8 @@
 //!   unreplayable record is never written);
 //! - staged merges go through [`DurableKnowledgeStore::commit`], which
 //!   journals `BatchStart ‖ edits ‖ BatchCommit` as one contiguous write —
-//!   recovery replays the merge all-or-nothing, mirroring
-//!   `StagingArea::commit`'s in-memory atomicity;
+//!   recovery replays it as the same all-or-nothing
+//!   [`KnowledgeSet::merge`] that `StagingArea::commit` runs in memory;
 //! - [`DurableKnowledgeStore::compact`] folds the journal into a fresh
 //!   snapshot (temp file, fsync, atomic rename) and resets the journal —
 //!   snapshot-plus-tail is the steady-state on-disk layout;
@@ -262,19 +262,17 @@ impl DurableKnowledgeStore {
         if let Some(request_id) = origin {
             span.attr("request_id", request_id);
         }
-        // Dry-run on a scratch copy, in exactly the order recovery will
-        // replay: checkpoint first, then every edit.
+        // Dry-run on a scratch copy — the same merge recovery will
+        // replay — so a batch that refuses is never journaled.
+        let batch = || staging.staged().iter().map(|s| s.edit.clone());
         let mut next = self.set.clone();
-        let checkpoint = next.checkpoint(label);
+        let checkpoint = next.merge(label, batch())?;
         let mut records = Vec::with_capacity(staging.len() + 2);
         records.push(JournalRecord::BatchStart {
             label: label.to_string(),
             count: staging.len() as u32,
         });
-        for staged in staging.staged() {
-            next.apply(staged.edit.clone())?;
-            records.push(JournalRecord::Edit(staged.edit.clone()));
-        }
+        records.extend(batch().map(JournalRecord::Edit));
         records.push(JournalRecord::BatchCommit);
 
         // Journal before visibility. On failure, cut any partially
