@@ -14,13 +14,50 @@
 //! silently truncate at an arbitrary byte offset, single-bit flips,
 //! failed fsyncs, failed renames, and whole-process crash points.
 
+use crate::lock;
 use genedit_telemetry::hash::{hash01, hash_u64};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
+
+/// A filesystem operation that failed: which one, on which file, and
+/// why. The crate's one I/O error — `JournalError`, `StoreError` and
+/// `TenantStoreError` each carry it as their `Io` variant.
+#[derive(Debug)]
+pub struct IoFailure {
+    /// The operation that failed (`append`, `fsync`, `truncate`, …).
+    pub op: &'static str,
+    /// The file involved.
+    pub path: PathBuf,
+    /// Underlying I/O error.
+    pub source: io::Error,
+}
+
+impl fmt::Display for IoFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let IoFailure { op, path, source } = self;
+        write!(f, "{op} failed on {}: {source}", path.display())
+    }
+}
+
+impl std::error::Error for IoFailure {}
+
+/// `map_err` adapter: names the operation and the file an `io::Error`
+/// came from.
+pub fn io_failure<'p>(
+    op: &'static str,
+    path: &'p Path,
+) -> impl FnOnce(io::Error) -> IoFailure + 'p {
+    move |source| IoFailure {
+        op,
+        path: path.to_path_buf(),
+        source,
+    }
+}
 
 /// The filesystem operations the durable store needs. All methods are
 /// `&self`; implementations handle their own locking so a store and its
@@ -197,23 +234,17 @@ impl MemFs {
         MemFs::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<PathBuf, MemFile>> {
-        self.files
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Simulate a power loss: every file reverts to its last-fsynced
     /// contents. Files that were never fsynced revert to empty.
     pub fn crash(&self) {
-        for file in self.lock().values_mut() {
+        for file in lock(&self.files).values_mut() {
             file.data = file.durable.clone();
         }
     }
 
     /// Paths currently present, for test assertions.
     pub fn paths(&self) -> Vec<PathBuf> {
-        self.lock().keys().cloned().collect()
+        lock(&self.files).keys().cloned().collect()
     }
 
     fn not_found(path: &Path) -> io::Error {
@@ -223,19 +254,22 @@ impl MemFs {
 
 impl StoreFs for MemFs {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.lock()
+        lock(&self.files)
             .get(path)
             .map(|f| f.data.clone())
             .ok_or_else(|| Self::not_found(path))
     }
 
     fn write_file(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        self.lock().entry(path.to_path_buf()).or_default().data = data.to_vec();
+        lock(&self.files)
+            .entry(path.to_path_buf())
+            .or_default()
+            .data = data.to_vec();
         Ok(())
     }
 
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        self.lock()
+        lock(&self.files)
             .entry(path.to_path_buf())
             .or_default()
             .data
@@ -244,39 +278,39 @@ impl StoreFs for MemFs {
     }
 
     fn fsync(&self, path: &Path) -> io::Result<()> {
-        let mut files = self.lock();
+        let mut files = lock(&self.files);
         let file = files.get_mut(path).ok_or_else(|| Self::not_found(path))?;
         file.durable = file.data.clone();
         Ok(())
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut files = self.lock();
+        let mut files = lock(&self.files);
         let file = files.remove(from).ok_or_else(|| Self::not_found(from))?;
         files.insert(to.to_path_buf(), file);
         Ok(())
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
-        self.lock()
+        lock(&self.files)
             .remove(path)
             .map(|_| ())
             .ok_or_else(|| Self::not_found(path))
     }
 
     fn exists(&self, path: &Path) -> bool {
-        self.lock().contains_key(path)
+        lock(&self.files).contains_key(path)
     }
 
     fn len(&self, path: &Path) -> io::Result<u64> {
-        self.lock()
+        lock(&self.files)
             .get(path)
             .map(|f| f.data.len() as u64)
             .ok_or_else(|| Self::not_found(path))
     }
 
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
-        let mut files = self.lock();
+        let mut files = lock(&self.files);
         let file = files.get_mut(path).ok_or_else(|| Self::not_found(path))?;
         let len = len as usize;
         if file.data.len() > len {
@@ -289,7 +323,7 @@ impl StoreFs for MemFs {
     }
 
     fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        let files = self.lock();
+        let files = lock(&self.files);
         let file = files.get(path).ok_or_else(|| Self::not_found(path))?;
         let start = offset as usize;
         let end = start.saturating_add(len);
@@ -303,7 +337,7 @@ impl StoreFs for MemFs {
     }
 
     fn write_at(&self, path: &Path, offset: u64, data: &[u8]) -> io::Result<()> {
-        let mut files = self.lock();
+        let mut files = lock(&self.files);
         let file = files.entry(path.to_path_buf()).or_default();
         let start = offset as usize;
         let end = start + data.len();
@@ -421,7 +455,7 @@ impl FaultyFs {
 
     /// Snapshot of the injected-fault counters.
     pub fn log(&self) -> IoFaultLog {
-        *self.lock_log()
+        *lock(&self.log)
     }
 
     /// Whether the crash point has been reached.
@@ -429,23 +463,14 @@ impl FaultyFs {
         self.crashed.load(Ordering::SeqCst)
     }
 
-    fn lock_log(&self) -> MutexGuard<'_, IoFaultLog> {
-        self.log
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Advance the operation counter; `Err` once the crash point is hit.
     fn next_op(&self) -> io::Result<u64> {
         let n = {
-            let mut counter = self
-                .counter
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let mut counter = lock(&self.counter);
             *counter += 1;
             *counter
         };
-        self.lock_log().ops += 1;
+        lock(&self.log).ops += 1;
         let past_crash_point = self
             .config
             .crash_after_ops
@@ -453,7 +478,7 @@ impl FaultyFs {
             .unwrap_or(false);
         if past_crash_point || self.crashed() {
             self.crashed.store(true, Ordering::SeqCst);
-            self.lock_log().refused_after_crash += 1;
+            lock(&self.log).refused_after_crash += 1;
             return Err(io::Error::other(format!("simulated crash at op #{n}")));
         }
         Ok(n)
@@ -488,7 +513,7 @@ impl StoreFs for FaultyFs {
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
         let n = self.next_op()?;
         if self.roll(n, "short-write") < self.config.short_write {
-            self.lock_log().short_writes += 1;
+            lock(&self.log).short_writes += 1;
             let cut = self.cut(n, data.len());
             self.inner.append(path, &data[..cut])?;
             return Err(io::Error::other(format!(
@@ -497,12 +522,12 @@ impl StoreFs for FaultyFs {
             )));
         }
         if self.roll(n, "torn-write") < self.config.torn_write {
-            self.lock_log().torn_writes += 1;
+            lock(&self.log).torn_writes += 1;
             let cut = self.cut(n, data.len());
             return self.inner.append(path, &data[..cut]);
         }
         if self.roll(n, "bit-flip") < self.config.bit_flip && !data.is_empty() {
-            self.lock_log().bit_flips += 1;
+            lock(&self.log).bit_flips += 1;
             let mut corrupted = data.to_vec();
             let byte = (hash_u64(&["ioflip", &n.to_string()], self.seed) as usize) % data.len();
             let bit = (hash_u64(&["iobit", &n.to_string()], self.seed) % 8) as u8;
@@ -515,7 +540,7 @@ impl StoreFs for FaultyFs {
     fn fsync(&self, path: &Path) -> io::Result<()> {
         let n = self.next_op()?;
         if self.roll(n, "fsync-fail") < self.config.fsync_fail {
-            self.lock_log().fsync_failures += 1;
+            lock(&self.log).fsync_failures += 1;
             return Err(io::Error::other(format!("injected fsync failure #{n}")));
         }
         self.inner.fsync(path)
@@ -524,7 +549,7 @@ impl StoreFs for FaultyFs {
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         let n = self.next_op()?;
         if self.roll(n, "rename-fail") < self.config.rename_fail {
-            self.lock_log().rename_failures += 1;
+            lock(&self.log).rename_failures += 1;
             return Err(io::Error::other(format!("injected rename failure #{n}")));
         }
         self.inner.rename(from, to)
@@ -557,7 +582,7 @@ impl StoreFs for FaultyFs {
     fn write_at(&self, path: &Path, offset: u64, data: &[u8]) -> io::Result<()> {
         let n = self.next_op()?;
         if self.roll(n, "short-write") < self.config.short_write {
-            self.lock_log().short_writes += 1;
+            lock(&self.log).short_writes += 1;
             let cut = self.cut(n, data.len());
             self.inner.write_at(path, offset, &data[..cut])?;
             return Err(io::Error::other(format!(
@@ -567,12 +592,12 @@ impl StoreFs for FaultyFs {
         }
         if self.roll(n, "torn-write") < self.config.torn_write {
             // A torn page: only a prefix of the page image lands, silently.
-            self.lock_log().torn_writes += 1;
+            lock(&self.log).torn_writes += 1;
             let cut = self.cut(n, data.len());
             return self.inner.write_at(path, offset, &data[..cut]);
         }
         if self.roll(n, "bit-flip") < self.config.bit_flip && !data.is_empty() {
-            self.lock_log().bit_flips += 1;
+            lock(&self.log).bit_flips += 1;
             let mut corrupted = data.to_vec();
             let byte = (hash_u64(&["ioflip", &n.to_string()], self.seed) as usize) % data.len();
             let bit = (hash_u64(&["iobit", &n.to_string()], self.seed) % 8) as u8;
@@ -589,6 +614,19 @@ mod tests {
 
     fn p(s: &str) -> PathBuf {
         PathBuf::from(s)
+    }
+
+    #[test]
+    fn io_failure_reads_the_same_under_every_error_that_carries_it() {
+        let fail = || io_failure("fsync", &p("/kb/t/knowledge.wal"))(io::Error::other("disk gone"));
+        let text = "fsync failed on /kb/t/knowledge.wal: disk gone";
+        assert_eq!(fail().to_string(), text);
+        let journal = crate::journal::JournalError::from(fail());
+        assert_eq!(journal.to_string(), format!("journal {text}"));
+        let store = crate::store::StoreError::from(fail());
+        assert_eq!(store.to_string(), format!("store {text}"));
+        let tenant = crate::tenants::TenantStoreError::from(fail());
+        assert_eq!(tenant.to_string(), format!("tenant {text}"));
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //! rolls the whole merge back — the journal never replays a half-applied
 //! merge (replay and `StagingArea::commit` run the same `KnowledgeSet::merge`).
 
-use crate::fs::StoreFs;
+use crate::fs::{io_failure, IoFailure, StoreFs};
 use crate::set::Edit;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -66,15 +65,9 @@ pub enum JournalRecord {
 /// Journal I/O and encoding errors.
 #[derive(Debug)]
 pub enum JournalError {
-    /// A filesystem operation failed.
-    Io {
-        /// The operation that failed (`append`, `fsync`, `truncate`).
-        op: &'static str,
-        /// Journal file path.
-        path: PathBuf,
-        /// Underlying I/O error.
-        source: io::Error,
-    },
+    /// A filesystem operation (`append`, `fsync`, `truncate`) failed on
+    /// the journal file.
+    Io(IoFailure),
     /// A record failed to serialize.
     Encode(serde_json::Error),
 }
@@ -82,15 +75,19 @@ pub enum JournalError {
 impl fmt::Display for JournalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JournalError::Io { op, path, source } => {
-                write!(f, "journal {op} failed on {}: {source}", path.display())
-            }
+            JournalError::Io(e) => write!(f, "journal {e}"),
             JournalError::Encode(e) => write!(f, "journal record encode failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for JournalError {}
+
+impl From<IoFailure> for JournalError {
+    fn from(e: IoFailure) -> JournalError {
+        JournalError::Io(e)
+    }
+}
 
 /// CRC32 (IEEE 802.3, polynomial 0xEDB88320), the checksum attached to
 /// every journal frame.
@@ -298,14 +295,6 @@ impl Journal {
         self.fs.len(&self.path).unwrap_or(0)
     }
 
-    fn io_err<'p>(op: &'static str, path: &'p Path) -> impl FnOnce(io::Error) -> JournalError + 'p {
-        move |source| JournalError::Io {
-            op,
-            path: path.to_path_buf(),
-            source,
-        }
-    }
-
     /// Append one record and apply the fsync policy.
     pub fn append(&mut self, record: &JournalRecord) -> Result<u64, JournalError> {
         self.append_frames(std::slice::from_ref(record))
@@ -325,7 +314,7 @@ impl Journal {
         let pre_len = self.byte_len();
         self.fs
             .append(&self.path, &buffer)
-            .map_err(Self::io_err("append", &self.path))?;
+            .map_err(io_failure("append", &self.path))?;
         if let Some(m) = &self.metrics {
             m.incr("store.journal.appends", records.len() as u64);
             m.incr("store.journal.bytes", buffer.len() as u64);
@@ -358,7 +347,7 @@ impl Journal {
         }
         self.fs
             .fsync(&self.path)
-            .map_err(Self::io_err("fsync", &self.path))?;
+            .map_err(io_failure("fsync", &self.path))?;
         self.unsynced = 0;
         if let Some(m) = &self.metrics {
             m.incr("store.journal.syncs", 1);
@@ -374,7 +363,8 @@ impl Journal {
         }
         self.fs
             .truncate(&self.path, len)
-            .map_err(Self::io_err("truncate", &self.path))
+            .map_err(io_failure("truncate", &self.path))?;
+        Ok(())
     }
 
     /// Empty the journal after a successful snapshot (compaction).

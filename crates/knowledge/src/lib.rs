@@ -37,7 +37,7 @@ pub mod tenants;
 pub mod types;
 
 pub use decompose::{decompose, decompose_sql, to_cte_normal_form};
-pub use fs::{FaultyFs, IoFaultConfig, IoFaultLog, MemFs, RealFs, StoreFs};
+pub use fs::{FaultyFs, IoFailure, IoFaultConfig, IoFaultLog, MemFs, RealFs, StoreFs};
 pub use journal::{
     crc32, encode_record, scan, FsyncPolicy, Journal, JournalError, JournalRecord, ScanEnd,
     ScanOutcome,
@@ -65,3 +65,12 @@ pub use types::{
     Example, ExampleId, FragmentKind, Instruction, InstructionId, Intent, Provenance,
     RetrievalStage, SchemaElement, SourceRef, SqlFragment,
 };
+
+/// Lock a mutex whether or not a panicking thread poisoned it. The maps
+/// and counters these mutexes guard are consistent between statements,
+/// and one poisoned lock must not take every tenant's reads down with it.
+pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}

@@ -166,15 +166,11 @@ impl BufferPool {
     }
 
     fn lock(&self) -> MutexGuard<'_, PoolState> {
-        self.state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        crate::lock(&self.state)
     }
 
     fn lock_counters(&self) -> MutexGuard<'_, Counters> {
-        self.counters
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        crate::lock(&self.counters)
     }
 
     /// Pin an already-resident frame; `None` on miss. Takes the lock.

@@ -29,7 +29,7 @@
 //! Re-opening an already-recovered store is idempotent: it finds a clean
 //! journal and replays to the identical state.
 
-use crate::fs::StoreFs;
+use crate::fs::{io_failure, StoreFs};
 use crate::journal::{scan, JournalRecord, ScanEnd};
 use crate::persist;
 use crate::set::{Edit, KnowledgeSet};
@@ -200,11 +200,7 @@ fn quarantine(fs: &Arc<dyn StoreFs>, path: &Path) -> Result<PathBuf, StoreError>
         n += 1;
     }
     fs.rename(path, &candidate)
-        .map_err(|source| StoreError::Io {
-            op: "quarantine rename",
-            path: path.to_path_buf(),
-            source,
-        })?;
+        .map_err(io_failure("quarantine rename", path))?;
     Ok(candidate)
 }
 
@@ -215,11 +211,7 @@ fn read_optional(fs: &Arc<dyn StoreFs>, path: &Path) -> Result<Option<Vec<u8>>, 
     match fs.read(path) {
         Ok(bytes) => Ok(Some(bytes)),
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(source) => Err(StoreError::Io {
-            op: "read",
-            path: path.to_path_buf(),
-            source,
-        }),
+        Err(e) => Err(io_failure("read", path)(e).into()),
     }
 }
 
@@ -326,11 +318,7 @@ pub fn recover(
                 report.records_scanned.saturating_sub(1),
             ));
             fs.truncate(journal_path, 0)
-                .map_err(|source| StoreError::Io {
-                    op: "truncate",
-                    path: journal_path.to_path_buf(),
-                    source,
-                })?;
+                .map_err(io_failure("truncate", journal_path))?;
             report.bytes_truncated += journal_bytes.len() as u64;
             report.outcome = RecoveryOutcome::TruncatedTail;
         }
@@ -384,11 +372,7 @@ pub fn recover(
                         ));
                     }
                     fs.truncate(journal_path, committed_bytes)
-                        .map_err(|source| StoreError::Io {
-                            op: "truncate",
-                            path: journal_path.to_path_buf(),
-                            source,
-                        })?;
+                        .map_err(io_failure("truncate", journal_path))?;
                     report.bytes_truncated += tail;
                     report.outcome = RecoveryOutcome::TruncatedTail;
                 } else if journal_existed || report.snapshot_loaded {

@@ -19,7 +19,7 @@
 //!   quarantined the recovered state is immediately re-snapshotted so the
 //!   next open is clean.
 
-use crate::fs::{RealFs, StoreFs};
+use crate::fs::{io_failure, IoFailure, RealFs, StoreFs};
 use crate::journal::{FsyncPolicy, Journal, JournalError, JournalRecord};
 use crate::persist::{self, PersistError};
 use crate::recovery::{recover, RecoveryReport};
@@ -27,7 +27,6 @@ use crate::set::{Edit, EditOutcome, KnowledgeError, KnowledgeSet};
 use crate::staging::StagingArea;
 use genedit_telemetry::{MetricsRegistry, Tracer};
 use std::fmt;
-use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -41,14 +40,7 @@ pub enum StoreError {
     /// An edit was rejected by the knowledge set (nothing was journaled).
     Knowledge(KnowledgeError),
     /// A raw filesystem operation failed.
-    Io {
-        /// The operation that failed.
-        op: &'static str,
-        /// The file involved.
-        path: PathBuf,
-        /// Underlying I/O error.
-        source: io::Error,
-    },
+    Io(IoFailure),
 }
 
 impl fmt::Display for StoreError {
@@ -57,9 +49,7 @@ impl fmt::Display for StoreError {
             StoreError::Journal(e) => write!(f, "store journal error: {e}"),
             StoreError::Persist(e) => write!(f, "store snapshot error: {e}"),
             StoreError::Knowledge(e) => write!(f, "store rejected edit: {e}"),
-            StoreError::Io { op, path, source } => {
-                write!(f, "store {op} failed on {}: {source}", path.display())
-            }
+            StoreError::Io(e) => write!(f, "store {e}"),
         }
     }
 }
@@ -79,6 +69,11 @@ impl From<PersistError> for StoreError {
 impl From<KnowledgeError> for StoreError {
     fn from(e: KnowledgeError) -> StoreError {
         StoreError::Knowledge(e)
+    }
+}
+impl From<IoFailure> for StoreError {
+    fn from(e: IoFailure) -> StoreError {
+        StoreError::Io(e)
     }
 }
 
@@ -121,11 +116,7 @@ impl DurableKnowledgeStore {
     /// default configuration: `<dir>/knowledge.json` + `<dir>/knowledge.wal`.
     pub fn open(dir: impl AsRef<Path>) -> Result<DurableKnowledgeStore, StoreError> {
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(|source| StoreError::Io {
-            op: "create_dir_all",
-            path: dir.to_path_buf(),
-            source,
-        })?;
+        std::fs::create_dir_all(dir).map_err(io_failure("create_dir_all", dir))?;
         DurableKnowledgeStore::open_with(
             Arc::new(RealFs::new()),
             dir.join("knowledge.json"),
@@ -309,24 +300,24 @@ impl DurableKnowledgeStore {
         let span = tracer.span(genedit_telemetry::names::STORE_COMPACT);
         let json = persist::to_json(&self.set)?;
         let tmp = PathBuf::from(format!("{}.tmp", self.snapshot_path.display()));
-        let io_err = |op: &'static str, path: &Path| {
-            let path = path.to_path_buf();
-            move |source| StoreError::Io { op, path, source }
-        };
         let result = self
             .fs
             .write_file(&tmp, json.as_bytes())
-            .map_err(io_err("write snapshot", &tmp))
-            .and_then(|()| self.fs.fsync(&tmp).map_err(io_err("fsync snapshot", &tmp)))
+            .map_err(io_failure("write snapshot", &tmp))
+            .and_then(|()| {
+                self.fs
+                    .fsync(&tmp)
+                    .map_err(io_failure("fsync snapshot", &tmp))
+            })
             .and_then(|()| {
                 self.fs
                     .rename(&tmp, &self.snapshot_path)
-                    .map_err(io_err("rename snapshot", &self.snapshot_path))
+                    .map_err(io_failure("rename snapshot", &self.snapshot_path))
             });
         if let Err(e) = result {
             // Best effort: never leave an orphaned temp snapshot behind.
             let _ = self.fs.remove(&tmp);
-            return Err(e);
+            return Err(e.into());
         }
         self.journal.reset()?;
         // New generation, new epoch marker. A crash anywhere in this

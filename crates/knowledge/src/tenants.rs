@@ -75,7 +75,8 @@
 //!             // and cold-tenant frames are now evictable from the pool
 //! ```
 
-use crate::fs::{RealFs, StoreFs};
+use crate::fs::{io_failure, IoFailure, RealFs, StoreFs};
+use crate::lock;
 use crate::page::{Page, PageError, PageKind};
 use crate::pool::{BufferPool, PageKey, PoolConfig};
 use crate::set::{Edit, KnowledgeContent, KnowledgeSet};
@@ -90,7 +91,7 @@ use std::fmt;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// Errors from the tenant paging layer.
 #[derive(Debug)]
@@ -100,14 +101,7 @@ pub enum TenantStoreError {
     /// A page failed to encode or decode.
     Page(PageError),
     /// A raw filesystem operation failed.
-    Io {
-        /// The operation that failed.
-        op: &'static str,
-        /// The file involved.
-        path: PathBuf,
-        /// Underlying I/O error.
-        source: io::Error,
-    },
+    Io(IoFailure),
     /// A serialized record was malformed (JSON decode failed).
     Corrupt(String),
     /// The page directory no longer fits in the meta page — the tenant
@@ -134,9 +128,7 @@ impl fmt::Display for TenantStoreError {
         match self {
             TenantStoreError::Store(e) => write!(f, "tenant store: {e}"),
             TenantStoreError::Page(e) => write!(f, "tenant page: {e}"),
-            TenantStoreError::Io { op, path, source } => {
-                write!(f, "tenant {op} failed on {}: {source}", path.display())
-            }
+            TenantStoreError::Io(e) => write!(f, "tenant {e}"),
             TenantStoreError::Corrupt(what) => write!(f, "tenant record corrupt: {what}"),
             TenantStoreError::DirectoryTooLarge { bytes, capacity } => {
                 write!(
@@ -166,6 +158,12 @@ impl From<StoreError> for TenantStoreError {
 impl From<PageError> for TenantStoreError {
     fn from(e: PageError) -> TenantStoreError {
         TenantStoreError::Page(e)
+    }
+}
+
+impl From<IoFailure> for TenantStoreError {
+    fn from(e: IoFailure) -> TenantStoreError {
+        TenantStoreError::Io(e)
     }
 }
 
@@ -396,31 +394,6 @@ impl TenantKnowledgeStore {
         &self.shards[(fnv1a64(tenant.as_bytes()) as usize) % self.shards.len()]
     }
 
-    fn lock_shard<'a>(
-        shard: &'a Mutex<HashMap<String, Arc<Mutex<TenantState>>>>,
-    ) -> MutexGuard<'a, HashMap<String, Arc<Mutex<TenantState>>>> {
-        shard
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    fn lock_tenant(state: &Arc<Mutex<TenantState>>) -> MutexGuard<'_, TenantState> {
-        state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    fn io_err<'a>(
-        op: &'static str,
-        path: &'a std::path::Path,
-    ) -> impl FnOnce(io::Error) -> TenantStoreError + 'a {
-        move |source| TenantStoreError::Io {
-            op,
-            path: path.to_path_buf(),
-            source,
-        }
-    }
-
     /// Whether the tenant has any durable files on disk.
     pub fn tenant_exists(&self, tenant: &str) -> bool {
         self.fs.exists(&self.wal_path(tenant))
@@ -431,7 +404,7 @@ impl TenantKnowledgeStore {
     fn open_writer(&self, tenant: &str) -> Result<DurableKnowledgeStore, TenantStoreError> {
         if self.create_dirs {
             let dir = self.tenant_dir(tenant);
-            std::fs::create_dir_all(&dir).map_err(Self::io_err("create_dir_all", &dir))?;
+            std::fs::create_dir_all(&dir).map_err(io_failure("create_dir_all", &dir))?;
         }
         Ok(DurableKnowledgeStore::open_with(
             Arc::clone(&self.fs),
@@ -455,7 +428,7 @@ impl TenantKnowledgeStore {
         create: bool,
     ) -> Result<Arc<Mutex<TenantState>>, TenantStoreError> {
         {
-            let shard = Self::lock_shard(self.shard_for(tenant));
+            let shard = lock(self.shard_for(tenant));
             if let Some(state) = shard.get(tenant) {
                 return Ok(Arc::clone(state));
             }
@@ -468,7 +441,7 @@ impl TenantKnowledgeStore {
         // the same tenant is resolved by first-insert-wins below.
         let slot = self.next_slot.fetch_add(1, Ordering::SeqCst);
         let state = self.load_tenant(tenant, slot)?;
-        let mut shard = Self::lock_shard(self.shard_for(tenant));
+        let mut shard = lock(self.shard_for(tenant));
         if let Some(existing) = shard.get(tenant) {
             return Ok(Arc::clone(existing));
         }
@@ -550,7 +523,7 @@ impl TenantKnowledgeStore {
         if !self.fs.exists(path) {
             return Ok(0);
         }
-        self.fs.len(path).map_err(Self::io_err("len", path))
+        Ok(self.fs.len(path).map_err(io_failure("len", path))?)
     }
 
     /// Read and decode the meta page (direct, not pooled: it is read
@@ -560,7 +533,7 @@ impl TenantKnowledgeStore {
         let bytes = self
             .fs
             .read_at(&path, 0, self.config.page_size)
-            .map_err(Self::io_err("read meta page", &path))?;
+            .map_err(io_failure("read meta page", &path))?;
         if let Some(m) = &self.metrics {
             m.incr(names::PAGE_READS, 1);
         }
@@ -661,7 +634,7 @@ impl TenantKnowledgeStore {
         }
         self.fs
             .fsync(&path)
-            .map_err(Self::io_err("fsync pages", &path))?;
+            .map_err(io_failure("fsync pages", &path))?;
 
         // ...then the directory, then fsync again.
         let dir = PageDirectory {
@@ -676,7 +649,7 @@ impl TenantKnowledgeStore {
         self.write_meta_page(&path, state.slot, &dir, epoch)?;
         self.fs
             .fsync(&path)
-            .map_err(Self::io_err("fsync meta page", &path))?;
+            .map_err(io_failure("fsync meta page", &path))?;
 
         state.dir = Arc::new(dir);
         if !freed.is_empty() {
@@ -706,7 +679,7 @@ impl TenantKnowledgeStore {
         });
         self.fs
             .write_at(path, offset, &page.seal())
-            .map_err(Self::io_err("write page", path))?;
+            .map_err(io_failure("write page", path))?;
         if let Some(m) = &self.metrics {
             m.incr(names::PAGE_WRITES, 1);
         }
@@ -750,7 +723,7 @@ impl TenantKnowledgeStore {
         label: &str,
     ) -> Result<u64, TenantStoreError> {
         let entry = self.tenant_entry(tenant, true)?;
-        let mut state = Self::lock_tenant(&entry);
+        let mut state = lock(&entry);
         let mut writer = self.open_writer(tenant)?;
         writer.commit(staging, label)?;
         self.flush_after_write(tenant, &mut state, &writer)
@@ -760,7 +733,7 @@ impl TenantKnowledgeStore {
     /// the new knowledge epoch.
     pub fn apply(&self, tenant: &str, edit: Edit) -> Result<u64, TenantStoreError> {
         let entry = self.tenant_entry(tenant, true)?;
-        let mut state = Self::lock_tenant(&entry);
+        let mut state = lock(&entry);
         let mut writer = self.open_writer(tenant)?;
         writer.apply(edit)?;
         self.flush_after_write(tenant, &mut state, &writer)
@@ -793,7 +766,7 @@ impl TenantKnowledgeStore {
         vectors: &StoredVectors,
     ) -> Result<bool, TenantStoreError> {
         let entry = self.tenant_entry(tenant, false)?;
-        let mut state = Self::lock_tenant(&entry);
+        let mut state = lock(&entry);
         if state.dir.epoch != epoch {
             return Ok(false);
         }
@@ -816,7 +789,7 @@ impl TenantKnowledgeStore {
         }
         self.fs
             .fsync(&path)
-            .map_err(Self::io_err("fsync pages", &path))?;
+            .map_err(io_failure("fsync pages", &path))?;
 
         let dir = PageDirectory {
             vector_pages,
@@ -827,7 +800,7 @@ impl TenantKnowledgeStore {
         self.write_meta_page(&path, state.slot, &dir, epoch)?;
         self.fs
             .fsync(&path)
-            .map_err(Self::io_err("fsync meta page", &path))?;
+            .map_err(io_failure("fsync meta page", &path))?;
         state.dir = Arc::new(dir);
         if !freed.is_empty() {
             state.pending_free.push((epoch, freed));
@@ -843,7 +816,7 @@ impl TenantKnowledgeStore {
     /// The tenant's current knowledge epoch (paging in if cold).
     pub fn epoch(&self, tenant: &str) -> Result<u64, TenantStoreError> {
         let entry = self.tenant_entry(tenant, false)?;
-        let state = Self::lock_tenant(&entry);
+        let state = lock(&entry);
         Ok(state.dir.epoch)
     }
 
@@ -852,7 +825,7 @@ impl TenantKnowledgeStore {
     /// pages this snapshot reads. Drop the snapshot to release them.
     pub fn snapshot(self: &Arc<Self>, tenant: &str) -> Result<TenantSnapshot, TenantStoreError> {
         let entry = self.tenant_entry(tenant, false)?;
-        let mut state = Self::lock_tenant(&entry);
+        let mut state = lock(&entry);
         let dir = Arc::clone(&state.dir);
         let epoch = dir.epoch;
         *state.open_snapshots.entry(epoch).or_insert(0) += 1;
@@ -885,7 +858,7 @@ impl TenantKnowledgeStore {
         };
         let fs = &self.fs;
         let metrics = &self.metrics;
-        pool.pin_with(key, || {
+        let pinned = pool.pin_with(key, || {
             let bytes = fs.read_at(&path, page_no as u64 * page_size as u64, page_size)?;
             if let Some(m) = metrics {
                 m.incr(names::PAGE_READS, 1);
@@ -899,18 +872,14 @@ impl TenantKnowledgeStore {
                     Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
                 }
             }
-        })
-        .map_err(|source| TenantStoreError::Io {
-            op: "pin page",
-            path,
-            source,
-        })
+        });
+        Ok(pinned.map_err(io_failure("pin page", &path))?)
     }
 
     /// Drop a tenant's in-memory state (testing aid: forces the next
     /// access to take the cold page-in path). On-disk files are untouched.
     pub fn forget(&self, tenant: &str) {
-        let mut shard = Self::lock_shard(self.shard_for(tenant));
+        let mut shard = lock(self.shard_for(tenant));
         shard.remove(tenant);
     }
 }
@@ -1029,7 +998,7 @@ impl TenantSnapshot {
 
 impl Drop for TenantSnapshot {
     fn drop(&mut self) {
-        let mut state = TenantKnowledgeStore::lock_tenant(&self.state);
+        let mut state = lock(&self.state);
         if let Some(count) = state.open_snapshots.get_mut(&self.epoch) {
             *count -= 1;
             if *count == 0 {
@@ -1254,7 +1223,7 @@ mod tests {
         store.commit("t1", staged(&["b"]), "more").unwrap();
         {
             let entry = store.tenant_entry("t1", false).unwrap();
-            let state = TenantKnowledgeStore::lock_tenant(&entry);
+            let state = lock(&entry);
             assert!(
                 !state.pending_free.is_empty(),
                 "old pages must be quarantined while the snapshot is open"
@@ -1263,7 +1232,7 @@ mod tests {
         drop(snap);
         {
             let entry = store.tenant_entry("t1", false).unwrap();
-            let state = TenantKnowledgeStore::lock_tenant(&entry);
+            let state = lock(&entry);
             assert!(state.pending_free.is_empty(), "drop must release the slots");
             assert!(!state.free_slots.is_empty());
         }
