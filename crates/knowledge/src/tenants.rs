@@ -86,7 +86,7 @@ use crate::types::{Example, Instruction, Intent, RetrievalStage, SchemaElement};
 use genedit_telemetry::hash::fnv1a64;
 use genedit_telemetry::{names, MetricsRegistry, Tracer};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
@@ -215,6 +215,13 @@ pub struct PageDirectory {
     pub free_slots: Vec<u32>,
 }
 
+impl PageDirectory {
+    /// Every data slot this directory names: entries, then vectors.
+    fn slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.entry_pages.iter().chain(&self.vector_pages).copied()
+    }
+}
+
 /// Embedding vectors stored alongside a tenant's entries, grouped the way
 /// the retrieval indexes consume them. Written back by the index builder
 /// via [`TenantKnowledgeStore::put_vectors`] and read through pinned
@@ -263,6 +270,19 @@ struct TenantState {
 }
 
 impl TenantState {
+    /// Fresh in-memory state for the tenant loaded into pool slot `slot`
+    /// with `dir` current: no snapshot open, nothing pending.
+    fn at(slot: u64, dir: PageDirectory) -> TenantState {
+        TenantState {
+            slot,
+            next_physical: dir.next_physical,
+            free_slots: dir.free_slots.clone(),
+            dir: Arc::new(dir),
+            open_snapshots: BTreeMap::new(),
+            pending_free: Vec::new(),
+        }
+    }
+
     /// Move pending-free slots whose guarding snapshots have all closed
     /// onto the free list.
     fn reclaim(&mut self) {
@@ -453,21 +473,11 @@ impl TenantKnowledgeStore {
     /// Cold-load one tenant: fast path validates the meta page against
     /// the WAL; slow path runs full recovery and re-pages.
     fn load_tenant(&self, tenant: &str, slot: u64) -> Result<TenantState, TenantStoreError> {
-        let pages_path = self.pages_path(tenant);
-        let wal_len = self.file_len(&self.wal_path(tenant))?;
-        let snapshot_len = self.file_len(&self.snapshot_path(tenant))?;
-
-        if self.fs.exists(&pages_path) {
-            match self.read_meta_page(tenant, slot) {
-                Ok(dir) if dir.wal_len == wal_len && dir.snapshot_len == snapshot_len => {
-                    return Ok(TenantState {
-                        slot,
-                        next_physical: dir.next_physical,
-                        free_slots: dir.free_slots.clone(),
-                        dir: Arc::new(dir),
-                        open_snapshots: BTreeMap::new(),
-                        pending_free: Vec::new(),
-                    });
+        let lens = self.durable_lens(tenant)?;
+        if self.fs.exists(&self.pages_path(tenant)) {
+            match self.read_meta_page(tenant) {
+                Ok(dir) if (dir.wal_len, dir.snapshot_len) == lens => {
+                    return Ok(TenantState::at(slot, dir));
                 }
                 Ok(_) => {
                     // Pages are consistent but stale: the WAL moved after
@@ -482,53 +492,44 @@ impl TenantKnowledgeStore {
             }
         }
 
-        // Rebuild from the WAL (source of truth).
+        // Rebuild from the WAL (source of truth), over an empty directory:
+        // slot 0 is the meta page, so allocation starts at 1.
         if let Some(m) = &self.metrics {
             m.incr(names::PAGE_REBUILDS, 1);
         }
         let writer = self.open_writer(tenant)?;
-        let content = writer.set().content();
-        let epoch = writer.epoch();
-        let wal_len = self.file_len(&self.wal_path(tenant))?;
-        let snapshot_len = self.file_len(&self.snapshot_path(tenant))?;
-        let mut state = TenantState {
-            slot,
-            dir: Arc::new(PageDirectory {
-                epoch,
-                wal_len,
-                snapshot_len,
-                entry_pages: Vec::new(),
-                vector_pages: Vec::new(),
-                next_physical: 1,
-                free_slots: Vec::new(),
-            }),
-            open_snapshots: BTreeMap::new(),
-            pending_free: Vec::new(),
-            free_slots: Vec::new(),
+        let empty = PageDirectory {
+            epoch: 0,
+            wal_len: 0,
+            snapshot_len: 0,
+            entry_pages: Vec::new(),
+            vector_pages: Vec::new(),
             next_physical: 1,
+            free_slots: Vec::new(),
         };
-        self.flush_pages(
-            tenant,
-            &mut state,
-            &content,
-            epoch,
-            wal_len,
-            snapshot_len,
-            None,
-        )?;
+        let mut state = TenantState::at(slot, empty);
+        self.flush_pages(tenant, &mut state, &writer)?;
         Ok(state)
     }
 
-    fn file_len(&self, path: &std::path::Path) -> Result<u64, TenantStoreError> {
-        if !self.fs.exists(path) {
-            return Ok(0);
-        }
-        Ok(self.fs.len(path).map_err(io_failure("len", path))?)
+    /// Byte lengths of the tenant's WAL and snapshot (0 = absent): what a
+    /// page directory is stamped with at flush and checked against at load.
+    fn durable_lens(&self, tenant: &str) -> Result<(u64, u64), TenantStoreError> {
+        let len = |path: PathBuf| -> Result<u64, TenantStoreError> {
+            if !self.fs.exists(&path) {
+                return Ok(0);
+            }
+            Ok(self.fs.len(&path).map_err(io_failure("len", &path))?)
+        };
+        Ok((
+            len(self.wal_path(tenant))?,
+            len(self.snapshot_path(tenant))?,
+        ))
     }
 
     /// Read and decode the meta page (direct, not pooled: it is read
     /// once per cold load and immediately superseded on every flush).
-    fn read_meta_page(&self, tenant: &str, _slot: u64) -> Result<PageDirectory, TenantStoreError> {
+    fn read_meta_page(&self, tenant: &str) -> Result<PageDirectory, TenantStoreError> {
         let path = self.pages_path(tenant);
         let bytes = self
             .fs
@@ -551,117 +552,104 @@ impl TenantKnowledgeStore {
     // Page flush (shadow paging)
     // ------------------------------------------------------------------
 
-    /// Re-page the tenant's content: write entry (and optionally vector)
-    /// pages to fresh physical slots, fsync, then overwrite the meta page
-    /// and fsync. Frees the previously referenced slots into the
-    /// pending-free list guarded by the pre-flush epoch.
-    #[allow(clippy::too_many_arguments)]
+    /// Re-page the tenant at the state `writer` just made durable: pack
+    /// its entries into pages at fresh physical slots and publish them
+    /// under a directory stamped with the WAL/snapshot lengths they are
+    /// consistent with. Returns the epoch flushed.
     fn flush_pages(
         &self,
         tenant: &str,
         state: &mut TenantState,
-        content: &KnowledgeContent,
-        epoch: u64,
-        wal_len: u64,
-        snapshot_len: u64,
-        vectors: Option<&StoredVectors>,
-    ) -> Result<(), TenantStoreError> {
+        writer: &DurableKnowledgeStore,
+    ) -> Result<u64, TenantStoreError> {
+        let epoch = writer.epoch();
+        let (wal_len, snapshot_len) = self.durable_lens(tenant)?;
         let tracer = Tracer::new("store");
         let span = tracer.span(names::STORE_PAGE_FLUSH);
-        let path = self.pages_path(tenant);
         let page_size = self.config.page_size;
 
-        // Serialize entries into page-sized groups.
-        let records = encode_entry_records(content)?;
+        let records = encode_entry_records(&writer.set().content())?;
         let capacity = Page::capacity(page_size);
-        for r in &records {
-            if r.len() > capacity {
-                return Err(TenantStoreError::RecordTooLarge {
-                    bytes: r.len(),
-                    capacity,
-                });
-            }
+        if let Some(r) = records.iter().find(|r| r.len() > capacity) {
+            return Err(TenantStoreError::RecordTooLarge {
+                bytes: r.len(),
+                capacity,
+            });
         }
-
-        state.reclaim();
-        let prev_epoch = state.dir.epoch;
-        let mut freed: Vec<u32> = state.dir.entry_pages.clone();
-        freed.extend(&state.dir.vector_pages);
 
         // Pack records into pages greedily, allocating fresh slots.
-        let mut entry_pages = Vec::new();
+        state.reclaim();
         let mut pages: Vec<Page> = Vec::new();
-        {
-            let mut current: Option<Page> = None;
-            for record in &records {
-                loop {
-                    let page = current.get_or_insert_with(|| {
-                        let slot = state.alloc();
-                        entry_pages.push(slot);
-                        Page::new(PageKind::Entry, slot, epoch, page_size)
-                    });
-                    match page.push(record) {
-                        Ok(_) => break,
-                        Err(PageError::PageFull) => {
-                            if let Some(full) = current.take() {
-                                pages.push(full);
-                            }
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
+        let mut current: Option<Page> = None;
+        for record in &records {
+            loop {
+                let page = current.get_or_insert_with(|| {
+                    Page::new(PageKind::Entry, state.alloc(), epoch, page_size)
+                });
+                match page.push(record) {
+                    Ok(_) => break,
+                    Err(PageError::PageFull) => pages.extend(current.take()),
+                    Err(e) => return Err(e.into()),
                 }
             }
-            if let Some(last) = current.take() {
-                pages.push(last);
-            }
         }
+        pages.extend(current);
 
-        // Vector stream, if the caller preserved or supplied vectors.
-        let mut vector_pages = Vec::new();
-        if let Some(v) = vectors {
-            for chunk in encode_vector_stream(v).chunks(capacity) {
-                let slot = state.alloc();
-                vector_pages.push(slot);
-                let mut page = Page::new(PageKind::Vector, slot, epoch, page_size);
-                page.push(chunk)?;
-                pages.push(page);
-            }
-        }
-
-        // Shadow-page protocol: data pages first...
-        for page in &pages {
-            self.write_page(&path, state.slot, page)?;
-        }
-        self.fs
-            .fsync(&path)
-            .map_err(io_failure("fsync pages", &path))?;
-
-        // ...then the directory, then fsync again.
         let dir = PageDirectory {
             epoch,
             wal_len,
             snapshot_len,
-            entry_pages,
-            vector_pages,
+            entry_pages: pages.iter().map(Page::page_no).collect(),
+            // Vectors are dropped on every mutation: they describe the old
+            // epoch's entries. The index builder writes fresh ones back.
+            vector_pages: Vec::new(),
             next_physical: state.next_physical,
             free_slots: state.free_slots.clone(),
         };
-        self.write_meta_page(&path, state.slot, &dir, epoch)?;
-        self.fs
-            .fsync(&path)
-            .map_err(io_failure("fsync meta page", &path))?;
-
-        state.dir = Arc::new(dir);
-        if !freed.is_empty() {
-            state.pending_free.push((prev_epoch, freed));
-        }
-        state.reclaim();
+        self.publish(tenant, state, &pages, dir)?;
 
         span.attr("pages", pages.len() + 1).attr("epoch", epoch);
         span.finish();
         if let Some(m) = &self.metrics {
             m.record_trace(&tracer.finish());
         }
+        Ok(epoch)
+    }
+
+    /// The shadow-page protocol — the one way a directory becomes
+    /// current. `pages` sit in slots no live directory names; they are
+    /// written and fsynced first, and only then is the meta page (slot 0)
+    /// overwritten with `dir` and fsynced again. A crash before the second
+    /// fsync lands leaves the old directory, whose pages were never
+    /// touched; after it, the new one, whose pages are durable. The slots
+    /// only the old directory named are then quarantined under its epoch
+    /// until every snapshot that could still read them has closed.
+    fn publish(
+        &self,
+        tenant: &str,
+        state: &mut TenantState,
+        pages: &[Page],
+        dir: PageDirectory,
+    ) -> Result<(), TenantStoreError> {
+        let path = self.pages_path(tenant);
+        for page in pages {
+            self.write_page(&path, state.slot, page)?;
+        }
+        self.fs
+            .fsync(&path)
+            .map_err(io_failure("fsync pages", &path))?;
+        self.write_meta_page(&path, state.slot, &dir)?;
+        self.fs
+            .fsync(&path)
+            .map_err(io_failure("fsync meta page", &path))?;
+
+        let old = std::mem::replace(&mut state.dir, Arc::new(dir));
+        let live: HashSet<u32> = state.dir.slots().collect();
+        let freed: Vec<u32> = old.slots().filter(|s| !live.contains(s)).collect();
+        if !freed.is_empty() {
+            state.pending_free.push((old.epoch, freed));
+        }
+        state.reclaim();
         Ok(())
     }
 
@@ -691,7 +679,6 @@ impl TenantKnowledgeStore {
         path: &std::path::Path,
         tenant_slot: u64,
         dir: &PageDirectory,
-        epoch: u64,
     ) -> Result<(), TenantStoreError> {
         let json = serde_json::to_string(dir)
             .map_err(|e| TenantStoreError::Corrupt(format!("encode directory: {e}")))?
@@ -703,7 +690,7 @@ impl TenantKnowledgeStore {
                 capacity,
             });
         }
-        let mut meta = Page::new(PageKind::Meta, 0, epoch, self.config.page_size);
+        let mut meta = Page::new(PageKind::Meta, 0, dir.epoch, self.config.page_size);
         meta.push(&json)?;
         self.write_page(path, tenant_slot, &meta)
     }
@@ -726,7 +713,7 @@ impl TenantKnowledgeStore {
         let mut state = lock(&entry);
         let mut writer = self.open_writer(tenant)?;
         writer.commit(staging, label)?;
-        self.flush_after_write(tenant, &mut state, &writer)
+        self.flush_pages(tenant, &mut state, &writer)
     }
 
     /// Apply one edit durably for `tenant` and flush its pages. Returns
@@ -736,23 +723,7 @@ impl TenantKnowledgeStore {
         let mut state = lock(&entry);
         let mut writer = self.open_writer(tenant)?;
         writer.apply(edit)?;
-        self.flush_after_write(tenant, &mut state, &writer)
-    }
-
-    fn flush_after_write(
-        &self,
-        tenant: &str,
-        state: &mut TenantState,
-        writer: &DurableKnowledgeStore,
-    ) -> Result<u64, TenantStoreError> {
-        let epoch = writer.epoch();
-        let content = writer.set().content();
-        let wal_len = self.file_len(&self.wal_path(tenant))?;
-        let snapshot_len = self.file_len(&self.snapshot_path(tenant))?;
-        // Vectors are dropped on every mutation: they describe the old
-        // epoch's entries. The index builder writes fresh ones back.
-        self.flush_pages(tenant, state, &content, epoch, wal_len, snapshot_len, None)?;
-        Ok(epoch)
+        self.flush_pages(tenant, &mut state, &writer)
     }
 
     /// Store embedding vectors for the tenant's current entries. No-op
@@ -771,41 +742,20 @@ impl TenantKnowledgeStore {
             return Ok(false);
         }
         state.reclaim();
-        let path = self.pages_path(tenant);
-        let capacity = Page::capacity(self.config.page_size);
-        let freed = state.dir.vector_pages.clone();
-
-        let mut vector_pages = Vec::new();
+        let page_size = self.config.page_size;
         let mut pages = Vec::new();
-        for chunk in encode_vector_stream(vectors).chunks(capacity) {
-            let slot = state.alloc();
-            vector_pages.push(slot);
-            let mut page = Page::new(PageKind::Vector, slot, epoch, self.config.page_size);
+        for chunk in encode_vector_stream(vectors).chunks(Page::capacity(page_size)) {
+            let mut page = Page::new(PageKind::Vector, state.alloc(), epoch, page_size);
             page.push(chunk)?;
             pages.push(page);
         }
-        for page in &pages {
-            self.write_page(&path, state.slot, page)?;
-        }
-        self.fs
-            .fsync(&path)
-            .map_err(io_failure("fsync pages", &path))?;
-
         let dir = PageDirectory {
-            vector_pages,
+            vector_pages: pages.iter().map(Page::page_no).collect(),
             next_physical: state.next_physical,
             free_slots: state.free_slots.clone(),
             ..(*state.dir).clone()
         };
-        self.write_meta_page(&path, state.slot, &dir, epoch)?;
-        self.fs
-            .fsync(&path)
-            .map_err(io_failure("fsync meta page", &path))?;
-        state.dir = Arc::new(dir);
-        if !freed.is_empty() {
-            state.pending_free.push((epoch, freed));
-        }
-        state.reclaim();
+        self.publish(tenant, &mut state, &pages, dir)?;
         Ok(true)
     }
 
@@ -845,7 +795,6 @@ impl TenantKnowledgeStore {
     /// checksum-verifying it from disk on a miss.
     fn pin_page(
         &self,
-        pool: &Arc<BufferPool>,
         tenant: &str,
         tenant_slot: u64,
         page_no: u32,
@@ -858,7 +807,7 @@ impl TenantKnowledgeStore {
         };
         let fs = &self.fs;
         let metrics = &self.metrics;
-        let pinned = pool.pin_with(key, || {
+        let pinned = self.pool.pin_with(key, || {
             let bytes = fs.read_at(&path, page_no as u64 * page_size as u64, page_size)?;
             if let Some(m) = metrics {
                 m.incr(names::PAGE_READS, 1);
@@ -933,9 +882,7 @@ impl TenantSnapshot {
         let mut content = KnowledgeContent::default();
         let mut saw_meta = false;
         for &page_no in &self.dir.entry_pages {
-            let pinned =
-                self.store
-                    .pin_page(self.store.pool(), &self.tenant, self.slot, page_no)?;
+            let pinned = self.store.pin_page(&self.tenant, self.slot, page_no)?;
             for record in pinned.page().records() {
                 let text = std::str::from_utf8(record)
                     .map_err(|e| TenantStoreError::Corrupt(format!("entry record utf8: {e}")))?;
@@ -983,9 +930,7 @@ impl TenantSnapshot {
         }
         let mut stream = Vec::new();
         for &page_no in &self.dir.vector_pages {
-            let pinned =
-                self.store
-                    .pin_page(self.store.pool(), &self.tenant, self.slot, page_no)?;
+            let pinned = self.store.pin_page(&self.tenant, self.slot, page_no)?;
             let page = pinned.page();
             let record = page
                 .record(0)
