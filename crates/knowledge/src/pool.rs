@@ -94,8 +94,9 @@ struct PoolState {
     frames: Vec<Option<Frame>>,
     free: Vec<usize>,
     hand: usize,
-    resident_bytes: usize,
-    pinned_frames: usize,
+    /// What happened and what is resident, under the same lock as the
+    /// frames it describes.
+    stats: PoolStats,
 }
 
 /// Point-in-time counters for tests and benches.
@@ -121,16 +122,7 @@ pub struct PoolStats {
 pub struct BufferPool {
     config: PoolConfig,
     state: Mutex<PoolState>,
-    counters: Mutex<Counters>,
     metrics: Option<Arc<MetricsRegistry>>,
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct Counters {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    overcommits: u64,
 }
 
 impl std::fmt::Debug for BufferPool {
@@ -155,7 +147,6 @@ impl BufferPool {
         BufferPool {
             config,
             state: Mutex::new(PoolState::default()),
-            counters: Mutex::new(Counters::default()),
             metrics,
         }
     }
@@ -169,27 +160,21 @@ impl BufferPool {
         crate::lock(&self.state)
     }
 
-    fn lock_counters(&self) -> MutexGuard<'_, Counters> {
-        crate::lock(&self.counters)
-    }
-
     /// Pin an already-resident frame; `None` on miss. Takes the lock.
     fn try_pin_resident(&self, key: PageKey) -> Option<Arc<Page>> {
         let mut state = self.lock();
         let idx = *state.map.get(&key)?;
-        let (page, newly_pinned) = {
-            let frame = state.frames[idx].as_mut()?;
-            frame.referenced = true;
-            let newly_pinned = frame.pins == 0;
-            frame.pins += 1;
-            (Arc::clone(&frame.page), newly_pinned)
-        };
-        if newly_pinned {
-            state.pinned_frames += 1;
-        }
+        let frame = state.frames[idx].as_mut()?;
+        frame.referenced = true;
+        frame.pins += 1;
+        let newly_pinned = frame.pins == 1;
+        let page = Arc::clone(&frame.page);
+        state.stats.hits += 1;
+        state.stats.pinned_frames += newly_pinned as usize;
+        let stats = state.stats;
         drop(state);
-        self.lock_counters().hits += 1;
-        self.publish_metrics(names::POOL_HIT);
+        self.incr(names::POOL_HIT, 1);
+        self.set_gauges(stats);
         Some(page)
     }
 
@@ -243,13 +228,13 @@ impl BufferPool {
     ) -> io::Result<PinnedPage> {
         // Evict until the new page fits (or nothing evictable remains).
         let mut evicted = 0u64;
-        while state.resident_bytes + page_bytes > self.config.budget_bytes {
+        while state.stats.resident_bytes + page_bytes > self.config.budget_bytes {
             if !Self::evict_one(&mut state) {
                 break;
             }
             evicted += 1;
         }
-        let overcommitted = state.resident_bytes + page_bytes > self.config.budget_bytes;
+        let overcommitted = state.stats.resident_bytes + page_bytes > self.config.budget_bytes;
 
         let idx = match state.free.pop() {
             Some(idx) => idx,
@@ -265,18 +250,17 @@ impl BufferPool {
             referenced: true,
         });
         state.map.insert(key, idx);
-        state.resident_bytes += page_bytes;
-        state.pinned_frames += 1;
-        {
-            let mut counters = self.lock_counters();
-            counters.misses += 1;
-            counters.evictions += evicted;
-            if overcommitted {
-                counters.overcommits += 1;
-            }
-        }
+        state.stats.resident_bytes += page_bytes;
+        state.stats.pinned_frames += 1;
+        state.stats.misses += 1;
+        state.stats.evictions += evicted;
+        state.stats.overcommits += overcommitted as u64;
+        let stats = state.stats;
         drop(state);
-        self.publish_metrics(names::POOL_MISS);
+        self.incr(names::POOL_MISS, 1);
+        self.incr(names::POOL_EVICTIONS, evicted);
+        self.incr(names::POOL_OVERCOMMITS, overcommitted as u64);
+        self.set_gauges(stats);
         Ok(PinnedPage {
             pool: Arc::clone(self),
             key,
@@ -312,7 +296,7 @@ impl BufferPool {
             state.frames[idx] = None;
             state.free.push(idx);
             state.map.remove(&key);
-            state.resident_bytes -= bytes;
+            state.stats.resident_bytes -= bytes;
             return true;
         }
         false
@@ -324,12 +308,13 @@ impl BufferPool {
             if let Some(frame) = state.frames[idx].as_mut() {
                 frame.pins = frame.pins.saturating_sub(1);
                 if frame.pins == 0 {
-                    state.pinned_frames = state.pinned_frames.saturating_sub(1);
+                    state.stats.pinned_frames = state.stats.pinned_frames.saturating_sub(1);
                 }
             }
         }
+        let stats = state.stats;
         drop(state);
-        self.publish_metrics("");
+        self.set_gauges(stats);
     }
 
     /// Drop the frame under `key` if resident and unpinned — used when a
@@ -345,55 +330,34 @@ impl BufferPool {
                     state.frames[idx] = None;
                     state.free.push(idx);
                     state.map.remove(&key);
-                    state.resident_bytes -= bytes;
+                    state.stats.resident_bytes -= bytes;
                 }
             }
         }
+        let stats = state.stats;
         drop(state);
-        self.publish_metrics("");
+        self.set_gauges(stats);
     }
 
     /// Current counters and residency.
     pub fn stats(&self) -> PoolStats {
-        // One lock at a time: `admit` holds the state lock while taking
-        // the counter lock, so grabbing them together here could deadlock.
-        let counters = *self.lock_counters();
-        let state = self.lock();
-        PoolStats {
-            hits: counters.hits,
-            misses: counters.misses,
-            evictions: counters.evictions,
-            overcommits: counters.overcommits,
-            resident_bytes: state.resident_bytes,
-            pinned_frames: state.pinned_frames,
+        self.lock().stats
+    }
+
+    /// Count an event into the registry where it happens, after the
+    /// state lock has dropped.
+    fn incr(&self, name: &str, by: u64) {
+        if let Some(metrics) = &self.metrics {
+            metrics.incr(name, by);
         }
     }
 
-    fn publish_metrics(&self, event: &str) {
-        let Some(metrics) = &self.metrics else {
-            return;
-        };
-        match event {
-            names::POOL_HIT => metrics.incr(names::POOL_HIT, 1),
-            names::POOL_MISS => metrics.incr(names::POOL_MISS, 1),
-            _ => {}
-        }
-        let stats = self.stats();
-        metrics.set_gauge(names::POOL_RESIDENT_BYTES, stats.resident_bytes as f64);
-        metrics.set_gauge(names::POOL_PINNED, stats.pinned_frames as f64);
-        if event == names::POOL_MISS {
-            // Evictions/overcommits only change on the miss path. Mirror
-            // the pool's internal counters into the registry by publishing
-            // the delta (the registry has no counter-set operation). The
-            // internal stats stay authoritative if publishers race.
-            let behind = stats
-                .evictions
-                .saturating_sub(metrics.counter(names::POOL_EVICTIONS));
-            metrics.incr(names::POOL_EVICTIONS, behind);
-            let behind = stats
-                .overcommits
-                .saturating_sub(metrics.counter(names::POOL_OVERCOMMITS));
-            metrics.incr(names::POOL_OVERCOMMITS, behind);
+    /// Set the residency gauges to `stats`, the values the caller read
+    /// under the lock it has just dropped — reporting never re-locks.
+    fn set_gauges(&self, stats: PoolStats) {
+        if let Some(metrics) = &self.metrics {
+            metrics.set_gauge(names::POOL_RESIDENT_BYTES, stats.resident_bytes as f64);
+            metrics.set_gauge(names::POOL_PINNED, stats.pinned_frames as f64);
         }
     }
 }
@@ -582,11 +546,27 @@ mod tests {
             );
         }
         drop(pool.pin_with(key(1, 0), || Ok(test_page(0, 256))).unwrap());
+        // Hold both frames pinned so the next admission overcommits, hit
+        // one of them again, then let go and invalidate.
+        let a = pool.pin_with(key(1, 0), || Ok(test_page(0, 256))).unwrap();
+        let b = pool.pin_with(key(1, 9), || Ok(test_page(9, 256))).unwrap();
+        let c = pool.pin_with(key(1, 8), || Ok(test_page(8, 256))).unwrap();
+        drop(pool.pin_with(key(1, 9), || panic!("resident")).unwrap());
+        drop((a, b, c));
+        pool.invalidate(key(1, 8));
         let stats = pool.stats();
-        assert!(stats.evictions > 0);
+        assert!(stats.hits > 0 && stats.evictions > 0 && stats.overcommits > 0);
         assert_eq!(metrics.counter(names::POOL_HIT), stats.hits);
         assert_eq!(metrics.counter(names::POOL_MISS), stats.misses);
         assert_eq!(metrics.counter(names::POOL_EVICTIONS), stats.evictions);
         assert_eq!(metrics.counter(names::POOL_OVERCOMMITS), stats.overcommits);
+        assert_eq!(
+            metrics.gauge(names::POOL_RESIDENT_BYTES),
+            Some(stats.resident_bytes as f64)
+        );
+        assert_eq!(
+            metrics.gauge(names::POOL_PINNED),
+            Some(stats.pinned_frames as f64)
+        );
     }
 }
