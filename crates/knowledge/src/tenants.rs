@@ -1023,9 +1023,17 @@ fn decode_vector_stream(bytes: &[u8]) -> Result<StoredVectors, TenantStoreError>
         read_u32(8) as usize,
         read_u32(12) as usize,
     ];
-    let total = counts.iter().sum::<usize>();
-    let expected = 16 + total * dim * 4;
-    if bytes.len() != expected {
+    // The header is outside input (a CRC vouches for the medium, not the
+    // writer): size the body with checked arithmetic and hold it against
+    // the bytes present before allocating anything. Zero-dimensional
+    // vectors would let the counts claim any number of entries for free;
+    // no index writes them.
+    let total = counts.iter().try_fold(0usize, |n, &c| n.checked_add(c));
+    let expected = total
+        .and_then(|n| n.checked_mul(dim))
+        .and_then(|n| n.checked_mul(4))
+        .and_then(|n| n.checked_add(16));
+    if expected != Some(bytes.len()) || (dim == 0 && total != Some(0)) {
         return Err(corrupt("length mismatch"));
     }
     let mut at = 16;
@@ -1293,6 +1301,35 @@ mod tests {
             "pool resident {} exceeds budget",
             stats.resident_bytes
         );
+    }
+
+    #[test]
+    fn crafted_vector_headers_are_corrupt_not_fatal() {
+        let stream = |dim: u32, counts: [u32; 3], body: usize| {
+            let mut bytes = Vec::new();
+            for word in [dim, counts[0], counts[1], counts[2]] {
+                bytes.extend_from_slice(&word.to_le_bytes());
+            }
+            bytes.resize(16 + body, 0);
+            bytes
+        };
+        for crafted in [
+            // 16 + 2^31 * 2^31 * 4 wraps to 16: passes an unchecked length
+            // test, then asks the allocator for 2^31 vectors.
+            stream(1 << 31, [1 << 31, 0, 0], 0),
+            // Zero-width vectors: any count "fits" in no bytes at all.
+            stream(0, [1 << 31, 0, 0], 0),
+            // A plausible header over a body one vector short.
+            stream(4, [2, 1, 0], 2 * 4 * 4),
+        ] {
+            assert!(matches!(
+                decode_vector_stream(&crafted),
+                Err(TenantStoreError::Corrupt(_))
+            ));
+        }
+        // The same plausible header over its full body decodes.
+        let whole = decode_vector_stream(&stream(4, [2, 1, 0], 3 * 4 * 4)).unwrap();
+        assert_eq!((whole.examples.len(), whole.instructions.len()), (2, 1));
     }
 
     #[test]
