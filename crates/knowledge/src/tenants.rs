@@ -211,7 +211,9 @@ pub struct PageDirectory {
     pub vector_pages: Vec<u32>,
     /// First never-allocated physical slot.
     pub next_physical: u32,
-    /// Physical slots free for reuse (no live directory references them).
+    /// Physical slots that were free when the directory was written —
+    /// without the ones its own flush superseded, so a cold load derives
+    /// the list from the fields above instead of reading this one.
     pub free_slots: Vec<u32>,
 }
 
@@ -271,12 +273,19 @@ struct TenantState {
 
 impl TenantState {
     /// Fresh in-memory state for the tenant loaded into pool slot `slot`
-    /// with `dir` current: no snapshot open, nothing pending.
+    /// with `dir` current: no snapshot open, nothing pending — so every
+    /// allocated slot the directory does not name is free. The free list
+    /// is derived, not read from `dir.free_slots`: a flush writes that
+    /// before the slots it supersedes are released, so trusting it would
+    /// leak them on every cold load.
     fn at(slot: u64, dir: PageDirectory) -> TenantState {
+        let named: HashSet<u32> = dir.slots().collect();
         TenantState {
             slot,
             next_physical: dir.next_physical,
-            free_slots: dir.free_slots.clone(),
+            free_slots: (1..dir.next_physical)
+                .filter(|s| !named.contains(s))
+                .collect(),
             dir: Arc::new(dir),
             open_snapshots: BTreeMap::new(),
             pending_free: Vec::new(),
@@ -1277,6 +1286,43 @@ mod tests {
         store.forget("t1");
         let snap = store.snapshot("t1").unwrap();
         assert_eq!(snap.vectors().unwrap().unwrap(), vectors);
+    }
+
+    #[test]
+    fn cold_load_reuses_the_slots_its_last_flush_freed() {
+        let mem = Arc::new(MemFs::new());
+        let store = mem_store(&mem);
+        for round in 0..8 {
+            for tenant in ["warm", "cold"] {
+                let epoch = store
+                    .commit(tenant, staged(&[&format!("r{round}")]), "round")
+                    .unwrap();
+                let vectors = StoredVectors {
+                    dim: 64,
+                    examples: vec![vec![round as f32; 64]; round + 1],
+                    instructions: vec![],
+                    schema: vec![],
+                };
+                assert!(store.put_vectors(tenant, epoch, &vectors).unwrap());
+                // The round's last flush supersedes every page above; the
+                // meta page it writes cannot list them as free yet.
+                store
+                    .apply(tenant, edit(&format!("r{round} late")))
+                    .unwrap();
+            }
+            // The cold twin is dropped from memory after every round, as
+            // every tenant is on a restart.
+            store.forget("cold");
+        }
+        let len = |tenant: &str| {
+            mem.len(std::path::Path::new(&format!("/kb/{tenant}/pages.dat")))
+                .unwrap()
+        };
+        assert_eq!(len("cold"), len("warm"), "a cold load leaked free slots");
+        assert_eq!(
+            store.snapshot("cold").unwrap().content().unwrap(),
+            store.snapshot("warm").unwrap().content().unwrap()
+        );
     }
 
     #[test]
