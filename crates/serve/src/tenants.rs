@@ -98,7 +98,9 @@ impl TenantDirectory {
         let started = Instant::now();
         let snapshot = self.store.snapshot(tenant)?;
         let epoch = snapshot.epoch();
-        let had_vectors = snapshot.vectors()?.is_some();
+        // The directory says whether vectors exist; `from_snapshot` below
+        // is the one read and decode of them.
+        let had_vectors = !snapshot.directory().vector_pages.is_empty();
         let index = Arc::new(KnowledgeIndex::from_snapshot(&snapshot)?);
         drop(snapshot);
         if !had_vectors {
