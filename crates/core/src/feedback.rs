@@ -155,28 +155,8 @@ pub fn generate_edits(
     generation: &GenerationResult,
     knowledge: &KnowledgeSet,
 ) -> Vec<RecommendedEdit> {
-    generate_edits_with_id(feedback, question, generation, knowledge, 0)
-}
-
-/// Like [`generate_edits`], carrying the feedback's id into the provenance
-/// of every produced edit (the knowledge-set library groups history by
-/// feedback, Fig. 4).
-pub fn generate_edits_with_id(
-    feedback: &str,
-    question: &str,
-    generation: &GenerationResult,
-    knowledge: &KnowledgeSet,
-    feedback_id: u64,
-) -> Vec<RecommendedEdit> {
     let tracer = Tracer::new("feedback");
-    generate_edits_traced(
-        feedback,
-        question,
-        generation,
-        knowledge,
-        feedback_id,
-        &tracer,
-    )
+    generate_edits_traced(feedback, question, generation, knowledge, 0, &tracer)
 }
 
 /// Operator 3: plan the changes — one step list per target, consumed by
@@ -203,7 +183,9 @@ pub fn plan_edits(targets: &[FeedbackTarget]) -> Vec<Vec<String>> {
 
 /// The four-operator feedback chain, recording one span per operator on
 /// `tracer` (attrs: targets matched, explanation size, steps planned,
-/// edits produced).
+/// edits produced). `feedback_id` goes into the provenance of every
+/// produced edit (the knowledge-set library groups history by feedback,
+/// Fig. 4); [`generate_edits`] is this with id 0 and a throwaway tracer.
 pub fn generate_edits_traced(
     feedback: &str,
     question: &str,
@@ -375,17 +357,20 @@ impl<'a, M: LanguageModel> FeedbackSession<'a, M> {
         &self.feedback_traces
     }
 
+    /// The deployed set with the staged edits applied. A staged edit that
+    /// no longer applies (e.g. its target was deleted under it) degrades
+    /// to the deployed view rather than panicking the session.
+    fn staged_view(&self) -> KnowledgeSet {
+        self.staging
+            .materialize(self.deployed)
+            .unwrap_or_else(|_| self.deployed.clone())
+    }
+
     /// Submit feedback: produces recommended edits against the *staged*
     /// view of the knowledge set. The round number becomes the feedback id
     /// carried by the edits' provenance.
     pub fn submit_feedback(&mut self, feedback: &str) -> usize {
-        // A staged edit that no longer applies (e.g. its target was
-        // deleted under it) degrades to the deployed view rather than
-        // panicking the session.
-        let staged_ks = self
-            .staging
-            .materialize(self.deployed)
-            .unwrap_or_else(|_| self.deployed.clone());
+        let staged_ks = self.staged_view();
         let feedback_id = self.rounds.len() as u64 + 1;
         let tracer = Tracer::new("feedback");
         self.recommendations = generate_edits_traced(
@@ -431,11 +416,7 @@ impl<'a, M: LanguageModel> FeedbackSession<'a, M> {
     /// Regenerate the query against deployed + staged edits ("the user can
     /// regenerate the query and continue iterating", §4.2.1).
     pub fn regenerate(&mut self) -> &GenerationResult {
-        let staged_ks = self
-            .staging
-            .materialize(self.deployed)
-            .unwrap_or_else(|_| self.deployed.clone());
-        let index = KnowledgeIndex::build(staged_ks);
+        let index = KnowledgeIndex::build(self.staged_view());
         self.latest = self.pipeline.generate(&self.question, &index, self.db, &[]);
         &self.latest
     }

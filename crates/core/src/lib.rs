@@ -51,8 +51,8 @@ pub use baselines::{
 pub use cancel::CancelToken;
 pub use config::{Ablation, CandidateSelection, PipelineConfig};
 pub use feedback::{
-    expand_feedback, generate_edits, generate_edits_traced, generate_edits_with_id,
-    generate_targets, plan_edits, FeedbackSession, FeedbackTarget, RecommendedEdit, TargetKind,
+    expand_feedback, generate_edits, generate_edits_traced, generate_targets, plan_edits,
+    FeedbackSession, FeedbackTarget, RecommendedEdit, TargetKind,
 };
 pub use harness::Harness;
 pub use index::KnowledgeIndex;
