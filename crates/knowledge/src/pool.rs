@@ -44,6 +44,7 @@
 //! drop(pinned); // unpin: the frame is now evictable
 //! ```
 
+use crate::lock;
 use crate::page::{Page, DEFAULT_PAGE_SIZE};
 use genedit_telemetry::{names, MetricsRegistry};
 use std::collections::HashMap;
@@ -156,13 +157,9 @@ impl BufferPool {
         &self.config
     }
 
-    fn lock(&self) -> MutexGuard<'_, PoolState> {
-        crate::lock(&self.state)
-    }
-
     /// Pin an already-resident frame; `None` on miss. Takes the lock.
     fn try_pin_resident(&self, key: PageKey) -> Option<Arc<Page>> {
-        let mut state = self.lock();
+        let mut state = lock(&self.state);
         let idx = *state.map.get(&key)?;
         let frame = state.frames[idx].as_mut()?;
         frame.referenced = true;
@@ -186,46 +183,39 @@ impl BufferPool {
         key: PageKey,
         loader: impl FnOnce() -> io::Result<Arc<Page>>,
     ) -> io::Result<PinnedPage> {
+        let pinned = |page| PinnedPage {
+            pool: Arc::clone(self),
+            key,
+            page,
+        };
         // Fast path: already resident.
         if let Some(page) = self.try_pin_resident(key) {
-            return Ok(PinnedPage {
-                pool: Arc::clone(self),
-                key,
-                page,
-            });
+            return Ok(pinned(page));
         }
 
         // Miss: load outside the lock so slow disk I/O for one tenant
         // never blocks hits for others.
         let page = loader()?;
-        let page_bytes = page.page_size();
 
         // Another thread may have admitted the same key while we loaded;
         // reuse its frame and drop our copy.
         loop {
             if let Some(page) = self.try_pin_resident(key) {
-                return Ok(PinnedPage {
-                    pool: Arc::clone(self),
-                    key,
-                    page,
-                });
+                return Ok(pinned(page));
             }
-            let state = self.lock();
+            let state = lock(&self.state);
             if !state.map.contains_key(&key) {
-                break self.admit(state, key, page, page_bytes);
+                self.admit(state, key, Arc::clone(&page));
+                return Ok(pinned(page));
             }
             // Admitted between the pin attempt and the lock — retry the pin.
         }
     }
 
-    /// Admit a freshly loaded page under the lock, evicting to budget.
-    fn admit(
-        self: &Arc<Self>,
-        mut state: MutexGuard<'_, PoolState>,
-        key: PageKey,
-        page: Arc<Page>,
-        page_bytes: usize,
-    ) -> io::Result<PinnedPage> {
+    /// Admit a freshly loaded page, pinned once, under the lock the caller
+    /// took to see it absent; evicts to budget first.
+    fn admit(&self, mut state: MutexGuard<'_, PoolState>, key: PageKey, page: Arc<Page>) {
+        let page_bytes = page.page_size();
         // Evict until the new page fits (or nothing evictable remains).
         let mut evicted = 0u64;
         while state.stats.resident_bytes + page_bytes > self.config.budget_bytes {
@@ -245,7 +235,7 @@ impl BufferPool {
         };
         state.frames[idx] = Some(Frame {
             key,
-            page: Arc::clone(&page),
+            page,
             pins: 1,
             referenced: true,
         });
@@ -261,11 +251,6 @@ impl BufferPool {
         self.incr(names::POOL_EVICTIONS, evicted);
         self.incr(names::POOL_OVERCOMMITS, overcommitted as u64);
         self.set_gauges(stats);
-        Ok(PinnedPage {
-            pool: Arc::clone(self),
-            key,
-            page,
-        })
     }
 
     /// One clock sweep step: reclaim the first unpinned, unreferenced
@@ -303,7 +288,7 @@ impl BufferPool {
     }
 
     fn unpin(&self, key: PageKey) {
-        let mut state = self.lock();
+        let mut state = lock(&self.state);
         if let Some(&idx) = state.map.get(&key) {
             if let Some(frame) = state.frames[idx].as_mut() {
                 frame.pins = frame.pins.saturating_sub(1);
@@ -322,7 +307,7 @@ impl BufferPool {
     /// image would be stale. Pinned frames are left alone (their readers
     /// hold a snapshot that still owns the old slot).
     pub fn invalidate(&self, key: PageKey) {
-        let mut state = self.lock();
+        let mut state = lock(&self.state);
         if let Some(&idx) = state.map.get(&key) {
             if let Some(frame) = state.frames[idx].as_ref() {
                 if frame.pins == 0 {
@@ -341,7 +326,7 @@ impl BufferPool {
 
     /// Current counters and residency.
     pub fn stats(&self) -> PoolStats {
-        self.lock().stats
+        lock(&self.state).stats
     }
 
     /// Count an event into the registry where it happens, after the

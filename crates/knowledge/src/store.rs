@@ -300,21 +300,15 @@ impl DurableKnowledgeStore {
         let span = tracer.span(genedit_telemetry::names::STORE_COMPACT);
         let json = persist::to_json(&self.set)?;
         let tmp = PathBuf::from(format!("{}.tmp", self.snapshot_path.display()));
-        let result = self
-            .fs
-            .write_file(&tmp, json.as_bytes())
-            .map_err(io_failure("write snapshot", &tmp))
-            .and_then(|()| {
-                self.fs
-                    .fsync(&tmp)
-                    .map_err(io_failure("fsync snapshot", &tmp))
-            })
-            .and_then(|()| {
-                self.fs
-                    .rename(&tmp, &self.snapshot_path)
-                    .map_err(io_failure("rename snapshot", &self.snapshot_path))
-            });
-        if let Err(e) = result {
+        let write_sync_rename = || -> Result<(), IoFailure> {
+            let fs = &self.fs;
+            fs.write_file(&tmp, json.as_bytes())
+                .map_err(io_failure("write snapshot", &tmp))?;
+            fs.fsync(&tmp).map_err(io_failure("fsync snapshot", &tmp))?;
+            fs.rename(&tmp, &self.snapshot_path)
+                .map_err(io_failure("rename snapshot", &self.snapshot_path))
+        };
+        if let Err(e) = write_sync_rename() {
             // Best effort: never leave an orphaned temp snapshot behind.
             let _ = self.fs.remove(&tmp);
             return Err(e.into());
