@@ -51,6 +51,9 @@ pub struct SqlCounters {
     /// SELECT bodies that did not finish on a columnar path and ran the
     /// reference interpreter's tail after the vectorized FROM/WHERE.
     pub interpreter_fallbacks: u64,
+    /// Elements the vectorized evaluator handed to
+    /// `functions::eval_scalar`, counted once per kernel call.
+    pub scalar_calls: u64,
 }
 
 thread_local! {
@@ -63,6 +66,7 @@ thread_local! {
         join_probe_ns: 0,
         agg_groups: 0,
         interpreter_fallbacks: 0,
+        scalar_calls: 0,
     }) };
 }
 

@@ -20,6 +20,7 @@ use crate::ast::{BinaryOp, Expr, FunctionCall, UnaryOp};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{literal_value, ColMeta, Scope};
 use crate::functions;
+use crate::physical;
 use crate::value::{total_cmp_f64, DataType, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -628,6 +629,7 @@ pub fn eval(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Arra
             for a in args {
                 arrs.push(eval(a, chunk, sel)?);
             }
+            physical::with_counters(|c| c.scalar_calls += n as u64);
             let mut b = ArrayBuilder::with_capacity(n);
             let mut argv: Vec<Value> = Vec::with_capacity(args.len());
             for pos in 0..n {

@@ -203,3 +203,40 @@ fn gold_queries_without_windows_never_leave_the_columnar_tiers() {
     // One fallback per window-carrying SELECT body, and nothing else.
     assert_eq!((windowed, fallbacks), (11, 11));
 }
+
+/// The SQL slice of the work ledger: what the vectorized engine *does*
+/// for the 132 gold statements on the four seed databases, as exact,
+/// machine-independent counts. A change that does more work per
+/// statement fails here; one that does less updates the pin and says so
+/// in CHANGES.md. The first six say which plan ran over which rows;
+/// `scalar_calls` is the per-element work of the expression kernel.
+#[test]
+fn gold_suite_work_ledger_is_pinned() {
+    let workload = genedit::bird::Workload::standard(42);
+    let mut ledger = [0u64; 7];
+    for bundle in &workload.domains {
+        for task in &bundle.tasks {
+            let (rs, stats) = execute_sql_timed(&bundle.db, &task.gold_sql);
+            rs.expect("gold SQL executes");
+            let c = stats.counters;
+            let row = [
+                c.rows_scanned,
+                c.batches,
+                c.hash_joins,
+                c.nested_loop_joins,
+                c.agg_groups,
+                c.interpreter_fallbacks,
+                c.scalar_calls,
+            ];
+            for (total, n) in ledger.iter_mut().zip(row) {
+                *total += n;
+            }
+        }
+    }
+    assert_eq!(
+        ledger,
+        [50896, 277, 23, 0, 658, 11, 26700],
+        "[rows_scanned, batches, hash_joins, nested_loop_joins, agg_groups, \
+         interpreter_fallbacks, scalar_calls]"
+    );
+}
