@@ -5,11 +5,16 @@
 //! `Arc` so operators can share columns without copying. Columns whose
 //! values mix types (legal in this dynamically typed engine) degrade to
 //! the [`Array::Any`] layout, which stores boxed [`Value`]s — semantics
-//! never change, only the memory layout does.
+//! never change, only the memory layout does. The same holds for
+//! [`Array::Dict`], which stores each distinct value once and a `u32`
+//! code per row: copying a row copies four bytes, and work that depends
+//! only on the value can be done once per distinct value.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::value::{Date, Value};
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// A packed validity bitmap: bit `i` set means row `i` is non-NULL.
@@ -199,6 +204,18 @@ pub enum Array {
     },
     /// Mixed-type fallback: boxed values, NULLs stored inline.
     Any(Vec<Value>),
+    /// Dictionary encoding: element `i` is `values[codes[i]]`. NULL is an
+    /// entry of `values` like any other, not a reserved code, so an
+    /// expression evaluated over `values` alone (which may map NULL to a
+    /// non-NULL value, or several entries to one) yields a valid
+    /// dictionary over the same codes. Entries need not be distinct and
+    /// need not all be referenced.
+    Dict {
+        /// One index into `values` per element.
+        codes: Vec<u32>,
+        /// The dictionary, shared by every array gathered from this one.
+        values: Arc<Array>,
+    },
 }
 
 impl Array {
@@ -211,6 +228,7 @@ impl Array {
             Array::Bool { data, .. } => data.len(),
             Array::Date { data, .. } => data.len(),
             Array::Any(v) => v.len(),
+            Array::Dict { codes, .. } => codes.len(),
         }
     }
 
@@ -229,6 +247,7 @@ impl Array {
             | Array::Bool { validity, .. }
             | Array::Date { validity, .. } => !validity.get(i),
             Array::Any(v) => v[i].is_null(),
+            Array::Dict { codes, values } => values.is_null(codes[i] as usize),
         }
     }
 
@@ -272,6 +291,7 @@ impl Array {
                 }
             }
             Array::Any(v) => ValueRef::from_value(&v[i]),
+            Array::Dict { codes, values } => values.at(codes[i] as usize),
         }
     }
 
@@ -282,7 +302,8 @@ impl Array {
 
     /// New array of the elements at `indices`, in order. Typed layouts
     /// copy storage directly rather than routing every element through
-    /// the builder's type dispatch.
+    /// the builder's type dispatch; a dictionary copies codes and shares
+    /// its values.
     pub fn gather(&self, indices: &[u32]) -> Array {
         fn bits(validity: &Bitmap, indices: &[u32]) -> Bitmap {
             let mut v = Bitmap::with_len(indices.len(), false);
@@ -320,12 +341,43 @@ impl Array {
                     .map(|&i| values[i as usize].clone())
                     .collect(),
             ),
+            Array::Dict { codes, values } => Array::Dict {
+                codes: indices.iter().map(|&i| codes[i as usize]).collect(),
+                values: Arc::clone(values),
+            },
         }
     }
 
     /// Like [`Array::gather`], but `u32::MAX` entries produce NULL —
     /// used to pad the unmatched side of LEFT joins.
     pub fn gather_padded(&self, indices: &[u32]) -> Array {
+        if !indices.contains(&u32::MAX) {
+            return self.gather(indices);
+        }
+        if let Array::Dict { codes, values } = self {
+            // Padding needs the code of a NULL entry: use the one the
+            // dictionary has, wherever it is, or append one.
+            let found = (0..values.len()).find(|&k| values.is_null(k));
+            let (values, null_code) = match found {
+                Some(k) => (Arc::clone(values), k as u32),
+                None => {
+                    let mut entries: Vec<u32> = (0..values.len() as u32).collect();
+                    entries.push(u32::MAX);
+                    (
+                        Arc::new(values.gather_padded(&entries)),
+                        values.len() as u32,
+                    )
+                }
+            };
+            let pad = |&i: &u32| match i {
+                u32::MAX => null_code,
+                i => codes[i as usize],
+            };
+            return Array::Dict {
+                codes: indices.iter().map(pad).collect(),
+                values,
+            };
+        }
         let mut b = ArrayBuilder::with_capacity(indices.len());
         for &i in indices {
             if i == u32::MAX {
@@ -345,6 +397,67 @@ impl Array {
         }
         b.finish()
     }
+
+    /// The codes and dictionary of a [`Array::Dict`]; `None` for every
+    /// other layout. For kernels that do their per-value work once per
+    /// dictionary entry instead of once per element.
+    pub fn as_dict(&self) -> Option<(&[u32], &Arc<Array>)> {
+        match self {
+            Array::Dict { codes, values } => Some((codes, values)),
+            _ => None,
+        }
+    }
+
+    /// The array `values[codes[i]]`. Every code must index `values`.
+    pub fn dict(codes: Vec<u32>, values: Arc<Array>) -> Array {
+        debug_assert!(codes.iter().all(|&c| (c as usize) < values.len()));
+        Array::Dict { codes, values }
+    }
+
+    /// Re-encode the two layouts whose elements cost an allocation to
+    /// copy or to render — strings and dates — as a dictionary with one
+    /// entry per distinct value (NULL included), in first-occurrence
+    /// order. Other layouts are returned unchanged.
+    pub fn dictionary_encoded(self) -> Array {
+        match self {
+            Array::Str { data, validity } => {
+                let (codes, rows) = distinct_rows(&validity, data.iter().map(String::as_str));
+                Array::Dict {
+                    codes,
+                    values: Arc::new(Array::Str { data, validity }.gather(&rows)),
+                }
+            }
+            Array::Date { data, validity } => {
+                let (codes, rows) = distinct_rows(&validity, data.iter().copied());
+                Array::Dict {
+                    codes,
+                    values: Arc::new(Array::Date { data, validity }.gather(&rows)),
+                }
+            }
+            other => other,
+        }
+    }
+}
+
+/// One code per element of a typed column (`items` with its `validity`),
+/// and for each code the row where its value first occurs. All NULLs
+/// share one code.
+fn distinct_rows<T: Hash + Eq>(
+    validity: &Bitmap,
+    items: impl Iterator<Item = T>,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut codes = Vec::with_capacity(validity.len());
+    let mut first_rows: Vec<u32> = Vec::new();
+    let mut index: HashMap<Option<T>, u32> = HashMap::new();
+    for (i, item) in items.enumerate() {
+        let key = validity.get(i).then_some(item);
+        let code = *index.entry(key).or_insert_with(|| {
+            first_rows.push(i as u32);
+            first_rows.len() as u32 - 1
+        });
+        codes.push(code);
+    }
+    (codes, first_rows)
 }
 
 /// Incremental [`Array`] constructor.
@@ -617,12 +730,11 @@ fn array_to_values(a: Array) -> Vec<Value> {
                 }
             })
             .collect(),
+        Array::Dict { codes, values } => codes.iter().map(|&c| values.get(c as usize)).collect(),
     }
 }
 
-/// Transpose borrowed row-major values into shared columns. `width`
-/// disambiguates the zero-row case.
-pub fn columns_from_rows(rows: &[Vec<Value>], width: usize) -> Vec<Arc<Array>> {
+fn transpose(rows: &[Vec<Value>], width: usize) -> impl Iterator<Item = Array> {
     let mut builders: Vec<ArrayBuilder> = (0..width)
         .map(|_| ArrayBuilder::with_capacity(rows.len()))
         .collect();
@@ -631,7 +743,22 @@ pub fn columns_from_rows(rows: &[Vec<Value>], width: usize) -> Vec<Arc<Array>> {
             b.push(v.clone());
         }
     }
-    builders.into_iter().map(|b| Arc::new(b.finish())).collect()
+    builders.into_iter().map(ArrayBuilder::finish)
+}
+
+/// Transpose borrowed row-major values into shared columns. `width`
+/// disambiguates the zero-row case.
+pub fn columns_from_rows(rows: &[Vec<Value>], width: usize) -> Vec<Arc<Array>> {
+    transpose(rows, width).map(Arc::new).collect()
+}
+
+/// [`columns_from_rows`] with every column
+/// [dictionary-encoded](Array::dictionary_encoded) — for columns that
+/// are built once and scanned many times.
+pub fn encoded_columns_from_rows(rows: &[Vec<Value>], width: usize) -> Vec<Arc<Array>> {
+    transpose(rows, width)
+        .map(|a| Arc::new(a.dictionary_encoded()))
+        .collect()
 }
 
 /// A batch of equal-length columns. The row count is carried explicitly
@@ -799,6 +926,104 @@ mod tests {
         let p = a.gather_padded(&[0, u32::MAX]);
         assert_eq!(p.get(0), Value::Integer(10));
         assert!(p.is_null(1), "u32::MAX pads NULL (LEFT join semantics)");
+    }
+
+    fn text(s: &str) -> Value {
+        Value::Text(s.into())
+    }
+
+    fn values_of(a: &Array) -> Vec<Value> {
+        (0..a.len()).map(|i| a.get(i)).collect()
+    }
+
+    #[test]
+    fn dictionary_encoding_keeps_every_element() {
+        let d = |day| Value::Date(Date::new(2023, 1, day).unwrap());
+        for column in [
+            vec![text("a"), Value::Null, text("b"), text("a"), Value::Null],
+            vec![d(1), d(2), d(1), Value::Null, d(2), d(2)],
+        ] {
+            let plain = Array::from_values(column.clone());
+            let encoded = plain.clone().dictionary_encoded();
+            let (codes, values) = encoded.as_dict().expect("strings and dates encode");
+            assert_eq!(
+                values.len(),
+                3,
+                "one entry per distinct value, NULL included"
+            );
+            assert_eq!(codes.len(), column.len());
+            assert_eq!(values_of(&encoded), column);
+            for i in 0..column.len() {
+                assert_eq!(encoded.is_null(i), plain.is_null(i), "element {i}");
+            }
+        }
+        // Layouts whose elements copy for free are left alone.
+        let ints = Array::from_values(vec![Value::Integer(1), Value::Integer(1)]);
+        assert!(ints.dictionary_encoded().as_dict().is_none());
+    }
+
+    #[test]
+    fn dictionary_gather_copies_codes_and_shares_values() {
+        let a = Array::from_values(vec![text("x"), Value::Null, text("y"), text("x")])
+            .dictionary_encoded();
+        let g = a.gather(&[3, 1, 1, 2]);
+        assert_eq!(
+            values_of(&g),
+            vec![text("x"), Value::Null, Value::Null, text("y")]
+        );
+        let (_, before) = a.as_dict().unwrap();
+        let (_, after) = g.as_dict().unwrap();
+        assert!(Arc::ptr_eq(before, after));
+    }
+
+    /// `COALESCE(c, 'x')` evaluated once per distinct value: the entry
+    /// that was NULL in the source column now holds a value, and nothing
+    /// may remember that its code used to mean NULL.
+    #[test]
+    fn dictionary_whose_null_entry_was_mapped_to_a_value() {
+        let source =
+            Array::from_values(vec![text("a"), Value::Null, text("a")]).dictionary_encoded();
+        let (codes, values) = source.as_dict().unwrap();
+        let mapped: Vec<Value> = (0..values.len())
+            .map(|k| match values.get(k) {
+                Value::Null => text("x"),
+                v => v,
+            })
+            .collect();
+        let a = Array::dict(codes.to_vec(), Arc::new(Array::from_values(mapped)));
+        let want = vec![text("a"), text("x"), text("a")];
+        assert!((0..3).all(|i| !a.is_null(i)));
+        assert_eq!(values_of(&a), want);
+        assert_eq!(values_of(&a.gather(&[1, 0])), vec![text("x"), text("a")]);
+        let chunk = DataChunk::new(vec![Arc::new(a)], 3);
+        let rows: Vec<Vec<Value>> = want.into_iter().map(|v| vec![v]).collect();
+        assert_eq!(chunk.to_rows(), rows);
+        assert_eq!(chunk.into_rows(), rows);
+    }
+
+    #[test]
+    fn dictionary_padded_gather_finds_or_adds_its_null() {
+        // A NULL entry that is neither first nor last.
+        let with_null =
+            Array::from_values(vec![text("a"), Value::Null, text("b")]).dictionary_encoded();
+        let p = with_null.gather_padded(&[2, u32::MAX, 1, 0, u32::MAX]);
+        assert_eq!(
+            values_of(&p),
+            vec![text("b"), Value::Null, Value::Null, text("a"), Value::Null]
+        );
+        let (_, values) = p.as_dict().unwrap();
+        assert_eq!(values.len(), 3, "the existing NULL entry pads");
+
+        let without = Array::from_values(vec![text("a"), text("b")]).dictionary_encoded();
+        let p = without.gather_padded(&[u32::MAX, 1, 0]);
+        assert_eq!(values_of(&p), vec![Value::Null, text("b"), text("a")]);
+        assert!(p.is_null(0) && !p.is_null(1));
+        let (_, values) = p.as_dict().unwrap();
+        assert_eq!(values.len(), 3, "a NULL entry was appended");
+        // Nothing to pad: a plain gather, dictionary untouched.
+        let (_, values) = without.as_dict().unwrap();
+        let g = without.gather_padded(&[1, 1]);
+        assert!(Arc::ptr_eq(values, g.as_dict().unwrap().1));
     }
 
     #[test]

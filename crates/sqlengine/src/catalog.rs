@@ -5,7 +5,7 @@
 //! most frequent values per attribute" — see [`Table::top_values`] and
 //! [`ColumnProfile`].
 
-use crate::array::{columns_from_rows, Array};
+use crate::array::{columns_from_rows, encoded_columns_from_rows, Array};
 use crate::error::{EngineError, EngineResult};
 use crate::value::{DataType, Value};
 use serde::{Deserialize, Serialize};
@@ -49,7 +49,9 @@ pub struct ColumnProfile {
 }
 
 /// Lazily built columnar image of a table's rows, shared with the
-/// vectorized executor by cheap `Arc` clones.
+/// vectorized executor by cheap `Arc` clones. Text and date columns are
+/// dictionary-encoded, so each table's dictionaries are built once and
+/// live exactly as long as the snapshot.
 #[derive(Debug, Clone)]
 pub struct ColumnarSnapshot {
     /// One array per column, in schema order.
@@ -122,7 +124,7 @@ impl Table {
     /// a fresh uncached transposition is returned instead.
     pub fn columnar(&self) -> Vec<Arc<Array>> {
         let snap = self.columnar.get_or_init(|| ColumnarSnapshot {
-            cols: columns_from_rows(&self.rows, self.columns.len()),
+            cols: encoded_columns_from_rows(&self.rows, self.columns.len()),
             rows: self.rows.len(),
         });
         if snap.rows == self.rows.len() {
@@ -328,6 +330,34 @@ mod tests {
         let p = t.top_values("COUNTRY", 5).unwrap();
         assert_eq!(p.null_count, 1);
         assert_eq!(p.distinct_count, 3);
+    }
+
+    #[test]
+    fn columnar_snapshot_is_encoded_and_dies_with_push_row() {
+        let mut t = sample_table();
+        let country = |t: &Table| Arc::clone(&t.columnar()[1]);
+        let (codes, values) = {
+            let col = country(&t);
+            let (codes, values) = col.as_dict().expect("text columns are encoded");
+            (codes.to_vec(), Arc::clone(values))
+        };
+        assert_eq!((codes.len(), values.len()), (5, 3));
+        assert!(t.columnar()[2].as_dict().is_none(), "integers are not");
+        // The dictionary is cached with the snapshot…
+        assert!(Arc::ptr_eq(&values, country(&t).as_dict().unwrap().1));
+        // …and rebuilt after a push_row, new value included.
+        t.push_row(vec!["f".into(), "Peru".into(), Value::Integer(60)])
+            .unwrap();
+        let col = country(&t);
+        let (codes, values) = col.as_dict().unwrap();
+        assert_eq!((codes.len(), values.len()), (6, 4));
+        assert_eq!(col.get(5), Value::Text("Peru".into()));
+        // Rows changed behind push_row's back: a fresh, un-encoded
+        // transposition, never the stale dictionary.
+        t.rows.pop();
+        let col = country(&t);
+        assert!(col.as_dict().is_none());
+        assert_eq!(col.len(), 5);
     }
 
     #[test]
