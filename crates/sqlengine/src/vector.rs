@@ -12,6 +12,10 @@
 //! three-valued logic, `AND`/`OR` short-circuiting (the right side is
 //! only evaluated for rows the left side did not decide), lazy `CASE`
 //! branches and `IN` list items, and the scalar function library.
+//!
+//! A bound expression is a pure function of the row it reads, so one
+//! that reads a single dictionary-encoded column is evaluated once per
+//! dictionary entry instead of once per row (`eval_per_distinct`).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -422,6 +426,81 @@ pub fn truth(arr: &Array) -> EngineResult<Vec<Option<bool>>> {
 /// Evaluate a bound expression over the selected rows of `chunk`,
 /// producing one output element per selected row, in selection order.
 pub fn eval(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Array>> {
+    match eval_per_distinct(v, chunk, sel) {
+        Some(arr) => Ok(arr),
+        None => eval_rows(v, chunk, sel),
+    }
+}
+
+/// The one chunk column `v` reads, however often; `None` when it reads
+/// no column or more than one.
+///
+/// This is also where a volatile function (`RANDOM()`, `NOW()`) would
+/// have to answer `None`: everything `bind` emits today — operators and
+/// the `functions::eval_scalar` library — is a pure function of the row,
+/// which `per_distinct_equals_per_row_for_every_scalar_function` checks.
+fn only_column(v: &VExpr) -> Option<usize> {
+    /// `false` as soon as a second column shows up.
+    fn walk(v: &VExpr, seen: &mut Option<usize>) -> bool {
+        match v {
+            VExpr::Lit(_) => true,
+            VExpr::Col(i) => *seen.get_or_insert(*i) == *i,
+            VExpr::Unary { expr, .. } | VExpr::IsNull { expr, .. } | VExpr::Cast { expr, .. } => {
+                walk(expr, seen)
+            }
+            VExpr::Binary { left, right, .. } => walk(left, seen) && walk(right, seen),
+            VExpr::InList { expr, list, .. } => {
+                walk(expr, seen) && list.iter().all(|e| walk(e, seen))
+            }
+            VExpr::Between {
+                expr, low, high, ..
+            } => walk(expr, seen) && walk(low, seen) && walk(high, seen),
+            VExpr::Like { expr, pattern, .. } => walk(expr, seen) && walk(pattern, seen),
+            VExpr::Case {
+                operand,
+                branches,
+                else_expr,
+            } => {
+                operand.iter().chain(else_expr).all(|e| walk(e, seen))
+                    && branches.iter().all(|(w, t)| walk(w, seen) && walk(t, seen))
+            }
+            VExpr::Scalar { args, .. } => args.iter().all(|a| walk(a, seen)),
+        }
+    }
+    let mut seen = None;
+    walk(v, &mut seen).then_some(seen).flatten()
+}
+
+/// Once per distinct value: when `v` reads exactly one column and that
+/// column is a dictionary with fewer entries than there are selected
+/// rows, evaluate `v` over the entries and hand back a dictionary over
+/// the rows' codes. *Any* error from that evaluation is discarded along
+/// with its result and `None` sends the caller down the per-row path,
+/// which alone decides what is raised — an entry no selected row holds
+/// (filtered out, or short-circuited away by an enclosing `AND`, `CASE`
+/// or `IN`) must not fail the query.
+fn eval_per_distinct(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> Option<Arc<Array>> {
+    if matches!(v, VExpr::Col(_)) {
+        return None; // a bare column is its own dictionary
+    }
+    let col = only_column(v)?;
+    let (codes, values) = chunk.cols[col].as_dict()?;
+    if values.len() >= sel.len(chunk) {
+        return None;
+    }
+    // `v` reads nothing but `col`, so a chunk that has the entries there
+    // (and, to stay rectangular, at every index below) is all it needs.
+    let entries = DataChunk::new(vec![Arc::clone(values); col + 1], values.len());
+    let out = eval(v, &entries, Sel::All).ok()?;
+    let codes = match sel {
+        Sel::All => codes.to_vec(),
+        Sel::Idx(idx) => idx.iter().map(|&i| codes[i as usize]).collect(),
+    };
+    Some(Arc::new(Array::dict(codes, out)))
+}
+
+/// [`eval`], element by element.
+fn eval_rows(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Array>> {
     let n = sel.len(chunk);
     match v {
         VExpr::Lit(val) => {
@@ -912,6 +991,150 @@ mod tests {
         ] {
             let expr = parse_expression(sql).unwrap();
             assert!(bind(&expr, &meta, None).is_none(), "{sql}");
+        }
+    }
+
+    /// `rows` as a chunk whose columns are dictionary-encoded where the
+    /// layout allows — what a table scan hands the evaluator.
+    fn encoded_chunk(rows: Vec<Vec<Value>>, width: usize) -> DataChunk {
+        let plain = chunk(rows, width);
+        let cols = plain
+            .cols
+            .iter()
+            .map(|c| Arc::new(Array::clone(c).dictionary_encoded()))
+            .collect();
+        DataChunk::new(cols, plain.len())
+    }
+
+    fn eval_encoded(sql: &str, names: &[&str], rows: Vec<Vec<Value>>) -> EngineResult<Vec<Value>> {
+        let expr = parse_expression(sql).unwrap();
+        let v = bind(&expr, &cols(names), None).expect("expression should bind");
+        let arr = eval(&v, &encoded_chunk(rows, names.len()), Sel::All)?;
+        Ok((0..arr.len()).map(|i| arr.get(i)).collect())
+    }
+
+    fn text(s: &str) -> Value {
+        Value::Text(s.into())
+    }
+
+    #[test]
+    fn single_column_expression_runs_once_per_dictionary_entry() {
+        let rows: Vec<Vec<Value>> = ["ab", "c", "ab", "ab", "c", "ab"]
+            .iter()
+            .map(|s| vec![text(s)])
+            .collect();
+        let expr = parse_expression("LENGTH(x) > 1").unwrap();
+        let v = bind(&expr, &cols(&["x"]), None).unwrap();
+        physical::take_counters();
+        let arr = eval(&v, &encoded_chunk(rows, 1), Sel::All).unwrap();
+        assert_eq!(physical::take_counters().scalar_calls, 2, "two entries");
+        let (codes, values) = arr.as_dict().expect("a dictionary over the row codes");
+        assert_eq!((codes.len(), values.len()), (6, 2));
+        let want = [true, false, true, true, false, true].map(Value::Boolean);
+        assert_eq!((0..6).map(|i| arr.get(i)).collect::<Vec<_>>(), want);
+        // As many entries as selected rows: nothing to save, per-row path.
+        let idx = [0u32, 1];
+        let rows = vec![vec![text("ab")], vec![text("c")], vec![text("ab")]];
+        let arr = eval(&v, &encoded_chunk(rows, 1), Sel::Idx(&idx)).unwrap();
+        assert!(arr.as_dict().is_none());
+        assert_eq!(physical::take_counters().scalar_calls, 2, "two rows");
+    }
+
+    #[test]
+    fn failure_on_a_value_some_selected_row_holds_is_raised() {
+        let rows = ["1", "2", "x", "1", "2", "1"]
+            .iter()
+            .map(|s| vec![text(s)])
+            .collect();
+        let sql = "CAST(x AS INTEGER) > 0";
+        let encoded = eval_encoded(sql, &["x"], rows).unwrap_err();
+        let plain_rows = vec![vec![text("1")], vec![text("x")]];
+        let plain = eval_sql(sql, &["x"], plain_rows).unwrap_err();
+        assert_eq!(encoded.to_string(), plain.to_string());
+    }
+
+    #[test]
+    fn failure_on_a_value_no_selected_row_holds_is_not() {
+        // 'x' is in the dictionary, but every row holding it was decided
+        // by the conjunct on the other column first.
+        let rows: Vec<Vec<Value>> = [("1", 1), ("x", 0), ("2", 1), ("x", -1), ("1", 0), ("2", 2)]
+            .iter()
+            .map(|&(x, y)| vec![text(x), Value::Integer(y)])
+            .collect();
+        let sql = "y > 0 AND CAST(x AS INTEGER) > 1";
+        let want = eval_sql(sql, &["x", "y"], rows.clone()).unwrap();
+        assert_eq!(eval_encoded(sql, &["x", "y"], rows).unwrap(), want);
+        assert_eq!(
+            want,
+            [false, false, true, false, false, true].map(Value::Boolean)
+        );
+    }
+
+    /// The per-distinct path is sound only while a bound expression is a
+    /// pure function of the row. A volatile function added to
+    /// `functions::eval_scalar` without being excluded in `only_column`
+    /// gives different answers on the two sides of this comparison.
+    #[test]
+    fn per_distinct_equals_per_row_for_every_scalar_function() {
+        let d = |m| Value::Date(crate::value::Date::new(2023, m, 1).unwrap());
+        let mut rows = Vec::new();
+        for _ in 0..3 {
+            for (t, day, n) in [
+                (text(" Ab "), d(2), Value::Float(-2.5)),
+                (text("2023-11-20"), d(11), Value::Float(9.0)),
+                (Value::Null, Value::Null, Value::Null),
+            ] {
+                rows.push(vec![t, day, n.cast_to(DataType::Text).unwrap()]);
+            }
+        }
+        let names = ["t", "d", "n"];
+        let num = "CAST(n AS FLOAT)";
+        let exprs: Vec<String> = [
+            "UPPER(t)",
+            "LOWER(t)",
+            "LENGTH(t)",
+            "LEN(t)",
+            "TRIM(t)",
+            "LTRIM(t)",
+            "RTRIM(t)",
+            "REPLACE(t, 'b', 'c')",
+            "SUBSTR(t, 2, 2)",
+            "SUBSTRING(t, 2)",
+            "INSTR(t, 'b')",
+            "CONCAT(t, '-', t)",
+            "COALESCE(t, 'x')",
+            "NULLIF(t, ' Ab ')",
+            "t || '!'",
+            "IIF(t LIKE '%b%', 1, 2)",
+            "IF(t IS NULL, 1, 2)",
+            "t IN (' Ab ', 'z')",
+            "CASE WHEN t = ' Ab ' THEN 1 ELSE 0 END",
+            "t BETWEEN ' ' AND '3'",
+            "TO_CHAR(d, 'YYYY\"Q\"Q')",
+            "TO_CHAR(d)",
+            "DATE(d)",
+            "YEAR(d)",
+            "MONTH(d)",
+            "DAY(d)",
+            "QUARTER(d)",
+            "d >= '2023-06-01'",
+        ]
+        .map(String::from)
+        .into_iter()
+        .chain(
+            ["ABS", "SIGN", "ROUND", "FLOOR", "CEIL", "CEILING", "SQRT"]
+                .map(|f| format!("{f}({num})")),
+        )
+        .chain(["POWER", "POW", "MOD"].map(|f| format!("{f}({num}, 2)")))
+        .collect();
+        for sql in &exprs {
+            let per_row = eval_sql(sql, &names, rows.clone()).unwrap();
+            physical::take_counters();
+            let per_distinct = eval_encoded(sql, &names, rows.clone()).unwrap();
+            assert_eq!(format!("{per_distinct:?}"), format!("{per_row:?}"), "{sql}");
+            // Each reads one nine-row column of three distinct values.
+            let calls = physical::take_counters().scalar_calls;
+            assert!(calls % 3 == 0 && calls < 9, "{sql}: {calls} scalar calls");
         }
     }
 

@@ -235,7 +235,7 @@ fn gold_suite_work_ledger_is_pinned() {
     }
     assert_eq!(
         ledger,
-        [50896, 277, 23, 0, 658, 11, 26700],
+        [50896, 277, 23, 0, 658, 11, 2820],
         "[rows_scanned, batches, hash_joins, nested_loop_joins, agg_groups, \
          interpreter_fallbacks, scalar_calls]"
     );
