@@ -36,6 +36,7 @@ use crate::vector::{self, Sel};
 use crate::window::{unit_scope, Unit};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// CTE name → materialized result, keyed by lowercase name.
@@ -361,6 +362,20 @@ fn exec_select_vectorized(
     reference::finish_rows(env, select, &rel, kept, &shape, outer, order_by, limit)
 }
 
+/// The group `key` belongs to, opened with `row` as its representative
+/// if this is its first occurrence.
+fn group_of<K: Hash + Eq>(
+    index: &mut HashMap<K, u32>,
+    reps: &mut Vec<u32>,
+    key: K,
+    row: usize,
+) -> u32 {
+    *index.entry(key).or_insert_with(|| {
+        reps.push(row as u32);
+        reps.len() as u32 - 1
+    })
+}
+
 /// Group the chunk's rows by the batch-evaluated GROUP BY keys. Returns
 /// each group's representative (first) row in first-occurrence order —
 /// the interpreter's unit order — and the per-row group id (`gids[i]` =
@@ -389,11 +404,25 @@ fn vectorized_groups(
         // Single-key grouping probes with borrowed keys: no allocation
         // per row at all.
         let mut index: HashMap<KeyRef<'_>, u32> = HashMap::new();
+        // A dictionary key with fewer entries than rows probes once per
+        // code. Codes resolve at their first row, so group order is still
+        // first occurrence, and entries with equal values share a group.
+        let dict = a
+            .as_dict()
+            .filter(|(codes, values)| values.len() < codes.len());
+        let mut by_code = vec![u32::MAX; dict.map_or(0, |(_, values)| values.len())];
         for i in 0..chunk.len() {
-            let gid = *index.entry(key_ref(a.at(i))).or_insert_with(|| {
-                reps.push(i as u32);
-                reps.len() as u32 - 1
-            });
+            let gid = match dict {
+                Some((codes, values)) => {
+                    let code = codes[i] as usize;
+                    if by_code[code] == u32::MAX {
+                        by_code[code] =
+                            group_of(&mut index, &mut reps, key_ref(values.at(code)), i);
+                    }
+                    by_code[code]
+                }
+                None => group_of(&mut index, &mut reps, key_ref(a.at(i)), i),
+            };
             gids.push(gid);
         }
         return Ok(Some((reps, gids)));
@@ -401,11 +430,7 @@ fn vectorized_groups(
     let mut index: HashMap<Vec<KeyRef<'_>>, u32> = HashMap::new();
     for i in 0..chunk.len() {
         let key: Vec<KeyRef<'_>> = arrays.iter().map(|a| key_ref(a.at(i))).collect();
-        let gid = *index.entry(key).or_insert_with(|| {
-            reps.push(i as u32);
-            reps.len() as u32 - 1
-        });
-        gids.push(gid);
+        gids.push(group_of(&mut index, &mut reps, key, i));
     }
     Ok(Some((reps, gids)))
 }
@@ -1130,6 +1155,26 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![7, 5, 3]
         );
+    }
+
+    #[test]
+    fn grouping_per_dictionary_code_keeps_group_order_and_merges_equal_keys() {
+        let db = test_db();
+        for sql in [
+            // Groups in first-occurrence order: Canada, USA, Mexico.
+            "SELECT COUNTRY, COUNT(*), SUM(ID) FROM ORGS GROUP BY COUNTRY",
+            // 'Canada' and 'Mexico' are two dictionary entries, one key.
+            "SELECT LENGTH(COUNTRY), COUNT(*), MIN(NAME) FROM ORGS GROUP BY LENGTH(COUNTRY)",
+            "SELECT TO_CHAR(FIN_MONTH, 'YYYY'), SUM(REVENUE) FROM FINANCIALS \
+             GROUP BY TO_CHAR(FIN_MONTH, 'YYYY')",
+        ] {
+            let got = execute_sql(&db, sql).unwrap();
+            let want = execute_sql_reference(&db, sql).unwrap();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{sql}");
+        }
+        let rs = run("SELECT LENGTH(COUNTRY), COUNT(*) FROM ORGS GROUP BY LENGTH(COUNTRY)");
+        assert_eq!(ints(&rs), vec![6, 3]);
+        assert_eq!(rs.rows[0][1].as_i64(), Some(4));
     }
 
     #[test]
