@@ -19,6 +19,7 @@ use crate::eval::{ColMeta, EvalEnv, Relation, Scope};
 use crate::exec::execute_query;
 use crate::key::float_key_bits;
 use crate::reference;
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -253,10 +254,11 @@ enum KeyKind {
 }
 
 #[derive(PartialEq, Eq, Hash)]
-enum JKey {
+enum JKey<'a> {
     Int(i64),
     F64(u64),
-    Str(String),
+    /// Text borrowed from the key column; only a date owns its rendering.
+    Str(Cow<'a, str>),
     Bool(bool),
 }
 
@@ -400,14 +402,14 @@ fn f64_key_bits(f: f64) -> u64 {
     }
 }
 
-fn jkey(kind: KeyKind, v: ValueRef<'_>) -> Option<JKey> {
+fn jkey(kind: KeyKind, v: ValueRef<'_>) -> Option<JKey<'_>> {
     match (kind, v) {
         (_, ValueRef::Null) => None,
         (KeyKind::Int, ValueRef::Int(i)) => Some(JKey::Int(i)),
         (KeyKind::F64, ValueRef::Int(i)) => Some(JKey::F64(f64_key_bits(i as f64))),
         (KeyKind::F64, ValueRef::Float(f)) => Some(JKey::F64(f64_key_bits(f))),
-        (KeyKind::Str, ValueRef::Str(s)) => Some(JKey::Str(s.to_string())),
-        (KeyKind::Str, ValueRef::Date(d)) => Some(JKey::Str(d.to_string())),
+        (KeyKind::Str, ValueRef::Str(s)) => Some(JKey::Str(Cow::Borrowed(s))),
+        (KeyKind::Str, ValueRef::Date(d)) => Some(JKey::Str(Cow::Owned(d.to_string()))),
         (KeyKind::Bool, ValueRef::Bool(b)) => Some(JKey::Bool(b)),
         // Planner classification guarantees these never happen; treating
         // them as NULL (no match) keeps this total without panicking.
@@ -415,13 +417,37 @@ fn jkey(kind: KeyKind, v: ValueRef<'_>) -> Option<JKey> {
     }
 }
 
-fn row_jkey(src: &Source, row: usize, pairs: &[KeyPair], right: bool) -> Option<Vec<JKey>> {
-    let mut key = Vec::with_capacity(pairs.len());
-    for p in pairs {
-        let col = if right { p.right } else { p.left };
-        key.push(jkey(p.kind, src.chunk.cols[col].at(row))?);
+/// "No list of build rows": a NULL key, or a probe key the build side
+/// never saw. Out of range for any real list index.
+const NO_LIST: u32 = u32::MAX;
+
+/// For each row of one join side, what `lookup` makes of the row's key;
+/// [`NO_LIST`] for a key with a NULL in it. A single dictionary key
+/// column with fewer entries than rows derives its key and calls
+/// `lookup` once per entry, and the rows only copy the answer.
+fn lists_by_row<'a>(
+    src: &'a Source,
+    pairs: &[KeyPair],
+    right: bool,
+    mut lookup: impl FnMut(Vec<JKey<'a>>) -> u32,
+) -> Vec<u32> {
+    let col = |p: &KeyPair| &src.chunk.cols[if right { p.right } else { p.left }];
+    if let [p] = pairs {
+        let dict = col(p).as_dict();
+        if let Some((codes, values)) = dict.filter(|(codes, values)| values.len() < codes.len()) {
+            let by_code: Vec<u32> = (0..values.len())
+                .map(|k| jkey(p.kind, values.at(k)).map_or(NO_LIST, |key| lookup(vec![key])))
+                .collect();
+            return codes.iter().map(|&c| by_code[c as usize]).collect();
+        }
     }
-    Some(key)
+    (0..src.chunk.len())
+        .map(|row| {
+            let key: Option<Vec<JKey<'a>>> =
+                pairs.iter().map(|p| jkey(p.kind, col(p).at(row))).collect();
+            key.map_or(NO_LIST, &mut lookup)
+        })
+        .collect()
 }
 
 fn hash_join(
@@ -432,10 +458,16 @@ fn hash_join(
     pairs: &[KeyPair],
 ) -> Source {
     let build_start = Instant::now();
-    let mut table: HashMap<Vec<JKey>, Vec<u32>> = HashMap::with_capacity(r.chunk.len());
-    for ri in 0..r.chunk.len() {
-        if let Some(key) = row_jkey(&r, ri, pairs, true) {
-            table.entry(key).or_default().push(ri as u32);
+    // Key → index into `lists`: the build rows holding it, in row order.
+    let mut table: HashMap<Vec<JKey<'_>>, u32> = HashMap::new();
+    let built = lists_by_row(&r, pairs, true, |key| {
+        let next = table.len() as u32;
+        *table.entry(key).or_insert(next)
+    });
+    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); table.len()];
+    for (ri, &list) in built.iter().enumerate() {
+        if list != NO_LIST {
+            lists[list as usize].push(ri as u32);
         }
     }
     let build_ns = build_start.elapsed().as_nanos() as u64;
@@ -443,9 +475,11 @@ fn hash_join(
     let probe_start = Instant::now();
     let mut lidx = Vec::new();
     let mut ridx = Vec::new();
-    for li in 0..l.chunk.len() {
-        let matches = row_jkey(&l, li, pairs, false).and_then(|k| table.get(&k));
-        match matches {
+    let probed = lists_by_row(&l, pairs, false, |key| {
+        table.get(&key).copied().unwrap_or(NO_LIST)
+    });
+    for (li, &list) in probed.iter().enumerate() {
+        match lists.get(list as usize) {
             Some(ris) if !ris.is_empty() => {
                 for &ri in ris {
                     lidx.push(li as u32);
@@ -570,6 +604,96 @@ mod tests {
                 vec![i(7), Value::Null, Value::Null],
             ]
         );
+    }
+
+    /// `src2` with every column dictionary-encoded where the layout
+    /// allows, as a table scan delivers it.
+    fn encoded(q: &str, names: &[&str], rows: Vec<Vec<Value>>) -> Source {
+        let plain = src2(q, names, rows);
+        let cols = plain.chunk.cols.iter();
+        let cols = cols
+            .map(|c| Arc::new(crate::array::Array::clone(c).dictionary_encoded()))
+            .collect();
+        Source {
+            cols: plain.cols,
+            chunk: DataChunk::new(cols, plain.chunk.len()),
+        }
+    }
+
+    #[test]
+    fn dictionary_keys_join_like_plain_ones() {
+        // Duplicates and NULLs on both sides, a build-only and a
+        // probe-only key, and a date column keyed against ISO text.
+        let d = |m| Value::Date(crate::value::Date::new(2023, m, 1).expect("valid date"));
+        let l_rows = vec![
+            vec![t("a"), i(1), d(1)],
+            vec![Value::Null, i(2), d(2)],
+            vec![t("b"), i(3), Value::Null],
+            vec![t("a"), i(4), d(2)],
+            vec![t("z"), i(5), d(1)],
+            vec![t("b"), i(6), d(3)],
+        ];
+        let r_rows = vec![
+            vec![t("b"), t("p"), t("2023-02-01")],
+            vec![t("a"), t("q"), t("2023-01-01")],
+            vec![Value::Null, t("r"), Value::Null],
+            vec![t("b"), t("s"), t("2023-02-01")],
+            vec![t("y"), t("u"), t("2023-1-1")],
+            vec![t("a"), Value::Null, t("2023-02-01")],
+        ];
+        let (ln, rn) = (["k", "n", "d"], ["k", "v", "d"]);
+        for key in ["k", "d"] {
+            for kind in [JoinKind::Inner, JoinKind::Left] {
+                let on = || E::eq(E::qcol("l", key), E::qcol("r", key));
+                take_counters();
+                let got = run_join(
+                    encoded("l", &ln, l_rows.clone()),
+                    encoded("r", &rn, r_rows.clone()),
+                    kind,
+                    on(),
+                );
+                assert_eq!(take_counters().hash_joins, 1);
+                let want = run_join(
+                    src2("l", &ln, l_rows.clone()),
+                    src2("r", &rn, r_rows.clone()),
+                    kind,
+                    on(),
+                );
+                assert_eq!(got, want, "{kind:?} join on {key}");
+                // One side per-code, the other per-row.
+                let mixed = run_join(
+                    src2("l", &ln, l_rows.clone()),
+                    encoded("r", &rn, r_rows.clone()),
+                    kind,
+                    on(),
+                );
+                assert_eq!(mixed, want, "{kind:?} join on {key}, plain probe side");
+            }
+        }
+        let on = E::eq(E::qcol("l", "k"), E::qcol("r", "k"));
+        let rows = run_join(
+            encoded("l", &ln, l_rows),
+            encoded("r", &rn, r_rows),
+            JoinKind::Left,
+            on,
+        );
+        let pairs: Vec<(i64, String)> = rows
+            .iter()
+            .map(|r| (r[1].as_i64().expect("n"), r[4].to_string()))
+            .collect();
+        let want = [
+            (1, "q"),
+            (1, "NULL"),
+            (2, "NULL"),
+            (3, "p"),
+            (3, "s"),
+            (4, "q"),
+            (4, "NULL"),
+            (5, "NULL"),
+            (6, "p"),
+            (6, "s"),
+        ];
+        assert_eq!(pairs, want.map(|(n, v)| (n, v.to_string())));
     }
 
     #[test]
