@@ -314,7 +314,8 @@ fn exec_select_vectorized(
                 )
             }
             None => {
-                let kept = reference::filter_rows(env, &cols, &chunk.to_rows(), pred, outer)?;
+                let rows = (0..chunk.len()).map(|i| chunk.row(i));
+                let kept = reference::filter_rows(env, &cols, rows, pred, outer)?;
                 Some(kept.into_iter().map(|i| i as u32).collect())
             }
         },
@@ -1412,6 +1413,25 @@ mod tests {
     fn unknown_column_is_binding_error() {
         let e = run_err("SELECT WIBBLE FROM ORGS");
         assert!(matches!(e, EngineError::Binding { .. }));
+    }
+
+    #[test]
+    fn where_that_does_not_lower_raises_the_reference_error() {
+        let db = test_db();
+        for sql in [
+            "SELECT SUM(REVENUE) FROM FINANCIALS WHERE REVENUE_ADJ > 0",
+            "SELECT o.NAME FROM ORGS o JOIN FINANCIALS f ON o.ID = f.ORG_ID \
+             WHERE TO_CHAR(f.SALES_MONTH_ADJ, 'YYYY') = '2023'",
+            // Lowers, and raises on a row the table does hold.
+            "SELECT ID FROM ORGS WHERE CAST(NAME AS INTEGER) > 0",
+        ] {
+            let got = execute_sql(&db, sql).unwrap_err();
+            let want = execute_sql_reference(&db, sql).unwrap_err();
+            assert_eq!(got, want, "{sql}");
+        }
+        // No row, no evaluation, no error — on either engine.
+        let sql = "SELECT COUNT(*) FROM (SELECT ID FROM ORGS WHERE ID > 99) AS t WHERE NOPE = 1";
+        assert_eq!(run(sql).rows, execute_sql_reference(&db, sql).unwrap().rows);
     }
 
     #[test]

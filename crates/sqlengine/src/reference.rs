@@ -20,6 +20,7 @@ use crate::key::{key_elem, KeyElem};
 use crate::result::ResultSet;
 use crate::value::Value;
 use crate::window::{compute_windows, unit_scope, Unit};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Execute one SELECT body row-at-a-time.
@@ -41,7 +42,10 @@ pub(crate) fn exec_select(
 
     // WHERE.
     let kept = match &select.selection {
-        Some(pred) => filter_rows(env, &rel.cols, &rel.rows, pred, outer)?,
+        Some(pred) => {
+            let rows = rel.rows.iter().map(Vec::as_slice);
+            filter_rows(env, &rel.cols, rows, pred, outer)?
+        }
         None => (0..rel.rows.len()).collect(),
     };
 
@@ -49,19 +53,21 @@ pub(crate) fn exec_select(
     finish_rows(env, select, &rel, kept, &shape, outer, order_by, limit)
 }
 
-/// Indices of the `rows` on which `pred` is true.
-pub(crate) fn filter_rows(
+/// Positions of the `rows` on which `pred` is true. Rows are pulled one
+/// at a time, so a predicate that raises on row 0 — a hallucinated
+/// column, the commonest failed candidate — costs one row, not the batch.
+pub(crate) fn filter_rows<R: Borrow<[Value]>>(
     env: &EvalEnv<'_>,
     cols: &[ColMeta],
-    rows: &[Vec<Value>],
+    rows: impl Iterator<Item = R>,
     pred: &Expr,
     outer: Option<&Scope<'_>>,
 ) -> EngineResult<Vec<usize>> {
-    let mut kept: Vec<usize> = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
+    let mut kept: Vec<usize> = Vec::with_capacity(rows.size_hint().0);
+    for (i, row) in rows.enumerate() {
         let scope = Scope {
             cols,
-            row,
+            row: row.borrow(),
             parent: outer,
             group: None,
             windows: None,
@@ -272,4 +278,37 @@ pub(crate) fn join(
         }
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::Database;
+    use crate::exec::CteMap;
+    use crate::parser::parse_expression;
+    use std::cell::Cell;
+
+    #[test]
+    fn a_predicate_that_raises_on_row_0_pulls_one_row() {
+        let (db, ctes) = (Database::new("test"), CteMap::new());
+        let env = EvalEnv::new(&db, &ctes);
+        let cols = [ColMeta::new(Some("t".into()), "x")];
+        let pulled = Cell::new(0usize);
+        let rows = || {
+            (0..10_000i64).map(|i| {
+                pulled.set(pulled.get() + 1);
+                vec![Value::Integer(i)]
+            })
+        };
+        let pred = parse_expression("x_adj = 1").unwrap();
+        let err = filter_rows(&env, &cols, rows(), &pred, None).unwrap_err();
+        assert!(err.to_string().contains("x_adj"), "{err}");
+        assert_eq!(pulled.get(), 1);
+        // A predicate that holds reads every row, in order.
+        pulled.set(0);
+        let pred = parse_expression("x % 2500 = 0").unwrap();
+        let kept = filter_rows(&env, &cols, rows(), &pred, None).unwrap();
+        assert_eq!(kept, vec![0, 2500, 5000, 7500]);
+        assert_eq!(pulled.get(), 10_000);
+    }
 }
