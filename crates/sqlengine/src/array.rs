@@ -470,6 +470,8 @@ pub enum ArrayBuilder {
     Untyped {
         /// NULL count.
         nulls: usize,
+        /// Elements to reserve room for once the layout is known.
+        cap: usize,
     },
     /// Integer layout.
     Int {
@@ -511,8 +513,8 @@ pub enum ArrayBuilder {
 }
 
 macro_rules! builder_start {
-    ($nulls:expr, $variant:ident, $default:expr, $v:expr) => {{
-        let mut data = Vec::with_capacity($nulls + 8);
+    ($nulls:expr, $cap:expr, $variant:ident, $default:expr, $v:expr) => {{
+        let mut data = Vec::with_capacity($cap.max($nulls + 8));
         data.resize($nulls, $default);
         let mut validity = Bitmap::with_len($nulls, false);
         data.push($v);
@@ -524,19 +526,19 @@ macro_rules! builder_start {
 impl ArrayBuilder {
     /// An empty builder.
     pub fn new() -> ArrayBuilder {
-        ArrayBuilder::Untyped { nulls: 0 }
+        ArrayBuilder::with_capacity(0)
     }
 
-    /// An empty builder with room for `cap` elements.
-    pub fn with_capacity(_cap: usize) -> ArrayBuilder {
-        // Capacity is reserved lazily when the layout is decided.
-        ArrayBuilder::new()
+    /// An empty builder with room for `cap` elements, reserved when the
+    /// first non-NULL value decides the layout.
+    pub fn with_capacity(cap: usize) -> ArrayBuilder {
+        ArrayBuilder::Untyped { nulls: 0, cap }
     }
 
     /// Number of elements pushed so far.
     pub fn len(&self) -> usize {
         match self {
-            ArrayBuilder::Untyped { nulls } => *nulls,
+            ArrayBuilder::Untyped { nulls, .. } => *nulls,
             ArrayBuilder::Int { data, .. } => data.len(),
             ArrayBuilder::Float { data, .. } => data.len(),
             ArrayBuilder::Str { data, .. } => data.len(),
@@ -554,21 +556,21 @@ impl ArrayBuilder {
     /// Append one owned value.
     pub fn push(&mut self, v: Value) {
         match (&mut *self, v) {
-            (ArrayBuilder::Untyped { nulls }, Value::Null) => *nulls += 1,
-            (ArrayBuilder::Untyped { nulls }, Value::Integer(i)) => {
-                *self = builder_start!(*nulls, Int, 0, i);
+            (ArrayBuilder::Untyped { nulls, .. }, Value::Null) => *nulls += 1,
+            (ArrayBuilder::Untyped { nulls, cap }, Value::Integer(i)) => {
+                *self = builder_start!(*nulls, *cap, Int, 0, i);
             }
-            (ArrayBuilder::Untyped { nulls }, Value::Float(f)) => {
-                *self = builder_start!(*nulls, Float, 0.0, f);
+            (ArrayBuilder::Untyped { nulls, cap }, Value::Float(f)) => {
+                *self = builder_start!(*nulls, *cap, Float, 0.0, f);
             }
-            (ArrayBuilder::Untyped { nulls }, Value::Text(s)) => {
-                *self = builder_start!(*nulls, Str, String::new(), s);
+            (ArrayBuilder::Untyped { nulls, cap }, Value::Text(s)) => {
+                *self = builder_start!(*nulls, *cap, Str, String::new(), s);
             }
-            (ArrayBuilder::Untyped { nulls }, Value::Boolean(b)) => {
-                *self = builder_start!(*nulls, Bool, false, b);
+            (ArrayBuilder::Untyped { nulls, cap }, Value::Boolean(b)) => {
+                *self = builder_start!(*nulls, *cap, Bool, false, b);
             }
-            (ArrayBuilder::Untyped { nulls }, Value::Date(d)) => {
-                *self = builder_start!(*nulls, Date, d, d);
+            (ArrayBuilder::Untyped { nulls, cap }, Value::Date(d)) => {
+                *self = builder_start!(*nulls, *cap, Date, d, d);
             }
             (ArrayBuilder::Int { data, validity }, Value::Integer(i)) => {
                 data.push(i);
@@ -636,7 +638,7 @@ impl ArrayBuilder {
                 validity.push(true);
                 return;
             }
-            (ArrayBuilder::Untyped { nulls }, ValueRef::Null) => {
+            (ArrayBuilder::Untyped { nulls, .. }, ValueRef::Null) => {
                 *nulls += 1;
                 return;
             }
@@ -655,7 +657,7 @@ impl ArrayBuilder {
     /// [`Array::Any`] holding NULLs.
     pub fn finish(self) -> Array {
         match self {
-            ArrayBuilder::Untyped { nulls } => Array::Any(vec![Value::Null; nulls]),
+            ArrayBuilder::Untyped { nulls, .. } => Array::Any(vec![Value::Null; nulls]),
             ArrayBuilder::Int { data, validity } => Array::Int { data, validity },
             ArrayBuilder::Float { data, validity } => Array::Float { data, validity },
             ArrayBuilder::Str { data, validity } => Array::Str { data, validity },

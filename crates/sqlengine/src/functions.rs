@@ -47,7 +47,16 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> EngineResult<Value> {
         }
     };
 
-    match name.to_ascii_uppercase().as_str() {
+    // `FunctionCall::new` already upper-cases; allocate only for a name
+    // that arrives otherwise.
+    let upper;
+    let dispatch = if name.bytes().any(|b| b.is_ascii_lowercase()) {
+        upper = name.to_ascii_uppercase();
+        upper.as_str()
+    } else {
+        name
+    };
+    match dispatch {
         "ABS" => {
             arity(1)?;
             numeric_unary(name, &args[0], |f| f.abs(), |i| i.checked_abs())
@@ -283,13 +292,20 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> EngineResult<Value> {
             if args[1].is_null() {
                 return Ok(Value::Null);
             }
-            let pattern = args[1].to_string();
+            let rendered;
+            let pattern = match &args[1] {
+                Value::Text(p) => p.as_str(),
+                other => {
+                    rendered = other.to_string();
+                    rendered.as_str()
+                }
+            };
             match &args[0] {
-                Value::Date(d) => Ok(Value::Text(d.format_pattern(&pattern)?)),
+                Value::Date(d) => Ok(Value::Text(d.format_pattern(pattern)?)),
                 Value::Text(s) => {
                     // Accept ISO date strings for convenience.
                     let d = Date::parse(s)?;
-                    Ok(Value::Text(d.format_pattern(&pattern)?))
+                    Ok(Value::Text(d.format_pattern(pattern)?))
                 }
                 other => Err(EngineError::typing(format!(
                     "TO_CHAR with a pattern requires a DATE, got {other}"
@@ -527,6 +543,25 @@ mod tests {
     fn unknown_function_is_binding_error() {
         let e = eval_scalar("FROBNICATE", &[]).unwrap_err();
         assert!(matches!(e, EngineError::Binding { .. }));
+    }
+
+    #[test]
+    fn dispatch_ignores_case_and_patterns_need_not_be_text() {
+        let d = Value::Date(Date::new(2023, 5, 1).unwrap());
+        let upper = call("TO_CHAR", vec![d.clone(), "YYYY-MM".into()]);
+        assert_eq!(call("to_char", vec![d.clone(), "YYYY-MM".into()]), upper);
+        assert_eq!(call("To_Char", vec![d.clone(), "YYYY-MM".into()]), upper);
+        // A non-text pattern renders first, as before: no field letters,
+        // so it comes back verbatim.
+        assert_eq!(
+            call("TO_CHAR", vec![d, Value::Integer(7)]),
+            Value::Text("7".into())
+        );
+        let e = eval_scalar("frobnicate", &[]).unwrap_err();
+        assert_eq!(e, eval_scalar("FROBNICATE", &[]).unwrap_err());
+        // Messages quote the name as the caller wrote it.
+        let e = eval_scalar("abs", &["x".into()]).unwrap_err();
+        assert!(e.to_string().contains("abs requires"), "{e}");
     }
 
     #[test]

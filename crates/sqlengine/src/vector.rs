@@ -387,12 +387,12 @@ fn arith_ref(op: BinaryOp, l: ValueRef<'_>, r: ValueRef<'_>) -> EngineResult<Val
 
 /// One evaluated operand: a column of results or a single constant.
 /// Constants skip materializing an array of repeated values.
-enum Operand {
+enum Operand<'a> {
     Arr(Arc<Array>),
-    Const(Value),
+    Const(&'a Value),
 }
 
-impl Operand {
+impl Operand<'_> {
     #[inline]
     fn at(&self, pos: usize) -> ValueRef<'_> {
         match self {
@@ -402,9 +402,9 @@ impl Operand {
     }
 }
 
-fn operand(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Operand> {
+fn operand<'a>(v: &'a VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Operand<'a>> {
     match v {
-        VExpr::Lit(val) => Ok(Operand::Const(val.clone())),
+        VExpr::Lit(val) => Ok(Operand::Const(val)),
         other => Ok(Operand::Arr(eval(other, chunk, sel)?)),
     }
 }
@@ -566,10 +566,10 @@ fn eval_rows(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Arr
                     break;
                 }
                 let isel: Vec<u32> = undecided.iter().map(|&p| sel.at(p)).collect();
-                let iarr = eval(item, chunk, Sel::Idx(&isel))?;
+                let items = operand(item, chunk, Sel::Idx(&isel))?;
                 let mut still = Vec::with_capacity(undecided.len());
                 for (j, &pos) in undecided.iter().enumerate() {
-                    let iv = iarr.at(j);
+                    let iv = items.at(j);
                     if iv.is_null() {
                         saw_null[pos] = true;
                         still.push(pos);
@@ -677,9 +677,9 @@ fn eval_rows(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Arr
                 }
                 if !matched.is_empty() {
                     let tsel: Vec<u32> = matched.iter().map(|&p| sel.at(p)).collect();
-                    let tarr = eval(then, chunk, Sel::Idx(&tsel))?;
+                    let thens = operand(then, chunk, Sel::Idx(&tsel))?;
                     for (k, &pos) in matched.iter().enumerate() {
-                        result[pos] = tarr.get(k);
+                        result[pos] = thens.at(k).to_value();
                     }
                 }
                 undecided = still;
@@ -687,34 +687,43 @@ fn eval_rows(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Arr
             if !undecided.is_empty() {
                 if let Some(e) = else_expr {
                     let esel: Vec<u32> = undecided.iter().map(|&p| sel.at(p)).collect();
-                    let earr = eval(e, chunk, Sel::Idx(&esel))?;
+                    let elses = operand(e, chunk, Sel::Idx(&esel))?;
                     for (k, &pos) in undecided.iter().enumerate() {
-                        result[pos] = earr.get(k);
+                        result[pos] = elses.at(k).to_value();
                     }
                 }
             }
             Ok(Arc::new(Array::from_values(result)))
         }
         VExpr::Cast { expr, ty } => {
-            let arr = eval(expr, chunk, sel)?;
+            let arr = operand(expr, chunk, sel)?;
             let mut b = ArrayBuilder::with_capacity(n);
             for pos in 0..n {
-                b.push(arr.get(pos).cast_to(*ty)?);
+                b.push(arr.at(pos).to_value().cast_to(*ty)?);
             }
             Ok(Arc::new(b.finish()))
         }
         VExpr::Scalar { name, args } => {
-            let mut arrs = Vec::with_capacity(args.len());
+            let mut ops = Vec::with_capacity(args.len());
             for a in args {
-                arrs.push(eval(a, chunk, sel)?);
+                ops.push(operand(a, chunk, sel)?);
             }
             physical::with_counters(|c| c.scalar_calls += n as u64);
             let mut b = ArrayBuilder::with_capacity(n);
-            let mut argv: Vec<Value> = Vec::with_capacity(args.len());
+            // Constant arguments are written once; each row overwrites
+            // only the slots that vary.
+            let mut argv: Vec<Value> = ops
+                .iter()
+                .map(|op| match op {
+                    Operand::Const(v) => Value::clone(v),
+                    Operand::Arr(_) => Value::Null,
+                })
+                .collect();
             for pos in 0..n {
-                argv.clear();
-                for a in &arrs {
-                    argv.push(a.get(pos));
+                for (slot, op) in argv.iter_mut().zip(&ops) {
+                    if let Operand::Arr(a) = op {
+                        *slot = a.get(pos);
+                    }
                 }
                 b.push(functions::eval_scalar(name, &argv)?);
             }
