@@ -24,6 +24,7 @@ use genedit_llm::{
 use genedit_retrieval::{cosine, Embedding};
 use genedit_sql::catalog::Database;
 use genedit_sql::exec::execute_sql_timed;
+use genedit_sql::result::ResultSet;
 use genedit_telemetry::{names, MetricsRegistry, SpanGuard, Trace, Tracer};
 use std::sync::Arc;
 
@@ -828,6 +829,8 @@ impl<'a> Run<'a> {
             if first_valid && outcome.is_ok() {
                 return Ok(sql);
             }
+            // A vote key only where there is a vote.
+            let outcome = outcome.map(|rs| rs.fingerprint());
             candidates.push(Candidate { seed, sql, outcome });
         }
         self.correct_minority(span, prompt, &mut candidates);
@@ -901,7 +904,7 @@ impl<'a> Run<'a> {
                 continue;
             };
             let seed = candidates[slot].seed;
-            let outcome = self.validate(&sql, seed);
+            let outcome = self.validate(&sql, seed).map(|rs| rs.fingerprint());
             if outcome.is_ok() && (candidates[slot].outcome.is_err() || outcome == majority) {
                 candidates[slot] = Candidate { seed, sql, outcome };
                 recovered += 1;
@@ -913,9 +916,8 @@ impl<'a> Run<'a> {
     /// Syntactic + semantic validation: parse, then execute against the
     /// database (execution-guided checking, as in the paper's
     /// self-correction citation 25), under a `sql.validate` span. Returns
-    /// the result fingerprint the vote groups by, or the error string the
-    /// next prompt carries.
-    fn validate(&self, sql: &str, seed: u64) -> Result<Vec<String>, String> {
+    /// the result set, or the error string the next prompt carries.
+    fn validate(&self, sql: &str, seed: u64) -> Result<ResultSet, String> {
         let span = self.tracer.span(names::VALIDATE);
         span.attr("seed", seed).attr("sql_chars", sql.len());
         let (result, stats) = execute_sql_timed(self.db, sql);
@@ -925,7 +927,7 @@ impl<'a> Run<'a> {
         match result {
             Ok(rs) => {
                 span.attr("rows", stats.rows).attr("columns", stats.columns);
-                Ok(rs.fingerprint())
+                Ok(rs)
             }
             Err(e) => {
                 let msg = e.to_string();
@@ -1384,7 +1386,8 @@ mod tests {
             "SELECT * FROM MISSING_TABLE",
             "SELECT NO_SUCH_COLUMN FROM SPORTS_ORGS",
         ] {
-            assert_eq!(run.validate(sql, 0), validate(&bundle.db, sql), "{sql}");
+            let verdict = run.validate(sql, 0).map(|rs| rs.fingerprint());
+            assert_eq!(verdict, validate(&bundle.db, sql), "{sql}");
         }
     }
 
