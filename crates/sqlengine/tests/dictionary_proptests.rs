@@ -1,0 +1,435 @@
+//! Differential property tests for the dictionary layout and the three
+//! kernels that read it: vectorized engine vs [`execute_sql_reference`],
+//! byte for byte.
+//!
+//! `differential_proptests.rs` has no `DATE` column, integer join keys
+//! only, and no scalar call that can fail; this suite is the regime the
+//! dictionary kernels run in. Tables carry a low-cardinality `DATE`
+//! column, text join keys with duplicates and NULLs on both sides, a
+//! text column that only sometimes casts to an integer, and sizes on
+//! both sides of "fewer distinct values than rows" (every pool has at
+//! most eight values; tables have 0 to 47 rows). Queries put
+//! single-column expressions — `TO_CHAR`, `YEAR`, `SUBSTR`,
+//! `CAST(text AS INTEGER)`, `COALESCE`, `CASE` — in WHERE, GROUP BY and
+//! SELECT, join on text and on date-against-ISO-text keys (INNER and
+//! LEFT), and one property appends a row between two runs of the same
+//! query, which a dictionary that outlived its snapshot would get wrong.
+
+use genedit_sql::value::{DataType, Date, Value};
+use genedit_sql::{execute_sql, execute_sql_reference, Column, Database, Table};
+use proptest::prelude::*;
+
+// ---------------------------------------------------------------------
+// Data
+// ---------------------------------------------------------------------
+
+const MONTHS: [(i32, u8); 7] = [
+    (2022, 1),
+    (2022, 4),
+    (2022, 11),
+    (2023, 1),
+    (2023, 2),
+    (2023, 5),
+    (2023, 12),
+];
+const KEYS: [&str; 6] = ["alpha", "avon", "beta", "b|t:x", "", "gamma"];
+const REGIONS: [&str; 3] = ["north", "south", "east"];
+/// `CAST(N AS INTEGER)` raises on the last two.
+const NUMBERS: [&str; 6] = ["1", "2", "-3", "40", "x", "4y"];
+
+/// A pool index, or NULL one time in `pool + 1`.
+fn arb_pick(pool: usize) -> impl Strategy<Value = Option<usize>> {
+    (0..pool + 1).prop_map(move |i| (i < pool).then_some(i))
+}
+
+/// `(D, K, R, N, V)` of one fact row.
+type FRow = (
+    Option<usize>,
+    Option<usize>,
+    Option<usize>,
+    Option<usize>,
+    i64,
+);
+/// `(EK, G, W, DT)` of one entity row.
+type ERow = (Option<usize>, Option<usize>, i64, Option<usize>);
+
+fn arb_f_row() -> impl Strategy<Value = FRow> {
+    (
+        arb_pick(MONTHS.len()),
+        arb_pick(KEYS.len()),
+        arb_pick(REGIONS.len()),
+        arb_pick(NUMBERS.len()),
+        -20i64..60,
+    )
+}
+
+/// Tables on both sides of "fewer distinct values than rows".
+fn arb_f_rows() -> impl Strategy<Value = Vec<FRow>> {
+    prop_oneof![
+        prop::collection::vec(arb_f_row(), 0..6),
+        prop::collection::vec(arb_f_row(), 6..48),
+        prop::collection::vec(arb_f_row(), 6..48),
+    ]
+}
+
+fn arb_e_rows() -> impl Strategy<Value = Vec<ERow>> {
+    let row = || {
+        (
+            arb_pick(KEYS.len()),
+            arb_pick(REGIONS.len()),
+            0i64..5,
+            arb_pick(MONTHS.len()),
+        )
+    };
+    prop_oneof![
+        prop::collection::vec(row(), 0..5),
+        prop::collection::vec(row(), 5..24),
+    ]
+}
+
+fn text(pool: &[&str], i: Option<usize>) -> Value {
+    i.map_or(Value::Null, |i| Value::Text(pool[i].to_string()))
+}
+
+fn month(i: Option<usize>) -> Option<Date> {
+    i.map(|i| Date::new(MONTHS[i].0, MONTHS[i].1, 1).expect("first of a month"))
+}
+
+fn f_values(&(d, k, r, n, v): &FRow) -> Vec<Value> {
+    vec![
+        month(d).map_or(Value::Null, Value::Date),
+        text(&KEYS, k),
+        text(&REGIONS, r),
+        text(&NUMBERS, n),
+        Value::Integer(v),
+    ]
+}
+
+fn build_db(f_rows: &[FRow], e_rows: &[ERow]) -> Database {
+    let mut db = Database::new("dict");
+    let mut f = Table::new(
+        "F",
+        vec![
+            Column::new("D", DataType::Date),
+            Column::new("K", DataType::Text),
+            Column::new("R", DataType::Text),
+            Column::new("N", DataType::Text),
+            Column::new("V", DataType::Integer),
+        ],
+    );
+    for row in f_rows {
+        f.push_row(f_values(row)).expect("push F row");
+    }
+    db.add_table(f).expect("add F");
+    let mut e = Table::new(
+        "E",
+        vec![
+            Column::new("EK", DataType::Text),
+            Column::new("G", DataType::Text),
+            Column::new("W", DataType::Integer),
+            // ISO text, so `F.D = E.DT` keys a date against a string.
+            Column::new("DT", DataType::Text),
+        ],
+    );
+    for &(k, g, w, dt) in e_rows {
+        e.push_row(vec![
+            text(&KEYS, k),
+            text(&REGIONS, g),
+            Value::Integer(w),
+            month(dt).map_or(Value::Null, |d| Value::Text(d.to_string())),
+        ])
+        .expect("push E row");
+    }
+    db.add_table(e).expect("add E");
+    db
+}
+
+// ---------------------------------------------------------------------
+// Queries
+// ---------------------------------------------------------------------
+
+/// Expressions over one column of `F`.
+fn arb_expr() -> impl Strategy<Value = &'static str> {
+    prop_oneof![
+        Just("D"),
+        Just("K"),
+        Just("TO_CHAR(D, 'YYYY\"Q\"Q')"),
+        Just("TO_CHAR(D, 'YYYY')"),
+        Just("YEAR(D)"),
+        Just("MONTH(D) + 1"),
+        Just("SUBSTR(K, 1, 1)"),
+        Just("UPPER(K) || '!'"),
+        Just("LENGTH(K)"),
+        Just("COALESCE(R, 'x')"),
+        Just("COALESCE(TO_CHAR(D, 'YYYY-MM'), 'none')"),
+        Just("CASE WHEN R = 'north' THEN 'n' WHEN R IS NULL THEN NULL ELSE SUBSTR(R, 1, 2) END"),
+        Just("CASE R WHEN 'south' THEN 1 ELSE 0 END"),
+        Just("R IN ('north', 'east')"),
+        // Raises on 'x' and '4y', wherever a row that reaches it has one.
+        Just("CAST(N AS INTEGER)"),
+        Just("CASE WHEN N IN ('x', '4y') THEN -1 ELSE CAST(N AS INTEGER) END"),
+    ]
+}
+
+/// Predicates over `F`: single-column ones, and conjunctions whose
+/// earlier conjunct on *another* column decides which rows reach a call
+/// that can fail.
+fn arb_pred() -> impl Strategy<Value = &'static str> {
+    prop_oneof![
+        Just("TO_CHAR(D, 'YYYY\"Q\"Q') IN ('2023Q1', '2023Q2')"),
+        Just("TO_CHAR(D, 'YYYY') = '2022'"),
+        Just("YEAR(D) = 2023"),
+        Just("NOT (YEAR(D) = 2023)"),
+        Just("D >= '2023-01-01'"),
+        Just("D BETWEEN '2022-06-01' AND '2023-03-01'"),
+        Just("R = 'north'"),
+        Just("R IS NULL"),
+        Just("COALESCE(R, 'x') = 'x'"),
+        Just("SUBSTR(K, 1, 1) = 'a'"),
+        Just("K LIKE 'a%'"),
+        Just("CAST(N AS INTEGER) > 0"),
+        Just("V > 0 AND CAST(N AS INTEGER) > 0"),
+        Just("V > 200 AND CAST(N AS INTEGER) > 0"),
+        Just("N NOT IN ('x', '4y') AND CAST(N AS INTEGER) > 1"),
+        Just("R = 'north' OR YEAR(D) = 2022"),
+        Just("R = 'south' AND TO_CHAR(D, 'YYYY\"Q\"Q') = '2023Q1' AND V > 10"),
+        Just("CASE WHEN R = 'north' THEN V ELSE 0 END > 0"),
+    ]
+}
+
+fn arb_tail() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        Just(" ORDER BY 1".to_string()),
+        Just(" ORDER BY 1 DESC, 2".to_string()),
+        (0u64..6).prop_map(|n| format!(" ORDER BY 2, 1 LIMIT {n}")),
+    ]
+}
+
+fn where_clause(pred: Option<&str>) -> String {
+    pred.map_or(String::new(), |p| format!(" WHERE {p}"))
+}
+
+fn arb_single_table_query() -> impl Strategy<Value = String> {
+    (
+        0usize..4,
+        arb_expr(),
+        arb_expr(),
+        proptest::option::of(arb_pred()),
+        arb_pred(),
+        arb_tail(),
+    )
+        .prop_map(|(shape, e1, e2, pred, when, tail)| {
+            let filter = where_clause(pred);
+            match shape {
+                0 => format!("SELECT {e1} AS x, {e2} AS y, V FROM F{filter}{tail}"),
+                1 => format!("SELECT DISTINCT {e1} AS x, {e2} AS y FROM F{filter}{tail}"),
+                2 => format!(
+                    "SELECT {e1} AS g, COUNT(*) AS n, SUM(V) AS s, MIN({e2}) AS lo \
+                     FROM F{filter} GROUP BY {e1}{tail}"
+                ),
+                _ => format!(
+                    "SELECT {e1} AS g, SUM(CASE WHEN {when} THEN V ELSE 0 END) AS a, \
+                     COUNT(*) AS n FROM F{filter} GROUP BY {e1}{tail}"
+                ),
+            }
+        })
+}
+
+fn arb_join_query() -> impl Strategy<Value = String> {
+    (
+        0usize..4,
+        prop_oneof![Just("JOIN"), Just("LEFT JOIN")],
+        prop_oneof![
+            Just("K = EK"),
+            Just("EK = K"),
+            // A date keyed against its ISO rendering.
+            Just("D = DT"),
+            // Two key columns: the per-row key path.
+            Just("K = EK AND R = G"),
+        ],
+        proptest::option::of(prop_oneof![arb_pred(), Just("W > 1"), Just("G IS NULL")]),
+        arb_tail(),
+    )
+        .prop_map(|(shape, kind, on, pred, tail)| {
+            let filter = where_clause(pred);
+            match shape {
+                0 => format!("SELECT K, G, V, W FROM F {kind} E ON {on}{filter}{tail}"),
+                1 => format!("SELECT EK, D, W, V FROM E {kind} F ON {on}{filter}{tail}"),
+                2 => format!(
+                    "SELECT G, COUNT(*) AS n, SUM(V) AS s FROM E {kind} F ON {on}{filter} \
+                     GROUP BY G{tail}"
+                ),
+                // A CTE array (never encoded) against an encoded table.
+                _ => format!(
+                    "WITH big AS (SELECT K, D, R, N, V FROM F WHERE V > 0) \
+                     SELECT G, TO_CHAR(D, 'YYYY') AS y, SUM(V) AS s FROM big {kind} E ON {on}{filter} \
+                     GROUP BY G, TO_CHAR(D, 'YYYY'){tail}"
+                ),
+            }
+        })
+}
+
+// ---------------------------------------------------------------------
+// The differential oracle
+// ---------------------------------------------------------------------
+
+/// Exact rendering of a result set: column names plus every value's
+/// debug form.
+fn render(rs: &genedit_sql::ResultSet) -> String {
+    let mut out = format!("{:?}\n", rs.columns);
+    for row in &rs.rows {
+        out.push_str(&format!("{row:?}\n"));
+    }
+    out
+}
+
+/// Both engines return the same bytes, or both raise. (Which row's error
+/// surfaces first is not pinned: the vectorized engine evaluates a whole
+/// conjunct before the next one.)
+fn check_differential(db: &Database, sql: &str) -> Result<(), TestCaseError> {
+    match (execute_sql(db, sql), execute_sql_reference(db, sql)) {
+        (Ok(v), Ok(r)) => prop_assert_eq!(render(&v), render(&r), "engines diverged on: {}", sql),
+        (Err(_), Err(_)) => {}
+        (Ok(v), Err(e)) => {
+            return Err(TestCaseError::fail(format!(
+                "vectorized succeeded ({} rows) but reference failed ({e}) on: {sql}",
+                v.rows.len()
+            )));
+        }
+        (Err(e), Ok(r)) => {
+            return Err(TestCaseError::fail(format!(
+                "reference succeeded ({} rows) but vectorized failed ({e}) on: {sql}",
+                r.rows.len()
+            )));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn single_table_queries_agree(
+        f_rows in arb_f_rows(),
+        sql in arb_single_table_query(),
+    ) {
+        let db = build_db(&f_rows, &[]);
+        check_differential(&db, &sql)?;
+    }
+
+    #[test]
+    fn join_queries_agree(
+        f_rows in arb_f_rows(),
+        e_rows in arb_e_rows(),
+        sql in arb_join_query(),
+    ) {
+        let db = build_db(&f_rows, &e_rows);
+        check_differential(&db, &sql)?;
+    }
+
+    /// The first run builds and caches the encoded snapshot; the row
+    /// appended after it holds a month, a key and a region no dictionary
+    /// has an entry for.
+    #[test]
+    fn a_row_pushed_between_two_queries_is_seen(
+        f_rows in arb_f_rows(),
+        e_rows in arb_e_rows(),
+        v in -20i64..60,
+        sql in prop_oneof![arb_single_table_query(), arb_join_query()],
+    ) {
+        let mut db = build_db(&f_rows, &e_rows);
+        check_differential(&db, &sql)?;
+        let new_row = vec![
+            Value::Date(Date::new(2024, 6, 1).expect("valid date")),
+            Value::Text("zeta".into()),
+            Value::Text("west".into()),
+            Value::Text("7".into()),
+            Value::Integer(v),
+        ];
+        db.table_mut("F").expect("F exists").push_row(new_row).expect("push F row");
+        check_differential(&db, &sql)?;
+        let count = execute_sql(&db, "SELECT COUNT(*) FROM F WHERE K = 'zeta' AND YEAR(D) = 2024");
+        prop_assert_eq!(count.expect("count runs").rows[0][0].clone(), Value::Integer(1));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Directed checks
+// ---------------------------------------------------------------------
+
+fn sample_rows() -> Vec<FRow> {
+    // 24 rows over 4 months, 3 keys (one NULL), 2 regions (one NULL).
+    (0..24)
+        .map(|i| {
+            (
+                Some([0, 3, 4, 5][i % 4]),
+                (i % 5 != 0).then_some(i % 3),
+                (i % 7 != 0).then_some(i % 2),
+                Some(i % 4),
+                i as i64,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn error_parity_where_a_selected_row_holds_the_failing_value() {
+    let mut rows = sample_rows();
+    rows[13].3 = Some(4); // N = 'x', V = 13
+    let db = build_db(&rows, &[]);
+    for sql in [
+        "SELECT SUM(V) FROM F WHERE CAST(N AS INTEGER) > 0",
+        "SELECT SUM(V) FROM F WHERE V > 10 AND CAST(N AS INTEGER) > 0",
+        "SELECT CAST(N AS INTEGER) AS n, COUNT(*) FROM F GROUP BY CAST(N AS INTEGER)",
+        "SELECT SUM(CASE WHEN CAST(N AS INTEGER) > 0 THEN V ELSE 0 END) FROM F",
+    ] {
+        let got = execute_sql(&db, sql).expect_err(sql);
+        let want = execute_sql_reference(&db, sql).expect_err(sql);
+        assert_eq!(got, want, "{sql}");
+    }
+    // The same value, held only by rows an earlier conjunct on another
+    // column decided: no error, the reference's rows.
+    for sql in [
+        "SELECT SUM(V) FROM F WHERE V < 13 AND CAST(N AS INTEGER) > 0",
+        "SELECT V FROM F WHERE V <> 13 AND CAST(N AS INTEGER) > 1 ORDER BY 1",
+    ] {
+        let got = execute_sql(&db, sql).expect(sql);
+        let want = execute_sql_reference(&db, sql).expect(sql);
+        assert_eq!(render(&got), render(&want), "{sql}");
+        assert!(!got.rows.is_empty());
+    }
+}
+
+#[test]
+fn left_join_pads_through_dictionaries_with_and_without_a_null_entry() {
+    // E.G has a NULL entry; E.DT has none; both are padded for the F
+    // rows whose key is NULL or unmatched.
+    let e_rows: Vec<ERow> = vec![
+        (Some(0), Some(0), 1, Some(0)),
+        (Some(0), None, 2, Some(3)),
+        (Some(1), Some(1), 3, Some(3)),
+        (Some(0), Some(0), 4, Some(0)),
+        (Some(1), None, 5, Some(0)),
+    ];
+    let db = build_db(&sample_rows(), &e_rows);
+    for (sql, padded) in [
+        ("SELECT K, EK, G, DT, W FROM F LEFT JOIN E ON K = EK", true),
+        (
+            "SELECT V, G, DT FROM F LEFT JOIN E ON D = DT ORDER BY 1, 2, 3",
+            true,
+        ),
+        (
+            "SELECT COALESCE(G, 'none') AS g, COUNT(*) AS n, COUNT(DT) AS m \
+             FROM F LEFT JOIN E ON K = EK GROUP BY COALESCE(G, 'none') ORDER BY 1",
+            false,
+        ),
+    ] {
+        let got = execute_sql(&db, sql).expect(sql);
+        let want = execute_sql_reference(&db, sql).expect(sql);
+        assert_eq!(render(&got), render(&want), "{sql}");
+        let pads = |r: &Vec<Value>| r[r.len() - 1].is_null() && r[r.len() - 2].is_null();
+        assert_eq!(got.rows.iter().any(pads), padded, "{sql}");
+    }
+}
