@@ -1065,18 +1065,28 @@ mod tests {
     #[test]
     fn failure_on_a_value_no_selected_row_holds_is_not() {
         // 'x' is in the dictionary, but every row holding it was decided
-        // by the conjunct on the other column first.
-        let rows: Vec<Vec<Value>> = [("1", 1), ("x", 0), ("2", 1), ("x", -1), ("1", 0), ("2", 2)]
-            .iter()
-            .map(|&(x, y)| vec![text(x), Value::Integer(y)])
-            .collect();
+        // by the conjunct on the other column first — and enough rows
+        // remain (six, for three entries) that the right side does go
+        // through the dictionary before the per-row path overrules it.
+        let rows: Vec<Vec<Value>> = [
+            ("1", 1),
+            ("x", 0),
+            ("2", 1),
+            ("x", -1),
+            ("1", 0),
+            ("2", 2),
+            ("1", 3),
+            ("2", 1),
+            ("1", 1),
+        ]
+        .iter()
+        .map(|&(x, y)| vec![text(x), Value::Integer(y)])
+        .collect();
         let sql = "y > 0 AND CAST(x AS INTEGER) > 1";
         let want = eval_sql(sql, &["x", "y"], rows.clone()).unwrap();
         assert_eq!(eval_encoded(sql, &["x", "y"], rows).unwrap(), want);
-        assert_eq!(
-            want,
-            [false, false, true, false, false, true].map(Value::Boolean)
-        );
+        let t = [false, false, true, false, false, true, false, true, false];
+        assert_eq!(want, t.map(Value::Boolean));
     }
 
     /// The per-distinct path is sound only while a bound expression is a
