@@ -3,8 +3,10 @@
 //!
 //! Two parts, each with a hard gate (violations exit nonzero):
 //!
-//! 1. *Throughput floors* — three synthetic workloads (wide scan,
-//!    join-heavy, aggregate-heavy) timed on both engines (min of N
+//! 1. *Throughput floors* — four synthetic workloads (wide scan,
+//!    join-heavy, aggregate-heavy, and a calendar filter shaped like the
+//!    gold suite's fact-table statements: a scalar call on a month
+//!    column and a text predicate) timed on both engines (min of N
 //!    repetitions). The vectorized engine must clear a **5x** speedup
 //!    floor on each, and the two engines' results must be byte-identical
 //!    on every workload query. The floor is enforced in full mode only:
@@ -25,7 +27,7 @@
 
 use genedit_bench::{object, Args, Report, Rng};
 use genedit_bird::Workload;
-use genedit_sql::value::{DataType, Value as SqlValue};
+use genedit_sql::value::{DataType, Date, Value as SqlValue};
 use genedit_sql::{execute_sql, execute_sql_reference, Column, Database, ResultSet, Table};
 use serde::Serialize;
 use std::time::Instant;
@@ -181,6 +183,39 @@ fn build_agg(rows: usize, seed: u64) -> Database {
     db
 }
 
+/// Fact table shaped like the warehouse's: a month column of ~1,000
+/// distinct dates, a 4-value region and a 20-value text key. Every
+/// fact-table gold statement filters on a scalar call over the month and
+/// on a text column; the other three workloads do neither.
+fn build_calendar(rows: usize, seed: u64) -> Database {
+    let mut rng = Rng::new(seed ^ 0xca1e_0da7);
+    let mut t = Table::new(
+        "EVENTS",
+        vec![
+            Column::new("D", DataType::Date),
+            Column::new("R", DataType::Text),
+            Column::new("K", DataType::Text),
+            Column::new("V", DataType::Integer),
+        ],
+    );
+    for _ in 0..rows {
+        let month = rng.below(84 * 12) as i32;
+        let d = Date::new(2023 - month / 12, (month % 12) as u8 + 1, 1)
+            .expect("the first of a month is a valid date");
+        let r = ["north", "south", "east", "west"][rng.below(4) as usize];
+        t.push_row(vec![
+            SqlValue::Date(d),
+            SqlValue::Text(r.to_string()),
+            SqlValue::Text(format!("key-{:02}", rng.below(20))),
+            SqlValue::Integer(rng.below(1_000) as i64),
+        ])
+        .expect("events row arity matches schema");
+    }
+    let mut db = Database::new("bench_calendar");
+    db.add_table(t).expect("fresh database accepts EVENTS");
+    db
+}
+
 /// Min-of-N wall time for one engine, in milliseconds.
 fn time_query(db: &Database, sql: &str, reps: usize, reference: bool) -> f64 {
     let mut best = f64::INFINITY;
@@ -221,6 +256,14 @@ fn throughput(seed: u64, smoke: bool, violations: &mut Vec<String>) -> Vec<Bench
             6_000 * scale,
             "SELECT G, COUNT(*) AS N, SUM(V) AS SV, AVG(W) AS AW, MIN(V) AS LO, MAX(V) AS HI \
              FROM EVENTS GROUP BY G ORDER BY 2 DESC, 1",
+        ),
+        (
+            "calendar_filter",
+            build_calendar(6_000 * scale, seed),
+            6_000 * scale,
+            "SELECT K, SUM(V) FROM EVENTS \
+             WHERE TO_CHAR(D, 'YYYY\"Q\"Q') IN ('2022Q1', '2022Q2') AND R = 'north' \
+             GROUP BY K ORDER BY 2 DESC",
         ),
     ];
 
