@@ -399,13 +399,20 @@ impl Array {
     }
 
     /// The codes and dictionary of a [`Array::Dict`]; `None` for every
-    /// other layout. For kernels that do their per-value work once per
-    /// dictionary entry instead of once per element.
+    /// other layout.
     pub fn as_dict(&self) -> Option<(&[u32], &Arc<Array>)> {
         match self {
             Array::Dict { codes, values } => Some((codes, values)),
             _ => None,
         }
+    }
+
+    /// [`Array::as_dict`] when the dictionary has fewer entries than the
+    /// `rows` a kernel is about to visit: the one test for doing
+    /// per-value work once per entry instead of once per row. The code
+    /// reads it off its input; there is nothing to configure.
+    pub fn per_entry(&self, rows: usize) -> Option<(&[u32], &Arc<Array>)> {
+        self.as_dict().filter(|(_, values)| values.len() < rows)
     }
 
     /// The array `values[codes[i]]`. Every code must index `values`.
@@ -419,22 +426,16 @@ impl Array {
     /// entry per distinct value (NULL included), in first-occurrence
     /// order. Other layouts are returned unchanged.
     pub fn dictionary_encoded(self) -> Array {
-        match self {
+        let (codes, first_rows) = match &self {
             Array::Str { data, validity } => {
-                let (codes, rows) = distinct_rows(&validity, data.iter().map(String::as_str));
-                Array::Dict {
-                    codes,
-                    values: Arc::new(Array::Str { data, validity }.gather(&rows)),
-                }
+                distinct_rows(validity, data.iter().map(String::as_str))
             }
-            Array::Date { data, validity } => {
-                let (codes, rows) = distinct_rows(&validity, data.iter().copied());
-                Array::Dict {
-                    codes,
-                    values: Arc::new(Array::Date { data, validity }.gather(&rows)),
-                }
-            }
-            other => other,
+            Array::Date { data, validity } => distinct_rows(validity, data.iter().copied()),
+            _ => return self,
+        };
+        Array::Dict {
+            codes,
+            values: Arc::new(self.gather(&first_rows)),
         }
     }
 }

@@ -408,9 +408,7 @@ fn vectorized_groups(
         // A dictionary key with fewer entries than rows probes once per
         // code. Codes resolve at their first row, so group order is still
         // first occurrence, and entries with equal values share a group.
-        let dict = a
-            .as_dict()
-            .filter(|(codes, values)| values.len() < codes.len());
+        let dict = a.per_entry(chunk.len());
         let mut by_code = vec![u32::MAX; dict.map_or(0, |(_, values)| values.len())];
         for i in 0..chunk.len() {
             let gid = match dict {

@@ -433,8 +433,7 @@ fn lists_by_row<'a>(
 ) -> Vec<u32> {
     let col = |p: &KeyPair| &src.chunk.cols[if right { p.right } else { p.left }];
     if let [p] = pairs {
-        let dict = col(p).as_dict();
-        if let Some((codes, values)) = dict.filter(|(codes, values)| values.len() < codes.len()) {
+        if let Some((codes, values)) = col(p).per_entry(src.chunk.len()) {
             let by_code: Vec<u32> = (0..values.len())
                 .map(|k| jkey(p.kind, values.at(k)).map_or(NO_LIST, |key| lookup(vec![key])))
                 .collect();

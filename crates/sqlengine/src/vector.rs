@@ -484,14 +484,11 @@ fn eval_per_distinct(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> Option<Arc<A
         return None; // a bare column is its own dictionary
     }
     let col = only_column(v)?;
-    let (codes, values) = chunk.cols[col].as_dict()?;
-    if values.len() >= sel.len(chunk) {
-        return None;
-    }
+    let (codes, values) = chunk.cols[col].per_entry(sel.len(chunk))?;
     // `v` reads nothing but `col`, so a chunk that has the entries there
     // (and, to stay rectangular, at every index below) is all it needs.
     let entries = DataChunk::new(vec![Arc::clone(values); col + 1], values.len());
-    let out = eval(v, &entries, Sel::All).ok()?;
+    let out = eval_rows(v, &entries, Sel::All).ok()?;
     let codes = match sel {
         Sel::All => codes.to_vec(),
         Sel::Idx(idx) => idx.iter().map(|&i| codes[i as usize]).collect(),
