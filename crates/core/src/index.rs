@@ -5,16 +5,29 @@
 //! embeddings.
 
 use genedit_knowledge::tenants::{StoredVectors, TenantSnapshot, TenantStoreError};
-use genedit_knowledge::{Example, Instruction, KnowledgeSet, SchemaElement};
-use genedit_retrieval::{Embedder, Embedding, VectorIndex, Vocabulary};
+use genedit_knowledge::{Example, Instruction, KnowledgeSet, RetrievalStage, SchemaElement};
+use genedit_retrieval::{Embedder, Embedding, SparseEmbedding, VectorIndex, Vocabulary};
+use std::sync::OnceLock;
 
 /// A knowledge set plus embedding indexes for its three element kinds.
+///
+/// Immutable once built: a knowledge edit builds a new index. That is
+/// what makes it correct for the index to memoise the vectors the
+/// compounding re-ranks expand their query with — each example's
+/// expansion vector, each instruction's text vector, the
+/// instruction-selection hint vectors — as functions of its knowledge
+/// epoch rather than of the request. Each memo fills on first use, so
+/// building an index, or paging one in, embeds no more than it did
+/// without them.
 pub struct KnowledgeIndex {
     ks: KnowledgeSet,
     embedder: Embedder,
     examples: VectorIndex,
     instructions: VectorIndex,
     schema: VectorIndex,
+    example_expansions: Vec<OnceLock<SparseEmbedding>>,
+    instruction_texts: Vec<OnceLock<SparseEmbedding>>,
+    instruction_hints: OnceLock<Vec<SparseEmbedding>>,
 }
 
 impl KnowledgeIndex {
@@ -77,7 +90,11 @@ impl KnowledgeIndex {
                 }
             }
         }
+        let memo = |n: usize| std::iter::repeat_with(OnceLock::new).take(n).collect();
         KnowledgeIndex {
+            example_expansions: memo(ks.examples().len()),
+            instruction_texts: memo(ks.instructions().len()),
+            instruction_hints: OnceLock::new(),
             ks,
             embedder,
             examples,
@@ -98,28 +115,19 @@ impl KnowledgeIndex {
 
     /// The embedding vectors of every indexed element, in content order —
     /// what [`genedit_knowledge::tenants::TenantKnowledgeStore::put_vectors`]
-    /// persists so the next cold page-in skips re-embedding.
+    /// persists so the next cold page-in skips re-embedding. They are the
+    /// vectors the index holds, so nothing is embedded again.
     pub fn export_vectors(&self) -> StoredVectors {
+        let all = |index: &VectorIndex| -> Vec<Embedding> {
+            (0..index.len())
+                .map(|pos| index.embedding(pos).clone())
+                .collect()
+        };
         StoredVectors {
             dim: self.embedder.dim(),
-            examples: self
-                .ks
-                .examples()
-                .iter()
-                .map(|e| self.embedder.embed(&e.retrieval_text()))
-                .collect(),
-            instructions: self
-                .ks
-                .instructions()
-                .iter()
-                .map(|i| self.embedder.embed(&i.retrieval_text()))
-                .collect(),
-            schema: self
-                .ks
-                .schema_elements()
-                .iter()
-                .map(|s| self.embedder.embed(&s.retrieval_text()))
-                .collect(),
+            examples: all(&self.examples),
+            instructions: all(&self.instructions),
+            schema: all(&self.schema),
         }
     }
 
@@ -142,6 +150,42 @@ impl KnowledgeIndex {
         self.schema.embedding(pos)
     }
 
+    /// The expansion vector of `knowledge().examples()[pos]`: the
+    /// embedding of `"{description} {sql}"`, the text a selected example
+    /// adds to the later re-ranks' query. Not the indexed vector, which
+    /// also carries the example's term. Embedded on first use.
+    pub(crate) fn example_expansion(&self, pos: usize) -> &SparseEmbedding {
+        self.example_expansions[pos].get_or_init(|| {
+            let e = &self.ks.examples()[pos];
+            let text = format!("{} {}", e.description, e.fragment.sql);
+            self.embedder.embed_sparse(&text)
+        })
+    }
+
+    /// The embedding of `knowledge().instructions()[pos].text`, which a
+    /// selected instruction adds to the schema re-rank's query. Embedded
+    /// on first use.
+    pub(crate) fn instruction_text(&self, pos: usize) -> &SparseEmbedding {
+        self.instruction_texts[pos].get_or_init(|| {
+            self.embedder
+                .embed_sparse(&self.ks.instructions()[pos].text)
+        })
+    }
+
+    /// The embeddings of the instruction-selection retrieval hints, in
+    /// knowledge order. Embedded on first use.
+    pub(crate) fn instruction_hints(&self) -> &[SparseEmbedding] {
+        self.instruction_hints.get_or_init(|| {
+            let hints = self
+                .ks
+                .retrieval_hints(RetrievalStage::InstructionSelection);
+            hints
+                .iter()
+                .map(|h| self.embedder.embed_sparse(h))
+                .collect()
+        })
+    }
+
     /// Top-k examples by cosine similarity to a query embedding. Examples
     /// attached to one of `intents` are boosted, implementing the paper's
     /// "uses the user intents to retrieve their associated examples …
@@ -158,44 +202,40 @@ impl KnowledgeIndex {
         intents: &[String],
         k: usize,
     ) -> Vec<(&Example, f32)> {
-        let hits = self.examples.search(query, self.examples.len(), f32::MIN);
-        let mut scored: Vec<(&Example, f32)> = hits
-            .into_iter()
-            .map(|h| {
-                let ex = &self.ks.examples()[h.id];
-                let boost = if ex
-                    .intent
-                    .as_deref()
-                    .map(|i| intents.iter().any(|x| x == i))
-                    .unwrap_or(false)
-                {
-                    0.15
-                } else {
-                    0.0
-                };
-                (ex, h.score + boost)
-            })
-            .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        let examples = self.ks.examples();
+        let ranked = self.rank_examples(query, intents, k).into_iter();
+        ranked.map(|(pos, score)| (&examples[pos], score)).collect()
+    }
 
-        let mut out: Vec<(&Example, f32)> = Vec::with_capacity(k);
+    /// [`KnowledgeIndex::top_examples`] as positions in
+    /// `knowledge().examples()`.
+    pub(crate) fn rank_examples(
+        &self,
+        query: &Embedding,
+        intents: &[String],
+        k: usize,
+    ) -> Vec<(usize, f32)> {
+        let examples = self.ks.examples();
+        let scored = boosted(&self.examples, query, intents, |pos| &examples[pos].intent);
+
+        let mut out: Vec<(usize, f32)> = Vec::with_capacity(k);
         let mut kinds_taken: std::collections::BTreeSet<_> = Default::default();
         // Pass 1: best example per fragment kind, in score order.
-        for (ex, score) in &scored {
+        for &(pos, score) in &scored {
             if out.len() >= k {
                 break;
             }
-            if kinds_taken.insert(ex.fragment.kind) {
-                out.push((*ex, *score));
+            if kinds_taken.insert(examples[pos].fragment.kind) {
+                out.push((pos, score));
             }
         }
         // Pass 2: fill remaining slots by raw score.
-        for (ex, score) in &scored {
+        for &(pos, score) in &scored {
             if out.len() >= k {
                 break;
             }
-            if !out.iter().any(|(e, _)| e.id == ex.id) {
-                out.push((*ex, *score));
+            if !out.iter().any(|(taken, _)| *taken == pos) {
+                out.push((pos, score));
             }
         }
         out
@@ -208,27 +248,25 @@ impl KnowledgeIndex {
         intents: &[String],
         k: usize,
     ) -> Vec<(&Instruction, f32)> {
-        let hits = self
-            .instructions
-            .search(query, self.instructions.len(), f32::MIN);
-        let mut scored: Vec<(&Instruction, f32)> = hits
-            .into_iter()
-            .map(|h| {
-                let ins = &self.ks.instructions()[h.id];
-                let boost = if ins
-                    .intent
-                    .as_deref()
-                    .map(|i| intents.iter().any(|x| x == i))
-                    .unwrap_or(false)
-                {
-                    0.15
-                } else {
-                    0.0
-                };
-                (ins, h.score + boost)
-            })
-            .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        let instructions = self.ks.instructions();
+        let ranked = self.rank_instructions(query, intents, k).into_iter();
+        ranked
+            .map(|(pos, score)| (&instructions[pos], score))
+            .collect()
+    }
+
+    /// [`KnowledgeIndex::top_instructions`] as positions in
+    /// `knowledge().instructions()`.
+    pub(crate) fn rank_instructions(
+        &self,
+        query: &Embedding,
+        intents: &[String],
+        k: usize,
+    ) -> Vec<(usize, f32)> {
+        let instructions = self.ks.instructions();
+        let mut scored = boosted(&self.instructions, query, intents, |pos| {
+            &instructions[pos].intent
+        });
         scored.truncate(k);
         scored
     }
@@ -242,6 +280,29 @@ impl KnowledgeIndex {
             .map(|h| (&self.ks.schema_elements()[h.id], h.score))
             .collect()
     }
+}
+
+/// Every element of `index` by cosine similarity to `query`, plus 0.15
+/// when its intent (`intent_of(position)`) is one of `intents`, best
+/// first.
+fn boosted<'k>(
+    index: &VectorIndex,
+    query: &Embedding,
+    intents: &[String],
+    intent_of: impl Fn(usize) -> &'k Option<String>,
+) -> Vec<(usize, f32)> {
+    let hits = index.search(query, index.len(), f32::MIN);
+    let mut scored: Vec<(usize, f32)> = hits
+        .into_iter()
+        .map(|h| {
+            let matched = intent_of(h.id)
+                .as_deref()
+                .is_some_and(|i| intents.iter().any(|x| x == i));
+            (h.id, h.score + if matched { 0.15 } else { 0.0 })
+        })
+        .collect();
+    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    scored
 }
 
 #[cfg(test)]
@@ -318,5 +379,45 @@ mod tests {
         assert_eq!(idx.top_examples(&q, &[], 1).len(), 1);
         assert_eq!(idx.top_instructions(&q, &[], 10).len(), 1);
         assert!(idx.top_schema(&q, 5).is_empty()); // no schema elements
+    }
+
+    /// `export_vectors` hands out the vectors the index holds, and those
+    /// are a fresh `embed(retrieval_text)` of every element, bit for bit —
+    /// whether the index embedded its corpus or was built from stored
+    /// vectors.
+    #[test]
+    fn exported_vectors_are_the_retrieval_text_embeddings() {
+        let bundle = genedit_bird::DomainBundle::build(&genedit_bird::SPORTS, (4, 2, 1), 42);
+        let built = KnowledgeIndex::build(bundle.build_knowledge());
+        let stored = built.export_vectors();
+        let reloaded = KnowledgeIndex::build_with_vectors(bundle.build_knowledge(), Some(&stored));
+        for index in [&built, &reloaded] {
+            let bits = |v: &Embedding| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            let fresh = |text: String| bits(&index.embedder().embed(&text));
+            let ks = index.knowledge();
+            let got = index.export_vectors();
+            assert_eq!(got.dim, index.embedder().dim());
+            assert_eq!(
+                got.examples.iter().map(bits).collect::<Vec<_>>(),
+                ks.examples()
+                    .iter()
+                    .map(|e| fresh(e.retrieval_text()))
+                    .collect::<Vec<_>>()
+            );
+            assert_eq!(
+                got.instructions.iter().map(bits).collect::<Vec<_>>(),
+                (ks.instructions().iter())
+                    .map(|i| fresh(i.retrieval_text()))
+                    .collect::<Vec<_>>()
+            );
+            assert_eq!(
+                got.schema.iter().map(bits).collect::<Vec<_>>(),
+                (ks.schema_elements().iter())
+                    .map(|s| fresh(s.retrieval_text()))
+                    .collect::<Vec<_>>()
+            );
+            assert!(!got.examples.is_empty() && !got.instructions.is_empty());
+            assert!(!got.schema.is_empty());
+        }
     }
 }

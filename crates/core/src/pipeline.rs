@@ -21,7 +21,7 @@ use genedit_llm::{
     PromptInstruction, PromptSchemaElement, ResilienceState, ResilientModel, SystemClock, TaskKind,
     TracedModel,
 };
-use genedit_retrieval::{cosine, Embedding};
+use genedit_retrieval::{cosine, expand, Embedding, SparseEmbedding};
 use genedit_sql::catalog::Database;
 use genedit_sql::exec::execute_sql_timed;
 use genedit_sql::result::ResultSet;
@@ -122,7 +122,10 @@ pub struct GenerateOptions<'a> {
     pub reformulation: Option<String>,
     /// The query embedding of `reformulation` under the *current* index's
     /// embedder. Only honored together with `reformulation` — an
-    /// embedding without the text it embeds would be unverifiable.
+    /// embedding without the text it embeds would be unverifiable. When
+    /// honored it is the question's vector in all three re-ranks —
+    /// example selection and the two expanded re-ranks after it — and
+    /// the generation embeds nothing of its own.
     pub query_embedding: Option<Embedding>,
     /// Ensemble fan-out width for the generation stage. `Some(n)` with
     /// `n > 1` overrides [`PipelineConfig::candidates`] and samples the
@@ -303,6 +306,12 @@ pub(crate) struct Draft {
     intents: Vec<String>,
     used_examples: Vec<ExampleId>,
     used_instructions: Vec<InstructionId>,
+    /// The question's embedding, computed once for every re-rank.
+    query: Option<Embedding>,
+    /// Positions of the selected examples and instructions in the index's
+    /// knowledge set, where it memoises their expansion vectors.
+    example_pos: Vec<usize>,
+    instruction_pos: Vec<usize>,
     /// Generation rounds started.
     pub(crate) attempts: usize,
     /// The validated winner, else the last candidate to fail validation.
@@ -317,19 +326,13 @@ impl Draft {
             intents: Vec::new(),
             used_examples: Vec::new(),
             used_instructions: Vec::new(),
+            query: None,
+            example_pos: Vec::new(),
+            instruction_pos: Vec::new(),
             attempts: 0,
             sql: None,
             validated: false,
         }
-    }
-
-    /// The selected examples as expansion texts for the later re-ranks.
-    fn example_texts(&self) -> Vec<String> {
-        self.prompt
-            .examples
-            .iter()
-            .map(|e| format!("{} {}", e.description, e.sql))
-            .collect()
     }
 
     /// The one place a draft becomes a result — validated, exhausted, or
@@ -599,35 +602,90 @@ impl<'a> Run<'a> {
             .attr("matched", draft.intents.len());
     }
 
+    /// The question's embedding, computed once per generation and kept in
+    /// the draft for every re-rank after it.
+    fn question_vector<'d>(
+        &self,
+        slot: &'d mut Option<Embedding>,
+        question: &str,
+    ) -> &'d Embedding {
+        slot.get_or_insert_with(
+            || match (&self.opts.reformulation, &self.opts.query_embedding) {
+                // Only trust a cached embedding when it travelled with the
+                // reformulation it embeds (same cache entry, same epoch).
+                (Some(_), Some(emb)) if emb.len() == self.index.embedder().dim() => emb.clone(),
+                _ => self.index.embedder().embed(question),
+            },
+        )
+    }
+
+    /// Context expansion (§3.1.1): the question's vector expanded with
+    /// the selected examples' vectors, then `more`. Every vector is the
+    /// question's own or one the index memoises for its epoch; returns
+    /// the expanded query and how many vectors expanded it.
+    fn expanded_question(
+        &self,
+        draft: &mut Draft,
+        more: impl IntoIterator<Item = &'a SparseEmbedding>,
+    ) -> (Embedding, usize) {
+        let index = self.index;
+        let mut expansions: Vec<&SparseEmbedding> = draft
+            .example_pos
+            .iter()
+            .map(|&pos| index.example_expansion(pos))
+            .collect();
+        expansions.extend(more);
+        let query = self.question_vector(&mut draft.query, &draft.prompt.question);
+        (expand(query.clone(), &expansions), expansions.len())
+    }
+
+    /// Operator 4's query: the examples, then the instruction-selection
+    /// hints.
+    fn instruction_query(&self, draft: &mut Draft) -> (Embedding, usize) {
+        self.expanded_question(draft, self.index.instruction_hints())
+    }
+
+    /// Operator 5's re-rank query: the examples, then the selected
+    /// instructions' texts.
+    fn schema_query(&self, draft: &mut Draft) -> Embedding {
+        let index = self.index;
+        let instructions: Vec<&SparseEmbedding> = draft
+            .instruction_pos
+            .iter()
+            .map(|&pos| index.instruction_text(pos))
+            .collect();
+        self.expanded_question(draft, instructions).0
+    }
+
     /// Operator 3: example selection.
     fn select_examples(&self, draft: &mut Draft) {
         if !self.cfg.use_examples {
             return;
         }
-        let query = match (&self.opts.reformulation, &self.opts.query_embedding) {
-            // Only trust a cached embedding when it travelled with the
-            // reformulation it embeds (same cache entry, same epoch).
-            (Some(_), Some(emb)) if emb.len() == self.index.embedder().dim() => emb.clone(),
-            _ => self.index.embedder().embed(&draft.prompt.question),
-        };
+        let query = self.question_vector(&mut draft.query, &draft.prompt.question);
         let span = self.tracer.span(names::EXAMPLES);
+        let examples = self.index.knowledge().examples();
         let top = self
             .index
-            .top_examples(&query, &draft.intents, self.cfg.example_top_k);
-        draft.used_examples = top.iter().map(|(e, _)| e.id).collect();
+            .rank_examples(query, &draft.intents, self.cfg.example_top_k);
+        draft.example_pos = top.iter().map(|&(pos, _)| pos).collect();
+        draft.used_examples = top.iter().map(|&(pos, _)| examples[pos].id).collect();
         draft.prompt.examples = top
             .iter()
-            .map(|(e, _)| PromptExample {
-                description: e.description.clone(),
-                sql: e.fragment.sql.clone(),
-                kind: match e.fragment.kind {
-                    FragmentKind::FullQuery => None,
-                    k => Some(k),
-                },
-                term: e.term.clone(),
+            .map(|&(pos, _)| {
+                let e = &examples[pos];
+                PromptExample {
+                    description: e.description.clone(),
+                    sql: e.fragment.sql.clone(),
+                    kind: match e.fragment.kind {
+                        FragmentKind::FullQuery => None,
+                        k => Some(k),
+                    },
+                    term: e.term.clone(),
+                }
             })
             .collect();
-        span.attr("candidates", self.index.knowledge().examples().len())
+        span.attr("candidates", examples.len())
             .attr("selected", top.len());
     }
 
@@ -636,28 +694,28 @@ impl<'a> Run<'a> {
         if !self.cfg.use_instructions {
             return;
         }
-        let example_texts = draft.example_texts();
         let span = self.tracer.span(names::INSTRUCTIONS);
-        let ks = self.index.knowledge();
-        let mut expansions: Vec<&str> = example_texts.iter().map(String::as_str).collect();
-        expansions.extend(ks.retrieval_hints(RetrievalStage::InstructionSelection));
-        let embedder = self.index.embedder();
-        let expanded = embedder.embed_expanded(&draft.prompt.question, &expansions);
+        let instructions = self.index.knowledge().instructions();
+        let (expanded, expansions) = self.instruction_query(draft);
         let top =
             self.index
-                .top_instructions(&expanded, &draft.intents, self.cfg.instruction_top_k);
-        draft.used_instructions = top.iter().map(|(i, _)| i.id).collect();
+                .rank_instructions(&expanded, &draft.intents, self.cfg.instruction_top_k);
+        draft.instruction_pos = top.iter().map(|&(pos, _)| pos).collect();
+        draft.used_instructions = top.iter().map(|&(pos, _)| instructions[pos].id).collect();
         draft.prompt.instructions = top
             .iter()
-            .map(|(i, _)| PromptInstruction {
-                text: i.text.clone(),
-                sql_hint: i.sql_hint.clone(),
-                term: i.term.clone(),
+            .map(|&(pos, _)| {
+                let i = &instructions[pos];
+                PromptInstruction {
+                    text: i.text.clone(),
+                    sql_hint: i.sql_hint.clone(),
+                    term: i.term.clone(),
+                }
             })
             .collect();
-        span.attr("candidates", ks.instructions().len())
+        span.attr("candidates", instructions.len())
             .attr("selected", top.len())
-            .attr("expansions", expansions.len());
+            .attr("expansions", expansions);
     }
 
     /// Operator 5: schema linking. Ablated, the schema section stays
@@ -701,11 +759,7 @@ impl<'a> Run<'a> {
             // …then a re-ranker filters to manage the generation model's
             // context (§3.1.1), using the example+instruction-expanded
             // query embedding (more context expansion).
-            let mut texts = draft.example_texts();
-            texts.extend(draft.prompt.instructions.iter().map(|i| i.text.clone()));
-            let expansions: Vec<&str> = texts.iter().map(String::as_str).collect();
-            let embedder = self.index.embedder();
-            let expanded = embedder.embed_expanded(&draft.prompt.question, &expansions);
+            let expanded = self.schema_query(draft);
             // `cosine` against the vector the index already holds for the
             // element, not `top_schema`: its pre-normalised dot product
             // differs from `cosine` in the last ulp.
@@ -943,6 +997,7 @@ mod tests {
     use super::*;
     use genedit_bird::{DomainBundle, SPORTS};
     use genedit_llm::{OracleConfig, OracleModel, TaskRegistry};
+    use std::collections::HashMap;
 
     fn setup() -> (DomainBundle, KnowledgeIndex, OracleModel) {
         let bundle = DomainBundle::build(&SPORTS, (4, 2, 1), 42);
@@ -1389,6 +1444,82 @@ mod tests {
             let verdict = run.validate(sql, 0).map(|rs| rs.fingerprint());
             assert_eq!(verdict, validate(&bundle.db, sql), "{sql}");
         }
+    }
+
+    /// Both expanded re-ranks query with exactly what `embed_expanded`
+    /// over the draft's texts gives, bit for bit, on every gold task —
+    /// over the knowledge as built, and with instruction-selection hints
+    /// added (one of them symbols only, the zero vector): a ranking can
+    /// hide a one-ulp change that `pipeline_golden`'s digests would then
+    /// never see.
+    #[test]
+    fn expanded_queries_are_embed_expanded_over_the_drafts_texts() {
+        let workload = genedit_bird::Workload::standard(42);
+        let indexes = crate::Harness::new(&workload).build_indexes(true);
+        let oracle = OracleModel::new(workload.registry());
+        let (tracer, cfg, opts) = (
+            Tracer::new("t"),
+            PipelineConfig::default(),
+            GenerateOptions::default(),
+        );
+        let bits = |v: &Embedding| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let hinted = |index: &KnowledgeIndex| {
+            let mut ks = index.knowledge().clone();
+            for text in ["boost knowledge about: quarterly revenue", "-- (*) --"] {
+                let stage = RetrievalStage::InstructionSelection;
+                let text = text.to_string();
+                ks.apply(genedit_knowledge::Edit::AddRetrievalHint { stage, text })
+                    .unwrap();
+            }
+            KnowledgeIndex::build(ks)
+        };
+        let with_hints: HashMap<String, KnowledgeIndex> = indexes
+            .iter()
+            .map(|(db, index)| (db.clone(), hinted(index)))
+            .collect();
+        let mut tasks = 0;
+        for indexes in [&indexes, &with_hints] {
+            for bundle in &workload.domains {
+                let index = &indexes[&bundle.db.name];
+                let run = run_over(&oracle, &tracer, &cfg, &opts, bundle, index);
+                let ks = index.knowledge();
+                let hints = ks.retrieval_hints(RetrievalStage::InstructionSelection);
+                for task in &bundle.tasks {
+                    let mut prompt = Prompt::new(TaskKind::SqlGeneration, &task.question);
+                    prompt.original_question = Some(task.question.clone());
+                    let mut draft = Draft::new(prompt);
+                    for (step, stage) in Run::STEPS {
+                        let examples: Vec<String> = draft
+                            .prompt
+                            .examples
+                            .iter()
+                            .map(|e| format!("{} {}", e.description, e.sql))
+                            .collect();
+                        let mut texts: Vec<&str> = examples.iter().map(String::as_str).collect();
+                        let question = draft.prompt.question.clone();
+                        let embedder = index.embedder();
+                        if stage == "instruction selection" {
+                            texts.extend(&hints);
+                            let want = embedder.embed_expanded(&question, &texts);
+                            let (got, expansions) = run.instruction_query(&mut draft);
+                            assert_eq!(bits(&got), bits(&want), "{question}");
+                            assert_eq!(expansions, examples.len() + hints.len());
+                        } else if stage == "schema linking" {
+                            let instructions = draft.prompt.instructions.iter();
+                            texts.extend(instructions.map(|i| i.text.as_str()));
+                            let want = embedder.embed_expanded(&question, &texts);
+                            let got = run.schema_query(&mut draft);
+                            assert_eq!(bits(&got), bits(&want), "{question}");
+                        }
+                        step(&run, &mut draft);
+                    }
+                    assert!(!draft.used_examples.is_empty());
+                    assert!(!draft.used_instructions.is_empty());
+                    tasks += 1;
+                }
+            }
+        }
+        assert_eq!(tasks, 2 * 132);
     }
 
     /// Answers every task with something usable — except that its SQL

@@ -122,24 +122,57 @@ impl Embedder {
         vec
     }
 
-    /// Embed a query expanded with extra context texts — the paper's
-    /// *context expansion* (§3.1.1): the expansion terms join the query
-    /// terms but at reduced weight so the original query still dominates.
-    pub fn embed_expanded(&self, query: &str, expansions: &[&str]) -> Embedding {
-        let mut base = self.embed(query);
-        if expansions.is_empty() {
-            return base;
+    /// [`Embedder::embed`], kept as its nonzero `(slot, value)` pairs.
+    pub fn embed_sparse(&self, text: &str) -> SparseEmbedding {
+        let dense = self.embed(text);
+        let pairs = dense.iter().enumerate().filter(|(_, x)| **x != 0.0);
+        SparseEmbedding {
+            pairs: pairs.map(|(slot, x)| (slot as u32, *x)).collect(),
         }
-        let scale = 0.5 / expansions.len() as f32;
-        for ex in expansions {
-            let e = self.embed(ex);
-            for (b, x) in base.iter_mut().zip(e.iter()) {
+    }
+
+    /// Embed a query expanded with extra context texts — the paper's
+    /// *context expansion* (§3.1.1): [`expand`] over the embedded query
+    /// and the embedded expansion texts.
+    pub fn embed_expanded(&self, query: &str, expansions: &[&str]) -> Embedding {
+        let vectors: Vec<SparseEmbedding> =
+            expansions.iter().map(|t| self.embed_sparse(t)).collect();
+        expand(self.embed(query), &vectors.iter().collect::<Vec<_>>())
+    }
+}
+
+/// An embedding as its nonzero `(slot, value)` pairs in slot order — the
+/// part of a vector that [`expand`] adds anything with, at a fraction of
+/// a dense vector's memory.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SparseEmbedding {
+    pairs: Box<[(u32, f32)]>,
+}
+
+/// Context expansion (§3.1.1) of an embedded query: every expansion joins
+/// the query at weight `0.5 / expansions.len()`, so the original query
+/// still dominates, and the sum is renormalised. With no expansions the
+/// base comes back as it was, not renormalised.
+///
+/// The additions run expansion by expansion, in slot order within each —
+/// the order of a dense loop over every slot, minus the zero slots. A
+/// skipped slot would have added `scale * +0.0 = +0.0`, which leaves any
+/// value but `-0.0` unchanged, and no embedding holds `-0.0`: so the
+/// result is bit-identical to the dense sum.
+pub fn expand(mut base: Embedding, expansions: &[&SparseEmbedding]) -> Embedding {
+    if expansions.is_empty() {
+        return base;
+    }
+    let scale = 0.5 / expansions.len() as f32;
+    for expansion in expansions {
+        for &(slot, x) in expansion.pairs.iter() {
+            if let Some(b) = base.get_mut(slot as usize) {
                 *b += scale * x;
             }
         }
-        normalize(&mut base);
-        base
     }
+    normalize(&mut base);
+    base
 }
 
 fn normalize(v: &mut [f32]) {

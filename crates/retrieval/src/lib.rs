@@ -13,6 +13,8 @@
 //! * [`tokenize`] — lowercasing alphanumeric tokenizer,
 //! * [`Vocabulary`] — document-frequency statistics for IDF weighting,
 //! * [`Embedder`] — hashed TF-IDF embedding into `R^dim`,
+//! * [`expand`] — context expansion of an embedded query by
+//!   [`SparseEmbedding`]s,
 //! * [`cosine`] — cosine similarity,
 //! * [`VectorIndex`] — brute-force exact top-k index with stable ordering.
 //!
@@ -37,6 +39,6 @@ pub mod embed;
 pub mod index;
 pub mod token;
 
-pub use embed::{cosine, Embedder, Embedding, Vocabulary};
+pub use embed::{cosine, expand, Embedder, Embedding, SparseEmbedding, Vocabulary};
 pub use index::{rerank_top_k, rerank_top_k_with_stats, RerankStats, SearchHit, VectorIndex};
 pub use token::tokenize;

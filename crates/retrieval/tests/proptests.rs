@@ -1,10 +1,45 @@
 //! Property tests for the retrieval substrate.
 
-use genedit_retrieval::{cosine, rerank_top_k, tokenize, Embedder, VectorIndex, Vocabulary};
+use genedit_retrieval::{
+    cosine, expand, rerank_top_k, tokenize, Embedder, Embedding, SparseEmbedding, VectorIndex,
+    Vocabulary,
+};
 use proptest::prelude::*;
 
 fn embedder(corpus: &[String]) -> Embedder {
     Embedder::new(Vocabulary::fit(corpus.iter().map(|s| s.as_str())))
+}
+
+/// Words over a five-letter alphabet, so terms repeat across texts and
+/// collide in few slots; or symbols only, which embed to the zero vector.
+fn text() -> impl Strategy<Value = String> {
+    prop_oneof!["[a-e]{1,3}( [a-e]{1,3}){0,7}", "[-+*/=(). ]{1,6}"]
+}
+
+/// Context expansion written out over every slot of dense vectors: the
+/// arithmetic `expand` must reproduce bit for bit.
+fn dense_expansion(e: &Embedder, query: &str, expansions: &[&str]) -> Embedding {
+    let mut base = e.embed(query);
+    if expansions.is_empty() {
+        return base;
+    }
+    let scale = 0.5 / expansions.len() as f32;
+    for text in expansions {
+        for (b, x) in base.iter_mut().zip(e.embed(text)) {
+            *b += scale * x;
+        }
+    }
+    let norm: f32 = base.iter().map(|x| x * x).sum::<f32>().sqrt();
+    if norm > 0.0 {
+        for x in base.iter_mut() {
+            *x /= norm;
+        }
+    }
+    base
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
@@ -116,6 +151,42 @@ proptest! {
                 cosine(&expanded, &vq) >= cosine(&expanded, &vex) - 1e-4,
                 "expansion hijacked the query"
             );
+        }
+    }
+
+    /// The memo changes no bit: expanding the query's embedding by the
+    /// expansion texts' memoised (nonzero-pair) vectors equals
+    /// `embed_expanded` and the dense sum over every slot, in
+    /// `f32::to_bits` — at 8 slots, where terms collide and cancel, and at
+    /// the default dimension; for an empty expansion list, which returns
+    /// the base not renormalised; and for symbol-only texts, whose
+    /// embedding is the zero vector.
+    #[test]
+    fn memoised_expansion_is_embed_expanded_bit_for_bit(
+        corpus in prop::collection::vec(text(), 1..8),
+        query in text(),
+        expansions in prop::collection::vec(text(), 0..6),
+        narrow in any::<bool>(),
+    ) {
+        let vocabulary = Vocabulary::fit(corpus.iter().map(String::as_str));
+        let e = if narrow {
+            Embedder::with_dim(vocabulary, 8)
+        } else {
+            Embedder::new(vocabulary)
+        };
+        let memoised: Vec<SparseEmbedding> = expansions.iter().map(|t| e.embed_sparse(t)).collect();
+        let got = expand(e.embed(&query), &memoised.iter().collect::<Vec<_>>());
+        let texts: Vec<&str> = expansions.iter().map(String::as_str).collect();
+        prop_assert_eq!(bits(&got), bits(&e.embed_expanded(&query, &texts)));
+        prop_assert_eq!(bits(&got), bits(&dense_expansion(&e, &query, &texts)));
+        if texts.is_empty() {
+            prop_assert_eq!(bits(&got), bits(&e.embed(&query)));
+        }
+        for text in texts.iter().chain([&query.as_str()]) {
+            if tokenize(text).is_empty() {
+                prop_assert!(e.embed(text).iter().all(|x| x.to_bits() == 0), "{text:?}");
+                prop_assert_eq!(e.embed_sparse(text), SparseEmbedding::default());
+            }
         }
     }
 }
