@@ -67,15 +67,17 @@ impl KnowledgeIndex {
         let mut instructions = VectorIndex::new();
         let mut schema = VectorIndex::new();
         match usable {
+            // Each stored vector is read in place into the index's
+            // nonzero pairs.
             Some(v) => {
                 for (pos, vec) in v.examples.iter().enumerate() {
-                    examples.insert(pos, vec.clone());
+                    examples.insert(pos, vec);
                 }
                 for (pos, vec) in v.instructions.iter().enumerate() {
-                    instructions.insert(pos, vec.clone());
+                    instructions.insert(pos, vec);
                 }
                 for (pos, vec) in v.schema.iter().enumerate() {
-                    schema.insert(pos, vec.clone());
+                    schema.insert(pos, vec);
                 }
             }
             None => {
@@ -116,12 +118,11 @@ impl KnowledgeIndex {
     /// The embedding vectors of every indexed element, in content order —
     /// what [`genedit_knowledge::tenants::TenantKnowledgeStore::put_vectors`]
     /// persists so the next cold page-in skips re-embedding. They are the
-    /// vectors the index holds, so nothing is embedded again.
+    /// vectors the index holds, densified, so nothing is embedded again
+    /// and the stored stream keeps its dense layout.
     pub fn export_vectors(&self) -> StoredVectors {
         let all = |index: &VectorIndex| -> Vec<Embedding> {
-            (0..index.len())
-                .map(|pos| index.embedding(pos).clone())
-                .collect()
+            (0..index.len()).map(|pos| index.embedding(pos)).collect()
         };
         StoredVectors {
             dim: self.embedder.dim(),
@@ -141,13 +142,19 @@ impl KnowledgeIndex {
         &self.embedder
     }
 
-    /// The embedding the index holds for `knowledge().schema_elements()[pos]`
-    /// — that of its [`SchemaElement::retrieval_text`].
+    /// [`genedit_retrieval::cosine`] of `query` with the embedding the
+    /// index holds for each of `knowledge().schema_elements()[pos]` (that
+    /// of its [`SchemaElement::retrieval_text`]), bit for bit, computed
+    /// over the index's nonzero pairs.
     ///
     /// # Panics
-    /// If `pos` is not a position in `knowledge().schema_elements()`.
-    pub fn schema_vector(&self, pos: usize) -> &Embedding {
-        self.schema.embedding(pos)
+    /// If a position is not one in `knowledge().schema_elements()`.
+    pub(crate) fn schema_cosines(
+        &self,
+        query: &Embedding,
+        positions: impl IntoIterator<Item = usize>,
+    ) -> Vec<f32> {
+        self.schema.cosines(query, positions)
     }
 
     /// The expansion vector of `knowledge().examples()[pos]`: the

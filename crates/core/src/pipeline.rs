@@ -21,7 +21,7 @@ use genedit_llm::{
     PromptInstruction, PromptSchemaElement, ResilienceState, ResilientModel, SystemClock, TaskKind,
     TracedModel,
 };
-use genedit_retrieval::{cosine, expand, Embedding, SparseEmbedding};
+use genedit_retrieval::{expand, Embedding, SparseEmbedding};
 use genedit_sql::catalog::Database;
 use genedit_sql::exec::execute_sql_timed;
 use genedit_sql::result::ResultSet;
@@ -762,11 +762,12 @@ impl<'a> Run<'a> {
             let expanded = self.schema_query(draft);
             // `cosine` against the vector the index already holds for the
             // element, not `top_schema`: its pre-normalised dot product
-            // differs from `cosine` in the last ulp.
-            let scored: Vec<(PromptSchemaElement, f32)> = linked
-                .into_iter()
-                .map(|(pos, el)| (el, cosine(&expanded, self.index.schema_vector(pos))))
-                .collect();
+            // differs from `cosine` in the last ulp. Both run over the
+            // index's nonzero pairs; nothing is densified.
+            let positions = linked.iter().map(|&(pos, _)| pos);
+            let scores = self.index.schema_cosines(&expanded, positions);
+            let scored: Vec<(PromptSchemaElement, f32)> =
+                linked.into_iter().map(|(_, el)| el).zip(scores).collect();
             let (kept, stats) = genedit_retrieval::rerank_top_k_with_stats(scored, top_k);
             if let Some(metrics) = self.metrics {
                 stats.record(metrics, "schema_linking");

@@ -90,18 +90,47 @@ impl From<IoFailure> for JournalError {
 }
 
 /// CRC32 (IEEE 802.3, polynomial 0xEDB88320), the checksum attached to
-/// every journal frame.
+/// every journal frame and every page.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
-    let mut crc: u32 = 0xffff_ffff;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xff) as usize];
-    }
-    !crc
+    crc32_parts(&[bytes])
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// [`crc32`] of the concatenation of `parts`, without concatenating them.
+pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
+    !parts
+        .iter()
+        .fold(0xffff_ffff, |crc, part| crc32_update(crc, part))
+}
+
+/// Slicing-by-8: eight table lookups fold eight bytes into the register
+/// at once, where the bytewise loop needs eight dependent steps.
+/// `T[k][b]` is what byte `b` followed by `k` zero bytes contributes to
+/// the register, so the XOR of the eight lookups is the bytewise loop's
+/// result and the checksum keeps the same IEEE value.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    const T: [[u32; 256]; 8] = crc32_tables();
+    let mut blocks = bytes.chunks_exact(8);
+    for block in &mut blocks {
+        let lo = crc ^ u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
+        let hi = u32::from_le_bytes([block[4], block[5], block[6], block[7]]);
+        let at = |word: u32, shift: u32| (word >> shift) as u8 as usize;
+        crc = T[7][at(lo, 0)]
+            ^ T[6][at(lo, 8)]
+            ^ T[5][at(lo, 16)]
+            ^ T[4][at(lo, 24)]
+            ^ T[3][at(hi, 0)]
+            ^ T[2][at(hi, 8)]
+            ^ T[1][at(hi, 16)]
+            ^ T[0][at(hi, 24)];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ T[0][(crc as u8 ^ b) as usize];
+    }
+    crc
+}
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -114,10 +143,20 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Encode one record into its on-disk frame.

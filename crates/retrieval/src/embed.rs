@@ -40,11 +40,20 @@ impl Vocabulary {
     /// Incorporate one document's terms into the document-frequency table.
     pub fn add_document(&mut self, text: &str) {
         self.doc_count += 1;
-        let toks = tokenize(text);
-        let mut seen = std::collections::HashSet::new();
-        for t in toks.iter().chain(bigrams(&toks).iter()) {
-            if seen.insert(t.clone()) {
-                *self.doc_freq.entry(t.clone()).or_insert(0) += 1;
+        let mut terms = tokenize(text);
+        let grams = bigrams(&terms);
+        terms.extend(grams);
+        // Each distinct term counts once per document; a term moves into
+        // the table the first time any document holds it, and is never
+        // copied.
+        terms.sort_unstable();
+        terms.dedup();
+        for term in terms {
+            match self.doc_freq.get_mut(&term) {
+                Some(df) => *df += 1,
+                None => {
+                    self.doc_freq.insert(term, 1);
+                }
             }
         }
     }
@@ -124,11 +133,7 @@ impl Embedder {
 
     /// [`Embedder::embed`], kept as its nonzero `(slot, value)` pairs.
     pub fn embed_sparse(&self, text: &str) -> SparseEmbedding {
-        let dense = self.embed(text);
-        let pairs = dense.iter().enumerate().filter(|(_, x)| **x != 0.0);
-        SparseEmbedding {
-            pairs: pairs.map(|(slot, x)| (slot as u32, *x)).collect(),
-        }
+        SparseEmbedding::from_dense(&self.embed(text))
     }
 
     /// Embed a query expanded with extra context texts — the paper's
@@ -147,6 +152,52 @@ impl Embedder {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparseEmbedding {
     pairs: Box<[(u32, f32)]>,
+}
+
+impl SparseEmbedding {
+    /// The nonzero slots of a dense vector. A `-0.0` slot is dropped like
+    /// `+0.0`; no embedding holds one.
+    pub(crate) fn from_dense(dense: &[f32]) -> SparseEmbedding {
+        let pairs = dense.iter().enumerate().filter(|(_, x)| **x != 0.0);
+        SparseEmbedding {
+            pairs: pairs.map(|(slot, x)| (slot as u32, *x)).collect(),
+        }
+    }
+
+    /// The vector over `len` slots, every slot not held `+0.0`.
+    pub(crate) fn to_dense(&self, len: usize) -> Embedding {
+        let mut dense = vec![0f32; len];
+        for &(slot, x) in self.pairs.iter() {
+            dense[slot as usize] = x;
+        }
+        dense
+    }
+
+    /// `Σ x²` in slot order from `+0.0`: the dense sum, whose zero slots
+    /// each add `+0.0` to a sum that is never `-0.0`.
+    pub(crate) fn norm_squared(&self) -> f32 {
+        let mut sum = 0f32;
+        for &(_, x) in self.pairs.iter() {
+            sum += x * x;
+        }
+        sum
+    }
+
+    /// `Σ x·y` with a finite dense vector, over the slots both hold, in
+    /// slot order, from `+0.0` — bit for bit the dense loop over every
+    /// slot from `+0.0`, which a `zip` stops at the shorter vector. A
+    /// skipped slot would add `y * 0.0`, a zero, and a zero leaves the
+    /// sum unchanged: starting at `+0.0`, the sum is never `-0.0`, the
+    /// one value adding `+0.0` would move.
+    pub(crate) fn dot(&self, dense: &[f32]) -> f32 {
+        let mut dot = 0f32;
+        for &(slot, x) in self.pairs.iter() {
+            if let Some(y) = dense.get(slot as usize) {
+                dot += y * x;
+            }
+        }
+        dot
+    }
 }
 
 /// Context expansion (§3.1.1) of an embedded query: every expansion joins

@@ -8,7 +8,11 @@ pub fn tokenize(text: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut cur = String::new();
     for ch in text.chars() {
-        if ch.is_alphanumeric() {
+        // ASCII first: for an ASCII character `is_alphanumeric` and
+        // `to_lowercase` are the ASCII versions, minus the Unicode tables.
+        if ch.is_ascii_alphanumeric() {
+            cur.push(ch.to_ascii_lowercase());
+        } else if !ch.is_ascii() && ch.is_alphanumeric() {
             cur.extend(ch.to_lowercase());
         } else if !cur.is_empty() {
             out.push(std::mem::take(&mut cur));
@@ -24,7 +28,13 @@ pub fn tokenize(text: &str) -> Vec<String> {
 pub fn bigrams(tokens: &[String]) -> Vec<String> {
     tokens
         .windows(2)
-        .map(|w| format!("{}_{}", w[0], w[1]))
+        .map(|w| {
+            let mut gram = String::with_capacity(w[0].len() + 1 + w[1].len());
+            gram.push_str(&w[0]);
+            gram.push('_');
+            gram.push_str(&w[1]);
+            gram
+        })
         .collect()
 }
 

@@ -1,10 +1,12 @@
 //! Property tests for the retrieval substrate.
 
+use genedit_retrieval::token::bigrams;
 use genedit_retrieval::{
     cosine, expand, rerank_top_k, tokenize, Embedder, Embedding, SparseEmbedding, VectorIndex,
     Vocabulary,
 };
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 fn embedder(corpus: &[String]) -> Embedder {
     Embedder::new(Vocabulary::fit(corpus.iter().map(|s| s.as_str())))
@@ -40,6 +42,99 @@ fn dense_expansion(e: &Embedder, query: &str, expansions: &[&str]) -> Embedding 
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The tokenizer a character at a time, every character through the
+/// Unicode tables.
+fn tokenize_reference(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut cur = String::new();
+    for ch in text.chars() {
+        if ch.is_alphanumeric() {
+            cur.extend(ch.to_lowercase());
+        } else if !cur.is_empty() {
+            out.push(std::mem::take(&mut cur));
+        }
+    }
+    if !cur.is_empty() {
+        out.push(cur);
+    }
+    out
+}
+
+/// Bigrams by `format!`.
+fn bigrams_reference(tokens: &[String]) -> Vec<String> {
+    tokens
+        .windows(2)
+        .map(|w| format!("{}_{}", w[0], w[1]))
+        .collect()
+}
+
+/// Text mixing ASCII with non-ASCII letters, digits and separators —
+/// `İ`, whose lowercase is two characters, `ẞ`, a combining mark, a
+/// no-break space, astral characters.
+fn mixed_text() -> impl Strategy<Value = String> {
+    "[a-zA-Z0-9 _.,:İẞßéÉΣσ中Ⅻ①٣😀𝔘\u{300}\u{a0}]{0,40}"
+}
+
+/// Dense scoring: every slot of the stored vector, a dot product from
+/// `+0.0` (an `Iterator::sum` starts from `-0.0`, which differs only when
+/// every product is `-0.0`: a zero score's sign), a full stable sort by
+/// score.
+fn dense_search(items: &[Vec<f32>], query: &[f32], k: usize, min_score: f32) -> Vec<(usize, u32)> {
+    let inv = |v: &[f32]| {
+        let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+        if norm > 0.0 {
+            1.0 / norm
+        } else {
+            0.0
+        }
+    };
+    let query_inv = inv(query);
+    let mut scored: Vec<(usize, f32)> = (items.iter().enumerate())
+        .map(|(id, item)| {
+            let dot = query.iter().zip(item).fold(0f32, |s, (x, y)| s + x * y);
+            (id, dot * query_inv * inv(item))
+        })
+        .filter(|&(_, score)| score >= min_score)
+        .collect();
+    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    scored.truncate(k);
+    scored
+        .into_iter()
+        .map(|(id, s)| (id, s.to_bits()))
+        .collect()
+}
+
+/// A finite vector without `-0.0` — what `Embedder::embed` produces —
+/// three slots in four zero; every eighth one all zero.
+fn sparse_vector(dim: usize) -> impl Strategy<Value = Vec<f32>> {
+    (
+        prop::collection::vec((-1.0f32..1.0, any::<u8>()), dim),
+        any::<u8>(),
+    )
+        .prop_map(|(slots, zero)| {
+            (slots.into_iter())
+                .map(|(x, keep)| {
+                    if keep % 4 == 0 && zero % 8 != 0 {
+                        x
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        })
+}
+
+fn index_case() -> impl Strategy<Value = (Vec<Vec<f32>>, Vec<f32>, Vec<f32>)> {
+    prop_oneof![Just(8usize), Just(512usize)].prop_flat_map(|dim| {
+        (
+            prop::collection::vec(sparse_vector(dim), 0..10),
+            sparse_vector(dim),
+            // A query one slot short or four slots long.
+            prop_oneof![sparse_vector(dim - 1), sparse_vector(dim + 4)],
+        )
+    })
 }
 
 proptest! {
@@ -152,6 +247,76 @@ proptest! {
                 "expansion hijacked the query"
             );
         }
+    }
+
+    /// The ASCII fast path and the `push_str` bigrams change no token.
+    #[test]
+    fn tokenize_and_bigrams_match_the_char_loop(text in mixed_text()) {
+        let toks = tokenize(&text);
+        prop_assert_eq!(&toks, &tokenize_reference(&text));
+        prop_assert_eq!(bigrams(&toks), bigrams_reference(&toks));
+    }
+
+    /// The clone-free fit counts the same documents per term: every idf,
+    /// of a corpus term or an unseen one, is the same float.
+    #[test]
+    fn vocabulary_fit_matches_the_cloning_fit(
+        corpus in prop::collection::vec(prop_oneof![mixed_text(), text()], 0..8),
+        unseen in prop::collection::vec(mixed_text(), 1..4),
+    ) {
+        let fitted = Vocabulary::fit(corpus.iter().map(String::as_str));
+        let mut doc_freq: HashMap<String, usize> = HashMap::new();
+        for doc in &corpus {
+            let toks = tokenize_reference(doc);
+            let mut seen = HashSet::new();
+            for t in toks.iter().chain(bigrams_reference(&toks).iter()) {
+                if seen.insert(t.clone()) {
+                    *doc_freq.entry(t.clone()).or_insert(0) += 1;
+                }
+            }
+        }
+        prop_assert_eq!(fitted.doc_count(), corpus.len());
+        let idf = |term: &str| {
+            let df = doc_freq.get(term).copied().unwrap_or(0);
+            let n = corpus.len().max(1);
+            ((((n + 1) as f32) / ((df + 1) as f32)).ln() + 1.0).to_bits()
+        };
+        let unseen_terms = unseen.iter().flat_map(|t| tokenize_reference(t));
+        for term in doc_freq.keys().cloned().chain(unseen_terms) {
+            prop_assert_eq!(fitted.idf(&term).to_bits(), idf(&term), "{}", term);
+        }
+    }
+
+    /// Nonzero-pair items score like the dense vectors they came from:
+    /// the same ids in the same order with the same score bits, at 8 and
+    /// 512 slots, with zero vectors among the items and as the query, and
+    /// for queries shorter or longer than the items. `embedding` hands
+    /// every inserted vector back bit for bit, and `cosines` is `cosine`.
+    #[test]
+    fn sparse_items_score_like_dense_ones(
+        case in index_case(),
+        k in 0usize..12,
+        min_score in prop_oneof![Just(f32::MIN), Just(0.0f32), Just(0.3f32)],
+    ) {
+        let (items, query, odd_query) = case;
+        let mut index = VectorIndex::new();
+        for (id, item) in items.iter().enumerate() {
+            index.insert(id, item);
+        }
+        for (pos, item) in items.iter().enumerate() {
+            prop_assert_eq!(bits(&index.embedding(pos)), bits(item));
+        }
+        for q in [&query, &odd_query] {
+            let got: Vec<(usize, u32)> = (index.search(q, k, min_score).into_iter())
+                .map(|hit| (hit.id, hit.score.to_bits()))
+                .collect();
+            prop_assert_eq!(got, dense_search(&items, q, k, min_score));
+        }
+        let positions: Vec<usize> = (0..items.len()).rev().collect();
+        let dense: Vec<u32> = (positions.iter())
+            .map(|&pos| cosine(&query, &items[pos]).to_bits())
+            .collect();
+        prop_assert_eq!(bits(&index.cosines(&query, positions)), dense);
     }
 
     /// The memo changes no bit: expanding the query's embedding by the

@@ -86,6 +86,75 @@ fn harness_report_matches_trace_aggregation() {
     assert_eq!(back[0].outcomes.len(), report.outcomes.len());
 }
 
+/// How deeply arrays and objects nest in a JSON document.
+fn nesting_depth(json: &str) -> usize {
+    let (mut depth, mut deepest) = (0usize, 0usize);
+    let (mut in_string, mut escaped) = (false, false);
+    for b in json.bytes() {
+        match (in_string, b) {
+            (true, _) if escaped => escaped = false,
+            (true, b'\\') => escaped = true,
+            (true, b'"') | (false, b'"') => in_string = !in_string,
+            (false, b'[' | b'{') => {
+                depth += 1;
+                deepest = deepest.max(depth);
+            }
+            (false, b']' | b'}') => depth -= 1,
+            _ => {}
+        }
+    }
+    deepest
+}
+
+/// The deepest JSON document the workspace writes is a flight-recorder
+/// line: a served request's whole span tree inside its record. Every one
+/// nests well inside the JSON parser's bound and reads back.
+#[test]
+fn recorder_dump_nests_within_the_json_depth_bound() {
+    use genedit::serve::{ObsConfig, QueryRequest, ServeConfig, ServeRuntime};
+    use genedit::telemetry::recorder::RecordedRequest;
+    use genedit::telemetry::RecorderConfig;
+
+    let w = Workload::small(42);
+    let bundle = &w.domains[0];
+    let runtime = ServeRuntime::start(
+        genedit::llm::OracleModel::new(w.registry()),
+        Arc::new(genedit::core::KnowledgeIndex::build(
+            bundle.build_knowledge(),
+        )),
+        0,
+        Arc::new(bundle.db.clone()),
+        ServeConfig {
+            observability: ObsConfig {
+                recorder: Some(RecorderConfig {
+                    keep_normal_one_in: 1,
+                    ..RecorderConfig::default()
+                }),
+                ..ObsConfig::default()
+            },
+            ..ServeConfig::default()
+        },
+    );
+    let tickets: Vec<_> = (bundle.tasks.iter())
+        .map(|t| {
+            runtime
+                .submit(QueryRequest::new("acme", &t.question))
+                .unwrap()
+        })
+        .collect();
+    for ticket in &tickets {
+        ticket.wait();
+    }
+    let dump = runtime.flight_recorder().unwrap().dump_jsonl();
+    runtime.shutdown();
+
+    // 11 levels today; the bound keeps four times that in reserve.
+    let deepest = dump.lines().map(nesting_depth).max().unwrap();
+    assert!(deepest * 4 <= serde_json::MAX_DEPTH, "{deepest} levels");
+    let back: Vec<RecordedRequest> = export::from_jsonl(&dump).expect("every line parses");
+    assert_eq!(back.len(), tickets.len());
+}
+
 #[test]
 fn regenerated_session_traces_accumulate() {
     // FeedbackSession records one trace per feedback round.
