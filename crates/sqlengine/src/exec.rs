@@ -301,18 +301,7 @@ fn exec_select_vectorized(
     let keep: Option<Vec<u32>> = match &select.selection {
         None => None,
         Some(pred) => match vector::bind(pred, &cols, outer) {
-            Some(v) => {
-                let arr = vector::eval(&v, &chunk, Sel::All)?;
-                let truth = vector::truth(&arr)?;
-                Some(
-                    truth
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &t)| t == Some(true))
-                        .map(|(i, _)| i as u32)
-                        .collect(),
-                )
-            }
+            Some(v) => Some(vector::select(&v, &chunk, Sel::All)?),
             None => {
                 let rows = (0..chunk.len()).map(|i| chunk.row(i));
                 let kept = reference::filter_rows(env, &cols, rows, pred, outer)?;

@@ -382,25 +382,42 @@ fn date_part(
 }
 
 /// SQL LIKE with `%` and `_` wildcards, case-sensitive, no escape syntax.
+/// `_` matches one character, so text and pattern are compared byte-wise
+/// only when both are ASCII.
 pub fn sql_like(text: &str, pattern: &str) -> bool {
-    fn matches(t: &[char], p: &[char]) -> bool {
-        match (t.first(), p.first()) {
-            (_, None) => t.is_empty(),
-            (_, Some('%')) => {
-                // Try consuming zero or more characters.
-                if matches(t, &p[1..]) {
-                    return true;
-                }
-                !t.is_empty() && matches(&t[1..], p)
-            }
-            (None, Some(_)) => false,
-            (Some(_), Some('_')) => matches(&t[1..], &p[1..]),
-            (Some(tc), Some(pc)) => tc == pc && matches(&t[1..], &p[1..]),
-        }
+    if text.is_ascii() && pattern.is_ascii() {
+        return like(text.as_bytes(), pattern.as_bytes(), b'%', b'_');
     }
     let t: Vec<char> = text.chars().collect();
     let p: Vec<char> = pattern.chars().collect();
-    matches(&t, &p)
+    like(&t, &p, '%', '_')
+}
+
+/// Wildcard matching in O(text · pattern) time without recursion: on a
+/// mismatch, only the most recent `any` is retried one element further
+/// along the text. An earlier `any` never needs a retry, because the
+/// later one can absorb whatever the earlier one would have.
+fn like<T: Copy + PartialEq>(t: &[T], p: &[T], any: T, one: T) -> bool {
+    let (mut ti, mut pi) = (0, 0);
+    // Pattern position after the last `any`, and the text position it
+    // currently absorbs up to.
+    let mut retry: Option<(usize, usize)> = None;
+    while ti < t.len() {
+        if pi < p.len() && p[pi] == any {
+            pi += 1;
+            retry = Some((pi, ti));
+        } else if pi < p.len() && (p[pi] == one || p[pi] == t[ti]) {
+            pi += 1;
+            ti += 1;
+        } else if let Some((after, absorbed)) = retry {
+            pi = after;
+            ti = absorbed + 1;
+            retry = Some((after, ti));
+        } else {
+            return false;
+        }
+    }
+    p[pi..].iter().all(|&c| c == any)
 }
 
 pub fn render_value_for_concat(v: &Value) -> String {

@@ -9,7 +9,7 @@
 use crate::error::{EngineError, EngineResult};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A calendar date. The engine supports dates as first-class values because
 /// the paper's running example `Q_fin-perf` (Appendix A) groups financial
@@ -64,30 +64,30 @@ impl Date {
 
     /// Format using a (small) TO_CHAR-style pattern. Supported tokens:
     /// `YYYY`, `MM`, `DD`, `Q`, and double-quoted literals such as `"Q"`.
+    /// Any other character is copied as is.
     pub fn format_pattern(&self, pattern: &str) -> EngineResult<String> {
         let mut out = String::with_capacity(pattern.len() + 4);
-        let bytes = pattern.as_bytes();
-        let mut i = 0;
-        while i < bytes.len() {
-            if pattern[i..].starts_with("YYYY") {
-                out.push_str(&format!("{:04}", self.year));
-                i += 4;
-            } else if pattern[i..].starts_with("MM") {
-                out.push_str(&format!("{:02}", self.month));
-                i += 2;
-            } else if pattern[i..].starts_with("DD") {
-                out.push_str(&format!("{:02}", self.day));
-                i += 2;
-            } else if bytes[i] == b'Q' {
-                out.push_str(&self.quarter().to_string());
-                i += 1;
-            } else if bytes[i] == b'"' {
+        let mut rest = pattern;
+        while let Some(c) = rest.chars().next() {
+            // Writing to a `String` cannot fail.
+            let width = if rest.starts_with("YYYY") {
+                let _ = write!(out, "{:04}", self.year);
+                4
+            } else if rest.starts_with("MM") {
+                let _ = write!(out, "{:02}", self.month);
+                2
+            } else if rest.starts_with("DD") {
+                let _ = write!(out, "{:02}", self.day);
+                2
+            } else if c == 'Q' {
+                let _ = write!(out, "{}", self.quarter());
+                1
+            } else if c == '"' {
                 // Literal text until the closing quote.
-                let rest = &pattern[i + 1..];
-                match rest.find('"') {
+                match rest[1..].find('"') {
                     Some(end) => {
-                        out.push_str(&rest[..end]);
-                        i += end + 2;
+                        out.push_str(&rest[1..1 + end]);
+                        end + 2
                     }
                     None => {
                         return Err(EngineError::execution(format!(
@@ -96,9 +96,10 @@ impl Date {
                     }
                 }
             } else {
-                out.push(bytes[i] as char);
-                i += 1;
-            }
+                out.push(c);
+                c.len_utf8()
+            };
+            rest = &rest[width..];
         }
         Ok(out)
     }
@@ -447,6 +448,13 @@ mod tests {
     fn to_char_unterminated_quote_errors() {
         let d = Date::new(2023, 5, 1).unwrap();
         assert!(d.format_pattern("YYYY\"Q").is_err());
+    }
+
+    #[test]
+    fn to_char_copies_non_ascii_characters() {
+        let d = Date::new(2023, 5, 1).unwrap();
+        assert_eq!(d.format_pattern("YYYYé").unwrap(), "2023é");
+        assert_eq!(d.format_pattern("→MM\"ü\"Q").unwrap(), "→05ü2");
     }
 
     #[test]

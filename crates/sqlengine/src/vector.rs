@@ -417,10 +417,99 @@ fn bool_array(data: Vec<bool>, validity: Bitmap) -> Arc<Array> {
 /// (unknown), with the same type errors `Value::as_bool` raises.
 pub fn truth(arr: &Array) -> EngineResult<Vec<Option<bool>>> {
     let mut out = Vec::with_capacity(arr.len());
-    for i in 0..arr.len() {
-        out.push(bool_ref(arr.at(i))?);
-    }
+    visit_truth(arr, |_, t| out.push(t))?;
     Ok(out)
+}
+
+/// `f(i, truth of element i)` for every element in order, stopping at
+/// the first element that is not boolean with the error `bool_ref` raises
+/// for it. A `Bool` array is read off its data and validity; a dictionary
+/// with fewer entries than elements is judged once per entry, and an
+/// entry no element holds never raises.
+fn visit_truth(arr: &Array, mut f: impl FnMut(usize, Option<bool>)) -> EngineResult<()> {
+    if let Array::Bool { data, validity } = arr {
+        for (i, &b) in data.iter().enumerate() {
+            f(i, validity.get(i).then_some(b));
+        }
+    } else if let Some((codes, values)) = arr.per_entry(arr.len()) {
+        let entries: Vec<_> = (0..values.len()).map(|k| bool_ref(values.at(k))).collect();
+        for (i, &c) in codes.iter().enumerate() {
+            match &entries[c as usize] {
+                Ok(t) => f(i, *t),
+                Err(e) => return Err(e.clone()),
+            }
+        }
+    } else {
+        for i in 0..arr.len() {
+            f(i, bool_ref(arr.at(i))?);
+        }
+    }
+    Ok(())
+}
+
+/// The rows of `sel` where the predicate `v` is TRUE, ascending: WHERE's
+/// selection vector. `sel` must be ascending, as `Sel::All` is.
+///
+/// Equal to the TRUE positions of `truth(&eval(v, chunk, sel))`, with the
+/// same errors and the same scalar calls in the same order, but an `AND`
+/// that [`eval`] would short-circuit row by row never builds its
+/// three-valued column: its left side is split into TRUE and NULL rows,
+/// and the right side runs over their merge — the very `need` list
+/// `eval_binary` hands it.
+pub fn select(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Vec<u32>> {
+    Ok(split(v, chunk, sel)?.0)
+}
+
+/// The rows of `sel` where `v` is TRUE, and those where it is NULL; each
+/// ascending.
+fn split(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<(Vec<u32>, Vec<u32>)> {
+    let arr = match v {
+        VExpr::Binary {
+            left,
+            op: BinaryOp::And,
+            right,
+        } => match eval_per_distinct(v, chunk, sel) {
+            Some(arr) => arr,
+            None => {
+                let (lt, ln) = split(left, chunk, sel)?;
+                let need = merge(&lt, &ln);
+                let (rt, rn) = split(right, chunk, Sel::Idx(&need))?;
+                // TRUE where both sides are; NULL where the right side is,
+                // or where it is TRUE and the left side NULL. `rt` holds
+                // rows of `lt` and `ln` only.
+                let (both, left_null): (Vec<u32>, Vec<u32>) = rt
+                    .into_iter()
+                    .partition(|row| ln.binary_search(row).is_err());
+                return Ok((both, merge(&left_null, &rn)));
+            }
+        },
+        _ => eval(v, chunk, sel)?,
+    };
+    let (mut t, mut n) = (Vec::new(), Vec::new());
+    visit_truth(&arr, |pos, truth| match truth {
+        Some(true) => t.push(sel.at(pos)),
+        None => n.push(sel.at(pos)),
+        Some(false) => {}
+    })?;
+    Ok((t, n))
+}
+
+/// The ascending merge of two disjoint ascending row lists.
+fn merge(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// Evaluate a bound expression over the selected rows of `chunk`,

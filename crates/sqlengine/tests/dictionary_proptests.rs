@@ -14,10 +14,23 @@
 //! SELECT, join on text and on date-against-ISO-text keys (INNER and
 //! LEFT), and one property appends a row between two runs of the same
 //! query, which a dictionary that outlived its snapshot would get wrong.
+//!
+//! The WHERE kernels are held to the code they stand in for: WHERE's
+//! selection vector (`vector::select`) to the TRUE positions of
+//! `truth(eval(..))` — rows, errors and scalar calls — over random
+//! predicates on dictionary and plain columns; `truth` on a dictionary to
+//! the per-row loop; `Date::format_pattern` to the implementation it
+//! replaced, kept here.
 
+use genedit_sql::eval::ColMeta;
 use genedit_sql::value::{DataType, Date, Value};
-use genedit_sql::{execute_sql, execute_sql_reference, Column, Database, Table};
+use genedit_sql::vector::{self, Sel};
+use genedit_sql::{
+    execute_sql, execute_sql_reference, parse_expression, physical, Array, Column, DataChunk,
+    Database, EngineResult, Table,
+};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Data
@@ -441,4 +454,227 @@ fn left_join_pads_through_dictionaries_with_and_without_a_null_entry() {
         let pads = |r: &Vec<Value>| r[r.len() - 1].is_null() && r[r.len() - 2].is_null();
         assert_eq!(got.rows.iter().any(pads), padded, "{sql}");
     }
+}
+
+// ---------------------------------------------------------------------
+// The WHERE kernels
+// ---------------------------------------------------------------------
+
+/// Column names of [`where_chunk`]: `D`, `K`, `R`, `N` dictionary-encoded
+/// as a table scan hands them over; `V` integers, `P` the text of `N`
+/// unencoded, `B` booleans — all with NULLs.
+const WHERE_COLS: [&str; 7] = ["D", "K", "R", "N", "V", "P", "B"];
+
+fn where_chunk(rows: &[FRow]) -> DataChunk {
+    let rows: Vec<Vec<Value>> = rows
+        .iter()
+        .map(|row| {
+            let mut values = f_values(row);
+            values.push(text(&NUMBERS, row.3));
+            let v = row.4;
+            values.push(if v % 5 == 0 {
+                Value::Null
+            } else {
+                Value::Boolean(v % 3 == 0)
+            });
+            values
+        })
+        .collect();
+    let plain = DataChunk::from_rows(rows, WHERE_COLS.len());
+    let cols = plain
+        .cols
+        .iter()
+        .enumerate()
+        .map(|(i, c)| match i {
+            0..=3 => Arc::new(Array::clone(c).dictionary_encoded()),
+            _ => Arc::clone(c),
+        })
+        .collect();
+    DataChunk::new(cols, plain.len())
+}
+
+/// Predicates over [`where_chunk`]: comparisons, `IS NULL`, `IN`, `CASE`,
+/// `LIKE`, scalar calls that raise on some values, and leaves that are not
+/// boolean (integers are truthy; text raises unless no row reaches it),
+/// nested under `AND`, `OR` and `NOT`.
+fn arb_where_pred() -> impl Strategy<Value = String> {
+    let leaf = prop_oneof![
+        Just("V > 0"),
+        Just("V < 10"),
+        Just("V IS NULL"),
+        Just("R IS NOT NULL"),
+        Just("R = 'north'"),
+        Just("K IN ('alpha', 'beta', NULL)"),
+        Just("K LIKE 'a%'"),
+        Just("YEAR(D) = 2023"),
+        Just("TO_CHAR(D, 'YYYY') = '2022'"),
+        Just("D >= '2023-01-01'"),
+        Just("CAST(N AS INTEGER) > 1"),
+        Just("CAST(P AS INTEGER) < 3"),
+        Just("N NOT IN ('x', '4y')"),
+        Just("CASE WHEN R = 'north' THEN V ELSE 0 END > 0"),
+        Just("CASE WHEN K = 'alpha' THEN B ELSE V > 5 END"),
+        Just("COALESCE(B, V > 3)"),
+        Just("B"),
+        Just("V"),
+        Just("MONTH(D)"),
+        Just("NULL"),
+        Just("K"),
+        Just("UPPER(R)"),
+        Just("CASE WHEN R = 'east' THEN 'x' ELSE R IS NULL END"),
+    ]
+    .prop_map(String::from);
+    leaf.prop_recursive(3, 16, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a}) AND ({b})")),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a}) OR ({b})")),
+            inner.prop_map(|a| format!("NOT ({a})")),
+        ]
+    })
+}
+
+/// `r` with its error reduced to the message.
+fn message<T>(r: EngineResult<T>) -> Result<T, String> {
+    r.map_err(|e| e.to_string())
+}
+
+/// Selected rows or an error message, and the scalar calls made.
+type Outcome = (Result<Vec<u32>, String>, u64);
+
+/// `select` and the TRUE positions of `truth(eval(..))` over `sel`.
+fn select_both_ways(sql: &str, chunk: &DataChunk, sel: Sel<'_>) -> (Outcome, Outcome) {
+    let cols: Vec<ColMeta> = WHERE_COLS
+        .iter()
+        .map(|c| ColMeta::new(Some("F".into()), *c))
+        .collect();
+    let expr = parse_expression(sql).expect("predicate parses");
+    let v = vector::bind(&expr, &cols, None).expect("predicate binds");
+    physical::take_counters();
+    let selected = message(vector::select(&v, chunk, sel));
+    let select_calls = physical::take_counters().scalar_calls;
+    let truth = vector::eval(&v, chunk, sel).and_then(|a| vector::truth(&a));
+    let evaluated = message(truth).map(|t| {
+        (0..t.len())
+            .filter(|&pos| t[pos] == Some(true))
+            .map(|pos| sel.at(pos))
+            .collect()
+    });
+    let eval_calls = physical::take_counters().scalar_calls;
+    ((selected, select_calls), (evaluated, eval_calls))
+}
+
+fn arb_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Boolean),
+        (-2i64..3).prop_map(Value::Integer),
+        Just(Value::Float(1.5)),
+        Just(Value::Text("x".into())),
+        Just(Value::Date(Date::new(2023, 5, 1).expect("valid date"))),
+    ]
+}
+
+/// `Date::format_pattern` as it was before it wrote into its output:
+/// correct on ASCII patterns only.
+fn format_pattern_old(d: &Date, pattern: &str) -> EngineResult<String> {
+    let mut out = String::with_capacity(pattern.len() + 4);
+    let bytes = pattern.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        if pattern[i..].starts_with("YYYY") {
+            out.push_str(&format!("{:04}", d.year));
+            i += 4;
+        } else if pattern[i..].starts_with("MM") {
+            out.push_str(&format!("{:02}", d.month));
+            i += 2;
+        } else if pattern[i..].starts_with("DD") {
+            out.push_str(&format!("{:02}", d.day));
+            i += 2;
+        } else if bytes[i] == b'Q' {
+            out.push_str(&d.quarter().to_string());
+            i += 1;
+        } else if bytes[i] == b'"' {
+            let rest = &pattern[i + 1..];
+            match rest.find('"') {
+                Some(end) => {
+                    out.push_str(&rest[..end]);
+                    i += end + 2;
+                }
+                None => {
+                    return Err(genedit_sql::EngineError::execution(format!(
+                        "unterminated quoted literal in TO_CHAR pattern '{pattern}'"
+                    )))
+                }
+            }
+        } else {
+            out.push(bytes[i] as char);
+            i += 1;
+        }
+    }
+    Ok(out)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Same rows, same error, same scalar calls — over every row and over
+    /// an ascending subset of them.
+    #[test]
+    fn select_is_the_true_rows_of_truth_of_eval(
+        f_rows in arb_f_rows(),
+        pred in arb_where_pred(),
+        mask in prop::collection::vec(any::<bool>(), 48),
+    ) {
+        let chunk = where_chunk(&f_rows);
+        let subset: Vec<u32> = (0..chunk.len() as u32).filter(|&i| mask[i as usize]).collect();
+        for sel in [Sel::All, Sel::Idx(&subset)] {
+            let ((selected, select_calls), (evaluated, eval_calls)) =
+                select_both_ways(&pred, &chunk, sel);
+            prop_assert_eq!(selected, evaluated, "WHERE {}", pred);
+            prop_assert_eq!(select_calls, eval_calls, "scalar calls of WHERE {}", pred);
+        }
+    }
+
+    /// Per entry or per row, plain or dictionary: the values the per-row
+    /// loop returns, or its first error — never an error for an entry no
+    /// row holds.
+    #[test]
+    fn truth_matches_the_per_row_loop(
+        entries in prop::collection::vec(arb_value(), 1..6),
+        picks in prop::collection::vec(0usize..60, 0..20),
+    ) {
+        let values = Arc::new(Array::from_values(entries.clone()));
+        let codes: Vec<u32> = picks.iter().map(|p| (p % entries.len()) as u32).collect();
+        let rows: Vec<Value> = codes.iter().map(|&c| entries[c as usize].clone()).collect();
+        let want = message((0..rows.len()).map(|i| rows[i].as_bool()).collect::<EngineResult<Vec<_>>>());
+        let dict = Array::dict(codes, values);
+        prop_assert_eq!(message(vector::truth(&dict)), want.clone());
+        prop_assert_eq!(message(vector::truth(&Array::from_values(rows))), want);
+    }
+
+    #[test]
+    fn format_pattern_matches_the_old_implementation_on_ascii(
+        year in -20i32..3000,
+        month in 1u8..=12,
+        day in 1u8..=28,
+        pattern in "[YMDQ\"x -]{0,12}",
+    ) {
+        let d = Date::new(year, month, day).expect("valid date");
+        prop_assert_eq!(message(d.format_pattern(&pattern)), message(format_pattern_old(&d, &pattern)));
+    }
+}
+
+#[test]
+fn truth_never_raises_for_an_entry_no_row_holds() {
+    let values = Arc::new(Array::from_values(vec![
+        Value::Boolean(true),
+        Value::Text("x".into()),
+        Value::Null,
+    ]));
+    let arr = Array::dict(vec![0, 2, 0, 0, 2], Arc::clone(&values));
+    let t = vector::truth(&arr).expect("no row holds 'x'");
+    assert_eq!(t, vec![Some(true), None, Some(true), Some(true), None]);
+    let arr = Array::dict(vec![0, 2, 1, 0, 1], values);
+    let err = vector::truth(&arr).expect_err("row 2 holds 'x'");
+    assert_eq!(err, Value::Text("x".into()).as_bool().unwrap_err());
 }
