@@ -382,31 +382,27 @@ fn date_part(
 }
 
 /// SQL LIKE with `%` and `_` wildcards, case-sensitive, no escape syntax.
-/// `_` matches one character, so text and pattern are compared byte-wise
-/// only when both are ASCII.
+/// `_` matches one character.
 pub fn sql_like(text: &str, pattern: &str) -> bool {
-    if text.is_ascii() && pattern.is_ascii() {
-        return like(text.as_bytes(), pattern.as_bytes(), b'%', b'_');
-    }
     let t: Vec<char> = text.chars().collect();
     let p: Vec<char> = pattern.chars().collect();
-    like(&t, &p, '%', '_')
+    like(&t, &p)
 }
 
 /// Wildcard matching in O(text · pattern) time without recursion: on a
-/// mismatch, only the most recent `any` is retried one element further
-/// along the text. An earlier `any` never needs a retry, because the
+/// mismatch, only the most recent `%` is retried one character further
+/// along the text. An earlier `%` never needs a retry, because the
 /// later one can absorb whatever the earlier one would have.
-fn like<T: Copy + PartialEq>(t: &[T], p: &[T], any: T, one: T) -> bool {
+fn like(t: &[char], p: &[char]) -> bool {
     let (mut ti, mut pi) = (0, 0);
-    // Pattern position after the last `any`, and the text position it
+    // Pattern position after the last `%`, and the text position it
     // currently absorbs up to.
     let mut retry: Option<(usize, usize)> = None;
     while ti < t.len() {
-        if pi < p.len() && p[pi] == any {
+        if pi < p.len() && p[pi] == '%' {
             pi += 1;
             retry = Some((pi, ti));
-        } else if pi < p.len() && (p[pi] == one || p[pi] == t[ti]) {
+        } else if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
             pi += 1;
             ti += 1;
         } else if let Some((after, absorbed)) = retry {
@@ -417,7 +413,7 @@ fn like<T: Copy + PartialEq>(t: &[T], p: &[T], any: T, one: T) -> bool {
             return false;
         }
     }
-    p[pi..].iter().all(|&c| c == any)
+    p[pi..].iter().all(|&c| c == '%')
 }
 
 pub fn render_value_for_concat(v: &Value) -> String {
