@@ -167,7 +167,10 @@ pub fn eval_expr(expr: &Expr, scope: &Scope<'_>, env: &EvalEnv<'_>) -> EngineRes
             match op {
                 UnaryOp::Neg => match v {
                     Value::Null => Ok(Value::Null),
-                    Value::Integer(i) => Ok(Value::Integer(-i)),
+                    Value::Integer(i) => Ok(i
+                        .checked_neg()
+                        .map(Value::Integer)
+                        .unwrap_or(Value::Float(-(i as f64)))),
                     Value::Float(f) => Ok(Value::Float(-f)),
                     other => Err(EngineError::typing(format!("cannot negate {other}"))),
                 },
@@ -503,14 +506,17 @@ fn arith(op: BinaryOp, l: &Value, r: &Value) -> EngineResult<Value> {
                 if *b == 0 {
                     Value::Null
                 } else {
-                    Value::Integer(a / b)
+                    a.checked_div(*b)
+                        .map(Value::Integer)
+                        .unwrap_or(Value::Float(*a as f64 / *b as f64))
                 }
             }
             BinaryOp::Mod => {
                 if *b == 0 {
                     Value::Null
                 } else {
-                    Value::Integer(a % b)
+                    // i64::MIN % -1 is 0, but `%` overflows computing it.
+                    Value::Integer(a.wrapping_rem(*b))
                 }
             }
             _ => unreachable!(),

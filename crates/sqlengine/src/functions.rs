@@ -145,7 +145,8 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> EngineResult<Value> {
                     if *b == 0 {
                         Ok(Value::Null)
                     } else {
-                        Ok(Value::Integer(a % b))
+                        // i64::MIN % -1 is 0, but `%` overflows computing it.
+                        Ok(Value::Integer(a.wrapping_rem(*b)))
                     }
                 }
                 (a, b) => {
@@ -548,6 +549,10 @@ mod tests {
         assert_eq!(
             call("MOD", vec![Value::Integer(5), Value::Integer(3)]).as_i64(),
             Some(2)
+        );
+        assert_eq!(
+            call("MOD", vec![Value::Integer(i64::MIN), Value::Integer(-1)]).as_i64(),
+            Some(0)
         );
         assert!(call("SQRT", vec![Value::Float(-1.0)]).is_null());
     }

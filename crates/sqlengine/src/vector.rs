@@ -336,14 +336,16 @@ fn arith_ref(op: BinaryOp, l: ValueRef<'_>, r: ValueRef<'_>) -> EngineResult<Val
                 if b == 0 {
                     Value::Null
                 } else {
-                    Value::Integer(a / b)
+                    a.checked_div(b)
+                        .map(Value::Integer)
+                        .unwrap_or(Value::Float(a as f64 / b as f64))
                 }
             }
             BinaryOp::Mod => {
                 if b == 0 {
                     Value::Null
                 } else {
-                    Value::Integer(a % b)
+                    Value::Integer(a.wrapping_rem(b))
                 }
             }
             _ => return Err(type_err()),
@@ -608,7 +610,10 @@ fn eval_rows(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Arr
                     for pos in 0..n {
                         match arr.at(pos) {
                             ValueRef::Null => b.push_ref(ValueRef::Null),
-                            ValueRef::Int(i) => b.push_ref(ValueRef::Int(-i)),
+                            ValueRef::Int(i) => match i.checked_neg() {
+                                Some(n) => b.push_ref(ValueRef::Int(n)),
+                                None => b.push_ref(ValueRef::Float(-(i as f64))),
+                            },
                             ValueRef::Float(f) => b.push_ref(ValueRef::Float(-f)),
                             other => {
                                 return Err(EngineError::typing(format!("cannot negate {other}")))
