@@ -9,7 +9,7 @@
 use genedit_bird::{complexity::sweep_variants, Workload, SPORTS};
 use genedit_core::{
     run_baseline, Ablation, ExampleStyle, GenEditPipeline, Harness, KnowledgeIndex, MethodProfile,
-    PlanStyle, SchemaStyle,
+    SchemaStyle,
 };
 use genedit_llm::{OracleConfig, OracleModel, TaskRegistry};
 use genedit_sql::analysis::complexity;
@@ -22,7 +22,6 @@ fn simple_ft() -> MethodProfile {
         examples: ExampleStyle::None,
         include_evidence: true,
         schema: SchemaStyle::Linked { recall: 0.99 },
-        plan: PlanStyle::None,
         reasoning_effort: 1.5, // fine-tuning buys single-shot fluency
         candidates: 2,
         max_retries: 1,

@@ -5,9 +5,11 @@
 //! systems can run without their exact LLM stack — see DESIGN.md):
 //!
 //! * **CHESS** — strong schema selection, full-query examples, benchmark
-//!   evidence, internal decomposition (NL plan), candidate sampling.
-//! * **MAC-SQL** — multi-agent sub-question decomposition (NL plan),
-//!   linked schema, no example store.
+//!   evidence, candidate sampling; its revision agents are modelled as
+//!   reasoning effort.
+//! * **MAC-SQL** — linked schema, no example store; its sub-question
+//!   decomposer is modelled as reasoning effort (the sub-question text
+//!   adds no grounding).
 //! * **TA-SQL** — task-alignment reformulation, linked schema, no plan.
 //! * **DAIL-SQL** — full-query few-shot examples over the full schema,
 //!   single shot.
@@ -19,8 +21,7 @@ use crate::config::{CandidateSelection, PipelineConfig};
 use crate::index::KnowledgeIndex;
 use crate::pipeline::{Draft, GenerateOptions, Run};
 use genedit_llm::{
-    hash01, CompletionRequest, LanguageModel, Plan, Prompt, PromptExample, PromptSchemaElement,
-    TaskKind,
+    hash01, CompletionRequest, LanguageModel, Prompt, PromptExample, PromptSchemaElement, TaskKind,
 };
 use genedit_sql::catalog::Database;
 use genedit_telemetry::Tracer;
@@ -40,22 +41,11 @@ pub enum SchemaStyle {
     /// Dump everything (the oracle treats an empty schema section as
     /// "full warehouse schema attached").
     Dump,
-    /// Ship every catalogued element explicitly.
-    Full,
     /// LLM linking followed by lossy filtering with the given recall.
     Linked {
         /// Probability each truly-needed element survives the filter.
         recall: f64,
     },
-}
-
-/// Whether the method decomposes generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanStyle {
-    /// Single-shot generation, no decomposition step.
-    None,
-    /// Sub-question decomposition without pseudo-SQL.
-    NlPlan,
 }
 
 /// A baseline's context-assembly profile.
@@ -69,8 +59,6 @@ pub struct MethodProfile {
     pub include_evidence: bool,
     /// How the method supplies the schema.
     pub schema: SchemaStyle,
-    /// Whether (and how) the method decomposes generation.
-    pub plan: PlanStyle,
     /// Internal sampling/revision compute, as a capacity multiplier for
     /// the oracle's bounded-reasoning model (1.0 = plain prompting).
     pub reasoning_effort: f64,
@@ -88,7 +76,6 @@ pub fn paper_baselines() -> Vec<MethodProfile> {
             examples: ExampleStyle::FullQuery,
             include_evidence: true,
             schema: SchemaStyle::Linked { recall: 0.97 },
-            plan: PlanStyle::None,
             reasoning_effort: 2.0, // candidate sampling + revision agents
             candidates: 3,
             max_retries: 2,
@@ -100,7 +87,6 @@ pub fn paper_baselines() -> Vec<MethodProfile> {
             schema: SchemaStyle::Linked { recall: 0.85 },
             // The decomposer agent's effect is captured by the effort
             // multiplier; sub-question text itself adds no grounding.
-            plan: PlanStyle::None,
             reasoning_effort: 1.3,
             candidates: 1,
             max_retries: 2,
@@ -110,7 +96,6 @@ pub fn paper_baselines() -> Vec<MethodProfile> {
             examples: ExampleStyle::None,
             include_evidence: true,
             schema: SchemaStyle::Linked { recall: 0.95 },
-            plan: PlanStyle::None,
             reasoning_effort: 1.15, // task-alignment pre-pass
             candidates: 1,
             max_retries: 1,
@@ -120,7 +105,6 @@ pub fn paper_baselines() -> Vec<MethodProfile> {
             examples: ExampleStyle::FullQuery,
             include_evidence: true,
             schema: SchemaStyle::Dump,
-            plan: PlanStyle::None,
             reasoning_effort: 1.0,
             candidates: 1,
             max_retries: 1,
@@ -130,7 +114,6 @@ pub fn paper_baselines() -> Vec<MethodProfile> {
             examples: ExampleStyle::None,
             include_evidence: true,
             schema: SchemaStyle::Dump,
-            plan: PlanStyle::None,
             reasoning_effort: 1.0,
             candidates: 1,
             max_retries: 1,
@@ -197,7 +180,6 @@ pub fn run_baseline(
     let all_schema = || ks.schema_elements().iter().map(PromptSchemaElement::from);
     let schema: Vec<PromptSchemaElement> = match profile.schema {
         SchemaStyle::Dump => Vec::new(),
-        SchemaStyle::Full => all_schema().collect(),
         SchemaStyle::Linked { recall } => {
             let mut link = Prompt::new(TaskKind::SchemaLinking, question);
             link.schema = all_schema().collect();
@@ -227,18 +209,6 @@ pub fn run_baseline(
     base.reasoning_effort = profile.reasoning_effort;
     if profile.include_evidence {
         base.evidence = evidence.to_vec();
-    }
-
-    // Plan (sub-question decomposition without pseudo-SQL).
-    if profile.plan == PlanStyle::NlPlan {
-        let mut plan_prompt = base.clone();
-        plan_prompt.task = TaskKind::PlanGeneration;
-        let plan: Plan = model
-            .complete(&CompletionRequest::new(plan_prompt))
-            .ok()
-            .and_then(|r| r.as_plan().cloned())
-            .unwrap_or_default();
-        base.plan = Some(plan.without_pseudo_sql());
     }
 
     // Generate with retries: GenEdit's own generate-validate-retry step

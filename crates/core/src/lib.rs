@@ -45,8 +45,7 @@ pub mod regression;
 pub mod sme;
 
 pub use baselines::{
-    paper_baselines, run_baseline, BaselineResult, ExampleStyle, MethodProfile, PlanStyle,
-    SchemaStyle,
+    paper_baselines, run_baseline, BaselineResult, ExampleStyle, MethodProfile, SchemaStyle,
 };
 pub use cancel::CancelToken;
 pub use config::{Ablation, CandidateSelection, PipelineConfig};

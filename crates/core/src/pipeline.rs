@@ -25,6 +25,7 @@ use genedit_retrieval::{expand, Embedding, SparseEmbedding};
 use genedit_sql::catalog::Database;
 use genedit_sql::exec::execute_sql_timed;
 use genedit_sql::result::ResultSet;
+use genedit_sql::KeyElem;
 use genedit_telemetry::{names, MetricsRegistry, SpanGuard, Trace, Tracer};
 use std::sync::Arc;
 
@@ -420,7 +421,7 @@ const SQL_CANDIDATE: Degraded = Degraded {
 struct Candidate {
     seed: u64,
     sql: String,
-    outcome: Result<Vec<String>, String>,
+    outcome: Result<Vec<Vec<KeyElem>>, String>,
 }
 
 /// The one vote: the position of the item whose key the most items
@@ -1391,7 +1392,7 @@ mod tests {
     }
 
     /// The reference for `Run::validate`: parse, then execute.
-    fn validate(db: &Database, sql: &str) -> Result<Vec<String>, String> {
+    fn validate(db: &Database, sql: &str) -> Result<Vec<Vec<KeyElem>>, String> {
         genedit_sql::parser::parse_statement(sql).map_err(|e| e.to_string())?;
         let rs = genedit_sql::exec::execute_sql(db, sql).map_err(|e| e.to_string())?;
         Ok(rs.fingerprint())

@@ -1,6 +1,7 @@
 //! Aggregate function accumulators.
 
 use crate::error::{EngineError, EngineResult};
+use crate::key::{key_elem, KeyElem};
 use crate::value::Value;
 use std::collections::HashSet;
 
@@ -10,17 +11,17 @@ pub enum Accumulator {
     CountStar(i64),
     Count {
         seen: i64,
-        distinct: Option<HashSet<String>>,
+        distinct: Option<HashSet<KeyElem>>,
     },
     Sum {
         acc: Option<f64>,
         all_int: bool,
-        distinct: Option<HashSet<String>>,
+        distinct: Option<HashSet<KeyElem>>,
     },
     Avg {
         sum: f64,
         n: i64,
-        distinct: Option<HashSet<String>>,
+        distinct: Option<HashSet<KeyElem>>,
     },
     Min(Option<Value>),
     Max(Option<Value>),
@@ -72,7 +73,7 @@ impl Accumulator {
                 if !value.is_null() {
                     match distinct {
                         Some(set) => {
-                            if set.insert(value.group_key()) {
+                            if set.insert(key_elem(value)) {
                                 *seen += 1;
                             }
                         }
@@ -89,7 +90,7 @@ impl Accumulator {
                     return Ok(());
                 }
                 if let Some(set) = distinct {
-                    if !set.insert(value.group_key()) {
+                    if !set.insert(key_elem(value)) {
                         return Ok(());
                     }
                 }
@@ -106,7 +107,7 @@ impl Accumulator {
                     return Ok(());
                 }
                 if let Some(set) = distinct {
-                    if !set.insert(value.group_key()) {
+                    if !set.insert(key_elem(value)) {
                         return Ok(());
                     }
                 }

@@ -12,7 +12,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::value::{Date, Value};
+use crate::value::{Date, Value, ValueRef};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -94,70 +94,6 @@ impl Bitmap {
             n += live.count_ones() as usize;
         }
         n
-    }
-}
-
-/// A borrowed view of one array element — the alloc-free currency of the
-/// element-wise kernels in [`crate::vector`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ValueRef<'a> {
-    /// SQL NULL.
-    Null,
-    /// Integer element.
-    Int(i64),
-    /// Float element.
-    Float(f64),
-    /// Text element, borrowed from the array.
-    Str(&'a str),
-    /// Boolean element.
-    Bool(bool),
-    /// Date element.
-    Date(Date),
-}
-
-impl<'a> ValueRef<'a> {
-    /// Is this NULL?
-    pub fn is_null(&self) -> bool {
-        matches!(self, ValueRef::Null)
-    }
-
-    /// Materialize into an owned [`Value`].
-    pub fn to_value(self) -> Value {
-        match self {
-            ValueRef::Null => Value::Null,
-            ValueRef::Int(i) => Value::Integer(i),
-            ValueRef::Float(f) => Value::Float(f),
-            ValueRef::Str(s) => Value::Text(s.to_string()),
-            ValueRef::Bool(b) => Value::Boolean(b),
-            ValueRef::Date(d) => Value::Date(d),
-        }
-    }
-
-    /// Borrowing view of an owned [`Value`].
-    pub fn from_value(v: &'a Value) -> ValueRef<'a> {
-        match v {
-            Value::Null => ValueRef::Null,
-            Value::Integer(i) => ValueRef::Int(*i),
-            Value::Float(f) => ValueRef::Float(*f),
-            Value::Text(s) => ValueRef::Str(s),
-            Value::Boolean(b) => ValueRef::Bool(*b),
-            Value::Date(d) => ValueRef::Date(*d),
-        }
-    }
-}
-
-impl std::fmt::Display for ValueRef<'_> {
-    /// Renders exactly like [`Value`]'s `Display`, so vectorized error
-    /// messages and `||` concatenation match the row engine.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ValueRef::Null => f.write_str("NULL"),
-            ValueRef::Int(i) => write!(f, "{i}"),
-            ValueRef::Float(x) => f.write_str(&crate::value::render_float(*x)),
-            ValueRef::Str(s) => f.write_str(s),
-            ValueRef::Bool(b) => f.write_str(if *b { "TRUE" } else { "FALSE" }),
-            ValueRef::Date(d) => write!(f, "{d}"),
-        }
     }
 }
 
@@ -290,7 +226,7 @@ impl Array {
                     ValueRef::Null
                 }
             }
-            Array::Any(v) => ValueRef::from_value(&v[i]),
+            Array::Any(v) => ValueRef::from(&v[i]),
             Array::Dict { codes, values } => values.at(codes[i] as usize),
         }
     }

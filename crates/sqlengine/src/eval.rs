@@ -8,7 +8,7 @@ use crate::catalog::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::exec::{execute_query, CteMap};
 use crate::functions;
-use crate::value::Value;
+use crate::value::{self, Value, ValueRef};
 use std::collections::HashMap;
 
 /// Metadata for one column of an intermediate relation.
@@ -165,19 +165,8 @@ pub fn eval_expr(expr: &Expr, scope: &Scope<'_>, env: &EvalEnv<'_>) -> EngineRes
         Expr::Unary { op, expr } => {
             let v = eval_expr(expr, scope, env)?;
             match op {
-                UnaryOp::Neg => match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Integer(i) => Ok(i
-                        .checked_neg()
-                        .map(Value::Integer)
-                        .unwrap_or(Value::Float(-(i as f64)))),
-                    Value::Float(f) => Ok(Value::Float(-f)),
-                    other => Err(EngineError::typing(format!("cannot negate {other}"))),
-                },
-                UnaryOp::Not => match v.as_bool()? {
-                    None => Ok(Value::Null),
-                    Some(b) => Ok(Value::Boolean(!b)),
-                },
+                UnaryOp::Neg => value::negate(ValueRef::from(&v)),
+                UnaryOp::Not => Ok(v.as_bool()?.map_or(Value::Null, |b| Value::Boolean(!b))),
             }
         }
         Expr::Binary { left, op, right } => eval_binary(left, *op, right, scope, env),
@@ -191,23 +180,8 @@ pub fn eval_expr(expr: &Expr, scope: &Scope<'_>, env: &EvalEnv<'_>) -> EngineRes
             negated,
         } => {
             let v = eval_expr(expr, scope, env)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut saw_null = false;
-            for item in list {
-                let iv = eval_expr(item, scope, env)?;
-                if iv.is_null() {
-                    saw_null = true;
-                } else if v.sql_eq(&iv) {
-                    return Ok(Value::Boolean(!*negated));
-                }
-            }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Boolean(*negated))
-            }
+            let items = || Ok(list.iter().map(|item| eval_expr(item, scope, env)));
+            in_values(&v, items, *negated)
         }
         Expr::InSubquery {
             expr,
@@ -215,28 +189,19 @@ pub fn eval_expr(expr: &Expr, scope: &Scope<'_>, env: &EvalEnv<'_>) -> EngineRes
             negated,
         } => {
             let v = eval_expr(expr, scope, env)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let result = execute_query(env, subquery, Some(scope))?;
-            if result.columns.len() != 1 {
-                return Err(EngineError::typing(
-                    "IN subquery must return exactly one column",
-                ));
-            }
-            let mut saw_null = false;
-            for row in &result.rows {
-                if row[0].is_null() {
-                    saw_null = true;
-                } else if v.sql_eq(&row[0]) {
-                    return Ok(Value::Boolean(!*negated));
+            let items = || {
+                let result = execute_query(env, subquery, Some(scope))?;
+                if result.columns.len() != 1 {
+                    return Err(EngineError::typing(
+                        "IN subquery must return exactly one column",
+                    ));
                 }
-            }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Boolean(*negated))
-            }
+                Ok(result
+                    .rows
+                    .into_iter()
+                    .map(|mut row| Ok(row.swap_remove(0))))
+            };
+            in_values(&v, items, *negated)
         }
         Expr::Between {
             expr,
@@ -247,15 +212,9 @@ pub fn eval_expr(expr: &Expr, scope: &Scope<'_>, env: &EvalEnv<'_>) -> EngineRes
             let v = eval_expr(expr, scope, env)?;
             let lo = eval_expr(low, scope, env)?;
             let hi = eval_expr(high, scope, env)?;
-            let ge = match v.sql_cmp(&lo)? {
-                None => return Ok(Value::Null),
-                Some(ord) => ord != std::cmp::Ordering::Less,
-            };
-            let le = match v.sql_cmp(&hi)? {
-                None => return Ok(Value::Null),
-                Some(ord) => ord != std::cmp::Ordering::Greater,
-            };
-            Ok(Value::Boolean((ge && le) != *negated))
+            let (v, lo, hi) = (ValueRef::from(&v), ValueRef::from(&lo), ValueRef::from(&hi));
+            let t = value::between(v, lo, hi, *negated)?;
+            Ok(t.map_or(Value::Null, Value::Boolean))
         }
         Expr::Like {
             expr,
@@ -264,11 +223,8 @@ pub fn eval_expr(expr: &Expr, scope: &Scope<'_>, env: &EvalEnv<'_>) -> EngineRes
         } => {
             let v = eval_expr(expr, scope, env)?;
             let p = eval_expr(pattern, scope, env)?;
-            if v.is_null() || p.is_null() {
-                return Ok(Value::Null);
-            }
-            let m = functions::sql_like(&v.to_string(), &p.to_string());
-            Ok(Value::Boolean(m != *negated))
+            let t = value::like(ValueRef::from(&v), ValueRef::from(&p), *negated);
+            Ok(t.map_or(Value::Null, Value::Boolean))
         }
         Expr::Case {
             operand,
@@ -404,6 +360,37 @@ fn eval_function(
     functions::eval_scalar(&call.name, &args)
 }
 
+/// `v [NOT] IN (items)`: NULL for a NULL probe, without asking for the
+/// items; TRUE (FALSE for `NOT IN`) at the first item equal to `v`,
+/// without evaluating the rest; otherwise NULL if an item was NULL, else
+/// FALSE (TRUE).
+fn in_values<I>(
+    v: &Value,
+    items: impl FnOnce() -> EngineResult<I>,
+    negated: bool,
+) -> EngineResult<Value>
+where
+    I: Iterator<Item = EngineResult<Value>>,
+{
+    if v.is_null() {
+        return Ok(Value::Null);
+    }
+    let mut saw_null = false;
+    for item in items()? {
+        let item = item?;
+        if item.is_null() {
+            saw_null = true;
+        } else if v.sql_eq(&item) {
+            return Ok(Value::Boolean(!negated));
+        }
+    }
+    Ok(if saw_null {
+        Value::Null
+    } else {
+        Value::Boolean(negated)
+    })
+}
+
 fn eval_binary(
     left: &Expr,
     op: BinaryOp,
@@ -411,140 +398,30 @@ fn eval_binary(
     scope: &Scope<'_>,
     env: &EvalEnv<'_>,
 ) -> EngineResult<Value> {
-    // AND/OR get three-valued logic with short-circuiting.
-    if op == BinaryOp::And {
+    // AND decides on FALSE and OR on TRUE: the right side is evaluated
+    // only when the left one does not decide.
+    if op == BinaryOp::And || op == BinaryOp::Or {
+        let and = op == BinaryOp::And;
         let l = eval_expr(left, scope, env)?.as_bool()?;
-        if l == Some(false) {
-            return Ok(Value::Boolean(false));
+        if l == Some(!and) {
+            return Ok(Value::Boolean(!and));
         }
         let r = eval_expr(right, scope, env)?.as_bool()?;
-        return Ok(match (l, r) {
-            (Some(true), Some(true)) => Value::Boolean(true),
-            (_, Some(false)) => Value::Boolean(false),
-            _ => Value::Null,
-        });
-    }
-    if op == BinaryOp::Or {
-        let l = eval_expr(left, scope, env)?.as_bool()?;
-        if l == Some(true) {
-            return Ok(Value::Boolean(true));
-        }
-        let r = eval_expr(right, scope, env)?.as_bool()?;
-        return Ok(match (l, r) {
-            (Some(false), Some(false)) => Value::Boolean(false),
-            (_, Some(true)) => Value::Boolean(true),
-            _ => Value::Null,
-        });
+        return Ok(value::and_or(and, l, r).map_or(Value::Null, Value::Boolean));
     }
 
     let l = eval_expr(left, scope, env)?;
     let r = eval_expr(right, scope, env)?;
-
+    let (l, r) = (ValueRef::from(&l), ValueRef::from(&r));
     match op {
         BinaryOp::Eq
         | BinaryOp::NotEq
         | BinaryOp::Lt
         | BinaryOp::LtEq
         | BinaryOp::Gt
-        | BinaryOp::GtEq => {
-            let ord = match l.sql_cmp(&r)? {
-                None => return Ok(Value::Null),
-                Some(o) => o,
-            };
-            use std::cmp::Ordering::*;
-            let b = match op {
-                BinaryOp::Eq => ord == Equal,
-                BinaryOp::NotEq => ord != Equal,
-                BinaryOp::Lt => ord == Less,
-                BinaryOp::LtEq => ord != Greater,
-                BinaryOp::Gt => ord == Greater,
-                BinaryOp::GtEq => ord != Less,
-                _ => unreachable!(),
-            };
-            Ok(Value::Boolean(b))
-        }
-        BinaryOp::Concat => {
-            if l.is_null() || r.is_null() {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Text(format!(
-                    "{}{}",
-                    functions::render_value_for_concat(&l),
-                    functions::render_value_for_concat(&r)
-                )))
-            }
-        }
-        BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
-            if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
-            }
-            arith(op, &l, &r)
-        }
-        BinaryOp::And | BinaryOp::Or => unreachable!("handled above"),
-    }
-}
-
-fn arith(op: BinaryOp, l: &Value, r: &Value) -> EngineResult<Value> {
-    let type_err = || EngineError::typing(format!("cannot apply {} to {l} and {r}", op.symbol()));
-    match (l, r) {
-        (Value::Integer(a), Value::Integer(b)) => Ok(match op {
-            BinaryOp::Add => a
-                .checked_add(*b)
-                .map(Value::Integer)
-                .unwrap_or(Value::Float(*a as f64 + *b as f64)),
-            BinaryOp::Sub => a
-                .checked_sub(*b)
-                .map(Value::Integer)
-                .unwrap_or(Value::Float(*a as f64 - *b as f64)),
-            BinaryOp::Mul => a
-                .checked_mul(*b)
-                .map(Value::Integer)
-                .unwrap_or(Value::Float(*a as f64 * *b as f64)),
-            // Integer division truncates, like SQLite; zero divisor → NULL
-            // so division never aborts a whole analytics query.
-            BinaryOp::Div => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    a.checked_div(*b)
-                        .map(Value::Integer)
-                        .unwrap_or(Value::Float(*a as f64 / *b as f64))
-                }
-            }
-            BinaryOp::Mod => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    // i64::MIN % -1 is 0, but `%` overflows computing it.
-                    Value::Integer(a.wrapping_rem(*b))
-                }
-            }
-            _ => unreachable!(),
-        }),
-        _ => {
-            let a = l.as_f64().ok_or_else(type_err)?;
-            let b = r.as_f64().ok_or_else(type_err)?;
-            Ok(match op {
-                BinaryOp::Add => Value::Float(a + b),
-                BinaryOp::Sub => Value::Float(a - b),
-                BinaryOp::Mul => Value::Float(a * b),
-                BinaryOp::Div => {
-                    if b == 0.0 {
-                        Value::Null
-                    } else {
-                        Value::Float(a / b)
-                    }
-                }
-                BinaryOp::Mod => {
-                    if b == 0.0 {
-                        Value::Null
-                    } else {
-                        Value::Float(a % b)
-                    }
-                }
-                _ => unreachable!(),
-            })
-        }
+        | BinaryOp::GtEq => Ok(value::compare(op, l, r)?.map_or(Value::Null, Value::Boolean)),
+        BinaryOp::Concat => Ok(value::concat(l, r)),
+        _ => value::arith(op, l, r),
     }
 }
 

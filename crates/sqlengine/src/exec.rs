@@ -26,7 +26,7 @@ use crate::eval::{
     collect_aggregate_calls, collect_unconditional_aggregates, eval_expr, AggValues, ColMeta,
     Engine, EvalEnv, Relation, Scope, SelectShape, WindowValues,
 };
-use crate::key::{key_elem, key_ref, row_key, KeyElem, KeyRef};
+use crate::key::{key_ref, row_key, KeyElem, KeyRef};
 use crate::parser::parse_statement;
 use crate::physical::{self, SqlCounters};
 use crate::reference;
@@ -679,9 +679,9 @@ fn try_pure_path(
     // DISTINCT (after ORDER BY keeps the first occurrence in sort order).
     let mut final_idx: Vec<u32> = Vec::with_capacity(order.len());
     if select.distinct {
-        let mut seen: std::collections::HashSet<Vec<KeyElem>> = std::collections::HashSet::new();
+        let mut seen: std::collections::HashSet<Vec<KeyRef<'_>>> = std::collections::HashSet::new();
         for &ri in &order {
-            let k: Vec<KeyElem> = arrays.iter().map(|a| key_elem(&a.get(ri))).collect();
+            let k: Vec<KeyRef<'_>> = arrays.iter().map(|a| key_ref(a.at(ri))).collect();
             if seen.insert(k) {
                 final_idx.push(ri as u32);
             }
@@ -1640,7 +1640,7 @@ mod tests {
 
     #[test]
     fn union_mixed_numeric_types_compare_by_value() {
-        // 1 (int) and 1.0 (float) are distinct under group_key — column
+        // 1 (int) and 1.0 (float) are distinct typed keys — column
         // typing is preserved, as in the EX metric.
         let rs = run("SELECT 1 UNION SELECT 1.0");
         assert_eq!(rs.rows.len(), 2);

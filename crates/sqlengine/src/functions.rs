@@ -5,7 +5,7 @@
 //! NULL-guarding `NULLIF`/`COALESCE` the paper's example leans on.
 
 use crate::error::{EngineError, EngineResult};
-use crate::value::{render_float, Date, Value};
+use crate::value::{Date, Value};
 
 /// Names the executor treats as aggregates rather than scalars.
 pub const AGGREGATE_FUNCTIONS: &[&str] = &["COUNT", "SUM", "AVG", "MIN", "MAX", "GROUP_CONCAT"];
@@ -415,13 +415,6 @@ fn like(t: &[char], p: &[char]) -> bool {
         }
     }
     p[pi..].iter().all(|&c| c == '%')
-}
-
-pub fn render_value_for_concat(v: &Value) -> String {
-    match v {
-        Value::Float(f) => render_float(*f),
-        other => other.to_string(),
-    }
 }
 
 #[cfg(test)]

@@ -1,44 +1,54 @@
-//! Typed composite keys for grouping, DISTINCT, set operations, window
-//! partitions, and hash joins.
+//! Typed keys: the identity of a value for grouping, DISTINCT (in
+//! aggregates too), set operations, window partitions, hash joins and
+//! the EX fingerprint of a result.
 //!
-//! The seed interpreter built composite keys by joining per-value
-//! [`Value::group_key`] strings with `"|"`, so a text value containing a
-//! literal `|` could alias two distinct composite keys (e.g. `("a|b", "c")`
-//! vs `("a", "b|c")`). [`KeyElem`] keeps each component typed and hashes
-//! the tuple structurally, which makes collisions impossible while
-//! preserving the exact equality classes of `group_key`:
+//! Identity is not SQL equality. Two values share a key exactly when:
 //!
-//! * integers and floats never compare equal (`1` groups apart from `1.0`),
-//! * every NaN belongs to one group (`group_key` rendered all NaNs as
-//!   `f:NaN`), so NaN bit patterns are canonicalized,
-//! * `-0.0` and `0.0` group apart (`f:-0.0` vs `f:0.0`), so the sign bit
-//!   is preserved.
+//! * both are NULL (all NULLs group together),
+//! * both are integers, or both floats, of the same value — `1` groups
+//!   apart from `1.0`,
+//! * both are floats with the same bits, except that every NaN is one
+//!   group (NaN bit patterns are canonicalized) and `-0.0` groups apart
+//!   from `0.0` (the sign bit is kept),
+//! * both are text, booleans or dates, and equal.
+//!
+//! A composite key is a tuple of typed components hashed structurally,
+//! so no text value can alias two composites — as one containing a `|`
+//! did when keys were strings joined with `"|"`.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::value::{Date, Value};
+use crate::value::{Date, Value, ValueRef};
 
-/// One typed component of a composite grouping key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum KeyElem {
-    /// SQL NULL (all NULLs group together).
+/// One typed component of a key, over its text `S`: borrowed
+/// ([`KeyRef`]) where the key lives no longer than the values it was
+/// read from, so probes over columnar batches allocate nothing; owned
+/// ([`KeyElem`]) where it outlives them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Key<S> {
+    /// SQL NULL.
     Null,
     /// Integer component.
     Int(i64),
-    /// Float component, stored as bits with NaN canonicalized. The sign
-    /// bit of zero is preserved, matching `group_key`'s `f:-0.0` / `f:0.0`
-    /// distinction.
+    /// Float component, as bits with NaN canonicalized (see
+    /// [`float_key_bits`]).
     Float(u64),
     /// Text component.
-    Text(String),
+    Text(S),
     /// Boolean component.
     Bool(bool),
     /// Date component.
     Date(Date),
 }
 
+/// A key component that owns its text.
+pub type KeyElem = Key<String>;
+
+/// A key component that borrows its text.
+pub type KeyRef<'a> = Key<&'a str>;
+
 /// Float bits with every NaN collapsed onto the canonical NaN, so all
-/// NaNs land in one group (as `group_key` rendered them all as `f:NaN`).
+/// NaNs land in one group; the sign of zero is kept.
 #[inline]
 pub fn float_key_bits(f: f64) -> u64 {
     if f.is_nan() {
@@ -48,49 +58,27 @@ pub fn float_key_bits(f: f64) -> u64 {
     }
 }
 
-/// The typed key component for one value. Two values map to equal
-/// [`KeyElem`]s exactly when their [`Value::group_key`] strings are equal.
-pub fn key_elem(v: &Value) -> KeyElem {
+/// The key component of one value.
+pub fn key_ref(v: ValueRef<'_>) -> KeyRef<'_> {
     match v {
-        Value::Null => KeyElem::Null,
-        Value::Integer(i) => KeyElem::Int(*i),
-        Value::Float(f) => KeyElem::Float(float_key_bits(*f)),
-        Value::Text(s) => KeyElem::Text(s.clone()),
-        Value::Boolean(b) => KeyElem::Bool(*b),
-        Value::Date(d) => KeyElem::Date(*d),
+        ValueRef::Null => Key::Null,
+        ValueRef::Int(i) => Key::Int(i),
+        ValueRef::Float(f) => Key::Float(float_key_bits(f)),
+        ValueRef::Str(s) => Key::Text(s),
+        ValueRef::Bool(b) => Key::Bool(b),
+        ValueRef::Date(d) => Key::Date(d),
     }
 }
 
-/// A borrowed [`KeyElem`]: the same equality classes without owning
-/// text, so hash-table probes over columnar batches allocate nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KeyRef<'a> {
-    /// SQL NULL (all NULLs group together).
-    Null,
-    /// Integer component.
-    Int(i64),
-    /// Float component as canonicalized bits (see [`float_key_bits`]).
-    Float(u64),
-    /// Text component, borrowed from the source array.
-    Text(&'a str),
-    /// Boolean component.
-    Bool(bool),
-    /// Date component.
-    Date(Date),
-}
-
-/// The borrowed key component for one array element. Two elements map
-/// to equal [`KeyRef`]s exactly when their owned [`key_elem`] keys are
-/// equal.
-pub fn key_ref(v: crate::array::ValueRef<'_>) -> KeyRef<'_> {
-    use crate::array::ValueRef;
-    match v {
-        ValueRef::Null => KeyRef::Null,
-        ValueRef::Int(i) => KeyRef::Int(i),
-        ValueRef::Float(f) => KeyRef::Float(float_key_bits(f)),
-        ValueRef::Str(s) => KeyRef::Text(s),
-        ValueRef::Bool(b) => KeyRef::Bool(b),
-        ValueRef::Date(d) => KeyRef::Date(d),
+/// [`key_ref`], owning its text.
+pub fn key_elem(v: &Value) -> KeyElem {
+    match key_ref(v.into()) {
+        Key::Null => Key::Null,
+        Key::Int(i) => Key::Int(i),
+        Key::Float(bits) => Key::Float(bits),
+        Key::Text(s) => Key::Text(s.to_owned()),
+        Key::Bool(b) => Key::Bool(b),
+        Key::Date(d) => Key::Date(d),
     }
 }
 
@@ -105,21 +93,8 @@ mod tests {
 
     #[test]
     fn pipe_bearing_strings_do_not_collide() {
-        // Under the old "|".join(group_key) scheme these two rows built
-        // the same composite key string "t:a|t:b|t:c".
         let r1 = vec![Value::Text("a|t:b".into()), Value::Text("c".into())];
         let r2 = vec![Value::Text("a".into()), Value::Text("b|t:c".into())];
-        let old1 = r1
-            .iter()
-            .map(Value::group_key)
-            .collect::<Vec<_>>()
-            .join("|");
-        let old2 = r2
-            .iter()
-            .map(Value::group_key)
-            .collect::<Vec<_>>()
-            .join("|");
-        assert_eq!(old1, old2, "the seed scheme really did collide");
         assert_ne!(row_key(&r1), row_key(&r2));
     }
 
@@ -142,32 +117,5 @@ mod tests {
     fn nulls_group_together() {
         assert_eq!(key_elem(&Value::Null), key_elem(&Value::Null));
         assert_ne!(key_elem(&Value::Null), key_elem(&Value::Integer(0)));
-    }
-
-    #[test]
-    fn key_equality_matches_group_key_equality() {
-        let vals = [
-            Value::Null,
-            Value::Integer(0),
-            Value::Integer(1),
-            Value::Float(0.0),
-            Value::Float(-0.0),
-            Value::Float(1.0),
-            Value::Float(f64::NAN),
-            Value::Text("1".into()),
-            Value::Text("".into()),
-            Value::Boolean(true),
-            Value::Boolean(false),
-            Value::Date(Date::new(2023, 5, 1).unwrap()),
-        ];
-        for a in &vals {
-            for b in &vals {
-                assert_eq!(
-                    key_elem(a) == key_elem(b),
-                    a.group_key() == b.group_key(),
-                    "{a:?} vs {b:?}"
-                );
-            }
-        }
     }
 }

@@ -50,7 +50,7 @@ pub mod vector;
 mod window;
 
 pub use analysis::{complexity, referenced_columns, referenced_tables, ComplexityScore};
-pub use array::{Array, ArrayBuilder, Bitmap, DataChunk, ValueRef};
+pub use array::{Array, ArrayBuilder, Bitmap, DataChunk};
 pub use ast::{
     BinaryOp, Cte, Expr, FunctionCall, JoinKind, Literal, Node, NodeMut, OrderItem, Query, Select,
     SelectItem, SetExpr, SetOp, Statement, TableRef, UnaryOp, WindowSpec,
@@ -63,4 +63,4 @@ pub use key::{key_elem, row_key, KeyElem};
 pub use parser::{parse_expression, parse_statement};
 pub use physical::SqlCounters;
 pub use result::ResultSet;
-pub use value::{DataType, Date, Value};
+pub use value::{DataType, Date, Value, ValueRef};

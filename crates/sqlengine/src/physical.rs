@@ -5,20 +5,21 @@
 //! hash path when the ON clause is a pure conjunction of column
 //! equalities AND the key columns' contents guarantee that every row
 //! pair the nested loop would compare is comparable under
-//! `Value::sql_cmp` with equality classes a hash key can represent.
+//! `ValueRef::sql_cmp` with equality classes a hash key can represent.
 //! Anything else is handed to the reference interpreter's own nested
 //! loop (`reference::join`), so join results — including error
 //! behavior — are identical to it in every case.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::array::{columns_from_rows, DataChunk, ValueRef};
+use crate::array::{columns_from_rows, DataChunk};
 use crate::ast::{BinaryOp, Expr, JoinKind, TableRef};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{ColMeta, EvalEnv, Relation, Scope};
 use crate::exec::execute_query;
 use crate::key::float_key_bits;
 use crate::reference;
+use crate::value::ValueRef;
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::HashMap;

@@ -6,6 +6,7 @@
 //! tuples (ordering only matters to the extent that an ORDER BY changes
 //! which rows survive a LIMIT).
 
+use crate::key::{row_key, KeyElem};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -43,20 +44,11 @@ impl ResultSet {
         self.rows.len()
     }
 
-    /// Canonical multiset fingerprint of the rows: each row rendered with
-    /// [`Value::group_key`] (so `2.0 = 2.0` and NULLs match each other),
-    /// then sorted. Two results with equal fingerprints are EX-equal.
-    pub fn fingerprint(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .rows
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(Value::group_key)
-                    .collect::<Vec<_>>()
-                    .join("|")
-            })
-            .collect();
+    /// Canonical multiset fingerprint of the rows: each row's typed key
+    /// ([`row_key`]: NULLs match each other, `2` never matches `2.0`),
+    /// sorted. Two results with equal fingerprints are EX-equal.
+    pub fn fingerprint(&self) -> Vec<Vec<KeyElem>> {
+        let mut keys: Vec<Vec<KeyElem>> = self.rows.iter().map(|row| row_key(row)).collect();
         keys.sort();
         keys
     }
@@ -168,6 +160,18 @@ mod tests {
         let a = rs(&["x"], vec![vec![Value::Null]]);
         let b = rs(&["x"], vec![vec![Value::Null]]);
         assert!(a.ex_equal(&b));
+    }
+
+    /// A `|` inside a text value must not make one column look like two,
+    /// nor move a value from one column to the next.
+    #[test]
+    fn pipe_bearing_text_is_not_another_answer() {
+        let db = crate::catalog::Database::new("t");
+        let run = |sql| crate::exec::execute_sql(&db, sql).unwrap();
+        assert!(!run("SELECT 'a|t:b'").ex_equal(&run("SELECT 'a', 'b'")));
+        let a = rs(&["x", "y"], vec![vec!["a|t:b".into(), "c".into()]]);
+        let b = rs(&["x", "y"], vec![vec!["a".into(), "b|t:c".into()]]);
+        assert!(!a.ex_equal(&b));
     }
 
     #[test]

@@ -5,8 +5,16 @@
 //! three-valued logic around NULL, numeric coercion between integers and
 //! floats, lexicographic text ordering — which is what the Execution
 //! Accuracy metric of the BIRD benchmark (paper §3.3.2) compares on.
+//!
+//! Each per-value rule is written once, here, on the borrowed
+//! [`ValueRef`]: the row interpreter (`eval.rs`) borrows its `Value`s
+//! into it and the batch kernels (`vector.rs`) read array elements as
+//! it, allocation-free. What the two evaluators keep to themselves is
+//! control — which rows or operands are evaluated, and in what order.
 
+use crate::ast::BinaryOp;
 use crate::error::{EngineError, EngineResult};
+use crate::functions::sql_like;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt::{self, Write as _};
@@ -177,6 +185,25 @@ pub enum Value {
     Date(Date),
 }
 
+/// A borrowed view of one value, which the per-value rules are written
+/// on: array elements read as it without allocating, and a [`Value`]
+/// borrows into it with `ValueRef::from`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Integer element.
+    Int(i64),
+    /// Float element.
+    Float(f64),
+    /// Text element, borrowed.
+    Str(&'a str),
+    /// Boolean element.
+    Bool(bool),
+    /// Date element.
+    Date(Date),
+}
+
 impl Value {
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
@@ -194,14 +221,9 @@ impl Value {
         }
     }
 
-    /// Numeric view used by arithmetic and aggregates. Booleans do not
-    /// coerce to numbers (matching most warehouse dialects).
+    /// [`ValueRef::as_f64`].
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Integer(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
+        ValueRef::from(self).as_f64()
     }
 
     pub fn as_i64(&self) -> Option<i64> {
@@ -212,38 +234,19 @@ impl Value {
         }
     }
 
-    /// SQL truthiness: NULL propagates as `None` (unknown).
+    /// [`ValueRef::as_bool`].
     pub fn as_bool(&self) -> EngineResult<Option<bool>> {
-        match self {
-            Value::Null => Ok(None),
-            Value::Boolean(b) => Ok(Some(*b)),
-            Value::Integer(i) => Ok(Some(*i != 0)),
-            other => Err(EngineError::typing(format!(
-                "value {other} is not a boolean"
-            ))),
-        }
+        ValueRef::from(self).as_bool()
     }
 
-    /// SQL comparison. Returns `None` when either side is NULL (unknown),
-    /// or an error for incomparable types.
+    /// [`ValueRef::sql_cmp`].
     pub fn sql_cmp(&self, other: &Value) -> EngineResult<Option<Ordering>> {
-        use Value::*;
-        let ord = match (self, other) {
-            (Null, _) | (_, Null) => return Ok(None),
-            (Integer(a), Integer(b)) => a.cmp(b),
-            (Float(a), Float(b)) => total_cmp_f64(*a, *b),
-            (Integer(a), Float(b)) => total_cmp_f64(*a as f64, *b),
-            (Float(a), Integer(b)) => total_cmp_f64(*a, *b as f64),
-            (Text(a), Text(b)) => a.cmp(b),
-            (Boolean(a), Boolean(b)) => a.cmp(b),
-            (Date(a), Date(b)) => a.cmp(b),
-            // Dates compare with their ISO text form; useful because
-            // generated data sometimes stores dates as text.
-            (Date(a), Text(b)) => a.to_string().as_str().cmp(b.as_str()),
-            (Text(a), Date(b)) => a.as_str().cmp(b.to_string().as_str()),
-            (a, b) => return Err(EngineError::typing(format!("cannot compare {a} with {b}"))),
-        };
-        Ok(Some(ord))
+        ValueRef::from(self).sql_cmp(other.into())
+    }
+
+    /// [`ValueRef::sql_eq`].
+    pub fn sql_eq(&self, other: &Value) -> bool {
+        ValueRef::from(self).sql_eq(other.into())
     }
 
     /// Total ordering used for ORDER BY and result comparison: NULLs sort
@@ -263,32 +266,6 @@ impl Value {
                     self.to_string().cmp(&other.to_string())
                 }),
             },
-        }
-    }
-
-    /// Equality under SQL semantics (NULL = anything is unknown → false
-    /// here; use `sql_cmp` when three-valued logic matters).
-    pub fn sql_eq(&self, other: &Value) -> bool {
-        matches!(self.sql_cmp(other), Ok(Some(Ordering::Equal)))
-    }
-
-    /// Key used for grouping / DISTINCT / result comparison, where SQL
-    /// says NULLs *are* equal to each other.
-    pub fn group_key(&self) -> String {
-        match self {
-            Value::Null => "∅".to_string(),
-            Value::Integer(i) => format!("i:{i}"),
-            // Render floats canonically so 2.0 groups with 2.0.
-            Value::Float(f) => {
-                if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
-                    format!("f:{:.1}", f)
-                } else {
-                    format!("f:{f}")
-                }
-            }
-            Value::Text(s) => format!("t:{s}"),
-            Value::Boolean(b) => format!("b:{b}"),
-            Value::Date(d) => format!("d:{d}"),
         }
     }
 
@@ -329,6 +306,213 @@ impl Value {
     }
 }
 
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> ValueRef<'a> {
+        match v {
+            Value::Null => ValueRef::Null,
+            Value::Integer(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Text(s) => ValueRef::Str(s),
+            Value::Boolean(b) => ValueRef::Bool(*b),
+            Value::Date(d) => ValueRef::Date(*d),
+        }
+    }
+}
+
+impl ValueRef<'_> {
+    /// Is this NULL?
+    pub fn is_null(&self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// Materialize into an owned [`Value`].
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(i) => Value::Integer(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Str(s) => Value::Text(s.to_string()),
+            ValueRef::Bool(b) => Value::Boolean(b),
+            ValueRef::Date(d) => Value::Date(d),
+        }
+    }
+
+    /// Numeric view used by arithmetic and aggregates. Booleans do not
+    /// coerce to numbers (matching most warehouse dialects).
+    pub fn as_f64(self) -> Option<f64> {
+        match self {
+            ValueRef::Int(i) => Some(i as f64),
+            ValueRef::Float(f) => Some(f),
+            _ => None,
+        }
+    }
+
+    /// SQL truthiness: NULL propagates as `None` (unknown), an integer is
+    /// true when non-zero, and anything else is a type error.
+    #[inline]
+    pub fn as_bool(self) -> EngineResult<Option<bool>> {
+        match self {
+            ValueRef::Null => Ok(None),
+            ValueRef::Bool(b) => Ok(Some(b)),
+            ValueRef::Int(i) => Ok(Some(i != 0)),
+            other => Err(EngineError::typing(format!(
+                "value {other} is not a boolean"
+            ))),
+        }
+    }
+
+    /// SQL comparison. Returns `None` when either side is NULL (unknown),
+    /// or an error for incomparable types.
+    #[inline]
+    pub fn sql_cmp(self, other: ValueRef<'_>) -> EngineResult<Option<Ordering>> {
+        use ValueRef::*;
+        let ord = match (self, other) {
+            (Null, _) | (_, Null) => return Ok(None),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Float(a), Float(b)) => total_cmp_f64(a, b),
+            (Int(a), Float(b)) => total_cmp_f64(a as f64, b),
+            (Float(a), Int(b)) => total_cmp_f64(a, b as f64),
+            (Str(a), Str(b)) => a.cmp(b),
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Date(a), Date(b)) => a.cmp(&b),
+            // Dates compare with their ISO text form; useful because
+            // generated data sometimes stores dates as text.
+            (Date(a), Str(b)) => a.to_string().as_str().cmp(b),
+            (Str(a), Date(b)) => a.cmp(b.to_string().as_str()),
+            (a, b) => return Err(EngineError::typing(format!("cannot compare {a} with {b}"))),
+        };
+        Ok(Some(ord))
+    }
+
+    /// Equality under SQL semantics, where NULL = anything is unknown and
+    /// a comparison error counts as "not equal": what `IN`, simple `CASE`
+    /// and `NULLIF` match by. Use `sql_cmp` when three-valued logic matters.
+    pub fn sql_eq(self, other: ValueRef<'_>) -> bool {
+        matches!(self.sql_cmp(other), Ok(Some(Ordering::Equal)))
+    }
+}
+
+/// `l op r` for one of the six comparison operators: unknown (`None`)
+/// when either side is NULL.
+#[inline]
+pub(crate) fn compare(
+    op: BinaryOp,
+    l: ValueRef<'_>,
+    r: ValueRef<'_>,
+) -> EngineResult<Option<bool>> {
+    use Ordering::*;
+    Ok(l.sql_cmp(r)?.map(|ord| match op {
+        BinaryOp::Eq => ord == Equal,
+        BinaryOp::NotEq => ord != Equal,
+        BinaryOp::Lt => ord == Less,
+        BinaryOp::LtEq => ord != Greater,
+        BinaryOp::Gt => ord == Greater,
+        _ => ord != Less,
+    }))
+}
+
+/// `l op r` for `+ - * / %`: NULL when either side is. Integers stay
+/// integers — division truncates, like SQLite — unless the result
+/// overflows, which promotes to FLOAT (`i64::MIN % -1` is its exact 0).
+/// A zero divisor gives NULL, so division never aborts a whole analytics
+/// query.
+pub(crate) fn arith(op: BinaryOp, l: ValueRef<'_>, r: ValueRef<'_>) -> EngineResult<Value> {
+    if l.is_null() || r.is_null() {
+        return Ok(Value::Null);
+    }
+    if let (ValueRef::Int(a), ValueRef::Int(b)) = (l, r) {
+        let exact = match op {
+            BinaryOp::Add => a.checked_add(b),
+            BinaryOp::Sub => a.checked_sub(b),
+            BinaryOp::Mul => a.checked_mul(b),
+            BinaryOp::Div => a.checked_div(b),
+            BinaryOp::Mod => (b != 0).then(|| a.wrapping_rem(b)),
+            _ => None,
+        };
+        if let Some(i) = exact {
+            return Ok(Value::Integer(i));
+        }
+    }
+    let type_err = || EngineError::typing(format!("cannot apply {} to {l} and {r}", op.symbol()));
+    let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
+        return Err(type_err());
+    };
+    Ok(match op {
+        BinaryOp::Add => Value::Float(a + b),
+        BinaryOp::Sub => Value::Float(a - b),
+        BinaryOp::Mul => Value::Float(a * b),
+        BinaryOp::Div | BinaryOp::Mod if b == 0.0 => Value::Null,
+        BinaryOp::Div => Value::Float(a / b),
+        BinaryOp::Mod => Value::Float(a % b),
+        _ => return Err(type_err()),
+    })
+}
+
+/// Unary minus; `-i64::MIN` overflows and promotes to FLOAT.
+pub(crate) fn negate(v: ValueRef<'_>) -> EngineResult<Value> {
+    match v {
+        ValueRef::Null => Ok(Value::Null),
+        ValueRef::Int(i) => Ok(i
+            .checked_neg()
+            .map_or(Value::Float(-(i as f64)), Value::Integer)),
+        ValueRef::Float(f) => Ok(Value::Float(-f)),
+        other => Err(EngineError::typing(format!("cannot negate {other}"))),
+    }
+}
+
+/// `l || r`: NULL when either side is, else both sides as they display.
+pub(crate) fn concat(l: ValueRef<'_>, r: ValueRef<'_>) -> Value {
+    if l.is_null() || r.is_null() {
+        Value::Null
+    } else {
+        Value::Text(format!("{l}{r}"))
+    }
+}
+
+/// The three-valued `AND` (`and`) or `OR` (`!and`) of two truth values:
+/// `!and` on either side decides it, and an unknown side leaves it
+/// unknown otherwise. Both evaluators run `l` first and skip `r` where
+/// `l` decides; `vector::split` is this table's row-list form.
+#[inline]
+pub(crate) fn and_or(and: bool, l: Option<bool>, r: Option<bool>) -> Option<bool> {
+    match (l, r) {
+        _ if l == Some(!and) || r == Some(!and) => Some(!and),
+        (Some(_), Some(_)) => Some(and),
+        _ => None,
+    }
+}
+
+/// `v [NOT] BETWEEN lo AND hi`: unknown as soon as a bound comparison
+/// is, and the upper bound is not compared once the lower one is unknown
+/// (it may be incomparable without erroring).
+pub(crate) fn between(
+    v: ValueRef<'_>,
+    lo: ValueRef<'_>,
+    hi: ValueRef<'_>,
+    negated: bool,
+) -> EngineResult<Option<bool>> {
+    let Some(lower) = v.sql_cmp(lo)? else {
+        return Ok(None);
+    };
+    let Some(upper) = v.sql_cmp(hi)? else {
+        return Ok(None);
+    };
+    Ok(Some(
+        (lower != Ordering::Less && upper != Ordering::Greater) != negated,
+    ))
+}
+
+/// `v [NOT] LIKE p`: unknown when either side is NULL; a side that is
+/// not text matches as it displays.
+pub(crate) fn like(v: ValueRef<'_>, p: ValueRef<'_>, negated: bool) -> Option<bool> {
+    let matched = match (v, p) {
+        (ValueRef::Null, _) | (_, ValueRef::Null) => return None,
+        (ValueRef::Str(s), ValueRef::Str(pattern)) => sql_like(s, pattern),
+        _ => sql_like(&v.to_string(), &p.to_string()),
+    };
+    Some(matched != negated)
+}
+
 fn type_rank(v: &Value) -> u8 {
     match v {
         Value::Null => 0,
@@ -339,7 +523,7 @@ fn type_rank(v: &Value) -> u8 {
     }
 }
 
-pub(crate) fn total_cmp_f64(a: f64, b: f64) -> Ordering {
+fn total_cmp_f64(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b).unwrap_or_else(|| {
         // NaNs sort last, deterministically.
         match (a.is_nan(), b.is_nan()) {
@@ -361,16 +545,24 @@ pub fn render_float(f: f64) -> String {
     }
 }
 
-impl fmt::Display for Value {
+impl fmt::Display for ValueRef<'_> {
+    /// The one text rendering of a value: result tables, error messages,
+    /// `||`, and `LIKE` over non-text operands.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Null => f.write_str("NULL"),
-            Value::Integer(i) => write!(f, "{i}"),
-            Value::Float(x) => f.write_str(&render_float(*x)),
-            Value::Text(s) => f.write_str(s),
-            Value::Boolean(b) => f.write_str(if *b { "TRUE" } else { "FALSE" }),
-            Value::Date(d) => write!(f, "{d}"),
+            ValueRef::Null => f.write_str("NULL"),
+            ValueRef::Int(i) => write!(f, "{i}"),
+            ValueRef::Float(x) => f.write_str(&render_float(*x)),
+            ValueRef::Str(s) => f.write_str(s),
+            ValueRef::Bool(b) => f.write_str(if *b { "TRUE" } else { "FALSE" }),
+            ValueRef::Date(d) => write!(f, "{d}"),
         }
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        ValueRef::from(self).fmt(f)
     }
 }
 
@@ -488,13 +680,6 @@ mod tests {
         vals.sort_by(|a, b| a.total_cmp(b));
         assert!(vals[0].is_null());
         assert_eq!(vals[1].as_i64(), Some(1));
-    }
-
-    #[test]
-    fn group_key_unifies_int_like_floats() {
-        assert_eq!(Value::Float(2.0).group_key(), Value::Float(2.0).group_key());
-        assert_ne!(Value::Integer(2).group_key(), Value::Float(2.0).group_key());
-        assert_eq!(Value::Null.group_key(), Value::Null.group_key());
     }
 
     #[test]

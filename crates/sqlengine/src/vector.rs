@@ -8,10 +8,13 @@
 //! planner falls back to the row-at-a-time interpreter for that
 //! expression, so error behavior matches the reference engine exactly.
 //!
-//! The evaluator replicates the interpreter's semantics precisely:
-//! three-valued logic, `AND`/`OR` short-circuiting (the right side is
-//! only evaluated for rows the left side did not decide), lazy `CASE`
-//! branches and `IN` list items, and the scalar function library.
+//! Per-value semantics are not replicated here but shared: every
+//! element-wise step calls the rule in `value.rs` that the interpreter
+//! calls, and scalar functions are `functions::eval_scalar`. What this
+//! module reproduces is the interpreter's control, a batch at a time:
+//! `AND`/`OR` short-circuiting (the right side is only evaluated for rows
+//! the left side did not decide), lazy `CASE` branches and `IN` list
+//! items.
 //!
 //! A bound expression is a pure function of the row it reads, so one
 //! that reads a single dictionary-encoded column is evaluated once per
@@ -19,14 +22,13 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::array::{Array, ArrayBuilder, Bitmap, DataChunk, ValueRef};
+use crate::array::{Array, ArrayBuilder, Bitmap, DataChunk};
 use crate::ast::{BinaryOp, Expr, FunctionCall, UnaryOp};
-use crate::error::{EngineError, EngineResult};
+use crate::error::EngineResult;
 use crate::eval::{literal_value, ColMeta, Scope};
 use crate::functions;
 use crate::physical;
-use crate::value::{total_cmp_f64, DataType, Value};
-use std::cmp::Ordering;
+use crate::value::{self, DataType, Value, ValueRef};
 use std::sync::Arc;
 
 /// A bound (column-resolved) expression ready for vectorized evaluation.
@@ -276,114 +278,6 @@ fn bind_function(
 }
 
 // ----------------------------------------------------------------------
-// Element-wise kernels, mirroring `Value` semantics on borrowed views.
-// ----------------------------------------------------------------------
-
-fn cmp_ref(a: ValueRef<'_>, b: ValueRef<'_>) -> EngineResult<Option<Ordering>> {
-    use ValueRef::*;
-    let ord = match (a, b) {
-        (Null, _) | (_, Null) => return Ok(None),
-        (Int(x), Int(y)) => x.cmp(&y),
-        (Float(x), Float(y)) => total_cmp_f64(x, y),
-        (Int(x), Float(y)) => total_cmp_f64(x as f64, y),
-        (Float(x), Int(y)) => total_cmp_f64(x, y as f64),
-        (Str(x), Str(y)) => x.cmp(y),
-        (Bool(x), Bool(y)) => x.cmp(&y),
-        (Date(x), Date(y)) => x.cmp(&y),
-        (Date(x), Str(y)) => x.to_string().as_str().cmp(y),
-        (Str(x), Date(y)) => x.cmp(y.to_string().as_str()),
-        (x, y) => {
-            return Err(EngineError::typing(format!("cannot compare {x} with {y}")));
-        }
-    };
-    Ok(Some(ord))
-}
-
-fn eq_ref(a: ValueRef<'_>, b: ValueRef<'_>) -> bool {
-    // Like `Value::sql_eq`: comparison errors are swallowed as "not equal".
-    matches!(cmp_ref(a, b), Ok(Some(Ordering::Equal)))
-}
-
-fn bool_ref(v: ValueRef<'_>) -> EngineResult<Option<bool>> {
-    match v {
-        ValueRef::Null => Ok(None),
-        ValueRef::Bool(b) => Ok(Some(b)),
-        ValueRef::Int(i) => Ok(Some(i != 0)),
-        other => Err(EngineError::typing(format!(
-            "value {other} is not a boolean"
-        ))),
-    }
-}
-
-fn arith_ref(op: BinaryOp, l: ValueRef<'_>, r: ValueRef<'_>) -> EngineResult<Value> {
-    use ValueRef::*;
-    let type_err = || EngineError::typing(format!("cannot apply {} to {l} and {r}", op.symbol()));
-    if let (Int(a), Int(b)) = (l, r) {
-        return Ok(match op {
-            BinaryOp::Add => a
-                .checked_add(b)
-                .map(Value::Integer)
-                .unwrap_or(Value::Float(a as f64 + b as f64)),
-            BinaryOp::Sub => a
-                .checked_sub(b)
-                .map(Value::Integer)
-                .unwrap_or(Value::Float(a as f64 - b as f64)),
-            BinaryOp::Mul => a
-                .checked_mul(b)
-                .map(Value::Integer)
-                .unwrap_or(Value::Float(a as f64 * b as f64)),
-            BinaryOp::Div => {
-                if b == 0 {
-                    Value::Null
-                } else {
-                    a.checked_div(b)
-                        .map(Value::Integer)
-                        .unwrap_or(Value::Float(a as f64 / b as f64))
-                }
-            }
-            BinaryOp::Mod => {
-                if b == 0 {
-                    Value::Null
-                } else {
-                    Value::Integer(a.wrapping_rem(b))
-                }
-            }
-            _ => return Err(type_err()),
-        });
-    }
-    let a = match l {
-        Int(i) => i as f64,
-        Float(f) => f,
-        _ => return Err(type_err()),
-    };
-    let b = match r {
-        Int(i) => i as f64,
-        Float(f) => f,
-        _ => return Err(type_err()),
-    };
-    Ok(match op {
-        BinaryOp::Add => Value::Float(a + b),
-        BinaryOp::Sub => Value::Float(a - b),
-        BinaryOp::Mul => Value::Float(a * b),
-        BinaryOp::Div => {
-            if b == 0.0 {
-                Value::Null
-            } else {
-                Value::Float(a / b)
-            }
-        }
-        BinaryOp::Mod => {
-            if b == 0.0 {
-                Value::Null
-            } else {
-                Value::Float(a % b)
-            }
-        }
-        _ => return Err(type_err()),
-    })
-}
-
-// ----------------------------------------------------------------------
 // Evaluation
 // ----------------------------------------------------------------------
 
@@ -399,7 +293,7 @@ impl Operand<'_> {
     fn at(&self, pos: usize) -> ValueRef<'_> {
         match self {
             Operand::Arr(a) => a.at(pos),
-            Operand::Const(v) => ValueRef::from_value(v),
+            Operand::Const(v) => ValueRef::from(*v),
         }
     }
 }
@@ -411,12 +305,23 @@ fn operand<'a>(v: &'a VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Op
     }
 }
 
-fn bool_array(data: Vec<bool>, validity: Bitmap) -> Arc<Array> {
-    Arc::new(Array::Bool { data, validity })
+/// The `Bool` array of `f(pos)` for `pos` in `0..n`, a `None` being NULL.
+fn bool_column(
+    n: usize,
+    mut f: impl FnMut(usize) -> EngineResult<Option<bool>>,
+) -> EngineResult<Arc<Array>> {
+    let mut data = Vec::with_capacity(n);
+    let mut validity = Bitmap::new();
+    for pos in 0..n {
+        let t = f(pos)?;
+        data.push(t.unwrap_or(false));
+        validity.push(t.is_some());
+    }
+    Ok(Arc::new(Array::Bool { data, validity }))
 }
 
 /// SQL truthiness of each element: `Some(true)`/`Some(false)`/`None`
-/// (unknown), with the same type errors `Value::as_bool` raises.
+/// (unknown), with the type errors `ValueRef::as_bool` raises.
 pub fn truth(arr: &Array) -> EngineResult<Vec<Option<bool>>> {
     let mut out = Vec::with_capacity(arr.len());
     visit_truth(arr, |_, t| out.push(t))?;
@@ -424,17 +329,17 @@ pub fn truth(arr: &Array) -> EngineResult<Vec<Option<bool>>> {
 }
 
 /// `f(i, truth of element i)` for every element in order, stopping at
-/// the first element that is not boolean with the error `bool_ref` raises
-/// for it. A `Bool` array is read off its data and validity; a dictionary
-/// with fewer entries than elements is judged once per entry, and an
-/// entry no element holds never raises.
+/// the first element that is not boolean with the error
+/// `ValueRef::as_bool` raises for it. A `Bool` array is read off its data
+/// and validity; a dictionary with fewer entries than elements is judged
+/// once per entry, and an entry no element holds never raises.
 fn visit_truth(arr: &Array, mut f: impl FnMut(usize, Option<bool>)) -> EngineResult<()> {
     if let Array::Bool { data, validity } = arr {
         for (i, &b) in data.iter().enumerate() {
             f(i, validity.get(i).then_some(b));
         }
     } else if let Some((codes, values)) = arr.per_entry(arr.len()) {
-        let entries: Vec<_> = (0..values.len()).map(|k| bool_ref(values.at(k))).collect();
+        let entries: Vec<_> = (0..values.len()).map(|k| values.at(k).as_bool()).collect();
         for (i, &c) in codes.iter().enumerate() {
             match &entries[c as usize] {
                 Ok(t) => f(i, *t),
@@ -443,7 +348,7 @@ fn visit_truth(arr: &Array, mut f: impl FnMut(usize, Option<bool>)) -> EngineRes
         }
     } else {
         for i in 0..arr.len() {
-            f(i, bool_ref(arr.at(i))?);
+            f(i, arr.at(i).as_bool()?);
         }
     }
     Ok(())
@@ -463,7 +368,10 @@ pub fn select(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Vec<u3
 }
 
 /// The rows of `sel` where `v` is TRUE, and those where it is NULL; each
-/// ascending.
+/// ascending. An `AND` here is the shared three-valued table
+/// (`value::and_or`) written over row lists, for speed:
+/// `dictionary_proptests::select_is_the_true_rows_of_truth_of_eval` keeps
+/// the two in step.
 fn split(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<(Vec<u32>, Vec<u32>)> {
     let arr = match v {
         VExpr::Binary {
@@ -604,42 +512,21 @@ fn eval_rows(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Arr
         },
         VExpr::Unary { op, expr } => {
             let arr = eval(expr, chunk, sel)?;
-            let mut b = ArrayBuilder::with_capacity(n);
             match op {
                 UnaryOp::Neg => {
+                    let mut b = ArrayBuilder::with_capacity(n);
                     for pos in 0..n {
-                        match arr.at(pos) {
-                            ValueRef::Null => b.push_ref(ValueRef::Null),
-                            ValueRef::Int(i) => match i.checked_neg() {
-                                Some(n) => b.push_ref(ValueRef::Int(n)),
-                                None => b.push_ref(ValueRef::Float(-(i as f64))),
-                            },
-                            ValueRef::Float(f) => b.push_ref(ValueRef::Float(-f)),
-                            other => {
-                                return Err(EngineError::typing(format!("cannot negate {other}")))
-                            }
-                        }
+                        b.push(value::negate(arr.at(pos))?);
                     }
+                    Ok(Arc::new(b.finish()))
                 }
-                UnaryOp::Not => {
-                    for pos in 0..n {
-                        match bool_ref(arr.at(pos))? {
-                            None => b.push_ref(ValueRef::Null),
-                            Some(x) => b.push_ref(ValueRef::Bool(!x)),
-                        }
-                    }
-                }
+                UnaryOp::Not => bool_column(n, |pos| Ok(arr.at(pos).as_bool()?.map(|b| !b))),
             }
-            Ok(Arc::new(b.finish()))
         }
         VExpr::Binary { left, op, right } => eval_binary(left, *op, right, chunk, sel),
         VExpr::IsNull { expr, negated } => {
             let arr = eval(expr, chunk, sel)?;
-            let mut data = Vec::with_capacity(n);
-            for pos in 0..n {
-                data.push(arr.is_null(pos) != *negated);
-            }
-            Ok(bool_array(data, Bitmap::with_len(n, true)))
+            bool_column(n, |pos| Ok(Some(arr.is_null(pos) != *negated)))
         }
         VExpr::InList {
             expr,
@@ -664,7 +551,7 @@ fn eval_rows(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Arr
                     if iv.is_null() {
                         saw_null[pos] = true;
                         still.push(pos);
-                    } else if eq_ref(varr.at(pos), iv) {
+                    } else if varr.at(pos).sql_eq(iv) {
                         result[pos] = Value::Boolean(!*negated);
                     } else {
                         still.push(pos);
@@ -691,28 +578,9 @@ fn eval_rows(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Arr
             let varr = operand(expr, chunk, sel)?;
             let lo = operand(low, chunk, sel)?;
             let hi = operand(high, chunk, sel)?;
-            let mut b = ArrayBuilder::with_capacity(n);
-            for pos in 0..n {
-                let v = varr.at(pos);
-                let ge = match cmp_ref(v, lo.at(pos))? {
-                    // Unknown lower comparison: the upper bound is never
-                    // compared (it may be incomparable without erroring).
-                    None => {
-                        b.push_ref(ValueRef::Null);
-                        continue;
-                    }
-                    Some(ord) => ord != Ordering::Less,
-                };
-                let le = match cmp_ref(v, hi.at(pos))? {
-                    None => {
-                        b.push_ref(ValueRef::Null);
-                        continue;
-                    }
-                    Some(ord) => ord != Ordering::Greater,
-                };
-                b.push_ref(ValueRef::Bool((ge && le) != *negated));
-            }
-            Ok(Arc::new(b.finish()))
+            bool_column(n, |pos| {
+                value::between(varr.at(pos), lo.at(pos), hi.at(pos), *negated)
+            })
         }
         VExpr::Like {
             expr,
@@ -721,20 +589,9 @@ fn eval_rows(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Arr
         } => {
             let varr = operand(expr, chunk, sel)?;
             let parr = operand(pattern, chunk, sel)?;
-            let mut b = ArrayBuilder::with_capacity(n);
-            for pos in 0..n {
-                let (v, p) = (varr.at(pos), parr.at(pos));
-                if v.is_null() || p.is_null() {
-                    b.push_ref(ValueRef::Null);
-                    continue;
-                }
-                let m = match (v, p) {
-                    (ValueRef::Str(s), ValueRef::Str(pat)) => functions::sql_like(s, pat),
-                    _ => functions::sql_like(&v.to_string(), &p.to_string()),
-                };
-                b.push_ref(ValueRef::Bool(m != *negated));
-            }
-            Ok(Arc::new(b.finish()))
+            bool_column(n, |pos| {
+                Ok(value::like(varr.at(pos), parr.at(pos), *negated))
+            })
         }
         VExpr::Case {
             operand: case_operand,
@@ -757,8 +614,8 @@ fn eval_rows(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Arr
                 let mut still: Vec<usize> = Vec::with_capacity(undecided.len());
                 for (j, &pos) in undecided.iter().enumerate() {
                     let hit = match &subject {
-                        Some(s) => eq_ref(s.at(pos), warr.at(j)),
-                        None => bool_ref(warr.at(j))? == Some(true),
+                        Some(s) => s.at(pos).sql_eq(warr.at(j)),
+                        None => warr.at(j).as_bool()? == Some(true),
                     };
                     if hit {
                         matched.push(pos);
@@ -831,50 +688,27 @@ fn eval_binary(
     sel: Sel<'_>,
 ) -> EngineResult<Arc<Array>> {
     let n = sel.len(chunk);
-    // AND/OR: three-valued logic, right side evaluated only for rows the
-    // left side leaves undecided (matching per-row short-circuiting).
+    // AND decides on FALSE and OR on TRUE: the right side is evaluated
+    // only for the rows the left one does not decide (matching per-row
+    // short-circuiting).
     if op == BinaryOp::And || op == BinaryOp::Or {
         let and = op == BinaryOp::And;
         let larr = eval(left, chunk, sel)?;
         let lt = truth(&larr)?;
-        // AND decides on false, OR decides on true.
-        let decided = |t: Option<bool>| t == Some(!and);
-        let mut need: Vec<u32> = Vec::new();
-        for (pos, &t) in lt.iter().enumerate() {
-            if !decided(t) {
-                need.push(sel.at(pos));
-            }
-        }
+        let need: Vec<u32> = (0..n)
+            .filter(|&pos| lt[pos] != Some(!and))
+            .map(|pos| sel.at(pos))
+            .collect();
         let rarr = eval(right, chunk, Sel::Idx(&need))?;
-        let rt = truth(&rarr)?;
-        let mut data = Vec::with_capacity(n);
-        let mut validity = Bitmap::new();
-        let mut j = 0usize;
-        for &t in &lt {
-            if decided(t) {
-                data.push(!and);
-                validity.push(true);
-                continue;
-            }
-            let r = rt[j];
-            j += 1;
-            let out = if and {
-                match (t, r) {
-                    (Some(true), Some(true)) => Some(true),
-                    (_, Some(false)) => Some(false),
-                    _ => None,
-                }
+        let mut rt = truth(&rarr)?.into_iter();
+        return bool_column(n, |pos| {
+            let r = if lt[pos] == Some(!and) {
+                None
             } else {
-                match (t, r) {
-                    (Some(false), Some(false)) => Some(false),
-                    (_, Some(true)) => Some(true),
-                    _ => None,
-                }
+                rt.next().flatten()
             };
-            data.push(out.unwrap_or(false));
-            validity.push(out.is_some());
-        }
-        return Ok(bool_array(data, validity));
+            Ok(value::and_or(and, lt[pos], r))
+        });
     }
 
     let l = operand(left, chunk, sel)?;
@@ -885,59 +719,21 @@ fn eval_binary(
         | BinaryOp::Lt
         | BinaryOp::LtEq
         | BinaryOp::Gt
-        | BinaryOp::GtEq => {
-            let mut data = Vec::with_capacity(n);
-            let mut validity = Bitmap::new();
-            for pos in 0..n {
-                match cmp_ref(l.at(pos), r.at(pos))? {
-                    None => {
-                        data.push(false);
-                        validity.push(false);
-                    }
-                    Some(ord) => {
-                        let b = match op {
-                            BinaryOp::Eq => ord == Ordering::Equal,
-                            BinaryOp::NotEq => ord != Ordering::Equal,
-                            BinaryOp::Lt => ord == Ordering::Less,
-                            BinaryOp::LtEq => ord != Ordering::Greater,
-                            BinaryOp::Gt => ord == Ordering::Greater,
-                            _ => ord != Ordering::Less,
-                        };
-                        data.push(b);
-                        validity.push(true);
-                    }
-                }
-            }
-            Ok(bool_array(data, validity))
-        }
+        | BinaryOp::GtEq => bool_column(n, |pos| value::compare(op, l.at(pos), r.at(pos))),
         BinaryOp::Concat => {
             let mut b = ArrayBuilder::with_capacity(n);
             for pos in 0..n {
-                let (x, y) = (l.at(pos), r.at(pos));
-                if x.is_null() || y.is_null() {
-                    b.push_ref(ValueRef::Null);
-                } else {
-                    // `ValueRef`'s Display matches `render_value_for_concat`.
-                    b.push(Value::Text(format!("{x}{y}")));
-                }
+                b.push(value::concat(l.at(pos), r.at(pos)));
             }
             Ok(Arc::new(b.finish()))
         }
-        BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
+        _ => {
             let mut b = ArrayBuilder::with_capacity(n);
             for pos in 0..n {
-                let (x, y) = (l.at(pos), r.at(pos));
-                if x.is_null() || y.is_null() {
-                    b.push_ref(ValueRef::Null);
-                } else {
-                    b.push(arith_ref(op, x, y)?);
-                }
+                b.push(value::arith(op, l.at(pos), r.at(pos))?);
             }
             Ok(Arc::new(b.finish()))
         }
-        BinaryOp::And | BinaryOp::Or => Err(EngineError::execution(
-            "AND/OR handled by the short-circuit path",
-        )),
     }
 }
 
