@@ -57,7 +57,7 @@ fn degrade_all_terms(ks: &KnowledgeSet, terms: &[&str]) -> KnowledgeSet {
 }
 
 fn main() {
-    let args = genedit_bench::Args::parse(&[]);
+    let args = genedit_bench::Args::parse();
     let workload = Workload::standard(args.seed);
     let oracle = OracleModel::new(workload.registry());
     let pipeline = GenEditPipeline::new(&oracle);

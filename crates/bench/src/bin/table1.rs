@@ -9,7 +9,7 @@ use genedit_bird::{EvalReport, Workload};
 use genedit_core::{paper_baselines, Ablation, Harness};
 
 fn main() {
-    let args = genedit_bench::Args::parse(&[]);
+    let args = genedit_bench::Args::parse();
     let seed = args.seed;
     let workload = Workload::standard(seed);
     let harness = Harness::new(&workload);

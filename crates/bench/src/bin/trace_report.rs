@@ -10,10 +10,9 @@
 //!
 //! **Flight-recorder mode**: `trace_report --recorder <dump.jsonl>`
 //! reads a flight-recorder dump (written by the serving runtime on an
-//! SLO breach, or by `obs_sweep` as `BENCH_obs_recorder.jsonl`) and
-//! renders the slowest / degraded / errored requests with a
-//! per-operator breakdown, keyed by request ID — the postmortem view
-//! that joins against metric exemplars carrying the same IDs.
+//! SLO breach) and renders the slowest / degraded / errored requests
+//! with a per-operator breakdown, keyed by request ID — the postmortem
+//! view that joins against metric exemplars carrying the same IDs.
 
 use genedit_bird::Workload;
 use genedit_core::{Ablation, GenEditPipeline, Harness, KnowledgeIndex};
@@ -152,7 +151,7 @@ fn main() {
             }
         }
     }
-    let args = genedit_bench::Args::parse(&[]);
+    let args = genedit_bench::Args::parse();
     let seed = args.seed;
     let workload = Workload::small(seed);
 
@@ -204,7 +203,11 @@ fn main() {
         "model_usage": usage.calls,
     };
     let json = serde_json::to_string_pretty(&doc).expect("report serialization is infallible");
-    std::fs::write("BENCH_telemetry.json", &json).expect("write BENCH_telemetry.json");
+    // The docs promise this file: a run that lost it has not succeeded.
+    if let Err(err) = std::fs::write("BENCH_telemetry.json", &json) {
+        eprintln!("error: could not write BENCH_telemetry.json: {err}");
+        std::process::exit(1);
+    }
 
     if args.json {
         println!("{json}");

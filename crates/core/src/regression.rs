@@ -268,7 +268,9 @@ mod tests {
     use super::*;
     use genedit_bird::{DomainBundle, SPORTS};
     use genedit_knowledge::{Edit, SourceRef};
-    use genedit_llm::{FaultConfig, FaultInjector, OracleConfig, OracleModel, TaskRegistry};
+    use genedit_llm::{
+        FaultConfig, FaultInjector, FaultKind, OracleConfig, OracleModel, TaskRegistry,
+    };
 
     fn setup() -> (DomainBundle, KnowledgeSet, OracleModel) {
         let bundle = DomainBundle::build(&SPORTS, (8, 7, 3), 42);
@@ -450,7 +452,7 @@ mod tests {
         let (bundle, mut ks, oracle) = setup();
         // Every model call fails and there is no resilience layer, so the
         // operator ladder degrades on both the before and after runs.
-        let faulty = FaultInjector::new(&oracle, FaultConfig::transient_only(1.0), 7);
+        let faulty = FaultInjector::new(&oracle, FaultConfig::only(FaultKind::Transient, 1.0), 7);
         let pipeline = GenEditPipeline::new(&faulty);
         let golden = golden_from(&bundle, 3);
         let mut staging = StagingArea::new();

@@ -7,7 +7,8 @@
 //!    leaves no loss window) and no unacked operation leaks in;
 //! 2. arbitrary interleavings of appends, staged merges, checkpoints,
 //!    and snapshot compactions reload to the identical set — no torn or
-//!    duplicated records, with or without a crash in between;
+//!    duplicated records, with or without a crash in between — and, with
+//!    fsync off, serialize to the same bytes as a plain in-memory set;
 //! 3. under random storage faults (short writes, torn writes, bit
 //!    flips, failed fsyncs/renames) recovery still returns a
 //!    self-consistent state — the replay of its own audit log — and
@@ -16,8 +17,8 @@
 //!    a telemetry trail.
 
 use genedit_knowledge::{
-    scan, DurableKnowledgeStore, Edit, FaultyFs, IoFaultConfig, KnowledgeSet, MemFs,
-    RetrievalStage, StagingArea, StoreConfig, StoreError, StoreFs,
+    scan, to_json, DurableKnowledgeStore, Edit, FaultyFs, FsyncPolicy, IoFaultConfig, KnowledgeSet,
+    MemFs, RecoveryOutcome, RetrievalStage, StagingArea, StoreConfig, StoreError, StoreFs,
 };
 use genedit_knowledge::{FragmentKind, SourceRef, SqlFragment};
 use genedit_telemetry::MetricsRegistry;
@@ -57,15 +58,17 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+fn hint(text: &str) -> Edit {
+    Edit::AddRetrievalHint {
+        stage: RetrievalStage::SchemaLinking,
+        text: text.into(),
+    }
+}
+
 fn apply_op(store: &mut DurableKnowledgeStore, op: &Op) -> Result<(), StoreError> {
     match op {
         Op::Insert(d) => store.apply(insert(d)).map(|_| ()),
-        Op::Hint(t) => store
-            .apply(Edit::AddRetrievalHint {
-                stage: RetrievalStage::SchemaLinking,
-                text: t.clone(),
-            })
-            .map(|_| ()),
+        Op::Hint(t) => store.apply(hint(t)).map(|_| ()),
         Op::Checkpoint(label) => store.checkpoint(label).map(|_| ()),
         Op::Merge(descs) => {
             let mut area = StagingArea::new();
@@ -78,8 +81,42 @@ fn apply_op(store: &mut DurableKnowledgeStore, op: &Op) -> Result<(), StoreError
     }
 }
 
+/// The same operation on a plain in-memory set, with no durable layer.
+fn apply_plain(set: &mut KnowledgeSet, op: &Op) {
+    match op {
+        Op::Insert(d) => {
+            set.apply(insert(d)).expect("valid edit");
+        }
+        Op::Hint(t) => {
+            set.apply(hint(t)).expect("valid edit");
+        }
+        Op::Checkpoint(label) => {
+            set.checkpoint(label.clone());
+        }
+        Op::Merge(descs) => {
+            let mut area = StagingArea::new();
+            for d in descs {
+                area.stage(insert(d));
+            }
+            area.commit(set, "merge").expect("valid merge");
+        }
+        Op::Compact => {}
+    }
+}
+
 fn open(fs: Arc<dyn StoreFs>) -> Result<DurableKnowledgeStore, StoreError> {
-    DurableKnowledgeStore::open_with(fs, "k.json", "k.wal", StoreConfig::default(), None)
+    open_with(fs, FsyncPolicy::Always)
+}
+
+fn open_with(
+    fs: Arc<dyn StoreFs>,
+    fsync: FsyncPolicy,
+) -> Result<DurableKnowledgeStore, StoreError> {
+    let config = StoreConfig {
+        fsync,
+        ..StoreConfig::default()
+    };
+    DurableKnowledgeStore::open_with(fs, "k.json", "k.wal", config, None)
 }
 
 proptest! {
@@ -139,7 +176,9 @@ proptest! {
 
     /// Property 2: without faults, any interleaving of appends, merges,
     /// checkpoints, and compactions reloads exactly — before and after a
-    /// crash (fsync-Always makes acked == durable).
+    /// crash (fsync-Always makes acked == durable). With fsync off the
+    /// journaled store serializes byte for byte like a plain in-memory
+    /// set driven through the same operations, and reloads clean.
     #[test]
     fn interleaved_appends_and_compactions_reload_exactly(
         ops in prop::collection::vec(arb_op(), 1..25),
@@ -164,6 +203,20 @@ proptest! {
         let recovered = open(fs).expect("recover");
         prop_assert!(recovered.set().content_eq(&live));
         prop_assert_eq!(recovered.set().log().len(), live.log().len());
+
+        let fs: Arc<dyn StoreFs> = Arc::new(MemFs::new());
+        let mut store = open_with(Arc::clone(&fs), FsyncPolicy::Never).expect("open");
+        let mut plain = KnowledgeSet::new();
+        for op in &ops {
+            apply_op(&mut store, op).expect("no faults injected");
+            apply_plain(&mut plain, op);
+        }
+        let plain_json = to_json(&plain).expect("serialize");
+        prop_assert_eq!(to_json(store.set()).expect("serialize"), plain_json.clone());
+        drop(store);
+        let reloaded = open_with(fs, FsyncPolicy::Never).expect("reload");
+        prop_assert_eq!(reloaded.recovery_report().outcome, RecoveryOutcome::Clean);
+        prop_assert_eq!(to_json(reloaded.set()).expect("serialize"), plain_json);
     }
 
     /// Property 3: under random storage faults the store may lose

@@ -5,8 +5,8 @@
 //! rate limits, malformed payloads, latency spikes, wrong-variant
 //! responses, and garbled SQL — from a schedule derived purely from
 //! `(seed, call counter)`. Two runs with the same seed and call sequence
-//! therefore inject byte-identical faults, which is what makes chaos
-//! sweeps and the fault property tests reproducible.
+//! therefore inject byte-identical faults, which is what makes the fault
+//! property tests reproducible.
 //!
 //! The counter (not the request content) drives the schedule: a retried
 //! request advances to the next slot, so a transient fault clears on
@@ -80,17 +80,8 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// A config injecting only transient errors — the headline knob of the
-    /// chaos sweep.
-    pub fn transient_only(rate: f64) -> FaultConfig {
-        FaultConfig {
-            transient: rate,
-            ..FaultConfig::default()
-        }
-    }
-
     /// A config exercising every *returning* category at the same rate.
-    /// Used by the property tests and the mixed-fault chaos rows.
+    /// Used by the property tests.
     /// Panics are deliberately excluded: they unwind instead of
     /// returning, so they are only safe above a `catch_unwind` boundary
     /// (see [`FaultConfig::panic_only`]).
@@ -109,9 +100,9 @@ impl FaultConfig {
         }
     }
 
-    /// A config injecting only poison-pill panics — the headline knob of
-    /// the resilience sweep. The wrapped call unwinds at `rate`; callers
-    /// must run under `catch_unwind` (the serving runtime does).
+    /// A config injecting only poison-pill panics. The wrapped call
+    /// unwinds at `rate`; callers must run under `catch_unwind` (the
+    /// serving runtime does).
     pub fn panic_only(rate: f64) -> FaultConfig {
         FaultConfig {
             panic: rate,
@@ -419,7 +410,8 @@ mod tests {
         // Rate 1.0 for transient only: every call fails — proving faults
         // key off the counter, a retried identical request still draws a
         // fresh slot (here: all slots fault, but the counter moved).
-        let injector = FaultInjector::new(Fixed, FaultConfig::transient_only(1.0), 7);
+        let config = FaultConfig::only(FaultKind::Transient, 1.0);
+        let injector = FaultInjector::new(Fixed, config, 7);
         assert!(injector.complete(&sql_request()).is_err());
         assert!(injector.complete(&sql_request()).is_err());
         assert_eq!(injector.log().transient, 2);

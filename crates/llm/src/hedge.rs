@@ -647,6 +647,50 @@ mod tests {
         );
     }
 
+    /// Hedging costs exactly one extra round trip per straggler: over `n`
+    /// calls of which `k` straggle far past the delay, `fired` is `k`, and
+    /// a call that beats the delay never fires one.
+    #[test]
+    fn hedges_fire_for_stragglers_and_only_for_stragglers() {
+        let stragglers = [1usize, 4, 5, 8];
+        let n = 10;
+        // The script is indexed by model call: a straggling primary is
+        // followed by its duplicate, which answers at once.
+        let script = (0..n)
+            .flat_map(|i| {
+                if stragglers.contains(&i) {
+                    vec![Step::BlockUntilCancelled, Step::Ready]
+                } else {
+                    vec![Step::Ready]
+                }
+            })
+            .collect();
+        // A delay far above a ready call's latency, even in a debug build
+        // on a busy machine, so only the stragglers can cross it.
+        let policy = HedgePolicy {
+            min_delay: Duration::from_millis(50),
+            max_delay: Duration::from_millis(50),
+            ..eager_policy()
+        };
+        let hedged = preheated(HedgedModel::new(ScriptedModel::new(script), policy));
+        for i in 0..n {
+            let before = hedged.stats().fired;
+            hedged.complete(&request()).expect("every call answers");
+            let fired = hedged.stats().fired - before;
+            assert_eq!(fired, u64::from(stragglers.contains(&i)), "call {i}");
+        }
+        let k = stragglers.len();
+        assert_eq!(
+            hedged.stats(),
+            HedgeStats {
+                fired: k as u64,
+                won: k as u64,
+                wasted: 0
+            }
+        );
+        assert_eq!(hedged.inner().calls.load(Ordering::SeqCst), n + k);
+    }
+
     #[test]
     fn hedged_and_unhedged_results_are_byte_identical() {
         // Same deterministic payloads, wildly different timing scripts.

@@ -5,9 +5,8 @@
 //! resilience layer the pipeline wraps around every model call:
 //!
 //! - [`Clock`] — injectable time source. [`SystemClock`] for production,
-//!   [`SimulatedClock`] for tests and chaos sweeps (no wall-clock sleeps,
-//!   and the total simulated backoff is the "retry overhead" number the
-//!   chaos benchmark reports).
+//!   [`SimulatedClock`] for tests (no wall-clock sleeps, and the total
+//!   simulated backoff is the run's retry overhead).
 //! - [`RetryPolicy`] / [`BreakerPolicy`] / [`ResiliencePolicy`] — plain
 //!   data, so the pipeline config can carry them.
 //! - [`ResilienceState`] — the shared (Arc) runtime state: one circuit

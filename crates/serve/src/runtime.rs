@@ -58,14 +58,10 @@ use std::time::{Duration, Instant};
 /// roughly `timeout + DRAIN_GRACE` plus join overhead.
 pub const DRAIN_GRACE: Duration = Duration::from_millis(250);
 
-/// Observability-plane configuration for a [`ServeRuntime`].
-#[derive(Debug, Clone)]
+/// Observability-plane configuration for a [`ServeRuntime`]. Metrics are
+/// always recorded; these are the optional parts on top.
+#[derive(Debug, Clone, Default)]
 pub struct ObsConfig {
-    /// When false, the runtime records into a disabled
-    /// [`MetricsRegistry`] — every instrumentation call is a cheap
-    /// early return. The `obs_sweep` benchmark uses this as the
-    /// zero-cost baseline for its overhead gate.
-    pub metrics: bool,
     /// SLO to track over completed requests. When set, every completion
     /// feeds a burn-rate tracker; an alert transition to firing triggers
     /// a flight-recorder dump (if both a recorder and `dump_path` are
@@ -77,17 +73,6 @@ pub struct ObsConfig {
     pub recorder: Option<RecorderConfig>,
     /// Where to write the flight-recorder JSONL dump on an SLO breach.
     pub dump_path: Option<PathBuf>,
-}
-
-impl Default for ObsConfig {
-    fn default() -> ObsConfig {
-        ObsConfig {
-            metrics: true,
-            slo: None,
-            recorder: None,
-            dump_path: None,
-        }
-    }
 }
 
 /// Serving runtime configuration.
@@ -123,8 +108,8 @@ pub struct ServeConfig {
     /// batch. The default ([`HedgePolicy::disabled`]) passes calls
     /// straight through.
     pub hedge: HedgePolicy,
-    /// Observability plane: metrics enablement, SLO burn-rate alerting,
-    /// and the tail-sampling flight recorder.
+    /// Observability plane: SLO burn-rate alerting and the tail-sampling
+    /// flight recorder.
     pub observability: ObsConfig,
     /// Worker-pool supervision policy: how aggressively retired (panicked)
     /// workers are respawned, and the per-slot respawn budget.
@@ -302,11 +287,7 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
         config: ServeConfig,
     ) -> io::Result<ServeRuntime<M>> {
         let workers = config.workers.max(1);
-        let metrics = Arc::new(if config.observability.metrics {
-            MetricsRegistry::new()
-        } else {
-            MetricsRegistry::disabled()
-        });
+        let metrics = Arc::new(MetricsRegistry::new());
         let slo = config.observability.slo.clone().map(|slo_config| {
             SloTracker::new(slo_config, Arc::new(SystemClock::new()) as Arc<dyn Clock>)
         });

@@ -1,10 +1,11 @@
 //! Property tests for the serving runtime's panic containment: under an
 //! arbitrary seeded poison-pill schedule, every admitted ticket resolves
-//! to a terminal outcome and the result cache never serves a corrupted
-//! (unvalidated) entry.
+//! to a terminal outcome, the result cache never serves a corrupted
+//! (unvalidated) entry, and every validated answer is the one the
+//! pipeline gives with no faults at all.
 
 use genedit_bird::{DomainBundle, SPORTS};
-use genedit_core::KnowledgeIndex;
+use genedit_core::{GenEditPipeline, KnowledgeIndex};
 use genedit_llm::{FaultConfig, FaultInjector, OracleConfig, OracleModel, TaskRegistry};
 use genedit_serve::{QueryOutcome, QueryRequest, ServeConfig, ServeRuntime, SupervisorConfig};
 use proptest::prelude::*;
@@ -56,12 +57,32 @@ fn oracle() -> OracleModel {
     )
 }
 
+/// The fault-free answer to each question `picks` can name, from a
+/// direct pipeline run over the same knowledge and database.
+fn clean_fingerprints() -> &'static [String] {
+    static CLEAN: OnceLock<Vec<String>> = OnceLock::new();
+    CLEAN.get_or_init(|| {
+        let bundle = bundle();
+        let index = KnowledgeIndex::build(bundle.build_knowledge());
+        let pipeline = GenEditPipeline::new(oracle());
+        (0..8)
+            .map(|i| {
+                let task = &bundle.tasks[i % bundle.tasks.len()];
+                pipeline
+                    .generate(&task.question, &index, &bundle.db, &[])
+                    .fingerprint()
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12 })]
 
     /// For any (seed, panic rate, request mix, pool size): every ticket
-    /// resolves, panicked requests fail cleanly, and no cache hit ever
-    /// replays an unvalidated result.
+    /// resolves, panicked requests fail cleanly, no cache hit ever
+    /// replays an unvalidated result, and every validated result is the
+    /// fault-free answer to its question.
     #[test]
     fn arbitrary_panic_schedules_strand_nothing(
         seed in any::<u64>(),
@@ -103,7 +124,7 @@ proptest! {
             })
             .collect();
         let deadline = Instant::now() + Duration::from_secs(60);
-        for ticket in &tickets {
+        for (ticket, &pick) in tickets.iter().zip(&picks) {
             let outcome = loop {
                 if let Some(outcome) = ticket.try_wait() {
                     break outcome;
@@ -121,6 +142,13 @@ proptest! {
                         prop_assert!(
                             result.validated,
                             "cache replayed an unvalidated result"
+                        );
+                    }
+                    if result.validated {
+                        prop_assert_eq!(
+                            &result.fingerprint(),
+                            &clean_fingerprints()[pick],
+                            "validated answer differs from the fault-free one"
                         );
                     }
                 }

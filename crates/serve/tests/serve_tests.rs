@@ -656,7 +656,6 @@ fn request_id_joins_spans_exemplars_and_recorder() {
             result_cache_capacity: 0,
             reform_cache_capacity: 0,
             observability: ObsConfig {
-                metrics: true,
                 slo: None,
                 // Sample *every* normal request so the join is total.
                 recorder: Some(RecorderConfig {
@@ -862,7 +861,6 @@ fn slo_breach_dumps_joinable_flight_record() {
             result_cache_capacity: 0,
             reform_cache_capacity: 0,
             observability: ObsConfig {
-                metrics: true,
                 // 100% errors → burn = 1/0.01 = 100 ≫ 14.4: the fast
                 // rule fires as soon as min_samples (10) arrive.
                 slo: Some(SloConfig::default_rules("serve.request", 0.99, 60_000.0)),
@@ -1030,4 +1028,83 @@ fn cold_tenant_pages_in_and_matches_all_in_ram_path() {
     assert_eq!(runtime.metrics().counter("serve.tenant.error"), 0);
 
     runtime.shutdown();
+}
+
+/// Counts its calls in flight and records the peak. Each call first waits
+/// (up to a second, once) for `target` calls to be inside the model at the
+/// same time, so a pool that can overlap reaches the target on its first
+/// calls instead of by lucky timing, and one that cannot fails fast.
+struct OverlapModel<M> {
+    inner: M,
+    target: usize,
+    state: Mutex<Overlap>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct Overlap {
+    inflight: usize,
+    peak: usize,
+    gave_up: bool,
+}
+
+impl<M: LanguageModel> LanguageModel for OverlapModel<M> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, ModelError> {
+        let mut state = self.state.lock().unwrap();
+        state.inflight += 1;
+        state.peak = state.peak.max(state.inflight);
+        self.cv.notify_all();
+        let (mut state, wait) = self
+            .cv
+            .wait_timeout_while(state, Duration::from_secs(1), |s| {
+                s.peak < self.target && !s.gave_up
+            })
+            .unwrap();
+        state.gave_up |= wait.timed_out();
+        drop(state);
+        let response = self.inner.complete(request);
+        self.state.lock().unwrap().inflight -= 1;
+        response
+    }
+}
+
+/// Four workers run four requests at once: with eight queued, exactly
+/// four model calls are ever in flight together — never fewer (workers
+/// serialised somewhere) and never more (more workers than configured).
+#[test]
+fn four_workers_overlap_four_requests() {
+    let (bundle, ks, oracle) = setup();
+    let model = Arc::new(OverlapModel {
+        inner: oracle,
+        target: 4,
+        state: Mutex::new(Overlap::default()),
+        cv: Condvar::new(),
+    });
+    let runtime = ServeRuntime::start(
+        Arc::clone(&model),
+        Arc::new(KnowledgeIndex::build(ks)),
+        0,
+        Arc::new(bundle.db.clone()),
+        ServeConfig {
+            workers: 4,
+            result_cache_capacity: 0,
+            reform_cache_capacity: 0,
+            ..ServeConfig::default()
+        },
+    );
+    let tickets: Vec<_> = (0..8)
+        .map(|i| {
+            let question = &bundle.tasks[i % bundle.tasks.len()].question;
+            runtime.submit(QueryRequest::new("acme", question)).unwrap()
+        })
+        .collect();
+    for ticket in tickets {
+        completed(&ticket.wait());
+    }
+    runtime.shutdown();
+    assert_eq!(model.state.lock().unwrap().peak, 4);
 }

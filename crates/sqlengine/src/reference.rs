@@ -2,8 +2,8 @@
 //!
 //! This is the original materializing executor. It plays two roles:
 //! end to end it is the oracle (`execute_sql_reference`) that
-//! `sql_sweep`, `benchmark/` and the differential suites compare the
-//! vectorized engine against byte for byte; and its pieces —
+//! `benchmark/` and the differential suites compare the vectorized
+//! engine against byte for byte; and its pieces —
 //! [`filter_rows`], [`join`], [`finish_rows`] — are the *only* fallback
 //! the vectorized engine has, called (never copied) whenever a
 //! predicate, join condition or SELECT body does not lower to batch

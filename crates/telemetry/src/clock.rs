@@ -52,8 +52,8 @@ impl Clock for SystemClock {
 }
 
 /// Virtual time: `sleep` advances an internal counter instantly. The
-/// counter doubles as the total backoff a run would have waited — the
-/// retry-overhead figure the chaos sweep reports.
+/// counter doubles as the total backoff a run would have waited — its
+/// retry overhead.
 #[derive(Default)]
 pub struct SimulatedClock {
     state: Mutex<SimState>,

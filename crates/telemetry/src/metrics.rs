@@ -73,9 +73,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// A no-op registry: every recording call returns immediately. The
-    /// `obs_sweep` benchmark measures instrumentation overhead against
-    /// this baseline.
+    /// A no-op registry: every recording call returns immediately. For
+    /// components built before (or without) a runtime's registry.
     pub fn disabled() -> MetricsRegistry {
         MetricsRegistry {
             enabled: false,
@@ -296,8 +295,7 @@ pub struct HistogramSummary {
 impl HistogramSummary {
     /// Summarize raw samples with **exact** nearest-rank percentiles.
     /// Empty input yields the all-zero summary. This is the reference
-    /// implementation the log-linear histograms are validated against
-    /// (property tests, `obs_sweep`).
+    /// implementation the log-linear histograms approximate.
     pub fn from_samples(samples: &[f64]) -> HistogramSummary {
         if samples.is_empty() {
             return HistogramSummary {

@@ -90,9 +90,9 @@ impl Default for RecorderConfig {
     }
 }
 
-/// Retention accounting, reported alongside dumps and asserted by the
-/// `obs_sweep` gate (`evicted_interesting == 0` under the sweep's
-/// sizing).
+/// Retention accounting, reported alongside dumps. `obs_proptests`
+/// asserts `evicted_interesting == 0` whenever the interesting ring has
+/// room for every interesting request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RecorderStats {
     /// Requests offered to the recorder.

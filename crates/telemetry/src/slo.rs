@@ -15,7 +15,7 @@
 //! [`SloTracker`] feeds request outcomes into an [`IntervalRing`] and
 //! runs a tiny alert state machine (`Ok ⇄ Firing`). All time comes from
 //! an injected [`Clock`], so breach schedules replay deterministically
-//! under a `SimulatedClock` — the `obs_sweep` gate depends on that.
+//! under a `SimulatedClock` — the module's tests depend on that.
 
 use crate::clock::Clock;
 use crate::window::{IntervalRing, WindowCounts};

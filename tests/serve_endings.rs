@@ -246,7 +246,6 @@ impl Fixture {
                     probe_quota: 1,
                 },
                 observability: ObsConfig {
-                    metrics: true,
                     // Any bad sample at all fires, once enough arrived.
                     slo: Some(SloConfig {
                         name: "serve.request".to_string(),
