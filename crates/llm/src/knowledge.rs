@@ -9,9 +9,13 @@
 //! this registry.
 
 use crate::mutate;
+use genedit_knowledge::{decompose, SqlFragment};
+use genedit_sql::analysis::{complexity, referenced_columns};
 use genedit_sql::ast::{Query, Statement};
 use genedit_sql::parser::parse_statement;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 
 /// BIRD difficulty strata (§3.3, Table 1).
@@ -163,18 +167,74 @@ impl TaskKnowledge {
     }
 }
 
+/// What the oracle needs of a task that does not depend on the prompt,
+/// derived from the gold SQL once, when the task is registered. The
+/// parsed query itself is not kept: the oracle parses the gold again only
+/// on a call that mutates it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TaskFacts {
+    gold_sql: String,
+    fragments: Vec<SqlFragment>,
+    complexity: u32,
+    referenced_columns: BTreeSet<String>,
+}
+
+impl TaskFacts {
+    /// Derive the facts of `task`; panics, naming the task, when its gold
+    /// SQL does not parse.
+    fn derive(task: &TaskKnowledge) -> TaskFacts {
+        let gold = task.gold_query();
+        TaskFacts {
+            gold_sql: gold.to_string(),
+            fragments: decompose(&gold),
+            complexity: complexity(&gold).total(),
+            referenced_columns: referenced_columns(&gold),
+        }
+    }
+
+    /// The gold query as the SQL printer renders it.
+    pub fn gold_sql(&self) -> &str {
+        &self.gold_sql
+    }
+
+    /// `decompose` of the gold query.
+    pub fn fragments(&self) -> &[SqlFragment] {
+        &self.fragments
+    }
+
+    /// `complexity(..).total()` of the gold query.
+    pub fn complexity(&self) -> u32 {
+        self.complexity
+    }
+
+    /// `referenced_columns` of the gold query.
+    pub fn referenced_columns(&self) -> &BTreeSet<String> {
+        &self.referenced_columns
+    }
+}
+
 /// Registry mapping questions to task knowledge. Lookup is by normalized
 /// token multiset, robust to the pipeline's canonical reformulation
 /// ("Show me …" prefixes and similar).
+///
+/// Every token of every registered question is interned to an id, so a
+/// lookup compares ids, not strings. A question token the registry has
+/// never seen matches no task; it only counts towards the union.
 #[derive(Debug, Clone, Default)]
 pub struct TaskRegistry {
     tasks: Vec<TaskKnowledge>,
-    by_norm: HashMap<String, usize>,
-    /// Each task's content-token set, computed once at registration: the
-    /// pipeline asks every operator after the first about the
-    /// *reformulated* question, which the exact map never holds, so the
-    /// overlap scan below is the common path, not the fallback.
-    content: Vec<BTreeSet<String>>,
+    facts: Vec<TaskFacts>,
+    /// Token → id, over every registered question.
+    ids: HashMap<String, u32>,
+    /// Per id: whether the token is a stopword.
+    stopword: Vec<bool>,
+    /// Each question's token ids, sorted, repeats kept: the exact match.
+    by_norm: HashMap<Vec<u32>, usize>,
+    /// Each task's content-token ids, sorted and distinct: the pipeline
+    /// asks every operator after the first about the *reformulated*
+    /// question, which the exact map never holds, so the overlap scan
+    /// below is the common path, not the fallback.
+    content: Vec<Vec<u32>>,
 }
 
 impl TaskRegistry {
@@ -183,11 +243,33 @@ impl TaskRegistry {
         TaskRegistry::default()
     }
 
-    /// Register one task, indexed by its normalized question.
+    /// Register one task, indexed by its normalized question, and derive
+    /// its [`TaskFacts`]. Panics when the gold SQL does not parse (a
+    /// benchmark bug): here, once, not on every model call for the task.
     pub fn register(&mut self, task: TaskKnowledge) {
-        let key = normalize(&task.question);
-        self.by_norm.insert(key, self.tasks.len());
-        self.content.push(content_tokens(&task.question));
+        self.facts.push(TaskFacts::derive(&task));
+        let mut all = Vec::new();
+        let mut content = Vec::new();
+        for token in tokens(&task.question) {
+            let id = match self.ids.get(token.as_ref()) {
+                Some(&id) => id,
+                None => {
+                    let id = self.stopword.len() as u32;
+                    self.stopword.push(STOPWORDS.contains(&token.as_ref()));
+                    self.ids.insert(token.into_owned(), id);
+                    id
+                }
+            };
+            all.push(id);
+            if !self.stopword[id as usize] {
+                content.push(id);
+            }
+        }
+        all.sort_unstable();
+        content.sort_unstable();
+        content.dedup();
+        self.by_norm.insert(all, self.tasks.len());
+        self.content.push(content);
         self.tasks.push(task);
     }
 
@@ -206,25 +288,67 @@ impl TaskRegistry {
         &self.tasks
     }
 
+    /// Every registered task's facts, in registration order.
+    pub fn facts(&self) -> &[TaskFacts] {
+        &self.facts
+    }
+
     /// Look a task up by its benchmark id.
     pub fn by_id(&self, task_id: &str) -> Option<&TaskKnowledge> {
         self.tasks.iter().find(|t| t.task_id == task_id)
     }
 
     /// Find the task a question refers to. Exact normalized match first,
-    /// then best *content-token* overlap (≥ 0.6 Jaccard) — canonical
-    /// reformulation rewrites function words ("How many …" → "Show me the
-    /// number of …") but keeps the content words.
+    /// then best *content-token* overlap (≥ 0.6 Jaccard, the earliest
+    /// registered task winning a tie) — canonical reformulation rewrites
+    /// function words ("How many …" → "Show me the number of …") but keeps
+    /// the content words.
     pub fn lookup(&self, question: &str) -> Option<&TaskKnowledge> {
-        let key = normalize(question);
-        if let Some(&i) = self.by_norm.get(&key) {
-            return Some(&self.tasks[i]);
+        self.position(question).map(|i| &self.tasks[i])
+    }
+
+    /// [`TaskRegistry::lookup`], with the task's facts.
+    pub fn lookup_with_facts(&self, question: &str) -> Option<(&TaskKnowledge, &TaskFacts)> {
+        self.position(question)
+            .map(|i| (&self.tasks[i], &self.facts[i]))
+    }
+
+    fn position(&self, question: &str) -> Option<usize> {
+        let mut all = Vec::new();
+        let mut content = Vec::new();
+        // Distinct content tokens of the question that no task has.
+        let mut unseen: Vec<Cow<str>> = Vec::new();
+        let mut all_seen = true;
+        for token in tokens(question) {
+            match self.ids.get(token.as_ref()) {
+                Some(&id) => {
+                    all.push(id);
+                    if !self.stopword[id as usize] {
+                        content.push(id);
+                    }
+                }
+                None => {
+                    all_seen = false;
+                    if !STOPWORDS.contains(&token.as_ref()) && !unseen.contains(&token) {
+                        unseen.push(token);
+                    }
+                }
+            }
         }
-        let q_tokens = content_tokens(question);
+        // A question with an unseen token has no exact match.
+        if all_seen {
+            all.sort_unstable();
+            if let Some(&i) = self.by_norm.get(&all) {
+                return Some(i);
+            }
+        }
+        content.sort_unstable();
+        content.dedup();
+        let q_len = content.len() + unseen.len();
         let mut best: Option<(f64, usize)> = None;
-        for (i, t_tokens) in self.content.iter().enumerate() {
-            let inter = q_tokens.intersection(t_tokens).count();
-            let union = q_tokens.len() + t_tokens.len() - inter;
+        for (i, t_content) in self.content.iter().enumerate() {
+            let inter = intersection_len(&content, t_content);
+            let union = q_len + t_content.len() - inter;
             if union == 0 {
                 continue;
             }
@@ -234,17 +358,41 @@ impl TaskRegistry {
             }
         }
         match best {
-            Some((score, i)) if score >= 0.6 => Some(&self.tasks[i]),
+            Some((score, i)) if score >= 0.6 => Some(i),
             _ => None,
         }
     }
 }
 
-fn tokens(text: &str) -> Vec<String> {
+/// The size of the intersection of two sorted, distinct id lists.
+fn intersection_len(a: &[u32], b: &[u32]) -> usize {
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                n += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    n
+}
+
+/// Lowercased alphanumeric runs; a run with nothing to lowercase is
+/// borrowed, not copied.
+fn tokens(text: &str) -> impl Iterator<Item = Cow<'_, str>> {
     text.split(|c: char| !c.is_alphanumeric())
         .filter(|t| !t.is_empty())
-        .map(|t| t.to_lowercase())
-        .collect()
+        .map(|t| {
+            if t.bytes().any(|b| b.is_ascii_uppercase() || !b.is_ascii()) {
+                Cow::Owned(t.to_lowercase())
+            } else {
+                Cow::Borrowed(t)
+            }
+        })
 }
 
 /// Function words that reformulation adds or removes, plus prepositions
@@ -257,22 +405,15 @@ const STOPWORDS: &[&str] = &[
     "for", "at", "on", "by", "per", "to", "and", "or", "with", "from",
 ];
 
-fn content_tokens(text: &str) -> BTreeSet<String> {
-    tokens(text)
-        .into_iter()
-        .filter(|t| !STOPWORDS.contains(&t.as_str()))
-        .collect()
-}
-
-fn normalize(text: &str) -> String {
-    let mut t = tokens(text);
-    t.sort();
-    t.join(" ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn normalize(text: &str) -> String {
+        let mut t: Vec<_> = tokens(text).collect();
+        t.sort();
+        t.join(" ")
+    }
 
     fn task(id: &str, question: &str) -> TaskKnowledge {
         TaskKnowledge {
@@ -406,5 +547,15 @@ mod tests {
         let mut t = task("t1", "q");
         t.gold_sql = "SELEC nope".into();
         t.gold_query();
+    }
+
+    /// Malformed gold fails once, where the task is registered, not inside
+    /// every model call a serving worker makes for it.
+    #[test]
+    #[should_panic(expected = "gold SQL for task t1 does not parse")]
+    fn malformed_gold_panics_at_registration() {
+        let mut t = task("t1", "q");
+        t.gold_sql = "SELEC nope".into();
+        TaskRegistry::new().register(t);
     }
 }

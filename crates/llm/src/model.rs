@@ -278,7 +278,7 @@ impl<M: LanguageModel> LanguageModel for RecordingModel<M> {
             let mut u = self.usage_lock();
             let label = kind_label(request.prompt.task);
             *u.calls.entry(label).or_insert(0) += 1;
-            *u.prompt_chars.entry(label).or_insert(0) += request.prompt.render().len();
+            *u.prompt_chars.entry(label).or_insert(0) += request.prompt.rendered_len();
         }
         self.inner.complete(request)
     }
@@ -292,7 +292,7 @@ impl<M: LanguageModel> LanguageModel for RecordingModel<M> {
             for request in requests {
                 let label = kind_label(request.prompt.task);
                 *u.calls.entry(label).or_insert(0) += 1;
-                *u.prompt_chars.entry(label).or_insert(0) += request.prompt.render().len();
+                *u.prompt_chars.entry(label).or_insert(0) += request.prompt.rendered_len();
             }
         }
         self.inner.complete_batch(requests)
@@ -324,7 +324,7 @@ impl<M: LanguageModel> LanguageModel for TracedModel<'_, M> {
     fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, ModelError> {
         let span = self.tracer.span(genedit_telemetry::names::LLM_COMPLETE);
         span.attr("task", kind_label(request.prompt.task))
-            .attr("prompt_chars", request.prompt.render().len())
+            .attr("prompt_chars", request.prompt.rendered_len())
             .attr("seed", request.seed);
         let response = self.inner.complete(request);
         if let Err(err) = &response {

@@ -26,12 +26,22 @@
 //!
 //! All stochastic choices are FNV-hashed from (task id, site, attempt,
 //! seed): the same run always produces the same results.
+//!
+//! ## What a call derives
+//!
+//! Only what depends on its prompt. Each task's prompt-independent facts
+//! — the rendered gold SQL, its `decompose` fragments, its complexity
+//! total and its referenced columns — are derived once, when the task is
+//! registered ([`crate::knowledge::TaskFacts`]), and the question is
+//! resolved to its task over interned token ids. [`OracleModel`]'s SQL
+//! generation parses the gold query only when a drift or corruption
+//! fires; otherwise it returns the stored rendering. No parsed query is
+//! kept per task, to keep the registry small.
 
-use crate::knowledge::{Corruption, TaskRegistry};
+use crate::knowledge::{Corruption, TaskKnowledge, TaskRegistry};
 use crate::model::{CompletionRequest, CompletionResponse, LanguageModel, ModelError};
 use crate::prompt::{Plan, PlanStep, Prompt, TaskKind};
 use genedit_knowledge::{decompose, describe_fragment, FragmentKind};
-use genedit_sql::analysis::complexity;
 use genedit_sql::ast::Query;
 use genedit_telemetry::hash::{hash01, hash_u64};
 
@@ -194,12 +204,11 @@ impl OracleModel {
     }
 
     fn link_schema(&self, prompt: &Prompt, seed: u64) -> Vec<String> {
-        let task = match self.registry.lookup(&prompt.question) {
-            Some(t) => t,
+        let (task, facts) = match self.registry.lookup_with_facts(&prompt.question) {
+            Some(hit) => hit,
             None => return prompt.schema.iter().map(|s| s.key()).collect(),
         };
-        let gold = task.gold_query();
-        let needed_cols = genedit_sql::analysis::referenced_columns(&gold);
+        let needed_cols = facts.referenced_columns();
         let mut out = Vec::new();
         for el in &prompt.schema {
             let table_needed = task
@@ -232,12 +241,11 @@ impl OracleModel {
     }
 
     fn generate_plan(&self, prompt: &Prompt, seed: u64) -> Plan {
-        let task = match self.registry.lookup(&prompt.question) {
-            Some(t) => t,
+        let (task, facts) = match self.registry.lookup_with_facts(&prompt.question) {
+            Some(hit) => hit,
             None => return Plan::default(),
         };
-        let gold = task.gold_query();
-        let fragments = decompose(&gold);
+        let fragments = facts.fragments();
         let (supported_kinds, full_query_examples) = prompt.example_support();
 
         let mut steps = Vec::new();
@@ -277,8 +285,8 @@ impl OracleModel {
     }
 
     fn generate_sql(&self, prompt: &Prompt, seed: u64) -> String {
-        let task = match self.registry.lookup(&prompt.question) {
-            Some(t) => t,
+        let (task, facts) = match self.registry.lookup_with_facts(&prompt.question) {
+            Some(hit) => hit,
             None => {
                 // Unknown question: an honest model guesses from schema.
                 let table = prompt
@@ -289,9 +297,11 @@ impl OracleModel {
                 return format!("SELECT * FROM {table} LIMIT 10");
             }
         };
-        let mut gold = task.gold_query();
+        // Parsed on the first drift or corruption that fires; a call that
+        // fires none returns the rendering stored at registration.
+        let mut gold: Option<Query> = None;
         let attempt = prompt.attempt();
-        let cscore = complexity(&gold).total();
+        let cscore = facts.complexity();
 
         // --- 0. benchmark imprecision ----------------------------------
         // Method-, attempt-, and seed-independent: the same slice of tasks
@@ -301,7 +311,10 @@ impl OracleModel {
         // Challenging column approaches its Simple column (Table 1).
         let noise_p = (self.config.noise_rate * (1.0 + cscore as f64 / 40.0)).min(0.5);
         if hash01(&[&task.task_id, "benchmark-noise"], 0) < noise_p {
-            apply_drift(&mut gold, hash_u64(&[&task.task_id, "noise-site"], 0));
+            apply_drift(
+                parsed(&mut gold, task),
+                hash_u64(&[&task.task_id, "noise-site"], 0),
+            );
         }
 
         // --- 0b. canonical-form misreading ------------------------------
@@ -316,7 +329,10 @@ impl OracleModel {
             .starts_with("show me")
             && hash01(&[&task.task_id, "canonical"], 0) < canonical_p
         {
-            apply_drift(&mut gold, hash_u64(&[&task.task_id, "canonical-site"], 0));
+            apply_drift(
+                parsed(&mut gold, task),
+                hash_u64(&[&task.task_id, "canonical-site"], 0),
+            );
         }
 
         // --- 1. enterprise-term requirements ---------------------------
@@ -381,7 +397,10 @@ impl OracleModel {
             // answering a slightly different question, so self-correction
             // cannot see it. (Attempt-independent for the same reason.)
             if hash01(&[&task.task_id, "overload"], seed) < p {
-                apply_drift(&mut gold, hash_u64(&[&task.task_id, "overload-site"], seed));
+                apply_drift(
+                    parsed(&mut gold, task),
+                    hash_u64(&[&task.task_id, "overload-site"], seed),
+                );
             }
         }
 
@@ -415,7 +434,7 @@ impl OracleModel {
                     ) < p
                     {
                         apply_drift(
-                            &mut gold,
+                            parsed(&mut gold, task),
                             hash_u64(&[&task.task_id, "driftsite", &i.to_string()], seed),
                         );
                     }
@@ -437,7 +456,7 @@ impl OracleModel {
                     ) < self.config.overflow_drift_probability;
                     if fires {
                         apply_drift(
-                            &mut gold,
+                            parsed(&mut gold, task),
                             hash_u64(
                                 &[
                                     &task.task_id,
@@ -470,11 +489,17 @@ impl OracleModel {
             });
         }
 
-        for c in &corruptions {
-            c.apply(&mut gold);
+        if !corruptions.is_empty() {
+            let gold = parsed(&mut gold, task);
+            for c in &corruptions {
+                c.apply(gold);
+            }
         }
 
-        let sql = gold.to_string();
+        let sql = match gold {
+            Some(mutated) => mutated.to_string(),
+            None => facts.gold_sql().to_string(),
+        };
         if truncate {
             crate::mutate::truncate_sql(&sql, 0.62)
         } else {
@@ -506,6 +531,11 @@ impl LanguageModel for OracleModel {
             }
         })
     }
+}
+
+/// The gold query to mutate, parsed on first use.
+fn parsed<'q>(gold: &'q mut Option<Query>, task: &TaskKnowledge) -> &'q mut Query {
+    gold.get_or_insert_with(|| task.gold_query())
 }
 
 /// Apply one structural drift corruption chosen by `salt` from the

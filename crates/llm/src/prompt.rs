@@ -10,7 +10,7 @@
 use genedit_knowledge::{FragmentKind, SchemaElement};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 /// What the model is being asked to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -139,26 +139,32 @@ impl Plan {
     /// steps where each element is a pair of step description in natural
     /// language and pseudo-SQL".
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"steps\": [");
+        let mut out = String::new();
+        // Writing to a `String` cannot fail.
+        let _ = self.write_json(&mut out);
+        out
+    }
+
+    fn write_json<W: Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_str("{\"steps\": [")?;
         for (i, s) in self.steps.iter().enumerate() {
             if i > 0 {
-                out.push_str(", ");
+                out.write_str(", ")?;
             }
-            let pseudo = s
-                .pseudo_sql
-                .as_deref()
-                .map(|p| format!("\"... {} ...\"", p.replace('"', "\\\"")))
-                .unwrap_or_else(|| "null".to_string());
-            let _ = write!(
-                out,
-                "{{\"step\": {}, \"description\": \"{}\", \"pseudo_sql\": {}}}",
-                i + 1,
-                s.description.replace('"', "\\\""),
-                pseudo
-            );
+            write!(out, "{{\"step\": {}, \"description\": \"", i + 1)?;
+            write_escaped(out, &s.description)?;
+            out.write_str("\", \"pseudo_sql\": ")?;
+            match &s.pseudo_sql {
+                Some(p) => {
+                    out.write_str("\"... ")?;
+                    write_escaped(out, p)?;
+                    out.write_str(" ...\"")?;
+                }
+                None => out.write_str("null")?,
+            }
+            out.write_char('}')?;
         }
-        out.push_str("]}");
-        out
+        out.write_str("]}")
     }
 }
 
@@ -279,10 +285,26 @@ impl Prompt {
         (kinds, full_query)
     }
 
-    /// Render to text, Fig. 2 style. Used for size accounting and by the
-    /// examples/demo binaries.
+    /// Render to text, Fig. 2 style. Used by the examples/demo binaries;
+    /// size accounting uses [`Prompt::rendered_len`].
     pub fn render(&self) -> String {
         let mut out = String::new();
+        // Writing to a `String` cannot fail.
+        let _ = self.write_to(&mut out);
+        out
+    }
+
+    /// `render().len()` — the prompt's size in bytes — without building
+    /// the string.
+    pub fn rendered_len(&self) -> usize {
+        let mut count = ByteCount(0);
+        let _ = self.write_to(&mut count);
+        count.0
+    }
+
+    /// The one renderer behind [`Prompt::render`] and
+    /// [`Prompt::rendered_len`].
+    fn write_to<W: Write>(&self, out: &mut W) -> fmt::Result {
         let task = match self.task {
             TaskKind::Reformulate => "Reformulate the question into canonical form.",
             TaskKind::IntentClassification => "Classify the user intents of the question.",
@@ -295,89 +317,131 @@ impl Prompt {
                 "Write the SQL query following the plan and the provided knowledge."
             }
         };
-        let _ = writeln!(out, "## Task\n{task}\n");
-        let _ = writeln!(out, "## Question\n{}\n", self.question);
+        writeln!(out, "## Task\n{task}\n")?;
+        writeln!(out, "## Question\n{}\n", self.question)?;
         if !self.intent_candidates.is_empty() {
-            let _ = writeln!(
-                out,
-                "## Candidate intents\n{}\n",
-                self.intent_candidates.join(", ")
-            );
+            out.write_str("## Candidate intents\n")?;
+            write_joined(out, &self.intent_candidates)?;
+            out.write_str("\n\n")?;
         }
         if !self.schema.is_empty() {
-            out.push_str("## Schema\n");
+            out.write_str("## Schema\n")?;
             for s in &self.schema {
-                let mut line = s.key();
+                // `s.key()`, uppercased as it is written.
+                write_upper(out, &s.table)?;
+                if let Some(c) = &s.column {
+                    out.write_char('.')?;
+                    write_upper(out, c)?;
+                }
                 if !s.description.is_empty() {
-                    let _ = write!(line, " -- {}", s.description);
+                    write!(out, " -- {}", s.description)?;
                 }
                 if !s.top_values.is_empty() {
-                    let _ = write!(line, " [top: {}]", s.top_values.join(", "));
+                    out.write_str(" [top: ")?;
+                    write_joined(out, &s.top_values)?;
+                    out.write_char(']')?;
                 }
-                let _ = writeln!(out, "{line}");
+                out.write_char('\n')?;
             }
-            out.push('\n');
+            out.write_char('\n')?;
         }
         if !self.examples.is_empty() {
-            out.push_str("## Examples\n");
+            out.write_str("## Examples\n")?;
             for e in &self.examples {
-                let term = e
-                    .term
-                    .as_deref()
-                    .map(|t| format!("[{t}] "))
-                    .unwrap_or_default();
-                let _ = writeln!(out, "-- {term}{}", e.description);
+                out.write_str("-- ")?;
+                if let Some(t) = &e.term {
+                    write!(out, "[{t}] ")?;
+                }
+                writeln!(out, "{}", e.description)?;
                 match e.kind {
-                    Some(_) => {
-                        let _ = writeln!(out, "... {} ...", e.sql);
-                    }
-                    None => {
-                        let _ = writeln!(out, "{}", e.sql);
-                    }
+                    Some(_) => writeln!(out, "... {} ...", e.sql)?,
+                    None => writeln!(out, "{}", e.sql)?,
                 }
             }
-            out.push('\n');
+            out.write_char('\n')?;
         }
         if !self.instructions.is_empty() {
-            out.push_str("## Instructions\n");
+            out.write_str("## Instructions\n")?;
             for i in &self.instructions {
                 match &i.sql_hint {
-                    Some(h) => {
-                        let _ = writeln!(out, "- {} (e.g. `{h}`)", i.text);
-                    }
-                    None => {
-                        let _ = writeln!(out, "- {}", i.text);
-                    }
+                    Some(h) => writeln!(out, "- {} (e.g. `{h}`)", i.text)?,
+                    None => writeln!(out, "- {}", i.text)?,
                 }
             }
-            out.push('\n');
+            out.write_char('\n')?;
         }
         if !self.evidence.is_empty() {
-            out.push_str("## Evidence\n");
+            out.write_str("## Evidence\n")?;
             for e in &self.evidence {
-                let _ = writeln!(out, "- {e}");
+                writeln!(out, "- {e}")?;
             }
-            out.push('\n');
+            out.write_char('\n')?;
         }
         if let Some(plan) = &self.plan {
-            let _ = writeln!(out, "## Plan\n{}\n", plan.to_json());
+            out.write_str("## Plan\n")?;
+            plan.write_json(out)?;
+            out.write_str("\n\n")?;
         }
         if !self.errors.is_empty() {
-            out.push_str("## Errors from previous attempt\n");
+            out.write_str("## Errors from previous attempt\n")?;
             for e in &self.errors {
-                let _ = writeln!(out, "- {e}");
+                writeln!(out, "- {e}")?;
             }
-            out.push('\n');
+            out.write_char('\n')?;
         }
         if !self.hints.is_empty() {
-            out.push_str("## Hints\n");
+            out.write_str("## Hints\n")?;
             for h in &self.hints {
-                let _ = writeln!(out, "- {h}");
+                writeln!(out, "- {h}")?;
             }
-            out.push('\n');
+            out.write_char('\n')?;
         }
-        out
+        Ok(())
     }
+}
+
+/// A `fmt::Write` sink that only counts the bytes written to it.
+struct ByteCount(usize);
+
+impl Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+
+    fn write_char(&mut self, c: char) -> fmt::Result {
+        self.0 += c.len_utf8();
+        Ok(())
+    }
+}
+
+/// `text.to_uppercase()`, written char by char.
+fn write_upper<W: Write>(out: &mut W, text: &str) -> fmt::Result {
+    text.chars()
+        .flat_map(char::to_uppercase)
+        .try_for_each(|c| out.write_char(c))
+}
+
+/// `items.join(", ")`, written in place.
+fn write_joined<W: Write>(out: &mut W, items: &[String]) -> fmt::Result {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        out.write_str(item)?;
+    }
+    Ok(())
+}
+
+/// `text.replace('"', "\\\"")`, written in place.
+fn write_escaped<W: Write>(out: &mut W, text: &str) -> fmt::Result {
+    for (i, part) in text.split('"').enumerate() {
+        if i > 0 {
+            out.write_str("\\\"")?;
+        }
+        out.write_str(part)?;
+    }
+    Ok(())
 }
 
 /// Pull upper-case acronym-like tokens (length ≥ 2) out of free text, so a

@@ -172,7 +172,7 @@ impl<M: LanguageModel> LanguageModel for TieredModel<M> {
         // Account the spend on the *rendered* prompt size.
         {
             let mut ledger = self.ledger_lock();
-            let kchars = request.prompt.render().len() as f64 / 1000.0;
+            let kchars = request.prompt.rendered_len() as f64 / 1000.0;
             ledger.cost_units += kchars * tier.cost_per_kchar();
             match tier {
                 ModelTier::Full => ledger.full_calls += 1,

@@ -10,12 +10,18 @@
 //! duplicated or reordered token, an unseen token, upper-case and
 //! non-ASCII letters — plus hand-built edge cases (stopwords only, the
 //! empty string, a tie between two tasks, a score of exactly 0.6).
+//!
+//! The facts the registry derives once per task are held to the per-call
+//! derivations they replaced, from a fresh `gold_query()`.
 
-use genedit_bird::Workload;
+use genedit_bird::complexity::sweep_variants;
+use genedit_bird::{Workload, SPORTS};
+use genedit_knowledge::decompose;
 use genedit_llm::{
     CompletionRequest, CompletionResponse, Difficulty, LanguageModel, OracleModel, Prompt,
     TaskKind, TaskKnowledge, TaskRegistry,
 };
+use genedit_sql::analysis::{complexity, referenced_columns};
 use std::collections::{BTreeSet, HashMap};
 
 /// The lookup as it was written before the registry stored interned ids.
@@ -289,5 +295,34 @@ fn case_and_non_ascii_letters_fold_like_the_reference() {
         "οδοσ viewership per région",
     ] {
         assert_same(&registry, &reference, question);
+    }
+}
+
+#[test]
+fn stored_facts_equal_a_fresh_derivation_from_the_gold_query() {
+    let mut registry = Workload::standard(42).registry();
+    // The complexity sweep's chained-CTE tasks: the deepest gold queries.
+    for depth in 1..=8 {
+        for task in sweep_variants(&SPORTS, depth) {
+            registry.register(task);
+        }
+    }
+    assert_eq!(registry.facts().len(), registry.len());
+    for (task, facts) in registry.tasks().iter().zip(registry.facts()) {
+        let gold = task.gold_query();
+        let id = &task.task_id;
+        assert_eq!(facts.gold_sql(), gold.to_string(), "{id}");
+        assert_eq!(facts.fragments(), decompose(&gold).as_slice(), "{id}");
+        assert_eq!(facts.complexity(), complexity(&gold).total(), "{id}");
+        assert_eq!(
+            facts.referenced_columns(),
+            &referenced_columns(&gold),
+            "{id}"
+        );
+        // A lookup hands back the facts of the task it found.
+        let (hit, hit_facts) = registry.lookup_with_facts(&task.question).unwrap();
+        let i = position(&registry, &hit.question).unwrap();
+        assert!(std::ptr::eq(hit, &registry.tasks()[i]), "{id}");
+        assert!(std::ptr::eq(hit_facts, &registry.facts()[i]), "{id}");
     }
 }

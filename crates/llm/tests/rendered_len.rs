@@ -1,9 +1,9 @@
 //! `Prompt::rendered_len` counts, without building the string, the bytes
 //! `Prompt::render` produces: on a prompt with every section filled and
 //! non-ASCII text throughout, and on every prompt the 132 gold
-//! generations of `Workload::standard(42)` send. The second test also
-//! pins a digest of those rendered prompts, so the text a real model
-//! would be sent cannot move either.
+//! generations of `Workload::standard(42)` send. Both tests also pin a
+//! digest of the rendered text, so the text a real model would be sent
+//! cannot move either.
 
 use genedit_bird::Workload;
 use genedit_core::{GenEditPipeline, Harness};
@@ -51,6 +51,7 @@ fn every_gold_generation_prompt_is_counted_exactly() {
     let mut digest = fnv1a64(&[]);
     for prompt in prompts.iter() {
         let text = prompt.render();
+        assert_eq!(prompt.rendered_len(), text.len(), "{text}");
         total += text.len();
         digest = fnv1a64_from(digest, text.as_bytes());
     }
@@ -142,6 +143,7 @@ fn a_prompt_with_every_section_filled_is_counted_in_bytes() {
     let prompt = filled_prompt();
     let text = prompt.render();
     assert!(text.len() > text.chars().count(), "the text is not ASCII");
+    assert_eq!(prompt.rendered_len(), text.len());
     assert_eq!(
         (text.len(), format!("{:016x}", fnv1a64(text.as_bytes()))),
         (1_125, "1dc7829fd6078af4".to_string()),
