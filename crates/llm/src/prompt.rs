@@ -70,10 +70,19 @@ pub struct PromptSchemaElement {
 impl PromptSchemaElement {
     /// Uppercased `TABLE` or `TABLE.COLUMN` key for this element.
     pub fn key(&self) -> String {
-        match &self.column {
-            Some(c) => format!("{}.{}", self.table.to_uppercase(), c.to_uppercase()),
-            None => self.table.to_uppercase(),
+        let mut key = String::new();
+        // Writing to a `String` cannot fail.
+        let _ = self.write_key(&mut key);
+        key
+    }
+
+    fn write_key<W: Write>(&self, out: &mut W) -> fmt::Result {
+        write_upper(out, &self.table)?;
+        if let Some(c) = &self.column {
+            out.write_char('.')?;
+            write_upper(out, c)?;
         }
+        Ok(())
     }
 }
 
@@ -298,6 +307,7 @@ impl Prompt {
     /// the string.
     pub fn rendered_len(&self) -> usize {
         let mut count = ByteCount(0);
+        // Counting cannot fail.
         let _ = self.write_to(&mut count);
         count.0
     }
@@ -327,12 +337,7 @@ impl Prompt {
         if !self.schema.is_empty() {
             out.write_str("## Schema\n")?;
             for s in &self.schema {
-                // `s.key()`, uppercased as it is written.
-                write_upper(out, &s.table)?;
-                if let Some(c) = &s.column {
-                    out.write_char('.')?;
-                    write_upper(out, c)?;
-                }
+                s.write_key(out)?;
                 if !s.description.is_empty() {
                     write!(out, " -- {}", s.description)?;
                 }
