@@ -472,6 +472,26 @@ impl ArrayBuilder {
         ArrayBuilder::Untyped { nulls: 0, cap }
     }
 
+    /// A builder holding `array`'s elements in the state pushing them one
+    /// by one leaves it in: pushing more and finishing gives the array
+    /// of all of them. A typed array is taken over as it is, a dictionary
+    /// is decoded, and an all-NULL [`Array::Any`] is untyped again.
+    pub fn resume(array: Array) -> ArrayBuilder {
+        match array {
+            Array::Int { data, validity } => ArrayBuilder::Int { data, validity },
+            Array::Float { data, validity } => ArrayBuilder::Float { data, validity },
+            Array::Str { data, validity } => ArrayBuilder::Str { data, validity },
+            Array::Bool { data, validity } => ArrayBuilder::Bool { data, validity },
+            Array::Date { data, validity } => ArrayBuilder::Date { data, validity },
+            Array::Any(values) if values.iter().all(Value::is_null) => ArrayBuilder::Untyped {
+                nulls: values.len(),
+                cap: 0,
+            },
+            Array::Any(values) => ArrayBuilder::Any(values),
+            Array::Dict { codes, values } => ArrayBuilder::resume(values.gather(&codes)),
+        }
+    }
+
     /// Number of elements pushed so far.
     pub fn len(&self) -> usize {
         match self {

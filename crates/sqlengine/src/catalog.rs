@@ -1,16 +1,25 @@
-//! Catalog: databases, tables, columns, and in-memory row storage.
+//! Catalog: databases, tables, columns, and the column store that holds
+//! a table's rows.
+//!
+//! A table holds its rows once, column by column, in the layout the
+//! vectorized executor scans ([`ColumnStore`]): text and date columns
+//! dictionary-encoded, other types typed. Rows exist as `Vec<Value>`s
+//! only while a caller reads them.
 //!
 //! Also implements the paper's schema augmentation (§2.1): "the schema is
 //! augmented with possible attribute values. Specifically, we add the top-5
 //! most frequent values per attribute" — see [`Table::top_values`] and
 //! [`ColumnProfile`].
 
-use crate::array::{columns_from_rows, encoded_columns_from_rows, Array};
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::array::{Array, ArrayBuilder};
 use crate::error::{EngineError, EngineResult};
-use crate::value::{DataType, Value};
+use crate::key::{key_elem, Key, KeyElem};
+use crate::value::{DataType, Value, ValueRef};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A column definition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -48,16 +57,183 @@ pub struct ColumnProfile {
     pub null_count: usize,
 }
 
-/// Lazily built columnar image of a table's rows, shared with the
-/// vectorized executor by cheap `Arc` clones. Text and date columns are
-/// dictionary-encoded, so each table's dictionaries are built once and
-/// live exactly as long as the snapshot.
+/// A table's rows, stored as one [`Array`] per schema column: exactly
+/// the arrays [`encoded_columns_from_rows`](crate::array::encoded_columns_from_rows)
+/// makes of the same rows, kept up to date by every append. The
+/// executor scans `Arc` clones of them; iterating the store by
+/// reference materializes each row as an owned `Vec<Value>`.
+///
+/// Cloning shares the columns; the next append to a shared column
+/// copies it first.
+#[derive(Debug, Clone, Default)]
+pub struct ColumnStore {
+    cols: Vec<StoredColumn>,
+    len: usize,
+}
+
+/// One stored column and, when it is dictionary-encoded, the code of
+/// each of its entries by value — what an append looks a value up in.
 #[derive(Debug, Clone)]
-pub struct ColumnarSnapshot {
-    /// One array per column, in schema order.
-    pub cols: Vec<Arc<Array>>,
-    /// Row count the snapshot was built at (staleness check).
-    pub rows: usize,
+struct StoredColumn {
+    array: Arc<Array>,
+    codes: HashMap<KeyElem, u32>,
+}
+
+impl StoredColumn {
+    fn new() -> StoredColumn {
+        StoredColumn {
+            array: Arc::new(Array::Any(Vec::new())),
+            codes: HashMap::new(),
+        }
+    }
+
+    /// Append `v` in the layout a transposition of every pushed value
+    /// would give the column.
+    fn push(&mut self, v: Value) {
+        let array = Arc::make_mut(&mut self.array);
+        let v = match array {
+            Array::Dict { codes, values } => match dictionary_code(&mut self.codes, values, v) {
+                Ok(code) => {
+                    codes.push(code);
+                    return;
+                }
+                Err(v) => v,
+            },
+            // NULL keeps an all-NULL column untyped and a mixed one mixed.
+            Array::Any(values) if v.is_null() => {
+                values.push(v);
+                return;
+            }
+            _ => v,
+        };
+        // Anything else goes through the builder: a typed append, or a
+        // change of layout (a first typed value, a second type).
+        let taken = std::mem::replace(array, Array::Any(Vec::new()));
+        let mut builder = ArrayBuilder::resume(taken);
+        builder.push(v);
+        *array = builder.finish().dictionary_encoded();
+        self.codes = entry_codes(array);
+    }
+}
+
+/// The code of `v` in a dictionary column, appending an entry for a
+/// value it has not held; `Err(v)` when `v`'s type is not the
+/// dictionary's.
+fn dictionary_code(
+    codes: &mut HashMap<KeyElem, u32>,
+    values: &mut Arc<Array>,
+    v: Value,
+) -> Result<u32, Value> {
+    let key = match (&**values, v) {
+        (_, Value::Null) => Key::Null,
+        (Array::Str { .. }, Value::Text(s)) => Key::Text(s),
+        (Array::Date { .. }, Value::Date(d)) => Key::Date(d),
+        (_, v) => return Err(v),
+    };
+    if let Some(&code) = codes.get(&key) {
+        return Ok(code);
+    }
+    let code = values.len() as u32;
+    let entry = match &key {
+        Key::Text(s) => Value::Text(s.clone()),
+        Key::Date(d) => Value::Date(*d),
+        _ => Value::Null,
+    };
+    let values = Arc::make_mut(values);
+    let mut builder = ArrayBuilder::resume(std::mem::replace(values, Array::Any(Vec::new())));
+    builder.push(entry);
+    *values = builder.finish();
+    codes.insert(key, code);
+    Ok(code)
+}
+
+/// Each entry's code, by value, of a dictionary column; empty for every
+/// other layout.
+fn entry_codes(array: &Array) -> HashMap<KeyElem, u32> {
+    match array.as_dict() {
+        Some((_, values)) => (0..values.len())
+            .map(|k| (key_elem(&values.get(k)), k as u32))
+            .collect(),
+        None => HashMap::new(),
+    }
+}
+
+impl ColumnStore {
+    /// No rows, `width` columns.
+    fn new(width: usize) -> ColumnStore {
+        ColumnStore {
+            cols: (0..width).map(|_| StoredColumn::new()).collect(),
+            len: 0,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Are there no rows?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The rows in order, each materialized as an owned `Vec<Value>`.
+    pub fn iter(&self) -> RowIter<'_> {
+        RowIter {
+            store: self,
+            next: 0,
+        }
+    }
+
+    fn push(&mut self, row: Vec<Value>) {
+        for (col, v) in self.cols.iter_mut().zip(row) {
+            col.push(v);
+        }
+        self.len += 1;
+    }
+}
+
+/// Iterator over a [`ColumnStore`]'s rows, materialized one at a time.
+#[derive(Debug, Clone)]
+pub struct RowIter<'a> {
+    store: &'a ColumnStore,
+    next: usize,
+}
+
+impl Iterator for RowIter<'_> {
+    type Item = Vec<Value>;
+
+    fn next(&mut self) -> Option<Vec<Value>> {
+        let i = self.next;
+        if i == self.store.len {
+            return None;
+        }
+        self.next += 1;
+        Some(self.store.cols.iter().map(|c| c.array.get(i)).collect())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.store.len - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for RowIter<'_> {}
+
+impl<'a> IntoIterator for &'a ColumnStore {
+    type Item = Vec<Value>;
+    type IntoIter = RowIter<'a>;
+
+    fn into_iter(self) -> RowIter<'a> {
+        self.iter()
+    }
+}
+
+/// Serialized as the array of rows.
+impl Serialize for ColumnStore {
+    fn serialize(&self) -> serde::value::Value {
+        serde::value::Value::Array(self.iter().map(|row| row.serialize()).collect())
+    }
 }
 
 /// A table with schema and row storage.
@@ -65,26 +241,19 @@ pub struct ColumnarSnapshot {
 pub struct Table {
     pub name: String,
     pub columns: Vec<Column>,
-    pub rows: Vec<Vec<Value>>,
+    /// The rows, appended through [`Table::push_row`].
+    pub rows: ColumnStore,
     /// Optional table description.
     pub description: Option<String>,
-    /// Columnar cache, built on first vectorized scan and invalidated by
-    /// [`Table::push_row`]. Mutations that change the row count (even
-    /// ones writing `rows` directly — the field is public) are caught by
-    /// a staleness check; edits that keep the row count the same are only
-    /// detected when made through `push_row`, so route mutations through
-    /// the `Table` API. Not serialized.
-    columnar: OnceLock<ColumnarSnapshot>,
 }
 
 impl Table {
     pub fn new(name: impl Into<String>, columns: Vec<Column>) -> Table {
         Table {
             name: name.into(),
+            rows: ColumnStore::new(columns.len()),
             columns,
-            rows: Vec::new(),
             description: None,
-            columnar: OnceLock::new(),
         }
     }
 
@@ -114,24 +283,17 @@ impl Table {
                 self.columns.len()
             )));
         }
-        self.columnar.take();
         self.rows.push(row);
         Ok(())
     }
 
-    /// Columnar image of the rows, cached across queries. If the cache
-    /// is stale (rows were mutated without going through [`Table::push_row`]),
-    /// a fresh uncached transposition is returned instead.
+    /// The stored columns, in schema order, shared by `Arc` clones.
     pub fn columnar(&self) -> Vec<Arc<Array>> {
-        let snap = self.columnar.get_or_init(|| ColumnarSnapshot {
-            cols: encoded_columns_from_rows(&self.rows, self.columns.len()),
-            rows: self.rows.len(),
-        });
-        if snap.rows == self.rows.len() {
-            snap.cols.clone()
-        } else {
-            columns_from_rows(&self.rows, self.columns.len())
-        }
+        self.rows
+            .cols
+            .iter()
+            .map(|c| Arc::clone(&c.array))
+            .collect()
     }
 
     /// The paper's top-k most-frequent-values augmentation for one column.
@@ -139,38 +301,55 @@ impl Table {
         let idx = self.column_index(column).ok_or_else(|| {
             EngineError::binding(format!("no column {column} in table {}", self.name))
         })?;
+        Ok(self.profile_of(idx, k))
+    }
+
+    /// Profiles for every column (top-5, per the paper).
+    pub fn profile(&self) -> Vec<ColumnProfile> {
+        (0..self.columns.len())
+            .map(|idx| self.profile_of(idx, 5))
+            .collect()
+    }
+
+    /// Top-`k` profile of column `idx`. A dictionary column is counted
+    /// per code, then per entry.
+    fn profile_of(&self, idx: usize, k: usize) -> ColumnProfile {
+        let col = &self.rows.cols[idx].array;
         let mut counts: HashMap<String, usize> = HashMap::new();
         let mut null_count = 0usize;
-        for row in &self.rows {
-            match &row[idx] {
-                Value::Null => null_count += 1,
-                v => *counts.entry(v.to_string()).or_insert(0) += 1,
+        let mut count = |v: ValueRef<'_>, n: usize| match v {
+            ValueRef::Null => null_count += n,
+            v => *counts.entry(v.to_string()).or_insert(0) += n,
+        };
+        match col.as_dict() {
+            Some((codes, values)) => {
+                let mut per_code = vec![0usize; values.len()];
+                for &c in codes {
+                    per_code[c as usize] += 1;
+                }
+                for (c, &n) in per_code.iter().enumerate() {
+                    if n > 0 {
+                        count(values.at(c), n);
+                    }
+                }
             }
+            None => (0..col.len()).for_each(|i| count(col.at(i), 1)),
         }
         let distinct_count = counts.len();
         let mut pairs: Vec<(String, usize)> = counts.into_iter().collect();
         pairs.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         pairs.truncate(k);
-        Ok(ColumnProfile {
+        ColumnProfile {
             column: self.columns[idx].name.clone(),
             top_values: pairs,
             distinct_count,
             null_count,
-        })
-    }
-
-    /// Profiles for every column (top-5, per the paper).
-    pub fn profile(&self) -> Vec<ColumnProfile> {
-        self.columns
-            .iter()
-            .map(|c| self.top_values(&c.name, 5).expect("column exists"))
-            .collect()
+        }
     }
 }
 
-// Hand-written (the columnar cache is runtime-only state and must not be
-// serialized); the wire format matches what the field-pair derive would
-// have produced for the serialized fields.
+// Hand-written: the rows serialize as the array of rows, and
+// deserialize through `push_row`, arity check included.
 impl Serialize for Table {
     fn serialize(&self) -> serde::value::Value {
         serde::value::Value::Object(vec![
@@ -190,13 +369,18 @@ impl Deserialize for Table {
         let pairs = value
             .as_object()
             .ok_or_else(|| serde::Error::expected("object", value))?;
-        Ok(Table {
-            name: serde::field(pairs, "name")?,
-            columns: serde::field(pairs, "columns")?,
-            rows: serde::field(pairs, "rows")?,
-            description: serde::field(pairs, "description")?,
-            columnar: OnceLock::new(),
-        })
+        let name: String = serde::field(pairs, "name")?;
+        let columns: Vec<Column> = serde::field(pairs, "columns")?;
+        let rows: Vec<Vec<Value>> = serde::field(pairs, "rows")?;
+        let description = serde::field(pairs, "description")?;
+        let mut table = Table::new(name, columns);
+        table.description = description;
+        for row in rows {
+            table
+                .push_row(row)
+                .map_err(|e| serde::Error::custom(e.to_string()))?;
+        }
+        Ok(table)
     }
 }
 
@@ -352,12 +536,6 @@ mod tests {
         let (codes, values) = col.as_dict().unwrap();
         assert_eq!((codes.len(), values.len()), (6, 4));
         assert_eq!(col.get(5), Value::Text("Peru".into()));
-        // Rows changed behind push_row's back: a fresh, un-encoded
-        // transposition, never the stale dictionary.
-        t.rows.pop();
-        let col = country(&t);
-        assert!(col.as_dict().is_none());
-        assert_eq!(col.len(), 5);
     }
 
     #[test]

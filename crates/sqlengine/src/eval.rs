@@ -10,6 +10,7 @@ use crate::exec::{execute_query, CteMap};
 use crate::functions;
 use crate::value::{self, Value, ValueRef};
 use std::collections::HashMap;
+use std::marker::PhantomData;
 
 /// Metadata for one column of an intermediate relation.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,12 +66,75 @@ pub struct GroupView<'a> {
     pub indices: &'a [usize],
 }
 
-/// Per-row window values, keyed by the display form of the window call.
-pub type WindowValues = HashMap<String, Vec<Value>>;
+/// Per-unit values of the aggregate or window calls of a statement,
+/// computed before its units are projected. Each call node resolves to
+/// its slot once, when the values are built, so a lookup per unit is one
+/// hash of the node's address; calls with the same display form share
+/// one slot. A node that was not registered (an expression the executor
+/// rebuilt) is looked up by its display form.
+///
+/// The nodes are borrowed for `'q`, so no other node can take the
+/// address of a registered one while the values live.
+#[derive(Debug, Default)]
+pub struct CallValues<'q> {
+    by_node: HashMap<usize, usize>,
+    by_text: HashMap<String, usize>,
+    slots: Vec<Vec<Value>>,
+    nodes: PhantomData<&'q Expr>,
+}
 
-/// Per-unit aggregate values pre-computed by the vectorized planner,
-/// keyed by the display form of the aggregate call.
-pub type AggValues = HashMap<String, Vec<Value>>;
+/// Per-unit window values, one slot per distinct window call.
+pub type WindowValues<'q> = CallValues<'q>;
+
+/// Per-unit aggregate values pre-computed by the vectorized planner, one
+/// slot per distinct aggregate call.
+pub type AggValues<'q> = CallValues<'q>;
+
+fn node_address(call: &Expr) -> usize {
+    call as *const Expr as usize
+}
+
+impl<'q> CallValues<'q> {
+    /// No values.
+    pub fn new() -> CallValues<'q> {
+        CallValues::default()
+    }
+
+    /// Resolve `call` to the slot of an earlier call with the same
+    /// display form `text`, if there is one with values. Returns whether
+    /// it did, and so whether the values of `call` are already known.
+    pub fn share(&mut self, call: &'q Expr, text: &str) -> bool {
+        match self.by_text.get(text) {
+            Some(&slot) => {
+                self.by_node.insert(node_address(call), slot);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Store the per-unit values of `call`, whose display form is `text`.
+    pub fn insert(&mut self, call: &'q Expr, text: String, values: Vec<Value>) {
+        let slot = self.slots.len();
+        self.slots.push(values);
+        self.by_node.insert(node_address(call), slot);
+        self.by_text.insert(text, slot);
+    }
+
+    /// Was `call` given values when they were built?
+    pub fn has(&self, call: &Expr) -> bool {
+        self.by_node.contains_key(&node_address(call))
+    }
+
+    /// The per-unit values of `call`: by node, or else by display form.
+    pub fn get(&self, call: &Expr) -> Option<&[Value]> {
+        let slot = match self.by_node.get(&node_address(call)) {
+            Some(&slot) => slot,
+            None => *self.by_text.get(&call.to_string())?,
+        };
+        Some(&self.slots[slot])
+    }
+}
 
 /// The evaluation environment for one row (or one group).
 #[derive(Clone, Copy)]
@@ -82,10 +146,10 @@ pub struct Scope<'a> {
     /// Set when evaluating in grouped context; aggregates draw from here.
     pub group: Option<GroupView<'a>>,
     /// Pre-computed window-function values for the current unit list.
-    pub windows: Option<&'a WindowValues>,
+    pub windows: Option<&'a WindowValues<'a>>,
     /// Pre-computed aggregate values for the current unit list; consulted
     /// before falling back to the [`GroupView`] accumulator path.
-    pub aggs: Option<&'a AggValues>,
+    pub aggs: Option<&'a AggValues<'a>>,
     /// Index of the current unit into each window value vector.
     pub unit_index: usize,
 }
@@ -290,7 +354,6 @@ fn eval_function(
 ) -> EngineResult<Value> {
     // Window call: value was pre-computed by the executor.
     if call.over.is_some() {
-        let key = whole.to_string();
         let windows = scope.windows.ok_or_else(|| {
             EngineError::execution(format!(
                 "window function {} used outside a windowed projection",
@@ -298,8 +361,8 @@ fn eval_function(
             ))
         })?;
         let values = windows
-            .get(&key)
-            .ok_or_else(|| EngineError::execution(format!("window values missing for {key}")))?;
+            .get(whole)
+            .ok_or_else(|| EngineError::execution(format!("window values missing for {whole}")))?;
         return Ok(values[scope.unit_index].clone());
     }
 
@@ -307,7 +370,7 @@ fn eval_function(
     // otherwise draw from the current group.
     if functions::is_aggregate(&call.name) {
         if let Some(aggs) = scope.aggs {
-            if let Some(values) = aggs.get(&whole.to_string()) {
+            if let Some(values) = aggs.get(whole) {
                 return Ok(values[scope.unit_index].clone());
             }
         }

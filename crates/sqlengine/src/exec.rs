@@ -430,21 +430,21 @@ fn vectorized_groups(
 /// ascending row order), so order-sensitive state — float summation,
 /// DISTINCT insertion, overflow — matches exactly. Caller guarantees
 /// every call is COUNT(*) or a one-argument call whose argument lowers.
-fn precompute_aggregates_by_gid(
-    calls: &[&Expr],
+fn precompute_aggregates_by_gid<'q>(
+    calls: &[&'q Expr],
     cols: &[ColMeta],
     chunk: &DataChunk,
     n_groups: usize,
     gids: &[u32],
     outer: Option<&Scope<'_>>,
-) -> EngineResult<AggValues> {
+) -> EngineResult<AggValues<'q>> {
     let mut out = AggValues::new();
-    for wexpr in calls {
+    for &wexpr in calls {
         let key = wexpr.to_string();
-        if out.contains_key(&key) {
+        if out.share(wexpr, &key) {
             continue;
         }
-        let Expr::Function(call) = *wexpr else {
+        let Expr::Function(call) = wexpr else {
             continue;
         };
         let mut accs: Vec<Accumulator> = Vec::with_capacity(n_groups);
@@ -468,7 +468,11 @@ fn precompute_aggregates_by_gid(
                 accs[g as usize].update(&arr.get(i))?;
             }
         }
-        out.insert(key, accs.into_iter().map(Accumulator::finish).collect());
+        out.insert(
+            wexpr,
+            key,
+            accs.into_iter().map(Accumulator::finish).collect(),
+        );
     }
     Ok(out)
 }
@@ -558,7 +562,7 @@ fn try_fast_agg(
     // accumulator path would aggregate over a representative-only group
     // and silently produce wrong values — fall back instead. (The
     // eligibility checks above make this unreachable.)
-    if all_calls.iter().any(|c| !aggs.contains_key(&c.to_string())) {
+    if all_calls.iter().any(|c| !aggs.has(c)) {
         return Ok(None);
     }
     if !select.group_by.is_empty() {

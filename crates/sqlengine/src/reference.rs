@@ -196,7 +196,7 @@ pub(crate) fn resolve_from(
                 .collect();
             Ok(Relation {
                 cols,
-                rows: table.rows.clone(),
+                rows: table.rows.iter().collect(),
             })
         }
         TableRef::Derived { query, alias } => {

@@ -70,32 +70,53 @@ impl Date {
         (self.month - 1) / 3 + 1
     }
 
-    /// Format using a (small) TO_CHAR-style pattern. Supported tokens:
-    /// `YYYY`, `MM`, `DD`, `Q`, and double-quoted literals such as `"Q"`.
-    /// Any other character is copied as is.
+    /// Format using a (small) TO_CHAR-style pattern; see [`DatePattern`].
     pub fn format_pattern(&self, pattern: &str) -> EngineResult<String> {
-        let mut out = String::with_capacity(pattern.len() + 4);
+        Ok(DatePattern::parse(pattern)?.render(self))
+    }
+}
+
+/// A parsed TO_CHAR-style pattern. Supported tokens: `YYYY`, `MM`, `DD`,
+/// `Q`, and double-quoted literals such as `"Q"`. Any other character is
+/// copied as is. Parsing once lets a batch render many dates with one
+/// pattern.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DatePattern {
+    parts: Vec<PatternPart>,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum PatternPart {
+    Year,
+    Month,
+    Day,
+    Quarter,
+    /// Copied text: quoted literals and other characters, run together.
+    Text(String),
+}
+
+impl DatePattern {
+    /// Parse `pattern`; an unterminated quoted literal is an error.
+    pub fn parse(pattern: &str) -> EngineResult<DatePattern> {
+        let mut parts = Vec::new();
+        let mut text = String::new();
         let mut rest = pattern;
         while let Some(c) = rest.chars().next() {
-            // Writing to a `String` cannot fail.
-            let width = if rest.starts_with("YYYY") {
-                let _ = write!(out, "{:04}", self.year);
-                4
+            let (part, width) = if rest.starts_with("YYYY") {
+                (PatternPart::Year, 4)
             } else if rest.starts_with("MM") {
-                let _ = write!(out, "{:02}", self.month);
-                2
+                (PatternPart::Month, 2)
             } else if rest.starts_with("DD") {
-                let _ = write!(out, "{:02}", self.day);
-                2
+                (PatternPart::Day, 2)
             } else if c == 'Q' {
-                let _ = write!(out, "{}", self.quarter());
-                1
+                (PatternPart::Quarter, 1)
             } else if c == '"' {
                 // Literal text until the closing quote.
                 match rest[1..].find('"') {
                     Some(end) => {
-                        out.push_str(&rest[1..1 + end]);
-                        end + 2
+                        text.push_str(&rest[1..1 + end]);
+                        rest = &rest[end + 2..];
+                        continue;
                     }
                     None => {
                         return Err(EngineError::execution(format!(
@@ -104,12 +125,47 @@ impl Date {
                     }
                 }
             } else {
-                out.push(c);
-                c.len_utf8()
+                text.push(c);
+                rest = &rest[c.len_utf8()..];
+                continue;
             };
+            if !text.is_empty() {
+                parts.push(PatternPart::Text(std::mem::take(&mut text)));
+            }
+            parts.push(part);
             rest = &rest[width..];
         }
-        Ok(out)
+        if !text.is_empty() {
+            parts.push(PatternPart::Text(text));
+        }
+        Ok(DatePattern { parts })
+    }
+
+    /// `d` rendered in this pattern.
+    pub fn render(&self, d: &Date) -> String {
+        let mut out = String::with_capacity(16);
+        for part in &self.parts {
+            match part {
+                PatternPart::Year => push_padded(&mut out, d.year, 4),
+                PatternPart::Month => push_padded(&mut out, d.month.into(), 2),
+                PatternPart::Day => push_padded(&mut out, d.day.into(), 2),
+                PatternPart::Quarter => push_padded(&mut out, d.quarter().into(), 1),
+                PatternPart::Text(t) => out.push_str(t),
+            }
+        }
+        out
+    }
+}
+
+/// `n` zero-padded to `width` digits, as `{:0width$}` writes it.
+fn push_padded(out: &mut String, n: i32, width: u32) {
+    if (0..10i32.pow(width)).contains(&n) {
+        for k in (0..width).rev() {
+            out.push(char::from(b'0' + (n / 10i32.pow(k) % 10) as u8));
+        }
+    } else {
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{n:0width$}", width = width as usize);
     }
 }
 

@@ -28,7 +28,7 @@ use crate::error::EngineResult;
 use crate::eval::{literal_value, ColMeta, Scope};
 use crate::functions;
 use crate::physical;
-use crate::value::{self, DataType, Value, ValueRef};
+use crate::value::{self, DataType, DatePattern, Value, ValueRef};
 use std::sync::Arc;
 
 /// A bound (column-resolved) expression ready for vectorized evaluation.
@@ -657,6 +657,9 @@ fn eval_rows(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Arr
                 ops.push(operand(a, chunk, sel)?);
             }
             physical::with_counters(|c| c.scalar_calls += n as u64);
+            if let Some((pattern, text)) = constant_date_pattern(name, &ops) {
+                return to_char_dates(&pattern, text, &ops[0], n);
+            }
             let mut b = ArrayBuilder::with_capacity(n);
             // Constant arguments are written once; each row overwrites
             // only the slots that vary.
@@ -678,6 +681,38 @@ fn eval_rows(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Arr
             Ok(Arc::new(b.finish()))
         }
     }
+}
+
+/// The parsed pattern of `TO_CHAR(x, 'constant pattern')`; `None` for
+/// any other call, and for a NULL or malformed pattern, which keep the
+/// per-row path (and so its errors).
+fn constant_date_pattern<'a>(name: &str, ops: &[Operand<'a>]) -> Option<(DatePattern, &'a Value)> {
+    match ops {
+        [_, Operand::Const(text @ Value::Text(p))] if name.eq_ignore_ascii_case("TO_CHAR") => {
+            Some((DatePattern::parse(p).ok()?, *text))
+        }
+        _ => None,
+    }
+}
+
+/// `TO_CHAR(x, text)` over `n` rows with `text` parsed once into
+/// `pattern`: a date is rendered directly, anything else (NULL, ISO
+/// text, a type error) goes through `functions::eval_scalar` as before.
+fn to_char_dates(
+    pattern: &DatePattern,
+    text: &Value,
+    x: &Operand<'_>,
+    n: usize,
+) -> EngineResult<Arc<Array>> {
+    let mut b = ArrayBuilder::with_capacity(n);
+    for pos in 0..n {
+        let rendered = match x.at(pos) {
+            ValueRef::Date(d) => Value::Text(pattern.render(&d)),
+            v => functions::eval_scalar("TO_CHAR", &[v.to_value(), text.clone()])?,
+        };
+        b.push(rendered);
+    }
+    Ok(Arc::new(b.finish()))
 }
 
 fn eval_binary(

@@ -36,8 +36,8 @@ pub(crate) fn unit_scope<'a>(
     rel: &'a Relation,
     unit: &'a Unit,
     outer: Option<&'a Scope<'a>>,
-    windows: Option<&'a WindowValues>,
-    aggs: Option<&'a AggValues>,
+    windows: Option<&'a WindowValues<'a>>,
+    aggs: Option<&'a AggValues<'a>>,
     unit_index: usize,
     aggregated: bool,
 ) -> Scope<'a> {
@@ -70,18 +70,18 @@ pub(crate) fn unit_scope<'a>(
 }
 
 /// Compute every distinct window expression's per-unit values.
-pub(crate) fn compute_windows(
+pub(crate) fn compute_windows<'q>(
     rel: &Relation,
     units: &[Unit],
-    window_exprs: &[&Expr],
+    window_exprs: &[&'q Expr],
     outer: Option<&Scope<'_>>,
     env: &EvalEnv<'_>,
     aggregated: bool,
-) -> EngineResult<WindowValues> {
-    let mut out: WindowValues = HashMap::new();
-    for wexpr in window_exprs {
+) -> EngineResult<WindowValues<'q>> {
+    let mut out = WindowValues::new();
+    for &wexpr in window_exprs {
         let key = wexpr.to_string();
-        if out.contains_key(&key) {
+        if out.share(wexpr, &key) {
             continue;
         }
         let Expr::Function(call) = wexpr else {
@@ -263,7 +263,7 @@ pub(crate) fn compute_windows(
                 }
             }
         }
-        out.insert(key, values);
+        out.insert(wexpr, key, values);
     }
     Ok(out)
 }

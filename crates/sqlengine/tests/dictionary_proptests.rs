@@ -13,17 +13,22 @@
 //! `CAST(text AS INTEGER)`, `COALESCE`, `CASE` — in WHERE, GROUP BY and
 //! SELECT, join on text and on date-against-ISO-text keys (INNER and
 //! LEFT), and one property appends a row between two runs of the same
-//! query, which a dictionary that outlived its snapshot would get wrong.
+//! query, holding values no dictionary has an entry for.
+//!
+//! The table's own storage is held to the transposition it replaced:
+//! after any sequence of `push_row` calls its columns are what
+//! `encoded_columns_from_rows` makes of the same rows, and the rows read
+//! back are the rows pushed.
 //!
 //! The WHERE kernels are held to the code they stand in for: WHERE's
 //! selection vector (`vector::select`) to the TRUE positions of
 //! `truth(eval(..))` — rows, errors and scalar calls — over random
 //! predicates on dictionary and plain columns; `truth` on a dictionary to
-//! the per-row loop; `Date::format_pattern` to the implementation it
-//! replaced, kept here.
+//! the per-row loop; `Date::format_pattern` and the parsed `DatePattern`
+//! to the implementations they replaced, kept here.
 
 use genedit_sql::eval::ColMeta;
-use genedit_sql::value::{DataType, Date, Value};
+use genedit_sql::value::{DataType, Date, DatePattern, Value};
 use genedit_sql::vector::{self, Sel};
 use genedit_sql::{
     execute_sql, execute_sql_reference, parse_expression, physical, Array, Column, DataChunk,
@@ -351,9 +356,8 @@ proptest! {
         check_differential(&db, &sql)?;
     }
 
-    /// The first run builds and caches the encoded snapshot; the row
-    /// appended after it holds a month, a key and a region no dictionary
-    /// has an entry for.
+    /// The row appended between the two runs holds a month, a key and a
+    /// region no dictionary has an entry for.
     #[test]
     fn a_row_pushed_between_two_queries_is_seen(
         f_rows in arb_f_rows(),
@@ -714,8 +718,65 @@ fn format_pattern_old(d: &Date, pattern: &str) -> EngineResult<String> {
     Ok(out)
 }
 
+/// `Date::format_pattern` as it was before the pattern was parsed once
+/// per batch: one pass over the pattern per date, multi-byte text
+/// included.
+fn format_pattern_per_date(d: &Date, pattern: &str) -> EngineResult<String> {
+    let mut out = String::new();
+    let mut rest = pattern;
+    while let Some(c) = rest.chars().next() {
+        let width = if rest.starts_with("YYYY") {
+            out.push_str(&format!("{:04}", d.year));
+            4
+        } else if rest.starts_with("MM") {
+            out.push_str(&format!("{:02}", d.month));
+            2
+        } else if rest.starts_with("DD") {
+            out.push_str(&format!("{:02}", d.day));
+            2
+        } else if c == 'Q' {
+            out.push_str(&d.quarter().to_string());
+            1
+        } else if c == '"' {
+            match rest[1..].find('"') {
+                Some(end) => {
+                    out.push_str(&rest[1..1 + end]);
+                    end + 2
+                }
+                None => {
+                    return Err(genedit_sql::EngineError::execution(format!(
+                        "unterminated quoted literal in TO_CHAR pattern '{pattern}'"
+                    )))
+                }
+            }
+        } else {
+            out.push(c);
+            c.len_utf8()
+        };
+        rest = &rest[width..];
+    }
+    Ok(out)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The parsed pattern renders every date as the per-date pass did —
+    /// years below 0 and above 9999, multi-byte text, and the error of an
+    /// unterminated quote — and `format_pattern` is that renderer.
+    #[test]
+    fn parsed_pattern_renders_as_the_per_date_pass(
+        year in prop_oneof![-20_000i32..-9_000, -1_000i32..1_000, 9_000i32..20_000],
+        month in 1u8..=12,
+        day in 1u8..=28,
+        pattern in "[YMDQ\"xü€ -]{0,14}",
+    ) {
+        let d = Date::new(year, month, day).expect("valid date");
+        let want = message(format_pattern_per_date(&d, &pattern));
+        let parsed = DatePattern::parse(&pattern).map(|p| p.render(&d));
+        prop_assert_eq!(message(parsed), want.clone());
+        prop_assert_eq!(message(d.format_pattern(&pattern)), want);
+    }
 
     /// Same rows, same error, same scalar calls — over every row and over
     /// an ascending subset of them.

@@ -11,7 +11,7 @@
 //! `crates/sqlengine/src/catalog.rs` or `array.rs`.
 
 use genedit::bird::{DomainSpec, Workload};
-use genedit::sql::{execute_sql, Database, Date, Value};
+use genedit::sql::{execute_sql, execute_sql_reference, Database, Date, Value};
 use genedit::telemetry::hash::{fnv1a64, fnv1a64_from};
 
 /// `db` with both fact tables replicated `factor` times, copy `k` moved
@@ -98,3 +98,24 @@ fn gold_results_on_facts_replicated_40x_are_pinned() {
 }
 
 const PINNED_GOLD_40X: &str = "53cf91c4a4d87a45";
+
+/// A row of the wrong width in the JSON is refused, as `push_row` refuses
+/// it. Read as it was, the short row answered `SELECT B` with a NULL on
+/// the vectorized engine and panicked the reference engine.
+#[test]
+fn deserialized_rows_of_the_wrong_width_are_refused() {
+    let json = r#"{"name":"d","tables":[{"name":"T","columns":[{"name":"A","data_type":"Integer","description":null},{"name":"B","data_type":"Integer","description":null}],"rows":[[{"Integer":1},{"Integer":2}],[{"Integer":3}]],"description":null}]}"#;
+    let err = serde_json::from_str::<Database>(json).expect_err("row 2 has one value");
+    assert!(
+        err.to_string()
+            .contains("row arity 1 does not match table T with 2 columns"),
+        "{err}"
+    );
+    let fixed = json.replace(r#"[{"Integer":3}]"#, r#"[{"Integer":3},{"Integer":4}]"#);
+    let db: Database = serde_json::from_str(&fixed).expect("both rows have two values");
+    assert_eq!(serde_json::to_string(&db).expect("serializes"), fixed);
+    let sql = "SELECT A, B FROM T WHERE B IS NULL OR B > 0";
+    let want = "Ok(ResultSet { columns: [\"A\", \"B\"], rows: [[Integer(1), Integer(2)], [Integer(3), Integer(4)]] })";
+    assert_eq!(format!("{:?}", execute_sql(&db, sql)), want);
+    assert_eq!(format!("{:?}", execute_sql_reference(&db, sql)), want);
+}
