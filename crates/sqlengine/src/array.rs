@@ -712,8 +712,9 @@ pub fn columns_from_rows(rows: &[Vec<Value>], width: usize) -> Vec<Arc<Array>> {
 }
 
 /// [`columns_from_rows`] with every column
-/// [dictionary-encoded](Array::dictionary_encoded) — for columns that
-/// are built once and scanned many times.
+/// [dictionary-encoded](Array::dictionary_encoded): the layout a table
+/// stores its rows in, which [`ColumnStore`](crate::catalog::ColumnStore)
+/// keeps up to date append by append.
 pub fn encoded_columns_from_rows(rows: &[Vec<Value>], width: usize) -> Vec<Arc<Array>> {
     transpose(rows, width)
         .map(|a| Arc::new(a.dictionary_encoded()))

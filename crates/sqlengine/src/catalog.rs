@@ -65,7 +65,7 @@ pub struct ColumnProfile {
 ///
 /// Cloning shares the columns; the next append to a shared column
 /// copies it first.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ColumnStore {
     cols: Vec<StoredColumn>,
     len: usize,
@@ -217,8 +217,6 @@ impl Iterator for RowIter<'_> {
         (left, Some(left))
     }
 }
-
-impl ExactSizeIterator for RowIter<'_> {}
 
 impl<'a> IntoIterator for &'a ColumnStore {
     type Item = Vec<Value>;
@@ -527,9 +525,9 @@ mod tests {
         };
         assert_eq!((codes.len(), values.len()), (5, 3));
         assert!(t.columnar()[2].as_dict().is_none(), "integers are not");
-        // The dictionary is cached with the snapshot…
+        // Every scan shares the stored dictionary…
         assert!(Arc::ptr_eq(&values, country(&t).as_dict().unwrap().1));
-        // …and rebuilt after a push_row, new value included.
+        // …and a push_row appends to it, new value included.
         t.push_row(vec!["f".into(), "Peru".into(), Value::Integer(60)])
             .unwrap();
         let col = country(&t);

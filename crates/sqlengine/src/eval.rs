@@ -70,8 +70,8 @@ pub struct GroupView<'a> {
 /// computed before its units are projected. Each call node resolves to
 /// its slot once, when the values are built, so a lookup per unit is one
 /// hash of the node's address; calls with the same display form share
-/// one slot. A node that was not registered (an expression the executor
-/// rebuilt) is looked up by its display form.
+/// one slot. Values are built from the very nodes the projection and
+/// ORDER BY then evaluate.
 ///
 /// The nodes are borrowed for `'q`, so no other node can take the
 /// address of a registered one while the values live.
@@ -121,17 +121,9 @@ impl<'q> CallValues<'q> {
         self.by_text.insert(text, slot);
     }
 
-    /// Was `call` given values when they were built?
-    pub fn has(&self, call: &Expr) -> bool {
-        self.by_node.contains_key(&node_address(call))
-    }
-
-    /// The per-unit values of `call`: by node, or else by display form.
+    /// The per-unit values of `call`, if it was given values.
     pub fn get(&self, call: &Expr) -> Option<&[Value]> {
-        let slot = match self.by_node.get(&node_address(call)) {
-            Some(&slot) => slot,
-            None => *self.by_text.get(&call.to_string())?,
-        };
+        let &slot = self.by_node.get(&node_address(call))?;
         Some(&self.slots[slot])
     }
 }

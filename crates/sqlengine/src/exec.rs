@@ -562,7 +562,7 @@ fn try_fast_agg(
     // accumulator path would aggregate over a representative-only group
     // and silently produce wrong values — fall back instead. (The
     // eligibility checks above make this unreachable.)
-    if all_calls.iter().any(|c| !aggs.has(c)) {
+    if all_calls.iter().any(|c| aggs.get(c).is_none()) {
         return Ok(None);
     }
     if !select.group_by.is_empty() {

@@ -55,7 +55,7 @@ pub use ast::{
     BinaryOp, Cte, Expr, FunctionCall, JoinKind, Literal, Node, NodeMut, OrderItem, Query, Select,
     SelectItem, SetExpr, SetOp, Statement, TableRef, UnaryOp, WindowSpec,
 };
-pub use catalog::{Column, ColumnProfile, Database, Table};
+pub use catalog::{Column, ColumnProfile, ColumnStore, Database, Table};
 pub use display::pretty;
 pub use error::{EngineError, EngineResult};
 pub use exec::{execute, execute_sql, execute_sql_reference, execute_sql_timed, ExecStats};

@@ -13,18 +13,26 @@ use genedit::sql::{execute_sql, Database, Date, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 
+/// The system allocator, counting live bytes.
 struct Counting;
 
+/// Live heap bytes; a statistic that publishes no other data, so
+/// `Relaxed` suffices.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds `GlobalAlloc`'s contract; the counter has no effect on
+// the memory handed out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        // SAFETY: the caller's guarantees for `layout` are `System`'s.
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with this `layout`.
         System.dealloc(ptr, layout)
     }
 
@@ -33,6 +41,7 @@ unsafe impl GlobalAlloc for Counting {
             new_size as isize - layout.size() as isize,
             Ordering::Relaxed,
         );
+        // SAFETY: `ptr` came from `System` with this `layout`.
         System.realloc(ptr, layout, new_size)
     }
 }
