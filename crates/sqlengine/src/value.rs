@@ -80,12 +80,12 @@ impl Date {
 /// `Q`, and double-quoted literals such as `"Q"`. Any other character is
 /// copied as is. Parsing once lets a batch render many dates with one
 /// pattern.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct DatePattern {
     parts: Vec<PatternPart>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 enum PatternPart {
     Year,
     Month,
@@ -145,27 +145,16 @@ impl DatePattern {
     pub fn render(&self, d: &Date) -> String {
         let mut out = String::with_capacity(16);
         for part in &self.parts {
-            match part {
-                PatternPart::Year => push_padded(&mut out, d.year, 4),
-                PatternPart::Month => push_padded(&mut out, d.month.into(), 2),
-                PatternPart::Day => push_padded(&mut out, d.day.into(), 2),
-                PatternPart::Quarter => push_padded(&mut out, d.quarter().into(), 1),
-                PatternPart::Text(t) => out.push_str(t),
-            }
+            // Writing to a `String` cannot fail.
+            let _ = match part {
+                PatternPart::Year => write!(out, "{:04}", d.year),
+                PatternPart::Month => write!(out, "{:02}", d.month),
+                PatternPart::Day => write!(out, "{:02}", d.day),
+                PatternPart::Quarter => write!(out, "{}", d.quarter()),
+                PatternPart::Text(t) => out.write_str(t),
+            };
         }
         out
-    }
-}
-
-/// `n` zero-padded to `width` digits, as `{:0width$}` writes it.
-fn push_padded(out: &mut String, n: i32, width: u32) {
-    if (0..10i32.pow(width)).contains(&n) {
-        for k in (0..width).rev() {
-            out.push(char::from(b'0' + (n / 10i32.pow(k) % 10) as u8));
-        }
-    } else {
-        // Writing to a `String` cannot fail.
-        let _ = write!(out, "{n:0width$}", width = width as usize);
     }
 }
 
