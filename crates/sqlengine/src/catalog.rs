@@ -309,29 +309,16 @@ impl Table {
             .collect()
     }
 
-    /// Top-`k` profile of column `idx`. A dictionary column is counted
-    /// per code, then per entry.
+    /// Top-`k` profile of column `idx`.
     fn profile_of(&self, idx: usize, k: usize) -> ColumnProfile {
         let col = &self.rows.cols[idx].array;
         let mut counts: HashMap<String, usize> = HashMap::new();
         let mut null_count = 0usize;
-        let mut count = |v: ValueRef<'_>, n: usize| match v {
-            ValueRef::Null => null_count += n,
-            v => *counts.entry(v.to_string()).or_insert(0) += n,
-        };
-        match col.as_dict() {
-            Some((codes, values)) => {
-                let mut per_code = vec![0usize; values.len()];
-                for &c in codes {
-                    per_code[c as usize] += 1;
-                }
-                for (c, &n) in per_code.iter().enumerate() {
-                    if n > 0 {
-                        count(values.at(c), n);
-                    }
-                }
+        for i in 0..col.len() {
+            match col.at(i) {
+                ValueRef::Null => null_count += 1,
+                v => *counts.entry(v.to_string()).or_insert(0) += 1,
             }
-            None => (0..col.len()).for_each(|i| count(col.at(i), 1)),
         }
         let distinct_count = counts.len();
         let mut pairs: Vec<(String, usize)> = counts.into_iter().collect();

@@ -8,8 +8,11 @@
 //! appends use. One test in its own binary, so no other test's
 //! allocations land in the count.
 
-use genedit::bird::{DomainSpec, Workload};
-use genedit::sql::{execute_sql, Database, Date, Value};
+mod common;
+
+use common::replicate_facts;
+use genedit::bird::Workload;
+use genedit::sql::{execute_sql, Database};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 
@@ -48,32 +51,6 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
-
-/// `db` with both fact tables replicated `factor` times, copy `k` moved
-/// `2k` years back: what `benchmark/`'s `warehouse_scan` does at 40x.
-fn replicate_facts(db: &Database, spec: &DomainSpec, factor: i32) -> Database {
-    let mut scaled = db.clone();
-    for (table, date_col) in [
-        (spec.fact1_table, spec.fact1_date),
-        (spec.fact2_table, spec.fact2_date),
-    ] {
-        let table = scaled.table_mut(table).expect("fact table exists");
-        let date_at = table.column_index(date_col).expect("date column exists");
-        let original = table.rows.clone();
-        for copy in 1..factor {
-            for row in &original {
-                let mut row = row.clone();
-                if let Value::Date(d) = &row[date_at] {
-                    let shifted = Date::new(d.year - 2 * copy, d.month, d.day)
-                        .expect("first of a month is valid in every year");
-                    row[date_at] = Value::Date(shifted);
-                }
-                table.push_row(row).expect("same arity as the source row");
-            }
-        }
-    }
-    scaled
-}
 
 /// Bytes per cell the databases may hold, growth slack of the column
 /// vectors included. Each cell is a typed slot or a `u32` code (4 to 8
