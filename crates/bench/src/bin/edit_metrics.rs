@@ -54,6 +54,7 @@ fn main() {
     let mut accepted_after_iteration = 0usize;
     let mut manual_edits = 0usize;
     let mut unresolved = 0usize;
+    let mut no_feedback = 0usize;
     let mut sessions = 0usize;
     let mut edits_recommended = 0usize;
     let mut edits_staged = 0usize;
@@ -70,7 +71,7 @@ fn main() {
                 continue;
             }
             let Some(feedback) = sme::feedback_for(task, initial.sql.as_deref()) else {
-                unresolved += 1; // the SME cannot articulate the problem
+                no_feedback += 1; // the SME cannot articulate the problem
                 continue;
             };
             sessions += 1;
@@ -140,7 +141,8 @@ fn main() {
     println!("resolved by edits accepted as-is:      {accepted_as_is}");
     println!("resolved after solver iteration:       {accepted_after_iteration}");
     println!("resolved by manual knowledge edits:    {manual_edits}");
-    println!("unresolved (SME could not articulate / knowledge gap elsewhere): {unresolved}");
+    println!("unresolved sessions:                   {unresolved}");
+    println!("failing queries without feedback:      {no_feedback}");
     let resolved = accepted_as_is + accepted_after_iteration + manual_edits;
     if sessions > 0 {
         println!(

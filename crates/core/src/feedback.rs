@@ -394,17 +394,13 @@ impl<'a, M: LanguageModel> FeedbackSession<'a, M> {
         Some(self.staging.stage(rec.edit.clone()))
     }
 
-    /// Stage every current recommendation.
+    /// Stage every current recommendation. Returns how many edits this
+    /// call staged, not how many the session holds staged in all.
     pub fn stage_all(&mut self) -> usize {
-        let edits: Vec<Edit> = self
-            .recommendations
-            .iter()
-            .map(|r| r.edit.clone())
-            .collect();
-        for e in edits {
-            self.staging.stage(e);
+        for rec in &self.recommendations {
+            self.staging.stage(rec.edit.clone());
         }
-        self.staging.len()
+        self.recommendations.len()
     }
 
     /// Withdraw a staged edit by its staging handle. Returns whether the

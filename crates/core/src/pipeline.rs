@@ -74,9 +74,9 @@ impl GenerationResult {
     /// reformulation, intents, the knowledge that entered the prompt,
     /// validation errors and the verdict — and nothing that legitimately
     /// differs between two runs of the same generation (span timings in
-    /// `trace`, `warnings`, attempt counts). Cached, batched, hedged and
-    /// fault-injected runs are gated on this string being byte-identical
-    /// to the plain run's.
+    /// `trace`, `warnings`, attempt counts). Cached and fault-injected
+    /// runs are gated on this string being byte-identical to the plain
+    /// run's.
     pub fn fingerprint(&self) -> String {
         format!(
             "sql={:?}|reform={:?}|intents={:?}|ex={:?}|ins={:?}|schema={:?}|errors={:?}|validated={}",
@@ -128,17 +128,6 @@ pub struct GenerateOptions<'a> {
     /// example selection and the two expanded re-ranks after it — and
     /// the generation embeds nothing of its own.
     pub query_embedding: Option<Embedding>,
-    /// Ensemble fan-out width for the generation stage. `Some(n)` with
-    /// `n > 1` overrides [`PipelineConfig::candidates`] and samples the
-    /// `n` CoT plan and SQL candidates **in parallel** (one scoped thread
-    /// per seed), selecting by the configured
-    /// [`CandidateSelection`] vote over
-    /// candidates processed in seed order — byte-identical to sampling
-    /// the same seeds serially. Parallel candidates issued over a
-    /// [`BatchScheduler`](genedit_llm::BatchScheduler) coalesce into a
-    /// single backend round trip. `None` (the default) keeps the serial
-    /// path untouched.
-    pub ensemble_width: Option<usize>,
     /// The serving-layer request ID, when this generation runs on behalf
     /// of an admitted serve request. Recorded as a `request_id` attribute
     /// on the root span so traces, metric exemplars, and flight-recorder
@@ -484,12 +473,6 @@ impl<'a> Run<'a> {
         fired
     }
 
-    /// Ensemble fan-out engages only on explicit request, so the default
-    /// serial path (and its call accounting) is untouched.
-    fn ensemble(&self) -> Option<usize> {
-        self.opts.ensemble_width.filter(|w| *w > 1)
-    }
-
     /// The one degrade rule: an operator that loses its model call never
     /// panics or poisons the result — it warns, marks its span `degraded`,
     /// and the caller continues on the operator's fallback.
@@ -518,41 +501,15 @@ impl<'a> Run<'a> {
         Err(lost)
     }
 
-    /// The one fan-out and candidate source: the completions of
-    /// `requests`, **in request order**. Serially it is lazy — a request
-    /// is built and sent when its completion is pulled, so `FirstValid`
-    /// pays for no candidate past its first valid one. An ensemble issues
-    /// every request up front, one scoped thread each (the concurrent
-    /// calls coalesce into one round trip over a
-    /// [`BatchScheduler`](genedit_llm::BatchScheduler)), and replays the
-    /// results in order, so votes are independent of scheduling. A
-    /// panicking thread is a [`ModelError::Transient`] for its request.
+    /// The one candidate source: the completions of `requests`, in
+    /// request order. It is lazy — a request is built and sent when its
+    /// completion is pulled, so `FirstValid` pays for no candidate past
+    /// its first valid one.
     fn completions<'r>(
         &'r self,
         requests: impl Iterator<Item = CompletionRequest> + 'r,
-    ) -> Box<dyn Iterator<Item = Completion> + 'r> {
-        let model = self.model;
-        if self.ensemble().is_none() {
-            return Box::new(requests.map(move |request| model.complete(&request)));
-        }
-        let requests: Vec<CompletionRequest> = requests.collect();
-        let done: Vec<Completion> = std::thread::scope(|scope| {
-            let handles: Vec<_> = requests
-                .iter()
-                .map(|request| scope.spawn(move || model.complete(request)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(ModelError::Transient(
-                            "ensemble candidate thread panicked".to_string(),
-                        ))
-                    })
-                })
-                .collect()
-        });
-        Box::new(done.into_iter())
+    ) -> impl Iterator<Item = Completion> + 'r {
+        requests.map(move |request| self.model.complete(&request))
     }
 
     /// Operator 1: reformulation.
@@ -778,39 +735,22 @@ impl<'a> Run<'a> {
         span.attr("kept", draft.prompt.schema.len());
     }
 
-    /// CoT plan (§3.1.2). The serial path is a single seed-0 call; an
-    /// ensemble samples one plan per seed and keeps the plan the most
-    /// candidates structurally agree on.
+    /// CoT plan (§3.1.2): one seed-0 call. A lost call degrades to an
+    /// empty plan if the model answered with something else, or else to
+    /// generating SQL directly (the prompt ships without a plan section).
     fn plan(&self, draft: &mut Draft) {
         if !self.cfg.use_plan {
             return;
         }
         let span = self.tracer.span(names::PLAN);
-        if let Some(width) = self.ensemble() {
-            span.attr("ensemble", width);
-        }
         let mut prompt = draft.prompt.clone();
         prompt.task = TaskKind::PlanGeneration;
-        let seeds = 0..self.ensemble().unwrap_or(1) as u64;
-        let requests = seeds.map(|seed| CompletionRequest::with_seed(prompt.clone(), seed));
-        let completions: Vec<Completion> = self.completions(requests).collect();
-        let plans: Vec<Plan> = completions
-            .iter()
-            .filter_map(|c| c.as_ref().ok().and_then(|r| r.as_plan()).cloned())
-            .collect();
-        let plan = match plurality(&plans, |p| p) {
-            Some((voted, _)) => Some(plans[voted].clone()),
-            // No candidate parsed as a plan: degrade exactly like the
-            // single-call path, keyed off the first completion — to an
-            // empty plan if it answered, else to generating SQL directly
-            // (the prompt ships without a plan section).
-            None => {
-                let first = completions.into_iter().next();
-                match first.map(|c| self.or_degrade(&span, c, |_| None::<Plan>, &PLAN)) {
-                    Some(Err(Lost::WrongVariant)) => Some(Plan::default()),
-                    _ => None,
-                }
-            }
+        let request = CompletionRequest::with_seed(prompt, 0);
+        let completion = self.model.complete(&request);
+        let plan = match self.or_degrade(&span, completion, |r| r.as_plan().cloned(), &PLAN) {
+            Ok(plan) => Some(plan),
+            Err(Lost::WrongVariant) => Some(Plan::default()),
+            Err(Lost::Failed) => None,
         };
         span.attr("steps", plan.as_ref().map_or(0, |p| p.steps.len()))
             .attr("pseudo_sql", self.cfg.use_pseudo_sql);
@@ -825,7 +765,7 @@ impl<'a> Run<'a> {
     /// joining the next round's prompt. Returns whether a cancellation cut
     /// it short; the outcome is in `draft.sql` / `draft.validated`.
     pub(crate) fn generate_sql(&self, draft: &mut Draft) -> bool {
-        let width = self.ensemble().unwrap_or(self.cfg.candidates.max(1));
+        let width = self.cfg.candidates.max(1);
         for attempt in 0..=self.cfg.max_retries {
             if attempt > 0 && self.cancelled("a self-correction attempt") {
                 return true;
@@ -833,9 +773,6 @@ impl<'a> Run<'a> {
             draft.attempts = attempt + 1;
             let span = self.tracer.span(names::SQL_ATTEMPT);
             span.attr("attempt", attempt + 1).attr("candidates", width);
-            if self.ensemble().is_some() {
-                span.attr("ensemble", true);
-            }
             if let Some(cause) = draft.prompt.errors.last() {
                 span.attr("retry_cause", cause.as_str());
             }
@@ -951,8 +888,8 @@ impl<'a> Run<'a> {
         span.attr("corrected", minority.len());
         let (slots, requests): (Vec<usize>, Vec<CompletionRequest>) = minority.into_iter().unzip();
         // Every correction is collected before any is validated, and they
-        // are applied in seed order, so serial and fanned corrections are
-        // byte-identical and the re-vote's tie-break stays deterministic.
+        // are applied in seed order, so the re-vote's tie-break stays
+        // deterministic.
         let corrections: Vec<Completion> = self.completions(requests.into_iter()).collect();
         let mut recovered = 0usize;
         for (slot, correction) in slots.into_iter().zip(corrections) {
@@ -1168,105 +1105,6 @@ mod tests {
         assert_eq!(voted.sql, first.sql);
     }
 
-    /// Tentpole invariant: ensemble fan-out (parallel candidates over
-    /// seeds `0..n`) is byte-identical to the serial loop over the same
-    /// seeds. Plan generation is disabled because the serial path samples
-    /// only seed 0 there, while the ensemble deliberately votes over `n`
-    /// seeds — the SQL candidate stage is where the seed sets coincide.
-    #[test]
-    fn ensemble_fanout_matches_serial_execution() {
-        let (bundle, index, oracle) = setup();
-        let cfg = PipelineConfig {
-            candidates: 3,
-            candidate_selection: CandidateSelection::MajorityResult,
-            use_plan: false,
-            ..Default::default()
-        };
-        let pipeline = GenEditPipeline::with_config(&oracle, cfg);
-        for task in &bundle.tasks {
-            let serial = pipeline.generate(&task.question, &index, &bundle.db, &[]);
-            let opts = GenerateOptions {
-                ensemble_width: Some(3),
-                ..Default::default()
-            };
-            let fanned = pipeline.generate_with(&task.question, &index, &bundle.db, &[], &opts);
-            assert_eq!(fanned.sql, serial.sql, "task {:?}", task.question);
-            assert_eq!(fanned.reformulated, serial.reformulated);
-            assert_eq!(fanned.intents, serial.intents);
-            assert_eq!(fanned.errors, serial.errors);
-            assert_eq!(fanned.used_examples, serial.used_examples);
-            assert_eq!(fanned.used_instructions, serial.used_instructions);
-            assert_eq!(fanned.used_schema, serial.used_schema);
-            assert_eq!(fanned.validated, serial.validated);
-            assert_eq!(fanned.attempts, serial.attempts);
-        }
-    }
-
-    /// A stub whose plan depends only on the sampling seed, for pinning
-    /// down the ensemble vote: seeds 0 and 3 plan "X", every other seed
-    /// plans "Y".
-    struct PlanBySeed;
-
-    impl LanguageModel for PlanBySeed {
-        fn name(&self) -> &str {
-            "plan-by-seed"
-        }
-
-        fn complete(
-            &self,
-            request: &CompletionRequest,
-        ) -> Result<CompletionResponse, genedit_llm::ModelError> {
-            Ok(match request.prompt.task {
-                TaskKind::PlanGeneration => {
-                    let label = match request.seed {
-                        0 | 3 => "X",
-                        _ => "Y",
-                    };
-                    CompletionResponse::Plan(Plan {
-                        steps: vec![genedit_llm::PlanStep {
-                            description: label.to_string(),
-                            pseudo_sql: None,
-                            scope: "main".to_string(),
-                            kind: None,
-                        }],
-                    })
-                }
-                TaskKind::SqlGeneration => {
-                    CompletionResponse::Sql("SELECT * FROM SPORTS_ORGS".to_string())
-                }
-                TaskKind::Reformulate => CompletionResponse::Text(request.prompt.question.clone()),
-                _ => CompletionResponse::Items(Vec::new()),
-            })
-        }
-    }
-
-    /// Satellite requirement: the plan-ensemble vote takes the majority
-    /// plan when one exists, and breaks ties toward the earliest seed.
-    #[test]
-    fn ensemble_plan_vote_breaks_ties_toward_earliest_seed() {
-        let (bundle, index, _) = setup();
-        let cfg = PipelineConfig {
-            candidates: 1,
-            max_retries: 0,
-            ..Default::default()
-        };
-        let pipeline = GenEditPipeline::with_config(PlanBySeed, cfg);
-        let plan_label = |width: usize| {
-            let opts = GenerateOptions {
-                ensemble_width: Some(width),
-                ..Default::default()
-            };
-            let result = pipeline.generate_with("question", &index, &bundle.db, &[], &opts);
-            let plan = result.plan.expect("stub always plans");
-            plan.steps[0].description.clone()
-        };
-        // Seeds 0..3 plan [X, Y, Y]: the majority plan Y beats seed 0.
-        assert_eq!(plan_label(3), "Y");
-        // Seeds 0..4 plan [X, Y, Y, X]: a 2-2 tie breaks toward the
-        // earliest seed's plan, X.
-        assert_eq!(plan_label(4), "X");
-    }
-
     /// Seed-keyed SQL stub for pinning the execution-signature vote:
     /// every seed except 2 returns the majority full-table scan; seed 2
     /// returns `minority_sql` until the prompt carries correction
@@ -1331,15 +1169,11 @@ mod tests {
         let (bundle, index, _) = setup();
         let model = MinorityBySeed::new("SELECT ORG_NAME FROM SPORTS_ORGS");
         let pipeline = GenEditPipeline::with_config(&model, vote_cfg());
-        let opts = GenerateOptions {
-            ensemble_width: Some(3),
-            ..Default::default()
-        };
-        let result = pipeline.generate_with("question", &index, &bundle.db, &[], &opts);
+        let result = pipeline.generate("question", &index, &bundle.db, &[]);
         assert!(result.validated);
         assert_eq!(result.attempts, 1);
         assert_eq!(result.sql.as_deref(), Some("SELECT * FROM SPORTS_ORGS"));
-        // Exactly one corrective completion on top of the 3-wide fan-out.
+        // Exactly one corrective completion on top of the 3 candidates.
         assert_eq!(model.sql_calls.load(std::sync::atomic::Ordering::SeqCst), 4);
     }
 
@@ -1350,40 +1184,21 @@ mod tests {
         let (bundle, index, _) = setup();
         let model = MinorityBySeed::new("SELECT * FROM MISSING_TABLE");
         let pipeline = GenEditPipeline::with_config(&model, vote_cfg());
-        let opts = GenerateOptions {
-            ensemble_width: Some(3),
-            ..Default::default()
-        };
-        let result = pipeline.generate_with("question", &index, &bundle.db, &[], &opts);
+        let result = pipeline.generate("question", &index, &bundle.db, &[]);
         assert!(result.validated);
         assert_eq!(result.sql.as_deref(), Some("SELECT * FROM SPORTS_ORGS"));
         assert_eq!(model.sql_calls.load(std::sync::atomic::Ordering::SeqCst), 4);
     }
 
     /// The correction round is a no-op when every candidate already
-    /// agrees, and the serial majority path stays byte-identical to the
-    /// ensemble (both correct, both re-vote).
+    /// agrees.
     #[test]
     fn agreeing_candidates_skip_the_correction_round() {
         let (bundle, index, _) = setup();
-        // Seed 2 still diverges, but serial and fanned must agree with
-        // each other (both run the same correction round).
-        let model = MinorityBySeed::new("SELECT ORG_NAME FROM SPORTS_ORGS");
-        let pipeline = GenEditPipeline::with_config(&model, vote_cfg());
-        let opts = GenerateOptions {
-            ensemble_width: Some(3),
-            ..Default::default()
-        };
-        let fanned = pipeline.generate_with("question", &index, &bundle.db, &[], &opts);
-        let serial = pipeline.generate("question", &index, &bundle.db, &[]);
-        assert_eq!(fanned.sql, serial.sql);
-        assert_eq!(fanned.validated, serial.validated);
-        assert_eq!(fanned.attempts, serial.attempts);
-
-        // A fully-agreeing model spends exactly the fan-out, no more.
+        // A fully-agreeing model spends exactly its 3 candidates, no more.
         let agreeing = MinorityBySeed::new("SELECT * FROM SPORTS_ORGS");
         let pipeline = GenEditPipeline::with_config(&agreeing, vote_cfg());
-        let result = pipeline.generate_with("question", &index, &bundle.db, &[], &opts);
+        let result = pipeline.generate("question", &index, &bundle.db, &[]);
         assert!(result.validated);
         assert_eq!(
             agreeing.sql_calls.load(std::sync::atomic::Ordering::SeqCst),

@@ -2,13 +2,13 @@
 //!
 //! A production text-to-SQL service runs many pipelines concurrently,
 //! and at any instant several of them are blocked on the *same kind* of
-//! model call — eight workers all waiting on a reformulation, or an
-//! ensemble fanning out candidate SQL generations. Remote LLM backends
-//! amortize beautifully over such shapes: one batched round trip costs
-//! barely more than a single call. [`BatchScheduler`] exploits that by
-//! coalescing concurrent [`LanguageModel::complete`] calls into
+//! model call — eight workers all waiting on a reformulation. Remote LLM
+//! backends amortize beautifully over such shapes: one batched round trip
+//! costs barely more than a single call. [`BatchScheduler`] exploits that
+//! by coalescing concurrent [`LanguageModel::complete`] calls into
 //! per-[`TaskKind`] micro-batches and dispatching them through
-//! [`LanguageModel::complete_batch`].
+//! [`LanguageModel::complete_batch`]. The serving runtime does not use
+//! it: its in-process model has no round trip to amortize.
 //!
 //! # Coalescing policy
 //!

@@ -7,18 +7,13 @@
 //! of burning model calls on an answer nobody is waiting for.
 //!
 //! This module also owns the **cancel scope**: a thread-local token the
-//! model-call stack consults *inside* an operator. Two layers read it:
-//!
-//! - [`crate::resilient::ResilientModel`] slices its backoff sleeps and
-//!   aborts the retry schedule as soon as the scope's token fires, so a
-//!   hedge-lost or caller-cancelled request stops burning wall clock.
-//! - [`crate::hedge::HedgedModel`] runs each copy of a hedged pair under
-//!   its own scope and cancels the loser's token the moment a winner is
-//!   chosen.
-//!
-//! The token lived in `genedit_core::cancel` until the hedging layer
-//! needed it below the core crate in the dependency graph; `genedit_core`
-//! still re-exports it, so `genedit_core::CancelToken` remains valid.
+//! model-call stack consults *inside* an operator.
+//! [`crate::resilient::ResilientModel`] reads it: it slices its backoff
+//! sleeps and aborts the retry schedule as soon as the scope's token
+//! fires, so a cancelled request stops burning wall clock. That reader
+//! sits below `genedit_core` in the dependency graph, which is why the
+//! token lives here; `genedit_core` re-exports it, so
+//! `genedit_core::CancelToken` remains valid.
 
 use genedit_telemetry::clock::Clock;
 use std::cell::RefCell;

@@ -31,9 +31,10 @@
 //!   never as a second good event in the SLO window — duplicates must
 //!   not flatter (or smear) the burn rate.
 //!
-//! Composition order in the serving stack is
-//! `Resilient(Traced(Hedged(Batch(model))))`: hedges are retried like
-//! any other call above, and coalesced like any other call below.
+//! The serving runtime does not use it. Composed with the other
+//! decorators, the order is `Resilient(Traced(Hedged(Batch(model))))`:
+//! hedges are retried like any other call above, and coalesced like any
+//! other call below.
 //!
 //! Cost model: the hedged path spawns one short-lived thread per call
 //! (the primary), so hedging is engaged per-kind only after warm-up and
@@ -426,6 +427,7 @@ mod tests {
     use crate::prompt::Prompt;
     use genedit_telemetry::SloConfig;
     use std::sync::atomic::AtomicUsize;
+    use std::thread::ThreadId;
     use std::time::Instant;
 
     /// Per-call latency behavior; the payload is always derived from the
@@ -433,25 +435,55 @@ mod tests {
     #[derive(Clone, Copy)]
     enum Step {
         Ready,
-        SleepMs(u64),
+        /// A primary that answers once its duplicate has started.
+        AfterDuplicate,
         BlockUntilCancelled,
         FailTransient,
-        FailAfterMs(u64),
+        /// A primary that times out once its duplicate has started.
+        TimeoutAfterDuplicate,
     }
 
+    /// A model scripted per copy: `scripts[0]` for primaries, `[1]` for
+    /// duplicates, each handed out in call order and [`Step::Ready`]
+    /// past its end. [`HedgedModel`] runs a hedged call's primary on a
+    /// spawned thread and its duplicate inline on the caller's thread, so
+    /// the thread says which copy a call is, however late the spawned
+    /// thread starts. Calls on the thread that built the model (duplicates,
+    /// and calls that run unhedged) read `scripts[1]`.
     struct ScriptedModel {
-        script: Vec<Step>,
-        calls: AtomicUsize,
+        scripts: [Vec<Step>; 2],
+        calls: [AtomicUsize; 2],
+        caller: ThreadId,
         saw_cancel: AtomicUsize,
     }
 
     impl ScriptedModel {
-        fn new(script: Vec<Step>) -> ScriptedModel {
+        fn new(primary: Vec<Step>, duplicate: Vec<Step>) -> ScriptedModel {
             ScriptedModel {
-                script,
-                calls: AtomicUsize::new(0),
+                scripts: [primary, duplicate],
+                calls: Default::default(),
+                caller: std::thread::current().id(),
                 saw_cancel: AtomicUsize::new(0),
             }
+        }
+
+        /// Calls so far, over both copies.
+        fn calls(&self) -> usize {
+            self.calls.iter().map(|c| c.load(Ordering::SeqCst)).sum()
+        }
+
+        /// Wait until the duplicate of primary call `n` has started, so
+        /// that the hedge fires however the threads are scheduled.
+        fn await_duplicate(&self, n: usize) {
+            wait_until(|| self.calls[1].load(Ordering::SeqCst) > n);
+        }
+
+        /// How many calls saw their token fire, once that reaches `n`: a
+        /// losing copy runs on a detached thread, which may not even have
+        /// started when the hedged call returns.
+        fn await_cancelled(&self, n: usize) -> usize {
+            wait_until(|| self.saw_cancel.load(Ordering::SeqCst) >= n);
+            self.saw_cancel.load(Ordering::SeqCst)
         }
 
         fn payload(request: &CompletionRequest) -> CompletionResponse {
@@ -469,31 +501,36 @@ mod tests {
         }
 
         fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, ModelError> {
-            let n = self.calls.fetch_add(1, Ordering::SeqCst);
-            let step = self.script.get(n).copied().unwrap_or(Step::Ready);
-            match step {
+            let copy = usize::from(std::thread::current().id() == self.caller);
+            let n = self.calls[copy].fetch_add(1, Ordering::SeqCst);
+            match self.scripts[copy].get(n).copied().unwrap_or(Step::Ready) {
                 Step::Ready => Ok(Self::payload(request)),
-                Step::SleepMs(ms) => {
-                    std::thread::sleep(Duration::from_millis(ms));
+                Step::AfterDuplicate => {
+                    self.await_duplicate(n);
                     Ok(Self::payload(request))
                 }
                 Step::BlockUntilCancelled => {
                     let token = cancel::current().unwrap_or_default();
-                    let cap = Instant::now() + Duration::from_secs(5);
-                    while !token.is_cancelled() && Instant::now() < cap {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
+                    wait_until(|| token.is_cancelled());
                     if token.is_cancelled() {
                         self.saw_cancel.fetch_add(1, Ordering::SeqCst);
                     }
                     Ok(Self::payload(request))
                 }
                 Step::FailTransient => Err(ModelError::Transient("scripted".into())),
-                Step::FailAfterMs(ms) => {
-                    std::thread::sleep(Duration::from_millis(ms));
+                Step::TimeoutAfterDuplicate => {
+                    self.await_duplicate(n);
                     Err(ModelError::Timeout)
                 }
             }
+        }
+    }
+
+    /// Poll `done` every millisecond, for at most 5 s.
+    fn wait_until(done: impl Fn() -> bool) {
+        let cap = Instant::now() + Duration::from_secs(5);
+        while !done() && Instant::now() < cap {
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 
@@ -519,14 +556,14 @@ mod tests {
     #[test]
     fn disabled_policy_is_a_pure_pass_through() {
         let hedged = HedgedModel::new(
-            ScriptedModel::new(vec![Step::Ready; 4]),
+            ScriptedModel::new(vec![], vec![Step::Ready; 4]),
             HedgePolicy::disabled(),
         );
         for _ in 0..4 {
             let r = hedged.complete(&request()).expect("ok");
             assert_eq!(r, ScriptedModel::payload(&request()));
         }
-        assert_eq!(hedged.inner().calls.load(Ordering::SeqCst), 4);
+        assert_eq!(hedged.inner().calls(), 4);
         assert_eq!(hedged.stats(), HedgeStats::default());
         assert_eq!(hedged.hedge_delay(TaskKind::SqlGeneration), None);
     }
@@ -537,7 +574,7 @@ mod tests {
             min_observations: 3,
             ..eager_policy()
         };
-        let hedged = HedgedModel::new(ScriptedModel::new(vec![Step::Ready; 8]), policy);
+        let hedged = HedgedModel::new(ScriptedModel::new(vec![], vec![Step::Ready; 8]), policy);
         assert_eq!(hedged.hedge_delay(TaskKind::SqlGeneration), None);
         for _ in 0..3 {
             hedged.complete(&request()).expect("ok");
@@ -561,7 +598,7 @@ mod tests {
             min_observations: 10,
             ..HedgePolicy::default()
         };
-        let hedged = HedgedModel::new(ScriptedModel::new(vec![]), policy);
+        let hedged = HedgedModel::new(ScriptedModel::new(vec![], vec![]), policy);
         // Tight distribution: p95 ~1ms, clamped up to the 5ms floor.
         hedged.preheat(TaskKind::SqlGeneration, &[Duration::from_millis(1); 32]);
         assert_eq!(
@@ -588,9 +625,9 @@ mod tests {
     #[test]
     fn hedge_fires_wins_and_cancels_the_straggling_primary() {
         let metrics = Arc::new(MetricsRegistry::new());
-        // Call 0 (primary) straggles until cancelled; call 1 (the
-        // duplicate) answers immediately.
-        let model = ScriptedModel::new(vec![Step::BlockUntilCancelled, Step::Ready]);
+        // The primary straggles until cancelled; the duplicate answers
+        // immediately.
+        let model = ScriptedModel::new(vec![Step::BlockUntilCancelled], vec![Step::Ready]);
         let hedged =
             preheated(HedgedModel::new(model, eager_policy()).with_metrics(Arc::clone(&metrics)));
         let out = hedged.complete(&request()).expect("hedge answers");
@@ -605,21 +642,16 @@ mod tests {
         );
         assert_eq!(metrics.counter("hedge.fired.sql"), 1);
         assert_eq!(metrics.counter("hedge.won.sql"), 1);
-        // The losing primary saw its token fire (give the detached
-        // thread a beat to observe it).
-        let cap = Instant::now() + Duration::from_secs(2);
-        while hedged.inner().saw_cancel.load(Ordering::SeqCst) == 0 && Instant::now() < cap {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(hedged.inner().saw_cancel.load(Ordering::SeqCst), 1);
+        // The losing primary saw its token fire.
+        assert_eq!(hedged.inner().await_cancelled(1), 1);
     }
 
     #[test]
     fn primary_win_counts_the_duplicate_as_wasted() {
-        // Call 0 (primary) sleeps past the delay but finishes; call 1
-        // (the duplicate) straggles until the primary's publication
+        // The primary answers past the delay, once the duplicate has
+        // fired; the duplicate straggles until the primary's publication
         // cancels it.
-        let model = ScriptedModel::new(vec![Step::SleepMs(15), Step::BlockUntilCancelled]);
+        let model = ScriptedModel::new(vec![Step::AfterDuplicate], vec![Step::BlockUntilCancelled]);
         let hedged = preheated(HedgedModel::new(model, eager_policy()));
         let out = hedged.complete(&request()).expect("primary answers");
         assert_eq!(out, ScriptedModel::payload(&request()));
@@ -630,10 +662,11 @@ mod tests {
 
     #[test]
     fn both_copies_failing_returns_the_primary_error() {
-        // Call 0 (primary) straggles 30ms then times out; call 1 (the
-        // duplicate) fails fast. The primary's error is the one
-        // surfaced, so the error path is deterministic.
-        let model = ScriptedModel::new(vec![Step::FailAfterMs(30), Step::FailTransient]);
+        // The primary times out once the duplicate has fired; the
+        // duplicate fails fast. The primary's error is the one surfaced,
+        // so the error path is deterministic.
+        let model =
+            ScriptedModel::new(vec![Step::TimeoutAfterDuplicate], vec![Step::FailTransient]);
         let hedged = preheated(HedgedModel::new(model, eager_policy()));
         let err = hedged.complete(&request()).unwrap_err();
         assert_eq!(err, ModelError::Timeout);
@@ -654,14 +687,13 @@ mod tests {
     fn hedges_fire_for_stragglers_and_only_for_stragglers() {
         let stragglers = [1usize, 4, 5, 8];
         let n = 10;
-        // The script is indexed by model call: a straggling primary is
-        // followed by its duplicate, which answers at once.
-        let script = (0..n)
-            .flat_map(|i| {
+        // Primaries are scripted by call; every duplicate answers at once.
+        let primaries = (0..n)
+            .map(|i| {
                 if stragglers.contains(&i) {
-                    vec![Step::BlockUntilCancelled, Step::Ready]
+                    Step::BlockUntilCancelled
                 } else {
-                    vec![Step::Ready]
+                    Step::Ready
                 }
             })
             .collect();
@@ -672,7 +704,8 @@ mod tests {
             max_delay: Duration::from_millis(50),
             ..eager_policy()
         };
-        let hedged = preheated(HedgedModel::new(ScriptedModel::new(script), policy));
+        let model = ScriptedModel::new(primaries, vec![]);
+        let hedged = preheated(HedgedModel::new(model, policy));
         for i in 0..n {
             let before = hedged.stats().fired;
             hedged.complete(&request()).expect("every call answers");
@@ -680,6 +713,9 @@ mod tests {
             assert_eq!(fired, u64::from(stragglers.contains(&i)), "call {i}");
         }
         let k = stragglers.len();
+        // Every straggling primary has made its call once it has seen
+        // its token fire.
+        hedged.inner().await_cancelled(k);
         assert_eq!(
             hedged.stats(),
             HedgeStats {
@@ -688,21 +724,17 @@ mod tests {
                 wasted: 0
             }
         );
-        assert_eq!(hedged.inner().calls.load(Ordering::SeqCst), n + k);
+        assert_eq!(hedged.inner().calls(), n + k);
     }
 
     #[test]
     fn hedged_and_unhedged_results_are_byte_identical() {
         // Same deterministic payloads, wildly different timing scripts.
-        let plain = ScriptedModel::new(vec![Step::Ready; 8]);
-        let spiky = ScriptedModel::new(vec![
-            Step::BlockUntilCancelled,
-            Step::Ready,
-            Step::SleepMs(15),
-            Step::BlockUntilCancelled,
-            Step::Ready,
-            Step::Ready,
-        ]);
+        let plain = ScriptedModel::new(vec![], vec![Step::Ready; 8]);
+        let spiky = ScriptedModel::new(
+            vec![Step::BlockUntilCancelled, Step::AfterDuplicate, Step::Ready],
+            vec![Step::Ready, Step::BlockUntilCancelled],
+        );
         let hedged = preheated(HedgedModel::new(spiky, eager_policy()));
         for seed in 0..3u64 {
             let mut req = request();
@@ -722,22 +754,14 @@ mod tests {
         ));
         // Every primary straggles; every duplicate answers: 4 logical
         // requests, 8 model calls, all hedges won.
-        let model = ScriptedModel::new(vec![
-            Step::BlockUntilCancelled,
-            Step::Ready,
-            Step::BlockUntilCancelled,
-            Step::Ready,
-            Step::BlockUntilCancelled,
-            Step::Ready,
-            Step::BlockUntilCancelled,
-            Step::Ready,
-        ]);
+        let model = ScriptedModel::new(vec![Step::BlockUntilCancelled; 4], vec![Step::Ready; 4]);
         let hedged = preheated(HedgedModel::new(model, eager_policy()).with_slo(Arc::clone(&slo)));
         for _ in 0..4 {
             hedged.complete(&request()).expect("ok");
         }
         assert_eq!(hedged.stats().fired, 4);
-        assert_eq!(hedged.inner().calls.load(Ordering::SeqCst), 8);
+        hedged.inner().await_cancelled(4);
+        assert_eq!(hedged.inner().calls(), 8);
         let report = slo.evaluate();
         // One verdict per request: wasted/won duplicates never inflate
         // the SLO window (8 events here would mean double counting).

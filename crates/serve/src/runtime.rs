@@ -32,9 +32,7 @@ use genedit_core::{
     CancelToken, GenEditPipeline, GenerateOptions, GenerationResult, KnowledgeIndex, PipelineConfig,
 };
 use genedit_knowledge::tenants::TenantStoreError;
-use genedit_llm::{
-    BatchConfig, BatchScheduler, HedgePolicy, HedgeStats, HedgedModel, LanguageModel,
-};
+use genedit_llm::LanguageModel;
 use genedit_retrieval::Embedding;
 use genedit_sql::catalog::Database;
 use genedit_telemetry::slo::AlertTransition;
@@ -91,23 +89,6 @@ pub struct ServeConfig {
     pub reform_cache_capacity: usize,
     /// Pipeline configuration used by every worker.
     pub pipeline: PipelineConfig,
-    /// Cross-worker micro-batching of model calls. Every worker pipeline
-    /// runs over one shared [`BatchScheduler`], so concurrent calls of
-    /// the same task kind coalesce into `complete_batch` dispatches. The
-    /// default ([`BatchConfig::disabled`]) passes calls straight through.
-    pub batch: BatchConfig,
-    /// When `Some(n)` with `n > 1`, workers generate `n` CoT plan and
-    /// SQL candidates in parallel per request and select by vote (see
-    /// [`GenerateOptions::ensemble_width`]). Pairs naturally with
-    /// `batch`: one request's fan-out fills a batch by itself.
-    pub ensemble_width: Option<usize>,
-    /// Hedged dispatch of model calls: when enabled, a call that
-    /// straggles past a percentile-derived delay fires a duplicate and
-    /// the first completion wins (see [`HedgedModel`]). Sits *outside*
-    /// the batch scheduler so the duplicate can coalesce into a fresh
-    /// batch. The default ([`HedgePolicy::disabled`]) passes calls
-    /// straight through.
-    pub hedge: HedgePolicy,
     /// Observability plane: SLO burn-rate alerting and the tail-sampling
     /// flight recorder.
     pub observability: ObsConfig,
@@ -134,9 +115,6 @@ impl Default for ServeConfig {
             result_cache_capacity: 256,
             reform_cache_capacity: 256,
             pipeline: PipelineConfig::default(),
-            batch: BatchConfig::disabled(),
-            ensemble_width: None,
-            hedge: HedgePolicy::disabled(),
             observability: ObsConfig::default(),
             supervisor: SupervisorConfig::default(),
             quarantine: QuarantineConfig::disabled(),
@@ -183,12 +161,8 @@ struct Shared<M> {
     /// [`ServeRuntime::publish`].
     published: Mutex<(u64, Arc<KnowledgeIndex>)>,
     db: Arc<Database>,
-    /// The shared model every worker pipeline runs over: a process-wide
-    /// [`BatchScheduler`] (so concurrent same-kind calls across workers
-    /// coalesce) fronted by a [`HedgedModel`] (so stragglers race a
-    /// duplicate). Disabled configs on either layer pass straight
-    /// through.
-    model: Arc<HedgedModel<BatchScheduler<Arc<M>>>>,
+    /// The model every worker pipeline runs over.
+    model: Arc<M>,
     config: ServeConfig,
     metrics: Arc<MetricsRegistry>,
     /// SLO burn-rate tracker over completed requests (system clock).
@@ -301,17 +275,12 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             Arc::new(SystemClock::new()) as Arc<dyn Clock>,
         )
         .with_metrics(Arc::clone(&metrics));
-        let batch = BatchScheduler::new(Arc::new(model), config.batch.clone())
-            .with_metrics(Arc::clone(&metrics));
-        let model = Arc::new(
-            HedgedModel::new(batch, config.hedge.clone()).with_metrics(Arc::clone(&metrics)),
-        );
         let shared = Arc::new(Shared {
             sched: Mutex::new(DrrScheduler::new()),
             available: Condvar::new(),
             published: Mutex::new((epoch, index)),
             db,
-            model,
+            model: Arc::new(model),
             metrics,
             slo,
             recorder,
@@ -381,12 +350,6 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
     /// The flight recorder, when one was configured.
     pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
         self.shared.recorder.as_ref()
-    }
-
-    /// Hedged-dispatch counters (fired / won / wasted) accumulated by
-    /// the runtime's model stack. All zeros when hedging is disabled.
-    pub fn hedge_stats(&self) -> HedgeStats {
-        self.shared.model.stats()
     }
 
     /// Whether the configured SLO's burn-rate alert is currently firing.
@@ -801,7 +764,6 @@ fn serve_one<M: LanguageModel + 'static, L: LanguageModel>(
         cancel: Some(cancel),
         reformulation,
         query_embedding,
-        ensemble_width: shared.config.ensemble_width,
         request_id: Some(request_id),
     };
     let result = pipeline.generate_with(

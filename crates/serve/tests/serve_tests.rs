@@ -9,8 +9,8 @@ use genedit_knowledge::{
     DurableKnowledgeStore, Edit, KnowledgeSet, MemFs, SourceRef, StagingArea, StoreConfig, StoreFs,
 };
 use genedit_llm::{
-    BatchConfig, CompletionRequest, CompletionResponse, HedgePolicy, LanguageModel, ModelError,
-    OracleConfig, OracleModel, TaskRegistry,
+    CompletionRequest, CompletionResponse, LanguageModel, ModelError, OracleConfig, OracleModel,
+    TaskRegistry,
 };
 use genedit_serve::{
     ObsConfig, Priority, QueryOutcome, QueryRequest, Rejected, ServeConfig, ServeRuntime,
@@ -500,63 +500,6 @@ fn stale_deadline_is_rejected_at_submit() {
     runtime.shutdown();
 }
 
-/// Tentpole invariant: serving over an enabled [`BatchScheduler`] (calls
-/// coalesce across the worker pool) returns byte-identical results to
-/// the unbatched direct pipeline for every question.
-#[test]
-fn batched_serving_matches_direct_pipeline() {
-    let (bundle, ks, oracle) = setup();
-    let direct = GenEditPipeline::new(&oracle);
-    let direct_index = KnowledgeIndex::build(ks.clone());
-    let questions: Vec<&str> = bundle
-        .tasks
-        .iter()
-        .take(4)
-        .map(|t| t.question.as_str())
-        .collect();
-    let expected: Vec<String> = questions
-        .iter()
-        .map(|q| {
-            direct
-                .generate(q, &direct_index, &bundle.db, &[])
-                .fingerprint()
-        })
-        .collect();
-
-    let runtime = ServeRuntime::start(
-        oracle,
-        Arc::new(KnowledgeIndex::build(ks)),
-        0,
-        Arc::new(bundle.db.clone()),
-        ServeConfig {
-            workers: 4,
-            queue_capacity: 64,
-            // Caches off so every request exercises the batched path.
-            result_cache_capacity: 0,
-            reform_cache_capacity: 0,
-            batch: BatchConfig::default(),
-            ..ServeConfig::default()
-        },
-    );
-    let tickets: Vec<_> = (0..16)
-        .map(|i| {
-            runtime
-                .submit(QueryRequest::new("acme", questions[i % questions.len()]))
-                .unwrap()
-        })
-        .collect();
-    for (i, ticket) in tickets.into_iter().enumerate() {
-        let outcome = ticket.wait();
-        let (result, _, _) = completed(&outcome);
-        assert_eq!(
-            result.fingerprint(),
-            expected[i % questions.len()],
-            "request {i} diverged under batching"
-        );
-    }
-    runtime.shutdown();
-}
-
 /// Satellite requirement: N threads hammering the runtime concurrently
 /// never observe torn results or another tenant's (or question's)
 /// cached answer — every outcome matches the direct-pipeline result for
@@ -729,99 +672,6 @@ fn request_id_joins_spans_exemplars_and_recorder() {
             "recorded trace and record disagree on the request ID"
         );
     }
-    runtime.shutdown();
-}
-
-/// A model whose every 5th call stalls: deterministic answers (the
-/// inner oracle keys on prompt + seed alone), non-deterministic timing.
-/// Exactly the shape hedged dispatch exists for.
-struct SpikyModel<M> {
-    inner: M,
-    calls: std::sync::atomic::AtomicU64,
-}
-
-impl<M: LanguageModel> LanguageModel for SpikyModel<M> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, ModelError> {
-        let n = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        if n % 5 == 4 {
-            std::thread::sleep(Duration::from_millis(40));
-        }
-        self.inner.complete(request)
-    }
-}
-
-/// Tentpole acceptance: serving with hedged dispatch enabled over a
-/// model with latency spikes returns byte-identical results to the
-/// direct unhedged pipeline, and the hedge actually fires (the spikes
-/// dwarf the hedge delay).
-#[test]
-fn hedged_serving_matches_direct_pipeline() {
-    let (bundle, ks, oracle) = setup();
-    let direct = GenEditPipeline::new(&oracle);
-    let direct_index = KnowledgeIndex::build(ks.clone());
-    let questions: Vec<&str> = bundle
-        .tasks
-        .iter()
-        .take(4)
-        .map(|t| t.question.as_str())
-        .collect();
-    let expected: Vec<String> = questions
-        .iter()
-        .map(|q| {
-            direct
-                .generate(q, &direct_index, &bundle.db, &[])
-                .fingerprint()
-        })
-        .collect();
-
-    let runtime = ServeRuntime::start(
-        SpikyModel {
-            inner: oracle,
-            calls: std::sync::atomic::AtomicU64::new(0),
-        },
-        Arc::new(KnowledgeIndex::build(ks)),
-        0,
-        Arc::new(bundle.db.clone()),
-        ServeConfig {
-            workers: 2,
-            // Caches off so every request exercises the hedged path.
-            result_cache_capacity: 0,
-            reform_cache_capacity: 0,
-            hedge: HedgePolicy {
-                min_delay: Duration::from_millis(5),
-                max_delay: Duration::from_millis(5),
-                min_observations: 4,
-                ..HedgePolicy::default()
-            },
-            ..ServeConfig::default()
-        },
-    );
-    let tickets: Vec<_> = (0..12)
-        .map(|i| {
-            runtime
-                .submit(QueryRequest::new("acme", questions[i % questions.len()]))
-                .unwrap()
-        })
-        .collect();
-    for (i, ticket) in tickets.into_iter().enumerate() {
-        let outcome = ticket.wait();
-        let (result, _, _) = completed(&outcome);
-        assert_eq!(
-            result.fingerprint(),
-            expected[i % questions.len()],
-            "request {i} diverged under hedging"
-        );
-    }
-    let stats = runtime.hedge_stats();
-    assert!(
-        stats.fired >= 1,
-        "40ms spikes over a 5ms hedge delay never fired a hedge"
-    );
-    assert_eq!(stats.fired, stats.won + stats.wasted);
     runtime.shutdown();
 }
 

@@ -9,10 +9,7 @@
 //! Run this test before and after touching `pipeline.rs`.
 
 use genedit::bird::Workload;
-use genedit::core::{
-    CandidateSelection, GenEditPipeline, GenerateOptions, GenerationResult, Harness,
-    KnowledgeIndex, PipelineConfig,
-};
+use genedit::core::{CandidateSelection, GenEditPipeline, Harness, KnowledgeIndex, PipelineConfig};
 use genedit::llm::{FaultConfig, FaultInjector, LanguageModel, OracleModel};
 use genedit::telemetry::hash::{fnv1a64, fnv1a64_from};
 use genedit::telemetry::Span;
@@ -53,28 +50,9 @@ fn nested_shape(span: &Span, out: &mut String) {
     out.push(']');
 }
 
-/// The sorted multiset of `name{attrs}` with nesting dropped. Ensemble
-/// candidates run on scoped threads that race for the tracer's one
-/// open-span stack, so which `llm.complete` span nests under which is
-/// scheduling-dependent there; which spans exist is not.
-fn flat_shape(result: &GenerationResult) -> String {
-    let mut spans: Vec<String> = result
-        .trace
-        .all_spans()
-        .into_iter()
-        .map(|s| format!("{}{{{}}}", s.name, attrs(s)))
-        .collect();
-    spans.sort();
-    spans.join(";")
-}
-
 /// Two digests over every gold task in workload order — the answers and
 /// the trace shapes — plus every warning raised along the way.
-fn digests<M: LanguageModel>(
-    pipeline: &GenEditPipeline<M>,
-    opts: &GenerateOptions<'_>,
-    nested: bool,
-) -> ((u64, u64), Vec<String>) {
+fn digests<M: LanguageModel>(pipeline: &GenEditPipeline<M>) -> ((u64, u64), Vec<String>) {
     let (workload, indexes) = fixture();
     let mut answers = fnv1a64(b"answers");
     let mut traces = fnv1a64(b"traces");
@@ -83,16 +61,12 @@ fn digests<M: LanguageModel>(
     for bundle in &workload.domains {
         let index = &indexes[&bundle.db.name];
         for task in &bundle.tasks {
-            let r = pipeline.generate_with(&task.question, index, &bundle.db, &[], opts);
+            let r = pipeline.generate(&task.question, index, &bundle.db, &[]);
             let answer = format!("{}|{}|{:?}\n", r.fingerprint(), r.attempts, r.warnings);
             answers = fnv1a64_from(answers, answer.as_bytes());
             let mut shape = String::new();
-            if nested {
-                for span in &r.trace.spans {
-                    nested_shape(span, &mut shape);
-                }
-            } else {
-                shape = flat_shape(&r);
+            for span in &r.trace.spans {
+                nested_shape(span, &mut shape);
             }
             shape.push('\n');
             traces = fnv1a64_from(traces, shape.as_bytes());
@@ -119,7 +93,7 @@ fn majority() -> PipelineConfig {
 #[test]
 fn default_config_is_pinned() {
     let pipeline = GenEditPipeline::new(oracle());
-    let (got, warnings) = digests(&pipeline, &GenerateOptions::default(), true);
+    let (got, warnings) = digests(&pipeline);
     assert_eq!(
         got,
         (0xfc01_8541_3584_06c9, 0x8305_5566_f14c_5528),
@@ -131,24 +105,12 @@ fn default_config_is_pinned() {
 #[test]
 fn majority_vote_is_pinned_and_the_ensemble_answers_the_same() {
     let pipeline = GenEditPipeline::with_config(oracle(), majority());
-    let (serial, _) = digests(&pipeline, &GenerateOptions::default(), true);
+    let (serial, _) = digests(&pipeline);
     assert_eq!(
         serial,
         (0xd050_e05f_1e13_32f3, 0x6036_3d36_24e3_b05f),
         "got {serial:#x?}"
     );
-
-    let opts = GenerateOptions {
-        ensemble_width: Some(3),
-        ..Default::default()
-    };
-    let (fanned, _) = digests(&pipeline, &opts, false);
-    assert_eq!(
-        fanned,
-        (0xd050_e05f_1e13_32f3, 0xd15d_fcdc_c750_8e46),
-        "got {fanned:#x?}"
-    );
-    assert_eq!(fanned.0, serial.0, "ensemble answers differ from serial");
 }
 
 #[test]
@@ -159,7 +121,7 @@ fn every_degrade_arm_is_pinned_under_injected_faults() {
         ..FaultConfig::default()
     };
     let pipeline = GenEditPipeline::new(FaultInjector::new(oracle(), faults, 42));
-    let (got, warnings) = digests(&pipeline, &GenerateOptions::default(), true);
+    let (got, warnings) = digests(&pipeline);
     assert_eq!(
         got,
         (0x928d_1ac5_0009_1745, 0xc2aa_2385_5e92_b39f),
