@@ -9,8 +9,11 @@
 //! the only fields left out. `complexity_sweep` has no `--json` output;
 //! its console report carries no timing, so every byte of it is hashed.
 //!
+//! `edit_metrics` is checked against the report instead: its stdout must
+//! equal EXPERIMENTS.md's E4 block byte for byte.
+//!
 //! Not pinned: `improvement_curve` (about 15 s in a debug build, too slow
-//! for this suite) and `edit_metrics` (no `--json` output).
+//! for this suite).
 
 use genedit_telemetry::hash::fnv1a64;
 use serde_json::Value;
@@ -80,4 +83,13 @@ fn complexity_sweep_is_pinned() {
     let text = run(env!("CARGO_BIN_EXE_complexity_sweep"), &[]);
     let digest = format!("{:016x}", fnv1a64(text.as_bytes()));
     assert_eq!(digest, "fc97205e5f857d77", "{text}");
+}
+
+#[test]
+fn edit_metrics_matches_experiments_md() {
+    let printed = run(env!("CARGO_BIN_EXE_edit_metrics"), &[]);
+    let report = include_str!("../../../EXPERIMENTS.md");
+    let e4 = report.split("\n## E4 ").nth(1).unwrap();
+    let block = e4.split("```\n").nth(1).unwrap();
+    assert_eq!(block, printed, "EXPERIMENTS.md's E4 block is stale");
 }

@@ -268,7 +268,15 @@ impl<M: LanguageModel> GenEditPipeline<M> {
                 db,
                 opts,
             };
-            let r = run.generate_core(question, evidence);
+            // The token also becomes the thread's cancel scope, so the
+            // retry layer abandons its backoff the moment it fires
+            // instead of sleeping out the schedule.
+            let r = match opts.cancel {
+                Some(token) => genedit_llm::cancel::with_current(token, || {
+                    run.generate_core(question, evidence)
+                }),
+                None => run.generate_core(question, evidence),
+            };
             root.attr("attempts", r.attempts)
                 .attr("validated", r.validated);
             if r.cancelled {
@@ -1473,6 +1481,42 @@ mod tests {
                 [format!("generation cancelled after {stage}")]
             );
         }
+    }
+
+    /// Fails every call with a retryable error.
+    struct AlwaysTransient;
+
+    impl LanguageModel for AlwaysTransient {
+        fn name(&self) -> &str {
+            "always-transient"
+        }
+
+        fn complete(&self, _: &CompletionRequest) -> Result<CompletionResponse, ModelError> {
+            Err(ModelError::Transient("backend down".to_string()))
+        }
+    }
+
+    /// The generation's token is also the retry layer's cancel scope: a
+    /// cancelled request gives up its backoff instead of sleeping out
+    /// the whole retry schedule.
+    #[test]
+    fn a_cancelled_generation_sleeps_no_retry_backoff() {
+        let (bundle, index, _) = setup();
+        let clock = Arc::new(genedit_llm::SimulatedClock::new());
+        let state = ResilienceState::new(
+            genedit_llm::ResiliencePolicy::default(),
+            Arc::clone(&clock) as Arc<dyn genedit_llm::Clock>,
+        );
+        let pipeline = GenEditPipeline::new(AlwaysTransient).with_resilience_state(Arc::new(state));
+        let token = CancelToken::new();
+        token.cancel();
+        let opts = GenerateOptions {
+            cancel: Some(&token),
+            ..Default::default()
+        };
+        let r = pipeline.generate_with("question", &index, &bundle.db, &[], &opts);
+        assert!(r.cancelled);
+        assert_eq!(clock.total_slept(), std::time::Duration::ZERO);
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! torn writes and bit rot detectable; the length prefix makes the log
 //! scannable without trusting its contents.
 //!
+//! Every append is fsynced before it returns, so a record is
+//! acknowledged exactly when it is durable. If the fsync fails, the
+//! appended bytes are truncated back out, so a later fsync can never make
+//! an unacknowledged record durable.
+//!
 //! Merges from the staging area are bracketed by [`JournalRecord::BatchStart`]
 //! / [`JournalRecord::BatchCommit`] markers. Recovery only applies a batch
 //! once its commit marker is on disk, so a crash in the middle of a merge
@@ -277,38 +282,19 @@ pub fn scan(bytes: &[u8]) -> ScanOutcome {
     }
 }
 
-/// When appended records are forced to durable storage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// fsync after every append (and after every batch) — no committed
-    /// record is ever lost to a crash.
-    #[default]
-    Always,
-    /// fsync every `n` appends — bounds the data-loss window to `n - 1`
-    /// acknowledged records.
-    EveryN(u32),
-    /// Never fsync from the journal; durability rides on the OS cache
-    /// (and on explicit [`Journal::sync`] calls).
-    Never,
-}
-
 /// Append-side handle on the journal file.
 pub struct Journal {
     fs: Arc<dyn StoreFs>,
     path: PathBuf,
-    policy: FsyncPolicy,
-    unsynced: u32,
     metrics: Option<Arc<genedit_telemetry::MetricsRegistry>>,
 }
 
 impl Journal {
-    /// Open an append handle on `path` with the given fsync policy.
-    pub fn new(fs: Arc<dyn StoreFs>, path: impl Into<PathBuf>, policy: FsyncPolicy) -> Journal {
+    /// Open an append handle on `path`.
+    pub fn new(fs: Arc<dyn StoreFs>, path: impl Into<PathBuf>) -> Journal {
         Journal {
             fs,
             path: path.into(),
-            policy,
-            unsynced: 0,
             metrics: None,
         }
     }
@@ -324,22 +310,17 @@ impl Journal {
         &self.path
     }
 
-    /// The fsync policy in force.
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
-    }
-
     /// Current byte length of the journal file (0 when absent).
     pub fn byte_len(&self) -> u64 {
         self.fs.len(&self.path).unwrap_or(0)
     }
 
-    /// Append one record and apply the fsync policy.
+    /// Append one record and fsync it.
     pub fn append(&mut self, record: &JournalRecord) -> Result<u64, JournalError> {
         self.append_frames(std::slice::from_ref(record))
     }
 
-    /// Append several records as one contiguous write (one fsync at most).
+    /// Append several records as one contiguous write and one fsync.
     /// Used for staged-merge batches so the markers and edits share fate.
     pub fn append_batch(&mut self, records: &[JournalRecord]) -> Result<u64, JournalError> {
         self.append_frames(records)
@@ -358,36 +339,27 @@ impl Journal {
             m.incr("store.journal.appends", records.len() as u64);
             m.incr("store.journal.bytes", buffer.len() as u64);
         }
-        self.unsynced = self.unsynced.saturating_add(1);
-        let should_sync = match self.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
-            FsyncPolicy::Never => false,
-        };
-        if should_sync {
-            if let Err(e) = self.sync() {
-                // The append will be reported as failed, so the caller never
-                // acknowledges these records — but the bytes are already in
-                // the file, and a *later* successful fsync would make them
-                // durable, letting recovery replay an edit nobody committed.
-                // Cut them back out (best effort: under a crash every
-                // subsequent op fails anyway, and the tail is volatile).
-                let _ = self.fs.truncate(&self.path, pre_len);
-                return Err(e);
-            }
+        if let Err(e) = self.sync() {
+            // The append will be reported as failed, so the caller never
+            // acknowledges these records — but the bytes are already in
+            // the file, and a *later* successful fsync would make them
+            // durable, letting recovery replay an edit nobody committed.
+            // Cut them back out (best effort: under a crash every
+            // subsequent op fails anyway, and the tail is volatile).
+            let _ = self.fs.truncate(&self.path, pre_len);
+            return Err(e);
         }
         Ok(buffer.len() as u64)
     }
 
-    /// Force everything appended so far to durable storage.
-    pub fn sync(&mut self) -> Result<(), JournalError> {
+    /// Force the journal file to durable storage.
+    fn sync(&mut self) -> Result<(), JournalError> {
         if !self.fs.exists(&self.path) {
             return Ok(());
         }
         self.fs
             .fsync(&self.path)
             .map_err(io_failure("fsync", &self.path))?;
-        self.unsynced = 0;
         if let Some(m) = &self.metrics {
             m.incr("store.journal.syncs", 1);
         }
@@ -511,28 +483,13 @@ mod tests {
         let fs: Arc<dyn StoreFs> = Arc::clone(&mem) as Arc<dyn StoreFs>;
         let path = PathBuf::from("j.wal");
 
-        // Never-sync: bytes visible but a crash wipes them.
-        let mut journal = Journal::new(Arc::clone(&fs), &path, FsyncPolicy::Never);
-        journal.append(&JournalRecord::Edit(edit("a"))).unwrap();
-        mem.crash();
-        assert_eq!(fs.read(&path).unwrap(), b"");
-
-        // Always-sync: the record survives the crash.
-        let mut journal = Journal::new(Arc::clone(&fs), &path, FsyncPolicy::Always);
+        // Every append is fsynced: the record survives the crash.
+        let mut journal = Journal::new(Arc::clone(&fs), &path);
         journal.append(&JournalRecord::Edit(edit("b"))).unwrap();
         mem.crash();
         let outcome = scan(&fs.read(&path).unwrap());
         assert_eq!(outcome.end, ScanEnd::Clean);
         assert_eq!(outcome.records, vec![JournalRecord::Edit(edit("b"))]);
-
-        // EveryN(2): first append volatile, second makes both durable.
-        let mut journal = Journal::new(Arc::clone(&fs), &path, FsyncPolicy::EveryN(2));
-        journal.append(&JournalRecord::Edit(edit("c"))).unwrap();
-        journal.append(&JournalRecord::Edit(edit("d"))).unwrap();
-        journal.append(&JournalRecord::Edit(edit("e"))).unwrap();
-        mem.crash();
-        let outcome = scan(&fs.read(&path).unwrap());
-        assert_eq!(outcome.records.len(), 3); // b, c, d — e was unsynced
         journal.reset().unwrap();
         assert_eq!(journal.byte_len(), 0);
     }

@@ -39,12 +39,11 @@ pub mod types;
 pub use decompose::{decompose, decompose_sql, to_cte_normal_form};
 pub use fs::{FaultyFs, IoFailure, IoFaultConfig, IoFaultLog, MemFs, RealFs, StoreFs};
 pub use journal::{
-    crc32, encode_record, scan, FsyncPolicy, Journal, JournalError, JournalRecord, ScanEnd,
-    ScanOutcome,
+    crc32, encode_record, scan, Journal, JournalError, JournalRecord, ScanEnd, ScanOutcome,
 };
 pub use mine::{mine_intents, IntentProposal};
 pub use page::{Page, PageError, PageKind, DEFAULT_PAGE_SIZE};
-pub use persist::{from_json, load, load_with_limit, save, to_json, PersistError};
+pub use persist::{from_json, to_json, PersistError};
 pub use pool::{BufferPool, PageKey, PinnedPage, PoolConfig, PoolStats};
 pub use preprocess::{
     build_knowledge_set, build_knowledge_set_traced, describe_fragment, DomainDocument, Guideline,

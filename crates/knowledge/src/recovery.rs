@@ -529,6 +529,31 @@ mod tests {
     }
 
     #[test]
+    fn oversized_snapshot_is_quarantined_unread() {
+        // A valid snapshot one byte over the limit: had recovery decoded
+        // it, the recovered set would hold its example.
+        let mut set = KnowledgeSet::new();
+        set.apply(edit("a")).unwrap();
+        let json = persist::to_json(&set).unwrap();
+        let fs: Arc<dyn StoreFs> = Arc::new(MemFs::new());
+        let (snap, journal) = (PathBuf::from("k.json"), PathBuf::from("k.wal"));
+        fs.write_file(&snap, json.as_bytes()).unwrap();
+        let limit = json.len() as u64 - 1;
+        let (recovered, report) = recover(&fs, &snap, &journal, limit, None).unwrap();
+        assert_eq!(report.outcome, RecoveryOutcome::Quarantined);
+        assert_eq!(report.quarantined, [PathBuf::from("k.json.quarantine")]);
+        assert!(!report.snapshot_loaded);
+        assert!(recovered.content_eq(&KnowledgeSet::new()), "never decoded");
+        assert!(!fs.exists(&snap));
+        assert_eq!(fs.read(&report.quarantined[0]).unwrap(), json.as_bytes());
+
+        // Renamed aside, the oversized file is not seen again.
+        let (_, again) = recover(&fs, &snap, &journal, limit, None).unwrap();
+        assert!(!again.repaired());
+        assert!(again.quarantined.is_empty());
+    }
+
+    #[test]
     fn stale_journal_is_skipped_not_double_applied() {
         // A crash between compaction's snapshot rename and its journal
         // reset leaves a snapshot that already contains every journal

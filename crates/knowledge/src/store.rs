@@ -2,25 +2,25 @@
 //!
 //! [`DurableKnowledgeStore`] wires the write-ahead journal and the JSON
 //! snapshot together so the knowledge set — the system's one durable,
-//! evolving asset — survives crashes with a bounded, configurable loss
-//! window:
+//! evolving asset — survives crashes with no loss window:
 //!
-//! - every mutation is **journaled before it is visible** in memory
-//!   (classic WAL discipline; [`KnowledgeSet::check`] runs first so an
-//!   unreplayable record is never written);
+//! - every mutation is **journaled and fsynced before it is visible** in
+//!   memory (classic WAL discipline; [`KnowledgeSet::check`] runs first
+//!   so an unreplayable record is never written);
 //! - staged merges go through [`DurableKnowledgeStore::commit`], which
 //!   journals `BatchStart ‖ edits ‖ BatchCommit` as one contiguous write —
 //!   recovery replays it as the same all-or-nothing
 //!   [`KnowledgeSet::merge`] that `StagingArea::commit` runs in memory;
 //! - [`DurableKnowledgeStore::compact`] folds the journal into a fresh
 //!   snapshot (temp file, fsync, atomic rename) and resets the journal —
-//!   snapshot-plus-tail is the steady-state on-disk layout;
+//!   snapshot-plus-tail is the steady-state on-disk layout, and this is
+//!   the one code path that writes a snapshot file;
 //! - opening runs [`recovery`](crate::recovery) first, and if anything was
 //!   quarantined the recovered state is immediately re-snapshotted so the
 //!   next open is clean.
 
 use crate::fs::{io_failure, IoFailure, RealFs, StoreFs};
-use crate::journal::{FsyncPolicy, Journal, JournalError, JournalRecord};
+use crate::journal::{Journal, JournalError, JournalRecord};
 use crate::persist::{self, PersistError};
 use crate::recovery::{recover, RecoveryReport};
 use crate::set::{Edit, EditOutcome, KnowledgeError, KnowledgeSet};
@@ -78,26 +78,11 @@ impl From<IoFailure> for StoreError {
 }
 
 /// Tunables for the durable store.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StoreConfig {
-    /// When journal appends are forced to durable storage.
-    pub fsync: FsyncPolicy,
-    /// Snapshot files larger than this are quarantined instead of read
-    /// (guards recovery against allocating for a garbage length).
-    pub max_snapshot_bytes: u64,
     /// When set, `commit` triggers compaction once the journal exceeds
     /// this many bytes.
     pub compact_after_bytes: Option<u64>,
-}
-
-impl Default for StoreConfig {
-    fn default() -> StoreConfig {
-        StoreConfig {
-            fsync: FsyncPolicy::Always,
-            max_snapshot_bytes: persist::DEFAULT_MAX_BYTES,
-            compact_after_bytes: None,
-        }
-    }
 }
 
 /// A crash-safe [`KnowledgeSet`]: snapshot + checksummed edit journal.
@@ -131,7 +116,8 @@ impl DurableKnowledgeStore {
     ///
     /// Runs recovery first; if recovery quarantined anything, the
     /// recovered state is immediately compacted into a fresh snapshot so
-    /// the damage cannot be observed twice.
+    /// the damage cannot be observed twice. A snapshot larger than
+    /// [`persist::DEFAULT_MAX_BYTES`] is quarantined unread.
     pub fn open_with(
         fs: Arc<dyn StoreFs>,
         snapshot_path: impl Into<PathBuf>,
@@ -145,10 +131,10 @@ impl DurableKnowledgeStore {
             &fs,
             &snapshot_path,
             &journal_path,
-            config.max_snapshot_bytes,
+            persist::DEFAULT_MAX_BYTES,
             metrics.as_ref(),
         )?;
-        let mut journal = Journal::new(Arc::clone(&fs), journal_path, config.fsync);
+        let mut journal = Journal::new(Arc::clone(&fs), journal_path);
         if let Some(m) = &metrics {
             journal = journal.with_metrics(Arc::clone(m));
         }
@@ -328,12 +314,6 @@ impl DurableKnowledgeStore {
         }
         Ok(())
     }
-
-    /// Force every acknowledged append to durable storage (meaningful
-    /// under `FsyncPolicy::EveryN` / `Never`).
-    pub fn sync(&mut self) -> Result<(), StoreError> {
-        Ok(self.journal.sync()?)
-    }
 }
 
 #[cfg(test)]
@@ -440,7 +420,6 @@ mod tests {
         let fs: Arc<dyn StoreFs> = Arc::clone(&mem) as Arc<dyn StoreFs>;
         let config = StoreConfig {
             compact_after_bytes: Some(64),
-            ..StoreConfig::default()
         };
         let mut store =
             DurableKnowledgeStore::open_with(fs, "k.json", "k.wal", config, None).unwrap();

@@ -3,12 +3,13 @@
 //!
 //! The properties:
 //! 1. crash anywhere — recovery never panics and restores *exactly* the
-//!    acknowledged prefix: every acked operation survives (fsync-Always
-//!    leaves no loss window) and no unacked operation leaks in;
+//!    acknowledged prefix: every acked operation survives (every append
+//!    is fsynced, so there is no loss window) and no unacked operation
+//!    leaks in;
 //! 2. arbitrary interleavings of appends, staged merges, checkpoints,
 //!    and snapshot compactions reload to the identical set — no torn or
-//!    duplicated records, with or without a crash in between — and, with
-//!    fsync off, serialize to the same bytes as a plain in-memory set;
+//!    duplicated records, with or without a crash in between — and
+//!    serialize to the same bytes as a plain in-memory set;
 //! 3. under random storage faults (short writes, torn writes, bit
 //!    flips, failed fsyncs/renames) recovery still returns a
 //!    self-consistent state — the replay of its own audit log — and
@@ -17,8 +18,8 @@
 //!    a telemetry trail.
 
 use genedit_knowledge::{
-    scan, to_json, DurableKnowledgeStore, Edit, FaultyFs, FsyncPolicy, IoFaultConfig, KnowledgeSet,
-    MemFs, RecoveryOutcome, RetrievalStage, StagingArea, StoreConfig, StoreError, StoreFs,
+    scan, to_json, DurableKnowledgeStore, Edit, FaultyFs, IoFaultConfig, KnowledgeSet, MemFs,
+    RecoveryOutcome, RetrievalStage, StagingArea, StoreConfig, StoreError, StoreFs,
 };
 use genedit_knowledge::{FragmentKind, SourceRef, SqlFragment};
 use genedit_telemetry::MetricsRegistry;
@@ -105,18 +106,7 @@ fn apply_plain(set: &mut KnowledgeSet, op: &Op) {
 }
 
 fn open(fs: Arc<dyn StoreFs>) -> Result<DurableKnowledgeStore, StoreError> {
-    open_with(fs, FsyncPolicy::Always)
-}
-
-fn open_with(
-    fs: Arc<dyn StoreFs>,
-    fsync: FsyncPolicy,
-) -> Result<DurableKnowledgeStore, StoreError> {
-    let config = StoreConfig {
-        fsync,
-        ..StoreConfig::default()
-    };
-    DurableKnowledgeStore::open_with(fs, "k.json", "k.wal", config, None)
+    DurableKnowledgeStore::open_with(fs, "k.json", "k.wal", StoreConfig::default(), None)
 }
 
 proptest! {
@@ -176,7 +166,7 @@ proptest! {
 
     /// Property 2: without faults, any interleaving of appends, merges,
     /// checkpoints, and compactions reloads exactly — before and after a
-    /// crash (fsync-Always makes acked == durable). With fsync off the
+    /// crash (every append is fsynced, so acked == durable). The
     /// journaled store serializes byte for byte like a plain in-memory
     /// set driven through the same operations, and reloads clean.
     #[test]
@@ -186,37 +176,28 @@ proptest! {
         let mem = Arc::new(MemFs::new());
         let fs: Arc<dyn StoreFs> = Arc::clone(&mem) as Arc<dyn StoreFs>;
         let mut store = open(Arc::clone(&fs)).expect("open");
+        let mut plain = KnowledgeSet::new();
         for op in &ops {
             apply_op(&mut store, op).expect("no faults injected");
+            apply_plain(&mut plain, op);
         }
         let live = store.set().clone();
+        let plain_json = to_json(&plain).expect("serialize");
+        prop_assert_eq!(to_json(&live).expect("serialize"), plain_json.clone());
         drop(store);
 
         let reloaded = open(Arc::clone(&fs)).expect("reload");
         prop_assert!(reloaded.set().content_eq(&live));
         prop_assert_eq!(reloaded.set().log().len(), live.log().len(), "no torn/duplicated records");
         prop_assert_eq!(reloaded.set().checkpoints().len(), live.checkpoints().len());
-        prop_assert!(!reloaded.recovery_report().repaired());
+        prop_assert_eq!(reloaded.recovery_report().outcome, RecoveryOutcome::Clean);
+        prop_assert_eq!(to_json(reloaded.set()).expect("serialize"), plain_json);
         drop(reloaded);
 
         mem.crash();
         let recovered = open(fs).expect("recover");
         prop_assert!(recovered.set().content_eq(&live));
         prop_assert_eq!(recovered.set().log().len(), live.log().len());
-
-        let fs: Arc<dyn StoreFs> = Arc::new(MemFs::new());
-        let mut store = open_with(Arc::clone(&fs), FsyncPolicy::Never).expect("open");
-        let mut plain = KnowledgeSet::new();
-        for op in &ops {
-            apply_op(&mut store, op).expect("no faults injected");
-            apply_plain(&mut plain, op);
-        }
-        let plain_json = to_json(&plain).expect("serialize");
-        prop_assert_eq!(to_json(store.set()).expect("serialize"), plain_json.clone());
-        drop(store);
-        let reloaded = open_with(fs, FsyncPolicy::Never).expect("reload");
-        prop_assert_eq!(reloaded.recovery_report().outcome, RecoveryOutcome::Clean);
-        prop_assert_eq!(to_json(reloaded.set()).expect("serialize"), plain_json);
     }
 
     /// Property 3: under random storage faults the store may lose

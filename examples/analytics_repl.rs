@@ -17,7 +17,8 @@
 //!   :submit               regression-test staged edits and merge
 //!   :knowledge            knowledge-set summary
 //!   :history              audit log tail
-//!   :save <path>          snapshot the knowledge set to JSON
+//!   :save <dir>           snapshot the knowledge set into a new durable
+//!                         store at <dir> (writes <dir>/knowledge.json)
 //!   :quit
 
 use genedit::bird::{DomainBundle, SPORTS};
@@ -25,7 +26,7 @@ use genedit::core::{
     generate_edits, submit_edits, GenEditPipeline, GoldenQuery, KnowledgeIndex, RecommendedEdit,
     SubmissionResult,
 };
-use genedit::knowledge::StagingArea;
+use genedit::knowledge::{DurableKnowledgeStore, KnowledgeSet, StagingArea};
 use genedit::llm::{OracleConfig, OracleModel, TaskRegistry};
 use genedit::sql::execute_sql;
 use std::io::BufRead;
@@ -158,13 +159,12 @@ fn main() {
                     }
                 }
                 "save" => {
-                    let path = if arg.is_empty() {
-                        "knowledge.json"
-                    } else {
-                        arg
-                    };
-                    match genedit::knowledge::save(&deployed, path) {
-                        Ok(()) => println!("  saved to {path}"),
+                    if arg.is_empty() {
+                        println!("  usage: :save <dir>");
+                        continue;
+                    }
+                    match save(&deployed, arg) {
+                        Ok(()) => println!("  saved to {arg}/knowledge.json"),
                         Err(e) => println!("  save failed: {e}"),
                     }
                 }
@@ -181,6 +181,24 @@ fn main() {
         last = Some((line.to_string(), result));
     }
     println!("bye");
+}
+
+/// Snapshot `set` into a new durable store at `dir`: its logged edits
+/// commit as one batch, and compaction writes `<dir>/knowledge.json`
+/// (temp file, fsync, atomic rename). A store that already holds edits
+/// is refused rather than appended to.
+fn save(set: &KnowledgeSet, dir: &str) -> Result<(), Box<dyn std::error::Error>> {
+    let mut store = DurableKnowledgeStore::open(dir)?;
+    if store.epoch() > 0 {
+        return Err(format!("{dir} already holds {} edits", store.epoch()).into());
+    }
+    let mut batch = StagingArea::new();
+    for logged in set.log() {
+        batch.stage(logged.edit.clone());
+    }
+    store.commit(batch, "repl save")?;
+    store.compact()?;
+    Ok(())
 }
 
 fn show(db: &genedit::sql::Database, result: &genedit::core::GenerationResult) {

@@ -238,7 +238,6 @@ fn tenant_store_bytes_are_pinned() {
             // Small enough that some commits fold the WAL into a snapshot.
             store: StoreConfig {
                 compact_after_bytes: Some(3 * 1024),
-                ..StoreConfig::default()
             },
         },
         None,
