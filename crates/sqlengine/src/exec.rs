@@ -447,6 +447,7 @@ fn precompute_aggregates_by_gid<'q>(
         let Expr::Function(call) = wexpr else {
             continue;
         };
+        physical::with_counters(|c| c.agg_rows += gids.len() as u64);
         let mut accs: Vec<Accumulator> = Vec::with_capacity(n_groups);
         for _ in 0..n_groups {
             accs.push(Accumulator::for_function(

@@ -48,8 +48,15 @@ pub struct SqlCounters {
     pub join_build_ns: u64,
     /// Nanoseconds spent probing join hash tables.
     pub join_probe_ns: u64,
+    /// Rows fed to hash-join builds (the right side).
+    pub join_build_rows: u64,
+    /// Rows fed to hash-join probes (the left side).
+    pub join_probe_rows: u64,
     /// Groups produced by hash aggregation.
     pub agg_groups: u64,
+    /// Rows fed to the columnar aggregates, counted once per distinct
+    /// aggregate call.
+    pub agg_rows: u64,
     /// SELECT bodies that did not finish on a columnar path and ran the
     /// reference interpreter's tail after the vectorized FROM/WHERE.
     pub interpreter_fallbacks: u64,
@@ -66,7 +73,10 @@ thread_local! {
         nested_loop_joins: 0,
         join_build_ns: 0,
         join_probe_ns: 0,
+        join_build_rows: 0,
+        join_probe_rows: 0,
         agg_groups: 0,
+        agg_rows: 0,
         interpreter_fallbacks: 0,
         scalar_calls: 0,
     }) };
@@ -499,6 +509,8 @@ fn hash_join(
         c.hash_joins += 1;
         c.join_build_ns += build_ns;
         c.join_probe_ns += probe_ns;
+        c.join_build_rows += r.chunk.len() as u64;
+        c.join_probe_rows += l.chunk.len() as u64;
     });
 
     let len = lidx.len();
