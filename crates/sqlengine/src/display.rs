@@ -6,6 +6,8 @@
 //! * [`pretty`] renders indented multi-line SQL for prompts and examples —
 //!   the form shown in the paper's Fig. 2 knowledge snippets.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::ast::*;
 use crate::value::DataType;
 use std::fmt::{self, Write as _};
@@ -197,7 +199,7 @@ fn ident(name: &str) -> String {
         && name
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '$')
-        && !name.chars().next().unwrap().is_ascii_digit()
+        && !name.starts_with(|c: char| c.is_ascii_digit())
         && !is_reserved_word(name);
     if plain {
         name.to_string()

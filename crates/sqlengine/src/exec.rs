@@ -17,7 +17,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::aggregate::Accumulator;
+use crate::aggregate::{self, Accumulator};
 use crate::array::{Array, DataChunk};
 use crate::ast::*;
 use crate::catalog::Database;
@@ -34,6 +34,7 @@ use crate::result::ResultSet;
 use crate::value::Value;
 use crate::vector::{self, Sel};
 use crate::window::{unit_scope, Unit};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -283,22 +284,26 @@ fn exec_select_vectorized(
     order_by: &[OrderItem],
     limit: Option<u64>,
 ) -> EngineResult<ResultSet> {
-    // FROM → columnar source.
-    let source = match &select.from {
-        Some(tr) => physical::resolve_from_columnar(env, tr, outer)?,
-        None => physical::Source {
-            cols: Vec::new(),
-            chunk: DataChunk::unit(),
-        },
+    // FROM → columnar source, with the WHERE conjuncts that read one
+    // side of a join already applied to that side.
+    let (source, selection) = match &select.from {
+        Some(tr) => physical::resolve_from_where(env, tr, select.selection.as_ref(), outer)?,
+        None => (
+            physical::Source {
+                cols: Vec::new(),
+                chunk: DataChunk::unit(),
+            },
+            select.selection.as_ref().map(Cow::Borrowed),
+        ),
     };
     let physical::Source { cols, chunk } = source;
 
-    // WHERE → surviving row indices (`None` = keep everything). The
-    // gather is deferred so the pure path can project straight off the
-    // source columns under a selection vector. Batch evaluation when the
-    // predicate lowers; otherwise the reference row loop reproduces
-    // per-row errors exactly.
-    let keep: Option<Vec<u32>> = match &select.selection {
+    // The rest of WHERE → surviving row indices (`None` = keep
+    // everything). The gather is deferred so the pure path can project
+    // straight off the source columns under a selection vector. Batch
+    // evaluation when the predicate lowers; otherwise the reference row
+    // loop reproduces per-row errors exactly.
+    let keep: Option<Vec<u32>> = match selection.as_deref() {
         None => None,
         Some(pred) => match vector::bind(pred, &cols, outer) {
             Some(v) => Some(vector::select(&v, &chunk, Sel::All)?),
@@ -448,34 +453,51 @@ fn precompute_aggregates_by_gid<'q>(
             continue;
         };
         physical::with_counters(|c| c.agg_rows += gids.len() as u64);
-        let mut accs: Vec<Accumulator> = Vec::with_capacity(n_groups);
-        for _ in 0..n_groups {
-            accs.push(Accumulator::for_function(
-                &call.name,
-                call.distinct,
-                call.star,
-            )?);
-        }
-        if call.star {
-            for &g in gids {
-                accs[g as usize].update(&Value::Integer(1))?;
+        let values = if call.star {
+            if call.name.eq_ignore_ascii_case("COUNT") {
+                aggregate::count_star_by_group(gids, n_groups)
+            } else {
+                accumulate(call, n_groups, gids, |_| Value::Integer(1))?
             }
         } else {
             let Some(v) = vector::bind(&call.args[0], cols, outer) else {
                 continue;
             };
             let arr = vector::eval(&v, chunk, Sel::All)?;
-            for (i, &g) in gids.iter().enumerate() {
-                accs[g as usize].update(&arr.get(i))?;
+            let typed = match call.distinct {
+                true => None,
+                false => aggregate::typed_by_group(&call.name, &arr, gids, n_groups),
+            };
+            match typed {
+                Some(values) => values,
+                None => accumulate(call, n_groups, gids, |i| arr.get(i))?,
             }
-        }
-        out.insert(
-            wexpr,
-            key,
-            accs.into_iter().map(Accumulator::finish).collect(),
-        );
+        };
+        out.insert(wexpr, key, values);
     }
     Ok(out)
+}
+
+/// Per-group values of `call`, feeding row `i`'s `value(i)` to the
+/// [`Accumulator`] of group `gids[i]`.
+fn accumulate(
+    call: &FunctionCall,
+    n_groups: usize,
+    gids: &[u32],
+    value: impl Fn(usize) -> Value,
+) -> EngineResult<Vec<Value>> {
+    let mut accs = Vec::with_capacity(n_groups);
+    for _ in 0..n_groups {
+        accs.push(Accumulator::for_function(
+            &call.name,
+            call.distinct,
+            call.star,
+        )?);
+    }
+    for (i, &g) in gids.iter().enumerate() {
+        accs[g as usize].update(&value(i))?;
+    }
+    Ok(accs.into_iter().map(Accumulator::finish).collect())
 }
 
 /// The fast aggregated path: when the GROUP BY keys lower to batch

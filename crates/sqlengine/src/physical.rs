@@ -1,5 +1,5 @@
 //! Columnar physical operators: batch scans, cross joins by index
-//! gathering, and hash equi-joins.
+//! gathering, and hash equi-joins with WHERE conjuncts pushed below them.
 //!
 //! The hash-join planner is deliberately conservative: it only takes the
 //! hash path when the ON clause is a pure conjunction of column
@@ -9,17 +9,23 @@
 //! Anything else is handed to the reference interpreter's own nested
 //! loop (`reference::join`), so join results — including error
 //! behavior — are identical to it in every case.
+//!
+//! Pushdown ([`resolve_from_where`]) is as conservative: a WHERE conjunct
+//! runs on one side of a hash join before the join only when every
+//! conjunct of the WHERE provably cannot raise (`safe_column`), so which
+//! rows reach the other conjuncts never decides whether the query fails.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::array::{columns_from_rows, DataChunk};
-use crate::ast::{BinaryOp, Expr, JoinKind, TableRef};
+use crate::array::{columns_from_rows, Array, DataChunk};
+use crate::ast::{BinaryOp, Expr, JoinKind, Literal, TableRef};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{ColMeta, EvalEnv, Relation, Scope};
 use crate::exec::execute_query;
 use crate::key::float_key_bits;
 use crate::reference;
-use crate::value::ValueRef;
+use crate::value::{DatePattern, ValueRef};
+use crate::vector::{self, Sel, VExpr};
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -199,6 +205,10 @@ fn gather_sides(l: &Source, r: &Source, lidx: &[u32], ridx: &[u32], len: usize) 
     DataChunk::new(cols, len)
 }
 
+fn joined_cols(l: &Source, r: &Source) -> Vec<ColMeta> {
+    l.cols.iter().chain(&r.cols).cloned().collect()
+}
+
 /// Join two columnar sources, preserving the reference engine's
 /// left-major row emission order exactly.
 pub fn join_columnar(
@@ -209,9 +219,7 @@ pub fn join_columnar(
     kind: JoinKind,
     on: Option<&Expr>,
 ) -> EngineResult<Source> {
-    let mut cols = l.cols.clone();
-    cols.extend(r.cols.iter().cloned());
-
+    let cols = joined_cols(&l, &r);
     match kind {
         JoinKind::Cross => {
             let (n, m) = (l.chunk.len(), r.chunk.len());
@@ -228,18 +236,251 @@ pub fn join_columnar(
         }
         JoinKind::Inner | JoinKind::Left => {
             let pred = on.ok_or_else(|| EngineError::typing("JOIN requires an ON condition"))?;
-            if let Some(pairs) = plan_hash_join(pred, &cols, l.cols.len(), &l, &r) {
-                Ok(hash_join(l, r, cols, kind, &pairs))
-            } else {
-                with_counters(|c| c.nested_loop_joins += 1);
-                let rel =
-                    reference::join(env, outer, l.into_relation(), r.into_relation(), kind, on)?;
-                Ok(Source {
-                    chunk: DataChunk::from_rows(rel.rows, cols.len()),
-                    cols,
-                })
+            match plan_hash_join(pred, &cols, l.cols.len(), &l, &r) {
+                Some(pairs) => Ok(hash_join(l, r, cols, kind, &pairs)),
+                None => nested_loop_join(env, outer, l, r, cols, kind, pred),
             }
         }
+    }
+}
+
+fn nested_loop_join(
+    env: &EvalEnv<'_>,
+    outer: Option<&Scope<'_>>,
+    l: Source,
+    r: Source,
+    cols: Vec<ColMeta>,
+    kind: JoinKind,
+    on: &Expr,
+) -> EngineResult<Source> {
+    with_counters(|c| c.nested_loop_joins += 1);
+    let rel = reference::join(
+        env,
+        outer,
+        l.into_relation(),
+        r.into_relation(),
+        kind,
+        Some(on),
+    )?;
+    Ok(Source {
+        chunk: DataChunk::from_rows(rel.rows, cols.len()),
+        cols,
+    })
+}
+
+// ----------------------------------------------------------------------
+// Predicate pushdown
+// ----------------------------------------------------------------------
+
+/// Resolve a FROM clause together with its WHERE predicate `pred`.
+/// Returns the source and what is left of `pred` to apply to it: all of
+/// it, unless FROM is an inner or left join that takes the hash path and
+/// every conjunct of `pred` is one [`safe_column`] admits. Then each
+/// conjunct that reads the left side, or the right side of an inner
+/// join, filters that side before the join, and only the conjuncts on a
+/// left join's NULL-supplying side are left.
+///
+/// The filtered join holds the same rows in the same order as filtering
+/// the join: a conjunct reads one side's columns, which are the same on
+/// every output row made from one row of that side, and the hash join
+/// emits matches in probe-row, then build-row order. Nothing here can
+/// raise where the reference engine would not, or stay silent where it
+/// would raise: the plan is decided on the unfiltered sides, as the
+/// unpushed join decides it, and no admitted conjunct raises on any row.
+pub fn resolve_from_where<'q>(
+    env: &EvalEnv<'_>,
+    tr: &TableRef,
+    pred: Option<&'q Expr>,
+    outer: Option<&Scope<'_>>,
+) -> EngineResult<(Source, Option<Cow<'q, Expr>>)> {
+    let (
+        TableRef::Join {
+            left,
+            right,
+            kind: kind @ (JoinKind::Inner | JoinKind::Left),
+            on: Some(on),
+        },
+        Some(pred),
+    ) = (tr, pred)
+    else {
+        return Ok((
+            resolve_from_columnar(env, tr, outer)?,
+            pred.map(Cow::Borrowed),
+        ));
+    };
+    let l = resolve_from_columnar(env, left, outer)?;
+    let r = resolve_from_columnar(env, right, outer)?;
+    let cols = joined_cols(&l, &r);
+    let Some(pairs) = plan_hash_join(on, &cols, l.cols.len(), &l, &r) else {
+        let joined = nested_loop_join(env, outer, l, r, cols, *kind, on)?;
+        return Ok((joined, Some(Cow::Borrowed(pred))));
+    };
+    let Some(pushed) = push_down(pred, &cols, &l, &r, *kind) else {
+        return Ok((
+            hash_join(l, r, cols, *kind, &pairs),
+            Some(Cow::Borrowed(pred)),
+        ));
+    };
+    let l = filtered(l, pushed.left)?;
+    let r = filtered(r, pushed.right)?;
+    let above = pushed.above.into_iter().cloned().reduce(Expr::and);
+    Ok((hash_join(l, r, cols, *kind, &pairs), above.map(Cow::Owned)))
+}
+
+/// The conjuncts of a WHERE split by where they run.
+struct Pushed<'q> {
+    /// Bound to the left side's columns, in WHERE order.
+    left: Vec<VExpr>,
+    /// Bound to the right side's columns, in WHERE order.
+    right: Vec<VExpr>,
+    /// Left to run on the joined rows.
+    above: Vec<&'q Expr>,
+}
+
+/// Split `pred` for [`resolve_from_where`]; `None` unless every conjunct
+/// is admitted by [`safe_column`] and at least one can move.
+fn push_down<'q>(
+    pred: &'q Expr,
+    cols: &[ColMeta],
+    l: &Source,
+    r: &Source,
+    kind: JoinKind,
+) -> Option<Pushed<'q>> {
+    let width = l.cols.len();
+    let array = |i: usize| -> &Array {
+        if i < width {
+            &l.chunk.cols[i]
+        } else {
+            &r.chunk.cols[i - width]
+        }
+    };
+    let mut out = Pushed {
+        left: Vec::new(),
+        right: Vec::new(),
+        above: Vec::new(),
+    };
+    for c in pred.conjuncts() {
+        let i = safe_column(c, cols, &array)?;
+        if i < width {
+            out.left.push(vector::bind(c, &l.cols, None)?);
+        } else if kind == JoinKind::Inner {
+            out.right.push(vector::bind(c, &r.cols, None)?);
+        } else {
+            out.above.push(c);
+        }
+    }
+    (!out.left.is_empty() || !out.right.is_empty()).then_some(out)
+}
+
+/// `src` without the rows where the AND of `conjuncts` is not TRUE.
+fn filtered(src: Source, conjuncts: Vec<VExpr>) -> EngineResult<Source> {
+    let and = |l: VExpr, r: VExpr| VExpr::Binary {
+        left: Box::new(l),
+        op: BinaryOp::And,
+        right: Box::new(r),
+    };
+    let Some(pred) = conjuncts.into_iter().reduce(and) else {
+        return Ok(src);
+    };
+    let keep = vector::select(&pred, &src.chunk, Sel::All)?;
+    Ok(Source {
+        chunk: src.chunk.take(&keep),
+        cols: src.cols,
+    })
+}
+
+/// What a column's values compare with without raising under
+/// `ValueRef::sql_cmp`, NULLs aside: numbers with numbers, text and dates
+/// with text, booleans with booleans.
+#[derive(Clone, Copy, PartialEq)]
+enum Class {
+    Numeric,
+    Text,
+    Date,
+    Bool,
+}
+
+impl Class {
+    /// The class of a typed layout (a dictionary's is its entries');
+    /// `None` for `Any`, which may mix classes.
+    fn of(arr: &Array) -> Option<Class> {
+        match arr {
+            Array::Int { .. } | Array::Float { .. } => Some(Class::Numeric),
+            Array::Str { .. } => Some(Class::Text),
+            Array::Date { .. } => Some(Class::Date),
+            Array::Bool { .. } => Some(Class::Bool),
+            Array::Dict { values, .. } => Class::of(values),
+            Array::Any(_) => None,
+        }
+    }
+
+    fn admits(self, lit: &Expr) -> bool {
+        match lit {
+            Expr::Literal(Literal::Integer(_) | Literal::Float(_)) => self == Class::Numeric,
+            Expr::Literal(Literal::String(_)) => matches!(self, Class::Text | Class::Date),
+            Expr::Literal(Literal::Boolean(_)) => self == Class::Bool,
+            _ => false,
+        }
+    }
+}
+
+/// The one joined column a WHERE conjunct reads, when the conjunct
+/// cannot raise on any row; `column(i)` is joined column `i`'s array. The
+/// admitted forms:
+/// - `x IS [NOT] NULL`, `x` a column;
+/// - `x op literal` or `literal op x`, `op` a comparison, and `x [NOT] IN
+///   (literal, …)`, where `x` is a column of typed layout and every
+///   literal is of its class (a date column's class is text), or `x` is
+///   `TO_CHAR(date column, 'valid pattern')` and the literals are text.
+///
+/// Every column must resolve to exactly one joined column: one that is
+/// ambiguous in the join raises there, however unique it is in one side.
+fn safe_column<'a>(
+    c: &Expr,
+    cols: &[ColMeta],
+    column: &impl Fn(usize) -> &'a Array,
+) -> Option<usize> {
+    // The column `x` reads and the class of `x`'s values.
+    let operand = |x: &Expr| -> Option<(usize, Class)> {
+        if let Expr::Function(call) = x {
+            let [date, Expr::Literal(Literal::String(pattern))] = call.args.as_slice() else {
+                return None;
+            };
+            let plain = call.over.is_none() && !call.distinct && !call.star;
+            let i = resolve_one(date, cols)?;
+            let valid = DatePattern::parse(pattern).is_ok();
+            let to_char = plain && call.name.eq_ignore_ascii_case("TO_CHAR") && valid;
+            return (to_char && Class::of(column(i)) == Some(Class::Date))
+                .then_some((i, Class::Text));
+        }
+        let i = resolve_one(x, cols)?;
+        Some((i, Class::of(column(i))?))
+    };
+    match c {
+        Expr::IsNull { expr, .. } => resolve_one(expr, cols),
+        Expr::Binary {
+            left,
+            op:
+                BinaryOp::Eq
+                | BinaryOp::NotEq
+                | BinaryOp::Lt
+                | BinaryOp::LtEq
+                | BinaryOp::Gt
+                | BinaryOp::GtEq,
+            right,
+        } => {
+            let (x, lit) = match (&**left, &**right) {
+                (x, lit @ Expr::Literal(_)) | (lit @ Expr::Literal(_), x) => (x, lit),
+                _ => return None,
+            };
+            let (i, class) = operand(x)?;
+            class.admits(lit).then_some(i)
+        }
+        Expr::InList { expr, list, .. } => {
+            let (i, class) = operand(expr)?;
+            list.iter().all(|lit| class.admits(lit)).then_some(i)
+        }
+        _ => None,
     }
 }
 

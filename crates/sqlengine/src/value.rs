@@ -12,6 +12,8 @@
 //! it, allocation-free. What the two evaluators keep to themselves is
 //! control — which rows or operands are evaluated, and in what order.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::ast::BinaryOp;
 use crate::error::{EngineError, EngineResult};
 use crate::functions::sql_like;

@@ -2,7 +2,9 @@
 //! and any pattern, and both engines must answer it without panicking and
 //! in time bounded by the size of the input. These pin two scalar
 //! functions that once did neither — `TO_CHAR` on a pattern with a
-//! non-ASCII character, and `LIKE` on a pattern with many `%`.
+//! non-ASCII character, and `LIKE` on a pattern with many `%` — and the
+//! three rules that keep a WHERE conjunct from moving below a join where
+//! it would change the answer or the error.
 
 use genedit_sql::functions::sql_like;
 use genedit_sql::value::{DataType, Date, Value};
@@ -33,6 +35,92 @@ fn both(db: &Database, sql: &str) -> Vec<Vec<Value>> {
     let reference = execute_sql_reference(db, sql).expect(sql);
     assert_eq!(vectorized.rows, reference.rows, "{sql}");
     vectorized.rows
+}
+
+/// The error of `sql` on both engines, which must agree.
+fn both_fail(db: &Database, sql: &str) -> String {
+    let vectorized = execute_sql(db, sql).expect_err(sql).to_string();
+    let reference = execute_sql_reference(db, sql).expect_err(sql).to_string();
+    assert_eq!(vectorized, reference, "{sql}");
+    vectorized
+}
+
+/// `ORGS(ID, NAME)` with ids 1–3, and `FACTS(ID, NAME, X)` whose `X`
+/// holds numbers, a NULL and, on a row that joins no org, text.
+fn orgs_and_facts() -> Database {
+    let mut db = Database::new("joins");
+    let mut orgs = Table::new(
+        "ORGS",
+        vec![
+            Column::new("ID", DataType::Integer),
+            Column::new("NAME", DataType::Text),
+        ],
+    );
+    for (id, name) in [(1, "a"), (2, "b"), (3, "c")] {
+        orgs.push_row(vec![Value::Integer(id), name.into()])
+            .expect("push row");
+    }
+    db.add_table(orgs).expect("add table");
+    let mut facts = Table::new(
+        "FACTS",
+        vec![
+            Column::new("ID", DataType::Integer),
+            Column::new("NAME", DataType::Text),
+            Column::new("X", DataType::Integer),
+        ],
+    );
+    let x = [
+        Value::Integer(10),
+        Value::Null,
+        Value::Integer(3),
+        Value::Text("ten".into()),
+    ];
+    for (id, x) in [1, 2, 3, 9].into_iter().zip(x) {
+        facts
+            .push_row(vec![Value::Integer(id), "f".into(), x])
+            .expect("push row");
+    }
+    db.add_table(facts).expect("add table");
+    db
+}
+
+#[test]
+fn a_conjunct_on_a_mixed_type_column_stays_above_the_join() {
+    // Row 9's text never meets `> 5`: it joins no org. Filtering FACTS
+    // first would compare it, and raise.
+    let db = orgs_and_facts();
+    let rows = both(
+        &db,
+        "SELECT o.NAME, f.X FROM ORGS o JOIN FACTS f ON o.ID = f.ID WHERE f.X > 5",
+    );
+    assert_eq!(
+        rows,
+        vec![vec![Value::Text("a".into()), Value::Integer(10)]]
+    );
+}
+
+#[test]
+fn a_conjunct_on_the_null_supplying_side_stays_above_a_left_join() {
+    // Filtering FACTS first would pad every org instead of keeping the
+    // one whose fact is NULL.
+    let db = orgs_and_facts();
+    let rows = both(
+        &db,
+        "SELECT o.ID FROM ORGS o LEFT JOIN FACTS f ON o.ID = f.ID \
+         WHERE o.ID < 3 AND f.X IS NULL",
+    );
+    assert_eq!(rows, vec![vec![Value::Integer(2)]]);
+}
+
+#[test]
+fn a_column_ambiguous_in_the_join_is_not_resolved_on_one_side() {
+    // `NAME` is unique in each table and ambiguous in their join.
+    let db = orgs_and_facts();
+    let err = both_fail(
+        &db,
+        "SELECT o.ID FROM ORGS o JOIN FACTS f ON o.ID = f.ID WHERE NAME = 'a'",
+    );
+    assert!(err.contains("ambiguous"), "{err}");
 }
 
 #[test]
