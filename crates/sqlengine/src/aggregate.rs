@@ -6,7 +6,7 @@
 use crate::array::{Array, Bitmap};
 use crate::error::{EngineError, EngineResult};
 use crate::key::{key_elem, KeyElem};
-use crate::value::{Value, ValueRef};
+use crate::value::{total_cmp_f64, Value};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
@@ -204,27 +204,62 @@ pub fn count_star_by_group(gids: &[u32], groups: usize) -> Vec<Value> {
 /// the first is kept.
 pub fn typed_by_group(name: &str, arr: &Array, gids: &[u32], groups: usize) -> Option<Vec<Value>> {
     match arr {
-        Array::Int { data, validity } => fold_numbers(name, validity, gids, groups, true, |i| {
-            ValueRef::Int(data[i])
-        }),
-        Array::Float { data, validity } => fold_numbers(name, validity, gids, groups, false, |i| {
-            ValueRef::Float(data[i])
-        }),
+        Array::Int { data, validity } => fold_numbers(name, data, validity, gids, groups),
+        Array::Float { data, validity } => fold_numbers(name, data, validity, gids, groups),
         _ => None,
     }
 }
 
-fn fold_numbers<'a>(
+/// An element of a typed numeric array, as the aggregates read it.
+trait Number: Copy {
+    fn as_f64(self) -> f64;
+    /// `ValueRef::sql_cmp` of two non-NULL elements, which cannot fail.
+    fn sql_cmp(self, other: Self) -> Ordering;
+    fn value(self) -> Value;
+    /// What a `SUM` of these elements finishes as.
+    fn sum_value(sum: f64) -> Value;
+}
+
+impl Number for i64 {
+    fn as_f64(self) -> f64 {
+        self as f64
+    }
+    fn sql_cmp(self, other: i64) -> Ordering {
+        self.cmp(&other)
+    }
+    fn value(self) -> Value {
+        Value::Integer(self)
+    }
+    fn sum_value(sum: f64) -> Value {
+        Value::Integer(sum as i64)
+    }
+}
+
+impl Number for f64 {
+    fn as_f64(self) -> f64 {
+        self
+    }
+    fn sql_cmp(self, other: f64) -> Ordering {
+        total_cmp_f64(self, other)
+    }
+    fn value(self) -> Value {
+        Value::Float(self)
+    }
+    fn sum_value(sum: f64) -> Value {
+        Value::Float(sum)
+    }
+}
+
+fn fold_numbers<T: Number>(
     name: &str,
+    data: &[T],
     validity: &Bitmap,
     gids: &[u32],
     groups: usize,
-    ints: bool,
-    at: impl Fn(usize) -> ValueRef<'a>,
 ) -> Option<Vec<Value>> {
     let rows = || {
         let valid = gids.iter().enumerate().filter(|&(i, _)| validity.get(i));
-        valid.map(|(i, &g)| (g as usize, at(i)))
+        valid.map(|(i, &g)| (g as usize, data[i]))
     };
     let upper = name.to_ascii_uppercase();
     match upper.as_str() {
@@ -232,16 +267,13 @@ fn fold_numbers<'a>(
             let mut sums = vec![0.0f64; groups];
             let mut counts = vec![0i64; groups];
             for (g, v) in rows() {
-                if let Some(f) = v.as_f64() {
-                    sums[g] += f;
-                    counts[g] += 1;
-                }
+                sums[g] += v.as_f64();
+                counts[g] += 1;
             }
             let finish = |(sum, n): (f64, i64)| match n {
                 0 => Value::Null,
                 _ if upper == "AVG" => Value::Float(sum / n as f64),
-                _ if ints => Value::Integer(sum as i64),
-                _ => Value::Float(sum),
+                _ => T::sum_value(sum),
             };
             Some(sums.into_iter().zip(counts).map(finish).collect())
         }
@@ -251,19 +283,16 @@ fn fold_numbers<'a>(
             } else {
                 Ordering::Greater
             };
-            let mut best: Vec<Option<ValueRef<'a>>> = vec![None; groups];
+            let mut best: Vec<Option<T>> = vec![None; groups];
             for (g, v) in rows() {
-                let replace = match best[g] {
-                    None => true,
-                    Some(b) => v.sql_cmp(b).ok().flatten() == Some(wanted),
-                };
-                if replace {
-                    best[g] = Some(v);
+                match best[g] {
+                    Some(b) if v.sql_cmp(b) != wanted => {}
+                    _ => best[g] = Some(v),
                 }
             }
             Some(
                 best.into_iter()
-                    .map(|b| b.map_or(Value::Null, ValueRef::to_value))
+                    .map(|b| b.map_or(Value::Null, T::value))
                     .collect(),
             )
         }

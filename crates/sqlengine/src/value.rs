@@ -570,7 +570,7 @@ fn type_rank(v: &Value) -> u8 {
     }
 }
 
-fn total_cmp_f64(a: f64, b: f64) -> Ordering {
+pub(crate) fn total_cmp_f64(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b).unwrap_or_else(|| {
         // NaNs sort last, deterministically.
         match (a.is_nan(), b.is_nan()) {
