@@ -430,11 +430,14 @@ fn vectorized_groups(
 
 /// Pre-compute aggregate values for the fast aggregated path by a
 /// single scan over the chunk, routing each row to its group's
-/// accumulator via `gids`. Per-group accumulation sequences are
-/// identical to the interpreter's (each group sees its members in
-/// ascending row order), so order-sensitive state — float summation,
-/// DISTINCT insertion, overflow — matches exactly. Caller guarantees
-/// every call is COUNT(*) or a one-argument call whose argument lowers.
+/// accumulator via `gids` — or, for `COUNT(*)` and a non-DISTINCT
+/// `SUM`/`AVG`/`MIN`/`MAX` over an `Int` or `Float` array, to its
+/// group's slot in one typed loop that matches the accumulator bit for
+/// bit. Per-group accumulation sequences are identical to the
+/// interpreter's (each group sees its members in ascending row order),
+/// so order-sensitive state — float summation, DISTINCT insertion,
+/// overflow — matches exactly. Caller guarantees every call is COUNT(*)
+/// or a one-argument call whose argument lowers.
 fn precompute_aggregates_by_gid<'q>(
     calls: &[&'q Expr],
     cols: &[ColMeta],

@@ -4,9 +4,10 @@
 //!
 //! WHERE conjuncts that read one side of a join filter that side before
 //! the join, so the build and probe counts are the rows that survive
-//! them (192,076 build and 324 probe rows before pushdown). A change that feeds a join or an aggregate more rows fails here; one
-//! that feeds fewer updates the pin and says so in CHANGES.md. The answers themselves are pinned
-//! by `table_storage_golden`.
+//! them. A change that feeds a join or an aggregate more rows fails
+//! here; one that feeds fewer updates the pin and says so in
+//! CHANGES.md. The answers themselves are pinned by
+//! `table_storage_golden`.
 
 mod common;
 
