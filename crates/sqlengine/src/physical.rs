@@ -275,7 +275,7 @@ fn nested_loop_join(
 /// Resolve a FROM clause together with its WHERE predicate `pred`.
 /// Returns the source and what is left of `pred` to apply to it: all of
 /// it, unless FROM is an inner or left join that takes the hash path and
-/// every conjunct of `pred` is one [`safe_column`] admits. Then each
+/// every conjunct of `pred` is one `safe_column` admits. Then each
 /// conjunct that reads the left side, or the right side of an inner
 /// join, filters that side before the join, and only the conjuncts on a
 /// left join's NULL-supplying side are left.
