@@ -183,9 +183,9 @@ pub fn run_baseline(
         SchemaStyle::Linked { recall } => {
             let mut link = Prompt::new(TaskKind::SchemaLinking, question);
             link.schema = all_schema().collect();
-            // Baselines have no degradation ladder (that's GenEdit's
-            // resilience story): a failed or wrong-variant linking call
-            // simply links nothing.
+            // Baselines have no degradation ladder (GenEdit degrades each
+            // operator to a named fallback): a failed or wrong-variant
+            // linking call simply links nothing.
             let keys: Vec<String> = model
                 .complete(&CompletionRequest::new(link))
                 .ok()

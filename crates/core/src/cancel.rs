@@ -1,9 +1,8 @@
 //! Cooperative cancellation for in-flight generations.
 //!
-//! The token itself lives in [`genedit_llm::cancel`]: the retry layer
-//! ([`genedit_llm::ResilientModel`]) sits below this crate in the
-//! dependency graph and slices its backoff sleeps against the thread's
-//! cancel scope. This module re-exports it so `genedit_core::CancelToken`
-//! (and every existing call-site) keeps working unchanged.
+//! The token itself lives in [`genedit_llm::cancel`], next to the cancel
+//! scope that the hedged dispatch ([`genedit_llm::HedgedModel`]) installs
+//! below this crate in the dependency graph. This module re-exports it so
+//! `genedit_core::CancelToken` names the same type.
 
 pub use genedit_llm::cancel::CancelToken;

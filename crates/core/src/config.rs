@@ -1,7 +1,5 @@
 //! Pipeline configuration and the Table-2 ablation switches.
 
-use genedit_llm::ResiliencePolicy;
-
 /// Configuration of the GenEdit generation pipeline (§2.1, §3).
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
@@ -39,10 +37,6 @@ pub struct PipelineConfig {
     /// "If more than one candidate query is generated, GenEdit picks the
     /// 'best' one").
     pub candidate_selection: CandidateSelection,
-    /// Retry/backoff + circuit-breaker policy wrapped around every model
-    /// call. `None` (the default) leaves the model path untouched — zero
-    /// overhead when the backend is healthy and trusted.
-    pub resilience: Option<ResiliencePolicy>,
 }
 
 /// Candidate-picking strategies.
@@ -73,7 +67,6 @@ impl Default for PipelineConfig {
             use_pseudo_sql: true,
             include_evidence: false,
             candidate_selection: CandidateSelection::FirstValid,
-            resilience: None,
         }
     }
 }

@@ -7,9 +7,7 @@ use crate::index::KnowledgeIndex;
 use crate::pipeline::GenEditPipeline;
 use genedit_bird::{score_prediction, EvalReport, TaskOutcome, Workload};
 use genedit_knowledge::KnowledgeSet;
-use genedit_llm::{
-    LanguageModel, ModelUsage, OracleConfig, OracleModel, RecordingModel, ResilienceState,
-};
+use genedit_llm::{LanguageModel, ModelUsage, OracleConfig, OracleModel, RecordingModel};
 use genedit_telemetry::{operator_breakdown, MetricsRegistry, Trace};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -20,13 +18,11 @@ use std::sync::{Arc, Mutex};
 ///
 /// Defaults to the deterministic oracle; `with_model` substitutes any
 /// [`LanguageModel`] (e.g. a [`genedit_llm::FaultInjector`] around the
-/// oracle for chaos runs), and `with_resilience` attaches a shared
-/// retry/breaker runtime that every pipeline built by this harness uses.
+/// oracle for chaos runs).
 pub struct Harness<'w, M: LanguageModel = OracleModel> {
     workload: &'w Workload,
     model: RecordingModel<M>,
     metrics: Arc<MetricsRegistry>,
-    resilience: Option<Arc<ResilienceState>>,
     warnings: Mutex<Vec<String>>,
 }
 
@@ -50,16 +46,8 @@ impl<'w, M: LanguageModel> Harness<'w, M> {
             workload,
             model: RecordingModel::new(model),
             metrics: Arc::new(MetricsRegistry::default()),
-            resilience: None,
             warnings: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Attach a shared resilience runtime: every pipeline this harness
-    /// builds wraps its model calls in retry/backoff + circuit breaking.
-    pub fn with_resilience(mut self, state: Arc<ResilienceState>) -> Harness<'w, M> {
-        self.resilience = Some(state);
-        self
     }
 
     /// Cumulative model-call accounting across everything run so far.
@@ -101,12 +89,7 @@ impl<'w, M: LanguageModel> Harness<'w, M> {
     }
 
     fn build_pipeline(&self, config: PipelineConfig) -> GenEditPipeline<&RecordingModel<M>> {
-        let mut pipeline = GenEditPipeline::with_config(&self.model, config)
-            .with_metrics(Arc::clone(&self.metrics));
-        if let Some(state) = &self.resilience {
-            pipeline = pipeline.with_resilience_state(Arc::clone(state));
-        }
-        pipeline
+        GenEditPipeline::with_config(&self.model, config).with_metrics(Arc::clone(&self.metrics))
     }
 
     /// Build per-domain knowledge indexes, optionally with full-query

@@ -18,8 +18,7 @@ use crate::index::KnowledgeIndex;
 use genedit_knowledge::{ExampleId, FragmentKind, InstructionId, RetrievalStage};
 use genedit_llm::{
     CompletionRequest, CompletionResponse, LanguageModel, ModelError, Plan, Prompt, PromptExample,
-    PromptInstruction, PromptSchemaElement, ResilienceState, ResilientModel, SystemClock, TaskKind,
-    TracedModel,
+    PromptInstruction, PromptSchemaElement, TaskKind, TracedModel,
 };
 use genedit_retrieval::{expand, Embedding, SparseEmbedding};
 use genedit_sql::catalog::Database;
@@ -141,7 +140,6 @@ pub struct GenEditPipeline<M> {
     model: M,
     config: PipelineConfig,
     metrics: Option<Arc<MetricsRegistry>>,
-    resilience: Option<Arc<ResilienceState>>,
 }
 
 impl<M: LanguageModel> GenEditPipeline<M> {
@@ -150,55 +148,25 @@ impl<M: LanguageModel> GenEditPipeline<M> {
         GenEditPipeline::with_config(model, PipelineConfig::default())
     }
 
-    /// Pipeline over `model` with an explicit configuration. A
-    /// `config.resilience` policy builds a fresh retry/breaker runtime
-    /// over the system clock.
+    /// Pipeline over `model` with an explicit configuration.
     pub fn with_config(model: M, config: PipelineConfig) -> GenEditPipeline<M> {
-        let resilience = config.resilience.clone().map(|policy| {
-            Arc::new(ResilienceState::new(
-                policy,
-                Arc::new(SystemClock::new()) as Arc<dyn genedit_llm::Clock>,
-            ))
-        });
         GenEditPipeline {
             model,
             config,
             metrics: None,
-            resilience,
         }
     }
 
     /// Attach a shared metrics registry: every generation folds its trace
     /// and validation timings into it.
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> GenEditPipeline<M> {
-        if let Some(state) = self.resilience.take() {
-            // Rebuild the state so retry/breaker events land in the same
-            // registry (states built from config carry no other history).
-            self.resilience = Some(Arc::new(
-                ResilienceState::new(state.policy().clone(), Arc::clone(state.clock()))
-                    .with_metrics(Arc::clone(&metrics)),
-            ));
-        }
         self.metrics = Some(metrics);
-        self
-    }
-
-    /// Replace the resilience runtime (breakers + clock) with a shared
-    /// one, e.g. a harness-wide state over a simulated clock. Implies the
-    /// wrapped model path even if `config.resilience` is `None`.
-    pub fn with_resilience_state(mut self, state: Arc<ResilienceState>) -> GenEditPipeline<M> {
-        self.resilience = Some(state);
         self
     }
 
     /// The active pipeline configuration.
     pub fn config(&self) -> &PipelineConfig {
         &self.config
-    }
-
-    /// The shared retry/breaker runtime, when resilience is enabled.
-    pub fn resilience_state(&self) -> Option<&Arc<ResilienceState>> {
-        self.resilience.as_ref()
     }
 
     /// The wrapped model.
@@ -247,36 +215,18 @@ impl<M: LanguageModel> GenEditPipeline<M> {
                 root.attr("request_id", request_id);
             }
             // Every completion lands as an `llm.complete` child of
-            // whichever operator span is open when it fires. Resilience
-            // wraps *outside* tracing so every retried attempt is its own
-            // `llm.complete` span and each backoff an `llm.retry` span.
+            // whichever operator span is open when it fires.
             let traced = TracedModel::new(&self.model, &tracer);
-            let resilient;
-            let model: &dyn LanguageModel = match &self.resilience {
-                Some(state) => {
-                    resilient = ResilientModel::new(traced, Arc::clone(state)).with_tracer(&tracer);
-                    &resilient
-                }
-                None => &traced,
-            };
             let run = Run {
                 cfg: &self.config,
                 metrics: self.metrics.as_deref(),
-                model,
+                model: &traced,
                 tracer: &tracer,
                 index,
                 db,
                 opts,
             };
-            // The token also becomes the thread's cancel scope, so the
-            // retry layer abandons its backoff the moment it fires
-            // instead of sleeping out the schedule.
-            let r = match opts.cancel {
-                Some(token) => genedit_llm::cancel::with_current(token, || {
-                    run.generate_core(question, evidence)
-                }),
-                None => run.generate_core(question, evidence),
-            };
+            let r = run.generate_core(question, evidence);
             root.attr("attempts", r.attempts)
                 .attr("validated", r.validated);
             if r.cancelled {
@@ -361,7 +311,7 @@ impl Draft {
 }
 
 /// One generation in flight — the request, the pipeline's settings and
-/// the traced (under resilience, retry-wrapped) model — with the operator
+/// the traced model — with the operator
 /// steps as its methods. [`run_baseline`](crate::run_baseline) builds one
 /// for `generate_sql` alone.
 pub(crate) struct Run<'a> {
@@ -1481,42 +1431,6 @@ mod tests {
                 [format!("generation cancelled after {stage}")]
             );
         }
-    }
-
-    /// Fails every call with a retryable error.
-    struct AlwaysTransient;
-
-    impl LanguageModel for AlwaysTransient {
-        fn name(&self) -> &str {
-            "always-transient"
-        }
-
-        fn complete(&self, _: &CompletionRequest) -> Result<CompletionResponse, ModelError> {
-            Err(ModelError::Transient("backend down".to_string()))
-        }
-    }
-
-    /// The generation's token is also the retry layer's cancel scope: a
-    /// cancelled request gives up its backoff instead of sleeping out
-    /// the whole retry schedule.
-    #[test]
-    fn a_cancelled_generation_sleeps_no_retry_backoff() {
-        let (bundle, index, _) = setup();
-        let clock = Arc::new(genedit_llm::SimulatedClock::new());
-        let state = ResilienceState::new(
-            genedit_llm::ResiliencePolicy::default(),
-            Arc::clone(&clock) as Arc<dyn genedit_llm::Clock>,
-        );
-        let pipeline = GenEditPipeline::new(AlwaysTransient).with_resilience_state(Arc::new(state));
-        let token = CancelToken::new();
-        token.cancel();
-        let opts = GenerateOptions {
-            cancel: Some(&token),
-            ..Default::default()
-        };
-        let r = pipeline.generate_with("question", &index, &bundle.db, &[], &opts);
-        assert!(r.cancelled);
-        assert_eq!(clock.total_slept(), std::time::Duration::ZERO);
     }
 
     #[test]

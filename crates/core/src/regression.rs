@@ -450,7 +450,7 @@ mod tests {
     #[test]
     fn degraded_runs_mark_the_gate_untrustworthy() {
         let (bundle, mut ks, oracle) = setup();
-        // Every model call fails and there is no resilience layer, so the
+        // Every model call fails and a lost call is never retried, so the
         // operator ladder degrades on both the before and after runs.
         let faulty = FaultInjector::new(&oracle, FaultConfig::only(FaultKind::Transient, 1.0), 7);
         let pipeline = GenEditPipeline::new(&faulty);

@@ -17,9 +17,8 @@
 
 use genedit_bird::Workload;
 use genedit_core::{GenEditPipeline, KnowledgeIndex};
-use genedit_llm::{
-    Clock, FaultConfig, FaultInjector, HedgePolicy, HedgedModel, OracleModel, SystemClock,
-};
+use genedit_llm::{FaultConfig, FaultInjector, HedgePolicy, HedgedModel, OracleModel};
+use genedit_telemetry::clock::{Clock, SystemClock};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;

@@ -29,7 +29,7 @@
 //! execution for any interleaving: batch composition and timing affect
 //! only latency, never which response a request receives. The injectable
 //! [`Clock`] keeps tests deterministic — under a
-//! [`SimulatedClock`](crate::SimulatedClock) the collection window
+//! [`SimulatedClock`](genedit_telemetry::clock::SimulatedClock) the collection window
 //! elapses instantly, with no wall-clock sleeps.
 //!
 //! ```
@@ -62,7 +62,7 @@
 
 use crate::model::{kind_label, CompletionRequest, CompletionResponse, LanguageModel, ModelError};
 use crate::prompt::TaskKind;
-use crate::resilient::{Clock, SystemClock};
+use genedit_telemetry::clock::{Clock, SystemClock};
 use genedit_telemetry::MetricsRegistry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -234,7 +234,7 @@ impl<M: LanguageModel> BatchScheduler<M> {
     }
 
     /// Scheduler over an injected clock — a
-    /// [`SimulatedClock`](crate::SimulatedClock) makes the collection
+    /// [`SimulatedClock`](genedit_telemetry::clock::SimulatedClock) makes the collection
     /// window elapse instantly, so tests exercise coalescing without
     /// wall-clock sleeps.
     pub fn with_clock(inner: M, config: BatchConfig, clock: Arc<dyn Clock>) -> BatchScheduler<M> {
@@ -409,7 +409,7 @@ impl<M: LanguageModel> LanguageModel for BatchScheduler<M> {
 mod tests {
     use super::*;
     use crate::prompt::Prompt;
-    use crate::resilient::SimulatedClock;
+    use genedit_telemetry::clock::SimulatedClock;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Echoes the question; counts individual and batched dispatches.

@@ -6,20 +6,18 @@
 //! of useful work) and returns a partial, clearly-marked result instead
 //! of burning model calls on an answer nobody is waiting for.
 //!
-//! This module also owns the **cancel scope**: a thread-local token the
-//! model-call stack consults *inside* an operator.
-//! [`crate::resilient::ResilientModel`] reads it: it slices its backoff
-//! sleeps and aborts the retry schedule as soon as the scope's token
-//! fires, so a cancelled request stops burning wall clock. That reader
-//! sits below `genedit_core` in the dependency graph, which is why the
-//! token lives here; `genedit_core` re-exports it, so
+//! This module also owns the **cancel scope**: a thread-local token a
+//! model below the pipeline can consult *inside* a call.
+//! [`crate::HedgedModel`] installs one per copy so the losing copy can
+//! stop; that is its only user, and the scope goes when hedging does.
+//! The token lives here, below `genedit_core` in the dependency graph,
+//! for that reason; `genedit_core` re-exports it, so
 //! `genedit_core::CancelToken` remains valid.
 
-use genedit_telemetry::clock::Clock;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A shareable cancellation signal: an explicit flag plus an optional
 /// deadline. Cloning shares the flag — cancelling any clone cancels all.
@@ -74,9 +72,8 @@ thread_local! {
 ///
 /// Scopes nest: the innermost token wins, and the previous scope is
 /// restored when `f` returns (including on unwind, via a drop guard).
-/// Layers below the pipeline — retry backoff, hedged dispatch — consult
-/// [`current`] so a request abandoned above them stops promptly without
-/// every call-site having to thread a token parameter through.
+/// A model below [`crate::HedgedModel`] consults [`current`] so a losing
+/// copy stops promptly without a token parameter on every call.
 pub fn with_current<T>(token: &CancelToken, f: impl FnOnce() -> T) -> T {
     struct Pop;
     impl Drop for Pop {
@@ -96,41 +93,10 @@ pub fn current() -> Option<CancelToken> {
     CURRENT.with(|stack| stack.borrow().last().cloned())
 }
 
-/// Granularity at which [`sleep_cancellable`] re-checks its token. Small
-/// enough that a hedge-lost request abandons a multi-second backoff in
-/// milliseconds, large enough that slicing adds no measurable overhead.
-const SLEEP_SLICE: Duration = Duration::from_millis(5);
-
-/// Sleep `total` on `clock`, waking early if `token` fires.
-///
-/// Returns `true` if the full duration was slept, `false` if the sleep
-/// was abandoned because the token was (or became) cancelled. Without a
-/// token this is exactly `clock.sleep(total)`. The sleep is sliced into
-/// 5 ms steps so the total simulated/real time is preserved
-/// while cancellation latency stays bounded.
-pub fn sleep_cancellable(clock: &dyn Clock, total: Duration, token: Option<&CancelToken>) -> bool {
-    let Some(token) = token else {
-        clock.sleep(total);
-        return true;
-    };
-    let mut remaining = total;
-    loop {
-        if token.is_cancelled() {
-            return false;
-        }
-        if remaining.is_zero() {
-            return true;
-        }
-        let step = remaining.min(SLEEP_SLICE);
-        clock.sleep(step);
-        remaining = remaining.saturating_sub(step);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genedit_telemetry::clock::SimulatedClock;
+    use std::time::Duration;
 
     #[test]
     fn cancel_is_shared_across_clones() {
@@ -176,32 +142,5 @@ mod tests {
         });
         assert!(caught.is_err());
         assert!(current().is_none());
-    }
-
-    #[test]
-    fn full_sleep_without_token_or_with_quiet_token() {
-        let clock = SimulatedClock::new();
-        assert!(sleep_cancellable(&clock, Duration::from_secs(30), None));
-        let quiet = CancelToken::new();
-        assert!(sleep_cancellable(
-            &clock,
-            Duration::from_secs(30),
-            Some(&quiet)
-        ));
-        // Slicing preserves the total simulated duration.
-        assert_eq!(clock.total_slept(), Duration::from_secs(60));
-    }
-
-    #[test]
-    fn cancelled_token_skips_the_sleep() {
-        let clock = SimulatedClock::new();
-        let token = CancelToken::new();
-        token.cancel();
-        assert!(!sleep_cancellable(
-            &clock,
-            Duration::from_secs(30),
-            Some(&token)
-        ));
-        assert_eq!(clock.total_slept(), Duration::ZERO);
     }
 }

@@ -8,13 +8,14 @@
 //! therefore inject byte-identical faults, which is what makes the fault
 //! property tests reproducible.
 //!
-//! The counter (not the request content) drives the schedule: a retried
-//! request advances to the next slot, so a transient fault clears on
-//! retry exactly as it would against a real flaky backend.
+//! The counter (not the request content) drives the schedule: a repeated
+//! request advances to the next slot, so a fault on one call does not
+//! decide the next — the pipeline's self-correction rounds each draw a
+//! fresh slot, as they would against a real flaky backend.
 
 use crate::model::{CompletionRequest, CompletionResponse, LanguageModel, ModelError};
 use crate::prompt::TaskKind;
-use crate::resilient::Clock;
+use genedit_telemetry::clock::Clock;
 use genedit_telemetry::hash::hash01;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -344,7 +345,7 @@ impl<M: LanguageModel> LanguageModel for FaultInjector<M> {
 mod tests {
     use super::*;
     use crate::prompt::Prompt;
-    use crate::resilient::SimulatedClock;
+    use genedit_telemetry::clock::SimulatedClock;
 
     struct Fixed;
     impl LanguageModel for Fixed {

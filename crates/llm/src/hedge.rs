@@ -16,9 +16,9 @@
 //!   [`HedgePolicy::min_observations`] samples no hedge fires (cold
 //!   start is served unhedged rather than guessed at).
 //! - The loser is cancelled through [`CancelToken`]: each copy runs
-//!   under its own [`cancel::with_current`] scope, so the retry layer's
-//!   sliced backoff ([`crate::resilient::ResilientModel`]) and any other
-//!   scope-aware layer below stop promptly.
+//!   under its own [`cancel::with_current`] scope, so a model below that
+//!   reads [`cancel::current`] can stop the losing copy promptly (this
+//!   module's tests script one).
 //! - Results are **byte-identical regardless of which copy wins**: both
 //!   copies carry the exact same [`CompletionRequest`], and every model
 //!   in this workspace is deterministic in `(prompt, seed)`, so the race
@@ -32,8 +32,8 @@
 //!   not flatter (or smear) the burn rate.
 //!
 //! The serving runtime does not use it. Composed with the other
-//! decorators, the order is `Resilient(Traced(Hedged(Batch(model))))`:
-//! hedges are retried like any other call above, and coalesced like any
+//! decorators, the order is `Traced(Hedged(Batch(model)))`: a hedged call
+//! is traced as one call above, and each copy is coalesced like any
 //! other call below.
 //!
 //! Cost model: the hedged path spawns one short-lived thread per call
@@ -319,8 +319,8 @@ impl<M: LanguageModel + 'static> HedgedModel<M> {
         }
         match hedged {
             Ok(h) => {
-                // The duplicate beat the primary: cancel the loser (its
-                // retry backoffs abandon immediately) and return. The
+                // The duplicate beat the primary: cancel the loser and
+                // return. The
                 // primary thread publishes into the race slot and exits;
                 // nobody reads that publication.
                 primary_token.cancel();

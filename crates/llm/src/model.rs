@@ -1,5 +1,5 @@
 //! The language-model interface, call accounting, and the typed error
-//! surface every resilience layer above it is built on.
+//! surface the pipeline's degradation keys off.
 
 use crate::prompt::{Plan, Prompt, TaskKind};
 use std::collections::BTreeMap;
@@ -84,7 +84,7 @@ impl CompletionResponse {
 /// pipeline's degradation ladder keys off them rather than off strings.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelError {
-    /// A retryable transport hiccup (connection reset, 5xx, …).
+    /// A transport hiccup (connection reset, 5xx, …).
     Transient(String),
     /// The call exceeded its deadline.
     Timeout,
@@ -99,24 +99,9 @@ pub enum ModelError {
         /// The provider-suggested backoff before the next call.
         retry_after: Duration,
     },
-    /// A resilience wrapper gave up: `attempts` calls were made (0 when a
-    /// circuit breaker shed the call without trying) and `last` is the
-    /// final underlying error.
-    Exhausted {
-        /// Calls actually made before giving up.
-        attempts: usize,
-        /// The final underlying error.
-        last: Box<ModelError>,
-    },
 }
 
 impl ModelError {
-    /// Whether a retry could plausibly succeed. `Exhausted` is terminal —
-    /// a wrapper already spent its budget producing it.
-    pub fn is_retryable(&self) -> bool {
-        !matches!(self, ModelError::Exhausted { .. })
-    }
-
     /// Short stable label for metrics keys and span attributes.
     pub fn label(&self) -> &'static str {
         match self {
@@ -124,7 +109,6 @@ impl ModelError {
             ModelError::Timeout => "timeout",
             ModelError::Malformed { .. } => "malformed",
             ModelError::RateLimited { .. } => "rate-limited",
-            ModelError::Exhausted { .. } => "exhausted",
         }
     }
 }
@@ -141,12 +125,6 @@ impl std::fmt::Display for ModelError {
             ModelError::RateLimited { retry_after } => {
                 write!(f, "rate limited (retry after {retry_after:?})")
             }
-            ModelError::Exhausted { attempts, last } => {
-                write!(
-                    f,
-                    "model call exhausted after {attempts} attempt(s): {last}"
-                )
-            }
         }
     }
 }
@@ -157,7 +135,7 @@ impl std::error::Error for ModelError {}
 ///
 /// `Send + Sync` is part of the contract: the serving runtime clones one
 /// pipeline per worker thread over a shared model, so every model — and
-/// every wrapper in the resilience/tracing stack — must be safe to call
+/// every wrapper around one — must be safe to call
 /// concurrently from multiple threads. All implementations in this
 /// workspace are either immutable or guard their state with `Mutex`.
 pub trait LanguageModel: Send + Sync {

@@ -7,9 +7,9 @@
 
 use genedit_bird::Workload;
 use genedit_llm::{
-    BatchConfig, BatchScheduler, Clock, CompletionRequest, LanguageModel, OracleModel, Prompt,
-    SimulatedClock, TaskKind,
+    BatchConfig, BatchScheduler, CompletionRequest, LanguageModel, OracleModel, Prompt, TaskKind,
 };
+use genedit_telemetry::clock::{Clock, SimulatedClock};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;

@@ -1,23 +1,20 @@
 //! Chaos property tests: the full GenEdit pipeline, driven through a
-//! deterministic [`FaultInjector`] and the retry/breaker layer, at
-//! arbitrary fault seeds and rates.
+//! deterministic [`FaultInjector`] at arbitrary fault seeds and rates.
 //!
 //! The properties:
 //! 1. the pipeline never panics and always returns a `GenerationResult`
 //!    (degradation, not failure);
 //! 2. every injected fault leaves visible evidence — an error-attributed
-//!    `llm.complete` span, an `llm.retry` span, a warning, or a recorded
-//!    generation error — never a silent swallow;
-//! 3. at fault rate zero the resilient stack is byte-for-byte the plain
-//!    pipeline: identical outcomes, identical model-call count, zero
-//!    retries and zero simulated backoff.
+//!    `llm.complete` span, a warning, or a recorded generation error —
+//!    never a silent swallow;
+//! 3. at fault rate zero the injector is byte-for-byte the bare oracle:
+//!    identical outcomes, identical generations, identical model-call
+//!    count and zero injected latency.
 
 use genedit_bird::Workload;
 use genedit_core::{Ablation, GenEditPipeline, Harness, KnowledgeIndex};
-use genedit_llm::{
-    Clock, FaultConfig, FaultInjector, OracleModel, ResiliencePolicy, ResilienceState,
-    SimulatedClock,
-};
+use genedit_llm::{FaultConfig, FaultInjector, OracleModel};
+use genedit_telemetry::clock::{Clock, SimulatedClock};
 use genedit_telemetry::names;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -43,16 +40,11 @@ proptest! {
             fault_seed,
         )
         .with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
-        let state = Arc::new(ResilienceState::new(
-            ResiliencePolicy::default(),
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        ));
-        let pipeline = GenEditPipeline::new(&injector).with_resilience_state(state);
+        let pipeline = GenEditPipeline::new(&injector);
 
         let bundle = &w.domains[0];
         let index = KnowledgeIndex::build(bundle.build_knowledge());
         let mut error_spans = 0usize;
-        let mut retry_spans = 0usize;
         let mut warnings = 0usize;
         let mut errors = 0usize;
         for task in &bundle.tasks {
@@ -67,7 +59,6 @@ proptest! {
                 .iter()
                 .filter(|s| s.name == names::LLM_COMPLETE && s.attr("error").is_some())
                 .count();
-            retry_spans += result.trace.count(names::LLM_RETRY);
             warnings += result.warnings.len();
             errors += result.errors.len();
         }
@@ -78,10 +69,10 @@ proptest! {
         let log = injector.log();
         prop_assert_eq!(error_spans as u64, log.errors());
         // …and injected faults of any kind leave at least one trail:
-        // a retry span, a degradation warning, or a recorded error.
+        // an error span, a degradation warning, or a recorded error.
         if log.total() > 0 {
             prop_assert!(
-                error_spans + retry_spans + warnings + errors > 0,
+                error_spans + warnings + errors > 0,
                 "{} faults injected but no evidence in traces/warnings/errors",
                 log.total()
             );
@@ -89,9 +80,9 @@ proptest! {
     }
 }
 
-/// Property 3 as a deterministic test: a zero-rate injector plus the full
-/// resilience layer changes nothing — same outcomes, same call count, no
-/// retries, no backoff.
+/// Property 3 as a deterministic test: a zero-rate injector changes
+/// nothing — same outcomes, same generations, same call count, no
+/// injected latency.
 #[test]
 fn zero_fault_rate_is_zero_overhead() {
     let w = workload();
@@ -103,26 +94,34 @@ fn zero_fault_rate_is_zero_overhead() {
     let clock = Arc::new(SimulatedClock::new());
     let injector = FaultInjector::new(OracleModel::new(w.registry()), FaultConfig::default(), 7)
         .with_clock(Arc::clone(&clock) as Arc<dyn Clock>);
-    let resilient =
-        Harness::with_model(w, injector).with_resilience(Arc::new(ResilienceState::new(
-            ResiliencePolicy::default(),
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        )));
-    let resilient_report = resilient.run_genedit(Ablation::None);
-    let resilient_calls = resilient.model_usage().total_calls();
+    let injected = Harness::with_model(w, injector);
+    let injected_report = injected.run_genedit(Ablation::None);
+    let injected_calls = injected.model_usage().total_calls();
 
-    assert_eq!(plain_report.ex(None), resilient_report.ex(None));
-    assert_eq!(plain_calls, resilient_calls);
-    assert_eq!(plain_report.outcomes.len(), resilient_report.outcomes.len());
+    assert_eq!(plain_report.ex(None), injected_report.ex(None));
+    assert_eq!(plain_calls, injected_calls);
+    assert_eq!(plain_report.outcomes.len(), injected_report.outcomes.len());
     for (a, b) in plain_report
         .outcomes
         .iter()
-        .zip(resilient_report.outcomes.iter())
+        .zip(injected_report.outcomes.iter())
     {
         assert_eq!(a.task_id, b.task_id);
         assert_eq!(a.correct, b.correct, "task {}", a.task_id);
         assert_eq!(a.attempts, b.attempts, "task {}", a.task_id);
     }
-    assert_eq!(resilient.model().log().total(), 0);
+
+    // Not only the same verdicts: every generation is the same generation.
+    let bare = GenEditPipeline::new(plain.model());
+    let zero_rate = GenEditPipeline::new(injected.model());
+    for bundle in &w.domains {
+        let index = KnowledgeIndex::build(bundle.build_knowledge());
+        for task in &bundle.tasks {
+            let a = bare.generate(&task.question, &index, &bundle.db, &task.evidence);
+            let b = zero_rate.generate(&task.question, &index, &bundle.db, &task.evidence);
+            assert_eq!(a.fingerprint(), b.fingerprint(), "task {}", task.task_id);
+        }
+    }
+    assert_eq!(injected.model().log().total(), 0);
     assert_eq!(clock.total_slept(), std::time::Duration::ZERO);
 }

@@ -1,13 +1,12 @@
 //! Injectable time source shared by every time-windowed component.
 //!
-//! This is the `Clock`/`SimulatedClock` pattern the resilience layer
-//! (`genedit_llm::resilient`) established: production code runs on
-//! [`SystemClock`]; tests and sweeps run on [`SimulatedClock`] so
-//! backoffs, window rollups, and burn-rate alert schedules are
-//! deterministic and never block on wall time. The trait lives here —
-//! below every other crate — so the metrics windows ([`crate::window`]),
-//! SLO trackers ([`crate::slo`]), and the model-retry layer all share one
-//! definition (`genedit_llm` re-exports these types unchanged).
+//! Production code runs on [`SystemClock`]; tests run on
+//! [`SimulatedClock`] so injected latency, window rollups, and burn-rate
+//! alert schedules are deterministic and never block on wall time. The
+//! trait lives here — below every other crate — so the metrics windows
+//! ([`crate::window`]), SLO trackers ([`crate::slo`]), the serving
+//! quarantine and the model decorators in `genedit_llm` all share one
+//! definition.
 
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -52,8 +51,8 @@ impl Clock for SystemClock {
 }
 
 /// Virtual time: `sleep` advances an internal counter instantly. The
-/// counter doubles as the total backoff a run would have waited — its
-/// retry overhead.
+/// counter doubles as the total time a run would have waited — under a
+/// `FaultInjector`, its injected latency.
 #[derive(Default)]
 pub struct SimulatedClock {
     state: Mutex<SimState>,

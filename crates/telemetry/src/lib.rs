@@ -21,8 +21,7 @@
 //!   atomic counters; lock-free `observe`, mergeable snapshots,
 //!   percentiles within ≤ 1% relative error of exact nearest-rank.
 //! - [`clock`] — the injectable `Clock`/`SimulatedClock` time source
-//!   every time-windowed component (and `genedit_llm::resilient`) runs
-//!   on.
+//!   every time-windowed component runs on.
 //! - [`window`] / [`slo`] — interval-ring rollups and SLO burn-rate
 //!   alerting (multi-window, Google-SRE style) with a deterministic
 //!   state machine.
@@ -82,9 +81,6 @@ pub mod names {
     pub const VALIDATE: &str = "sql.validate";
     /// One `LanguageModel::complete` call (recorded by `TracedModel`).
     pub const LLM_COMPLETE: &str = "llm.complete";
-    /// One backoff between failed `llm.complete` attempts (recorded by
-    /// `ResilientModel`).
-    pub const LLM_RETRY: &str = "llm.retry";
     /// Feedback operator 1: Generate Targets (§4.1).
     pub const FEEDBACK_TARGETS: &str = "feedback.generate_targets";
     /// Feedback operator 2: Expand Feedback.
