@@ -25,9 +25,8 @@
 //!   construction* — no scan, no stale SQL after an edit lands.
 //! - **Fault containment** — every request runs under a per-request
 //!   panic boundary ([`QueryOutcome::Failed`] instead of a hung caller),
-//!   a supervisor respawns retired workers with backoff, tenants whose
-//!   requests keep failing are quarantined at admission
-//!   ([`QuarantineConfig`]), and
+//!   the worker that caught the panic rebuilds its pipeline and keeps
+//!   serving on the same thread, and
 //!   [`ServeRuntime::shutdown_with_deadline`] drains with a hard bound.
 //!
 //! [`LanguageModel`]: genedit_llm::LanguageModel
@@ -62,18 +61,14 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
-pub mod quarantine;
 pub mod request;
 pub mod runtime;
 mod sched;
-pub mod supervisor;
 pub mod tenants;
 
 pub use cache::{CacheKey, EpochCache};
-pub use quarantine::{Gate, QuarantineConfig, QuarantineState, TenantQuarantine};
 pub use request::{Priority, QueryOutcome, QueryRequest, Rejected, Ticket};
 pub use runtime::{DrainReport, ObsConfig, ServeConfig, ServeRuntime, DRAIN_GRACE};
-pub use supervisor::SupervisorConfig;
 pub use tenants::TenantDirectory;
 
 /// Lock a mutex whether or not a panicking thread poisoned it. Panics are

@@ -98,12 +98,6 @@ pub enum Rejected {
     /// was rejected up front instead of consuming a queue slot only to
     /// expire unexecuted.
     DeadlineExpired,
-    /// The tenant is quarantined: its recent requests panicked or failed
-    /// validation at a rate that tripped the per-tenant breaker, and the
-    /// cooldown has not yet elapsed (or a half-open probe is already in
-    /// flight). Back off and retry later — one poison-pill tenant must
-    /// not burn the worker pool or starve its DRR peers.
-    Quarantined,
 }
 
 /// Terminal state of an admitted request.
@@ -133,9 +127,9 @@ pub enum QueryOutcome {
     Shed,
     /// The worker thread serving this request **panicked**. The panic
     /// was caught at the per-request isolation boundary, the ticket was
-    /// resolved (this variant), and the worker was retired and respawned
-    /// by the supervisor — the panic never took the pool down and never
-    /// left this ticket hanging.
+    /// resolved (this variant), and the worker rebuilt its pipeline and
+    /// kept serving on the same thread — the panic cost this request
+    /// only, never a worker, and never left this ticket hanging.
     Failed {
         /// Human-readable summary of the panic payload (the `&str` or
         /// `String` passed to `panic!`, or a placeholder for exotic

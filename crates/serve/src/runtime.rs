@@ -1,16 +1,14 @@
 //! The serving runtime: worker pool, admission control, epoch-keyed
 //! caches, fault containment, and the per-request execution path.
 //!
-//! Fault-containment layers (see `DESIGN.md` §15):
+//! Fault containment (see `DESIGN.md` §15):
 //!
 //! - every request executes under a per-request `catch_unwind` boundary,
 //!   so a panicking operator resolves its ticket with
 //!   [`QueryOutcome::Failed`] instead of hanging the caller;
-//! - a worker whose request panicked **retires** (exits) and the
-//!   supervisor thread respawns it with backoff (see
-//!   [`crate::supervisor`]);
-//! - tenants whose recent requests keep failing are **quarantined** at
-//!   admission (see [`crate::quarantine`]);
+//! - the worker that caught the panic rebuilds its pipeline and keeps
+//!   serving on the same thread, so a panic costs one request, never a
+//!   worker;
 //! - [`ServeRuntime::shutdown_with_deadline`] drains with a bound,
 //!   force-resolving stragglers instead of joining forever.
 //!
@@ -20,14 +18,9 @@
 
 use crate::cache::{CacheKey, EpochCache};
 use crate::lock;
-use crate::quarantine::{Gate, QuarantineConfig, QuarantineState, TenantQuarantine};
 use crate::request::{QueryOutcome, QueryRequest, Rejected, Ticket, TicketCell};
 use crate::sched::{Admitted, DrrScheduler};
 use crate::tenants::TenantDirectory;
-
-use crate::supervisor::{
-    alive_workers, lock_table, supervisor_loop, SupervisorConfig, WorkerSlot, WorkerTable,
-};
 use genedit_core::{
     CancelToken, GenEditPipeline, GenerateOptions, GenerationResult, KnowledgeIndex, PipelineConfig,
 };
@@ -92,13 +85,6 @@ pub struct ServeConfig {
     /// Observability plane: SLO burn-rate alerting and the tail-sampling
     /// flight recorder.
     pub observability: ObsConfig,
-    /// Worker-pool supervision policy: how aggressively retired (panicked)
-    /// workers are respawned, and the per-slot respawn budget.
-    pub supervisor: SupervisorConfig,
-    /// Per-tenant quarantine policy. Disabled by default; see
-    /// [`QuarantineConfig::default_policy`] for a production-shaped
-    /// opt-in.
-    pub quarantine: QuarantineConfig,
     /// Disk-backed per-tenant knowledge. When set, requests from tenants
     /// the directory knows are served from that tenant's own paged-in
     /// index (cold tenants page in on first request — the
@@ -116,8 +102,6 @@ impl Default for ServeConfig {
             reform_cache_capacity: 256,
             pipeline: PipelineConfig::default(),
             observability: ObsConfig::default(),
-            supervisor: SupervisorConfig::default(),
-            quarantine: QuarantineConfig::disabled(),
             tenants: None,
         }
     }
@@ -169,8 +153,6 @@ struct Shared<M> {
     slo: Option<SloTracker>,
     /// Tail-sampling flight recorder of completed request traces.
     recorder: Option<FlightRecorder>,
-    /// Per-tenant failure breaker consulted at admission.
-    quarantine: TenantQuarantine,
     /// Requests a worker has dequeued but not yet resolved, keyed by
     /// admission sequence. Maintained under the containment guard so a
     /// panicking request still deregisters.
@@ -203,9 +185,8 @@ impl<M> Shared<M> {
 
 /// A concurrent serving runtime over one deployed knowledge snapshot.
 ///
-/// Lifecycle: [`ServeRuntime::start`] spawns the worker pool and its
-/// supervisor; [`ServeRuntime::submit`] admits requests (or applies
-/// backpressure, including per-tenant quarantine);
+/// Lifecycle: [`ServeRuntime::start`] spawns the worker pool;
+/// [`ServeRuntime::submit`] admits requests (or applies backpressure);
 /// [`ServeRuntime::publish`] swaps in a re-built knowledge index after a
 /// durable commit, bumping the epoch every cache key embeds;
 /// [`ServeRuntime::shutdown`] drains the queue and joins the workers,
@@ -213,31 +194,20 @@ impl<M> Shared<M> {
 /// bound, force-resolving whatever will not drain in time.
 pub struct ServeRuntime<M> {
     shared: Arc<Shared<M>>,
-    table: WorkerTable,
     /// Taken (and joined) by whichever shutdown call gets there first;
     /// behind a mutex so shutdown borrows `&self` and can therefore race
     /// concurrent `submit` calls — which is exactly the race the
     /// under-lock re-check in `submit` exists to win.
-    supervisor: Mutex<Option<JoinHandle<()>>>,
-}
-
-fn spawn_worker<M: LanguageModel + 'static>(
-    shared: &Arc<Shared<M>>,
-    slot: usize,
-) -> io::Result<JoinHandle<()>> {
-    let shared = Arc::clone(shared);
-    thread::Builder::new()
-        .name(format!("serve-worker-{slot}"))
-        .spawn(move || worker_loop(&shared))
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl<M: LanguageModel + 'static> ServeRuntime<M> {
-    /// Spawn the worker pool and its supervisor. `epoch` is the knowledge
-    /// epoch `index` was built at — `DurableKnowledgeStore::epoch()` for
-    /// durable deploys, 0 for static knowledge sets.
+    /// Spawn the worker pool. `epoch` is the knowledge epoch `index` was
+    /// built at — `DurableKnowledgeStore::epoch()` for durable deploys, 0
+    /// for static knowledge sets.
     ///
-    /// Panics if a worker (or the supervisor) thread cannot be spawned;
-    /// use [`ServeRuntime::try_start`] to handle that error instead. A
+    /// Panics if a worker thread cannot be spawned; use
+    /// [`ServeRuntime::try_start`] to handle that error instead. A
     /// partially-spawned pool is never returned or leaked either way.
     pub fn start(
         model: M,
@@ -251,8 +221,8 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
     }
 
     /// Fallible [`ServeRuntime::start`]: surfaces the OS error when a
-    /// worker or supervisor thread cannot be spawned, after stopping and
-    /// joining any workers that did start.
+    /// worker thread cannot be spawned, after stopping and joining any
+    /// workers that did start.
     pub fn try_start(
         model: M,
         index: Arc<KnowledgeIndex>,
@@ -270,11 +240,6 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             .recorder
             .clone()
             .map(FlightRecorder::new);
-        let quarantine = TenantQuarantine::new(
-            config.quarantine.clone(),
-            Arc::new(SystemClock::new()) as Arc<dyn Clock>,
-        )
-        .with_metrics(Arc::clone(&metrics));
         let shared = Arc::new(Shared {
             sched: Mutex::new(DrrScheduler::new()),
             available: Condvar::new(),
@@ -284,7 +249,6 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             metrics,
             slo,
             recorder,
-            quarantine,
             inflight: Mutex::new(HashMap::new()),
             results: EpochCache::new(config.result_cache_capacity),
             reforms: EpochCache::new(config.reform_cache_capacity),
@@ -295,8 +259,7 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
         });
         let runtime = ServeRuntime {
             shared,
-            table: Arc::new(Mutex::new(Vec::with_capacity(workers))),
-            supervisor: Mutex::new(None),
+            workers: Mutex::new(Vec::with_capacity(workers)),
         };
         // A failed spawn is surfaced, not silently swallowed: a pool that
         // quietly started with fewer workers than configured would serve
@@ -313,25 +276,12 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
 
     fn spawn_pool(&self, workers: usize) -> io::Result<()> {
         for slot in 0..workers {
-            let handle = spawn_worker(&self.shared, slot)?;
-            lock_table(&self.table).push(WorkerSlot::new(handle));
+            let shared = Arc::clone(&self.shared);
+            let handle = thread::Builder::new()
+                .name(format!("serve-worker-{slot}"))
+                .spawn(move || worker_loop(&shared))?;
+            lock(&self.workers).push(handle);
         }
-        self.shared
-            .metrics
-            .set_gauge("serve.workers.alive", workers as f64);
-        let (table, shared) = (Arc::clone(&self.table), Arc::clone(&self.shared));
-        let supervisor = thread::Builder::new()
-            .name("serve-supervisor".to_string())
-            .spawn(move || {
-                supervisor_loop(
-                    table,
-                    shared.config.supervisor.clone(),
-                    Arc::clone(&shared.metrics),
-                    || shared.shutdown.load(Ordering::SeqCst),
-                    |slot| spawn_worker(&shared, slot),
-                )
-            })?;
-        *lock(&self.supervisor) = Some(supervisor);
         Ok(())
     }
 
@@ -362,16 +312,13 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
         self.shared.lock_sched().len()
     }
 
-    /// Worker threads currently alive. Transiently below
-    /// [`ServeConfig::workers`] after a panic retires a worker, until the
-    /// supervisor respawns it.
+    /// Worker threads currently alive: equals [`ServeConfig::workers`]
+    /// until shutdown.
     pub fn workers_alive(&self) -> usize {
-        alive_workers(&self.table)
-    }
-
-    /// The quarantine breaker state for `tenant` (Closed when unknown).
-    pub fn quarantine_state(&self, tenant: &str) -> QuarantineState {
-        self.shared.quarantine.state(tenant)
+        lock(&self.workers)
+            .iter()
+            .filter(|handle| !handle.is_finished())
+            .count()
     }
 
     /// The epoch of the currently published knowledge snapshot.
@@ -395,27 +342,20 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
     /// counts as "latest"): capacity goes to the request with the most
     /// runway. When the incoming request cannot beat any queued
     /// deadline, [`Rejected::QueueFull`] tells the caller to back off.
-    /// A quarantined tenant is answered [`Rejected::Quarantined`] before
-    /// any queue slot is considered.
     pub fn submit(&self, request: QueryRequest) -> Result<Ticket, Rejected> {
         // Fast path only: the authoritative shutdown check happens again
         // under the scheduler lock below, where it cannot race
         // `begin_shutdown`.
         if self.shared.shutdown.load(Ordering::SeqCst) {
-            return self.reject(Rejected::ShuttingDown, &request, false);
+            return self.reject(Rejected::ShuttingDown);
         }
         // A deadline already in the past can only ever expire unexecuted;
         // reject it up front instead of letting it occupy a queue slot
         // (and possibly shed a still-viable request) on the way to the
         // same outcome.
         if request.deadline.is_some_and(|d| Instant::now() >= d) {
-            return self.reject(Rejected::DeadlineExpired, &request, false);
+            return self.reject(Rejected::DeadlineExpired);
         }
-        let probe = match self.shared.quarantine.check(&request.tenant) {
-            Gate::Admit => false,
-            Gate::AdmitProbe => true,
-            Gate::Reject => return self.reject(Rejected::Quarantined, &request, false),
-        };
         let cancel = match request.deadline {
             Some(deadline) => CancelToken::with_deadline(deadline),
             None => CancelToken::new(),
@@ -432,7 +372,7 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             // enqueueing now would strand the ticket behind a pool that
             // is already exiting.
             drop(sched);
-            return self.reject(Rejected::ShuttingDown, &request, probe);
+            return self.reject(Rejected::ShuttingDown);
         }
         let mut shed = None;
         if sched.len() >= self.shared.config.queue_capacity.max(1) {
@@ -442,7 +382,7 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
                 .and_then(|(_, victim)| sched.remove(victim));
             if shed.is_none() {
                 drop(sched);
-                return self.reject(Rejected::QueueFull, &request, probe);
+                return self.reject(Rejected::QueueFull);
             }
         }
         let cost = request.priority.cost();
@@ -454,7 +394,6 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             cancel,
             enqueued_at: Instant::now(),
             cost,
-            probe,
         });
         let depth = sched.len();
         drop(sched);
@@ -469,15 +408,8 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
         Ok(ticket)
     }
 
-    /// Refuse a submission. A probe refused after the quarantine gate
-    /// let it through hands its half-open slot back.
-    fn reject(
-        &self,
-        reason: Rejected,
-        request: &QueryRequest,
-        probe: bool,
-    ) -> Result<Ticket, Rejected> {
-        self.shared.quarantine.on_abandoned(&request.tenant, probe);
+    /// Refuse a submission.
+    fn reject(&self, reason: Rejected) -> Result<Ticket, Rejected> {
         self.shared.metrics.incr("serve.rejected", 1);
         Err(reason)
     }
@@ -486,8 +418,8 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
     /// Already-queued requests still execute (or expire on their own
     /// deadlines): this is [`ServeRuntime::shutdown_with_deadline`]
     /// without the deadline, so nothing running is ever forced. Only
-    /// work left unexecutable — queued behind a pool whose every worker
-    /// retired — is resolved as [`QueryOutcome::Cancelled`] rather than
+    /// work left unexecutable — queued behind a pool whose every thread
+    /// has died — is resolved as [`QueryOutcome::Cancelled`] rather than
     /// left hanging.
     ///
     /// Takes `&self` so shutdown can come from any thread, including one
@@ -518,10 +450,6 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
         let started = Instant::now();
         self.shared.begin_shutdown();
         self.shared.available.notify_all();
-        let supervisor = lock(&self.supervisor).take();
-        if let Some(handle) = supervisor {
-            handle.join().ok();
-        }
         // Phase 1: cooperative drain. Workers keep executing queued work;
         // we just watch for quiescence. The queue→in-flight handoff
         // happens under the scheduler lock, so sampling the queue first
@@ -532,9 +460,10 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             if queued == 0 && inflight == 0 {
                 break;
             }
-            // Every worker retired (supervisor already exited): queued
-            // work can no longer drain on its own — force it now.
-            if inflight == 0 && alive_workers(&self.table) == 0 {
+            // Every worker thread has finished — only a fault outside the
+            // per-request boundary ends one early: queued work can no
+            // longer drain on its own, so force it now.
+            if inflight == 0 && self.workers_alive() == 0 {
                 break;
             }
             if timeout.is_some_and(|t| started.elapsed() >= t) {
@@ -570,10 +499,7 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             entry.cell.complete(QueryOutcome::Cancelled);
         }
         let mut detached_workers = 0u64;
-        let handles: Vec<JoinHandle<()>> = lock_table(&self.table)
-            .iter_mut()
-            .filter_map(|slot| slot.handle.take())
-            .collect();
+        let handles = std::mem::take(&mut *lock(&self.workers));
         for handle in handles {
             // Only a worker whose ticket was just resolved over its head
             // can be wedged; every other one is on its way out.
@@ -596,9 +522,11 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
 }
 
 fn worker_loop<M: LanguageModel + 'static>(shared: &Arc<Shared<M>>) {
-    let pipeline =
+    let build = || {
         GenEditPipeline::with_config(Arc::clone(&shared.model), shared.config.pipeline.clone())
-            .with_metrics(Arc::clone(&shared.metrics));
+            .with_metrics(Arc::clone(&shared.metrics))
+    };
+    let mut pipeline = build();
     loop {
         let admitted = {
             let mut sched = shared.lock_sched();
@@ -630,9 +558,9 @@ fn worker_loop<M: LanguageModel + 'static>(shared: &Arc<Shared<M>>) {
             .set_gauge("serve.queue_depth", shared.lock_sched().len() as f64);
         if !serve_one_contained(shared, &pipeline, &admitted) {
             // The request panicked. Its ticket is resolved and the panic
-            // recorded; this worker retires ("let it crash") and the
-            // supervisor respawns the slot on a fresh thread.
-            return;
+            // recorded; the pipeline it unwound through is replaced and
+            // this thread serves on.
+            pipeline = build();
         }
     }
 }
@@ -672,7 +600,7 @@ impl<M> Drop for Containment<'_, M> {
 }
 
 /// Execute one request inside its panic-isolation domain. Returns false
-/// when the request panicked (the worker should retire).
+/// when the request panicked (the worker rebuilds its pipeline).
 fn serve_one_contained<M: LanguageModel + 'static, L: LanguageModel>(
     shared: &Arc<Shared<M>>,
     pipeline: &GenEditPipeline<L>,
@@ -833,44 +761,38 @@ impl Ending {
     }
 }
 
-/// What an ending tells the tenant's quarantine breaker.
-type Charge = fn(&TenantQuarantine, &str, bool);
-const HEALTHY: Charge = TenantQuarantine::on_success;
-const FAILING: Charge = TenantQuarantine::on_failure;
-const NEUTRAL: Charge = TenantQuarantine::on_abandoned;
-
 /// The one way out: every path on which an admitted request ends calls
 /// this, once. (A bounded drain may already have resolved the ticket
 /// over a wedged worker's head: completion is first-wins, and the
 /// accounting of the worker's own late ending still stands.) Never call
-/// it holding the scheduler lock: it takes the quarantine, recorder and
-/// ticket locks and wakes the waiter.
+/// it holding the scheduler lock: it takes the recorder and ticket locks
+/// and wakes the waiter.
 ///
-/// Order: counter, latency histogram (completions only), quarantine
-/// charge, then the flight recorder *before* the SLO tracker — so an
-/// alert fired by this very request dumps a ring that already contains
-/// it — and the ticket last, so a woken caller sees all of it.
+/// Order: counter, latency histogram (completions only), then the
+/// flight recorder *before* the SLO tracker — so an alert fired by this
+/// very request dumps a ring that already contains it — and the ticket
+/// last, so a woken caller sees all of it.
 fn resolve<M>(shared: &Shared<M>, admitted: &Admitted, ending: Ending) {
     use RequestVerdict as V;
     let latency = admitted.enqueued_at.elapsed();
     let latency_ms = latency.as_secs_f64() * 1e3;
-    // The endings table: the counter that moves, the quarantine charge,
-    // the flight-recorder verdict, and the SLO error flag. `None` keeps
-    // the request out of the SLO window altogether: a missed deadline
-    // burns error budget, a caller's cancel, a shed and a drain do not.
-    let (counter, charge, verdict, slo_error) = match &ending {
+    // The endings table: the counter that moves, the flight-recorder
+    // verdict, and the SLO error flag. `None` keeps the request out of
+    // the SLO window altogether: a missed deadline burns error budget, a
+    // caller's cancel, a shed and a drain do not.
+    let (counter, verdict, slo_error) = match &ending {
         Ending::Completed { result, .. } => {
             match (result.validated, result.degraded_operator_count()) {
-                (false, _) => ("serve.completed", FAILING, V::Error, Some(true)),
-                (true, 0) => ("serve.completed", HEALTHY, V::Ok, Some(false)),
-                (true, _) => ("serve.completed", HEALTHY, V::Degraded, Some(false)),
+                (false, _) => ("serve.completed", V::Error, Some(true)),
+                (true, 0) => ("serve.completed", V::Ok, Some(false)),
+                (true, _) => ("serve.completed", V::Degraded, Some(false)),
             }
         }
-        Ending::Shed => ("serve.shed", NEUTRAL, V::Cancelled, None),
-        Ending::Expired { .. } => ("serve.expired", NEUTRAL, V::Cancelled, Some(true)),
-        Ending::Cancelled { .. } => ("serve.cancelled", NEUTRAL, V::Cancelled, None),
-        Ending::Drained => ("serve.drain.forced_queued", NEUTRAL, V::Cancelled, None),
-        Ending::Panicked { .. } => ("serve.panic", FAILING, V::Panicked, Some(true)),
+        Ending::Shed => ("serve.shed", V::Cancelled, None),
+        Ending::Expired { .. } => ("serve.expired", V::Cancelled, Some(true)),
+        Ending::Cancelled { .. } => ("serve.cancelled", V::Cancelled, None),
+        Ending::Drained => ("serve.drain.forced_queued", V::Cancelled, None),
+        Ending::Panicked { .. } => ("serve.panic", V::Panicked, Some(true)),
     };
     // What the caller sees, and the partial trace of a generation that
     // gave up (a completed one carries its trace in the result).
@@ -904,7 +826,6 @@ fn resolve<M>(shared: &Shared<M>, admitted: &Admitted, ending: Ending) {
             &admitted.request_id,
         );
     }
-    charge(&shared.quarantine, &admitted.request.tenant, admitted.probe);
     let trace = outcome.result().map(|r| &r.trace).or(partial.as_ref());
     record_outcome(
         shared,

@@ -30,9 +30,6 @@ pub(crate) struct Admitted {
     pub cancel: CancelToken,
     pub enqueued_at: Instant,
     pub cost: u32,
-    /// True when this request was admitted as a half-open quarantine
-    /// probe: its outcome (alone) decides whether the tenant recovers.
-    pub probe: bool,
 }
 
 #[derive(Default)]
@@ -179,7 +176,6 @@ mod tests {
             cancel,
             enqueued_at: Instant::now(),
             cost: priority.cost(),
-            probe: false,
         }
     }
 

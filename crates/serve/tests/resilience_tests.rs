@@ -1,6 +1,6 @@
 //! Fault-containment tests for the serving runtime: per-request panic
-//! isolation, supervised worker respawn, tenant quarantine, the
-//! submit/shutdown race, unvalidated-result caching, and bounded drain.
+//! isolation on a worker that keeps its thread, the submit/shutdown
+//! race, unvalidated-result caching, and bounded drain.
 
 use genedit_bird::{DomainBundle, SPORTS};
 use genedit_core::KnowledgeIndex;
@@ -9,11 +9,11 @@ use genedit_llm::{
     TaskRegistry,
 };
 use genedit_serve::{
-    QuarantineConfig, QueryOutcome, QueryRequest, Rejected, ServeConfig, ServeRuntime,
-    SupervisorConfig, Ticket, DRAIN_GRACE,
+    QueryOutcome, QueryRequest, Rejected, ServeConfig, ServeRuntime, Ticket, DRAIN_GRACE,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// Marker that makes [`PoisonModel`] panic: requests whose question
@@ -78,6 +78,26 @@ impl<M: LanguageModel> LanguageModel for PoisonModel<M> {
         if request.prompt.question.contains(POISON) || original.contains(POISON) {
             panic!("{POISON}-pill request");
         }
+        self.inner.complete(request)
+    }
+}
+
+/// A model that logs the thread each call runs on, then delegates.
+struct ThreadLog<M> {
+    inner: M,
+    threads: Arc<Mutex<Vec<ThreadId>>>,
+}
+
+impl<M: LanguageModel> LanguageModel for ThreadLog<M> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn complete(&self, request: &CompletionRequest) -> Result<CompletionResponse, ModelError> {
+        self.threads
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
         self.inner.complete(request)
     }
 }
@@ -163,45 +183,26 @@ fn wait_bounded(ticket: &Ticket, bound: Duration) -> QueryOutcome {
     }
 }
 
-/// Spin until the pool is back at `n` live workers.
-fn wait_workers<M: LanguageModel + 'static>(runtime: &ServeRuntime<M>, n: usize) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while runtime.workers_alive() != n {
-        assert!(
-            Instant::now() < deadline,
-            "pool stuck at {} workers, wanted {n}",
-            runtime.workers_alive()
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-fn fast_supervisor() -> SupervisorConfig {
-    SupervisorConfig {
-        poll_interval: Duration::from_millis(1),
-        backoff_base: Duration::from_millis(1),
-        backoff_max: Duration::from_millis(5),
-        respawn_budget: 64,
-    }
-}
-
 #[test]
 fn panicking_request_resolves_its_ticket_and_pool_recovers() {
     quiet_poison_panics();
     let (bundle, oracle) = setup();
     let index = Arc::new(KnowledgeIndex::build(bundle.build_knowledge()));
+    let threads = Arc::new(Mutex::new(Vec::new()));
     let runtime = ServeRuntime::start(
-        PoisonModel { inner: oracle },
+        ThreadLog {
+            inner: PoisonModel { inner: oracle },
+            threads: Arc::clone(&threads),
+        },
         index,
         0,
         Arc::new(bundle.db.clone()),
         ServeConfig {
-            workers: 2,
-            supervisor: fast_supervisor(),
+            workers: 1,
             ..ServeConfig::default()
         },
     );
-    assert_eq!(runtime.workers_alive(), 2);
+    assert_eq!(runtime.workers_alive(), 1);
 
     let poison = runtime
         .submit(QueryRequest::new("acme", format!("{POISON} this request")))
@@ -218,9 +219,9 @@ fn panicking_request_resolves_its_ticket_and_pool_recovers() {
     }
     assert_eq!(runtime.metrics().counter("serve.panic"), 1);
 
-    // The retired worker respawns and clean traffic keeps completing.
-    wait_workers(&runtime, 2);
-    assert!(runtime.metrics().counter("serve.worker.respawned") >= 1);
+    // The worker that caught the panic keeps serving: clean traffic
+    // completes on the very thread the poison request ran on.
+    assert_eq!(runtime.workers_alive(), 1);
     for task in bundle.tasks.iter().take(3) {
         let ticket = runtime
             .submit(QueryRequest::new("acme", &task.question))
@@ -231,83 +232,13 @@ fn panicking_request_resolves_its_ticket_and_pool_recovers() {
             "clean request after a panic should complete, got {outcome:?}"
         );
     }
-    runtime.shutdown();
-}
-
-#[test]
-fn repeated_panics_keep_respawning_within_budget() {
-    quiet_poison_panics();
-    let (bundle, oracle) = setup();
-    let index = Arc::new(KnowledgeIndex::build(bundle.build_knowledge()));
-    let runtime = ServeRuntime::start(
-        PoisonModel { inner: oracle },
-        index,
-        0,
-        Arc::new(bundle.db.clone()),
-        ServeConfig {
-            workers: 2,
-            supervisor: fast_supervisor(),
-            ..ServeConfig::default()
-        },
+    let threads = threads.lock().unwrap().clone();
+    assert!(threads.len() > 1, "the clean requests called the model");
+    assert!(
+        threads.iter().all(|id| *id == threads[0]),
+        "every call, before and after the panic, ran on one worker thread: {threads:?}"
     );
-    for i in 0..4 {
-        let ticket = runtime
-            .submit(QueryRequest::new("acme", format!("{POISON} #{i}")))
-            .unwrap();
-        let outcome = wait_bounded(&ticket, Duration::from_secs(10));
-        assert!(matches!(outcome, QueryOutcome::Failed { .. }));
-        wait_workers(&runtime, 2);
-    }
-    assert_eq!(runtime.metrics().counter("serve.panic"), 4);
-    assert!(runtime.metrics().counter("serve.worker.respawned") >= 4);
-    assert_eq!(runtime.metrics().counter("serve.worker.abandoned"), 0);
     runtime.shutdown();
-}
-
-#[test]
-fn exhausted_respawn_budget_abandons_slot_and_shutdown_still_resolves_queue() {
-    quiet_poison_panics();
-    let (bundle, oracle) = setup();
-    let index = Arc::new(KnowledgeIndex::build(bundle.build_knowledge()));
-    let runtime = ServeRuntime::start(
-        PoisonModel { inner: oracle },
-        index,
-        0,
-        Arc::new(bundle.db.clone()),
-        ServeConfig {
-            workers: 1,
-            supervisor: SupervisorConfig {
-                respawn_budget: 0,
-                ..fast_supervisor()
-            },
-            ..ServeConfig::default()
-        },
-    );
-    let poison = runtime
-        .submit(QueryRequest::new("acme", format!("{POISON} once")))
-        .unwrap();
-    assert!(matches!(
-        wait_bounded(&poison, Duration::from_secs(10)),
-        QueryOutcome::Failed { .. }
-    ));
-    // Budget 0: the slot is abandoned instead of respawned.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while runtime.metrics().counter("serve.worker.abandoned") == 0 {
-        assert!(Instant::now() < deadline, "slot never abandoned");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(runtime.workers_alive(), 0);
-
-    // Work queued behind a fully-dead pool must still resolve at
-    // shutdown instead of stranding its caller.
-    let stuck = runtime
-        .submit(QueryRequest::new("acme", &bundle.tasks[0].question))
-        .unwrap();
-    runtime.shutdown();
-    assert!(matches!(
-        wait_bounded(&stuck, Duration::from_secs(5)),
-        QueryOutcome::Cancelled
-    ));
 }
 
 #[test]
@@ -322,7 +253,6 @@ fn panicked_verdict_lands_in_the_flight_recorder() {
         Arc::new(bundle.db.clone()),
         ServeConfig {
             workers: 1,
-            supervisor: fast_supervisor(),
             observability: genedit_serve::ObsConfig {
                 recorder: Some(genedit_telemetry::RecorderConfig::default()),
                 ..Default::default()
@@ -339,126 +269,6 @@ fn panicked_verdict_lands_in_the_flight_recorder() {
         dump.contains("Panicked"),
         "flight recorder should carry the Panicked verdict: {dump}"
     );
-    runtime.shutdown();
-}
-
-#[test]
-fn quarantine_trips_probes_and_recovers_end_to_end() {
-    quiet_poison_panics();
-    let (bundle, oracle) = setup();
-    let index = Arc::new(KnowledgeIndex::build(bundle.build_knowledge()));
-    let runtime = ServeRuntime::start(
-        PoisonModel { inner: oracle },
-        index,
-        0,
-        Arc::new(bundle.db.clone()),
-        ServeConfig {
-            workers: 2,
-            supervisor: fast_supervisor(),
-            quarantine: QuarantineConfig {
-                enabled: true,
-                window: Duration::from_secs(30),
-                min_samples: 3,
-                failure_ratio: 0.5,
-                cooldown: Duration::from_millis(150),
-                probe_quota: 1,
-            },
-            ..ServeConfig::default()
-        },
-    );
-    use genedit_serve::QuarantineState;
-
-    // Three poison requests from one tenant trip its breaker.
-    for i in 0..3 {
-        let ticket = runtime
-            .submit(QueryRequest::new("evil", format!("{POISON} #{i}")))
-            .unwrap();
-        assert!(matches!(
-            wait_bounded(&ticket, Duration::from_secs(10)),
-            QueryOutcome::Failed { .. }
-        ));
-        wait_workers(&runtime, 2);
-    }
-    assert_eq!(runtime.quarantine_state("evil"), QuarantineState::Open);
-    assert_eq!(
-        runtime
-            .submit(QueryRequest::new("evil", "anything"))
-            .map(|_| ()),
-        Err(Rejected::Quarantined)
-    );
-    // The healthy tenant is untouched by its neighbor's quarantine.
-    let good = runtime
-        .submit(QueryRequest::new("good", &bundle.tasks[0].question))
-        .unwrap();
-    assert!(wait_bounded(&good, Duration::from_secs(10)).is_completed());
-    assert_eq!(runtime.quarantine_state("good"), QuarantineState::Closed);
-
-    // After the cooldown a single clean probe closes the breaker.
-    std::thread::sleep(Duration::from_millis(200));
-    let probe = runtime
-        .submit(QueryRequest::new("evil", &bundle.tasks[1].question))
-        .unwrap();
-    assert!(wait_bounded(&probe, Duration::from_secs(10)).is_completed());
-    assert_eq!(runtime.quarantine_state("evil"), QuarantineState::Closed);
-    let after = runtime
-        .submit(QueryRequest::new("evil", &bundle.tasks[2].question))
-        .unwrap();
-    assert!(wait_bounded(&after, Duration::from_secs(10)).is_completed());
-    assert!(runtime.metrics().counter("serve.quarantine.tripped") >= 1);
-    assert!(runtime.metrics().counter("serve.quarantine.recovered") >= 1);
-    runtime.shutdown();
-}
-
-#[test]
-fn failed_probe_reopens_quarantine() {
-    quiet_poison_panics();
-    let (bundle, oracle) = setup();
-    let index = Arc::new(KnowledgeIndex::build(bundle.build_knowledge()));
-    let runtime = ServeRuntime::start(
-        PoisonModel { inner: oracle },
-        index,
-        0,
-        Arc::new(bundle.db.clone()),
-        ServeConfig {
-            workers: 1,
-            supervisor: fast_supervisor(),
-            quarantine: QuarantineConfig {
-                enabled: true,
-                window: Duration::from_secs(30),
-                min_samples: 2,
-                failure_ratio: 0.5,
-                cooldown: Duration::from_millis(100),
-                probe_quota: 1,
-            },
-            ..ServeConfig::default()
-        },
-    );
-    use genedit_serve::QuarantineState;
-    for i in 0..2 {
-        let ticket = runtime
-            .submit(QueryRequest::new("evil", format!("{POISON} #{i}")))
-            .unwrap();
-        wait_bounded(&ticket, Duration::from_secs(10));
-        wait_workers(&runtime, 1);
-    }
-    assert_eq!(runtime.quarantine_state("evil"), QuarantineState::Open);
-    std::thread::sleep(Duration::from_millis(150));
-    // The probe itself is poison: straight back to Open.
-    let probe = runtime
-        .submit(QueryRequest::new("evil", format!("{POISON} probe")))
-        .unwrap();
-    assert!(matches!(
-        wait_bounded(&probe, Duration::from_secs(10)),
-        QueryOutcome::Failed { .. }
-    ));
-    assert_eq!(runtime.quarantine_state("evil"), QuarantineState::Open);
-    assert_eq!(
-        runtime
-            .submit(QueryRequest::new("evil", "anything"))
-            .map(|_| ()),
-        Err(Rejected::Quarantined)
-    );
-    assert!(runtime.metrics().counter("serve.quarantine.retripped") >= 1);
     runtime.shutdown();
 }
 

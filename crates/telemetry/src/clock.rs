@@ -4,9 +4,8 @@
 //! [`SimulatedClock`] so injected latency, window rollups, and burn-rate
 //! alert schedules are deterministic and never block on wall time. The
 //! trait lives here — below every other crate — so the metrics windows
-//! ([`crate::window`]), SLO trackers ([`crate::slo`]), the serving
-//! quarantine and the model decorators in `genedit_llm` all share one
-//! definition.
+//! ([`crate::window`]), SLO trackers ([`crate::slo`]) and the model
+//! decorators in `genedit_llm` all share one definition.
 
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;

@@ -37,8 +37,9 @@ pub enum RequestVerdict {
     /// Cancelled before completion (client gone, shed, timeout).
     Cancelled,
     /// The worker thread panicked mid-request; the serving layer caught
-    /// the unwind, resolved the ticket, and retired the worker. Always
-    /// retained: a panic is the single most postmortem-worthy verdict.
+    /// the unwind, resolved the ticket, and rebuilt the worker's
+    /// pipeline. Always retained: a panic is the single most
+    /// postmortem-worthy verdict.
     Panicked,
 }
 

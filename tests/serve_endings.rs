@@ -3,13 +3,12 @@
 //! An admitted request ends exactly one way — completed (validated,
 //! unvalidated or replayed from the cache), shed, expired, cancelled
 //! (while queued or mid-generation), panicked, or force-drained (queued
-//! or in flight) — and a refused one is answered with one of four
+//! or in flight) — and a refused one is answered with one of three
 //! `Rejected` reasons. Each test below drives the public API into one
 //! ending and asserts the **whole row**: the outcome variant, the exact
 //! delta of every `serve.*` counter, the flight-recorder verdict, whether
-//! the SLO window counted the request (and as good or bad), what the
-//! tenant's quarantine breaker was charged, and that the ticket's state,
-//! once decided, never moves.
+//! the SLO window counted the request (and as good or bad), and that the
+//! ticket's state, once decided, never moves.
 //!
 //! Every scenario runs twice, once per [`SloProbe`], because the SLO
 //! tracker is private to the runtime: the only public trace of what it
@@ -23,8 +22,7 @@ use genedit::llm::{
     TaskRegistry,
 };
 use genedit::serve::{
-    ObsConfig, QuarantineConfig, QuarantineState, QueryOutcome, QueryRequest, Rejected,
-    ServeConfig, ServeRuntime, SupervisorConfig, Ticket,
+    ObsConfig, QueryOutcome, QueryRequest, Rejected, ServeConfig, ServeRuntime, Ticket,
 };
 use genedit::sql::catalog::Database;
 use genedit::telemetry::slo::BurnRateRule;
@@ -43,7 +41,7 @@ const BROKEN: &str = "BROKEN";
 const GATED: &str = "GATED";
 
 /// The tenant whose request is under test; helpers use other tenants so
-/// its quarantine breaker sees that one request only.
+/// their requests never share its cache keys.
 const TENANT: &str = "acme";
 
 const BOUND: Duration = Duration::from_secs(20);
@@ -178,15 +176,6 @@ enum Slo {
     Bad,
 }
 
-/// What the tenant's quarantine breaker was charged.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Charge {
-    Success,
-    Failure,
-    /// Neutral: neither evidence of health nor of poison.
-    Abandoned,
-}
-
 struct Fixture {
     runtime: ServeRuntime<ScriptedModel>,
     gate: Arc<Gate>,
@@ -228,23 +217,6 @@ impl Fixture {
             ServeConfig {
                 workers: 1,
                 queue_capacity,
-                supervisor: SupervisorConfig {
-                    poll_interval: Duration::from_millis(1),
-                    backoff_base: Duration::from_millis(1),
-                    backoff_max: Duration::from_millis(5),
-                    respawn_budget: 64,
-                },
-                // One failure trips a tenant (1/1 ≥ 0.6), one success
-                // beside one failure does not (1/2), and a tripped
-                // tenant probes on its very next submit.
-                quarantine: QuarantineConfig {
-                    enabled: true,
-                    window: Duration::from_secs(600),
-                    min_samples: 1,
-                    failure_ratio: 0.6,
-                    cooldown: Duration::ZERO,
-                    probe_quota: 1,
-                },
                 observability: ObsConfig {
                     // Any bad sample at all fires, once enough arrived.
                     slo: Some(SloConfig {
@@ -305,8 +277,8 @@ impl Fixture {
         blocker
     }
 
-    /// Let a parked blocker go — as an explicit client cancel, the one
-    /// ending that touches neither the SLO window nor a breaker. Its row
+    /// Let a parked blocker go — as an explicit client cancel, an ending
+    /// the SLO window does not count. Its row
     /// (`cancelled_mid_generation`) is part of the expected deltas of
     /// every scenario that needed a blocker.
     fn release(&self, blocker: &Ticket) {
@@ -357,40 +329,6 @@ impl Fixture {
         let verdict = matching.next().map(|r| r.verdict);
         assert!(matching.next().is_none(), "a request is recorded once");
         verdict
-    }
-
-    /// Assert what `TENANT`'s breaker was charged for the request under
-    /// test, `successes_before` validated completions of the tenant's
-    /// having come first. A failure trips it on the spot. Success and
-    /// abandonment both leave it closed, so scripted failures are served
-    /// next, one more than the earlier successes: they reach the 0.6
-    /// trip ratio if the request left no sample (k+1 of 2k+1) and stop
-    /// at one half if it left a good one. Call last — the extra
-    /// requests move counters.
-    fn assert_charge_after(&self, successes_before: usize, charge: Charge) {
-        let state = self.runtime.quarantine_state(TENANT);
-        if charge == Charge::Failure {
-            assert_eq!(state, QuarantineState::Open, "a failure trips the breaker");
-            return;
-        }
-        assert_eq!(state, QuarantineState::Closed);
-        for _ in 0..=successes_before {
-            let follow_up = self.submit(TENANT, &format!("{BROKEN} follow-up"));
-            assert_eq!(kind(&decided(&follow_up)), "Completed(unvalidated)");
-        }
-        let expected = match charge {
-            Charge::Success => QuarantineState::Closed,
-            _ => QuarantineState::Open,
-        };
-        assert_eq!(
-            self.runtime.quarantine_state(TENANT),
-            expected,
-            "breaker after the follow-up failures, request charged as {charge:?}"
-        );
-    }
-
-    fn assert_charge(&self, charge: Charge) {
-        self.assert_charge_after(0, charge);
     }
 }
 
@@ -459,7 +397,6 @@ fn completed_validated() {
             Slo::Good,
         );
         assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Ok));
-        fx.assert_charge(Charge::Success);
         fx.runtime.shutdown();
     });
 }
@@ -476,12 +413,10 @@ fn completed_unvalidated() {
                 ("serve.cache.miss", 1),
                 ("serve.reform.miss", 1),
                 ("serve.completed", 1),
-                ("serve.quarantine.tripped", 1),
             ],
             Slo::Bad,
         );
         assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Error));
-        fx.assert_charge(Charge::Failure);
         fx.runtime.shutdown();
     });
 }
@@ -505,7 +440,6 @@ fn completed_from_the_result_cache() {
             Slo::Good,
         );
         assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Ok));
-        fx.assert_charge_after(1, Charge::Success);
         fx.runtime.shutdown();
     });
 }
@@ -528,7 +462,6 @@ fn shed_for_a_later_deadline() {
         usurper.cancel();
         fx.release(&blocker);
         assert_eq!(kind(&decided(&usurper)), "Cancelled");
-        fx.assert_charge(Charge::Abandoned);
         fx.runtime.shutdown();
     });
 }
@@ -559,7 +492,6 @@ fn expired_while_queued() {
             Slo::Bad,
         );
         assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Cancelled));
-        fx.assert_charge(Charge::Abandoned);
         fx.runtime.shutdown();
     });
 }
@@ -582,7 +514,6 @@ fn cancelled_while_queued() {
             Slo::Uncounted,
         );
         assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Cancelled));
-        fx.assert_charge(Charge::Abandoned);
         fx.runtime.shutdown();
     });
 }
@@ -606,7 +537,6 @@ fn cancelled_mid_generation() {
             Slo::Uncounted,
         );
         assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Cancelled));
-        fx.assert_charge(Charge::Abandoned);
         fx.runtime.shutdown();
     });
 }
@@ -636,7 +566,6 @@ fn expired_mid_generation() {
             Slo::Bad,
         );
         assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Cancelled));
-        fx.assert_charge(Charge::Abandoned);
         fx.runtime.shutdown();
     });
 }
@@ -650,26 +579,16 @@ fn panicked() {
             kind(&decided(&ticket)),
             format!("Failed({POISON}-pill request)")
         );
-        // The worker retired; the supervisor's respawn is the last
-        // counter this ending moves.
-        let deadline = Instant::now() + BOUND;
-        while fx.runtime.metrics().counter("serve.worker.respawned") == 0 {
-            assert!(Instant::now() < deadline, "worker never respawned");
-            std::thread::sleep(Duration::from_millis(1));
-        }
         fx.assert_row(
             &[
                 ("serve.admitted", 1),
                 ("serve.cache.miss", 1),
                 ("serve.reform.miss", 1),
                 ("serve.panic", 1),
-                ("serve.quarantine.tripped", 1),
-                ("serve.worker.respawned", 1),
             ],
             Slo::Bad,
         );
         assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Panicked));
-        fx.assert_charge(Charge::Failure);
         fx.runtime.shutdown();
     });
 }
@@ -706,11 +625,8 @@ fn force_drained_queued_and_in_flight() {
         );
         assert_eq!(fx.verdict(&queued), Some(RequestVerdict::Cancelled));
         // The wedged ticket was resolved over its worker's head: nothing
-        // is recorded or charged until (unless) that worker comes back.
+        // is recorded until (unless) that worker comes back.
         assert_eq!(fx.verdict(&wedged), None);
-        for tenant in [TENANT, "queued"] {
-            assert_eq!(fx.runtime.quarantine_state(tenant), QuarantineState::Closed);
-        }
         // It does come back here: the detached worker sees its fired
         // token, accounts the request as cancelled, and finds the ticket
         // already decided.
@@ -797,73 +713,23 @@ fn rejected_deadline_expired() {
         assert_eq!(refused.err(), Some(Rejected::DeadlineExpired));
         fx.assert_row(&[("serve.rejected", 1)], Slo::Uncounted);
         assert!(fx.runtime.flight_recorder().expect("recorder").is_empty());
-        fx.assert_charge(Charge::Abandoned);
         fx.runtime.shutdown();
     });
 }
 
-/// A half-open tenant with its one probe in flight is refused.
+/// A full queue nothing can be shed from refuses the request.
 #[test]
-fn rejected_quarantined() {
-    both_probes(1, |probe| {
-        let mut fx = Fixture::start(probe, 64);
-        let trip = fx.submit(TENANT, &format!("{BROKEN} trip"));
-        assert_eq!(kind(&decided(&trip)), "Completed(unvalidated)");
-        assert_eq!(fx.runtime.quarantine_state(TENANT), QuarantineState::Open);
-        let probe_ticket = fx.submit(TENANT, &format!("{GATED} probe"));
-        fx.gate.wait_parked();
-        assert_eq!(
-            fx.runtime.quarantine_state(TENANT),
-            QuarantineState::HalfOpen
-        );
+fn rejected_queue_full() {
+    both_probes(0, |probe| {
+        let mut fx = Fixture::start(probe, 1);
+        let blocker = fx.block_worker();
+        let filler = fx.submit("filler", good_question());
         fx.mark();
         let refused = fx
             .runtime
             .submit(QueryRequest::new(TENANT, good_question()));
-        assert_eq!(refused.err(), Some(Rejected::Quarantined));
-        fx.assert_row(
-            &[("serve.rejected", 1), ("serve.quarantine.rejected", 1)],
-            Slo::Uncounted,
-        );
-        assert_eq!(
-            fx.runtime.quarantine_state(TENANT),
-            QuarantineState::HalfOpen
-        );
-        fx.release(&probe_ticket);
-        fx.runtime.shutdown();
-    });
-}
-
-/// A full queue nothing can be shed from refuses the request — and a
-/// probe refused this way hands its half-open slot back.
-#[test]
-fn rejected_queue_full() {
-    both_probes(1, |probe| {
-        let mut fx = Fixture::start(probe, 1);
-        let trip = fx.submit(TENANT, &format!("{BROKEN} trip"));
-        assert_eq!(kind(&decided(&trip)), "Completed(unvalidated)");
-        let blocker = fx.block_worker();
-        let filler = fx.submit("filler", good_question());
-        fx.mark();
-        for attempt in 1..=2 {
-            let refused = fx
-                .runtime
-                .submit(QueryRequest::new(TENANT, good_question()));
-            assert_eq!(refused.err(), Some(Rejected::QueueFull));
-            // Were the slot leaked, the second attempt would find the
-            // probe quota spent and answer `Quarantined`.
-            fx.assert_row(
-                &[
-                    ("serve.rejected", attempt),
-                    ("serve.quarantine.probes", attempt),
-                ],
-                Slo::Uncounted,
-            );
-        }
-        assert_eq!(
-            fx.runtime.quarantine_state(TENANT),
-            QuarantineState::HalfOpen
-        );
+        assert_eq!(refused.err(), Some(Rejected::QueueFull));
+        fx.assert_row(&[("serve.rejected", 1)], Slo::Uncounted);
         filler.cancel();
         fx.release(&blocker);
         assert_eq!(kind(&decided(&filler)), "Cancelled");
