@@ -334,7 +334,10 @@ fn exec_select_vectorized(
     }
 
     let filtered = match &keep {
-        Some(k) => chunk.take(k),
+        Some(k) => {
+            physical::with_counters(|c| c.cells_copied += (k.len() * chunk.width()) as u64);
+            chunk.take(k)
+        }
         None => chunk,
     };
 
@@ -348,7 +351,10 @@ fn exec_select_vectorized(
 
     // Not columnar: the reference interpreter's own tail takes over from
     // the filtered rows.
-    physical::with_counters(|c| c.interpreter_fallbacks += 1);
+    physical::with_counters(|c| {
+        c.interpreter_fallbacks += 1;
+        c.cells_copied += (filtered.len() * filtered.width()) as u64;
+    });
     let rel = Relation {
         cols,
         rows: filtered.into_rows(),

@@ -69,6 +69,11 @@ pub struct SqlCounters {
     /// Elements the vectorized evaluator handed to
     /// `functions::eval_scalar`, counted once per kernel call.
     pub scalar_calls: u64,
+    /// Column elements copied to carry rows between operators: by a
+    /// join's gather of both sides, by the take of a side filtered before
+    /// its join, by the take of WHERE's survivors before aggregation, and
+    /// by the transposition into rows for the reference tail.
+    pub cells_copied: u64,
 }
 
 thread_local! {
@@ -85,6 +90,7 @@ thread_local! {
         agg_rows: 0,
         interpreter_fallbacks: 0,
         scalar_calls: 0,
+        cells_copied: 0,
     }) };
 }
 
@@ -194,6 +200,7 @@ pub fn resolve_from_columnar(
 // ----------------------------------------------------------------------
 
 fn gather_sides(l: &Source, r: &Source, lidx: &[u32], ridx: &[u32], len: usize) -> DataChunk {
+    with_counters(|c| c.cells_copied += (len * (l.chunk.width() + r.chunk.width())) as u64);
     let mut cols = Vec::with_capacity(l.cols.len() + r.cols.len());
     for c in &l.chunk.cols {
         cols.push(Arc::new(c.gather(lidx)));
@@ -383,6 +390,7 @@ fn filtered(src: Source, conjuncts: Vec<VExpr>) -> EngineResult<Source> {
         return Ok(src);
     };
     let keep = vector::select(&pred, &src.chunk, Sel::All)?;
+    with_counters(|c| c.cells_copied += (keep.len() * src.chunk.width()) as u64);
     Ok(Source {
         chunk: src.chunk.take(&keep),
         cols: src.cols,

@@ -1,12 +1,13 @@
-//! The rows the vectorized engine feeds its hash joins and aggregates
-//! over the 132 gold statements on `warehouse_scan`'s databases (both
-//! fact tables replicated 40x), as exact, machine-independent counts.
+//! The rows the vectorized engine feeds its hash joins and aggregates,
+//! and the column elements it copies between operators, over the 132
+//! gold statements on `warehouse_scan`'s databases (both fact tables
+//! replicated 40x), as exact, machine-independent counts.
 //!
 //! WHERE conjuncts that read one side of a join filter that side before
 //! the join, so the build and probe counts are the rows that survive
-//! them. A change that feeds a join or an aggregate more rows fails
-//! here; one that feeds fewer updates the pin and says so in
-//! CHANGES.md. The answers themselves are pinned by
+//! them. A change that feeds a join or an aggregate more rows, or
+//! copies more cells, fails here; one that feeds fewer updates the pin
+//! and says so in CHANGES.md. The answers themselves are pinned by
 //! `table_storage_golden`.
 
 mod common;
@@ -18,7 +19,7 @@ use genedit::sql::execute_sql_timed;
 #[test]
 fn gold_join_and_aggregate_inputs_at_40x_are_pinned() {
     let workload = Workload::standard(42);
-    let mut ledger = [0u64; 4];
+    let mut ledger = [0u64; 5];
     let mut statements = 0;
     for bundle in &workload.domains {
         let db = replicate_facts(&bundle.db, bundle.spec, 40);
@@ -31,6 +32,7 @@ fn gold_join_and_aggregate_inputs_at_40x_are_pinned() {
                 c.join_build_rows,
                 c.join_probe_rows,
                 c.agg_rows,
+                c.cells_copied,
             ];
             for (total, n) in ledger.iter_mut().zip(row) {
                 *total += n;
@@ -41,7 +43,7 @@ fn gold_join_and_aggregate_inputs_at_40x_are_pinned() {
     assert_eq!(statements, 132);
     assert_eq!(
         ledger,
-        [23, 58636, 232, 63264],
-        "[hash_joins, join_build_rows, join_probe_rows, agg_rows]"
+        [23, 58636, 232, 63264, 389482],
+        "[hash_joins, join_build_rows, join_probe_rows, agg_rows, cells_copied]"
     );
 }
