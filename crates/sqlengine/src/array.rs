@@ -693,22 +693,27 @@ fn array_to_values(a: Array) -> Vec<Value> {
     }
 }
 
-fn transpose(rows: &[Vec<Value>], width: usize) -> impl Iterator<Item = Array> {
-    let mut builders: Vec<ArrayBuilder> = (0..width)
+/// Columns `columns` of `rows`, in that order; a row too short for one
+/// leaves that column short.
+fn transpose(rows: &[Vec<Value>], columns: &[usize]) -> impl Iterator<Item = Array> {
+    let mut builders: Vec<ArrayBuilder> = columns
+        .iter()
         .map(|_| ArrayBuilder::with_capacity(rows.len()))
         .collect();
     for row in rows {
-        for (b, v) in builders.iter_mut().zip(row.iter()) {
-            b.push(v.clone());
+        for (b, &c) in builders.iter_mut().zip(columns) {
+            if let Some(v) = row.get(c) {
+                b.push(v.clone());
+            }
         }
     }
     builders.into_iter().map(ArrayBuilder::finish)
 }
 
-/// Transpose borrowed row-major values into shared columns. `width`
-/// disambiguates the zero-row case.
-pub fn columns_from_rows(rows: &[Vec<Value>], width: usize) -> Vec<Arc<Array>> {
-    transpose(rows, width).map(Arc::new).collect()
+/// Transpose columns `columns` of borrowed row-major values, in that
+/// order, into shared columns.
+pub fn columns_from_rows(rows: &[Vec<Value>], columns: &[usize]) -> Vec<Arc<Array>> {
+    transpose(rows, columns).map(Arc::new).collect()
 }
 
 /// [`columns_from_rows`] with every column
@@ -716,7 +721,8 @@ pub fn columns_from_rows(rows: &[Vec<Value>], width: usize) -> Vec<Arc<Array>> {
 /// stores its rows in, which [`ColumnStore`](crate::catalog::ColumnStore)
 /// keeps up to date append by append.
 pub fn encoded_columns_from_rows(rows: &[Vec<Value>], width: usize) -> Vec<Arc<Array>> {
-    transpose(rows, width)
+    let columns: Vec<usize> = (0..width).collect();
+    transpose(rows, &columns)
         .map(|a| Arc::new(a.dictionary_encoded()))
         .collect()
 }

@@ -284,10 +284,15 @@ fn exec_select_vectorized(
     order_by: &[OrderItem],
     limit: Option<u64>,
 ) -> EngineResult<ResultSet> {
-    // FROM → columnar source, with the WHERE conjuncts that read one
-    // side of a join already applied to that side.
+    // FROM → columnar source of the columns the SELECT names, with the
+    // WHERE conjuncts that read one side of a join already applied to
+    // that side.
+    let named = physical::NamedColumns::of(select, order_by);
     let (source, selection) = match &select.from {
-        Some(tr) => physical::resolve_from_where(env, tr, select.selection.as_ref(), outer)?,
+        Some(tr) => {
+            let pred = select.selection.as_ref();
+            physical::resolve_from_where(env, tr, pred, outer, &named)?
+        }
         None => (
             physical::Source {
                 cols: Vec::new(),

@@ -18,7 +18,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::array::{columns_from_rows, Array, DataChunk};
-use crate::ast::{BinaryOp, Expr, JoinKind, Literal, TableRef};
+use crate::ast::{
+    BinaryOp, Expr, JoinKind, Literal, Node, OrderItem, Select, SelectItem, TableRef,
+};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{ColMeta, EvalEnv, Relation, Scope};
 use crate::exec::execute_query;
@@ -130,23 +132,105 @@ impl Source {
     }
 }
 
+/// The column names one SELECT can resolve against its FROM: every column
+/// reference in its select list, the ON conditions of its joins, WHERE,
+/// GROUP BY, HAVING and its query's ORDER BY, and every column reference
+/// anywhere in a subquery nested in those, since a correlated reference
+/// resolves against this FROM. `None` when the select list has a `*` or
+/// `t.*`, which reads every column.
+///
+/// A scan that carries only the columns whose names are here gives every
+/// name the SELECT resolves the same candidates as a scan of all of them,
+/// so every resolution, unique, ambiguous or missing, ends the same way.
+pub struct NamedColumns<'q>(Option<Vec<&'q str>>);
+
+impl<'q> NamedColumns<'q> {
+    /// Every column of every source.
+    pub fn all() -> NamedColumns<'static> {
+        NamedColumns(None)
+    }
+
+    /// The names `select`, ordered by `order_by`, can resolve.
+    pub fn of(select: &'q Select, order_by: &'q [OrderItem]) -> NamedColumns<'q> {
+        let mut names = Vec::new();
+        let mut roots: Vec<&'q Expr> = Vec::new();
+        for item in &select.items {
+            match item {
+                SelectItem::Expr { expr, .. } => roots.push(expr),
+                SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
+                    return NamedColumns::all()
+                }
+            }
+        }
+        if let Some(from) = &select.from {
+            join_conditions(from, &mut roots);
+        }
+        roots.extend(&select.selection);
+        roots.extend(&select.group_by);
+        roots.extend(&select.having);
+        roots.extend(order_by.iter().map(|o| &o.expr));
+        for root in roots {
+            root.walk(&mut |e| {
+                if let Expr::Column { name, .. } = e {
+                    names.push(name.as_str());
+                }
+                if let Some(query) = e.subquery() {
+                    query.walk(&mut |node| {
+                        if let Node::Expr(Expr::Column { name, .. }) = node {
+                            names.push(name.as_str());
+                        }
+                        true
+                    });
+                }
+                true
+            });
+        }
+        NamedColumns(Some(names))
+    }
+
+    /// Does a source column called `column` stay in the scan?
+    fn keeps(&self, column: &str) -> bool {
+        self.0
+            .as_ref()
+            .is_none_or(|names| names.iter().any(|n| n.eq_ignore_ascii_case(column)))
+    }
+
+    /// The positions of the `columns` that stay, in order.
+    fn kept<'c>(&self, columns: impl Iterator<Item = &'c str>) -> Vec<usize> {
+        let kept = columns.enumerate().filter(|(_, c)| self.keeps(c));
+        kept.map(|(i, _)| i).collect()
+    }
+}
+
+/// The ON conditions of the joins in `tr`; a derived table's query runs
+/// without this FROM in scope, so nothing in it is collected.
+fn join_conditions<'q>(tr: &'q TableRef, out: &mut Vec<&'q Expr>) {
+    if let TableRef::Join {
+        left, right, on, ..
+    } = tr
+    {
+        join_conditions(left, out);
+        join_conditions(right, out);
+        out.extend(on);
+    }
+}
+
 /// Resolve a FROM clause into a columnar [`Source`], joining as needed.
+/// Base-table and CTE scans carry only the columns `named` keeps.
 pub fn resolve_from_columnar(
     env: &EvalEnv<'_>,
     tr: &TableRef,
     outer: Option<&Scope<'_>>,
+    named: &NamedColumns<'_>,
 ) -> EngineResult<Source> {
     match tr {
         TableRef::Named { name, alias } => {
             let qualifier = alias.clone().unwrap_or_else(|| name.clone());
+            let meta = |c: &str| ColMeta::new(Some(qualifier.clone()), c.to_string());
             if let Some(rs) = env.ctes.get(&name.to_lowercase()) {
-                let cols = rs
-                    .columns
-                    .iter()
-                    .map(|c| ColMeta::new(Some(qualifier.clone()), c.clone()))
-                    .collect();
-                let chunk =
-                    DataChunk::new(columns_from_rows(&rs.rows, rs.columns.len()), rs.rows.len());
+                let kept = named.kept(rs.columns.iter().map(String::as_str));
+                let cols = kept.iter().map(|&i| meta(&rs.columns[i])).collect();
+                let chunk = DataChunk::new(columns_from_rows(&rs.rows, &kept), rs.rows.len());
                 with_counters(|c| {
                     c.batches += 1;
                     c.rows_scanned += chunk.len() as u64;
@@ -157,12 +241,11 @@ pub fn resolve_from_columnar(
                 .db
                 .table(name)
                 .ok_or_else(|| EngineError::binding(format!("no such table {name}")))?;
-            let cols = table
-                .columns
-                .iter()
-                .map(|c| ColMeta::new(Some(qualifier.clone()), c.name.clone()))
-                .collect();
-            let chunk = DataChunk::new(table.columnar(), table.rows.len());
+            let kept = named.kept(table.columns.iter().map(|c| c.name.as_str()));
+            let cols = kept.iter().map(|&i| meta(&table.columns[i].name)).collect();
+            let stored = table.columnar();
+            let arrays = kept.iter().map(|&i| Arc::clone(&stored[i])).collect();
+            let chunk = DataChunk::new(arrays, table.rows.len());
             with_counters(|c| {
                 c.batches += 1;
                 c.rows_scanned += chunk.len() as u64;
@@ -188,8 +271,8 @@ pub fn resolve_from_columnar(
             kind,
             on,
         } => {
-            let l = resolve_from_columnar(env, left, outer)?;
-            let r = resolve_from_columnar(env, right, outer)?;
+            let l = resolve_from_columnar(env, left, outer, named)?;
+            let r = resolve_from_columnar(env, right, outer, named)?;
             join_columnar(env, outer, l, r, *kind, on.as_ref())
         }
     }
@@ -299,6 +382,7 @@ pub fn resolve_from_where<'q>(
     tr: &TableRef,
     pred: Option<&'q Expr>,
     outer: Option<&Scope<'_>>,
+    named: &NamedColumns<'_>,
 ) -> EngineResult<(Source, Option<Cow<'q, Expr>>)> {
     let (
         TableRef::Join {
@@ -311,12 +395,12 @@ pub fn resolve_from_where<'q>(
     ) = (tr, pred)
     else {
         return Ok((
-            resolve_from_columnar(env, tr, outer)?,
+            resolve_from_columnar(env, tr, outer, named)?,
             pred.map(Cow::Borrowed),
         ));
     };
-    let l = resolve_from_columnar(env, left, outer)?;
-    let r = resolve_from_columnar(env, right, outer)?;
+    let l = resolve_from_columnar(env, left, outer, named)?;
+    let r = resolve_from_columnar(env, right, outer, named)?;
     let cols = joined_cols(&l, &r);
     let Some(pairs) = plan_hash_join(on, &cols, l.cols.len(), &l, &r) else {
         let joined = nested_loop_join(env, outer, l, r, cols, *kind, on)?;
@@ -523,7 +607,7 @@ enum JKey<'a> {
 }
 
 /// What one key column contains (NULLs ignored).
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq)]
 struct ColContent {
     ints: bool,
     floats: bool,
@@ -536,26 +620,55 @@ struct ColContent {
 const F64_EXACT_INT: i64 = 1 << 53;
 
 fn scan_content(src: &Source, col: usize) -> ColContent {
+    content(&src.chunk.cols[col])
+}
+
+/// What `arr` contains. A typed layout is read off its layout and
+/// validity, except that an `Int` array looks at each valid element for
+/// one beyond ±2^53; a dictionary contains what the entries its codes
+/// reference do, and an `Any` array what its elements do.
+fn content(arr: &Array) -> ColContent {
     let mut c = ColContent::default();
-    let arr = &src.chunk.cols[col];
-    for i in 0..arr.len() {
-        match arr.at(i) {
-            ValueRef::Null => {}
-            ValueRef::Int(v) => {
-                c.ints = true;
-                if v.unsigned_abs() > F64_EXACT_INT as u64 {
-                    c.big_int = true;
+    match arr {
+        Array::Int { data, validity } => {
+            for (i, &v) in data.iter().enumerate() {
+                if validity.get(i) {
+                    c.add(ValueRef::Int(v));
                 }
             }
-            ValueRef::Float(_) => c.floats = true,
-            ValueRef::Str(_) | ValueRef::Date(_) => c.stringy = true,
-            ValueRef::Bool(_) => c.bools = true,
         }
+        Array::Float { validity, .. } => c.floats = validity.count_valid() > 0,
+        Array::Str { validity, .. } | Array::Date { validity, .. } => {
+            c.stringy = validity.count_valid() > 0
+        }
+        Array::Bool { validity, .. } => c.bools = validity.count_valid() > 0,
+        Array::Dict { codes, values } => {
+            let mut held = vec![false; values.len()];
+            for &code in codes {
+                held[code as usize] = true;
+            }
+            for k in (0..values.len()).filter(|&k| held[k]) {
+                c.add(values.at(k));
+            }
+        }
+        Array::Any(items) => items.iter().for_each(|v| c.add(v.into())),
     }
     c
 }
 
 impl ColContent {
+    fn add(&mut self, v: ValueRef<'_>) {
+        match v {
+            ValueRef::Null => {}
+            ValueRef::Int(v) => {
+                self.ints = true;
+                self.big_int |= v.unsigned_abs() > F64_EXACT_INT as u64;
+            }
+            ValueRef::Float(_) => self.floats = true,
+            ValueRef::Str(_) | ValueRef::Date(_) => self.stringy = true,
+            ValueRef::Bool(_) => self.bools = true,
+        }
+    }
     fn empty(&self) -> bool {
         !(self.ints || self.floats || self.stringy || self.bools)
     }
@@ -1034,6 +1147,92 @@ mod tests {
         );
     }
 
+    /// The per-row pass `content` replaced: every element through
+    /// `Array::at`.
+    fn content_per_row(arr: &Array) -> ColContent {
+        let mut c = ColContent::default();
+        for i in 0..arr.len() {
+            match arr.at(i) {
+                ValueRef::Null => {}
+                ValueRef::Int(v) => {
+                    c.ints = true;
+                    if v.unsigned_abs() > F64_EXACT_INT as u64 {
+                        c.big_int = true;
+                    }
+                }
+                ValueRef::Float(_) => c.floats = true,
+                ValueRef::Str(_) | ValueRef::Date(_) => c.stringy = true,
+                ValueRef::Bool(_) => c.bools = true,
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn key_content_read_off_the_layout_is_the_per_row_content() {
+        let big = F64_EXACT_INT + 1;
+        let d = Value::Date(crate::value::Date::new(2023, 1, 1).expect("valid date"));
+        let columns = [
+            vec![],
+            vec![Value::Null, Value::Null],
+            vec![i(1), Value::Null, i(-3)],
+            vec![Value::Null, i(big)],
+            vec![i(-big), i(2)],
+            vec![Value::Float(1.5), Value::Null],
+            vec![t("a"), Value::Null, t("a")],
+            vec![d.clone(), Value::Null, d],
+            vec![Value::Boolean(true), Value::Null],
+            vec![i(1), t("a"), Value::Float(2.0), Value::Null],
+        ];
+        let mut arrays = Vec::new();
+        for values in columns {
+            let plain = Array::from_values(values);
+            arrays.push(plain.clone().dictionary_encoded());
+            arrays.push(plain);
+        }
+        // NULL slots holding values that would count if they were read.
+        let none = crate::array::Bitmap::with_len(2, false);
+        arrays.push(Array::Int {
+            data: vec![i64::MAX, 1],
+            validity: none.clone(),
+        });
+        arrays.push(Array::Float {
+            data: vec![1.0, 2.0],
+            validity: none.clone(),
+        });
+        arrays.push(Array::Str {
+            data: vec!["x".into(), "y".into()],
+            validity: none.clone(),
+        });
+        arrays.push(Array::Bool {
+            data: vec![true, false],
+            validity: none,
+        });
+        // Dictionaries with an entry no code references, of another class.
+        let entries = |values| Arc::new(Array::from_values(values));
+        let text_held = Array::dict(vec![0, 2, 0], entries(vec![t("a"), i(big), Value::Null]));
+        let ints_held = Array::dict(vec![1, 1], entries(vec![t("a"), i(3)]));
+        let none_held = Array::dict(vec![1], entries(vec![Value::Boolean(true), Value::Null]));
+        let want = [
+            ColContent {
+                stringy: true,
+                ..ColContent::default()
+            },
+            ColContent {
+                ints: true,
+                ..ColContent::default()
+            },
+            ColContent::default(),
+        ];
+        for (arr, want) in [text_held, ints_held, none_held].into_iter().zip(want) {
+            assert_eq!(content(&arr), want, "{arr:?}");
+            arrays.push(arr);
+        }
+        for arr in &arrays {
+            assert_eq!(content(arr), content_per_row(arr), "{arr:?}");
+        }
+    }
+
     #[test]
     fn scan_counts_rows_and_batches() {
         take_counters();
@@ -1054,7 +1253,8 @@ mod tests {
             alias: None,
         };
         let ctes = CteMap::new();
-        let srcr = resolve_from_columnar(&EvalEnv::new(&db, &ctes), &tr, None).expect("scan");
+        let env = EvalEnv::new(&db, &ctes);
+        let srcr = resolve_from_columnar(&env, &tr, None, &NamedColumns::all()).expect("scan");
         assert_eq!(srcr.chunk.len(), 5);
         let c = take_counters();
         assert_eq!(c.batches, 1);

@@ -146,17 +146,43 @@ impl DatePattern {
     /// `d` rendered in this pattern.
     pub fn render(&self, d: &Date) -> String {
         let mut out = String::with_capacity(16);
-        for part in &self.parts {
-            // Writing to a `String` cannot fail.
-            let _ = match part {
-                PatternPart::Year => write!(out, "{:04}", d.year),
-                PatternPart::Month => write!(out, "{:02}", d.month),
-                PatternPart::Day => write!(out, "{:02}", d.day),
-                PatternPart::Quarter => write!(out, "{}", d.quarter()),
-                PatternPart::Text(t) => out.write_str(t),
-            };
-        }
+        self.render_into(d, &mut out);
         out
+    }
+
+    /// Append `d` rendered in this pattern to `out`, so a batch can render
+    /// every date into one reused buffer.
+    pub fn render_into(&self, d: &Date, out: &mut String) {
+        // `{:02}` of `v`, digit by digit below 100. Writing to a `String`
+        // cannot fail.
+        let two = |out: &mut String, v: u8| {
+            if v < 100 {
+                out.push(char::from(b'0' + v / 10));
+                out.push(char::from(b'0' + v % 10));
+            } else {
+                let _ = write!(out, "{v:02}");
+            }
+        };
+        for part in &self.parts {
+            match part {
+                PatternPart::Year if (0..10_000).contains(&d.year) => {
+                    two(out, (d.year / 100) as u8);
+                    two(out, (d.year % 100) as u8);
+                }
+                PatternPart::Year => {
+                    let _ = write!(out, "{:04}", d.year);
+                }
+                PatternPart::Month => two(out, d.month),
+                PatternPart::Day => two(out, d.day),
+                PatternPart::Quarter => match d.quarter() {
+                    q @ 0..=9 => out.push(char::from(b'0' + q)),
+                    q => {
+                        let _ = write!(out, "{q}");
+                    }
+                },
+                PatternPart::Text(t) => out.push_str(t),
+            }
+        }
     }
 }
 

@@ -28,7 +28,7 @@ use crate::error::EngineResult;
 use crate::eval::{literal_value, ColMeta, Scope};
 use crate::functions;
 use crate::physical;
-use crate::value::{self, DataType, DatePattern, Value, ValueRef};
+use crate::value::{self, DataType, Date, DatePattern, Value, ValueRef};
 use std::sync::Arc;
 
 /// A bound (column-resolved) expression ready for vectorized evaluation.
@@ -497,6 +497,9 @@ fn eval_per_distinct(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> Option<Arc<A
 
 /// [`eval`], element by element.
 fn eval_rows(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Array>> {
+    if let Some(arr) = to_char_in_place(v, chunk, sel) {
+        return Ok(arr);
+    }
     let n = sel.len(chunk);
     match v {
         VExpr::Lit(val) => {
@@ -657,8 +660,10 @@ fn eval_rows(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Arr
                 ops.push(operand(a, chunk, sel)?);
             }
             physical::with_counters(|c| c.scalar_calls += n as u64);
-            if let Some((pattern, text)) = constant_date_pattern(name, &ops) {
-                return to_char_dates(&pattern, text, &ops[0], n);
+            if let [x, Operand::Const(text)] = ops.as_slice() {
+                if let Some(pattern) = constant_date_pattern(name, text) {
+                    return to_char_dates(&pattern, text, x, n);
+                }
             }
             let mut b = ArrayBuilder::with_capacity(n);
             // Constant arguments are written once; each row overwrites
@@ -683,15 +688,117 @@ fn eval_rows(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> EngineResult<Arc<Arr
     }
 }
 
-/// The parsed pattern of `TO_CHAR(x, 'constant pattern')`; `None` for
-/// any other call, and for a NULL or malformed pattern, which keep the
-/// per-row path (and so its errors).
-fn constant_date_pattern<'a>(name: &str, ops: &[Operand<'a>]) -> Option<(DatePattern, &'a Value)> {
-    match ops {
-        [_, Operand::Const(text @ Value::Text(p))] if name.eq_ignore_ascii_case("TO_CHAR") => {
-            Some((DatePattern::parse(p).ok()?, *text))
+/// The parsed pattern of `TO_CHAR(x, pattern)` with a constant
+/// `pattern`; `None` for any other call, and for a NULL or malformed
+/// pattern, which keep the per-row path (and so its errors).
+fn constant_date_pattern(name: &str, pattern: &Value) -> Option<DatePattern> {
+    match pattern {
+        Value::Text(p) if name.eq_ignore_ascii_case("TO_CHAR") => DatePattern::parse(p).ok(),
+        _ => None,
+    }
+}
+
+/// `TO_CHAR(column, 'pattern')` compared with a text literal (either side
+/// of `=`, `<>`, `<`, `<=`, `>`, `>=`), or `[NOT] IN` a list of non-NULL
+/// text literals, decided without building the text column: each date is
+/// rendered into one reused buffer and compared there by the rules
+/// `value::compare` and `ValueRef::sql_eq` apply to two texts. A NULL
+/// date gives NULL, and nothing here raises. `None` — the general path —
+/// for every other expression, for a pattern `constant_date_pattern`
+/// rejects, for a NULL or non-text literal, and for a column that is not
+/// a `Date` array (text dates, or a dictionary read row by row).
+fn to_char_in_place(v: &VExpr, chunk: &DataChunk, sel: Sel<'_>) -> Option<Arc<Array>> {
+    fn text(v: &VExpr) -> Option<&str> {
+        match v {
+            VExpr::Lit(Value::Text(s)) => Some(s),
+            _ => None,
+        }
+    }
+    let n = sel.len(chunk);
+    match v {
+        VExpr::Binary {
+            left,
+            op:
+                op @ (BinaryOp::Eq
+                | BinaryOp::NotEq
+                | BinaryOp::Lt
+                | BinaryOp::LtEq
+                | BinaryOp::Gt
+                | BinaryOp::GtEq),
+            right,
+        } => {
+            let holds = |l: &str, r: &str| {
+                value::compare(*op, ValueRef::Str(l), ValueRef::Str(r)) == Ok(Some(true))
+            };
+            if let (Some(dates), Some(lit)) = (DatesToChar::of(left, chunk), text(right)) {
+                return Some(dates.test(sel, n, |s| holds(s, lit)));
+            }
+            let (lit, dates) = (text(left)?, DatesToChar::of(right, chunk)?);
+            Some(dates.test(sel, n, |s| holds(lit, s)))
+        }
+        VExpr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let dates = DatesToChar::of(expr, chunk)?;
+            let items: Vec<&str> = list.iter().map(text).collect::<Option<_>>()?;
+            let found = |s: &str| {
+                items
+                    .iter()
+                    .any(|&i| ValueRef::Str(s).sql_eq(ValueRef::Str(i)))
+            };
+            Some(dates.test(sel, n, |s| found(s) != *negated))
         }
         _ => None,
+    }
+}
+
+/// `TO_CHAR(column, 'pattern')` over a `Date` array, pattern parsed.
+struct DatesToChar<'c> {
+    data: &'c [Date],
+    validity: &'c Bitmap,
+    pattern: DatePattern,
+}
+
+impl<'c> DatesToChar<'c> {
+    /// `v` as one, when it is such a call on a `Date` column of `chunk`.
+    fn of(v: &VExpr, chunk: &'c DataChunk) -> Option<DatesToChar<'c>> {
+        let VExpr::Scalar { name, args } = v else {
+            return None;
+        };
+        let [VExpr::Col(i), VExpr::Lit(pattern)] = args.as_slice() else {
+            return None;
+        };
+        let Array::Date { data, validity } = &*chunk.cols[*i] else {
+            return None;
+        };
+        Some(DatesToChar {
+            data,
+            validity,
+            pattern: constant_date_pattern(name, pattern)?,
+        })
+    }
+
+    /// The `Bool` array of `f(rendering)` over the `n` rows of `sel`, NULL
+    /// where the date is. Counts one scalar call per row, as the call it
+    /// stands in for does.
+    fn test(&self, sel: Sel<'_>, n: usize, f: impl Fn(&str) -> bool) -> Arc<Array> {
+        physical::with_counters(|c| c.scalar_calls += n as u64);
+        let mut buf = String::with_capacity(16);
+        let mut data = Vec::with_capacity(n);
+        let mut validity = Bitmap::new();
+        for pos in 0..n {
+            let row = sel.at(pos) as usize;
+            let valid = self.validity.get(row);
+            if valid {
+                buf.clear();
+                self.pattern.render_into(&self.data[row], &mut buf);
+            }
+            data.push(valid && f(&buf));
+            validity.push(valid);
+        }
+        Arc::new(Array::Bool { data, validity })
     }
 }
 

@@ -43,7 +43,7 @@ fn gold_join_and_aggregate_inputs_at_40x_are_pinned() {
     assert_eq!(statements, 132);
     assert_eq!(
         ledger,
-        [23, 58636, 232, 63264, 389482],
+        [23, 58636, 232, 63264, 191986],
         "[hash_joins, join_build_rows, join_probe_rows, agg_rows, cells_copied]"
     );
 }
