@@ -26,6 +26,12 @@
 //! predicates on dictionary and plain columns; `truth` on a dictionary to
 //! the per-row loop; `Date::format_pattern` and the parsed `DatePattern`
 //! to the implementations they replaced, kept here.
+//!
+//! `TO_CHAR(date, pattern)` compared with text literals in place, one
+//! buffer per batch, is held to both engines over patterns, near-miss
+//! literals, all six comparisons with the literal on either side, `IN`
+//! and `NOT IN`; and, element by element with the same scalar calls, to
+//! the general path over the same dates in layouts it does not admit.
 
 use genedit_sql::eval::ColMeta;
 use genedit_sql::value::{DataType, Date, DatePattern, Value};
@@ -838,4 +844,262 @@ fn truth_never_raises_for_an_entry_no_row_holds() {
     let arr = Array::dict(vec![0, 2, 1, 0, 1], values);
     let err = vector::truth(&arr).expect_err("row 2 holds 'x'");
     assert_eq!(err, Value::Text("x".into()).as_bool().unwrap_err());
+}
+
+// ---------------------------------------------------------------------
+// TO_CHAR compared in place
+// ---------------------------------------------------------------------
+
+/// Dates for `TO_CHAR` patterns: days that need two digits and days that
+/// do not, years below 1000, below 0 and above 9999.
+const TO_CHAR_DATES: [(i32, u8, u8); 8] = [
+    (2022, 1, 31),
+    (2022, 4, 1),
+    (2022, 11, 15),
+    (2023, 1, 1),
+    (2023, 12, 31),
+    (999, 3, 3),
+    (-5, 6, 30),
+    (12345, 7, 4),
+];
+
+fn pool_date(i: usize) -> Date {
+    let (y, m, d) = TO_CHAR_DATES[i];
+    Date::new(y, m, d).expect("valid date")
+}
+
+fn to_char_date(i: Option<usize>) -> Value {
+    i.map_or(Value::Null, |i| Value::Date(pool_date(i)))
+}
+
+/// `T(D, V)`: dates with NULLs, on both sides of "fewer distinct values
+/// than rows".
+fn arb_to_char_rows() -> impl Strategy<Value = Vec<Option<usize>>> {
+    prop_oneof![
+        prop::collection::vec(arb_pick(TO_CHAR_DATES.len()), 0..6),
+        prop::collection::vec(arb_pick(TO_CHAR_DATES.len()), 6..40),
+    ]
+}
+
+fn to_char_db(rows: &[Option<usize>]) -> Database {
+    let mut db = Database::new("to_char");
+    let mut t = Table::new(
+        "T",
+        vec![
+            Column::new("D", DataType::Date),
+            Column::new("V", DataType::Integer),
+        ],
+    );
+    for (v, &d) in rows.iter().enumerate() {
+        t.push_row(vec![to_char_date(d), Value::Integer(v as i64)])
+            .expect("push T row");
+    }
+    db.add_table(t).expect("add T");
+    db
+}
+
+/// Patterns of `YYYY`, `MM`, `DD`, `Q`, quoted text with letters of both
+/// cases, a bare `?` and a separator; now and then an unterminated quote,
+/// which no kernel admits.
+fn arb_to_char_pattern() -> impl Strategy<Value = String> {
+    let token = prop_oneof![
+        Just("YYYY"),
+        Just("MM"),
+        Just("DD"),
+        Just("Q"),
+        Just("\"Q\""),
+        Just("\"wk\""),
+        Just("?"),
+        Just("-"),
+    ];
+    let tokens = prop::collection::vec(token, 1..5);
+    (0usize..13, tokens).prop_map(|(k, t)| match k {
+        0 => "YYYY\"x".to_string(),
+        _ => t.concat(),
+    })
+}
+
+/// A text literal near `pattern`'s rendering of date `pick`: the
+/// rendering itself, its case flipped, one character more or less, its
+/// last character raised by one, or empty.
+fn near_miss(pattern: &str, pick: usize, how: usize) -> String {
+    let date = pool_date(pick % TO_CHAR_DATES.len());
+    let rendered = date.format_pattern(pattern).unwrap_or_default();
+    let flip = |c: char| match c.is_ascii_uppercase() {
+        true => c.to_ascii_lowercase(),
+        false => c.to_ascii_uppercase(),
+    };
+    match how {
+        0 | 1 => rendered,
+        2 => rendered.chars().map(flip).collect(),
+        3 => format!("{rendered}0"),
+        4 => rendered
+            .chars()
+            .take(rendered.chars().count().saturating_sub(1))
+            .collect(),
+        5 => {
+            let mut chars: Vec<char> = rendered.chars().collect();
+            if let Some(last) = chars.last_mut() {
+                *last = char::from_u32(*last as u32 + 1).unwrap_or(*last);
+            }
+            chars.into_iter().collect()
+        }
+        _ => String::new(),
+    }
+}
+
+/// `TO_CHAR(D, pattern)` against literals: each of the six comparisons
+/// with the literal on either side, `IN` and `NOT IN`; the literals near
+/// renderings, and now and then NULL or an integer, which no kernel
+/// admits.
+fn arb_to_char_pred() -> impl Strategy<Value = String> {
+    let literal = (0usize..8, 0usize..7, 0usize..12);
+    (
+        arb_to_char_pattern(),
+        0usize..8,
+        any::<bool>(),
+        prop::collection::vec(literal, 1..4),
+    )
+        .prop_map(|(pattern, op, flipped, literals)| {
+            let lits: Vec<String> = literals
+                .iter()
+                .map(|&(pick, how, kind)| match kind {
+                    0 => "NULL".to_string(),
+                    1 => "7".to_string(),
+                    _ => format!("'{}'", near_miss(&pattern, pick, how)),
+                })
+                .collect();
+            let call = format!("TO_CHAR(D, '{pattern}')");
+            match op {
+                6 => format!("{call} IN ({})", lits.join(", ")),
+                7 => format!("{call} NOT IN ({})", lits.join(", ")),
+                _ => {
+                    let op = ["=", "<>", "<", "<=", ">", ">="][op];
+                    match flipped {
+                        false => format!("{call} {op} {}", lits[0]),
+                        true => format!("{} {op} {call}", lits[0]),
+                    }
+                }
+            }
+        })
+}
+
+/// Where the predicate runs: projected (NULL and FALSE both visible), in
+/// WHERE and under NOT, behind a conjunct on another column (dictionary
+/// entries no evaluated row holds), over a CTE's plain `Date` array, and
+/// in a `CASE WHEN` branch.
+fn to_char_query(shape: usize, pred: &str) -> String {
+    match shape {
+        0 => format!("SELECT V, {pred} AS p FROM T"),
+        1 => format!("SELECT V FROM T WHERE {pred}"),
+        2 => format!("SELECT V FROM T WHERE NOT ({pred})"),
+        3 => format!("SELECT V FROM T WHERE V > 3 AND {pred}"),
+        4 => format!("WITH c AS (SELECT D, V FROM T WHERE V > 0) SELECT V, {pred} AS p FROM c"),
+        _ => format!("SELECT SUM(CASE WHEN {pred} THEN V ELSE 0 END) AS s, COUNT(*) AS n FROM T"),
+    }
+}
+
+/// The rows, or the error message, of `sql` on both engines.
+fn both_engines(db: &Database, sql: &str) -> (Result<String, String>, Result<String, String>) {
+    let vectorized = message(execute_sql(db, sql)).map(|rs| render(&rs));
+    let reference = message(execute_sql_reference(db, sql)).map(|rs| render(&rs));
+    (vectorized, reference)
+}
+
+/// A `D` column of `rows`, stored as `layout`: 0 a `Date` array, 1 a
+/// dictionary of `Date` entries some of which no row holds; 2 and 3 the
+/// same elements as an `Any` array and as a dictionary of `Any` entries,
+/// which no kernel admits and so run the general path.
+fn to_char_column(rows: &[Option<usize>], layout: usize) -> Arc<Array> {
+    let values: Vec<Value> = rows.iter().map(|&d| to_char_date(d)).collect();
+    // Every pool date and a NULL as entries, in reverse, so that rows
+    // reference some of them and codes are not first-occurrence order.
+    let entries: Vec<Value> = (0..=TO_CHAR_DATES.len())
+        .rev()
+        .map(|i| to_char_date((i < TO_CHAR_DATES.len()).then_some(i)))
+        .collect();
+    let code = |d: &Option<usize>| match d {
+        Some(i) => (TO_CHAR_DATES.len() - i) as u32,
+        None => 0,
+    };
+    let codes: Vec<u32> = rows.iter().map(code).collect();
+    Arc::new(match layout {
+        0 => Array::from_values(values),
+        1 => Array::dict(codes, Arc::new(Array::from_values(entries))),
+        2 => Array::Any(values),
+        _ => Array::dict(codes, Arc::new(Array::Any(entries))),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Both engines return the same rows, or the same error, for every
+    /// admitted `TO_CHAR` comparison and the near forms that are not.
+    #[test]
+    fn to_char_comparisons_agree_on_both_engines(
+        rows in arb_to_char_rows(),
+        pred in arb_to_char_pred(),
+        shape in 0usize..6,
+    ) {
+        let db = to_char_db(&rows);
+        let sql = to_char_query(shape, &pred);
+        let (vectorized, reference) = both_engines(&db, &sql);
+        prop_assert_eq!(vectorized, reference, "{}", sql);
+    }
+
+    /// Over a `Date` array and a dictionary of `Date` entries, the kernel
+    /// gives the elements, and makes the scalar calls, of the general path
+    /// over the same values stored in a layout it does not admit — over
+    /// every row and over an ascending subset of them.
+    #[test]
+    fn to_char_in_place_is_the_general_path(
+        rows in arb_to_char_rows(),
+        pred in arb_to_char_pred(),
+        mask in prop::collection::vec(any::<bool>(), 40),
+    ) {
+        let cols = [ColMeta::new(Some("T".into()), "D")];
+        let expr = parse_expression(&pred).expect("predicate parses");
+        let v = vector::bind(&expr, &cols, None).expect("predicate binds");
+        let subset: Vec<u32> = (0..rows.len() as u32).filter(|&i| mask[i as usize]).collect();
+        let run = |layout: usize, sel: Sel<'_>| {
+            let chunk = DataChunk::new(vec![to_char_column(&rows, layout)], rows.len());
+            physical::take_counters();
+            let out = message(vector::eval(&v, &chunk, sel))
+                .map(|a| format!("{:?}", (0..a.len()).map(|i| a.get(i)).collect::<Vec<_>>()));
+            (out, physical::take_counters().scalar_calls)
+        };
+        for sel in [Sel::All, Sel::Idx(&subset)] {
+            prop_assert_eq!(run(0, sel), run(2, sel), "{} over a Date array", pred);
+            prop_assert_eq!(run(1, sel), run(3, sel), "{} over a Date dictionary", pred);
+        }
+    }
+}
+
+/// The scalar calls an admitted `TO_CHAR` comparison makes: once per
+/// dictionary entry over a table's column, once per row over a CTE's
+/// plain array and in a `CASE` branch — the counts of the call it stands
+/// in for.
+#[test]
+fn to_char_in_place_keeps_the_scalar_calls() {
+    let db = build_db(&sample_rows(), &[]);
+    for (sql, calls) in [
+        (
+            "SELECT V FROM F WHERE TO_CHAR(D, 'YYYY\"Q\"Q') IN ('2023Q1', '2023Q2')",
+            4,
+        ),
+        (
+            "WITH c AS (SELECT D, V FROM F) SELECT V FROM c WHERE TO_CHAR(D, 'YYYY') >= '2023'",
+            24,
+        ),
+        (
+            "SELECT SUM(CASE WHEN TO_CHAR(D, 'YYYY\"Q\"Q') = '2023Q1' THEN V ELSE 0 END) FROM F",
+            4,
+        ),
+    ] {
+        let (rs, stats) = genedit_sql::execute_sql_timed(&db, sql);
+        let want = execute_sql_reference(&db, sql).expect(sql);
+        assert_eq!(render(&rs.expect(sql)), render(&want), "{sql}");
+        assert_eq!(stats.counters.scalar_calls, calls, "{sql}");
+    }
 }

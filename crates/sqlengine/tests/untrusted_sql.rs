@@ -2,9 +2,12 @@
 //! and any pattern, and both engines must answer it without panicking and
 //! in time bounded by the size of the input. These pin two scalar
 //! functions that once did neither — `TO_CHAR` on a pattern with a
-//! non-ASCII character, and `LIKE` on a pattern with many `%` — and the
+//! non-ASCII character, and `LIKE` on a pattern with many `%` — the
 //! three rules that keep a WHERE conjunct from moving below a join where
-//! it would change the answer or the error.
+//! it would change the answer or the error, and the edges of scanning
+//! only the columns a SELECT names: a name used in one clause only, an
+//! outer name used only in a subquery, wildcards, ambiguous and unknown
+//! names, and joins that name no column at all.
 
 use genedit_sql::functions::sql_like;
 use genedit_sql::value::{DataType, Date, Value};
@@ -121,6 +124,105 @@ fn a_column_ambiguous_in_the_join_is_not_resolved_on_one_side() {
         "SELECT o.ID FROM ORGS o JOIN FACTS f ON o.ID = f.ID WHERE NAME = 'a'",
     );
     assert!(err.contains("ambiguous"), "{err}");
+}
+
+fn text(s: &str) -> Value {
+    Value::Text(s.into())
+}
+
+#[test]
+fn a_column_named_only_in_order_by_is_scanned() {
+    let db = orgs_and_facts();
+    let rows = both(
+        &db,
+        "SELECT o.NAME FROM ORGS o JOIN FACTS f ON o.ID = f.ID ORDER BY f.X DESC",
+    );
+    assert_eq!(
+        rows,
+        vec![vec![text("a")], vec![text("c")], vec![text("b")]]
+    );
+    let rows = both(&db, "SELECT NAME FROM ORGS ORDER BY ID DESC LIMIT 1");
+    assert_eq!(rows, vec![vec![text("c")]]);
+}
+
+#[test]
+fn an_outer_column_named_only_in_a_subquery_is_scanned() {
+    let db = orgs_and_facts();
+    // `o.ID` appears only inside the correlated scalar subquery.
+    let rows = both(
+        &db,
+        "SELECT o.NAME, (SELECT MAX(f.X) FROM FACTS f WHERE f.ID = o.ID) AS x \
+         FROM ORGS o ORDER BY o.NAME",
+    );
+    let want = [
+        ("a", Value::Integer(10)),
+        ("b", Value::Null),
+        ("c", Value::Integer(3)),
+    ];
+    let want: Vec<Vec<Value>> = want.into_iter().map(|(n, x)| vec![text(n), x]).collect();
+    assert_eq!(rows, want);
+    // …and only inside EXISTS.
+    let rows = both(
+        &db,
+        "SELECT o.NAME FROM ORGS o \
+         WHERE EXISTS (SELECT 1 FROM FACTS f WHERE f.ID = o.ID AND f.X IS NOT NULL)",
+    );
+    assert_eq!(rows, vec![vec![text("a")], vec![text("c")]]);
+}
+
+#[test]
+fn wildcards_over_a_join_carry_every_column() {
+    let db = orgs_and_facts();
+    let on = "FROM ORGS o JOIN FACTS f ON o.ID = f.ID WHERE o.ID = 1";
+    let rows = both(&db, &format!("SELECT * {on}"));
+    let fact = [Value::Integer(1), text("f"), Value::Integer(10)];
+    let mut all = vec![Value::Integer(1), text("a")];
+    all.extend(fact.clone());
+    assert_eq!(rows, vec![all]);
+    let rows = both(&db, &format!("SELECT f.* {on}"));
+    assert_eq!(rows, vec![fact.to_vec()]);
+    let rows = both(&db, &format!("SELECT o.NAME, f.* {on}"));
+    assert_eq!(rows[0].len(), 4);
+}
+
+#[test]
+fn a_name_on_both_sides_used_in_one_grouping_clause_stays_ambiguous() {
+    let db = orgs_and_facts();
+    let join = "FROM ORGS o JOIN FACTS f ON o.ID = f.ID";
+    for sql in [
+        format!("SELECT COUNT(*) {join} GROUP BY NAME"),
+        format!("SELECT o.ID, COUNT(*) {join} GROUP BY o.ID HAVING MIN(NAME) > 'a'"),
+    ] {
+        let err = both_fail(&db, &sql);
+        assert!(
+            err.contains("ambiguous column reference NAME"),
+            "{sql}: {err}"
+        );
+    }
+}
+
+#[test]
+fn joins_that_name_no_column_keep_their_rows() {
+    let db = orgs_and_facts();
+    let rows = both(
+        &db,
+        "SELECT COUNT(*) FROM ORGS o JOIN FACTS f ON o.ID = f.ID",
+    );
+    assert_eq!(rows, vec![vec![Value::Integer(3)]]);
+    let rows = both(&db, "SELECT 1 FROM ORGS o JOIN FACTS f ON o.ID = f.ID");
+    assert_eq!(rows, vec![vec![Value::Integer(1)]; 3]);
+    let rows = both(&db, "SELECT COUNT(*) FROM ORGS CROSS JOIN FACTS");
+    assert_eq!(rows, vec![vec![Value::Integer(12)]]);
+}
+
+#[test]
+fn an_unknown_column_in_a_grouped_join_fails_alike() {
+    let db = orgs_and_facts();
+    let err = both_fail(
+        &db,
+        "SELECT o.NAME, SUM(f.NOPE) FROM ORGS o JOIN FACTS f ON o.ID = f.ID GROUP BY o.NAME",
+    );
+    assert!(err.contains("no such column f.NOPE"), "{err}");
 }
 
 #[test]
