@@ -145,11 +145,6 @@ impl Source {
 pub struct NamedColumns<'q>(Option<Vec<&'q str>>);
 
 impl<'q> NamedColumns<'q> {
-    /// Every column of every source.
-    pub fn all() -> NamedColumns<'static> {
-        NamedColumns(None)
-    }
-
     /// The names `select`, ordered by `order_by`, can resolve.
     pub fn of(select: &'q Select, order_by: &'q [OrderItem]) -> NamedColumns<'q> {
         let mut names = Vec::new();
@@ -158,7 +153,7 @@ impl<'q> NamedColumns<'q> {
             match item {
                 SelectItem::Expr { expr, .. } => roots.push(expr),
                 SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
-                    return NamedColumns::all()
+                    return NamedColumns(None)
                 }
             }
         }
@@ -619,15 +614,11 @@ struct ColContent {
 
 const F64_EXACT_INT: i64 = 1 << 53;
 
-fn scan_content(src: &Source, col: usize) -> ColContent {
-    content(&src.chunk.cols[col])
-}
-
 /// What `arr` contains. A typed layout is read off its layout and
 /// validity, except that an `Int` array looks at each valid element for
 /// one beyond ±2^53; a dictionary contains what the entries its codes
 /// reference do, and an `Any` array what its elements do.
-fn content(arr: &Array) -> ColContent {
+fn scan_content(arr: &Array) -> ColContent {
     let mut c = ColContent::default();
     match arr {
         Array::Int { data, validity } => {
@@ -711,8 +702,8 @@ fn plan_hash_join(
         } else {
             return None; // both on one side, or correlated — fall back
         };
-        let lc = scan_content(l, li);
-        let rc = scan_content(r, ri);
+        let lc = scan_content(&l.chunk.cols[li]);
+        let rc = scan_content(&r.chunk.cols[ri]);
         let kind = classify_pair(&lc, &rc)?;
         pairs.push(KeyPair {
             left: li,
@@ -1147,7 +1138,7 @@ mod tests {
         );
     }
 
-    /// The per-row pass `content` replaced: every element through
+    /// The per-row pass `scan_content` replaced: every element through
     /// `Array::at`.
     fn content_per_row(arr: &Array) -> ColContent {
         let mut c = ColContent::default();
@@ -1225,11 +1216,11 @@ mod tests {
             ColContent::default(),
         ];
         for (arr, want) in [text_held, ints_held, none_held].into_iter().zip(want) {
-            assert_eq!(content(&arr), want, "{arr:?}");
+            assert_eq!(scan_content(&arr), want, "{arr:?}");
             arrays.push(arr);
         }
         for arr in &arrays {
-            assert_eq!(content(arr), content_per_row(arr), "{arr:?}");
+            assert_eq!(scan_content(arr), content_per_row(arr), "{arr:?}");
         }
     }
 
@@ -1254,7 +1245,7 @@ mod tests {
         };
         let ctes = CteMap::new();
         let env = EvalEnv::new(&db, &ctes);
-        let srcr = resolve_from_columnar(&env, &tr, None, &NamedColumns::all()).expect("scan");
+        let srcr = resolve_from_columnar(&env, &tr, None, &NamedColumns(None)).expect("scan");
         assert_eq!(srcr.chunk.len(), 5);
         let c = take_counters();
         assert_eq!(c.batches, 1);
