@@ -14,6 +14,9 @@
 //! runs on one side of a hash join before the join only when every
 //! conjunct of the WHERE provably cannot raise (`safe_column`), so which
 //! rows reach the other conjuncts never decides whether the query fails.
+//!
+//! Scans carry only the columns whose names the SELECT can resolve
+//! ([`NamedColumns`]), so joins and takes copy nothing it never reads.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
