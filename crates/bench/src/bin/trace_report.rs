@@ -9,10 +9,11 @@
 //! to the file) the human-readable tree.
 //!
 //! **Flight-recorder mode**: `trace_report --recorder <dump.jsonl>`
-//! reads a flight-recorder dump (written by the serving runtime on an
-//! SLO breach) and renders the slowest / degraded / errored requests
-//! with a per-operator breakdown, keyed by request ID — the postmortem
-//! view that joins against metric exemplars carrying the same IDs.
+//! reads a flight-recorder dump (the JSONL a caller writes from
+//! `ServeRuntime::flight_recorder()` with `FlightRecorder::dump_jsonl`)
+//! and renders the panicked / errored / degraded / slowest requests with
+//! a per-operator breakdown, keyed by request ID — the postmortem view
+//! that joins against the tickets and traces carrying the same IDs.
 
 use genedit_bird::Workload;
 use genedit_core::{Ablation, GenEditPipeline, Harness, KnowledgeIndex};
@@ -96,7 +97,7 @@ fn render_recorded_request(record: &RecordedRequest) {
         record.latency_ms
     );
     // Joinability check: the root span should carry the same request ID
-    // the recorder (and the metric exemplars) key on.
+    // the recorder (and the ticket) key on.
     let span_id = record
         .trace
         .all_spans()

@@ -129,8 +129,7 @@ pub struct GenerateOptions<'a> {
     pub query_embedding: Option<Embedding>,
     /// The serving-layer request ID, when this generation runs on behalf
     /// of an admitted serve request. Recorded as a `request_id` attribute
-    /// on the root span so traces, metric exemplars, and flight-recorder
-    /// dumps are joinable.
+    /// on the root span so traces and flight-recorder dumps are joinable.
     pub request_id: Option<&'a str>,
 }
 

@@ -25,11 +25,10 @@
 //!   only ever decides *when* the answer arrives, never *what* it is.
 //!   When both copies fail, the primary's error is returned so the error
 //!   surface is deterministic too.
-//! - One logical request records **one** latency observation and (when a
-//!   tracker is attached via [`HedgedModel::with_slo`]) **one** SLO
-//!   verdict. A wasted hedge completion is counted in `hedge.wasted`,
-//!   never as a second good event in the SLO window — duplicates must
-//!   not flatter (or smear) the burn rate.
+//! - One logical request records **one** latency observation, however
+//!   many copies ran. A wasted hedge completion is counted in
+//!   `hedge.wasted`, never as a second sample in the latency histogram
+//!   the hedge delay is derived from.
 //!
 //! The serving runtime does not use it. Composed with the other
 //! decorators, the order is `Traced(Hedged(Batch(model)))`: a hedged call
@@ -45,7 +44,7 @@ use crate::cancel::{self, CancelToken};
 use crate::model::{kind_label, CompletionRequest, CompletionResponse, LanguageModel, ModelError};
 use crate::prompt::TaskKind;
 use genedit_telemetry::clock::{Clock, SystemClock};
-use genedit_telemetry::{LogLinearHistogram, MetricsRegistry, SloTracker};
+use genedit_telemetry::{LogLinearHistogram, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -160,7 +159,6 @@ pub struct HedgedModel<M> {
     policy: HedgePolicy,
     clock: Arc<dyn Clock>,
     metrics: Option<Arc<MetricsRegistry>>,
-    slo: Option<Arc<SloTracker>>,
     latency: [LogLinearHistogram; KINDS.len()],
     counts: [AtomicU64; KINDS.len()],
     stats: StatCells,
@@ -174,7 +172,6 @@ impl<M: LanguageModel + 'static> HedgedModel<M> {
             policy,
             clock: Arc::new(SystemClock::new()),
             metrics: None,
-            slo: None,
             latency: Default::default(),
             counts: Default::default(),
             stats: StatCells::default(),
@@ -192,15 +189,6 @@ impl<M: LanguageModel + 'static> HedgedModel<M> {
     /// `metrics`, and observe each fired delay as `hedge.delay.ms`.
     pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> HedgedModel<M> {
         self.metrics = Some(metrics);
-        self
-    }
-
-    /// Record one SLO verdict per **logical request** into `slo`: the
-    /// winner's latency and outcome. Wasted hedge completions are never
-    /// recorded — with duplicates in flight, "requests" and "model
-    /// calls" diverge, and the SLO window must count the former.
-    pub fn with_slo(mut self, slo: Arc<SloTracker>) -> HedgedModel<M> {
-        self.slo = Some(slo);
         self
     }
 
@@ -265,8 +253,7 @@ impl<M: LanguageModel + 'static> HedgedModel<M> {
     }
 
     /// Terminal accounting for one logical request: one latency sample
-    /// into the per-kind histogram and (if attached) exactly one SLO
-    /// verdict, no matter how many copies ran.
+    /// into the per-kind histogram, no matter how many copies ran.
     fn settle(
         &self,
         kind: TaskKind,
@@ -275,9 +262,6 @@ impl<M: LanguageModel + 'static> HedgedModel<M> {
     ) -> Result<CompletionResponse, ModelError> {
         let elapsed = self.clock.now().saturating_sub(start);
         self.observe(kind, elapsed);
-        if let Some(slo) = &self.slo {
-            slo.record(elapsed.as_secs_f64() * 1e3, result.is_err());
-        }
         result
     }
 
@@ -425,7 +409,6 @@ impl<M: LanguageModel + 'static> LanguageModel for HedgedModel<M> {
 mod tests {
     use super::*;
     use crate::prompt::Prompt;
-    use genedit_telemetry::SloConfig;
     use std::sync::atomic::AtomicUsize;
     use std::thread::ThreadId;
     use std::time::Instant;
@@ -746,26 +729,23 @@ mod tests {
     }
 
     #[test]
-    fn one_logical_request_records_one_slo_verdict() {
-        let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
-        let slo = Arc::new(SloTracker::new(
-            SloConfig::default_rules("llm-call", 0.99, 1e9),
-            Arc::clone(&clock),
-        ));
+    fn one_logical_request_records_one_latency_sample() {
         // Every primary straggles; every duplicate answers: 4 logical
         // requests, 8 model calls, all hedges won.
         let model = ScriptedModel::new(vec![Step::BlockUntilCancelled; 4], vec![Step::Ready; 4]);
-        let hedged = preheated(HedgedModel::new(model, eager_policy()).with_slo(Arc::clone(&slo)));
+        let hedged = preheated(HedgedModel::new(model, eager_policy()));
+        let idx = kind_index(TaskKind::SqlGeneration);
+        let before = hedged.counts[idx].load(Ordering::SeqCst);
         for _ in 0..4 {
             hedged.complete(&request()).expect("ok");
         }
         assert_eq!(hedged.stats().fired, 4);
         hedged.inner().await_cancelled(4);
         assert_eq!(hedged.inner().calls(), 8);
-        let report = slo.evaluate();
-        // One verdict per request: wasted/won duplicates never inflate
-        // the SLO window (8 events here would mean double counting).
-        assert_eq!(report.window.total, 4);
-        assert_eq!(report.window.bad, 0);
+        // One sample per request: duplicates never inflate the histogram
+        // the hedge delay is derived from (8 here would mean double
+        // counting).
+        assert_eq!(hedged.counts[idx].load(Ordering::SeqCst) - before, 4);
+        assert_eq!(hedged.latency[idx].snapshot().count, before + 4);
     }
 }

@@ -68,7 +68,7 @@ pub mod tenants;
 
 pub use cache::{CacheKey, EpochCache};
 pub use request::{Priority, QueryOutcome, QueryRequest, Rejected, Ticket};
-pub use runtime::{DrainReport, ObsConfig, ServeConfig, ServeRuntime, DRAIN_GRACE};
+pub use runtime::{DrainReport, ServeConfig, ServeRuntime, DRAIN_GRACE};
 pub use tenants::TenantDirectory;
 
 /// Lock a mutex whether or not a panicking thread poisoned it. Panics are

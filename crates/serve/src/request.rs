@@ -207,9 +207,9 @@ impl Ticket {
     }
 
     /// The request ID assigned at admission. The same ID appears as the
-    /// `request_id` attribute on the generation's root span, in metric
-    /// exemplars, and in flight-recorder dumps, so one request's
-    /// telemetry joins across all three.
+    /// `request_id` attribute on the generation's root span and in
+    /// flight-recorder dumps, so one request's telemetry joins across
+    /// the ticket, the trace and the dump.
     pub fn request_id(&self) -> &str {
         &self.request_id
     }

@@ -28,15 +28,12 @@ use genedit_knowledge::tenants::TenantStoreError;
 use genedit_llm::LanguageModel;
 use genedit_retrieval::Embedding;
 use genedit_sql::catalog::Database;
-use genedit_telemetry::slo::AlertTransition;
 use genedit_telemetry::{
-    names, prom, Clock, FlightRecorder, MetricsRegistry, RecordedRequest, RecorderConfig,
-    RequestVerdict, SloConfig, SloTracker, SystemClock, Trace,
+    names, FlightRecorder, MetricsRegistry, RecordedRequest, RecorderConfig, RequestVerdict, Trace,
 };
 use std::collections::HashMap;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
@@ -48,23 +45,6 @@ use std::time::{Duration, Instant};
 /// worker threads are detached. The method therefore returns within
 /// roughly `timeout + DRAIN_GRACE` plus join overhead.
 pub const DRAIN_GRACE: Duration = Duration::from_millis(250);
-
-/// Observability-plane configuration for a [`ServeRuntime`]. Metrics are
-/// always recorded; these are the optional parts on top.
-#[derive(Debug, Clone, Default)]
-pub struct ObsConfig {
-    /// SLO to track over completed requests. When set, every completion
-    /// feeds a burn-rate tracker; an alert transition to firing triggers
-    /// a flight-recorder dump (if both a recorder and `dump_path` are
-    /// configured).
-    pub slo: Option<SloConfig>,
-    /// Flight-recorder policy. When set, completed requests (and
-    /// cancelled/shed ones) are offered to a bounded tail-sampling
-    /// recorder.
-    pub recorder: Option<RecorderConfig>,
-    /// Where to write the flight-recorder JSONL dump on an SLO breach.
-    pub dump_path: Option<PathBuf>,
-}
 
 /// Serving runtime configuration.
 #[derive(Debug, Clone)]
@@ -82,9 +62,10 @@ pub struct ServeConfig {
     pub reform_cache_capacity: usize,
     /// Pipeline configuration used by every worker.
     pub pipeline: PipelineConfig,
-    /// Observability plane: SLO burn-rate alerting and the tail-sampling
-    /// flight recorder.
-    pub observability: ObsConfig,
+    /// Flight-recorder policy. When set, every admitted request that
+    /// ends is offered to a bounded tail-sampling recorder, read through
+    /// [`ServeRuntime::flight_recorder`]. Metrics are always recorded.
+    pub recorder: Option<RecorderConfig>,
     /// Disk-backed per-tenant knowledge. When set, requests from tenants
     /// the directory knows are served from that tenant's own paged-in
     /// index (cold tenants page in on first request — the
@@ -101,7 +82,7 @@ impl Default for ServeConfig {
             result_cache_capacity: 256,
             reform_cache_capacity: 256,
             pipeline: PipelineConfig::default(),
-            observability: ObsConfig::default(),
+            recorder: None,
             tenants: None,
         }
     }
@@ -149,8 +130,6 @@ struct Shared<M> {
     model: Arc<M>,
     config: ServeConfig,
     metrics: Arc<MetricsRegistry>,
-    /// SLO burn-rate tracker over completed requests (system clock).
-    slo: Option<SloTracker>,
     /// Tail-sampling flight recorder of completed request traces.
     recorder: Option<FlightRecorder>,
     /// Requests a worker has dequeued but not yet resolved, keyed by
@@ -232,14 +211,7 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
     ) -> io::Result<ServeRuntime<M>> {
         let workers = config.workers.max(1);
         let metrics = Arc::new(MetricsRegistry::new());
-        let slo = config.observability.slo.clone().map(|slo_config| {
-            SloTracker::new(slo_config, Arc::new(SystemClock::new()) as Arc<dyn Clock>)
-        });
-        let recorder = config
-            .observability
-            .recorder
-            .clone()
-            .map(FlightRecorder::new);
+        let recorder = config.recorder.clone().map(FlightRecorder::new);
         let shared = Arc::new(Shared {
             sched: Mutex::new(DrrScheduler::new()),
             available: Condvar::new(),
@@ -247,7 +219,6 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             db,
             model: Arc::new(model),
             metrics,
-            slo,
             recorder,
             inflight: Mutex::new(HashMap::new()),
             results: EpochCache::new(config.result_cache_capacity),
@@ -291,20 +262,9 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
         &self.shared.metrics
     }
 
-    /// Prometheus text exposition of the runtime's metrics — counters,
-    /// gauges, cumulative histogram buckets, and request-ID exemplars.
-    pub fn prometheus(&self) -> String {
-        prom::render(&self.shared.metrics)
-    }
-
     /// The flight recorder, when one was configured.
     pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
         self.shared.recorder.as_ref()
-    }
-
-    /// Whether the configured SLO's burn-rate alert is currently firing.
-    pub fn slo_firing(&self) -> bool {
-        self.shared.slo.as_ref().is_some_and(SloTracker::is_firing)
     }
 
     /// Current number of queued (admitted, not yet running) requests.
@@ -361,7 +321,7 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             None => CancelToken::new(),
         };
         // The request ID exists from admission on: the same `req-…`
-        // string lands on the root span, in metric exemplars, and in
+        // string lands on the ticket, on the root span and in
         // flight-recorder dumps.
         let seq = self.shared.seq.fetch_add(1, Ordering::SeqCst);
         let request_id = format!("req-{seq:08x}");
@@ -768,31 +728,27 @@ impl Ending {
 /// it holding the scheduler lock: it takes the recorder and ticket locks
 /// and wakes the waiter.
 ///
-/// Order: counter, latency histogram (completions only), then the
-/// flight recorder *before* the SLO tracker — so an alert fired by this
-/// very request dumps a ring that already contains it — and the ticket
-/// last, so a woken caller sees all of it.
+/// Order: counter, latency histogram (completions only), flight
+/// recorder, and the ticket last, so a woken caller sees all of it.
 fn resolve<M>(shared: &Shared<M>, admitted: &Admitted, ending: Ending) {
     use RequestVerdict as V;
     let latency = admitted.enqueued_at.elapsed();
     let latency_ms = latency.as_secs_f64() * 1e3;
-    // The endings table: the counter that moves, the flight-recorder
-    // verdict, and the SLO error flag. `None` keeps the request out of
-    // the SLO window altogether: a missed deadline burns error budget, a
-    // caller's cancel, a shed and a drain do not.
-    let (counter, verdict, slo_error) = match &ending {
+    // The endings table: the counter that moves and the flight-recorder
+    // verdict.
+    let (counter, verdict) = match &ending {
         Ending::Completed { result, .. } => {
             match (result.validated, result.degraded_operator_count()) {
-                (false, _) => ("serve.completed", V::Error, Some(true)),
-                (true, 0) => ("serve.completed", V::Ok, Some(false)),
-                (true, _) => ("serve.completed", V::Degraded, Some(false)),
+                (false, _) => ("serve.completed", V::Error),
+                (true, 0) => ("serve.completed", V::Ok),
+                (true, _) => ("serve.completed", V::Degraded),
             }
         }
-        Ending::Shed => ("serve.shed", V::Cancelled, None),
-        Ending::Expired { .. } => ("serve.expired", V::Cancelled, Some(true)),
-        Ending::Cancelled { .. } => ("serve.cancelled", V::Cancelled, None),
-        Ending::Drained => ("serve.drain.forced_queued", V::Cancelled, None),
-        Ending::Panicked { .. } => ("serve.panic", V::Panicked, Some(true)),
+        Ending::Shed => ("serve.shed", V::Cancelled),
+        Ending::Expired { .. } => ("serve.expired", V::Cancelled),
+        Ending::Cancelled { .. } => ("serve.cancelled", V::Cancelled),
+        Ending::Drained => ("serve.drain.forced_queued", V::Cancelled),
+        Ending::Panicked { .. } => ("serve.panic", V::Panicked),
     };
     // What the caller sees, and the partial trace of a generation that
     // gave up (a completed one carries its trace in the result).
@@ -820,40 +776,13 @@ fn resolve<M>(shared: &Shared<M>, admitted: &Admitted, ending: Ending) {
     };
     shared.metrics.incr(counter, 1);
     if outcome.is_completed() {
-        shared.metrics.observe_with_exemplar(
-            names::SERVE_REQUEST,
-            latency_ms,
-            &admitted.request_id,
-        );
+        shared.metrics.observe(names::SERVE_REQUEST, latency_ms);
     }
-    let trace = outcome.result().map(|r| &r.trace).or(partial.as_ref());
-    record_outcome(
-        shared,
-        &admitted.request_id,
-        verdict,
-        latency_ms,
-        trace,
-        slo_error,
-    );
-    admitted.cell.complete(outcome);
-}
-
-/// Feed one ended request into the observability plane: the flight
-/// recorder, then the SLO tracker and its alert state machine.
-/// `trace: None` records an empty one (the request never ran);
-/// `slo_error: None` keeps the request out of the SLO, `Some(e)` counts
-/// it with error flag `e`.
-fn record_outcome<M>(
-    shared: &Shared<M>,
-    request_id: &str,
-    verdict: RequestVerdict,
-    latency_ms: f64,
-    trace: Option<&Trace>,
-    slo_error: Option<bool>,
-) {
     if let Some(recorder) = &shared.recorder {
+        // A request that never ran is recorded with an empty trace.
+        let trace = outcome.result().map(|r| &r.trace).or(partial.as_ref());
         recorder.record(RecordedRequest {
-            request_id: request_id.to_string(),
+            request_id: admitted.request_id.clone(),
             verdict,
             latency_ms,
             trace: trace
@@ -861,22 +790,5 @@ fn record_outcome<M>(
                 .unwrap_or_else(|| Trace::empty(names::SERVE_REQUEST)),
         });
     }
-    let (Some(slo), Some(error)) = (&shared.slo, slo_error) else {
-        return;
-    };
-    slo.record(latency_ms, error);
-    match slo.evaluate().transition {
-        Some(AlertTransition::Fired) => {
-            shared.metrics.incr("serve.slo.fired", 1);
-            if let (Some(recorder), Some(path)) =
-                (&shared.recorder, &shared.config.observability.dump_path)
-            {
-                if std::fs::write(path, recorder.dump_jsonl()).is_ok() {
-                    shared.metrics.incr("serve.slo.dumps", 1);
-                }
-            }
-        }
-        Some(AlertTransition::Resolved) => shared.metrics.incr("serve.slo.resolved", 1),
-        None => {}
-    }
+    admitted.cell.complete(outcome);
 }

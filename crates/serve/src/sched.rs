@@ -22,8 +22,7 @@ const QUANTUM: u32 = 2;
 pub(crate) struct Admitted {
     pub seq: u64,
     /// Admission-assigned request ID (`req-{seq:08x}`), threaded through
-    /// the pipeline so traces, exemplars, and flight-recorder entries
-    /// join.
+    /// the pipeline so tickets, traces and flight-recorder entries join.
     pub request_id: String,
     pub request: QueryRequest,
     pub cell: Arc<TicketCell>,

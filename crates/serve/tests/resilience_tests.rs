@@ -253,10 +253,7 @@ fn panicked_verdict_lands_in_the_flight_recorder() {
         Arc::new(bundle.db.clone()),
         ServeConfig {
             workers: 1,
-            observability: genedit_serve::ObsConfig {
-                recorder: Some(genedit_telemetry::RecorderConfig::default()),
-                ..Default::default()
-            },
+            recorder: Some(genedit_telemetry::RecorderConfig::default()),
             ..ServeConfig::default()
         },
     );

@@ -12,12 +12,10 @@ use genedit_llm::{
     CompletionRequest, CompletionResponse, LanguageModel, ModelError, OracleConfig, OracleModel,
     TaskRegistry,
 };
-use genedit_serve::{
-    ObsConfig, Priority, QueryOutcome, QueryRequest, Rejected, ServeConfig, ServeRuntime,
-};
+use genedit_serve::{Priority, QueryOutcome, QueryRequest, Rejected, ServeConfig, ServeRuntime};
 use genedit_telemetry::recorder::dump_from_jsonl;
 use genedit_telemetry::span::AttrValue;
-use genedit_telemetry::{RecorderConfig, SloConfig};
+use genedit_telemetry::RecorderConfig;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -582,12 +580,11 @@ fn trace_request_id(trace: &genedit_telemetry::Trace) -> Option<String> {
         })
 }
 
-/// Tentpole acceptance: one request ID, assigned at admission, appears in
-/// (1) the generation's root span attributes, (2) the latency
-/// histogram's exemplars, and (3) the flight recorder — so traces,
-/// metrics, and postmortem dumps all join on it.
+/// One request ID, assigned at admission, appears in (1) the
+/// generation's root span attributes and (2) the flight recorder and its
+/// JSONL dump — so tickets, traces and postmortem dumps all join on it.
 #[test]
-fn request_id_joins_spans_exemplars_and_recorder() {
+fn request_id_joins_spans_and_recorder() {
     let (bundle, ks, oracle) = setup();
     let runtime = ServeRuntime::start(
         oracle,
@@ -598,15 +595,11 @@ fn request_id_joins_spans_exemplars_and_recorder() {
             workers: 2,
             result_cache_capacity: 0,
             reform_cache_capacity: 0,
-            observability: ObsConfig {
-                slo: None,
-                // Sample *every* normal request so the join is total.
-                recorder: Some(RecorderConfig {
-                    keep_normal_one_in: 1,
-                    ..RecorderConfig::default()
-                }),
-                dump_path: None,
-            },
+            // Sample *every* normal request so the join is total.
+            recorder: Some(RecorderConfig {
+                keep_normal_one_in: 1,
+                ..RecorderConfig::default()
+            }),
             ..ServeConfig::default()
         },
     );
@@ -633,31 +626,8 @@ fn request_id_joins_spans_exemplars_and_recorder() {
             "trace does not carry the ticket's request ID"
         );
     }
-    // (2) the serve.request histogram holds exemplars keyed by the same
-    // IDs (6 requests fit the exemplar ring).
-    let exemplars = runtime.metrics().exemplars();
-    let exemplar_ids: BTreeSet<String> = exemplars
-        .get("serve.request")
-        .expect("serve.request recorded exemplars")
-        .iter()
-        .map(|e| e.request_id.clone())
-        .collect();
-    assert_eq!(exemplar_ids, expected_ids, "exemplars do not join");
-    // …and the Prometheus exposition attaches the most recent of them
-    // to the +Inf bucket, OpenMetrics-style.
-    let prom = runtime.prometheus();
-    let inf_line = prom
-        .lines()
-        .find(|l| l.starts_with("genedit_serve_request_bucket{le=\"+Inf\"}"))
-        .expect("serve.request +Inf bucket rendered");
-    assert!(
-        expected_ids
-            .iter()
-            .any(|id| inf_line.contains(&format!("request_id=\"{id}\""))),
-        "no submitted request ID on the exemplar line: {inf_line}"
-    );
-    // (3) the flight recorder retained every request under those IDs,
-    // each carrying the matching trace.
+    // (2) the flight recorder retained every request under those IDs,
+    // each carrying the matching trace…
     let recorder = runtime.flight_recorder().expect("recorder configured");
     let recorded: BTreeSet<String> = recorder
         .contents()
@@ -672,119 +642,9 @@ fn request_id_joins_spans_exemplars_and_recorder() {
             "recorded trace and record disagree on the request ID"
         );
     }
-    runtime.shutdown();
-}
-
-/// A model that fails every call: generations complete unvalidated, so
-/// every request burns error budget deterministically.
-struct OutageModel;
-
-impl LanguageModel for OutageModel {
-    fn name(&self) -> &str {
-        "outage"
-    }
-
-    fn complete(&self, _request: &CompletionRequest) -> Result<CompletionResponse, ModelError> {
-        Err(ModelError::Transient("total outage".to_string()))
-    }
-}
-
-/// Tentpole acceptance: a sustained error burn fires the SLO's burn-rate
-/// alert, which dumps the flight recorder as JSONL; the dump's request
-/// IDs join back to the submitted tickets and the metric exemplars.
-#[test]
-fn slo_breach_dumps_joinable_flight_record() {
-    let (bundle, ks, _oracle) = setup();
-    let dump_path = std::env::temp_dir().join(format!(
-        "genedit_slo_dump_{}_{:?}.jsonl",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_file(&dump_path);
-    let runtime = ServeRuntime::start(
-        OutageModel,
-        Arc::new(KnowledgeIndex::build(ks)),
-        0,
-        Arc::new(bundle.db.clone()),
-        ServeConfig {
-            workers: 2,
-            result_cache_capacity: 0,
-            reform_cache_capacity: 0,
-            observability: ObsConfig {
-                // 100% errors → burn = 1/0.01 = 100 ≫ 14.4: the fast
-                // rule fires as soon as min_samples (10) arrive.
-                slo: Some(SloConfig::default_rules("serve.request", 0.99, 60_000.0)),
-                recorder: Some(RecorderConfig::default()),
-                dump_path: Some(dump_path.clone()),
-            },
-            ..ServeConfig::default()
-        },
-    );
-    let mut submitted = BTreeSet::new();
-    let tickets: Vec<_> = (0..16)
-        .map(|i| {
-            let t = runtime
-                .submit(QueryRequest::new(
-                    "acme",
-                    &bundle.tasks[i % bundle.tasks.len()].question,
-                ))
-                .unwrap();
-            submitted.insert(t.request_id().to_string());
-            t
-        })
-        .collect();
-    for t in &tickets {
-        let outcome = t.wait();
-        let (result, _, _) = completed(&outcome);
-        assert!(!result.validated, "outage model cannot validate");
-    }
-    assert!(
-        runtime.metrics().counter("serve.slo.fired") >= 1,
-        "16 consecutive errors must fire the burn-rate alert"
-    );
-    assert!(
-        runtime.slo_firing(),
-        "alert must still be firing mid-outage"
-    );
-    assert_eq!(
-        runtime.metrics().counter("serve.slo.dumps"),
-        runtime.metrics().counter("serve.slo.fired"),
-        "every fire must write a dump"
-    );
-
-    let dump = std::fs::read_to_string(&dump_path).expect("breach wrote the dump file");
-    let records = dump_from_jsonl(&dump).expect("dump parses as recorder JSONL");
-    assert!(
-        records.len() >= 10,
-        "dump must hold at least min_samples records, got {}",
-        records.len()
-    );
-    let exemplars = runtime.metrics().exemplars();
-    let exemplar_ids: BTreeSet<&str> = exemplars
-        .get("serve.request")
-        .expect("serve.request recorded exemplars")
-        .iter()
-        .map(|e| e.request_id.as_str())
-        .collect();
-    for record in &records {
-        assert!(
-            submitted.contains(&record.request_id),
-            "dumped {} was never submitted",
-            record.request_id
-        );
-        assert_eq!(
-            trace_request_id(&record.trace).as_deref(),
-            Some(record.request_id.as_str()),
-            "dumped trace does not join to its record"
-        );
-    }
-    // The exemplar ring (last 16 observations) and the dump cover the
-    // same request population.
-    assert!(!exemplar_ids.is_empty());
-    for id in &exemplar_ids {
-        assert!(submitted.contains(*id), "exemplar {id} never submitted");
-    }
-    let _ = std::fs::remove_file(&dump_path);
+    // …and its dump reads back as the same records.
+    let dumped = dump_from_jsonl(&recorder.dump_jsonl()).expect("dump parses as recorder JSONL");
+    assert_eq!(dumped, recorder.contents(), "dump does not round-trip");
     runtime.shutdown();
 }
 

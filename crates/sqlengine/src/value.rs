@@ -24,11 +24,27 @@ use std::fmt::{self, Write as _};
 /// A calendar date. The engine supports dates as first-class values because
 /// the paper's running example `Q_fin-perf` (Appendix A) groups financial
 /// months into quarters with `TO_CHAR(FIN_MONTH, 'YYYY"Q"Q')`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Date {
     pub year: i32,
     pub month: u8,
     pub day: u8,
+}
+
+/// Decoding goes through [`Date::new`], so a date read from a saved
+/// database holds the same range checks as one built in code.
+impl Deserialize for Date {
+    fn deserialize(value: &serde::value::Value) -> Result<Date, serde::Error> {
+        let pairs = value
+            .as_object()
+            .ok_or_else(|| serde::Error::expected("object", value))?;
+        Date::new(
+            serde::field(pairs, "year")?,
+            serde::field(pairs, "month")?,
+            serde::field(pairs, "day")?,
+        )
+        .map_err(|e| serde::Error::custom(e.to_string()))
+    }
 }
 
 impl Date {

@@ -120,3 +120,44 @@ proptest! {
         prop_assert!(decoded || !intact, "an intact file must decode");
     }
 }
+
+/// `SALES` holding one row dated `date`, its saved form, and the text of
+/// that date inside it.
+fn dated(date: Date) -> (Database, String, String) {
+    let row = vec![
+        Value::Integer(1),
+        Value::Float(2.5),
+        Value::Text("north".to_string()),
+        Value::Boolean(true),
+        Value::Date(date),
+    ];
+    let db = sales(vec![row]);
+    let json = serde_json::to_string(&db).expect("serializes");
+    let field = serde_json::to_string(&date).expect("serializes");
+    assert!(json.contains(&field), "{field} not in {json}");
+    (db, json, field)
+}
+
+/// A date is decoded through `Date::new`, so a saved database cannot
+/// carry a month or day out of range into `TO_CHAR`, whose `Q` would
+/// compute `month - 1` on it.
+#[test]
+fn an_out_of_range_date_is_refused_on_decode() {
+    let leap = Date::new(2024, 2, 29).expect("a leap day");
+    let (built, json, field) = dated(leap);
+    let back: Date = serde_json::from_str(&field).expect("a leap day decodes");
+    assert_eq!(back, leap);
+    let decoded: Database = serde_json::from_str(&json).expect("a leap day decodes");
+    let quarter = "SELECT TO_CHAR(MONTH, 'YYYY-MM-DD \"Q\"Q') FROM SALES";
+    let answered = answer(execute_sql(&decoded, quarter));
+    assert_eq!(answered, answer(execute_sql(&built, quarter)));
+    assert!(answered.expect("answers").contains("2024-02-29 Q1"));
+    for (year, month, day) in [(2022, 0, 1), (2022, 13, 1), (2022, 1, 0), (2023, 2, 29)] {
+        let bad = format!(r#"{{"year":{year},"month":{month},"day":{day}}}"#);
+        let err = serde_json::from_str::<Date>(&bad).expect_err("out of range");
+        assert!(err.to_string().contains("invalid"), "{bad}: {err}");
+        let err = serde_json::from_str::<Database>(&json.replace(&field, &bad))
+            .expect_err("a database holding an out-of-range date is refused");
+        assert!(err.to_string().contains("invalid"), "{bad}: {err}");
+    }
+}

@@ -1,11 +1,10 @@
-//! Injectable time source shared by every time-windowed component.
+//! Injectable time source for the timed model decorators.
 //!
 //! Production code runs on [`SystemClock`]; tests run on
-//! [`SimulatedClock`] so injected latency, window rollups, and burn-rate
-//! alert schedules are deterministic and never block on wall time. The
-//! trait lives here — below every other crate — so the metrics windows
-//! ([`crate::window`]), SLO trackers ([`crate::slo`]) and the model
-//! decorators in `genedit_llm` all share one definition.
+//! [`SimulatedClock`] so injected latency, batch collection windows and
+//! hedge delays are deterministic and never block on wall time. The trait lives here —
+//! below every other crate — so the model decorators in `genedit_llm`
+//! and their tests share one definition.
 
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;

@@ -1,9 +1,8 @@
-//! JSON / JSONL exporters (and importers) for traces and metric
-//! snapshots. JSONL is the batch format: one trace per line, so harness
-//! runs can stream thousands of generations into a single file that
-//! ordinary line-oriented tooling can slice.
+//! JSON / JSONL exporters (and importers) for traces and any other
+//! serializable telemetry record. JSONL is the batch format: one trace
+//! per line, so harness runs can stream thousands of generations into a
+//! single file that ordinary line-oriented tooling can slice.
 
-use crate::metrics::MetricsSnapshot;
 use crate::span::Trace;
 use serde::{Deserialize, Serialize};
 
@@ -27,11 +26,6 @@ pub fn trace_to_json_pretty(trace: &Trace) -> String {
 /// Parse a trace back from [`trace_to_json`] output.
 pub fn trace_from_json(json: &str) -> Result<Trace, serde_json::Error> {
     serde_json::from_str(json)
-}
-
-/// A metrics snapshot as a JSON object.
-pub fn snapshot_to_json(snapshot: &MetricsSnapshot) -> String {
-    serde_json::to_string_pretty(snapshot).unwrap_or_else(|_| "null".to_string())
 }
 
 /// Serialize items one-JSON-object-per-line.
@@ -115,8 +109,11 @@ mod tests {
         let m = crate::MetricsRegistry::new();
         m.incr("c", 2);
         m.observe("h", 1.5);
-        let json = snapshot_to_json(&m.snapshot());
-        assert!(json.contains("\"c\""));
-        assert!(json.contains("p95"));
+        let snapshot = m.snapshot();
+        let jsonl = to_jsonl(std::slice::from_ref(&snapshot));
+        assert!(jsonl.contains("\"c\""));
+        assert!(jsonl.contains("p95"));
+        let back: Vec<crate::MetricsSnapshot> = from_jsonl(&jsonl).unwrap();
+        assert_eq!(back, vec![snapshot]);
     }
 }

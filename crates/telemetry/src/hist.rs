@@ -15,14 +15,12 @@
 //! key) and bumps per-shard `AtomicU64`s. Shards are assigned round-robin
 //! per thread, so concurrent writers on different cores touch different
 //! cache lines. Snapshots fold the shards into a mergeable
-//! [`HistogramSnapshot`], from which summaries and Prometheus bucket
-//! exposition are derived.
+//! [`HistogramSnapshot`], from which summaries and percentiles are
+//! derived.
 
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 /// Linear sub-buckets per power-of-two octave (2⁶ = 64).
 const SUB_BITS: u32 = 6;
@@ -101,20 +99,6 @@ fn representative(index: usize) -> f64 {
         0.5 * (lower + upper)
     }
 }
-
-/// An exemplar: one concrete observation annotated with the request that
-/// produced it, so aggregate metrics stay joinable with traces and
-/// flight-recorder dumps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Exemplar {
-    /// The observed value.
-    pub value: f64,
-    /// The request ID the observation belongs to.
-    pub request_id: String,
-}
-
-/// Most recent exemplars kept per histogram.
-const EXEMPLAR_CAPACITY: usize = 16;
 
 /// Writer shards used by every histogram. Each shard is ~26 KiB of
 /// bucket counters; four shards keep concurrent `observe` calls from
@@ -196,7 +180,6 @@ fn shard_slot() -> usize {
 /// many observations are recorded.
 pub struct LogLinearHistogram {
     shards: Box<[Shard]>,
-    exemplars: Mutex<VecDeque<Exemplar>>,
 }
 
 impl Default for LogLinearHistogram {
@@ -210,7 +193,6 @@ impl LogLinearHistogram {
     pub fn new() -> LogLinearHistogram {
         LogLinearHistogram {
             shards: (0..SHARDS).map(|_| Shard::new()).collect(),
-            exemplars: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -220,32 +202,6 @@ impl LogLinearHistogram {
     #[inline]
     pub fn observe(&self, value: f64) {
         self.shards[shard_slot() % self.shards.len()].observe(value);
-    }
-
-    /// Record an observation and remember it as an exemplar tagged with
-    /// `request_id`, so this histogram's aggregates stay joinable with
-    /// the request's trace.
-    pub fn observe_with_exemplar(&self, value: f64, request_id: &str) {
-        self.observe(value);
-        let mut exemplars = self.lock_exemplars();
-        if exemplars.len() >= EXEMPLAR_CAPACITY {
-            exemplars.pop_front();
-        }
-        exemplars.push_back(Exemplar {
-            value,
-            request_id: request_id.to_string(),
-        });
-    }
-
-    fn lock_exemplars(&self) -> MutexGuard<'_, VecDeque<Exemplar>> {
-        self.exemplars
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// The most recent exemplars, oldest first.
-    pub fn exemplars(&self) -> Vec<Exemplar> {
-        self.lock_exemplars().iter().cloned().collect()
     }
 
     /// Fold every shard into a point-in-time, mergeable snapshot.
@@ -547,18 +503,6 @@ mod tests {
         assert_eq!(snap.count, 80_000);
         assert_eq!(snap.min, 1.0);
         assert_eq!(snap.max, 80_000.0);
-    }
-
-    #[test]
-    fn exemplars_are_bounded_and_ordered() {
-        let hist = LogLinearHistogram::new();
-        for i in 0..40 {
-            hist.observe_with_exemplar(i as f64 + 0.5, &format!("req-{i}"));
-        }
-        let exemplars = hist.exemplars();
-        assert_eq!(exemplars.len(), EXEMPLAR_CAPACITY);
-        assert_eq!(exemplars.last().unwrap().request_id, "req-39");
-        assert_eq!(hist.snapshot().count, 40);
     }
 
     #[test]

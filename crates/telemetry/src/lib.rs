@@ -21,15 +21,10 @@
 //!   atomic counters; lock-free `observe`, mergeable snapshots,
 //!   percentiles within ≤ 1% relative error of exact nearest-rank.
 //! - [`clock`] — the injectable `Clock`/`SimulatedClock` time source
-//!   every time-windowed component runs on.
-//! - [`window`] / [`slo`] — interval-ring rollups and SLO burn-rate
-//!   alerting (multi-window, Google-SRE style) with a deterministic
-//!   state machine.
+//!   the model decorators time their calls on.
 //! - [`recorder`] — the tail-sampling flight recorder: bounded rings of
 //!   completed request traces, errors/degraded always retained, dumped
-//!   as JSONL on SLO breach.
-//! - [`prom`] — Prometheus text exposition of a registry, exemplars
-//!   included.
+//!   as JSONL on demand.
 //!
 //! Zero dependencies beyond `std::time` and serde.
 
@@ -41,22 +36,17 @@ pub mod export;
 pub mod hash;
 pub mod hist;
 pub mod metrics;
-pub mod prom;
 pub mod recorder;
-pub mod slo;
 pub mod span;
-pub mod window;
 
 pub use aggregate::{operator_breakdown, OperatorStats};
 pub use clock::{Clock, SimulatedClock, SystemClock};
-pub use hist::{Exemplar, HistogramSnapshot, LogLinearHistogram};
+pub use hist::{HistogramSnapshot, LogLinearHistogram};
 pub use metrics::{HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{
     FlightRecorder, RecordedRequest, RecorderConfig, RecorderStats, RequestVerdict,
 };
-pub use slo::{AlertState, AlertTransition, BurnRateRule, SloConfig, SloReport, SloTracker};
 pub use span::{AttrValue, Span, SpanGuard, Trace, Tracer};
-pub use window::{IntervalRing, WindowCounts};
 
 /// Canonical span names. Everything that records or aggregates spans goes
 /// through these constants so the taxonomy stays greppable.

@@ -17,7 +17,7 @@
 //! (e.g. `serve.queue_depth`). Lock poisoning is absorbed, never
 //! propagated.
 
-use crate::hist::{Exemplar, HistogramSnapshot, LogLinearHistogram};
+use crate::hist::LogLinearHistogram;
 use crate::span::Trace;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -50,7 +50,6 @@ fn entry<T: Default>(map: &Map<T>, name: &str) -> Arc<T> {
 /// Registry of named counters, gauges, and histograms. All methods take
 /// `&self`; wrap in `Arc` to share across components or threads.
 pub struct MetricsRegistry {
-    enabled: bool,
     counters: Map<AtomicU64>,
     gauges: Map<AtomicU64>,
     histograms: Map<LogLinearHistogram>,
@@ -66,32 +65,14 @@ impl MetricsRegistry {
     /// A fresh, recording registry.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry {
-            enabled: true,
             counters: RwLock::new(BTreeMap::new()),
             gauges: RwLock::new(BTreeMap::new()),
             histograms: RwLock::new(BTreeMap::new()),
         }
     }
 
-    /// A no-op registry: every recording call returns immediately. For
-    /// components built before (or without) a runtime's registry.
-    pub fn disabled() -> MetricsRegistry {
-        MetricsRegistry {
-            enabled: false,
-            ..MetricsRegistry::new()
-        }
-    }
-
-    /// Whether this registry records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Add `by` to the named counter (creating it at zero).
     pub fn incr(&self, name: &str, by: u64) {
-        if !self.enabled {
-            return;
-        }
         self.counter_handle(name).fetch_add(by, Ordering::Relaxed);
     }
 
@@ -104,9 +85,6 @@ impl MetricsRegistry {
     /// Record one observation into the named histogram. Non-finite
     /// values are dropped and counted under [`REJECTED_SAMPLES`].
     pub fn observe(&self, name: &str, value: f64) {
-        if !self.enabled {
-            return;
-        }
         if !value.is_finite() {
             self.incr(REJECTED_SAMPLES, 1);
             return;
@@ -119,21 +97,6 @@ impl MetricsRegistry {
         self.observe(name, duration.as_secs_f64() * 1e3);
     }
 
-    /// Record an observation annotated with the request that produced it;
-    /// the exemplar is kept alongside the histogram and reported in
-    /// snapshots and Prometheus exposition.
-    pub fn observe_with_exemplar(&self, name: &str, value: f64, request_id: &str) {
-        if !self.enabled {
-            return;
-        }
-        if !value.is_finite() {
-            self.incr(REJECTED_SAMPLES, 1);
-            return;
-        }
-        self.histogram(name)
-            .observe_with_exemplar(value, request_id);
-    }
-
     /// The named histogram (created empty on first use), for hot paths
     /// that cache the handle and observe lock-free.
     pub fn histogram(&self, name: &str) -> Arc<LogLinearHistogram> {
@@ -143,9 +106,6 @@ impl MetricsRegistry {
     /// Set the named gauge to `value` (last-write-wins semantics).
     /// Non-finite values are rejected like histogram observations.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        if !self.enabled {
-            return;
-        }
         if !value.is_finite() {
             self.incr(REJECTED_SAMPLES, 1);
             return;
@@ -172,9 +132,6 @@ impl MetricsRegistry {
     /// increment and a `span.<name>.ms` latency observation; warnings
     /// increment `trace.warnings`.
     pub fn record_trace(&self, trace: &Trace) {
-        if !self.enabled {
-            return;
-        }
         for span in trace.all_spans() {
             self.incr(&format!("span.{}.count", span.name), 1);
             self.observe_duration(&format!("span.{}.ms", span.name), span.duration);
@@ -194,41 +151,15 @@ impl MetricsRegistry {
             .iter()
             .map(|(name, g)| (name.clone(), f64::from_bits(g.load(Ordering::Relaxed))))
             .collect();
-        let mut histograms = BTreeMap::new();
-        let mut exemplars = BTreeMap::new();
-        for (name, hist) in read(&self.histograms).iter() {
-            histograms.insert(name.clone(), hist.snapshot().summary());
-            let ex = hist.exemplars();
-            if !ex.is_empty() {
-                exemplars.insert(name.clone(), ex);
-            }
-        }
+        let histograms = read(&self.histograms)
+            .iter()
+            .map(|(name, hist)| (name.clone(), hist.snapshot().summary()))
+            .collect();
         MetricsSnapshot {
             counters,
             gauges,
             histograms,
-            exemplars,
         }
-    }
-
-    /// Full bucket-level snapshots of every histogram — the mergeable
-    /// view Prometheus exposition and rollups are built from.
-    pub fn histogram_snapshots(&self) -> BTreeMap<String, HistogramSnapshot> {
-        read(&self.histograms)
-            .iter()
-            .map(|(name, hist)| (name.clone(), hist.snapshot()))
-            .collect()
-    }
-
-    /// The exemplars attached to every histogram that has any.
-    pub fn exemplars(&self) -> BTreeMap<String, Vec<Exemplar>> {
-        read(&self.histograms)
-            .iter()
-            .filter_map(|(name, hist)| {
-                let ex = hist.exemplars();
-                (!ex.is_empty()).then(|| (name.clone(), ex))
-            })
-            .collect()
     }
 
     /// Current counter values, name-sorted.
@@ -246,13 +177,6 @@ impl MetricsRegistry {
             .map(|(name, g)| (name.clone(), f64::from_bits(g.load(Ordering::Relaxed))))
             .collect()
     }
-
-    /// Drop all recorded values.
-    pub fn reset(&self) {
-        write(&self.counters).clear();
-        write(&self.gauges).clear();
-        write(&self.histograms).clear();
-    }
 }
 
 /// Serializable snapshot of a [`MetricsRegistry`].
@@ -264,9 +188,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSummary>,
-    /// Recent exemplars by histogram name (only histograms that have
-    /// any).
-    pub exemplars: BTreeMap<String, Vec<Exemplar>>,
 }
 
 /// Summary statistics of one histogram. `count`/`sum`/`mean`/`min`/`max`
@@ -345,8 +266,6 @@ mod tests {
         m.incr("a", 2);
         assert_eq!(m.counter("a"), 3);
         assert_eq!(m.counter("missing"), 0);
-        m.reset();
-        assert_eq!(m.counter("a"), 0);
     }
 
     #[test]
@@ -406,36 +325,6 @@ mod tests {
         assert_eq!(m.gauge("depth"), Some(7.0));
         let snap = m.snapshot();
         assert_eq!(snap.gauges["depth"], 7.0);
-        m.reset();
-        assert_eq!(m.gauge("depth"), None);
-    }
-
-    #[test]
-    fn exemplars_surface_in_snapshot() {
-        let m = MetricsRegistry::new();
-        m.observe_with_exemplar("lat", 12.5, "req-00000001");
-        let snap = m.snapshot();
-        let ex = &snap.exemplars["lat"];
-        assert_eq!(ex.len(), 1);
-        assert_eq!(ex[0].request_id, "req-00000001");
-        assert_eq!(ex[0].value, 12.5);
-        // Histograms without exemplars don't appear in the exemplar map.
-        m.observe("plain", 1.0);
-        assert!(!m.snapshot().exemplars.contains_key("plain"));
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let m = MetricsRegistry::disabled();
-        assert!(!m.is_enabled());
-        m.incr("c", 5);
-        m.observe("h", 1.0);
-        m.set_gauge("g", 2.0);
-        m.observe_with_exemplar("h", 1.0, "req");
-        let snap = m.snapshot();
-        assert!(snap.counters.is_empty());
-        assert!(snap.histograms.is_empty());
-        assert!(snap.gauges.is_empty());
     }
 
     #[test]

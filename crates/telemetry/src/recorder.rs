@@ -13,10 +13,10 @@
 //!   replayable) into a second ring, as baseline context.
 //!
 //! Both rings are bounded, so memory is fixed no matter the traffic.
-//! On an SLO breach the serving layer calls [`FlightRecorder::dump_jsonl`]
-//! and writes the result next to its metrics — each line a
-//! [`RecordedRequest`] whose `request_id` joins against metric exemplars
-//! and span attributes (`trace_report --recorder` renders these).
+//! An operator takes [`FlightRecorder::dump_jsonl`] when a postmortem
+//! is wanted — each line a [`RecordedRequest`] whose `request_id` joins
+//! against the ticket and the trace's span attributes
+//! (`trace_report --recorder` renders these).
 
 use crate::export::to_jsonl;
 use crate::hash::{fnv1a64_from, FNV_OFFSET, FNV_PRIME};
@@ -212,7 +212,7 @@ impl FlightRecorder {
     }
 
     /// Serialize the current contents as JSONL, one [`RecordedRequest`]
-    /// per line — the postmortem artifact dumped on SLO breach.
+    /// per line — the postmortem artifact `trace_report --recorder` reads.
     pub fn dump_jsonl(&self) -> String {
         to_jsonl(&self.contents())
     }

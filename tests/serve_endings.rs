@@ -6,14 +6,8 @@
 //! or in flight) — and a refused one is answered with one of three
 //! `Rejected` reasons. Each test below drives the public API into one
 //! ending and asserts the **whole row**: the outcome variant, the exact
-//! delta of every `serve.*` counter, the flight-recorder verdict, whether
-//! the SLO window counted the request (and as good or bad), and that the
-//! ticket's state, once decided, never moves.
-//!
-//! Every scenario runs twice, once per [`SloProbe`], because the SLO
-//! tracker is private to the runtime: the only public trace of what it
-//! was fed is the `serve.slo.fired` counter, and one configuration can
-//! tell "counted" from "not counted" *or* "bad" from "good", not both.
+//! delta of every `serve.*` counter, the flight-recorder verdict, and
+//! that the ticket's state, once decided, never moves.
 
 use genedit::bird::{DomainBundle, SPORTS};
 use genedit::core::KnowledgeIndex;
@@ -21,12 +15,9 @@ use genedit::llm::{
     CompletionRequest, CompletionResponse, LanguageModel, ModelError, OracleConfig, OracleModel,
     TaskRegistry,
 };
-use genedit::serve::{
-    ObsConfig, QueryOutcome, QueryRequest, Rejected, ServeConfig, ServeRuntime, Ticket,
-};
+use genedit::serve::{QueryOutcome, QueryRequest, Rejected, ServeConfig, ServeRuntime, Ticket};
 use genedit::sql::catalog::Database;
-use genedit::telemetry::slo::BurnRateRule;
-use genedit::telemetry::{RecorderConfig, RequestVerdict, SloConfig};
+use genedit::telemetry::{RecorderConfig, RequestVerdict};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -155,36 +146,14 @@ fn good_question() -> &'static str {
     &world().bundle.tasks[0].question
 }
 
-/// Which half of the SLO feed `serve.slo.fired` is made to reveal.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum SloProbe {
-    /// Every counted request is bad (latency bound below zero) and the
-    /// alert needs `primes + 1` samples: it fires iff the request under
-    /// test was counted at all, `primes` being the counted requests the
-    /// scenario runs first.
-    Counted { primes: u64 },
-    /// No latency bound, one sample suffices: the alert fires iff the
-    /// request under test was counted *with its error flag set*.
-    Burned,
-}
-
-/// How the SLO window saw a request.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Slo {
-    Uncounted,
-    Good,
-    Bad,
-}
-
 struct Fixture {
     runtime: ServeRuntime<ScriptedModel>,
     gate: Arc<Gate>,
-    probe: SloProbe,
     before: BTreeMap<String, u64>,
 }
 
 impl Fixture {
-    fn start(probe: SloProbe, queue_capacity: usize) -> Fixture {
+    fn start(queue_capacity: usize) -> Fixture {
         quiet_poison_panics();
         let w = world();
         let mut registry = TaskRegistry::new();
@@ -201,10 +170,6 @@ impl Fixture {
                 ..Default::default()
             },
         );
-        let (latency_threshold_ms, min_samples) = match probe {
-            SloProbe::Counted { primes } => (-1.0, primes + 1),
-            SloProbe::Burned => (f64::MAX, 1),
-        };
         let gate = Arc::new(Gate::default());
         let runtime = ServeRuntime::start(
             ScriptedModel {
@@ -217,32 +182,16 @@ impl Fixture {
             ServeConfig {
                 workers: 1,
                 queue_capacity,
-                observability: ObsConfig {
-                    // Any bad sample at all fires, once enough arrived.
-                    slo: Some(SloConfig {
-                        name: "serve.request".to_string(),
-                        objective: 0.5,
-                        latency_threshold_ms,
-                        min_samples,
-                        rules: vec![BurnRateRule {
-                            long: Duration::from_secs(600),
-                            short: Duration::from_secs(300),
-                            factor: 0.01,
-                        }],
-                    }),
-                    recorder: Some(RecorderConfig {
-                        keep_normal_one_in: 1,
-                        ..RecorderConfig::default()
-                    }),
-                    dump_path: None,
-                },
+                recorder: Some(RecorderConfig {
+                    keep_normal_one_in: 1,
+                    ..RecorderConfig::default()
+                }),
                 ..ServeConfig::default()
             },
         );
         let mut fixture = Fixture {
             runtime,
             gate,
-            probe,
             before: BTreeMap::new(),
         };
         fixture.mark();
@@ -277,8 +226,7 @@ impl Fixture {
         blocker
     }
 
-    /// Let a parked blocker go — as an explicit client cancel, an ending
-    /// the SLO window does not count. Its row
+    /// Let a parked blocker go, as an explicit client cancel. Its row
     /// (`cancelled_mid_generation`) is part of the expected deltas of
     /// every scenario that needed a blocker.
     fn release(&self, blocker: &Ticket) {
@@ -287,12 +235,10 @@ impl Fixture {
         assert_eq!(kind(&decided(blocker)), "Cancelled");
     }
 
-    /// Assert the exact delta of every `serve.*` counter since `mark`,
-    /// and — through `serve.slo.fired`, kept out of `expected` — how the
-    /// SLO window saw the request under test.
-    fn assert_row(&self, expected: &[(&str, u64)], slo: Slo) {
+    /// Assert the exact delta of every `serve.*` counter since `mark`.
+    fn assert_row(&self, expected: &[(&str, u64)]) {
         let after = self.serve_counters();
-        let mut delta: BTreeMap<String, u64> = after
+        let delta: BTreeMap<String, u64> = after
             .iter()
             .map(|(name, v)| {
                 (
@@ -302,22 +248,11 @@ impl Fixture {
             })
             .filter(|(_, d)| *d > 0)
             .collect();
-        let fired = delta.remove("serve.slo.fired").unwrap_or(0);
         let expected: BTreeMap<String, u64> = expected
             .iter()
             .map(|(name, n)| (name.to_string(), *n))
             .collect();
-        assert_eq!(delta, expected, "serve.* counter deltas ({:?})", self.probe);
-        let should_fire = match self.probe {
-            SloProbe::Counted { .. } => slo != Slo::Uncounted,
-            SloProbe::Burned => slo == Slo::Bad,
-        };
-        assert_eq!(
-            fired,
-            u64::from(should_fire),
-            "SLO window should have seen the request as {slo:?} ({:?})",
-            self.probe
-        );
+        assert_eq!(delta, expected, "serve.* counter deltas");
     }
 
     /// The verdict the flight recorder holds for a ticket, if any.
@@ -376,363 +311,296 @@ fn kind(outcome: &QueryOutcome) -> String {
 /// marked *after* the blocker parked.
 const RELEASED_BLOCKER: (&str, u64) = ("serve.cancelled", 1);
 
-fn both_probes(primes: u64, scenario: impl Fn(SloProbe)) {
-    scenario(SloProbe::Counted { primes });
-    scenario(SloProbe::Burned);
-}
-
 #[test]
 fn completed_validated() {
-    both_probes(0, |probe| {
-        let fx = Fixture::start(probe, 64);
-        let ticket = fx.submit(TENANT, good_question());
-        assert_eq!(kind(&decided(&ticket)), "Completed(validated)");
-        fx.assert_row(
-            &[
-                ("serve.admitted", 1),
-                ("serve.cache.miss", 1),
-                ("serve.reform.miss", 1),
-                ("serve.completed", 1),
-            ],
-            Slo::Good,
-        );
-        assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Ok));
-        fx.runtime.shutdown();
-    });
+    let fx = Fixture::start(64);
+    let ticket = fx.submit(TENANT, good_question());
+    assert_eq!(kind(&decided(&ticket)), "Completed(validated)");
+    fx.assert_row(&[
+        ("serve.admitted", 1),
+        ("serve.cache.miss", 1),
+        ("serve.reform.miss", 1),
+        ("serve.completed", 1),
+    ]);
+    assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Ok));
+    fx.runtime.shutdown();
 }
 
 #[test]
 fn completed_unvalidated() {
-    both_probes(0, |probe| {
-        let fx = Fixture::start(probe, 64);
-        let ticket = fx.submit(TENANT, &format!("{BROKEN} question"));
-        assert_eq!(kind(&decided(&ticket)), "Completed(unvalidated)");
-        fx.assert_row(
-            &[
-                ("serve.admitted", 1),
-                ("serve.cache.miss", 1),
-                ("serve.reform.miss", 1),
-                ("serve.completed", 1),
-            ],
-            Slo::Bad,
-        );
-        assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Error));
-        fx.runtime.shutdown();
-    });
+    let fx = Fixture::start(64);
+    let ticket = fx.submit(TENANT, &format!("{BROKEN} question"));
+    assert_eq!(kind(&decided(&ticket)), "Completed(unvalidated)");
+    fx.assert_row(&[
+        ("serve.admitted", 1),
+        ("serve.cache.miss", 1),
+        ("serve.reform.miss", 1),
+        ("serve.completed", 1),
+    ]);
+    assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Error));
+    fx.runtime.shutdown();
 }
 
 #[test]
 fn completed_from_the_result_cache() {
-    both_probes(1, |probe| {
-        let mut fx = Fixture::start(probe, 64);
-        // Same tenant, same question, same epoch: the cache key.
-        let prime = fx.submit(TENANT, good_question());
-        assert_eq!(kind(&decided(&prime)), "Completed(validated)");
-        fx.mark();
-        let ticket = fx.submit(TENANT, good_question());
-        assert_eq!(kind(&decided(&ticket)), "Completed(validated, cached)");
-        fx.assert_row(
-            &[
-                ("serve.admitted", 1),
-                ("serve.cache.hit", 1),
-                ("serve.completed", 1),
-            ],
-            Slo::Good,
-        );
-        assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Ok));
-        fx.runtime.shutdown();
-    });
+    let mut fx = Fixture::start(64);
+    // Same tenant, same question, same epoch: the cache key.
+    let prime = fx.submit(TENANT, good_question());
+    assert_eq!(kind(&decided(&prime)), "Completed(validated)");
+    fx.mark();
+    let ticket = fx.submit(TENANT, good_question());
+    assert_eq!(kind(&decided(&ticket)), "Completed(validated, cached)");
+    fx.assert_row(&[
+        ("serve.admitted", 1),
+        ("serve.cache.hit", 1),
+        ("serve.completed", 1),
+    ]);
+    assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Ok));
+    fx.runtime.shutdown();
 }
 
 #[test]
 fn shed_for_a_later_deadline() {
-    both_probes(0, |probe| {
-        let mut fx = Fixture::start(probe, 1);
-        let blocker = fx.block_worker();
-        fx.mark();
-        let ticket = fx
-            .runtime
-            .submit(QueryRequest::new(TENANT, good_question()).with_deadline_in(BOUND))
-            .expect("admitted");
-        // No deadline is the latest deadline: the queued one is shed.
-        let usurper = fx.submit("usurper", good_question());
-        assert_eq!(kind(&decided(&ticket)), "Shed");
-        fx.assert_row(&[("serve.admitted", 2), ("serve.shed", 1)], Slo::Uncounted);
-        assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Cancelled));
-        usurper.cancel();
-        fx.release(&blocker);
-        assert_eq!(kind(&decided(&usurper)), "Cancelled");
-        fx.runtime.shutdown();
-    });
+    let mut fx = Fixture::start(1);
+    let blocker = fx.block_worker();
+    fx.mark();
+    let ticket = fx
+        .runtime
+        .submit(QueryRequest::new(TENANT, good_question()).with_deadline_in(BOUND))
+        .expect("admitted");
+    // No deadline is the latest deadline: the queued one is shed.
+    let usurper = fx.submit("usurper", good_question());
+    assert_eq!(kind(&decided(&ticket)), "Shed");
+    fx.assert_row(&[("serve.admitted", 2), ("serve.shed", 1)]);
+    assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Cancelled));
+    usurper.cancel();
+    fx.release(&blocker);
+    assert_eq!(kind(&decided(&usurper)), "Cancelled");
+    fx.runtime.shutdown();
 }
 
 #[test]
 fn expired_while_queued() {
-    both_probes(0, |probe| {
-        let mut fx = Fixture::start(probe, 64);
-        let blocker = fx.block_worker();
-        fx.mark();
-        let ticket = fx
-            .runtime
-            .submit(
-                QueryRequest::new(TENANT, good_question())
-                    .with_deadline_in(Duration::from_millis(20)),
-            )
-            .expect("admitted");
-        std::thread::sleep(Duration::from_millis(40));
-        fx.release(&blocker);
-        assert_eq!(kind(&decided(&ticket)), "Expired");
-        // Never executed: no cache lookup on the way out.
-        fx.assert_row(
-            &[
-                ("serve.admitted", 1),
-                ("serve.expired", 1),
-                RELEASED_BLOCKER,
-            ],
-            Slo::Bad,
-        );
-        assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Cancelled));
-        fx.runtime.shutdown();
-    });
+    let mut fx = Fixture::start(64);
+    let blocker = fx.block_worker();
+    fx.mark();
+    let ticket = fx
+        .runtime
+        .submit(
+            QueryRequest::new(TENANT, good_question()).with_deadline_in(Duration::from_millis(20)),
+        )
+        .expect("admitted");
+    std::thread::sleep(Duration::from_millis(40));
+    fx.release(&blocker);
+    assert_eq!(kind(&decided(&ticket)), "Expired");
+    // Never executed: no cache lookup on the way out.
+    fx.assert_row(&[
+        ("serve.admitted", 1),
+        ("serve.expired", 1),
+        RELEASED_BLOCKER,
+    ]);
+    assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Cancelled));
+    fx.runtime.shutdown();
 }
 
 #[test]
 fn cancelled_while_queued() {
-    both_probes(0, |probe| {
-        let mut fx = Fixture::start(probe, 64);
-        let blocker = fx.block_worker();
-        fx.mark();
-        let ticket = fx.submit(TENANT, good_question());
-        ticket.cancel();
-        fx.release(&blocker);
-        assert_eq!(kind(&decided(&ticket)), "Cancelled");
-        fx.assert_row(
-            &[
-                ("serve.admitted", 1),
-                ("serve.cancelled", 1 + RELEASED_BLOCKER.1),
-            ],
-            Slo::Uncounted,
-        );
-        assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Cancelled));
-        fx.runtime.shutdown();
-    });
+    let mut fx = Fixture::start(64);
+    let blocker = fx.block_worker();
+    fx.mark();
+    let ticket = fx.submit(TENANT, good_question());
+    ticket.cancel();
+    fx.release(&blocker);
+    assert_eq!(kind(&decided(&ticket)), "Cancelled");
+    fx.assert_row(&[
+        ("serve.admitted", 1),
+        ("serve.cancelled", 1 + RELEASED_BLOCKER.1),
+    ]);
+    assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Cancelled));
+    fx.runtime.shutdown();
 }
 
 #[test]
 fn cancelled_mid_generation() {
-    both_probes(0, |probe| {
-        let fx = Fixture::start(probe, 64);
-        let ticket = fx.submit(TENANT, &format!("{GATED} question"));
-        fx.gate.wait_parked();
-        ticket.cancel();
-        fx.gate.open();
-        assert_eq!(kind(&decided(&ticket)), "Cancelled");
-        fx.assert_row(
-            &[
-                ("serve.admitted", 1),
-                ("serve.cache.miss", 1),
-                ("serve.reform.miss", 1),
-                ("serve.cancelled", 1),
-            ],
-            Slo::Uncounted,
-        );
-        assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Cancelled));
-        fx.runtime.shutdown();
-    });
+    let fx = Fixture::start(64);
+    let ticket = fx.submit(TENANT, &format!("{GATED} question"));
+    fx.gate.wait_parked();
+    ticket.cancel();
+    fx.gate.open();
+    assert_eq!(kind(&decided(&ticket)), "Cancelled");
+    fx.assert_row(&[
+        ("serve.admitted", 1),
+        ("serve.cache.miss", 1),
+        ("serve.reform.miss", 1),
+        ("serve.cancelled", 1),
+    ]);
+    assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Cancelled));
+    fx.runtime.shutdown();
 }
 
 #[test]
 fn expired_mid_generation() {
-    both_probes(0, |probe| {
-        let fx = Fixture::start(probe, 64);
-        let ticket = fx
-            .runtime
-            .submit(
-                QueryRequest::new(TENANT, format!("{GATED} question"))
-                    .with_deadline_in(Duration::from_millis(20)),
-            )
-            .expect("admitted");
-        fx.gate.wait_parked();
-        std::thread::sleep(Duration::from_millis(40));
-        fx.gate.open();
-        assert_eq!(kind(&decided(&ticket)), "Expired");
-        fx.assert_row(
-            &[
-                ("serve.admitted", 1),
-                ("serve.cache.miss", 1),
-                ("serve.reform.miss", 1),
-                ("serve.expired", 1),
-            ],
-            Slo::Bad,
-        );
-        assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Cancelled));
-        fx.runtime.shutdown();
-    });
+    let fx = Fixture::start(64);
+    let ticket = fx
+        .runtime
+        .submit(
+            QueryRequest::new(TENANT, format!("{GATED} question"))
+                .with_deadline_in(Duration::from_millis(20)),
+        )
+        .expect("admitted");
+    fx.gate.wait_parked();
+    std::thread::sleep(Duration::from_millis(40));
+    fx.gate.open();
+    assert_eq!(kind(&decided(&ticket)), "Expired");
+    fx.assert_row(&[
+        ("serve.admitted", 1),
+        ("serve.cache.miss", 1),
+        ("serve.reform.miss", 1),
+        ("serve.expired", 1),
+    ]);
+    assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Cancelled));
+    fx.runtime.shutdown();
 }
 
 #[test]
 fn panicked() {
-    both_probes(0, |probe| {
-        let fx = Fixture::start(probe, 64);
-        let ticket = fx.submit(TENANT, &format!("{POISON} question"));
-        assert_eq!(
-            kind(&decided(&ticket)),
-            format!("Failed({POISON}-pill request)")
-        );
-        fx.assert_row(
-            &[
-                ("serve.admitted", 1),
-                ("serve.cache.miss", 1),
-                ("serve.reform.miss", 1),
-                ("serve.panic", 1),
-            ],
-            Slo::Bad,
-        );
-        assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Panicked));
-        fx.runtime.shutdown();
-    });
+    let fx = Fixture::start(64);
+    let ticket = fx.submit(TENANT, &format!("{POISON} question"));
+    assert_eq!(
+        kind(&decided(&ticket)),
+        format!("Failed({POISON}-pill request)")
+    );
+    fx.assert_row(&[
+        ("serve.admitted", 1),
+        ("serve.cache.miss", 1),
+        ("serve.reform.miss", 1),
+        ("serve.panic", 1),
+    ]);
+    assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Panicked));
+    fx.runtime.shutdown();
 }
 
 /// Both drain rows at once: a bounded drain whose deadline passes with
 /// one request wedged inside the model and one queued behind it.
 #[test]
 fn force_drained_queued_and_in_flight() {
-    both_probes(0, |probe| {
-        let mut fx = Fixture::start(probe, 64);
-        let wedged = fx.submit(TENANT, &format!("{GATED} wedged"));
-        fx.gate.wait_parked();
-        let queued = fx.submit("queued", good_question());
-        fx.mark();
-        let report = fx.runtime.shutdown_with_deadline(Duration::from_millis(30));
-        assert!(!report.clean);
-        assert_eq!(
-            (
-                report.forced_queued,
-                report.cancelled_inflight,
-                report.forced_inflight,
-                report.detached_workers
-            ),
-            (1, 1, 1, 1)
-        );
-        assert_eq!(kind(&decided(&queued)), "Cancelled");
-        assert_eq!(kind(&decided(&wedged)), "Cancelled");
-        fx.assert_row(
-            &[
-                ("serve.drain.forced_queued", 1),
-                ("serve.drain.forced_inflight", 1),
-            ],
-            Slo::Uncounted,
-        );
-        assert_eq!(fx.verdict(&queued), Some(RequestVerdict::Cancelled));
-        // The wedged ticket was resolved over its worker's head: nothing
-        // is recorded until (unless) that worker comes back.
-        assert_eq!(fx.verdict(&wedged), None);
-        // It does come back here: the detached worker sees its fired
-        // token, accounts the request as cancelled, and finds the ticket
-        // already decided.
-        fx.gate.open();
-        let deadline = Instant::now() + BOUND;
-        while fx.verdict(&wedged).is_none() {
-            assert!(Instant::now() < deadline, "detached worker never returned");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(fx.verdict(&wedged), Some(RequestVerdict::Cancelled));
-        fx.assert_row(
-            &[
-                ("serve.drain.forced_queued", 1),
-                ("serve.drain.forced_inflight", 1),
-                ("serve.cancelled", 1),
-            ],
-            Slo::Uncounted,
-        );
-        assert_eq!(kind(&decided(&wedged)), "Cancelled");
-        assert_eq!(
-            fx.runtime
-                .submit(QueryRequest::new(TENANT, good_question()))
-                .err(),
-            Some(Rejected::ShuttingDown)
-        );
-    });
+    let mut fx = Fixture::start(64);
+    let wedged = fx.submit(TENANT, &format!("{GATED} wedged"));
+    fx.gate.wait_parked();
+    let queued = fx.submit("queued", good_question());
+    fx.mark();
+    let report = fx.runtime.shutdown_with_deadline(Duration::from_millis(30));
+    assert!(!report.clean);
+    assert_eq!(
+        (
+            report.forced_queued,
+            report.cancelled_inflight,
+            report.forced_inflight,
+            report.detached_workers
+        ),
+        (1, 1, 1, 1)
+    );
+    assert_eq!(kind(&decided(&queued)), "Cancelled");
+    assert_eq!(kind(&decided(&wedged)), "Cancelled");
+    fx.assert_row(&[
+        ("serve.drain.forced_queued", 1),
+        ("serve.drain.forced_inflight", 1),
+    ]);
+    assert_eq!(fx.verdict(&queued), Some(RequestVerdict::Cancelled));
+    // The wedged ticket was resolved over its worker's head: nothing
+    // is recorded until (unless) that worker comes back.
+    assert_eq!(fx.verdict(&wedged), None);
+    // It does come back here: the detached worker sees its fired
+    // token, accounts the request as cancelled, and finds the ticket
+    // already decided.
+    fx.gate.open();
+    let deadline = Instant::now() + BOUND;
+    while fx.verdict(&wedged).is_none() {
+        assert!(Instant::now() < deadline, "detached worker never returned");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(fx.verdict(&wedged), Some(RequestVerdict::Cancelled));
+    fx.assert_row(&[
+        ("serve.drain.forced_queued", 1),
+        ("serve.drain.forced_inflight", 1),
+        ("serve.cancelled", 1),
+    ]);
+    assert_eq!(kind(&decided(&wedged)), "Cancelled");
+    assert_eq!(
+        fx.runtime
+            .submit(QueryRequest::new(TENANT, good_question()))
+            .err(),
+        Some(Rejected::ShuttingDown)
+    );
 }
 
 /// An unbounded `shutdown` forces nothing: queued work still executes.
 #[test]
 fn shutdown_lets_queued_work_finish() {
-    both_probes(0, |probe| {
-        let mut fx = Fixture::start(probe, 64);
-        let blocker = fx.block_worker();
-        fx.mark();
-        let ticket = fx.submit(TENANT, good_question());
-        let opener = {
-            let gate = Arc::clone(&fx.gate);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                gate.open();
-            })
-        };
-        blocker.cancel();
-        fx.runtime.shutdown();
-        opener.join().unwrap();
-        assert_eq!(kind(&decided(&blocker)), "Cancelled");
-        assert_eq!(kind(&decided(&ticket)), "Completed(validated)");
-        fx.assert_row(
-            &[
-                ("serve.admitted", 1),
-                ("serve.cache.miss", 1),
-                ("serve.reform.miss", 1),
-                ("serve.completed", 1),
-                RELEASED_BLOCKER,
-            ],
-            Slo::Good,
-        );
-        assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Ok));
-    });
+    let mut fx = Fixture::start(64);
+    let blocker = fx.block_worker();
+    fx.mark();
+    let ticket = fx.submit(TENANT, good_question());
+    let opener = {
+        let gate = Arc::clone(&fx.gate);
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            gate.open();
+        })
+    };
+    blocker.cancel();
+    fx.runtime.shutdown();
+    opener.join().unwrap();
+    assert_eq!(kind(&decided(&blocker)), "Cancelled");
+    assert_eq!(kind(&decided(&ticket)), "Completed(validated)");
+    fx.assert_row(&[
+        ("serve.admitted", 1),
+        ("serve.cache.miss", 1),
+        ("serve.reform.miss", 1),
+        ("serve.completed", 1),
+        RELEASED_BLOCKER,
+    ]);
+    assert_eq!(fx.verdict(&ticket), Some(RequestVerdict::Ok));
 }
 
 #[test]
 fn rejected_shutting_down() {
-    both_probes(0, |probe| {
-        let fx = Fixture::start(probe, 64);
-        fx.runtime.shutdown();
-        let refused = fx
-            .runtime
-            .submit(QueryRequest::new(TENANT, good_question()));
-        assert_eq!(refused.err(), Some(Rejected::ShuttingDown));
-        fx.assert_row(&[("serve.rejected", 1)], Slo::Uncounted);
-        assert!(fx.runtime.flight_recorder().expect("recorder").is_empty());
-    });
+    let fx = Fixture::start(64);
+    fx.runtime.shutdown();
+    let refused = fx
+        .runtime
+        .submit(QueryRequest::new(TENANT, good_question()));
+    assert_eq!(refused.err(), Some(Rejected::ShuttingDown));
+    fx.assert_row(&[("serve.rejected", 1)]);
+    assert!(fx.runtime.flight_recorder().expect("recorder").is_empty());
 }
 
 #[test]
 fn rejected_deadline_expired() {
-    both_probes(0, |probe| {
-        let fx = Fixture::start(probe, 64);
-        let refused = fx
-            .runtime
-            .submit(QueryRequest::new(TENANT, good_question()).with_deadline(Instant::now()));
-        assert_eq!(refused.err(), Some(Rejected::DeadlineExpired));
-        fx.assert_row(&[("serve.rejected", 1)], Slo::Uncounted);
-        assert!(fx.runtime.flight_recorder().expect("recorder").is_empty());
-        fx.runtime.shutdown();
-    });
+    let fx = Fixture::start(64);
+    let refused = fx
+        .runtime
+        .submit(QueryRequest::new(TENANT, good_question()).with_deadline(Instant::now()));
+    assert_eq!(refused.err(), Some(Rejected::DeadlineExpired));
+    fx.assert_row(&[("serve.rejected", 1)]);
+    assert!(fx.runtime.flight_recorder().expect("recorder").is_empty());
+    fx.runtime.shutdown();
 }
 
 /// A full queue nothing can be shed from refuses the request.
 #[test]
 fn rejected_queue_full() {
-    both_probes(0, |probe| {
-        let mut fx = Fixture::start(probe, 1);
-        let blocker = fx.block_worker();
-        let filler = fx.submit("filler", good_question());
-        fx.mark();
-        let refused = fx
-            .runtime
-            .submit(QueryRequest::new(TENANT, good_question()));
-        assert_eq!(refused.err(), Some(Rejected::QueueFull));
-        fx.assert_row(&[("serve.rejected", 1)], Slo::Uncounted);
-        filler.cancel();
-        fx.release(&blocker);
-        assert_eq!(kind(&decided(&filler)), "Cancelled");
-        fx.runtime.shutdown();
-    });
+    let mut fx = Fixture::start(1);
+    let blocker = fx.block_worker();
+    let filler = fx.submit("filler", good_question());
+    fx.mark();
+    let refused = fx
+        .runtime
+        .submit(QueryRequest::new(TENANT, good_question()));
+    assert_eq!(refused.err(), Some(Rejected::QueueFull));
+    fx.assert_row(&[("serve.rejected", 1)]);
+    filler.cancel();
+    fx.release(&blocker);
+    assert_eq!(kind(&decided(&filler)), "Cancelled");
+    fx.runtime.shutdown();
 }

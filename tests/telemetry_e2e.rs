@@ -111,7 +111,7 @@ fn nesting_depth(json: &str) -> usize {
 /// nests well inside the JSON parser's bound and reads back.
 #[test]
 fn recorder_dump_nests_within_the_json_depth_bound() {
-    use genedit::serve::{ObsConfig, QueryRequest, ServeConfig, ServeRuntime};
+    use genedit::serve::{QueryRequest, ServeConfig, ServeRuntime};
     use genedit::telemetry::recorder::RecordedRequest;
     use genedit::telemetry::RecorderConfig;
 
@@ -125,13 +125,10 @@ fn recorder_dump_nests_within_the_json_depth_bound() {
         0,
         Arc::new(bundle.db.clone()),
         ServeConfig {
-            observability: ObsConfig {
-                recorder: Some(RecorderConfig {
-                    keep_normal_one_in: 1,
-                    ..RecorderConfig::default()
-                }),
-                ..ObsConfig::default()
-            },
+            recorder: Some(RecorderConfig {
+                keep_normal_one_in: 1,
+                ..RecorderConfig::default()
+            }),
             ..ServeConfig::default()
         },
     );
