@@ -17,7 +17,7 @@
 //!   linking, whole schema dumped (empty schema section = "everything
 //!   attached" to the oracle).
 
-use crate::config::{CandidateSelection, PipelineConfig};
+use crate::config::PipelineConfig;
 use crate::index::KnowledgeIndex;
 use crate::pipeline::{Draft, GenerateOptions, Run};
 use genedit_llm::{
@@ -217,7 +217,6 @@ pub fn run_baseline(
     let cfg = PipelineConfig {
         candidates: profile.candidates,
         max_retries: profile.max_retries,
-        candidate_selection: CandidateSelection::FirstValid,
         ..PipelineConfig::default()
     };
     let run = Run {

@@ -9,8 +9,10 @@ pub struct PipelineConfig {
     pub instruction_top_k: usize,
     /// Schema elements kept after linking + re-rank filtering (operator 5).
     pub schema_top_k: usize,
-    /// Candidate SQL queries sampled per generation call (§3: "one or
-    /// more candidate SQL queries … GenEdit picks the 'best' one").
+    /// Candidate SQL queries sampled per generation round at most (§3:
+    /// "one or more candidate SQL queries … GenEdit picks the 'best'
+    /// one"): they are sampled in seed order and the first that parses
+    /// and executes is taken.
     pub candidates: usize,
     /// Maximum regenerations on syntactic/semantic errors (§3: "might
     /// regenerate the query up to k times").
@@ -33,21 +35,6 @@ pub struct PipelineConfig {
     /// knowledge set instead (the evidence's content entered the set
     /// during pre-processing), so this is off by default.
     pub include_evidence: bool,
-    /// How the "best" candidate is picked when `candidates > 1` (§3:
-    /// "If more than one candidate query is generated, GenEdit picks the
-    /// 'best' one").
-    pub candidate_selection: CandidateSelection,
-}
-
-/// Candidate-picking strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CandidateSelection {
-    /// Accept the first candidate that parses and executes.
-    FirstValid,
-    /// Execute every candidate and pick the SQL whose result the largest
-    /// number of candidates agree on (self-consistency voting); ties break
-    /// toward the earliest candidate.
-    MajorityResult,
 }
 
 impl Default for PipelineConfig {
@@ -66,7 +53,6 @@ impl Default for PipelineConfig {
             use_plan: true,
             use_pseudo_sql: true,
             include_evidence: false,
-            candidate_selection: CandidateSelection::FirstValid,
         }
     }
 }

@@ -48,7 +48,7 @@ pub use baselines::{
     paper_baselines, run_baseline, BaselineResult, ExampleStyle, MethodProfile, SchemaStyle,
 };
 pub use cancel::CancelToken;
-pub use config::{Ablation, CandidateSelection, PipelineConfig};
+pub use config::{Ablation, PipelineConfig};
 pub use feedback::{
     expand_feedback, generate_edits, generate_edits_traced, generate_targets, plan_edits,
     FeedbackSession, FeedbackTarget, RecommendedEdit, TargetKind,
@@ -57,6 +57,6 @@ pub use harness::Harness;
 pub use index::KnowledgeIndex;
 pub use pipeline::{GenEditPipeline, GenerateOptions, GenerationResult};
 pub use regression::{
-    run_regression, submit_edits, submit_edits_durable, submit_edits_durable_from, GoldenQuery,
-    RegressionOutcome, SubmissionResult, SubmitError,
+    run_regression, submit_edits, submit_edits_durable, GoldenQuery, RegressionOutcome,
+    SubmissionResult, SubmitError,
 };

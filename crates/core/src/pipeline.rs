@@ -13,7 +13,7 @@
 //!    with up to `k` self-correction retries on syntactic/semantic errors).
 
 use crate::cancel::CancelToken;
-use crate::config::{CandidateSelection, PipelineConfig};
+use crate::config::PipelineConfig;
 use crate::index::KnowledgeIndex;
 use genedit_knowledge::{ExampleId, FragmentKind, InstructionId, RetrievalStage};
 use genedit_llm::{
@@ -24,7 +24,6 @@ use genedit_retrieval::{expand, Embedding, SparseEmbedding};
 use genedit_sql::catalog::Database;
 use genedit_sql::exec::execute_sql_timed;
 use genedit_sql::result::ResultSet;
-use genedit_sql::KeyElem;
 use genedit_telemetry::{names, MetricsRegistry, SpanGuard, Trace, Tracer};
 use std::sync::Arc;
 
@@ -362,28 +361,11 @@ const SQL_CANDIDATE: Degraded = Degraded {
     failed: "SQL generation candidate failed ({err})",
 };
 
-/// A sampled candidate that produced SQL, and what executing it gave: the
-/// result fingerprint the vote groups by, or the error self-correction sees.
-struct Candidate {
-    seed: u64,
+/// A sampled candidate whose SQL did not validate, and the error
+/// self-correction sees.
+struct Failed {
     sql: String,
-    outcome: Result<Vec<Vec<KeyElem>>, String>,
-}
-
-/// The one vote: the position of the item whose key the most items
-/// share, and how many do; ties break toward the earliest. `None` only
-/// when there is nothing to vote on.
-fn plurality<T, K: PartialEq>(items: &[T], key: impl Fn(&T) -> &K) -> Option<(usize, usize)> {
-    items
-        .iter()
-        .map(|item| items.iter().filter(|o| key(o) == key(item)).count())
-        .enumerate()
-        .max_by_key(|&(i, votes)| (votes, std::cmp::Reverse(i)))
-}
-
-/// The candidates whose SQL executed, in seed order.
-fn valid(candidates: &[Candidate]) -> Vec<&Candidate> {
-    candidates.iter().filter(|c| c.outcome.is_ok()).collect()
+    error: String,
 }
 
 fn items(response: &CompletionResponse) -> Option<Vec<String>> {
@@ -456,17 +438,6 @@ impl<'a> Run<'a> {
         };
         span.attr("degraded", true);
         Err(lost)
-    }
-
-    /// The one candidate source: the completions of `requests`, in
-    /// request order. It is lazy — a request is built and sent when its
-    /// completion is pulled, so `FirstValid` pays for no candidate past
-    /// its first valid one.
-    fn completions<'r>(
-        &'r self,
-        requests: impl Iterator<Item = CompletionRequest> + 'r,
-    ) -> impl Iterator<Item = Completion> + 'r {
-        requests.map(move |request| self.model.complete(&request))
     }
 
     /// Operator 1: reformulation.
@@ -744,7 +715,7 @@ impl<'a> Run<'a> {
                     if let Some(last) = failed.last() {
                         draft.sql = Some(last.sql.clone());
                     }
-                    let errors = failed.into_iter().filter_map(|c| c.outcome.err());
+                    let errors = failed.into_iter().map(|f| f.error);
                     draft.prompt.errors.extend(errors);
                 }
             }
@@ -752,115 +723,34 @@ impl<'a> Run<'a> {
         false
     }
 
-    /// One generation round: sample `width` candidates in seed order and
-    /// validate each by execution. `FirstValid` returns its first valid
-    /// candidate; `MajorityResult` lets every candidate run, corrects the
-    /// minority and takes the vote. `Err` carries the round's candidates
-    /// when none of them validated.
+    /// One generation round: sample up to `width` candidates in seed
+    /// order, validate each by execution, and return the first valid one.
+    /// A candidate is requested only after the one before it failed, so
+    /// the round pays for no candidate past its first valid one. `Err`
+    /// carries the round's failed candidates when none of them validated.
     fn sql_round(
         &self,
         span: &SpanGuard<'_>,
         prompt: &Prompt,
         width: usize,
-    ) -> Result<String, Vec<Candidate>> {
-        let first_valid = self.cfg.candidate_selection == CandidateSelection::FirstValid;
-        let requests =
-            (0..width as u64).map(|seed| CompletionRequest::with_seed(prompt.clone(), seed));
+    ) -> Result<String, Vec<Failed>> {
         let sql = |r: &CompletionResponse| r.as_sql().map(str::to_string);
-        let mut candidates: Vec<Candidate> = Vec::new();
-        for (seed, completion) in (0u64..).zip(self.completions(requests)) {
+        let mut failed = Vec::new();
+        for seed in 0..width as u64 {
+            let request = CompletionRequest::with_seed(prompt.clone(), seed);
+            let completion = self.model.complete(&request);
             // A lost candidate does NOT join the errors: prompt error
             // history must reflect only SQL feedback, or the
             // self-correction semantics would shift.
             let Ok(sql) = self.or_degrade(span, completion, sql, &SQL_CANDIDATE) else {
                 continue;
             };
-            let outcome = self.validate(&sql, seed);
-            if first_valid && outcome.is_ok() {
-                return Ok(sql);
-            }
-            // A vote key only where there is a vote.
-            let outcome = outcome.map(|rs| rs.fingerprint());
-            candidates.push(Candidate { seed, sql, outcome });
-        }
-        self.correct_minority(span, prompt, &mut candidates);
-        // Self-consistency: the result the most candidates agree on wins
-        // (grouped by execution signature); ties break toward the
-        // earliest candidate.
-        let valid = valid(&candidates);
-        let Some((winner, votes)) = plurality(&valid, |c| &c.outcome) else {
-            return Err(candidates);
-        };
-        let winner = valid[winner].sql.clone();
-        let mut groups: Vec<_> = valid.iter().map(|c| &c.outcome).collect();
-        groups.sort();
-        groups.dedup();
-        span.attr("valid", valid.len())
-            .attr("vote_total", valid.len())
-            .attr("vote_groups", groups.len())
-            .attr("vote_votes", votes);
-        Ok(winner)
-    }
-
-    /// Minority self-correction (SelECT-SQL-style): once a majority
-    /// execution signature exists, every candidate that landed outside it
-    /// — invalid SQL, or valid SQL whose result disagrees — gets ONE
-    /// corrective completion carrying its evidence (the execution error,
-    /// or the disagreement), and the caller re-takes the vote over the
-    /// repaired field. Candidates whose correction does not validate keep
-    /// their original outcome, so the round can only grow the valid set.
-    /// One round, bounded: at most one extra model call per minority
-    /// candidate per attempt.
-    fn correct_minority(
-        &self,
-        span: &SpanGuard<'_>,
-        prompt: &Prompt,
-        candidates: &mut [Candidate],
-    ) {
-        let valid = valid(candidates);
-        let Some((majority, votes)) = plurality(&valid, |c| &c.outcome) else {
-            return;
-        };
-        let majority = valid[majority].outcome.clone();
-        let total = candidates.len();
-        let minority: Vec<(usize, CompletionRequest)> = candidates
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, c)| {
-                let evidence = match &c.outcome {
-                    Err(e) => e.clone(),
-                    agreed if *agreed == majority => return None,
-                    Ok(_) => {
-                        format!("execution result disagreed with {votes} of {total} candidates")
-                    }
-                };
-                let mut p = prompt.clone();
-                p.errors.push(evidence);
-                Some((slot, CompletionRequest::with_seed(p, c.seed)))
-            })
-            .collect();
-        if minority.is_empty() {
-            return;
-        }
-        span.attr("corrected", minority.len());
-        let (slots, requests): (Vec<usize>, Vec<CompletionRequest>) = minority.into_iter().unzip();
-        // Every correction is collected before any is validated, and they
-        // are applied in seed order, so the re-vote's tie-break stays
-        // deterministic.
-        let corrections: Vec<Completion> = self.completions(requests.into_iter()).collect();
-        let mut recovered = 0usize;
-        for (slot, correction) in slots.into_iter().zip(corrections) {
-            let Some(sql) = correction.ok().and_then(|r| r.as_sql().map(str::to_string)) else {
-                continue;
-            };
-            let seed = candidates[slot].seed;
-            let outcome = self.validate(&sql, seed).map(|rs| rs.fingerprint());
-            if outcome.is_ok() && (candidates[slot].outcome.is_err() || outcome == majority) {
-                candidates[slot] = Candidate { seed, sql, outcome };
-                recovered += 1;
+            match self.validate(&sql, seed) {
+                Ok(_) => return Ok(sql),
+                Err(error) => failed.push(Failed { sql, error }),
             }
         }
-        span.attr("corrected_recovered", recovered);
+        Err(failed)
     }
 
     /// Syntactic + semantic validation: parse, then execute against the
@@ -893,6 +783,7 @@ mod tests {
     use super::*;
     use genedit_bird::{DomainBundle, SPORTS};
     use genedit_llm::{OracleConfig, OracleModel, TaskRegistry};
+    use genedit_sql::KeyElem;
     use std::collections::HashMap;
 
     fn setup() -> (DomainBundle, KnowledgeIndex, OracleModel) {
@@ -1041,50 +932,17 @@ mod tests {
         assert!(plan.steps.iter().all(|s| s.pseudo_sql.is_none()));
     }
 
-    #[test]
-    fn majority_voting_returns_a_valid_candidate() {
-        let (bundle, index, oracle) = setup();
-        let cfg = PipelineConfig {
-            candidates: 3,
-            candidate_selection: CandidateSelection::MajorityResult,
-            ..Default::default()
-        };
-        let pipeline = GenEditPipeline::with_config(&oracle, cfg);
-        let task = &bundle.tasks[0];
-        let voted = pipeline.generate(&task.question, &index, &bundle.db, &[]);
-        assert!(voted.validated);
-        let (ok, note) =
-            genedit_bird::score_prediction(&bundle.db, &task.gold_sql, voted.sql.as_deref());
-        assert!(ok, "{note:?}");
-        // With an oracle that produces identical candidates, voting and
-        // first-valid agree.
-        let first = GenEditPipeline::new(&oracle).generate(&task.question, &index, &bundle.db, &[]);
-        assert_eq!(voted.sql, first.sql);
-    }
-
-    /// Seed-keyed SQL stub for pinning the execution-signature vote:
-    /// every seed except 2 returns the majority full-table scan; seed 2
-    /// returns `minority_sql` until the prompt carries correction
-    /// evidence (a non-empty error section), at which point it falls in
-    /// line. Counts SQL-generation calls so tests can assert the
-    /// correction round is exactly one extra call.
-    struct MinorityBySeed {
-        minority_sql: &'static str,
+    /// Seed-keyed SQL stub: seed 0 returns `invalid_sql`, every other
+    /// seed a valid scan of its own, so the SQL says which seed won.
+    /// Counts SQL-generation calls.
+    struct InvalidFirstSeed {
+        invalid_sql: &'static str,
         sql_calls: std::sync::atomic::AtomicUsize,
     }
 
-    impl MinorityBySeed {
-        fn new(minority_sql: &'static str) -> MinorityBySeed {
-            MinorityBySeed {
-                minority_sql,
-                sql_calls: std::sync::atomic::AtomicUsize::new(0),
-            }
-        }
-    }
-
-    impl LanguageModel for MinorityBySeed {
+    impl LanguageModel for InvalidFirstSeed {
         fn name(&self) -> &str {
-            "minority-by-seed"
+            "invalid-first-seed"
         }
 
         fn complete(
@@ -1095,12 +953,10 @@ mod tests {
                 TaskKind::SqlGeneration => {
                     self.sql_calls
                         .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    let sql = if request.seed == 2 && request.prompt.errors.is_empty() {
-                        self.minority_sql
-                    } else {
-                        "SELECT * FROM SPORTS_ORGS"
-                    };
-                    CompletionResponse::Sql(sql.to_string())
+                    CompletionResponse::Sql(match request.seed {
+                        0 => self.invalid_sql.to_string(),
+                        seed => format!("SELECT * FROM SPORTS_ORGS LIMIT {seed}"),
+                    })
                 }
                 TaskKind::Reformulate => CompletionResponse::Text(request.prompt.question.clone()),
                 _ => CompletionResponse::Items(Vec::new()),
@@ -1108,59 +964,32 @@ mod tests {
         }
     }
 
-    fn vote_cfg() -> PipelineConfig {
-        PipelineConfig {
+    /// A round returns its first valid candidate: seed 0 fails, seed 1
+    /// validates and wins, seed 2 is never requested, and seed 0's error
+    /// does not reach the result because the round validated.
+    #[test]
+    fn a_round_takes_its_first_valid_candidate() {
+        let (bundle, index, _) = setup();
+        let model = InvalidFirstSeed {
+            invalid_sql: "SELECT * FROM MISSING_TABLE",
+            sql_calls: std::sync::atomic::AtomicUsize::new(0),
+        };
+        let cfg = PipelineConfig {
             candidates: 3,
-            candidate_selection: CandidateSelection::MajorityResult,
             use_plan: false,
             max_retries: 0,
             ..Default::default()
-        }
-    }
-
-    /// Tentpole: a valid-but-disagreeing candidate loses the
-    /// execution-signature vote, gets one self-correction round carrying
-    /// the mismatch evidence, and the majority result is returned.
-    #[test]
-    fn minority_with_divergent_result_is_corrected_and_majority_wins() {
-        let (bundle, index, _) = setup();
-        let model = MinorityBySeed::new("SELECT ORG_NAME FROM SPORTS_ORGS");
-        let pipeline = GenEditPipeline::with_config(&model, vote_cfg());
+        };
+        let pipeline = GenEditPipeline::with_config(&model, cfg);
         let result = pipeline.generate("question", &index, &bundle.db, &[]);
         assert!(result.validated);
         assert_eq!(result.attempts, 1);
-        assert_eq!(result.sql.as_deref(), Some("SELECT * FROM SPORTS_ORGS"));
-        // Exactly one corrective completion on top of the 3 candidates.
-        assert_eq!(model.sql_calls.load(std::sync::atomic::Ordering::SeqCst), 4);
-    }
-
-    /// Tentpole: an invalid candidate gets one self-correction round
-    /// carrying its execution error, recovers, and joins the majority.
-    #[test]
-    fn minority_with_invalid_sql_is_corrected_with_its_error() {
-        let (bundle, index, _) = setup();
-        let model = MinorityBySeed::new("SELECT * FROM MISSING_TABLE");
-        let pipeline = GenEditPipeline::with_config(&model, vote_cfg());
-        let result = pipeline.generate("question", &index, &bundle.db, &[]);
-        assert!(result.validated);
-        assert_eq!(result.sql.as_deref(), Some("SELECT * FROM SPORTS_ORGS"));
-        assert_eq!(model.sql_calls.load(std::sync::atomic::Ordering::SeqCst), 4);
-    }
-
-    /// The correction round is a no-op when every candidate already
-    /// agrees.
-    #[test]
-    fn agreeing_candidates_skip_the_correction_round() {
-        let (bundle, index, _) = setup();
-        // A fully-agreeing model spends exactly its 3 candidates, no more.
-        let agreeing = MinorityBySeed::new("SELECT * FROM SPORTS_ORGS");
-        let pipeline = GenEditPipeline::with_config(&agreeing, vote_cfg());
-        let result = pipeline.generate("question", &index, &bundle.db, &[]);
-        assert!(result.validated);
         assert_eq!(
-            agreeing.sql_calls.load(std::sync::atomic::Ordering::SeqCst),
-            3
+            result.sql.as_deref(),
+            Some("SELECT * FROM SPORTS_ORGS LIMIT 1")
         );
+        assert_eq!(model.sql_calls.load(std::sync::atomic::Ordering::SeqCst), 2);
+        assert!(result.errors.is_empty(), "{:?}", result.errors);
     }
 
     /// The reference for `Run::validate`: parse, then execute.

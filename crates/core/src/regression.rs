@@ -222,33 +222,6 @@ pub fn submit_edits_durable<M: LanguageModel>(
     approve: impl FnOnce(&RegressionOutcome) -> bool,
     merge_label: &str,
 ) -> Result<SubmissionResult, SubmitError> {
-    submit_edits_durable_from(
-        pipeline,
-        db,
-        store,
-        staging,
-        golden,
-        approve,
-        merge_label,
-        None,
-    )
-}
-
-/// [`submit_edits_durable`] with provenance: `origin` is the serving
-/// request ID whose feedback produced this batch (threaded through to the
-/// `store.commit` span), so knowledge mutations stay joinable with serve
-/// traces and flight-recorder dumps.
-#[allow(clippy::too_many_arguments)]
-pub fn submit_edits_durable_from<M: LanguageModel>(
-    pipeline: &GenEditPipeline<M>,
-    db: &Database,
-    store: &mut DurableKnowledgeStore,
-    staging: StagingArea,
-    golden: &[GoldenQuery],
-    approve: impl FnOnce(&RegressionOutcome) -> bool,
-    merge_label: &str,
-    origin: Option<&str>,
-) -> Result<SubmissionResult, SubmitError> {
     let outcome = run_regression(pipeline, db, store.set(), &staging, golden)?;
     if !outcome.passed() {
         return Ok(SubmissionResult::RegressionFailed(outcome));
@@ -256,7 +229,7 @@ pub fn submit_edits_durable_from<M: LanguageModel>(
     if !approve(&outcome) {
         return Ok(SubmissionResult::ApprovalDeclined(outcome));
     }
-    let checkpoint = store.commit_from(staging, merge_label, origin)?;
+    let checkpoint = store.commit(staging, merge_label)?;
     Ok(SubmissionResult::Merged {
         checkpoint,
         outcome,

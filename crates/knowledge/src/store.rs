@@ -220,25 +220,8 @@ impl DurableKnowledgeStore {
     /// point replays either the whole merge or none of it. Returns the
     /// pre-merge checkpoint id, like `StagingArea::commit`.
     pub fn commit(&mut self, staging: StagingArea, label: &str) -> Result<u64, StoreError> {
-        self.commit_from(staging, label, None)
-    }
-
-    /// [`DurableKnowledgeStore::commit`] with provenance: `origin` names
-    /// the serving request (or harness run) whose feedback produced this
-    /// batch, and is recorded as a `request_id` attribute on the
-    /// `store.commit` span so knowledge mutations join against serve
-    /// traces and flight-recorder dumps.
-    pub fn commit_from(
-        &mut self,
-        staging: StagingArea,
-        label: &str,
-        origin: Option<&str>,
-    ) -> Result<u64, StoreError> {
         let tracer = Tracer::new("store");
         let span = tracer.span(genedit_telemetry::names::STORE_COMMIT);
-        if let Some(request_id) = origin {
-            span.attr("request_id", request_id);
-        }
         // Dry-run on a scratch copy — the same merge recovery will
         // replay — so a batch that refuses is never journaled.
         let batch = || staging.staged().iter().map(|s| s.edit.clone());

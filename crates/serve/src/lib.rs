@@ -7,9 +7,9 @@
 //! - **Admission control** — a bounded queue with explicit backpressure.
 //!   A saturated queue sheds the request with the *earliest* deadline in
 //!   favor of one with more runway, or answers [`Rejected::QueueFull`].
-//! - **Per-tenant fairness** — deficit round-robin across tenant
-//!   sub-queues, weighted by [`Priority`] cost, so one tenant flooding
-//!   the queue cannot starve the others.
+//! - **Per-tenant fairness** — round-robin across tenant sub-queues,
+//!   one request per tenant per turn, so one tenant flooding the queue
+//!   cannot starve the others.
 //! - **Worker pool** — N threads, each owning a pipeline clone over a
 //!   shared `Arc<KnowledgeIndex>` snapshot and `Arc<Database>`; the
 //!   model is shared behind `Arc` (the [`LanguageModel`] trait is
@@ -67,7 +67,7 @@ mod sched;
 pub mod tenants;
 
 pub use cache::{CacheKey, EpochCache};
-pub use request::{Priority, QueryOutcome, QueryRequest, Rejected, Ticket};
+pub use request::{QueryOutcome, QueryRequest, Rejected, Ticket};
 pub use runtime::{DrainReport, ServeConfig, ServeRuntime, DRAIN_GRACE};
 pub use tenants::TenantDirectory;
 

@@ -5,32 +5,6 @@ use genedit_core::{CancelToken, GenerationResult};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Scheduling priority. Deficit round-robin serves requests by *cost*:
-/// a tenant's deficit must cover a request's cost before it runs, so
-/// cheaper (higher-priority) requests drain faster under contention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Priority {
-    /// Interactive traffic — cost 1.
-    High,
-    /// Default traffic — cost 2.
-    #[default]
-    Normal,
-    /// Batch/backfill traffic — cost 4.
-    Low,
-}
-
-impl Priority {
-    /// DRR cost: how much tenant deficit one request of this priority
-    /// consumes.
-    pub fn cost(self) -> u32 {
-        match self {
-            Priority::High => 1,
-            Priority::Normal => 2,
-            Priority::Low => 4,
-        }
-    }
-}
-
 /// One question submitted to the serving runtime.
 #[derive(Debug, Clone)]
 pub struct QueryRequest {
@@ -44,19 +18,16 @@ pub struct QueryRequest {
     /// Absolute deadline. Expired requests are dropped (never executed)
     /// and under queue saturation the earliest deadline is shed first.
     pub deadline: Option<Instant>,
-    /// Scheduling priority (DRR cost class).
-    pub priority: Priority,
 }
 
 impl QueryRequest {
-    /// A normal-priority request with no deadline or evidence.
+    /// A request with no deadline or evidence.
     pub fn new(tenant: impl Into<String>, question: impl Into<String>) -> QueryRequest {
         QueryRequest {
             tenant: tenant.into(),
             question: question.into(),
             evidence: Vec::new(),
             deadline: None,
-            priority: Priority::Normal,
         }
     }
 
@@ -70,12 +41,6 @@ impl QueryRequest {
     /// rejected at submit with [`Rejected::DeadlineExpired`].
     pub fn with_deadline(mut self, deadline: Instant) -> QueryRequest {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Set the scheduling priority.
-    pub fn with_priority(mut self, priority: Priority) -> QueryRequest {
-        self.priority = priority;
         self
     }
 
@@ -245,12 +210,6 @@ impl Ticket {
 mod tests {
     use super::*;
     use std::thread;
-
-    #[test]
-    fn priority_costs_are_ordered() {
-        assert!(Priority::High.cost() < Priority::Normal.cost());
-        assert!(Priority::Normal.cost() < Priority::Low.cost());
-    }
 
     #[test]
     fn ticket_wait_sees_completion_from_another_thread() {

@@ -19,7 +19,7 @@
 use crate::cache::{CacheKey, EpochCache};
 use crate::lock;
 use crate::request::{QueryOutcome, QueryRequest, Rejected, Ticket, TicketCell};
-use crate::sched::{Admitted, DrrScheduler};
+use crate::sched::{Admitted, Scheduler};
 use crate::tenants::TenantDirectory;
 use genedit_core::{
     CancelToken, GenEditPipeline, GenerateOptions, GenerationResult, KnowledgeIndex, PipelineConfig,
@@ -119,7 +119,7 @@ struct InFlight {
 }
 
 struct Shared<M> {
-    sched: Mutex<DrrScheduler>,
+    sched: Mutex<Scheduler>,
     available: Condvar,
     /// The published view of deployed knowledge: an immutable index plus
     /// the epoch it was built at, swapped together by
@@ -144,7 +144,7 @@ struct Shared<M> {
 }
 
 impl<M> Shared<M> {
-    fn lock_sched(&self) -> MutexGuard<'_, DrrScheduler> {
+    fn lock_sched(&self) -> MutexGuard<'_, Scheduler> {
         lock(&self.sched)
     }
 
@@ -213,7 +213,7 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
         let metrics = Arc::new(MetricsRegistry::new());
         let recorder = config.recorder.clone().map(FlightRecorder::new);
         let shared = Arc::new(Shared {
-            sched: Mutex::new(DrrScheduler::new()),
+            sched: Mutex::new(Scheduler::new()),
             available: Condvar::new(),
             published: Mutex::new((epoch, index)),
             db,
@@ -345,7 +345,6 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
                 return self.reject(Rejected::QueueFull);
             }
         }
-        let cost = request.priority.cost();
         sched.push(Admitted {
             seq,
             request_id,
@@ -353,7 +352,6 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             cell,
             cancel,
             enqueued_at: Instant::now(),
-            cost,
         });
         let depth = sched.len();
         drop(sched);

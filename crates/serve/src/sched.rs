@@ -1,22 +1,17 @@
-//! Deficit-round-robin admission queue with oldest-deadline-first
+//! Round-robin admission queue over tenants with oldest-deadline-first
 //! load shedding.
 //!
-//! Each tenant owns a FIFO sub-queue; active tenants sit in a ring.
-//! Every ring visit credits the tenant `QUANTUM` deficit; the head
-//! request runs once the deficit covers its [`Priority`](crate::Priority)
-//! cost. A tenant that floods the queue therefore cannot starve others:
-//! per round, every active tenant drains roughly `QUANTUM / cost`
-//! requests regardless of how much is queued behind them.
+//! Each tenant owns a FIFO sub-queue; active tenants sit in a ring, and
+//! every ring visit serves the tenant's head request. A tenant that
+//! floods the queue therefore cannot starve others: per round, every
+//! active tenant drains one request regardless of how much is queued
+//! behind it.
 
 use crate::request::{QueryRequest, TicketCell};
 use genedit_core::CancelToken;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// DRR quantum: deficit credited per ring visit. With the priority costs
-/// (1/2/4), quantum 2 serves one Normal request per tenant per round.
-const QUANTUM: u32 = 2;
 
 /// A request that passed admission, queued with its completion handle.
 pub(crate) struct Admitted {
@@ -28,26 +23,19 @@ pub(crate) struct Admitted {
     pub cell: Arc<TicketCell>,
     pub cancel: CancelToken,
     pub enqueued_at: Instant,
-    pub cost: u32,
-}
-
-#[derive(Default)]
-struct TenantQueue {
-    queue: VecDeque<Admitted>,
-    deficit: u32,
 }
 
 /// The scheduler state, guarded by the runtime's queue mutex.
-pub(crate) struct DrrScheduler {
-    tenants: HashMap<String, TenantQueue>,
+pub(crate) struct Scheduler {
+    tenants: HashMap<String, VecDeque<Admitted>>,
     /// Round-robin ring over tenants with queued work.
     ring: VecDeque<String>,
     queued: usize,
 }
 
-impl DrrScheduler {
-    pub fn new() -> DrrScheduler {
-        DrrScheduler {
+impl Scheduler {
+    pub fn new() -> Scheduler {
+        Scheduler {
             tenants: HashMap::new(),
             ring: VecDeque::new(),
             queued: 0,
@@ -66,52 +54,32 @@ impl DrrScheduler {
     pub fn push(&mut self, admitted: Admitted) {
         let tenant = admitted.request.tenant.clone();
         let q = self.tenants.entry(tenant.clone()).or_default();
-        let was_empty = q.queue.is_empty();
-        q.queue.push_back(admitted);
+        let was_empty = q.is_empty();
+        q.push_back(admitted);
         self.queued += 1;
         if was_empty {
             self.ring.push_back(tenant);
         }
     }
 
-    /// Pop the next request under DRR. Returns `None` when empty.
+    /// Pop the next request: the head of the front tenant's queue, the
+    /// tenant going to the back of the ring while it still has work.
+    /// Returns `None` when empty.
     pub fn pop(&mut self) -> Option<Admitted> {
         if self.queued == 0 {
             return None;
         }
-        // Each visit adds `QUANTUM` to the tenant's deficit, so any head
-        // request becomes affordable within ceil(cost / QUANTUM) ring
-        // passes — the loop always terminates with a pop.
         loop {
             let tenant = self.ring.pop_front()?;
+            // A tenant emptied by `remove` may still sit in the ring.
             let Some(q) = self.tenants.get_mut(&tenant) else {
                 continue;
             };
-            if q.queue.is_empty() {
-                q.deficit = 0;
+            let Some(admitted) = q.pop_front() else {
                 continue;
-            }
-            q.deficit = q.deficit.saturating_add(QUANTUM);
-            let affordable = q
-                .queue
-                .front()
-                .map(|a| a.cost <= q.deficit)
-                .unwrap_or(false);
-            if !affordable {
-                self.ring.push_back(tenant);
-                continue;
-            }
-            let admitted = match q.queue.pop_front() {
-                Some(a) => a,
-                None => continue,
             };
-            q.deficit -= admitted.cost;
             self.queued -= 1;
-            if q.queue.is_empty() {
-                // An idle tenant keeps no credit: deficit accrues only
-                // while work is actually waiting.
-                q.deficit = 0;
-            } else {
+            if !q.is_empty() {
                 self.ring.push_back(tenant);
             }
             return Some(admitted);
@@ -125,7 +93,7 @@ impl DrrScheduler {
     pub fn earliest_deadline(&self) -> Option<(Instant, u64)> {
         self.tenants
             .values()
-            .flat_map(|q| q.queue.iter())
+            .flat_map(|q| q.iter())
             .filter_map(|a| a.request.deadline.map(|d| (d, a.seq)))
             .min()
     }
@@ -136,8 +104,7 @@ impl DrrScheduler {
     pub fn drain_all(&mut self) -> Vec<Admitted> {
         let mut drained = Vec::with_capacity(self.queued);
         for q in self.tenants.values_mut() {
-            drained.extend(q.queue.drain(..));
-            q.deficit = 0;
+            drained.extend(q.drain(..));
         }
         self.ring.clear();
         self.queued = 0;
@@ -148,8 +115,8 @@ impl DrrScheduler {
     /// Remove a queued request by sequence number.
     pub fn remove(&mut self, seq: u64) -> Option<Admitted> {
         for q in self.tenants.values_mut() {
-            if let Some(pos) = q.queue.iter().position(|a| a.seq == seq) {
-                let admitted = q.queue.remove(pos)?;
+            if let Some(pos) = q.iter().position(|a| a.seq == seq) {
+                let admitted = q.remove(pos)?;
                 self.queued -= 1;
                 return Some(admitted);
             }
@@ -161,20 +128,19 @@ impl DrrScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{Priority, Ticket};
+    use crate::request::Ticket;
     use std::time::Duration;
 
-    fn admitted(seq: u64, tenant: &str, priority: Priority) -> Admitted {
+    fn admitted(seq: u64, tenant: &str) -> Admitted {
         let cancel = CancelToken::new();
         let (_ticket, cell) = Ticket::new(cancel.clone(), format!("req-{seq:08x}"));
         Admitted {
             seq,
             request_id: format!("req-{seq:08x}"),
-            request: QueryRequest::new(tenant, format!("q{seq}")).with_priority(priority),
+            request: QueryRequest::new(tenant, format!("q{seq}")),
             cell,
             cancel,
             enqueued_at: Instant::now(),
-            cost: priority.cost(),
         }
     }
 
@@ -185,9 +151,9 @@ mod tests {
 
     #[test]
     fn single_tenant_is_fifo() {
-        let mut s = DrrScheduler::new();
+        let mut s = Scheduler::new();
         for seq in 0..5 {
-            s.push(admitted(seq, "acme", Priority::Normal));
+            s.push(admitted(seq, "acme"));
         }
         let order: Vec<u64> = std::iter::from_fn(|| s.pop()).map(|a| a.seq).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
@@ -196,15 +162,15 @@ mod tests {
 
     #[test]
     fn flooding_tenant_cannot_starve_others() {
-        let mut s = DrrScheduler::new();
+        let mut s = Scheduler::new();
         // Hot tenant floods 10 requests before cold's single one arrives.
         for seq in 0..10 {
-            s.push(admitted(seq, "hot", Priority::Normal));
+            s.push(admitted(seq, "hot"));
         }
-        s.push(admitted(100, "cold", Priority::Normal));
+        s.push(admitted(100, "cold"));
         let order: Vec<u64> = std::iter::from_fn(|| s.pop()).map(|a| a.seq).collect();
         let cold_pos = order.iter().position(|&s| s == 100).unwrap();
-        // DRR alternates tenants: cold runs second, not eleventh.
+        // Round-robin alternates tenants: cold runs second, not eleventh.
         assert!(
             cold_pos <= 1,
             "cold tenant served at position {cold_pos}, order {order:?}"
@@ -212,32 +178,11 @@ mod tests {
     }
 
     #[test]
-    fn high_priority_drains_faster_within_budget() {
-        let mut s = DrrScheduler::new();
-        // Tenant A queues Low (cost 4) work, tenant B High (cost 1).
-        for seq in 0..3 {
-            s.push(admitted(seq, "a", Priority::Low));
-        }
-        for seq in 10..13 {
-            s.push(admitted(seq, "b", Priority::High));
-        }
-        let order: Vec<u64> = std::iter::from_fn(|| s.pop()).map(|a| a.seq).collect();
-        // B's cheap requests all finish before A's expensive ones do:
-        // each of A's costs 4 (two ring passes at quantum 2).
-        let last_b = order.iter().rposition(|&s| s >= 10).unwrap();
-        let first_a_after = order[..last_b].iter().filter(|&&s| s < 10).count();
-        assert!(
-            first_a_after <= 2,
-            "expected at most 2 Low requests before the last High, order {order:?}"
-        );
-    }
-
-    #[test]
     fn earliest_deadline_and_remove() {
-        let mut s = DrrScheduler::new();
-        s.push(with_deadline(admitted(0, "a", Priority::Normal), 500));
-        s.push(with_deadline(admitted(1, "b", Priority::Normal), 100));
-        s.push(admitted(2, "c", Priority::Normal)); // no deadline: never shed
+        let mut s = Scheduler::new();
+        s.push(with_deadline(admitted(0, "a"), 500));
+        s.push(with_deadline(admitted(1, "b"), 100));
+        s.push(admitted(2, "c")); // no deadline: never shed
         let (_, victim) = s.earliest_deadline().unwrap();
         assert_eq!(victim, 1);
         let removed = s.remove(victim).unwrap();
@@ -248,13 +193,9 @@ mod tests {
 
     #[test]
     fn pop_drains_across_tenants() {
-        let mut s = DrrScheduler::new();
+        let mut s = Scheduler::new();
         for seq in 0..4 {
-            s.push(admitted(
-                seq,
-                if seq % 2 == 0 { "a" } else { "b" },
-                Priority::Normal,
-            ));
+            s.push(admitted(seq, if seq % 2 == 0 { "a" } else { "b" }));
         }
         let drained: Vec<u64> = std::iter::from_fn(|| s.pop()).map(|a| a.seq).collect();
         assert_eq!(drained.len(), 4);

@@ -12,7 +12,7 @@ use genedit_llm::{
     CompletionRequest, CompletionResponse, LanguageModel, ModelError, OracleConfig, OracleModel,
     TaskRegistry,
 };
-use genedit_serve::{Priority, QueryOutcome, QueryRequest, Rejected, ServeConfig, ServeRuntime};
+use genedit_serve::{QueryOutcome, QueryRequest, Rejected, ServeConfig, ServeRuntime};
 use genedit_telemetry::recorder::dump_from_jsonl;
 use genedit_telemetry::span::AttrValue;
 use genedit_telemetry::RecorderConfig;
@@ -543,10 +543,7 @@ fn concurrent_hammering_is_consistent_per_question() {
                     let qi = (worker + round) % questions.len();
                     let tenant = format!("tenant-{}", worker % 2);
                     let ticket = runtime
-                        .submit(
-                            QueryRequest::new(tenant, questions[qi])
-                                .with_priority(Priority::Normal),
-                        )
+                        .submit(QueryRequest::new(tenant, questions[qi]))
                         .unwrap();
                     let outcome = ticket.wait();
                     let (result, _, _) = completed(&outcome);

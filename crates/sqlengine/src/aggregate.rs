@@ -1,8 +1,6 @@
 //! Aggregate function accumulators, and the typed per-group loops the
 //! columnar engine runs instead of them where the input allows.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::array::{Array, Bitmap};
 use crate::error::{EngineError, EngineResult};
 use crate::key::{key_elem, KeyElem};

@@ -10,8 +10,6 @@
 //! code per row: copying a row copies four bytes, and work that depends
 //! only on the value can be done once per distinct value.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::value::{Date, Value, ValueRef};
 use std::collections::HashMap;
 use std::hash::Hash;

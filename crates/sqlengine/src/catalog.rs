@@ -11,8 +11,6 @@
 //! most frequent values per attribute" — see [`Table::top_values`] and
 //! [`ColumnProfile`].
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::array::{Array, ArrayBuilder};
 use crate::error::{EngineError, EngineResult};
 use crate::key::{key_elem, Key, KeyElem};

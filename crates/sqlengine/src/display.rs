@@ -6,8 +6,6 @@
 //! * [`pretty`] renders indented multi-line SQL for prompts and examples —
 //!   the form shown in the paper's Fig. 2 knowledge snippets.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::ast::*;
 use crate::value::DataType;
 use std::fmt::{self, Write as _};

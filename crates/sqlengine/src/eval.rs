@@ -1,7 +1,5 @@
 //! Expression evaluation over rows, groups, and window values.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::aggregate::Accumulator;
 use crate::ast::*;
 use crate::catalog::Database;

@@ -15,8 +15,6 @@
 //! CTEs and the main body, matching the CTE-normal-form queries GenEdit
 //! generates (§3.1.2).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::aggregate::{self, Accumulator};
 use crate::array::{Array, DataChunk};
 use crate::ast::*;

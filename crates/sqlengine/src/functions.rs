@@ -4,8 +4,6 @@
 //! most notably `TO_CHAR` with quarter patterns (Appendix A) and the
 //! NULL-guarding `NULLIF`/`COALESCE` the paper's example leans on.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::error::{EngineError, EngineResult};
 use crate::value::{Date, Value};
 

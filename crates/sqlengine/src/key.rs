@@ -16,8 +16,6 @@
 //! so no text value can alias two composites — as one containing a `|`
 //! did when keys were strings joined with `"|"`.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::value::{Date, Value, ValueRef};
 
 /// One typed component of a key, over its text `S`: borrowed

@@ -4,8 +4,6 @@
 //! case-insensitively but identifiers preserve their original spelling
 //! (the engine resolves names case-insensitively, see the binder).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::error::{EngineError, EngineResult};
 use std::fmt;
 

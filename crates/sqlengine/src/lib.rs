@@ -29,6 +29,8 @@
 //! assert_eq!(rs.rows[0][0].as_i64(), Some(14));
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod aggregate;
 pub mod analysis;
 pub mod array;

@@ -8,8 +8,6 @@
 //! model, so the parser bounds the height of what it builds (`MAX_DEPTH`
 //! below): deeper SQL is a parse error.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::ast::*;
 use crate::error::{EngineError, EngineResult};
 use crate::lexer::{tokenize, Token, TokenKind};

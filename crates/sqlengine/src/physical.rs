@@ -18,8 +18,6 @@
 //! Scans carry only the columns whose names the SELECT can resolve
 //! ([`NamedColumns`]), so joins and takes copy nothing it never reads.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::array::{columns_from_rows, Array, DataChunk};
 use crate::ast::{
     BinaryOp, Expr, JoinKind, Literal, Node, OrderItem, Select, SelectItem, TableRef,

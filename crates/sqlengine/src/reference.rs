@@ -10,8 +10,6 @@
 //! operators. Grouping and DISTINCT use typed [`KeyElem`] tuples, so
 //! text values containing `|` cannot alias one another.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::ast::{Expr, JoinKind, OrderItem, Select, TableRef};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{eval_expr, ColMeta, EvalEnv, Relation, Scope, SelectShape};

@@ -20,8 +20,6 @@
 //! that reads a single dictionary-encoded column is evaluated once per
 //! dictionary entry instead of once per row (`eval_per_distinct`).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::array::{Array, ArrayBuilder, Bitmap, DataChunk};
 use crate::ast::{BinaryOp, Expr, FunctionCall, UnaryOp};
 use crate::error::EngineResult;

@@ -6,8 +6,6 @@
 //! partition keys ([`KeyElem`] tuples), so partition-by values containing
 //! literal `|` characters can never alias one another.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::aggregate::Accumulator;
 use crate::ast::{Expr, Literal};
 use crate::error::{EngineError, EngineResult};
