@@ -308,8 +308,8 @@ mod tests {
         // The shared registry saw both runs.
         let snapshot = harness.metrics().snapshot();
         assert_eq!(
-            snapshot.counters["span.pipeline.generate.count"],
-            2 * w.task_count() as u64
+            snapshot.histograms["span.pipeline.generate.ms"].count,
+            2 * w.task_count()
         );
     }
 

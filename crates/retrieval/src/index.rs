@@ -242,15 +242,15 @@ pub struct RerankStats {
 }
 
 impl RerankStats {
-    /// Record this re-rank into a metrics registry under
-    /// `retrieval.<stage>.scored` / `.kept` counters and a
-    /// `retrieval.<stage>.kept_ratio` histogram.
-    pub fn record(&self, metrics: &genedit_telemetry::MetricsRegistry, stage: &str) {
-        metrics.incr(&format!("retrieval.{stage}.scored"), self.scored as u64);
-        metrics.incr(&format!("retrieval.{stage}.kept"), self.kept as u64);
+    /// Record operator 5's schema re-rank into a metrics registry under
+    /// `retrieval.schema_linking.scored` / `.kept` counters and a
+    /// `retrieval.schema_linking.kept_ratio` histogram.
+    pub fn record(&self, metrics: &genedit_telemetry::MetricsRegistry) {
+        metrics.incr("retrieval.schema_linking.scored", self.scored as u64);
+        metrics.incr("retrieval.schema_linking.kept", self.kept as u64);
         if self.scored > 0 {
             metrics.observe(
-                &format!("retrieval.{stage}.kept_ratio"),
+                "retrieval.schema_linking.kept_ratio",
                 self.kept as f64 / self.scored as f64,
             );
         }
@@ -374,12 +374,12 @@ mod tests {
         let (_, stats) = rerank_top_k_with_stats(vec![("a", 0.1), ("b", 0.9), ("c", 0.5)], 2);
         assert_eq!(stats, RerankStats { scored: 3, kept: 2 });
         let metrics = genedit_telemetry::MetricsRegistry::new();
-        stats.record(&metrics, "examples");
-        stats.record(&metrics, "examples");
-        assert_eq!(metrics.counter("retrieval.examples.scored"), 6);
-        assert_eq!(metrics.counter("retrieval.examples.kept"), 4);
+        stats.record(&metrics);
+        stats.record(&metrics);
+        assert_eq!(metrics.counter("retrieval.schema_linking.scored"), 6);
+        assert_eq!(metrics.counter("retrieval.schema_linking.kept"), 4);
         let snap = metrics.snapshot();
-        let ratio = &snap.histograms["retrieval.examples.kept_ratio"];
+        let ratio = &snap.histograms["retrieval.schema_linking.kept_ratio"];
         assert_eq!(ratio.count, 2);
         assert!((ratio.mean - 2.0 / 3.0).abs() < 1e-9);
     }

@@ -5,25 +5,24 @@
 //! A committed edit batch bumps the epoch, so every entry written under
 //! the old epoch silently stops matching: no invalidation scan, no stale
 //! answers after a knowledge deploy. Stale entries age out of the LRU
-//! bound like any other cold entry.
+//! bound like any other cold entry. Keys hold the question text itself,
+//! not a hash of it, so two distinct questions can never share an entry.
 
 use crate::lock;
-use genedit_telemetry::hash::fnv1a64;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Mutex;
 
-/// Cache key: `(tenant, question-hash, knowledge epoch)`. Tenant scoping
+/// Cache key: `(tenant, question, knowledge epoch)`. Tenant scoping
 /// keeps one tenant's results invisible to another even for identical
 /// question text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Tenant the entry belongs to.
     pub tenant: String,
-    /// [`fnv1a64`] of the question text — stable across platforms and runs,
-    /// so cache keys (and the sweeps' reported hit rates) are reproducible.
-    pub qhash: u64,
+    /// The question text, exactly as asked.
+    pub question: String,
     /// Knowledge epoch the entry was computed under.
     pub epoch: u64,
 }
@@ -33,7 +32,7 @@ impl CacheKey {
     pub fn new(tenant: &str, question: &str, epoch: u64) -> CacheKey {
         CacheKey {
             tenant: tenant.to_string(),
-            qhash: fnv1a64(question.as_bytes()),
+            question: question.to_string(),
             epoch,
         }
     }
@@ -175,6 +174,27 @@ mod tests {
         let cache = EpochCache::new(8);
         cache.insert(key("acme", "q1", 0), 1);
         assert_eq!(cache.get(&key("globex", "q1", 0)), None);
+    }
+
+    #[test]
+    fn distinct_questions_never_share_a_key() {
+        // An FNV-1a 64 collision would once have merged these; any two
+        // distinct texts must stay distinct keys and distinct entries.
+        let questions = [
+            "revenue by quarter",
+            "Revenue by quarter",
+            "revenue by quarter ",
+        ];
+        let cache = EpochCache::new(8);
+        for (i, q) in questions.iter().enumerate() {
+            cache.insert(key("t", q, 0), i);
+        }
+        for (i, q) in questions.iter().enumerate() {
+            assert_eq!(cache.get(&key("t", q, 0)), Some(i), "{q:?}");
+            for other in &questions[i + 1..] {
+                assert_ne!(key("t", q, 0), key("t", other, 0));
+            }
+        }
     }
 
     #[test]

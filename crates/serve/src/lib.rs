@@ -19,7 +19,7 @@
 //!   operators and gives the slot back instead of finishing an answer
 //!   nobody is waiting for.
 //! - **Epoch-keyed caching** — full-result and reformulation caches
-//!   keyed by `(tenant, question-hash, knowledge epoch)`. A durable
+//!   keyed by `(tenant, question, knowledge epoch)`. A durable
 //!   knowledge commit bumps the epoch ([`ServeRuntime::publish`]), so
 //!   a knowledge deploy invalidates every cached answer *by
 //!   construction* — no scan, no stale SQL after an edit lands.

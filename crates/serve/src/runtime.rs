@@ -26,7 +26,6 @@ use genedit_core::{
 };
 use genedit_knowledge::tenants::TenantStoreError;
 use genedit_llm::LanguageModel;
-use genedit_retrieval::Embedding;
 use genedit_sql::catalog::Database;
 use genedit_telemetry::{
     names, FlightRecorder, MetricsRegistry, RecordedRequest, RecorderConfig, RequestVerdict, Trace,
@@ -58,7 +57,7 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Capacity of the full-result cache (0 disables).
     pub result_cache_capacity: usize,
-    /// Capacity of the reformulation/embedding cache (0 disables).
+    /// Capacity of the reformulation cache (0 disables).
     pub reform_cache_capacity: usize,
     /// Pipeline configuration used by every worker.
     pub pipeline: PipelineConfig,
@@ -137,7 +136,7 @@ struct Shared<M> {
     /// panicking request still deregisters.
     inflight: Mutex<HashMap<u64, InFlight>>,
     results: EpochCache<GenerationResult>,
-    reforms: EpochCache<(String, Embedding)>,
+    reforms: EpochCache<String>,
     shutdown: AtomicBool,
     seq: AtomicU64,
     service_seq: AtomicU64,
@@ -634,22 +633,17 @@ fn serve_one<M: LanguageModel + 'static, L: LanguageModel>(
 
     // Warm the reformulation operator from the epoch-keyed cache: a
     // repeat question under the same epoch skips the operator-1 model
-    // call and embeds nothing.
-    let warm = shared.reforms.get(&key);
-    let (reformulation, query_embedding) = match warm {
-        Some((text, emb)) => {
-            shared.metrics.incr("serve.reform.hit", 1);
-            (Some(text), Some(emb))
-        }
-        None => {
-            shared.metrics.incr("serve.reform.miss", 1);
-            (None, None)
-        }
+    // call.
+    let reformulation = shared.reforms.get(&key);
+    let counter = if reformulation.is_some() {
+        "serve.reform.hit"
+    } else {
+        "serve.reform.miss"
     };
+    shared.metrics.incr(counter, 1);
     let opts = GenerateOptions {
         cancel: Some(cancel),
         reformulation,
-        query_embedding,
         request_id: Some(request_id),
     };
     let result = pipeline.generate_with(
@@ -666,10 +660,9 @@ fn serve_one<M: LanguageModel + 'static, L: LanguageModel>(
     }
 
     if shared.reforms.capacity() > 0 && !result.reformulated.is_empty() {
-        let emb = index.embedder().embed(&result.reformulated);
         shared
             .reforms
-            .insert(key.clone(), (result.reformulated.clone(), emb));
+            .insert(key.clone(), result.reformulated.clone());
     }
     // Only validated generations are worth replaying: caching a failed
     // one would pin the failure for the whole epoch, answering every

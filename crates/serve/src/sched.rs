@@ -25,7 +25,9 @@ pub(crate) struct Admitted {
     pub enqueued_at: Instant,
 }
 
-/// The scheduler state, guarded by the runtime's queue mutex.
+/// The scheduler state, guarded by the runtime's queue mutex. Every
+/// method keeps one invariant: `tenants` holds no empty queue, and
+/// `ring` holds each tenant in `tenants` exactly once.
 pub(crate) struct Scheduler {
     tenants: HashMap<String, VecDeque<Admitted>>,
     /// Round-robin ring over tenants with queued work.
@@ -52,38 +54,29 @@ impl Scheduler {
     }
 
     pub fn push(&mut self, admitted: Admitted) {
-        let tenant = admitted.request.tenant.clone();
+        let tenant = &admitted.request.tenant;
+        if !self.tenants.contains_key(tenant) {
+            self.ring.push_back(tenant.clone());
+        }
         let q = self.tenants.entry(tenant.clone()).or_default();
-        let was_empty = q.is_empty();
         q.push_back(admitted);
         self.queued += 1;
-        if was_empty {
-            self.ring.push_back(tenant);
-        }
     }
 
     /// Pop the next request: the head of the front tenant's queue, the
     /// tenant going to the back of the ring while it still has work.
     /// Returns `None` when empty.
     pub fn pop(&mut self) -> Option<Admitted> {
-        if self.queued == 0 {
-            return None;
+        let tenant = self.ring.pop_front()?;
+        let q = self.tenants.get_mut(&tenant)?;
+        let admitted = q.pop_front()?;
+        self.queued -= 1;
+        if q.is_empty() {
+            self.tenants.remove(&tenant);
+        } else {
+            self.ring.push_back(tenant);
         }
-        loop {
-            let tenant = self.ring.pop_front()?;
-            // A tenant emptied by `remove` may still sit in the ring.
-            let Some(q) = self.tenants.get_mut(&tenant) else {
-                continue;
-            };
-            let Some(admitted) = q.pop_front() else {
-                continue;
-            };
-            self.queued -= 1;
-            if !q.is_empty() {
-                self.ring.push_back(tenant);
-            }
-            return Some(admitted);
-        }
+        Some(admitted)
     }
 
     /// The queued request with the **earliest** deadline, if any queued
@@ -103,8 +96,8 @@ impl Scheduler {
     /// force-resolve stragglers instead of executing them.
     pub fn drain_all(&mut self) -> Vec<Admitted> {
         let mut drained = Vec::with_capacity(self.queued);
-        for q in self.tenants.values_mut() {
-            drained.extend(q.drain(..));
+        for (_, q) in self.tenants.drain() {
+            drained.extend(q);
         }
         self.ring.clear();
         self.queued = 0;
@@ -114,14 +107,17 @@ impl Scheduler {
 
     /// Remove a queued request by sequence number.
     pub fn remove(&mut self, seq: u64) -> Option<Admitted> {
-        for q in self.tenants.values_mut() {
-            if let Some(pos) = q.iter().position(|a| a.seq == seq) {
-                let admitted = q.remove(pos)?;
-                self.queued -= 1;
-                return Some(admitted);
-            }
+        let admitted = self.tenants.values_mut().find_map(|q| {
+            let pos = q.iter().position(|a| a.seq == seq)?;
+            q.remove(pos)
+        })?;
+        self.queued -= 1;
+        let tenant = &admitted.request.tenant;
+        if self.tenants.get(tenant).is_some_and(VecDeque::is_empty) {
+            self.tenants.remove(tenant);
+            self.ring.retain(|t| t != tenant);
         }
-        None
+        Some(admitted)
     }
 }
 
@@ -189,6 +185,24 @@ mod tests {
         assert_eq!(removed.seq, 1);
         assert_eq!(s.len(), 2);
         assert!(s.remove(99).is_none());
+    }
+
+    #[test]
+    fn removing_a_tenants_last_request_takes_it_off_the_ring() {
+        let mut s = Scheduler::new();
+        s.push(admitted(0, "a"));
+        assert_eq!(s.remove(0).map(|a| a.seq), Some(0));
+        for seq in 1..=6 {
+            s.push(admitted(seq, "a"));
+        }
+        for seq in 10..=15 {
+            s.push(admitted(seq, "b"));
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| s.pop()).map(|a| a.seq).collect();
+        // One turn per tenant per round, not two for the tenant that
+        // `remove` emptied.
+        assert_eq!(order, vec![1, 10, 2, 11, 3, 12, 4, 13, 5, 14, 6, 15]);
+        assert!(s.tenants.is_empty() && s.ring.is_empty());
     }
 
     #[test]

@@ -70,28 +70,25 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Record into a metrics registry as `sql.<stage>.parse_ms` /
-    /// `.execute_ms` histograms, a `sql.<stage>.rows` histogram, and the
-    /// columnar counters (`.batches`, `.rows_scanned`,
-    /// `.join_build_ms` / `.join_probe_ms`).
-    pub fn record(&self, metrics: &genedit_telemetry::MetricsRegistry, stage: &str) {
-        metrics.observe_duration(&format!("sql.{stage}.parse_ms"), self.parse);
-        metrics.observe_duration(&format!("sql.{stage}.execute_ms"), self.execute);
-        metrics.observe(&format!("sql.{stage}.rows"), self.rows as f64);
+    /// Record one validation into a metrics registry as
+    /// `sql.validate.parse_ms` / `.execute_ms` histograms, a
+    /// `sql.validate.rows` histogram, and the columnar counters
+    /// (`.batches`, `.rows_scanned`, `.join_build_ms` / `.join_probe_ms`).
+    pub fn record(&self, metrics: &genedit_telemetry::MetricsRegistry) {
+        metrics.observe_duration("sql.validate.parse_ms", self.parse);
+        metrics.observe_duration("sql.validate.execute_ms", self.execute);
+        metrics.observe("sql.validate.rows", self.rows as f64);
+        metrics.observe("sql.validate.batches", self.counters.batches as f64);
         metrics.observe(
-            &format!("sql.{stage}.batches"),
-            self.counters.batches as f64,
-        );
-        metrics.observe(
-            &format!("sql.{stage}.rows_scanned"),
+            "sql.validate.rows_scanned",
             self.counters.rows_scanned as f64,
         );
         metrics.observe(
-            &format!("sql.{stage}.join_build_ms"),
+            "sql.validate.join_build_ms",
             self.counters.join_build_ns as f64 / 1e6,
         );
         metrics.observe(
-            &format!("sql.{stage}.join_probe_ms"),
+            "sql.validate.join_probe_ms",
             self.counters.join_probe_ns as f64 / 1e6,
         );
     }
@@ -1122,7 +1119,7 @@ mod tests {
         let db = test_db();
         let metrics = genedit_telemetry::MetricsRegistry::new();
         let (_, stats) = execute_sql_timed(&db, "SELECT * FROM ORGS");
-        stats.record(&metrics, "validate");
+        stats.record(&metrics);
         let snap = metrics.snapshot();
         assert_eq!(snap.histograms["sql.validate.parse_ms"].count, 1);
         assert_eq!(snap.histograms["sql.validate.execute_ms"].count, 1);

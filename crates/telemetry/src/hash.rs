@@ -4,8 +4,8 @@
 //! Unlike `DefaultHasher` these are fixed across platforms, runs and
 //! toolchains, and a lot hangs off their exact bits: the oracle's
 //! noise/drift draws, the `FaultInjector`/`FaultyFs` schedules,
-//! embedding buckets, cache keys, tenant shard choice and the flight
-//! recorder's sampling. The tests pin golden values; a change that moves
+//! embedding buckets, tenant shard choice and the flight recorder's
+//! sampling. The tests pin golden values; a change that moves
 //! one moves every seeded result in the repository.
 //!
 //! Everything is `#[inline]`: the callers sit on per-token and

@@ -1,5 +1,4 @@
-//! Bounded log-linear (HDR-style) histograms with sharded atomic
-//! counters.
+//! Bounded log-linear (HDR-style) histograms over atomic counters.
 //!
 //! The old registry kept every observation in a `Vec<f64>` behind one
 //! mutex: unbounded memory and a serialization point on the serve hot
@@ -12,15 +11,12 @@
 //!
 //! `observe` is lock-free: it indexes a bucket straight from the IEEE-754
 //! bit pattern of the value (exponent ‖ top mantissa bits form a monotone
-//! key) and bumps per-shard `AtomicU64`s. Shards are assigned round-robin
-//! per thread, so concurrent writers on different cores touch different
-//! cache lines. Snapshots fold the shards into a mergeable
-//! [`HistogramSnapshot`], from which summaries and percentiles are
-//! derived.
+//! key) and bumps that bucket's `AtomicU64`, plus sum/min/max by CAS.
+//! Snapshots read the buckets into a mergeable [`HistogramSnapshot`],
+//! from which summaries and percentiles are derived.
 
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Linear sub-buckets per power-of-two octave (2⁶ = 64).
 const SUB_BITS: u32 = 6;
@@ -100,34 +96,41 @@ fn representative(index: usize) -> f64 {
     }
 }
 
-/// Writer shards used by every histogram. Each shard is ~26 KiB of
-/// bucket counters; four shards keep concurrent `observe` calls from
-/// different threads off each other's cache lines without making the
-/// per-histogram footprint excessive.
-const SHARDS: usize = 4;
-
-struct Shard {
+/// A bounded, concurrent log-linear histogram. `observe` is lock-free;
+/// memory is fixed at construction (~26 KiB of bucket counters) no
+/// matter how many observations are recorded.
+pub struct LogLinearHistogram {
     counts: Box<[AtomicU64]>,
     sum_bits: AtomicU64,
     min_bits: AtomicU64,
     max_bits: AtomicU64,
 }
 
-impl Shard {
-    fn new() -> Shard {
-        let counts: Vec<AtomicU64> = (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect();
-        Shard {
-            counts: counts.into_boxed_slice(),
+impl Default for LogLinearHistogram {
+    fn default() -> Self {
+        LogLinearHistogram::new()
+    }
+}
+
+impl LogLinearHistogram {
+    /// A fresh, empty histogram.
+    pub fn new() -> LogLinearHistogram {
+        LogLinearHistogram {
+            counts: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             sum_bits: AtomicU64::new(0f64.to_bits()),
             min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
         }
     }
 
-    fn observe(&self, value: f64) {
+    /// Record one finite observation. Callers are expected to have
+    /// rejected NaN/±inf already (the registry does); a non-finite value
+    /// here is a debug assertion.
+    #[inline]
+    pub fn observe(&self, value: f64) {
         self.counts[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         // f64 accumulators via CAS on the bit pattern: lock-free, and the
-        // retry loop is contention-bounded by the shard fan-out.
+        // retry loop only spins while another writer lands in between.
         let mut cur = self.sum_bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + value).to_bits();
@@ -144,6 +147,30 @@ impl Shard {
         update_extreme(&self.min_bits, value, |new, old| new < old);
         update_extreme(&self.max_bits, value, |new, old| new > old);
     }
+
+    /// A point-in-time, mergeable snapshot.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let counts: Vec<(u32, u64)> = self
+            .counts
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .enumerate()
+            .filter(|(_, c)| *c > 0)
+            .map(|(i, c)| (i as u32, c))
+            .collect();
+        let count: u64 = counts.iter().map(|(_, c)| c).sum();
+        if count == 0 {
+            HistogramSnapshot::default()
+        } else {
+            HistogramSnapshot {
+                counts,
+                count,
+                sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
+                min: f64::from_bits(self.min_bits.load(Ordering::Relaxed)),
+                max: f64::from_bits(self.max_bits.load(Ordering::Relaxed)),
+            }
+        }
+    }
 }
 
 fn update_extreme(slot: &AtomicU64, value: f64, better: impl Fn(f64, f64) -> bool) {
@@ -157,91 +184,9 @@ fn update_extreme(slot: &AtomicU64, value: f64, better: impl Fn(f64, f64) -> boo
     }
 }
 
-/// Per-thread shard slot, assigned round-robin at first use so threads
-/// spread across shards regardless of how the runtime names or reuses
-/// them.
-fn shard_slot() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    SLOT.with(|slot| {
-        let mut s = slot.get();
-        if s == usize::MAX {
-            s = NEXT.fetch_add(1, Ordering::Relaxed);
-            slot.set(s);
-        }
-        s
-    })
-}
-
-/// A bounded, concurrent log-linear histogram. `observe` is lock-free;
-/// memory is fixed at construction (~`SHARDS` × 26 KiB) no matter how
-/// many observations are recorded.
-pub struct LogLinearHistogram {
-    shards: Box<[Shard]>,
-}
-
-impl Default for LogLinearHistogram {
-    fn default() -> Self {
-        LogLinearHistogram::new()
-    }
-}
-
-impl LogLinearHistogram {
-    /// A fresh, empty histogram.
-    pub fn new() -> LogLinearHistogram {
-        LogLinearHistogram {
-            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
-        }
-    }
-
-    /// Record one finite observation. Callers are expected to have
-    /// rejected NaN/±inf already (the registry does); a non-finite value
-    /// here is a debug assertion.
-    #[inline]
-    pub fn observe(&self, value: f64) {
-        self.shards[shard_slot() % self.shards.len()].observe(value);
-    }
-
-    /// Fold every shard into a point-in-time, mergeable snapshot.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut dense = vec![0u64; NUM_BUCKETS];
-        let mut sum = 0.0;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for shard in self.shards.iter() {
-            for (slot, count) in dense.iter_mut().zip(shard.counts.iter()) {
-                *slot += count.load(Ordering::Relaxed);
-            }
-            sum += f64::from_bits(shard.sum_bits.load(Ordering::Relaxed));
-            min = min.min(f64::from_bits(shard.min_bits.load(Ordering::Relaxed)));
-            max = max.max(f64::from_bits(shard.max_bits.load(Ordering::Relaxed)));
-        }
-        let counts: Vec<(u32, u64)> = dense
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| (i as u32, *c))
-            .collect();
-        let count: u64 = counts.iter().map(|(_, c)| c).sum();
-        if count == 0 {
-            HistogramSnapshot::default()
-        } else {
-            HistogramSnapshot {
-                counts,
-                count,
-                sum,
-                min,
-                max,
-            }
-        }
-    }
-}
-
 /// A point-in-time view of a [`LogLinearHistogram`]: sparse bucket
-/// counts plus exact count/sum/min/max. Snapshots merge, so per-shard or
-/// per-process histograms roll up into fleet-wide percentiles.
+/// counts plus exact count/sum/min/max. Snapshots merge, so per-process
+/// histograms roll up into fleet-wide percentiles.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Non-empty buckets as `(bucket index, count)`, index-ascending.

@@ -10,15 +10,17 @@
 //!   One [`Trace`] per generation, one [`Span`] per operator / LLM call /
 //!   self-correction attempt, with typed attributes and warning events.
 //! - [`MetricsRegistry`] — named counters and histograms (p50/p95/p99)
-//!   shareable via `Arc` across harness runs.
+//!   shareable via `Arc` across harness runs. A folded trace records
+//!   each span once, as a `span.<name>.ms` histogram whose count is the
+//!   span's call count.
 //! - [`export`] — JSON / JSONL exporters (and importers, so traces
 //!   round-trip) for both traces and metric snapshots.
 //! - [`aggregate`] — fold a batch of traces into per-span-name
 //!   call-count / latency / LLM-call breakdowns ([`OperatorStats`]).
 //! - [`hash`] — the workspace's one stable hash (FNV-1a 64 and the
 //!   seeded `hash_u64`/`hash01` draws built on it).
-//! - [`hist`] — bounded log-linear (HDR-style) histograms with sharded
-//!   atomic counters; lock-free `observe`, mergeable snapshots,
+//! - [`hist`] — bounded log-linear (HDR-style) histograms over atomic
+//!   bucket counters; lock-free `observe`, mergeable snapshots,
 //!   percentiles within ≤ 1% relative error of exact nearest-rank.
 //! - [`clock`] — the injectable `Clock`/`SimulatedClock` time source
 //!   the model decorators time their calls on.

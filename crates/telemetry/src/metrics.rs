@@ -6,10 +6,7 @@
 //! nearest-rank. The registry's name→metric maps sit behind `RwLock`s:
 //! a recording call takes a shared read lock to find its metric's `Arc`,
 //! then updates atomics; only the *first* observation of a new name takes
-//! the write lock. Hot paths that cannot afford even the read lock cache
-//! the [`LogLinearHistogram`]/counter handle once via
-//! [`MetricsRegistry::histogram`] / [`MetricsRegistry::counter_handle`]
-//! and record fully lock-free from then on.
+//! the write lock.
 //!
 //! Non-finite observations (NaN, ±inf) are rejected — one NaN would
 //! otherwise poison every percentile — and counted under
@@ -76,9 +73,8 @@ impl MetricsRegistry {
         self.counter_handle(name).fetch_add(by, Ordering::Relaxed);
     }
 
-    /// The atomic behind a named counter, for hot paths that want to
-    /// bump it without the name lookup.
-    pub fn counter_handle(&self, name: &str) -> Arc<AtomicU64> {
+    /// The atomic behind a named counter (created at zero on first use).
+    fn counter_handle(&self, name: &str) -> Arc<AtomicU64> {
         entry(&self.counters, name)
     }
 
@@ -97,9 +93,8 @@ impl MetricsRegistry {
         self.observe(name, duration.as_secs_f64() * 1e3);
     }
 
-    /// The named histogram (created empty on first use), for hot paths
-    /// that cache the handle and observe lock-free.
-    pub fn histogram(&self, name: &str) -> Arc<LogLinearHistogram> {
+    /// The named histogram (created empty on first use).
+    fn histogram(&self, name: &str) -> Arc<LogLinearHistogram> {
         entry(&self.histograms, name)
     }
 
@@ -128,12 +123,11 @@ impl MetricsRegistry {
             .unwrap_or(0)
     }
 
-    /// Fold a finished trace in: every span becomes a `span.<name>.count`
-    /// increment and a `span.<name>.ms` latency observation; warnings
-    /// increment `trace.warnings`.
+    /// Fold a finished trace in: every span becomes one `span.<name>.ms`
+    /// latency observation, so that histogram's count is the span's call
+    /// count; warnings increment `trace.warnings`.
     pub fn record_trace(&self, trace: &Trace) {
         for span in trace.all_spans() {
-            self.incr(&format!("span.{}.count", span.name), 1);
             self.observe_duration(&format!("span.{}.ms", span.name), span.duration);
         }
         if !trace.warnings.is_empty() {
@@ -338,10 +332,15 @@ mod tests {
         let trace = tracer.finish();
         let m = MetricsRegistry::new();
         m.record_trace(&trace);
-        assert_eq!(m.counter("span.op.count"), 2);
         assert_eq!(m.counter("trace.warnings"), 1);
         let snap = m.snapshot();
         assert_eq!(snap.histograms["span.op.ms"].count, 2);
+        // The histogram's count is the call count: no counter repeats it.
+        assert!(
+            !snap.counters.keys().any(|name| name.starts_with("span.")),
+            "{:?}",
+            snap.counters
+        );
     }
 
     #[test]

@@ -46,8 +46,8 @@ fn traces_survive_a_jsonl_round_trip() {
     let snapshot = metrics.snapshot();
     for (name, stats) in &live_breakdown {
         assert_eq!(
-            snapshot.counters[&format!("span.{name}.count")],
-            stats.count as u64,
+            snapshot.histograms[&format!("span.{name}.ms")].count,
+            stats.count,
             "registry disagrees on {name}"
         );
     }
@@ -71,11 +71,11 @@ fn harness_report_matches_trace_aggregation() {
         let stats = &report.operators[name];
         assert_eq!(stats.count, w.task_count(), "{name}");
     }
-    // Counters in the shared registry line up with the breakdown.
+    // Span counts in the shared registry line up with the breakdown.
     let snapshot = harness.metrics().snapshot();
     assert_eq!(
-        snapshot.counters[&format!("span.{}.count", names::GENERATE)],
-        w.task_count() as u64
+        snapshot.histograms[&format!("span.{}.ms", names::GENERATE)].count,
+        w.task_count()
     );
     // The report itself serializes and deserializes.
     let json = genedit::telemetry::export::to_jsonl(std::slice::from_ref(&report));
