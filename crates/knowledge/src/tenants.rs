@@ -209,12 +209,10 @@ pub struct PageDirectory {
     pub entry_pages: Vec<u32>,
     /// Physical slots holding the chunked vector stream, in read order.
     pub vector_pages: Vec<u32>,
-    /// First never-allocated physical slot.
+    /// First never-allocated physical slot. Every slot below it that
+    /// the directory does not name is free: a cold load derives the free
+    /// list from that, so the directory does not store one.
     pub next_physical: u32,
-    /// Physical slots that were free when the directory was written —
-    /// without the ones its own flush superseded, so a cold load derives
-    /// the list from the fields above instead of reading this one.
-    pub free_slots: Vec<u32>,
 }
 
 impl PageDirectory {
@@ -274,10 +272,7 @@ struct TenantState {
 impl TenantState {
     /// Fresh in-memory state for the tenant loaded into pool slot `slot`
     /// with `dir` current: no snapshot open, nothing pending — so every
-    /// allocated slot the directory does not name is free. The free list
-    /// is derived, not read from `dir.free_slots`: a flush writes that
-    /// before the slots it supersedes are released, so trusting it would
-    /// leak them on every cold load.
+    /// allocated slot the directory does not name is free.
     fn at(slot: u64, dir: PageDirectory) -> TenantState {
         let named: HashSet<u32> = dir.slots().collect();
         TenantState {
@@ -514,7 +509,6 @@ impl TenantKnowledgeStore {
             entry_pages: Vec::new(),
             vector_pages: Vec::new(),
             next_physical: 1,
-            free_slots: Vec::new(),
         };
         let mut state = TenantState::at(slot, empty);
         self.flush_pages(tenant, &mut state, &writer)?;
@@ -613,7 +607,6 @@ impl TenantKnowledgeStore {
             // epoch's entries. The index builder writes fresh ones back.
             vector_pages: Vec::new(),
             next_physical: state.next_physical,
-            free_slots: state.free_slots.clone(),
         };
         self.publish(tenant, state, &pages, dir)?;
 
@@ -761,7 +754,6 @@ impl TenantKnowledgeStore {
         let dir = PageDirectory {
             vector_pages: pages.iter().map(Page::page_no).collect(),
             next_physical: state.next_physical,
-            free_slots: state.free_slots.clone(),
             ..(*state.dir).clone()
         };
         self.publish(tenant, &mut state, &pages, dir)?;
@@ -1108,6 +1100,26 @@ mod tests {
             },
             None,
         ))
+    }
+
+    #[test]
+    fn directory_with_a_stored_free_list_still_decodes() {
+        // Directories once stored their free list too; decoding skips the
+        // field, and a cold load derives the list from the named slots.
+        let json = r#"{"epoch":3,"wal_len":120,"snapshot_len":0,"entry_pages":[4,5],"vector_pages":[6],"next_physical":7,"free_slots":[1,2]}"#;
+        let dir: PageDirectory = serde_json::from_str(json).unwrap();
+        assert_eq!(
+            dir,
+            PageDirectory {
+                epoch: 3,
+                wal_len: 120,
+                snapshot_len: 0,
+                entry_pages: vec![4, 5],
+                vector_pages: vec![6],
+                next_physical: 7,
+            }
+        );
+        assert_eq!(TenantState::at(0, dir).free_slots, vec![1, 2, 3]);
     }
 
     #[test]
