@@ -1104,8 +1104,9 @@ mod tests {
 
     #[test]
     fn directory_with_a_stored_free_list_still_decodes() {
-        // Directories once stored their free list too; decoding skips the
-        // field, and a cold load derives the list from the named slots.
+        // Directories written before the free list was dropped still carry
+        // it: decoding skips the field, and a cold load derives the list
+        // from the slots the directory names.
         let json = r#"{"epoch":3,"wal_len":120,"snapshot_len":0,"entry_pages":[4,5],"vector_pages":[6],"next_physical":7,"free_slots":[1,2]}"#;
         let dir: PageDirectory = serde_json::from_str(json).unwrap();
         assert_eq!(

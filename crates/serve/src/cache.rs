@@ -178,8 +178,8 @@ mod tests {
 
     #[test]
     fn distinct_questions_never_share_a_key() {
-        // An FNV-1a 64 collision would once have merged these; any two
-        // distinct texts must stay distinct keys and distinct entries.
+        // Keys compare the whole text: questions that differ in one byte
+        // are distinct keys with distinct entries.
         let questions = [
             "revenue by quarter",
             "Revenue by quarter",

@@ -54,11 +54,11 @@ impl Scheduler {
     }
 
     pub fn push(&mut self, admitted: Admitted) {
-        let tenant = &admitted.request.tenant;
-        if !self.tenants.contains_key(tenant) {
-            self.ring.push_back(tenant.clone());
-        }
+        let tenant = admitted.request.tenant.clone();
         let q = self.tenants.entry(tenant.clone()).or_default();
+        if q.is_empty() {
+            self.ring.push_back(tenant);
+        }
         q.push_back(admitted);
         self.queued += 1;
     }
