@@ -163,43 +163,6 @@ impl<'w, M: LanguageModel> Harness<'w, M> {
         report
     }
 
-    /// Run GenEdit over a single domain with a caller-supplied knowledge
-    /// set (e.g. a staged one). Returns the per-task outcomes.
-    pub fn run_genedit_on_domain(
-        &self,
-        config: &PipelineConfig,
-        db_name: &str,
-        knowledge: KnowledgeSet,
-    ) -> Vec<TaskOutcome> {
-        let bundle = match self.workload.domains.iter().find(|b| b.db.name == db_name) {
-            Some(bundle) => bundle,
-            None => {
-                self.warn(format!(
-                    "domain {db_name} not in the workload; returning no outcomes"
-                ));
-                return Vec::new();
-            }
-        };
-        let index = KnowledgeIndex::build(knowledge);
-        let pipeline = self.build_pipeline(config.clone());
-        bundle
-            .tasks
-            .iter()
-            .map(|task| {
-                let result = pipeline.generate(&task.question, &index, &bundle.db, &task.evidence);
-                let (correct, note) =
-                    score_prediction(&bundle.db, &task.gold_sql, result.sql.as_deref());
-                TaskOutcome {
-                    task_id: task.task_id.clone(),
-                    difficulty: task.difficulty,
-                    correct,
-                    attempts: result.attempts,
-                    note,
-                }
-            })
-            .collect()
-    }
-
     /// Run one baseline over the whole workload.
     pub fn run_baseline(&self, profile: &MethodProfile) -> EvalReport {
         let indexes = self.build_indexes(true);

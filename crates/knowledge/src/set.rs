@@ -291,17 +291,6 @@ impl KnowledgeSet {
             .filter(move |i| i.intent.as_deref() == Some(key))
     }
 
-    /// Schema elements grouped under the given intent key.
-    pub fn schema_for_intent<'a>(
-        &'a self,
-        key: &'a str,
-    ) -> impl Iterator<Item = &'a SchemaElement> {
-        self.state
-            .schema_elements
-            .iter()
-            .filter(move |s| s.intents.iter().any(|i| i == key))
-    }
-
     /// The full audit log, oldest first.
     pub fn log(&self) -> &[LoggedEdit] {
         &self.log

@@ -1068,6 +1068,7 @@ mod tests {
     use super::*;
     use crate::fs::MemFs;
     use crate::types::{FragmentKind, SourceRef, SqlFragment};
+    use proptest::prelude::*;
 
     fn edit(desc: &str) -> Edit {
         Edit::InsertExample {
@@ -1389,6 +1390,33 @@ mod tests {
         // The same plausible header over its full body decodes.
         let whole = decode_vector_stream(&stream(4, [2, 1, 0], 3 * 4 * 4)).unwrap();
         assert_eq!((whole.examples.len(), whole.instructions.len()), (2, 1));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Header words (small or arbitrary) over an arbitrary body, which
+        /// with `fit` is cut or padded to the length the header claims,
+        /// when that is small: the stream decodes, and re-encodes to the
+        /// same bytes, or is `Corrupt`; it never panics.
+        #[test]
+        fn vector_stream_decode_returns_on_arbitrary_headers(
+            words in prop::collection::vec(prop_oneof![0u32..4, any::<u32>()], 4..5),
+            body in prop::collection::vec(any::<u8>(), 0..160),
+            fit in any::<bool>(),
+        ) {
+            let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            bytes.extend_from_slice(&body);
+            let vectors: u64 = words[1..].iter().map(|&c| u64::from(c)).sum();
+            let claimed = vectors.saturating_mul(u64::from(words[0]) * 4);
+            if fit && claimed <= 4096 {
+                bytes.resize(16 + claimed as usize, 0);
+            }
+            match decode_vector_stream(&bytes) {
+                Ok(v) => prop_assert_eq!(encode_vector_stream(&v), bytes),
+                Err(e) => prop_assert!(matches!(e, TenantStoreError::Corrupt(_)), "{:?}", e),
+            }
+        }
     }
 
     #[test]

@@ -8,12 +8,19 @@
 //!    or fails, exactly where a character-at-a-time loop does;
 //! 3. nesting deep enough to overflow the stack of a recursive parser is
 //!    an error: a WAL record or snapshot of 100k `[` is quarantined by
-//!    recovery instead of aborting the process.
+//!    recovery instead of aborting the process;
+//! 4. `Page::decode` returns, never panics, on arbitrary bytes and on
+//!    pages whose header and slot fields are arbitrary but re-sealed
+//!    with a valid CRC, and a page it accepts reads and re-seals cleanly;
+//! 5. `journal::scan` returns a consistent outcome on arbitrary bytes,
+//!    stops at the frame a single bit flip damaged, and keeps the prefix
+//!    before a flipped frame re-sealed under a valid CRC.
 
 use genedit_knowledge::journal::{crc32_parts, RECORD_HEADER_BYTES};
+use genedit_knowledge::page::{PAGE_MAGIC, PAGE_VERSION};
 use genedit_knowledge::{
-    crc32, encode_record, DurableKnowledgeStore, Edit, FragmentKind, JournalRecord, MemFs,
-    RecoveryOutcome, SourceRef, SqlFragment, StoreConfig, StoreFs,
+    crc32, encode_record, scan, DurableKnowledgeStore, Edit, FragmentKind, JournalRecord, MemFs,
+    Page, RecoveryOutcome, ScanEnd, ScanOutcome, SourceRef, SqlFragment, StoreConfig, StoreFs,
 };
 use proptest::prelude::*;
 use serde_json::Value;
@@ -268,4 +275,119 @@ fn deeply_nested_records_are_quarantined_not_fatal() {
     let again = open();
     assert!(!again.recovery_report().repaired());
     assert_eq!(again.set().examples().len(), 1);
+}
+
+/// A page `Page::decode` accepted reads back every record and survives
+/// its own seal / decode round trip unchanged.
+fn assert_sound(page: &Page, page_size: usize) {
+    assert!(page.records().map(<[u8]>::len).sum::<usize>() <= page_size);
+    assert_eq!(Page::decode(&page.seal(), page_size).as_ref(), Ok(page));
+}
+
+/// What every scan outcome holds, whatever it was fed.
+fn assert_consistent(bytes: &[u8], out: &ScanOutcome) {
+    let valid = out.valid_bytes as usize;
+    assert!(valid <= bytes.len() && out.records.len() == out.offsets.len());
+    assert!(out.offsets.windows(2).all(|w| w[0] < w[1]));
+    assert!(out.offsets.iter().all(|&o| (o as usize) < valid));
+    assert_eq!(out.end == ScanEnd::Clean, valid == bytes.len());
+}
+
+fn record() -> impl Strategy<Value = JournalRecord> {
+    prop_oneof![
+        "[ -~]{0,24}".prop_map(|d| JournalRecord::Edit(edit(&d))),
+        "[a-z]{1,8}".prop_map(|label| JournalRecord::Checkpoint { label }),
+        Just(JournalRecord::BatchCommit),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn page_decode_returns_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..300),
+        page_size in 0usize..300,
+    ) {
+        if let Ok(page) = Page::decode(&bytes, page_size) {
+            assert_sound(&page, bytes.len());
+        }
+    }
+
+    /// Magic and version set; kind, slot count, free offset and eight
+    /// slot entries arbitrary, each folded near the range its check
+    /// accepts when its bit in `folds` is set; the CRC recomputed, so
+    /// decoding gets past the checksum to the checks behind it.
+    #[test]
+    fn page_decode_returns_on_resealed_arbitrary_headers(
+        bytes in prop::collection::vec(any::<u8>(), 256..257),
+        page_size in prop_oneof![Just(64usize), Just(100usize), Just(256usize)],
+        fields in prop::collection::vec(any::<u16>(), 18..19),
+        folds in any::<u32>(),
+    ) {
+        // Field `j`'s value `v`, or folded into `from..from + span`.
+        let fold = |j: usize, from: usize, span: usize| {
+            let v = fields[j] as usize;
+            (if folds >> j & 1 == 1 { from + v % span } else { v }) as u16
+        };
+        let mut page = bytes[..page_size].to_vec();
+        page[0..4].copy_from_slice(&PAGE_MAGIC);
+        page[4..6].copy_from_slice(&PAGE_VERSION.to_le_bytes());
+        page[6] %= 4;
+        page[20..22].copy_from_slice(&fold(0, 0, 5).to_le_bytes());
+        page[22..24].copy_from_slice(&fold(1, 24, page_size - 16).to_le_bytes());
+        for i in 0..8 {
+            let (end, j) = (page_size - i * 4, 2 + 2 * i);
+            page[end - 4..end - 2].copy_from_slice(&fold(j, 24, page_size - 32).to_le_bytes());
+            page[end - 2..end].copy_from_slice(&fold(j + 1, 0, page_size / 4).to_le_bytes());
+        }
+        page[24..28].fill(0);
+        let crc = crc32(&page);
+        page[24..28].copy_from_slice(&crc.to_le_bytes());
+        if let Ok(decoded) = Page::decode(&page, page_size) {
+            assert_sound(&decoded, page_size);
+        }
+    }
+
+    #[test]
+    fn scan_is_consistent_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
+        assert_consistent(&bytes, &scan(&bytes));
+    }
+
+    /// One flipped bit in one frame: the scan keeps exactly the records
+    /// before it and reports the damage. With `reseal`, the flip is in the
+    /// payload under a recomputed CRC, so it reaches the record decoder,
+    /// and the records before it still replay.
+    #[test]
+    fn scan_stops_at_a_bit_flipped_frame(
+        records in prop::collection::vec(record(), 1..6),
+        which in any::<usize>(),
+        at in any::<usize>(),
+        bit in 0u8..8,
+        reseal in any::<bool>(),
+    ) {
+        let mut frames: Vec<Vec<u8>> = records.iter().map(|r| encode_record(r).unwrap()).collect();
+        let damaged = which % frames.len();
+        let start: usize = frames[..damaged].iter().map(Vec::len).sum();
+        let target = &mut frames[damaged];
+        if reseal {
+            let mut payload = target[RECORD_HEADER_BYTES..].to_vec();
+            let at = at % payload.len();
+            payload[at] ^= 1 << bit;
+            *target = frame(&payload);
+        } else {
+            let at = at % target.len();
+            target[at] ^= 1 << bit;
+        }
+        let bytes = frames.concat();
+        let out = scan(&bytes);
+        assert_consistent(&bytes, &out);
+        prop_assert!(out.records.len() >= damaged);
+        prop_assert_eq!(&out.records[..damaged], &records[..damaged]);
+        if !reseal {
+            prop_assert_eq!(out.records.len(), damaged);
+            prop_assert_eq!(out.valid_bytes as usize, start);
+            prop_assert!(out.end != ScanEnd::Clean);
+        }
+    }
 }

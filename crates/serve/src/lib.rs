@@ -26,8 +26,8 @@
 //! - **Fault containment** — every request runs under a per-request
 //!   panic boundary ([`QueryOutcome::Failed`] instead of a hung caller),
 //!   the worker that caught the panic rebuilds its pipeline and keeps
-//!   serving on the same thread, and
-//!   [`ServeRuntime::shutdown_with_deadline`] drains with a hard bound.
+//!   serving on the same thread, and [`ServeRuntime::shutdown`] joins the
+//!   pool once it has served the queue.
 //!
 //! [`LanguageModel`]: genedit_llm::LanguageModel
 //!
@@ -68,7 +68,7 @@ pub mod tenants;
 
 pub use cache::{CacheKey, EpochCache};
 pub use request::{QueryOutcome, QueryRequest, Rejected, Ticket};
-pub use runtime::{DrainReport, ServeConfig, ServeRuntime, DRAIN_GRACE};
+pub use runtime::{ServeConfig, ServeRuntime};
 pub use tenants::TenantDirectory;
 
 /// Lock a mutex whether or not a panicking thread poisoned it. Panics are

@@ -9,8 +9,9 @@
 //! - the worker that caught the panic rebuilds its pipeline and keeps
 //!   serving on the same thread, so a panic costs one request, never a
 //!   worker;
-//! - [`ServeRuntime::shutdown_with_deadline`] drains with a bound,
-//!   force-resolving stragglers instead of joining forever.
+//! - [`ServeRuntime::shutdown`] stops admission and joins the workers
+//!   once they have served the queue; whatever a dead pool left queued
+//!   resolves instead of hanging.
 //!
 //! However an admitted request ends — served, shed, expired, cancelled,
 //! drained or panicked — it ends in `resolve`, which holds the one table
@@ -18,7 +19,7 @@
 
 use crate::cache::{CacheKey, EpochCache};
 use crate::lock;
-use crate::request::{QueryOutcome, QueryRequest, Rejected, Ticket, TicketCell};
+use crate::request::{QueryOutcome, QueryRequest, Rejected, Ticket};
 use crate::sched::{Admitted, Scheduler};
 use crate::tenants::TenantDirectory;
 use genedit_core::{
@@ -30,20 +31,12 @@ use genedit_sql::catalog::Database;
 use genedit_telemetry::{
     names, FlightRecorder, MetricsRegistry, RecordedRequest, RecorderConfig, RequestVerdict, Trace,
 };
-use std::collections::HashMap;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Extra time [`ServeRuntime::shutdown_with_deadline`] grants in-flight
-/// requests to notice their cancelled tokens after the drain deadline
-/// passes, before their tickets are force-resolved and any still-wedged
-/// worker threads are detached. The method therefore returns within
-/// roughly `timeout + DRAIN_GRACE` plus join overhead.
-pub const DRAIN_GRACE: Duration = Duration::from_millis(250);
 
 /// Serving runtime configuration.
 #[derive(Debug, Clone)]
@@ -87,36 +80,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// What [`ServeRuntime::shutdown_with_deadline`] had to do to finish.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DrainReport {
-    /// True when every admitted request resolved on its own before the
-    /// deadline — nothing was forced.
-    pub clean: bool,
-    /// Queued (never executed) requests force-resolved as
-    /// [`QueryOutcome::Cancelled`] after the deadline passed.
-    pub forced_queued: u64,
-    /// In-flight requests whose cancel tokens were fired at the deadline.
-    pub cancelled_inflight: u64,
-    /// In-flight requests whose tickets had to be force-resolved because
-    /// they did not notice cancellation within [`DRAIN_GRACE`].
-    pub forced_inflight: u64,
-    /// Worker threads still running at the end of the grace period,
-    /// detached rather than joined (their tickets were already resolved).
-    pub detached_workers: u64,
-    /// Total wall-clock time the drain took.
-    pub elapsed: Duration,
-}
-
-/// An admitted request currently executing on a worker: enough state for
-/// the drain path to cancel it cooperatively and, failing that, resolve
-/// its ticket directly (completion is first-wins, so racing the worker
-/// is safe).
-struct InFlight {
-    cell: Arc<TicketCell>,
-    cancel: CancelToken,
-}
-
 struct Shared<M> {
     sched: Mutex<Scheduler>,
     available: Condvar,
@@ -131,10 +94,6 @@ struct Shared<M> {
     metrics: Arc<MetricsRegistry>,
     /// Tail-sampling flight recorder of completed request traces.
     recorder: Option<FlightRecorder>,
-    /// Requests a worker has dequeued but not yet resolved, keyed by
-    /// admission sequence. Maintained under the containment guard so a
-    /// panicking request still deregisters.
-    inflight: Mutex<HashMap<u64, InFlight>>,
     results: EpochCache<GenerationResult>,
     reforms: EpochCache<String>,
     shutdown: AtomicBool,
@@ -145,10 +104,6 @@ struct Shared<M> {
 impl<M> Shared<M> {
     fn lock_sched(&self) -> MutexGuard<'_, Scheduler> {
         lock(&self.sched)
-    }
-
-    fn lock_inflight(&self) -> MutexGuard<'_, HashMap<u64, InFlight>> {
-        lock(&self.inflight)
     }
 
     /// Flip the shutdown flag **under the scheduler lock**. `submit`
@@ -167,15 +122,16 @@ impl<M> Shared<M> {
 /// [`ServeRuntime::submit`] admits requests (or applies backpressure);
 /// [`ServeRuntime::publish`] swaps in a re-built knowledge index after a
 /// durable commit, bumping the epoch every cache key embeds;
-/// [`ServeRuntime::shutdown`] drains the queue and joins the workers,
-/// while [`ServeRuntime::shutdown_with_deadline`] does the same under a
-/// bound, force-resolving whatever will not drain in time.
+/// [`ServeRuntime::shutdown`] lets the workers serve the queue and
+/// joins them.
 pub struct ServeRuntime<M> {
     shared: Arc<Shared<M>>,
-    /// Taken (and joined) by whichever shutdown call gets there first;
-    /// behind a mutex so shutdown borrows `&self` and can therefore race
-    /// concurrent `submit` calls — which is exactly the race the
-    /// under-lock re-check in `submit` exists to win.
+    /// Joined by whichever shutdown call gets there first, under this
+    /// mutex: a second call waits out the join instead of draining a
+    /// queue the pool is still serving. The mutex also lets shutdown
+    /// borrow `&self` and therefore race concurrent `submit` calls —
+    /// which is exactly the race the under-lock re-check in `submit`
+    /// exists to win.
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -219,7 +175,6 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
             model: Arc::new(model),
             metrics,
             recorder,
-            inflight: Mutex::new(HashMap::new()),
             results: EpochCache::new(config.result_cache_capacity),
             reforms: EpochCache::new(config.reform_cache_capacity),
             shutdown: AtomicBool::new(false),
@@ -234,7 +189,7 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
         // A failed spawn is surfaced, not silently swallowed: a pool that
         // quietly started with fewer workers than configured would serve
         // at reduced capacity with no signal anywhere. The workers that
-        // did start are stopped and joined by the ordinary drain.
+        // did start are stopped and joined by the ordinary shutdown.
         match runtime.spawn_pool(workers) {
             Ok(()) => Ok(runtime),
             Err(err) => {
@@ -371,13 +326,12 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
         Err(reason)
     }
 
-    /// Stop accepting work, drain the queue, and join the workers.
-    /// Already-queued requests still execute (or expire on their own
-    /// deadlines): this is [`ServeRuntime::shutdown_with_deadline`]
-    /// without the deadline, so nothing running is ever forced. Only
-    /// work left unexecutable — queued behind a pool whose every thread
-    /// has died — is resolved as [`QueryOutcome::Cancelled`] rather than
-    /// left hanging.
+    /// Stop accepting work, let the workers serve the queue, and join
+    /// them. Already-queued requests still execute (or expire on their
+    /// own deadlines); nothing running is ever forced. Only work left
+    /// unexecutable — queued behind a pool whose every thread died
+    /// outside the per-request boundary — is resolved as
+    /// [`QueryOutcome::Cancelled`] rather than left hanging.
     ///
     /// Takes `&self` so shutdown can come from any thread, including one
     /// racing live `submit` calls; those lose deterministically (the
@@ -385,95 +339,19 @@ impl<M: LanguageModel + 'static> ServeRuntime<M> {
     /// there) and answer [`Rejected::ShuttingDown`]. Calling shutdown
     /// again is a no-op.
     pub fn shutdown(&self) {
-        self.drain(None);
-    }
-
-    /// Graceful drain with a bound: stop admission immediately, give
-    /// queued and in-flight requests up to `timeout` to resolve on their
-    /// own, then force the rest — queued requests resolve as
-    /// [`QueryOutcome::Cancelled`] without executing, in-flight requests
-    /// get their cancel tokens fired plus [`DRAIN_GRACE`] to notice, and
-    /// any ticket still open after that is resolved directly (completion
-    /// is first-wins, so racing a slow worker is safe). Worker threads
-    /// still wedged at that point are detached, not joined: the caller
-    /// gets its bound, and every admitted ticket has already resolved.
-    pub fn shutdown_with_deadline(&self, timeout: Duration) -> DrainReport {
-        self.drain(Some(timeout))
-    }
-
-    /// The one drain. `timeout: None` waits for quiescence however long
-    /// it takes.
-    fn drain(&self, timeout: Option<Duration>) -> DrainReport {
-        let started = Instant::now();
         self.shared.begin_shutdown();
         self.shared.available.notify_all();
-        // Phase 1: cooperative drain. Workers keep executing queued work;
-        // we just watch for quiescence. The queue→in-flight handoff
-        // happens under the scheduler lock, so sampling the queue first
-        // and the in-flight table second never misses a request.
-        loop {
-            let queued = self.shared.lock_sched().len();
-            let inflight = self.shared.lock_inflight().len();
-            if queued == 0 && inflight == 0 {
-                break;
-            }
-            // Every worker thread has finished — only a fault outside the
-            // per-request boundary ends one early: queued work can no
-            // longer drain on its own, so force it now.
-            if inflight == 0 && self.workers_alive() == 0 {
-                break;
-            }
-            if timeout.is_some_and(|t| started.elapsed() >= t) {
-                break;
-            }
-            thread::sleep(Duration::from_millis(1));
+        // A worker returns only once it finds the queue empty, so work
+        // stays queued only if every worker died outside the per-request
+        // boundary (a join `Err`); the drain below resolves it.
+        for handle in lock(&self.workers).drain(..) {
+            handle.join().ok();
         }
-        // Phase 2: force. Evict whatever is still queued and cancel
-        // whatever is still running.
+        // Bound to a local so the scheduler lock is released before
+        // anything resolves.
         let leftovers = self.shared.lock_sched().drain_all();
         for admitted in &leftovers {
-            admitted.cancel.cancel();
             resolve(&self.shared, admitted, Ending::Drained);
-        }
-        let mut cancelled_inflight = 0u64;
-        for entry in self.shared.lock_inflight().values() {
-            entry.cancel.cancel();
-            cancelled_inflight += 1;
-        }
-        // Phase 3: grace, then force-resolve stragglers' tickets and
-        // detach their threads. A worker that eventually returns finds
-        // its completion already taken (first-wins) and simply exits.
-        if cancelled_inflight > 0 {
-            let grace_deadline = Instant::now() + DRAIN_GRACE;
-            while Instant::now() < grace_deadline && !self.shared.lock_inflight().is_empty() {
-                thread::sleep(Duration::from_millis(1));
-            }
-        }
-        let mut forced_inflight = 0u64;
-        for entry in self.shared.lock_inflight().values() {
-            forced_inflight += 1;
-            self.shared.metrics.incr("serve.drain.forced_inflight", 1);
-            entry.cell.complete(QueryOutcome::Cancelled);
-        }
-        let mut detached_workers = 0u64;
-        let handles = std::mem::take(&mut *lock(&self.workers));
-        for handle in handles {
-            // Only a worker whose ticket was just resolved over its head
-            // can be wedged; every other one is on its way out.
-            if forced_inflight == 0 || handle.is_finished() {
-                handle.join().ok();
-            } else {
-                detached_workers += 1;
-            }
-        }
-        let forced_queued = leftovers.len() as u64;
-        DrainReport {
-            clean: forced_queued == 0 && cancelled_inflight == 0 && forced_inflight == 0,
-            forced_queued,
-            cancelled_inflight,
-            forced_inflight,
-            detached_workers,
-            elapsed: started.elapsed(),
         }
     }
 }
@@ -485,21 +363,11 @@ fn worker_loop<M: LanguageModel + 'static>(shared: &Arc<Shared<M>>) {
     };
     let mut pipeline = build();
     loop {
-        let admitted = {
+        let (admitted, depth) = {
             let mut sched = shared.lock_sched();
             loop {
                 if let Some(a) = sched.pop() {
-                    // Register in-flight *before* releasing the scheduler
-                    // lock: drain-time observers sample queue-then-inflight
-                    // and must never catch a request in neither.
-                    shared.lock_inflight().insert(
-                        a.seq,
-                        InFlight {
-                            cell: Arc::clone(&a.cell),
-                            cancel: a.cancel.clone(),
-                        },
-                    );
-                    break a;
+                    break (a, sched.len());
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
@@ -510,9 +378,7 @@ fn worker_loop<M: LanguageModel + 'static>(shared: &Arc<Shared<M>>) {
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
         };
-        shared
-            .metrics
-            .set_gauge("serve.queue_depth", shared.lock_sched().len() as f64);
+        shared.metrics.set_gauge("serve.queue_depth", depth as f64);
         if !serve_one_contained(shared, &pipeline, &admitted) {
             // The request panicked. Its ticket is resolved and the panic
             // recorded; the pipeline it unwound through is replaced and
@@ -533,23 +399,19 @@ fn panic_summary(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// RAII containment guard for one dequeued request: deregisters it from
-/// the in-flight table and — if no completion was recorded by the time
-/// the guard drops — resolves the ticket with a generic failure. The
-/// guard lives *outside* the `catch_unwind` boundary, so it fires even
-/// if the panic-handling path itself unwinds; in the normal panic path
-/// the catch arm has already resolved the request with the real payload
-/// summary (completion is first-wins, the guard is a backstop).
-struct Containment<'a, M> {
-    shared: &'a Shared<M>,
-    admitted: &'a Admitted,
-}
+/// RAII containment guard for one dequeued request: if no completion
+/// was recorded by the time the guard drops, it resolves the ticket with
+/// a generic failure. The guard lives *outside* the `catch_unwind`
+/// boundary, so it fires even if the panic-handling path itself unwinds;
+/// in the normal panic path the catch arm has already resolved the
+/// request with the real payload summary (completion is first-wins, the
+/// guard is a backstop).
+struct Containment<'a>(&'a Admitted);
 
-impl<M> Drop for Containment<'_, M> {
+impl Drop for Containment<'_> {
     fn drop(&mut self) {
-        self.shared.lock_inflight().remove(&self.admitted.seq);
-        if !self.admitted.cell.is_complete() {
-            self.admitted.cell.complete(QueryOutcome::Failed {
+        if !self.0.cell.is_complete() {
+            self.0.cell.complete(QueryOutcome::Failed {
                 reason: "request abandoned without a recorded outcome".to_string(),
             });
         }
@@ -563,10 +425,7 @@ fn serve_one_contained<M: LanguageModel + 'static, L: LanguageModel>(
     pipeline: &GenEditPipeline<L>,
     admitted: &Admitted,
 ) -> bool {
-    let _guard = Containment {
-        shared: shared.as_ref(),
-        admitted,
-    };
+    let _guard = Containment(admitted);
     match catch_unwind(AssertUnwindSafe(|| serve_one(shared, pipeline, admitted))) {
         Ok(()) => true,
         Err(payload) => {
@@ -677,8 +536,8 @@ fn serve_one<M: LanguageModel + 'static, L: LanguageModel>(
 }
 
 /// How an admitted request ended: the variants of [`QueryOutcome`], with
-/// a forced drain told apart from a caller's cancel because the two are
-/// counted apart.
+/// a drained request told apart from a caller's cancel because the two
+/// are counted apart.
 enum Ending {
     /// The pipeline ran, or a cached result was replayed.
     Completed {
@@ -695,7 +554,7 @@ enum Ending {
     Expired { partial: Option<Trace> },
     /// The caller cancelled; `partial` as for `Expired`.
     Cancelled { partial: Option<Trace> },
-    /// Still queued when a drain ran out of patience.
+    /// Still queued after every worker exited.
     Drained,
     /// The worker panicked serving it.
     Panicked { reason: String },
@@ -713,11 +572,8 @@ impl Ending {
 }
 
 /// The one way out: every path on which an admitted request ends calls
-/// this, once. (A bounded drain may already have resolved the ticket
-/// over a wedged worker's head: completion is first-wins, and the
-/// accounting of the worker's own late ending still stands.) Never call
-/// it holding the scheduler lock: it takes the recorder and ticket locks
-/// and wakes the waiter.
+/// this, once. Never call it holding the scheduler lock: it takes the
+/// recorder and ticket locks and wakes the waiter.
 ///
 /// Order: counter, latency histogram (completions only), flight
 /// recorder, and the ticket last, so a woken caller sees all of it.

@@ -92,8 +92,7 @@ impl Scheduler {
     }
 
     /// Remove and return **every** queued request, in tenant-grouped FIFO
-    /// order. The drain path uses this after its deadline passes to
-    /// force-resolve stragglers instead of executing them.
+    /// order. Shutdown uses this to resolve what a dead pool left queued.
     pub fn drain_all(&mut self) -> Vec<Admitted> {
         let mut drained = Vec::with_capacity(self.queued);
         for (_, q) in self.tenants.drain() {
@@ -125,6 +124,8 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::request::Ticket;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
     use std::time::Duration;
 
     fn admitted(seq: u64, tenant: &str) -> Admitted {
@@ -215,5 +216,133 @@ mod tests {
         assert_eq!(drained.len(), 4);
         assert!(s.is_empty());
         assert!(s.pop().is_none());
+    }
+
+    /// One call in a model-checked sequence. `Push(tenant, deadline)`
+    /// draws from small ranges so sequences collide on both; `Remove(n)`
+    /// names seq `n % (admitted + 1)`, which may be gone or never admitted.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Push(usize, Option<u64>),
+        Pop,
+        Remove(u64),
+        EarliestDeadline,
+        DrainAll,
+    }
+
+    const TENANTS: [&str; 3] = ["a", "b", "c"];
+
+    /// Three in nine calls push, three pop, two remove, and the last
+    /// ninth is `earliest_deadline` or `drain_all`.
+    fn op() -> impl Strategy<Value = Op> {
+        let fields = (0..9u8, 0..3usize, prop::option::of(0u64..4), any::<u64>());
+        fields.prop_map(|(k, tenant, deadline, n)| match k {
+            0..=2 => Op::Push(tenant, deadline),
+            3..=5 => Op::Pop,
+            6 | 7 => Op::Remove(n),
+            8 if n % 2 == 0 => Op::EarliestDeadline,
+            _ => Op::DrainAll,
+        })
+    }
+
+    /// Run `ops` and a closing `drain_all` against a [`Scheduler`] and a
+    /// plain FIFO model of `(seq, tenant, deadline)`. After every call:
+    /// no `seq` has left twice (and by the end every one has left); `len()`
+    /// matches the model; a tenant with queued work holds exactly one ring
+    /// slot; and between two pops of a tenant backlogged all along, every
+    /// other tenant backlogged all along was popped exactly once.
+    fn check(ops: &[Op]) {
+        let base = Instant::now();
+        let mut s = Scheduler::new();
+        let mut model: VecDeque<(u64, usize, Option<Instant>)> = VecDeque::new();
+        let (mut left, mut next_seq, mut pops) = (HashSet::new(), 0, Vec::new());
+        // Per tenant: the step its current backlog began at, and its last pop.
+        let (mut since, mut last_pop) = ([None::<usize>; 3], [None::<usize>; 3]);
+        for (step, &op) in ops.iter().chain(&[Op::DrainAll]).enumerate() {
+            let mut gone = Vec::new();
+            match op {
+                Op::Push(t, ms) => {
+                    let mut a = admitted(next_seq, TENANTS[t]);
+                    a.request.deadline = ms.map(|ms| base + Duration::from_millis(1_000 + ms));
+                    model.push_back((next_seq, t, a.request.deadline));
+                    s.push(a);
+                    next_seq += 1;
+                }
+                Op::Pop => {
+                    let Some(a) = s.pop() else {
+                        assert!(model.is_empty(), "pop found nothing at step {step}");
+                        continue;
+                    };
+                    let t = TENANTS.iter().position(|n| *n == a.request.tenant).unwrap();
+                    let head = model.iter().find(|q| q.1 == t).map(|q| q.0);
+                    assert_eq!(head, Some(a.seq), "pop broke FIFO order at step {step}");
+                    // Backlogged since before its last pop: a round has passed.
+                    if let Some(prev) = last_pop[t].filter(|&p| since[t].is_some_and(|b| b < p)) {
+                        for o in (0..3).filter(|&o| o != t && since[o].is_some_and(|b| b < prev)) {
+                            let turns = pops.iter().filter(|&&(at, p)| at > prev && p == o);
+                            assert_eq!(
+                                turns.count(),
+                                1,
+                                "tenant {o}'s turns in a round, step {step}"
+                            );
+                        }
+                    }
+                    pops.push((step, t));
+                    last_pop[t] = Some(step);
+                    gone.push(a.seq);
+                }
+                Op::Remove(n) => {
+                    let seq = n % (next_seq + 1);
+                    let queued = model.iter().any(|q| q.0 == seq).then_some(seq);
+                    assert_eq!(s.remove(seq).map(|a| a.seq), queued);
+                    gone.extend(queued);
+                }
+                Op::EarliestDeadline => {
+                    let expected = model.iter().filter_map(|q| Some((q.2?, q.0))).min();
+                    assert_eq!(s.earliest_deadline(), expected);
+                }
+                Op::DrainAll => {
+                    gone = s.drain_all().iter().map(|a| a.seq).collect();
+                    let mut expected: Vec<u64> = model.iter().map(|q| q.0).collect();
+                    expected.sort_unstable();
+                    assert_eq!(gone, expected);
+                }
+            }
+            for seq in gone {
+                assert!(left.insert(seq), "seq {seq} left twice");
+                model.retain(|q| q.0 != seq);
+            }
+            assert_eq!(s.len(), model.len(), "len() after step {step}");
+            for (t, name) in TENANTS.iter().enumerate() {
+                let queued = model.iter().any(|q| q.1 == t);
+                since[t] = since[t].or(Some(step)).filter(|_| queued);
+                let slots = s.ring.iter().filter(|r| r == name).count();
+                assert!(
+                    !queued || slots == 1,
+                    "{name} holds {slots} ring slots after step {step}"
+                );
+            }
+        }
+        assert_eq!(left.len() as u64, next_seq, "every admitted seq leaves");
+    }
+
+    /// The model check's shrunk failure at the scheduler before `remove`
+    /// took an emptied tenant off the ring ("c holds 2 ring slots after
+    /// step 2"), and what that cost: two turns for `a` while `b` waited.
+    #[test]
+    fn model_regression_remove_then_push_same_tenant() {
+        let c = Op::Push(2, None);
+        check(&[c, Op::Remove(0), c]);
+        let (a, b) = (Op::Push(0, None), Op::Push(1, None));
+        check(&[a, Op::Remove(0), a, a, b, b, Op::Pop, Op::Pop]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn scheduler_matches_its_fifo_model(ops in prop::collection::vec(op(), 0..64)) {
+            check(&ops);
+        }
     }
 }

@@ -2,12 +2,14 @@
 //!
 //! An admitted request ends exactly one way — completed (validated,
 //! unvalidated or replayed from the cache), shed, expired, cancelled
-//! (while queued or mid-generation), panicked, or force-drained (queued
-//! or in flight) — and a refused one is answered with one of three
-//! `Rejected` reasons. Each test below drives the public API into one
-//! ending and asserts the **whole row**: the outcome variant, the exact
-//! delta of every `serve.*` counter, the flight-recorder verdict, and
-//! that the ticket's state, once decided, never moves.
+//! (while queued or mid-generation), panicked, or drained — and a refused
+//! one is answered with one of three `Rejected` reasons. Each test below
+//! drives the public API into one ending and asserts the **whole row**:
+//! the outcome variant, the exact delta of every `serve.*` counter, the
+//! flight-recorder verdict, and that the ticket's state, once decided,
+//! never moves. The drained row (still queued after every worker exited)
+//! needs a worker to die outside its per-request boundary, which the
+//! public API cannot bring about, so it has no test here.
 
 use genedit::bird::{DomainBundle, SPORTS};
 use genedit::core::KnowledgeIndex;
@@ -480,61 +482,7 @@ fn panicked() {
     fx.runtime.shutdown();
 }
 
-/// Both drain rows at once: a bounded drain whose deadline passes with
-/// one request wedged inside the model and one queued behind it.
-#[test]
-fn force_drained_queued_and_in_flight() {
-    let mut fx = Fixture::start(64);
-    let wedged = fx.submit(TENANT, &format!("{GATED} wedged"));
-    fx.gate.wait_parked();
-    let queued = fx.submit("queued", good_question());
-    fx.mark();
-    let report = fx.runtime.shutdown_with_deadline(Duration::from_millis(30));
-    assert!(!report.clean);
-    assert_eq!(
-        (
-            report.forced_queued,
-            report.cancelled_inflight,
-            report.forced_inflight,
-            report.detached_workers
-        ),
-        (1, 1, 1, 1)
-    );
-    assert_eq!(kind(&decided(&queued)), "Cancelled");
-    assert_eq!(kind(&decided(&wedged)), "Cancelled");
-    fx.assert_row(&[
-        ("serve.drain.forced_queued", 1),
-        ("serve.drain.forced_inflight", 1),
-    ]);
-    assert_eq!(fx.verdict(&queued), Some(RequestVerdict::Cancelled));
-    // The wedged ticket was resolved over its worker's head: nothing
-    // is recorded until (unless) that worker comes back.
-    assert_eq!(fx.verdict(&wedged), None);
-    // It does come back here: the detached worker sees its fired
-    // token, accounts the request as cancelled, and finds the ticket
-    // already decided.
-    fx.gate.open();
-    let deadline = Instant::now() + BOUND;
-    while fx.verdict(&wedged).is_none() {
-        assert!(Instant::now() < deadline, "detached worker never returned");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(fx.verdict(&wedged), Some(RequestVerdict::Cancelled));
-    fx.assert_row(&[
-        ("serve.drain.forced_queued", 1),
-        ("serve.drain.forced_inflight", 1),
-        ("serve.cancelled", 1),
-    ]);
-    assert_eq!(kind(&decided(&wedged)), "Cancelled");
-    assert_eq!(
-        fx.runtime
-            .submit(QueryRequest::new(TENANT, good_question()))
-            .err(),
-        Some(Rejected::ShuttingDown)
-    );
-}
-
-/// An unbounded `shutdown` forces nothing: queued work still executes.
+/// `shutdown` forces nothing: queued work still executes.
 #[test]
 fn shutdown_lets_queued_work_finish() {
     let mut fx = Fixture::start(64);
