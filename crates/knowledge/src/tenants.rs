@@ -1392,6 +1392,71 @@ mod tests {
         assert_eq!((whole.examples.len(), whole.instructions.len()), (2, 1));
     }
 
+    /// A store on 1 KiB pages holding one committed tenant, `t1`, and
+    /// that tenant's meta page as it was written.
+    fn store_with_meta_page() -> (Arc<MemFs>, Arc<TenantKnowledgeStore>, Vec<u8>) {
+        let mem = Arc::new(MemFs::new());
+        let store = mem_store(&mem);
+        store.commit("t1", staged(&["a", "b"]), "seed").unwrap();
+        let meta = mem.read_at(&store.pages_path("t1"), 0, 1024).unwrap();
+        (mem, store, meta)
+    }
+
+    /// Flip bit `bit` of byte `at % len` for each `(at, bit)`.
+    fn flip(bytes: &mut [u8], flips: &[(u32, u8)]) {
+        let len = bytes.len();
+        for &(at, bit) in flips {
+            bytes[at as usize % len] ^= 1 << bit;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The meta page read back from arbitrary bytes (the whole file,
+        /// shorter or longer than a page), from the written page with raw
+        /// bit flips, and from its directory record with bit flips or
+        /// from an arbitrary record, re-sealed under a fresh CRC so that
+        /// they reach the JSON decoder. `read_meta_page` returns: a
+        /// directory that re-encodes to itself, or an error; it never
+        /// panics.
+        #[test]
+        fn meta_page_read_returns_on_arbitrary_and_bit_flipped_bytes(
+            shape in 0u8..4,
+            arbitrary in prop::collection::vec(any::<u8>(), 0..1100),
+            flips in prop::collection::vec((any::<u32>(), 0u8..8), 1..5),
+        ) {
+            let (mem, store, meta) = store_with_meta_page();
+            let path = store.pages_path("t1");
+            match shape {
+                0 => mem.write_file(&path, &arbitrary).unwrap(),
+                1 => {
+                    let mut bytes = meta;
+                    flip(&mut bytes, &flips);
+                    mem.write_at(&path, 0, &bytes).unwrap();
+                }
+                _ => {
+                    let record = if shape == 2 {
+                        let page = Page::decode(&meta, 1024).unwrap();
+                        let mut record = page.record(0).unwrap().to_vec();
+                        // One flip: more would rarely leave valid JSON.
+                        flip(&mut record, &flips[..1]);
+                        record
+                    } else {
+                        arbitrary[..arbitrary.len().min(Page::capacity(1024))].to_vec()
+                    };
+                    let mut page = Page::new(PageKind::Meta, 0, 1, 1024);
+                    page.push(&record).unwrap();
+                    mem.write_at(&path, 0, &page.seal()).unwrap();
+                }
+            }
+            if let Ok(dir) = store.read_meta_page("t1") {
+                let json = serde_json::to_string(&dir).unwrap();
+                prop_assert_eq!(serde_json::from_str::<PageDirectory>(&json).unwrap(), dir);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 

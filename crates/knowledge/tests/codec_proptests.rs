@@ -14,13 +14,17 @@
 //!    with a valid CRC, and a page it accepts reads and re-seals cleanly;
 //! 5. `journal::scan` returns a consistent outcome on arbitrary bytes,
 //!    stops at the frame a single bit flip damaged, and keeps the prefix
-//!    before a flipped frame re-sealed under a valid CRC.
+//!    before a flipped frame re-sealed under a valid CRC;
+//! 6. `recover`'s snapshot decode returns on arbitrary and bit-flipped
+//!    snapshot bytes: it loads a set that re-encodes stably, or
+//!    quarantines the snapshot and starts empty.
 
 use genedit_knowledge::journal::{crc32_parts, RECORD_HEADER_BYTES};
 use genedit_knowledge::page::{PAGE_MAGIC, PAGE_VERSION};
 use genedit_knowledge::{
-    crc32, encode_record, scan, DurableKnowledgeStore, Edit, FragmentKind, JournalRecord, MemFs,
-    Page, RecoveryOutcome, ScanEnd, ScanOutcome, SourceRef, SqlFragment, StoreConfig, StoreFs,
+    crc32, encode_record, from_json, recover, scan, to_json, DurableKnowledgeStore, Edit,
+    FragmentKind, JournalRecord, KnowledgeSet, MemFs, Page, RecoveryOutcome, ScanEnd, ScanOutcome,
+    SourceRef, SqlFragment, StoreConfig, StoreFs,
 };
 use proptest::prelude::*;
 use serde_json::Value;
@@ -30,6 +34,16 @@ use std::sync::Arc;
 /// The bytewise CRC-32 table loop: one lookup and one dependent shift
 /// per byte.
 fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let table = bytewise_table();
+    let mut crc: u32 = 0xffff_ffff;
+    for &b in bytes {
+        crc = bytewise_step(&table, crc, b);
+    }
+    !crc
+}
+
+/// The bytewise loop's table: what each byte contributes to the register.
+fn bytewise_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     for (i, entry) in table.iter_mut().enumerate() {
         let mut crc = i as u32;
@@ -42,11 +56,12 @@ fn crc32_bytewise(bytes: &[u8]) -> u32 {
         }
         *entry = crc;
     }
-    let mut crc: u32 = 0xffff_ffff;
-    for &b in bytes {
-        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xff) as usize];
-    }
-    !crc
+    table
+}
+
+/// One step of the bytewise loop: `b` folded into the register.
+fn bytewise_step(table: &[u32; 256], crc: u32, b: u8) -> u32 {
+    (crc >> 8) ^ table[((crc ^ b as u32) & 0xff) as usize]
 }
 
 /// A JSON document that is one string, decoded a character at a time,
@@ -194,7 +209,8 @@ proptest! {
 
 /// Every length from empty to past a 4 KiB page, from each of eight
 /// start offsets, so the 8-byte blocks meet every alignment and every
-/// remainder length.
+/// remainder length. The bytewise reference runs one register over the
+/// growing prefix, so each length costs it one step, not a pass.
 #[test]
 fn crc32_equals_the_bytewise_loop_at_every_length() {
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -206,14 +222,18 @@ fn crc32_equals_the_bytewise_loop_at_every_length() {
             (state >> 56) as u8
         })
         .collect();
+    let table = bytewise_table();
     for offset in 0..8 {
+        let mut register: u32 = 0xffff_ffff;
         for len in 0..=4_200 {
-            let bytes = &data[offset..offset + len];
             assert_eq!(
-                crc32(bytes),
-                crc32_bytewise(bytes),
+                crc32(&data[offset..offset + len]),
+                !register,
                 "offset {offset} len {len}"
             );
+            if let Some(&b) = data.get(offset + len) {
+                register = bytewise_step(&table, register, b);
+            }
         }
     }
     assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
@@ -291,6 +311,17 @@ fn assert_consistent(bytes: &[u8], out: &ScanOutcome) {
     assert!(out.offsets.windows(2).all(|w| w[0] < w[1]));
     assert!(out.offsets.iter().all(|&o| (o as usize) < valid));
     assert_eq!(out.end == ScanEnd::Clean, valid == bytes.len());
+}
+
+/// A snapshot as the store writes one: two examples, a checkpoint, and
+/// an edit after it.
+fn snapshot_bytes() -> Vec<u8> {
+    let mut ks = KnowledgeSet::new();
+    ks.apply(edit("revenue per club")).unwrap();
+    ks.apply(edit("viewers by country")).unwrap();
+    ks.checkpoint("seed");
+    ks.apply(edit("after the checkpoint")).unwrap();
+    to_json(&ks).unwrap().into_bytes()
 }
 
 fn record() -> impl Strategy<Value = JournalRecord> {
@@ -388,6 +419,39 @@ proptest! {
             prop_assert_eq!(out.records.len(), damaged);
             prop_assert_eq!(out.valid_bytes as usize, start);
             prop_assert!(out.end != ScanEnd::Clean);
+        }
+    }
+
+    /// `recover` with arbitrary snapshot bytes, or a written snapshot
+    /// with one bit flipped, and no journal, returns: a snapshot it loads
+    /// re-encodes to JSON that loads and re-encodes to the same JSON; one
+    /// it cannot load is quarantined, and recovery starts from an empty
+    /// set. It never panics.
+    #[test]
+    fn snapshot_decode_returns_on_arbitrary_and_bit_flipped_bytes(
+        flipped in any::<bool>(),
+        arbitrary in prop::collection::vec(any::<u8>(), 0..400),
+        flip in (any::<u32>(), 0u8..8),
+    ) {
+        let bytes = if flipped {
+            let mut bytes = snapshot_bytes();
+            let len = bytes.len();
+            bytes[flip.0 as usize % len] ^= 1 << flip.1;
+            bytes
+        } else {
+            arbitrary
+        };
+        let fs: Arc<dyn StoreFs> = Arc::new(MemFs::new());
+        fs.write_file(Path::new("k.json"), &bytes).unwrap();
+        let (set, report) =
+            recover(&fs, Path::new("k.json"), Path::new("k.wal"), u64::MAX, None).unwrap();
+        if report.snapshot_loaded {
+            prop_assert!(report.quarantined.is_empty());
+            let json = to_json(&set).unwrap();
+            prop_assert_eq!(to_json(&from_json(&json).unwrap()).unwrap(), json);
+        } else {
+            prop_assert_eq!(report.quarantined.len(), 1);
+            prop_assert!(set.examples().is_empty() && set.log().is_empty());
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Hashed TF-IDF embeddings and cosine similarity.
 
-use crate::token::{bigrams, tokenize};
-use genedit_telemetry::hash::fnv1a64;
-use serde::{Deserialize, Serialize};
+use crate::token::Terms;
+use genedit_telemetry::hash::{fnv1a64, fnv1a64_from, mix64};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Default embedding dimension. Large enough that hash collisions are rare
 /// for the vocabulary sizes of a knowledge set, small enough that cosine
@@ -16,10 +16,37 @@ pub type Embedding = Vec<f32>;
 /// Document-frequency statistics used for IDF weighting. Fit once over the
 /// knowledge set corpus during pre-processing; queries reuse the same
 /// weights at inference.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// A term is counted under its FNV-1a 64 hash, the hash that places it in
+/// an embedding: two terms with one hash would share one count. No two
+/// terms of the four domains' knowledge sets and questions do
+/// (`tests/term_hashes.rs`).
+#[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
     doc_count: usize,
-    doc_freq: HashMap<String, usize>,
+    doc_freq: HashMap<u64, usize, BuildHasherDefault<TermHasher>>,
+}
+
+/// The document-frequency table's hasher. Its keys are FNV-1a hashes
+/// already, but their low bits mix poorly and the table picks a bucket by
+/// them, so `finish` runs the key through the splitmix64 finaliser. It is
+/// unkeyed: only the fitted corpus inserts keys, and a query only looks
+/// them up, so a question cannot crowd the table's buckets.
+#[derive(Default)]
+struct TermHasher(u64);
+
+impl Hasher for TermHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a64_from(self.0, bytes);
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 ^= key;
+    }
+
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
 }
 
 impl Vocabulary {
@@ -40,21 +67,12 @@ impl Vocabulary {
     /// Incorporate one document's terms into the document-frequency table.
     pub fn add_document(&mut self, text: &str) {
         self.doc_count += 1;
-        let mut terms = tokenize(text);
-        let grams = bigrams(&terms);
-        terms.extend(grams);
-        // Each distinct term counts once per document; a term moves into
-        // the table the first time any document holds it, and is never
-        // copied.
-        terms.sort_unstable();
-        terms.dedup();
-        for term in terms {
-            match self.doc_freq.get_mut(&term) {
-                Some(df) => *df += 1,
-                None => {
-                    self.doc_freq.insert(term, 1);
-                }
-            }
+        // Each distinct term counts once per document.
+        let mut hashes = Terms::new(text).into_hashes();
+        hashes.sort_unstable();
+        hashes.dedup();
+        for h in hashes {
+            *self.doc_freq.entry(h).or_insert(0) += 1;
         }
     }
 
@@ -66,14 +84,19 @@ impl Vocabulary {
     /// Smoothed inverse document frequency. Unknown terms get the maximum
     /// weight — a rare domain acronym like "qoqfp" should dominate.
     pub fn idf(&self, term: &str) -> f32 {
-        let df = self.doc_freq.get(term).copied().unwrap_or(0);
+        self.idf_of(fnv1a64(term.as_bytes()))
+    }
+
+    /// [`Vocabulary::idf`] of the term whose FNV-1a 64 hash is `hash`.
+    fn idf_of(&self, hash: u64) -> f32 {
+        let df = self.doc_freq.get(&hash).copied().unwrap_or(0);
         let n = self.doc_count.max(1);
         (((n + 1) as f32) / ((df + 1) as f32)).ln() + 1.0
     }
 }
 
 /// TF-IDF hashed embedder.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Embedder {
     dim: usize,
     vocabulary: Vocabulary,
@@ -109,20 +132,21 @@ impl Embedder {
     /// zero vector (cosine with anything = 0).
     pub fn embed(&self, text: &str) -> Embedding {
         let mut vec = vec![0f32; self.dim];
-        let toks = tokenize(text);
-        let grams = bigrams(&toks);
-        // Sorted, so that equal terms are adjacent (a run is a count) and
-        // terms that hash to one slot add up in the same order on every
-        // call: f32 addition is not associative, and the vector must be
-        // bit-identical each time.
-        let mut terms: Vec<&str> = toks.iter().chain(&grams).map(String::as_str).collect();
-        terms.sort_unstable();
-        for run in terms.chunk_by(|a, b| a == b) {
-            let term = run[0];
+        let terms = Terms::new(text);
+        let dim = self.dim as u64;
+        // Sorted by slot, then by text: equal terms are adjacent (a run
+        // is a count), and the terms of one slot add up in text order on
+        // every call — f32 addition is not associative, and the vector
+        // must be bit-identical each time.
+        let mut slotted: Vec<(usize, &str, u64)> = (terms.hashes().iter())
+            .zip(terms.texts())
+            .map(|(&h, term)| ((h % dim) as usize, term, h))
+            .collect();
+        slotted.sort_unstable();
+        for run in slotted.chunk_by(|a, b| a.1 == b.1) {
+            let (slot, _, h) = run[0];
             let tf = 1.0 + (run.len() as f32).ln();
-            let weight = tf * self.vocabulary.idf(term);
-            let h = fnv1a64(term.as_bytes());
-            let slot = (h % self.dim as u64) as usize;
+            let weight = tf * self.vocabulary.idf_of(h);
             // Signed hashing halves the collision bias.
             let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
             vec[slot] += sign * weight;
@@ -265,6 +289,27 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::token::{bigrams, tokenize};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The term walker's hashes and texts are `fnv1a64` of
+        /// `tokenize(text)` and then of `bigrams(&tokens)`, in that order.
+        #[test]
+        fn term_walker_hashes_the_tokens_then_the_bigrams(
+            text in "[a-zA-Z0-9 _.,:İẞßéÉΣσ中Ⅻ①٣😀\u{300}\u{a0}]{0,40}",
+        ) {
+            let tokens = tokenize(&text);
+            let expected: Vec<String> = tokens.iter().cloned().chain(bigrams(&tokens)).collect();
+            let terms = Terms::new(&text);
+            let texts: Vec<&str> = terms.texts().collect();
+            prop_assert_eq!(texts, expected.iter().map(String::as_str).collect::<Vec<_>>());
+            let hashes: Vec<u64> = expected.iter().map(|t| fnv1a64(t.as_bytes())).collect();
+            prop_assert_eq!(terms.hashes(), &hashes[..]);
+        }
+    }
 
     fn embedder(corpus: &[&str]) -> Embedder {
         Embedder::new(Vocabulary::fit(corpus.iter().copied()))

@@ -5,6 +5,7 @@ use genedit_retrieval::{
     cosine, expand, rerank_top_k, tokenize, Embedder, Embedding, SparseEmbedding, VectorIndex,
     Vocabulary,
 };
+use genedit_telemetry::hash::fnv1a64;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -68,6 +69,50 @@ fn bigrams_reference(tokens: &[String]) -> Vec<String> {
         .windows(2)
         .map(|w| format!("{}_{}", w[0], w[1]))
         .collect()
+}
+
+/// Each term's document frequency over `corpus`, keyed by the term's
+/// text: the table the vocabulary fit kept before it keyed terms by hash.
+fn doc_freq_reference(corpus: &[String]) -> HashMap<String, usize> {
+    let mut doc_freq: HashMap<String, usize> = HashMap::new();
+    for doc in corpus {
+        let toks = tokenize_reference(doc);
+        let mut seen = HashSet::new();
+        for t in toks.iter().chain(bigrams_reference(&toks).iter()) {
+            if seen.insert(t.clone()) {
+                *doc_freq.entry(t.clone()).or_insert(0) += 1;
+            }
+        }
+    }
+    doc_freq
+}
+
+/// `Embedder::embed` as it was before terms were hashed in place: every
+/// term a `String`, sorted as a `String`, weighted from the `String`-keyed
+/// table of `doc_freq_reference`.
+fn embed_reference(corpus: &[String], dim: usize, text: &str) -> Embedding {
+    let doc_freq = doc_freq_reference(corpus);
+    let n = corpus.len().max(1);
+    let mut vec = vec![0f32; dim];
+    let toks = tokenize_reference(text);
+    let mut terms: Vec<String> = bigrams_reference(&toks);
+    terms.extend(toks);
+    terms.sort_unstable();
+    for run in terms.chunk_by(|a, b| a == b) {
+        let df = doc_freq.get(&run[0]).copied().unwrap_or(0);
+        let idf = (((n + 1) as f32) / ((df + 1) as f32)).ln() + 1.0;
+        let weight = (1.0 + (run.len() as f32).ln()) * idf;
+        let h = fnv1a64(run[0].as_bytes());
+        let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
+        vec[(h % dim as u64) as usize] += sign * weight;
+    }
+    let norm: f32 = vec.iter().map(|x| x * x).sum::<f32>().sqrt();
+    if norm > 0.0 {
+        for x in vec.iter_mut() {
+            *x /= norm;
+        }
+    }
+    vec
 }
 
 /// Text mixing ASCII with non-ASCII letters, digits and separators —
@@ -284,6 +329,27 @@ proptest! {
         let unseen_terms = unseen.iter().flat_map(|t| tokenize_reference(t));
         for term in doc_freq.keys().cloned().chain(unseen_terms) {
             prop_assert_eq!(fitted.idf(&term).to_bits(), idf(&term), "{}", term);
+        }
+    }
+
+    /// Terms hashed in place and ordered by (slot, text) embed bit for
+    /// bit like `String` terms sorted by text: at 8 slots, where many
+    /// terms share a slot, and at 512.
+    #[test]
+    fn embed_matches_the_string_sorting_embed(
+        corpus in prop::collection::vec(prop_oneof![mixed_text(), text()], 0..8),
+        queries in prop::collection::vec(prop_oneof![mixed_text(), text()], 1..4),
+    ) {
+        for dim in [8, 512] {
+            let vocabulary = Vocabulary::fit(corpus.iter().map(String::as_str));
+            let e = Embedder::with_dim(vocabulary, dim);
+            for text in corpus.iter().chain(&queries) {
+                prop_assert_eq!(
+                    bits(&e.embed(text)),
+                    bits(&embed_reference(&corpus, dim, text)),
+                    "dim {} {:?}", dim, text
+                );
+            }
         }
     }
 

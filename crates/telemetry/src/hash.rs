@@ -48,7 +48,13 @@ pub fn hash_u64(parts: &[&str], seed: u64) -> u64 {
         hash = fnv1a64_from(hash, p.as_bytes());
         hash = fnv1a64_from(hash, &[0xff]);
     }
-    let mut z = hash.wrapping_add(GOLDEN_GAMMA);
+    mix64(hash.wrapping_add(GOLDEN_GAMMA))
+}
+
+/// The splitmix64 finaliser: every output bit depends on every input
+/// bit, which raw FNV's low and high bits do not.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
