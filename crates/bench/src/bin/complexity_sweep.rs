@@ -20,7 +20,6 @@ fn simple_ft() -> MethodProfile {
     MethodProfile {
         name: "SimpleFT",
         examples: ExampleStyle::None,
-        include_evidence: true,
         schema: SchemaStyle::Linked { recall: 0.99 },
         reasoning_effort: 1.5, // fine-tuning buys single-shot fluency
         candidates: 2,

@@ -217,9 +217,9 @@ fn main() {
 
     println!("Trace of one generation ({}):\n", task.task_id);
     println!("{}", render_trace(&result.trace));
-    if !result.warnings.is_empty() {
+    if !result.trace.warnings.is_empty() {
         println!("warnings:");
-        for w in &result.warnings {
+        for w in &result.trace.warnings {
             println!("  - {w}");
         }
     }

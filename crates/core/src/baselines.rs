@@ -55,8 +55,6 @@ pub struct MethodProfile {
     pub name: &'static str,
     /// How the method supplies few-shot examples.
     pub examples: ExampleStyle,
-    /// Whether benchmark-provided evidence strings join the prompt.
-    pub include_evidence: bool,
     /// How the method supplies the schema.
     pub schema: SchemaStyle,
     /// Internal sampling/revision compute, as a capacity multiplier for
@@ -74,7 +72,6 @@ pub fn paper_baselines() -> Vec<MethodProfile> {
         MethodProfile {
             name: "CHESS",
             examples: ExampleStyle::FullQuery,
-            include_evidence: true,
             schema: SchemaStyle::Linked { recall: 0.97 },
             reasoning_effort: 2.0, // candidate sampling + revision agents
             candidates: 3,
@@ -83,7 +80,6 @@ pub fn paper_baselines() -> Vec<MethodProfile> {
         MethodProfile {
             name: "MAC-SQL",
             examples: ExampleStyle::None,
-            include_evidence: true,
             schema: SchemaStyle::Linked { recall: 0.85 },
             // The decomposer agent's effect is captured by the effort
             // multiplier; sub-question text itself adds no grounding.
@@ -94,7 +90,6 @@ pub fn paper_baselines() -> Vec<MethodProfile> {
         MethodProfile {
             name: "TA-SQL",
             examples: ExampleStyle::None,
-            include_evidence: true,
             schema: SchemaStyle::Linked { recall: 0.95 },
             reasoning_effort: 1.15, // task-alignment pre-pass
             candidates: 1,
@@ -103,7 +98,6 @@ pub fn paper_baselines() -> Vec<MethodProfile> {
         MethodProfile {
             name: "DAIL-SQL",
             examples: ExampleStyle::FullQuery,
-            include_evidence: true,
             schema: SchemaStyle::Dump,
             reasoning_effort: 1.0,
             candidates: 1,
@@ -112,7 +106,6 @@ pub fn paper_baselines() -> Vec<MethodProfile> {
         MethodProfile {
             name: "C3-SQL",
             examples: ExampleStyle::None,
-            include_evidence: true,
             schema: SchemaStyle::Dump,
             reasoning_effort: 1.0,
             candidates: 1,
@@ -207,9 +200,8 @@ pub fn run_baseline(
     base.examples = examples;
     base.schema = schema;
     base.reasoning_effort = profile.reasoning_effort;
-    if profile.include_evidence {
-        base.evidence = evidence.to_vec();
-    }
+    // Every baseline reads the benchmark's evidence strings.
+    base.evidence = evidence.to_vec();
 
     // Generate with retries: GenEdit's own generate-validate-retry step
     // under the method's sampling budget, first valid candidate wins. Only

@@ -1,4 +1,4 @@
-//! Pipeline configuration and the Table-2 ablation switches.
+//! Pipeline configuration and the Table-2 ablations.
 
 /// Configuration of the GenEdit generation pipeline (§2.1, §3).
 #[derive(Debug, Clone)]
@@ -17,20 +17,10 @@ pub struct PipelineConfig {
     /// Maximum regenerations on syntactic/semantic errors (§3: "might
     /// regenerate the query up to k times").
     pub max_retries: usize,
-    /// Operator 1: canonical-form reformulation.
-    pub use_reformulation: bool,
-    /// Operator 2: intent classification.
-    pub use_intent_classification: bool,
-    /// Operator 5: schema linking (off = ship the full schema).
-    pub use_schema_linking: bool,
-    /// Operator 4: instruction selection.
-    pub use_instructions: bool,
-    /// Operator 3: example selection.
-    pub use_examples: bool,
-    /// First generation call: CoT plan.
-    pub use_plan: bool,
-    /// Attach pseudo-SQL to plan steps.
-    pub use_pseudo_sql: bool,
+    /// The Table-2 row this pipeline runs: which one operator, if any,
+    /// is taken away. Reformulation, intent classification and the CoT
+    /// plan always run.
+    pub ablation: Ablation,
     /// Feed benchmark evidence strings to the model. GenEdit relies on its
     /// knowledge set instead (the evidence's content entered the set
     /// during pre-processing), so this is off by default.
@@ -45,13 +35,7 @@ impl Default for PipelineConfig {
             schema_top_k: 12,
             candidates: 2,
             max_retries: 2,
-            use_reformulation: true,
-            use_intent_classification: true,
-            use_schema_linking: true,
-            use_instructions: true,
-            use_examples: true,
-            use_plan: true,
-            use_pseudo_sql: true,
+            ablation: Ablation::None,
             include_evidence: false,
         }
     }
@@ -98,28 +82,18 @@ impl Ablation {
         }
     }
 
-    /// Apply the inference-time part of this ablation to a config.
-    pub fn apply(&self, config: &mut PipelineConfig) {
-        match self {
-            Ablation::None | Ablation::WithoutDecomposition => {}
-            Ablation::WithoutSchemaLinking => config.use_schema_linking = false,
-            Ablation::WithoutInstructions => config.use_instructions = false,
-            Ablation::WithoutExamples => config.use_examples = false,
-            Ablation::WithoutPseudoSql => config.use_pseudo_sql = false,
-        }
-    }
-
     /// Does this ablation require the knowledge set to be rebuilt with
     /// full-query examples?
     pub fn needs_full_query_examples(&self) -> bool {
         matches!(self, Ablation::WithoutDecomposition)
     }
 
-    /// A default [`PipelineConfig`] with this ablation applied.
+    /// A default [`PipelineConfig`] running this ablation.
     pub fn config(&self) -> PipelineConfig {
-        let mut c = PipelineConfig::default();
-        self.apply(&mut c);
-        c
+        PipelineConfig {
+            ablation: *self,
+            ..PipelineConfig::default()
+        }
     }
 }
 
@@ -129,14 +103,14 @@ mod tests {
 
     #[test]
     fn ablations_toggle_expected_switch() {
-        assert!(!Ablation::WithoutSchemaLinking.config().use_schema_linking);
-        assert!(!Ablation::WithoutInstructions.config().use_instructions);
-        assert!(!Ablation::WithoutExamples.config().use_examples);
-        assert!(!Ablation::WithoutPseudoSql.config().use_pseudo_sql);
-        let full = Ablation::None.config();
-        assert!(full.use_schema_linking && full.use_instructions && full.use_examples);
-        assert!(Ablation::WithoutDecomposition.config().use_examples);
-        assert!(Ablation::WithoutDecomposition.needs_full_query_examples());
+        for ablation in Ablation::ALL {
+            assert_eq!(ablation.config().ablation, ablation);
+            assert_eq!(
+                ablation.needs_full_query_examples(),
+                ablation == Ablation::WithoutDecomposition
+            );
+        }
+        assert_eq!(PipelineConfig::default().ablation, Ablation::None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! a benchmark workload, producing Table-1/Table-2-style reports.
 
 use crate::baselines::{run_baseline, MethodProfile};
-use crate::config::{Ablation, PipelineConfig};
+use crate::config::Ablation;
 use crate::index::KnowledgeIndex;
 use crate::pipeline::GenEditPipeline;
 use genedit_bird::{score_prediction, EvalReport, TaskOutcome, Workload};
@@ -88,10 +88,6 @@ impl<'w, M: LanguageModel> Harness<'w, M> {
         self.warnings_lock().push(message);
     }
 
-    fn build_pipeline(&self, config: PipelineConfig) -> GenEditPipeline<&RecordingModel<M>> {
-        GenEditPipeline::with_config(&self.model, config).with_metrics(Arc::clone(&self.metrics))
-    }
-
     /// Build per-domain knowledge indexes, optionally with full-query
     /// (non-decomposed) examples.
     pub fn build_indexes(&self, decompose: bool) -> HashMap<String, KnowledgeIndex> {
@@ -128,20 +124,9 @@ impl<'w, M: LanguageModel> Harness<'w, M> {
     /// Run GenEdit under an ablation over the whole workload.
     pub fn run_genedit(&self, ablation: Ablation) -> EvalReport {
         let indexes = self.build_indexes(!ablation.needs_full_query_examples());
-        self.run_genedit_with(ablation.config(), ablation.label(), &indexes)
-    }
-
-    /// Run GenEdit with explicit config and pre-built indexes (used by the
-    /// feedback-loop experiments, which edit the knowledge sets between
-    /// rounds).
-    pub fn run_genedit_with(
-        &self,
-        config: PipelineConfig,
-        label: &str,
-        indexes: &HashMap<String, KnowledgeIndex>,
-    ) -> EvalReport {
-        let pipeline = self.build_pipeline(config);
-        let mut report = EvalReport::new(label);
+        let pipeline = GenEditPipeline::with_config(&self.model, ablation.config())
+            .with_metrics(Arc::clone(&self.metrics));
+        let mut report = EvalReport::new(ablation.label());
         let mut traces: Vec<Trace> = Vec::new();
         for bundle in &self.workload.domains {
             let index = &indexes[&bundle.db.name];

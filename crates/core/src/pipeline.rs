@@ -13,7 +13,7 @@
 //!    with up to `k` self-correction retries on syntactic/semantic errors).
 
 use crate::cancel::CancelToken;
-use crate::config::PipelineConfig;
+use crate::config::{Ablation, PipelineConfig};
 use crate::index::KnowledgeIndex;
 use genedit_knowledge::{ExampleId, FragmentKind, InstructionId, RetrievalStage};
 use genedit_llm::{
@@ -59,11 +59,9 @@ pub struct GenerationResult {
     pub used_schema: Vec<String>,
     /// The final SQL-generation prompt, for inspection/demos (Fig. 2).
     pub final_prompt: Prompt,
-    /// Model-response fallbacks and other anomalies the pipeline
-    /// previously swallowed silently (mirrors `trace.warnings`).
-    pub warnings: Vec<String>,
     /// The span trace of this generation: one span per operator, LLM
-    /// call, and self-correction attempt.
+    /// call, and self-correction attempt. Its `warnings` list the
+    /// model-response fallbacks and other anomalies the run survived.
     pub trace: Trace,
 }
 
@@ -71,8 +69,8 @@ impl GenerationResult {
     /// Canonical semantic fingerprint: everything a caller acts on — SQL,
     /// reformulation, intents, the knowledge that entered the prompt,
     /// validation errors and the verdict — and nothing that legitimately
-    /// differs between two runs of the same generation (span timings in
-    /// `trace`, `warnings`, attempt counts). Cached and fault-injected
+    /// differs between two runs of the same generation (span timings and
+    /// warnings in `trace`, attempt counts). Cached and fault-injected
     /// runs are gated on this string being byte-identical to the plain
     /// run's.
     pub fn fingerprint(&self) -> String {
@@ -226,9 +224,7 @@ impl<M: LanguageModel> GenEditPipeline<M> {
             root.finish();
             r
         };
-        let trace = tracer.finish();
-        result.warnings = trace.warnings.clone();
-        result.trace = trace;
+        result.trace = tracer.finish();
         if let Some(metrics) = &self.metrics {
             metrics.record_trace(&result.trace);
         }
@@ -276,7 +272,7 @@ impl Draft {
 
     /// The one place a draft becomes a result — validated, exhausted, or
     /// `cancelled` with whatever the steps run so far wrote. `generate_with`
-    /// fills the trace and warnings once the tracer finishes.
+    /// fills the trace once the tracer finishes.
     fn into_result(self, cancelled: bool) -> GenerationResult {
         GenerationResult {
             sql: self.sql,
@@ -295,7 +291,6 @@ impl Draft {
             } else {
                 self.prompt
             },
-            warnings: Vec::new(),
             trace: Trace::empty(names::GENERATE),
         }
     }
@@ -435,18 +430,11 @@ impl<'a> Run<'a> {
 
     /// Operator 1: reformulation.
     fn reformulate(&self, draft: &mut Draft) {
-        // Warm path: a serving-layer cache already holds this question's
-        // canonical form for the current knowledge epoch.
-        let cached = self.opts.reformulation.as_ref();
-        if !self.cfg.use_reformulation {
-            if let Some(cached) = cached {
-                draft.prompt.question = cached.clone();
-            }
-            return;
-        }
         let span = self.tracer.span(names::REFORMULATE);
         let chars_in = draft.prompt.question.len();
-        if let Some(cached) = cached {
+        // Warm path: a serving-layer cache already holds this question's
+        // canonical form for the current knowledge epoch.
+        if let Some(cached) = &self.opts.reformulation {
             span.attr("cached", true);
             draft.prompt.question = cached.clone();
         } else {
@@ -464,9 +452,6 @@ impl<'a> Run<'a> {
 
     /// Operator 2: intent classification.
     fn classify_intents(&self, draft: &mut Draft) {
-        if !self.cfg.use_intent_classification {
-            return;
-        }
         let span = self.tracer.span(names::INTENT);
         let mut prompt = Prompt::new(TaskKind::IntentClassification, &draft.prompt.question);
         let intents = self.index.knowledge().intents();
@@ -531,7 +516,7 @@ impl<'a> Run<'a> {
 
     /// Operator 3: example selection.
     fn select_examples(&self, draft: &mut Draft) {
-        if !self.cfg.use_examples {
+        if self.cfg.ablation == Ablation::WithoutExamples {
             return;
         }
         let query = self.question_vector(&mut draft.query, &draft.prompt.question);
@@ -563,7 +548,7 @@ impl<'a> Run<'a> {
 
     /// Operator 4: instruction selection (context expansion).
     fn select_instructions(&self, draft: &mut Draft) {
-        if !self.cfg.use_instructions {
+        if self.cfg.ablation == Ablation::WithoutInstructions {
             return;
         }
         let span = self.tracer.span(names::INSTRUCTIONS);
@@ -594,7 +579,7 @@ impl<'a> Run<'a> {
     /// empty, which the oracle reads as "everything attached" — matching
     /// how un-linked deployments dump the DDL.
     fn link_schema(&self, draft: &mut Draft) {
-        if !self.cfg.use_schema_linking {
+        if self.cfg.ablation == Ablation::WithoutSchemaLinking {
             return;
         }
         let ks = self.index.knowledge();
@@ -653,9 +638,6 @@ impl<'a> Run<'a> {
     /// empty plan if the model answered with something else, or else to
     /// generating SQL directly (the prompt ships without a plan section).
     fn plan(&self, draft: &mut Draft) {
-        if !self.cfg.use_plan {
-            return;
-        }
         let span = self.tracer.span(names::PLAN);
         let mut prompt = draft.prompt.clone();
         prompt.task = TaskKind::PlanGeneration;
@@ -666,10 +648,11 @@ impl<'a> Run<'a> {
             Err(Lost::WrongVariant) => Some(Plan::default()),
             Err(Lost::Failed) => None,
         };
+        let pseudo_sql = self.cfg.ablation != Ablation::WithoutPseudoSql;
         span.attr("steps", plan.as_ref().map_or(0, |p| p.steps.len()))
-            .attr("pseudo_sql", self.cfg.use_pseudo_sql);
+            .attr("pseudo_sql", pseudo_sql);
         draft.prompt.plan = match plan {
-            Some(p) if !self.cfg.use_pseudo_sql => Some(p.without_pseudo_sql()),
+            Some(p) if !pseudo_sql => Some(p.without_pseudo_sql()),
             p => p,
         };
     }
@@ -820,7 +803,10 @@ mod tests {
 
         let mut timing_only = base.clone();
         timing_only.trace = Trace::empty(names::GENERATE);
-        timing_only.warnings.push("model fell back".to_string());
+        timing_only
+            .trace
+            .warnings
+            .push("model fell back".to_string());
         assert_eq!(base.fingerprint(), timing_only.fingerprint());
 
         let mut other_sql = base.clone();
@@ -874,7 +860,7 @@ mod tests {
     fn without_instructions_term_tasks_fail() {
         let (bundle, index, oracle) = setup();
         let cfg = PipelineConfig {
-            use_instructions: false,
+            ablation: Ablation::WithoutInstructions,
             ..Default::default()
         };
         let pipeline = GenEditPipeline::with_config(&oracle, cfg);
@@ -909,7 +895,7 @@ mod tests {
         assert!(plan.steps.iter().any(|s| s.pseudo_sql.is_some()));
 
         let cfg = PipelineConfig {
-            use_pseudo_sql: false,
+            ablation: Ablation::WithoutPseudoSql,
             ..Default::default()
         };
         let pipeline = GenEditPipeline::with_config(&oracle, cfg);
@@ -962,7 +948,6 @@ mod tests {
         };
         let cfg = PipelineConfig {
             candidates: 3,
-            use_plan: false,
             max_retries: 0,
             ..Default::default()
         };
@@ -1204,7 +1189,10 @@ mod tests {
                 &opts,
             );
             assert!(r.cancelled && !r.validated, "{stage}");
-            assert_eq!(r.warnings, [format!("generation cancelled after {stage}")]);
+            assert_eq!(
+                r.trace.warnings,
+                [format!("generation cancelled after {stage}")]
+            );
             assert_eq!(r.reformulated, "canonical");
             assert_eq!(carried(&r), expect, "{stage}");
             assert_eq!(r.attempts, attempts, "{stage}");
@@ -1256,99 +1244,48 @@ mod tests {
             .find(|t| t.difficulty == genedit_llm::Difficulty::Challenging)
             .unwrap();
 
-        // Full pipeline: every operator plus plan appears exactly once.
-        let full = GenEditPipeline::new(&oracle).generate(&task.question, &index, &bundle.db, &[]);
-        for name in [
-            names::REFORMULATE,
-            names::INTENT,
-            names::EXAMPLES,
-            names::INSTRUCTIONS,
-            names::SCHEMA_LINKING,
-            names::PLAN,
-        ] {
-            assert_eq!(
-                full.trace.count(name),
-                1,
-                "span {name} missing from full trace"
-            );
-        }
-        assert!(full.trace.count(names::SQL_ATTEMPT) >= 1);
-        assert!(full.trace.count(names::LLM_COMPLETE) >= 6);
-
-        // Each ablation makes exactly its operator's spans disappear.
-        let ablations: [(&str, PipelineConfig); 5] = [
-            (
-                names::REFORMULATE,
-                PipelineConfig {
-                    use_reformulation: false,
-                    ..Default::default()
-                },
-            ),
-            (
-                names::INTENT,
-                PipelineConfig {
-                    use_intent_classification: false,
-                    ..Default::default()
-                },
-            ),
-            (
-                names::EXAMPLES,
-                PipelineConfig {
-                    use_examples: false,
-                    ..Default::default()
-                },
-            ),
-            (
-                names::INSTRUCTIONS,
-                PipelineConfig {
-                    use_instructions: false,
-                    ..Default::default()
-                },
-            ),
-            (
-                names::SCHEMA_LINKING,
-                PipelineConfig {
-                    use_schema_linking: false,
-                    ..Default::default()
-                },
-            ),
-        ];
-        for (disabled, cfg) in ablations {
-            let result = GenEditPipeline::with_config(&oracle, cfg).generate(
+        // Each Table-2 row takes away exactly its operator's span; every
+        // other operator, and the plan, appears exactly once.
+        for ablation in Ablation::ALL {
+            let removed = match ablation {
+                Ablation::WithoutSchemaLinking => Some(names::SCHEMA_LINKING),
+                Ablation::WithoutInstructions => Some(names::INSTRUCTIONS),
+                Ablation::WithoutExamples => Some(names::EXAMPLES),
+                Ablation::None | Ablation::WithoutPseudoSql | Ablation::WithoutDecomposition => {
+                    None
+                }
+            };
+            let result = GenEditPipeline::with_config(&oracle, ablation.config()).generate(
                 &task.question,
                 &index,
                 &bundle.db,
                 &[],
             );
-            assert_eq!(
-                result.trace.count(disabled),
-                0,
-                "span {disabled} should vanish when its operator is disabled"
-            );
+            let label = ablation.label();
             for name in [
                 names::REFORMULATE,
                 names::INTENT,
                 names::EXAMPLES,
                 names::INSTRUCTIONS,
                 names::SCHEMA_LINKING,
+                names::PLAN,
             ] {
-                if name != disabled {
-                    assert_eq!(result.trace.count(name), 1, "{name} should survive");
-                }
+                let want = usize::from(removed != Some(name));
+                assert_eq!(result.trace.count(name), want, "span {name} under {label}");
+            }
+            assert!(result.trace.count(names::SQL_ATTEMPT) >= 1, "{label}");
+            // Pseudo-SQL is stripped inside the plan span, not by removing it.
+            assert_eq!(
+                result.trace.find(names::PLAN).unwrap().attr("pseudo_sql"),
+                Some(&genedit_telemetry::AttrValue::Bool(
+                    ablation != Ablation::WithoutPseudoSql
+                )),
+                "{label}"
+            );
+            if ablation == Ablation::None {
+                assert!(result.trace.count(names::LLM_COMPLETE) >= 6);
             }
         }
-
-        let no_plan = PipelineConfig {
-            use_plan: false,
-            ..Default::default()
-        };
-        let result = GenEditPipeline::with_config(&oracle, no_plan).generate(
-            &task.question,
-            &index,
-            &bundle.db,
-            &[],
-        );
-        assert_eq!(result.trace.count(names::PLAN), 0);
     }
 
     #[test]
@@ -1449,19 +1386,13 @@ mod tests {
             &[],
         );
         assert!(!result.validated);
-        assert_eq!(result.warnings, result.trace.warnings);
         // Intent classification, schema linking, plan, and every SQL
         // candidate all fell back.
-        assert!(result
-            .warnings
-            .iter()
-            .any(|w| w.contains("intent classification")));
-        assert!(result.warnings.iter().any(|w| w.contains("schema linking")));
-        assert!(result
-            .warnings
-            .iter()
-            .any(|w| w.contains("plan generation")));
-        assert!(result.warnings.iter().any(|w| w.contains("no SQL")));
+        let warnings = &result.trace.warnings;
+        assert!(warnings.iter().any(|w| w.contains("intent classification")));
+        assert!(warnings.iter().any(|w| w.contains("schema linking")));
+        assert!(warnings.iter().any(|w| w.contains("plan generation")));
+        assert!(warnings.iter().any(|w| w.contains("no SQL")));
     }
 
     #[test]

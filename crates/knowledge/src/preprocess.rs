@@ -107,6 +107,10 @@ impl DomainDocument {
     }
 }
 
+/// Frequent values attached to each column's schema element (the paper's
+/// top-5, §2.1).
+const TOP_K_VALUES: usize = 5;
+
 /// Configuration of the pre-processing run.
 #[derive(Debug, Clone, Default)]
 pub struct PreprocessConfig {
@@ -114,8 +118,6 @@ pub struct PreprocessConfig {
     pub intents: Vec<Intent>,
     /// `(intent_key, table_name)` associations for schema grouping.
     pub intent_tables: Vec<(String, String)>,
-    /// How many frequent values to attach per column (the paper uses 5).
-    pub top_k_values: usize,
     /// When false, logged queries are stored as traditional full-query
     /// examples instead of being decomposed — the "w/o Decomposition"
     /// ablation of Table 2.
@@ -123,12 +125,11 @@ pub struct PreprocessConfig {
 }
 
 impl PreprocessConfig {
-    /// Paper defaults: top-5 values, decomposition on.
+    /// Paper defaults: decomposition on.
     pub fn new(intents: Vec<Intent>) -> PreprocessConfig {
         PreprocessConfig {
             intents,
             intent_tables: Vec::new(),
-            top_k_values: 5,
             decompose_examples: true,
         }
     }
@@ -227,11 +228,6 @@ pub fn build_knowledge_set_traced(
 
     // Schema elements with top-k frequent values (§2.1).
     let span = tracer.span("knowledge.schema");
-    let k = if config.top_k_values == 0 {
-        5
-    } else {
-        config.top_k_values
-    };
     for table in db.tables() {
         let table_intents: Vec<String> = config
             .intent_tables
@@ -247,7 +243,7 @@ pub fn build_knowledge_set_traced(
             intents: table_intents.clone(),
         })))?;
         for col in &table.columns {
-            let profile = table.top_values(&col.name, k)?;
+            let profile = table.top_values(&col.name, TOP_K_VALUES)?;
             applied(ks.apply(Edit::AddSchemaElement(SchemaElement {
                 table: table.name.clone(),
                 column: Some(col.name.clone()),

@@ -211,7 +211,9 @@ pub struct PageDirectory {
     pub vector_pages: Vec<u32>,
     /// First never-allocated physical slot. Every slot below it that
     /// the directory does not name is free: a cold load derives the free
-    /// list from that, so the directory does not store one.
+    /// list from that, so the directory does not store one, and trusts
+    /// the directory only while `next_physical` is within the pages
+    /// file's slot count and names no slot at or past it.
     pub next_physical: u32,
 }
 
@@ -475,13 +477,19 @@ impl TenantKnowledgeStore {
     }
 
     /// Cold-load one tenant: fast path validates the meta page against
-    /// the WAL; slow path runs full recovery and re-pages.
+    /// the WAL and the pages file; slow path runs full recovery and
+    /// re-pages.
     fn load_tenant(&self, tenant: &str, slot: u64) -> Result<TenantState, TenantStoreError> {
         let lens = self.durable_lens(tenant)?;
         if self.fs.exists(&self.pages_path(tenant)) {
             match self.read_meta_page(tenant) {
                 Ok(dir) if (dir.wal_len, dir.snapshot_len) == lens => {
-                    return Ok(TenantState::at(slot, dir));
+                    if self.directory_fits(tenant, &dir)? {
+                        return Ok(TenantState::at(slot, dir));
+                    }
+                    // A CRC vouches for the medium, not the writer: a
+                    // directory naming slots the file cannot hold would
+                    // size the free list, or hand out a live slot.
                 }
                 Ok(_) => {
                     // Pages are consistent but stale: the WAL moved after
@@ -528,6 +536,20 @@ impl TenantKnowledgeStore {
             len(self.wal_path(tenant))?,
             len(self.snapshot_path(tenant))?,
         ))
+    }
+
+    /// Whether `dir` stays inside the tenant's pages file: `next_physical`
+    /// is at least 1 (slot 0 is the meta page) and at most the file's
+    /// slot count, and every slot it names is in `1..next_physical`. A
+    /// cold load derives the free list from `1..next_physical`, so this
+    /// bounds it by the file.
+    fn directory_fits(&self, tenant: &str, dir: &PageDirectory) -> Result<bool, TenantStoreError> {
+        let path = self.pages_path(tenant);
+        let len = self.fs.len(&path).map_err(io_failure("len", &path))?;
+        let file_slots = len / self.config.page_size as u64;
+        let allocated = 1..dir.next_physical;
+        Ok((1..=file_slots).contains(&u64::from(dir.next_physical))
+            && dir.slots().all(|s| allocated.contains(&s)))
     }
 
     /// Read and decode the meta page (direct, not pooled: it is read
@@ -1089,6 +1111,13 @@ mod tests {
     }
 
     fn mem_store(mem: &Arc<MemFs>) -> Arc<TenantKnowledgeStore> {
+        mem_store_with(mem, None)
+    }
+
+    fn mem_store_with(
+        mem: &Arc<MemFs>,
+        metrics: Option<Arc<MetricsRegistry>>,
+    ) -> Arc<TenantKnowledgeStore> {
         let fs: Arc<dyn StoreFs> = Arc::clone(mem) as Arc<dyn StoreFs>;
         Arc::new(TenantKnowledgeStore::new_with(
             fs,
@@ -1099,7 +1128,7 @@ mod tests {
                 shards: 4,
                 store: StoreConfig::default(),
             },
-            None,
+            metrics,
         ))
     }
 
@@ -1390,6 +1419,40 @@ mod tests {
         // The same plausible header over its full body decodes.
         let whole = decode_vector_stream(&stream(4, [2, 1, 0], 3 * 4 * 4)).unwrap();
         assert_eq!((whole.examples.len(), whole.instructions.len()), (2, 1));
+    }
+
+    /// A CRC-valid directory that names more than its pages file holds —
+    /// re-sealed with a `next_physical` far past the file, or with a named
+    /// slot at `next_physical` — is rebuilt from the WAL on the next cold
+    /// load: same content, one more `store.page.rebuilds`, and a free
+    /// list no longer than the file.
+    #[test]
+    fn directory_past_its_pages_file_is_rebuilt_from_the_wal() {
+        let reseals: [fn(&mut PageDirectory); 2] = [
+            |dir| dir.next_physical = 20_000_000,
+            |dir| dir.next_physical = dir.slots().max().unwrap(),
+        ];
+        for reseal in reseals {
+            let mem = Arc::new(MemFs::new());
+            let metrics = Arc::new(MetricsRegistry::default());
+            let store = mem_store_with(&mem, Some(Arc::clone(&metrics)));
+            store.commit("t1", staged(&["a", "b"]), "seed").unwrap();
+            let want = store.snapshot("t1").unwrap().content().unwrap();
+            let path = store.pages_path("t1");
+            let mut dir = store.read_meta_page("t1").unwrap();
+            reseal(&mut dir);
+            store.write_meta_page(&path, 0, &dir).unwrap();
+            store.forget("t1");
+
+            let rebuilds = metrics.counter(names::PAGE_REBUILDS);
+            assert_eq!(store.snapshot("t1").unwrap().content().unwrap(), want);
+            assert_eq!(metrics.counter(names::PAGE_REBUILDS), rebuilds + 1);
+            let file_slots = mem.len(&path).unwrap() / 1024;
+            let entry = store.tenant_entry("t1", false).unwrap();
+            let state = lock(&entry);
+            assert!(state.free_slots.len() as u64 <= file_slots);
+            assert!(u64::from(state.next_physical) <= file_slots);
+        }
     }
 
     /// A store on 1 KiB pages holding one committed tenant, `t1`, and

@@ -58,7 +58,7 @@ pub struct FaultConfig {
     pub transient: f64,
     /// `ModelError::Timeout` rate.
     pub timeout: f64,
-    /// `ModelError::RateLimited` rate (`retry_after` = [`FaultConfig::retry_after`]).
+    /// `ModelError::RateLimited` rate.
     pub rate_limited: f64,
     /// `ModelError::Malformed` rate.
     pub malformed: f64,
@@ -74,8 +74,6 @@ pub struct FaultConfig {
     /// [`FaultConfig::uniform`]; callers must opt in because the panic
     /// only resolves above a `catch_unwind` boundary.
     pub panic: f64,
-    /// Suggested wait attached to injected rate limits.
-    pub retry_after: Duration,
     /// Duration of an injected latency spike.
     pub spike: Duration,
 }
@@ -96,7 +94,6 @@ impl FaultConfig {
             garbled_sql: rate,
             latency_spike: rate,
             panic: 0.0,
-            retry_after: Duration::from_millis(250),
             spike: Duration::from_millis(500),
         }
     }
@@ -114,7 +111,6 @@ impl FaultConfig {
     /// A config injecting a single [`FaultKind`] at `rate`.
     pub fn only(kind: FaultKind, rate: f64) -> FaultConfig {
         let mut config = FaultConfig {
-            retry_after: Duration::from_millis(250),
             spike: Duration::from_millis(500),
             ..FaultConfig::default()
         };
@@ -300,9 +296,7 @@ impl<M: LanguageModel> LanguageModel for FaultInjector<M> {
         }
         if self.roll(n, "rate-limited") < self.config.rate_limited {
             self.lock_log().rate_limited += 1;
-            return Err(ModelError::RateLimited {
-                retry_after: self.config.retry_after,
-            });
+            return Err(ModelError::RateLimited);
         }
         if self.roll(n, "malformed") < self.config.malformed {
             self.lock_log().malformed += 1;

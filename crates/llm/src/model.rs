@@ -4,7 +4,6 @@
 use crate::prompt::{Plan, Prompt, TaskKind};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// A completion request: the structured prompt plus a seed the caller may
 /// vary to sample multiple candidates (the paper generates "one or more
@@ -94,11 +93,8 @@ pub enum ModelError {
         /// The unparseable payload, verbatim.
         raw: String,
     },
-    /// The provider throttled the call and suggested a wait.
-    RateLimited {
-        /// The provider-suggested backoff before the next call.
-        retry_after: Duration,
-    },
+    /// The provider throttled the call.
+    RateLimited,
 }
 
 impl ModelError {
@@ -108,7 +104,7 @@ impl ModelError {
             ModelError::Transient(_) => "transient",
             ModelError::Timeout => "timeout",
             ModelError::Malformed { .. } => "malformed",
-            ModelError::RateLimited { .. } => "rate-limited",
+            ModelError::RateLimited => "rate-limited",
         }
     }
 }
@@ -122,9 +118,7 @@ impl std::fmt::Display for ModelError {
                 let preview: String = raw.chars().take(48).collect();
                 write!(f, "malformed model response: {preview:?}")
             }
-            ModelError::RateLimited { retry_after } => {
-                write!(f, "rate limited (retry after {retry_after:?})")
-            }
+            ModelError::RateLimited => write!(f, "rate limited"),
         }
     }
 }

@@ -59,7 +59,7 @@ proptest! {
                 .iter()
                 .filter(|s| s.name == names::LLM_COMPLETE && s.attr("error").is_some())
                 .count();
-            warnings += result.warnings.len();
+            warnings += result.trace.warnings.len();
             errors += result.errors.len();
         }
 

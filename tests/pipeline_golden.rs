@@ -62,7 +62,12 @@ fn digests<M: LanguageModel>(pipeline: &GenEditPipeline<M>) -> ((u64, u64), Vec<
         let index = &indexes[&bundle.db.name];
         for task in &bundle.tasks {
             let r = pipeline.generate(&task.question, index, &bundle.db, &[]);
-            let answer = format!("{}|{}|{:?}\n", r.fingerprint(), r.attempts, r.warnings);
+            let answer = format!(
+                "{}|{}|{:?}\n",
+                r.fingerprint(),
+                r.attempts,
+                r.trace.warnings
+            );
             answers = fnv1a64_from(answers, answer.as_bytes());
             let mut shape = String::new();
             for span in &r.trace.spans {
@@ -70,7 +75,7 @@ fn digests<M: LanguageModel>(pipeline: &GenEditPipeline<M>) -> ((u64, u64), Vec<
             }
             shape.push('\n');
             traces = fnv1a64_from(traces, shape.as_bytes());
-            warnings.extend(r.warnings);
+            warnings.extend(r.trace.warnings);
             tasks += 1;
         }
     }

@@ -23,7 +23,6 @@ fn traces_survive_a_jsonl_round_trip() {
         let index = &indexes[&bundle.db.name];
         for task in &bundle.tasks {
             let result = pipeline.generate(&task.question, index, &bundle.db, &[]);
-            assert_eq!(result.warnings, result.trace.warnings);
             traces.push(result.trace);
         }
     }
