@@ -3,6 +3,7 @@
 use genedit_llm::Difficulty;
 use genedit_sql::catalog::Database;
 use genedit_sql::exec::execute_sql;
+use genedit_sql::ResultSet;
 use genedit_telemetry::OperatorStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -25,10 +26,19 @@ pub fn score_prediction(
     gold_sql: &str,
     predicted: Option<&str>,
 ) -> (bool, Option<String>) {
-    let gold = match execute_sql(db, gold_sql) {
-        Ok(rs) => rs,
-        Err(e) => return (false, Some(format!("gold failed (benchmark bug): {e}"))),
-    };
+    match execute_sql(db, gold_sql) {
+        Ok(gold) => score_against(db, &gold, predicted),
+        Err(e) => (false, Some(format!("gold failed (benchmark bug): {e}"))),
+    }
+}
+
+/// [`score_prediction`] against the gold query's result, executed once
+/// by the caller — for a caller scoring many predictions of one question.
+pub fn score_against(
+    db: &Database,
+    gold: &ResultSet,
+    predicted: Option<&str>,
+) -> (bool, Option<String>) {
     let sql = match predicted {
         Some(s) => s,
         None => return (false, Some("no prediction".into())),

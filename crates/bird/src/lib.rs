@@ -16,7 +16,7 @@ pub mod workload;
 
 pub use complexity::{sweep_task, sweep_tasks};
 pub use domains::{all_domains, HEALTH, LOGISTICS, RETAIL, SPORTS};
-pub use eval::{score_prediction, EvalReport, Prediction, TaskOutcome};
+pub use eval::{score_against, score_prediction, EvalReport, Prediction, TaskOutcome};
 pub use spec::{generate_database, DomainSpec};
 pub use templates::generate_tasks;
 pub use workload::{DomainBundle, Workload};

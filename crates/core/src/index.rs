@@ -2,11 +2,15 @@
 //!
 //! Built once per knowledge-set version; the pipeline's compounding
 //! retrieval operators (§3.1.1) query it with progressively expanded
-//! embeddings.
+//! embeddings. A disk-backed tenant pages in from its knowledge text
+//! alone ([`KnowledgeIndex::from_snapshot`]) and no index is stored:
+//! fitting and embedding a domain's corpus costs less than reading and
+//! decoding its vectors from pages would.
 
-use genedit_knowledge::tenants::{StoredVectors, TenantSnapshot, TenantStoreError};
+use genedit_knowledge::tenants::{TenantSnapshot, TenantStoreError};
 use genedit_knowledge::{Example, Instruction, KnowledgeSet, RetrievalStage, SchemaElement};
-use genedit_retrieval::{Embedder, Embedding, SparseEmbedding, VectorIndex, Vocabulary};
+use genedit_retrieval::embed::DEFAULT_DIM;
+use genedit_retrieval::{Embedder, Embedding, SparseEmbedding, VectorIndex};
 use std::sync::OnceLock;
 
 /// A knowledge set plus embedding indexes for its three element kinds.
@@ -32,66 +36,29 @@ pub struct KnowledgeIndex {
 
 impl KnowledgeIndex {
     /// Fit the vocabulary over the whole knowledge corpus and index every
-    /// element.
+    /// element. Each element's retrieval text is formatted and tokenized
+    /// once, for both the fit and its vector.
     pub fn build(ks: KnowledgeSet) -> KnowledgeIndex {
-        KnowledgeIndex::build_with_vectors(ks, None)
-    }
-
-    /// [`KnowledgeIndex::build`], but reuse pre-computed embedding
-    /// vectors when they still describe this knowledge set (same
-    /// dimensionality as the freshly fitted vocabulary, one vector per
-    /// element). Vectors that do not match are ignored and everything is
-    /// re-embedded — the result is identical either way, because the
-    /// vocabulary fit and the embedder are deterministic functions of
-    /// the corpus.
-    pub fn build_with_vectors(ks: KnowledgeSet, stored: Option<&StoredVectors>) -> KnowledgeIndex {
-        let mut vocab = Vocabulary::new();
-        for e in ks.examples() {
-            vocab.add_document(&e.retrieval_text());
-        }
-        for i in ks.instructions() {
-            vocab.add_document(&i.retrieval_text());
-        }
-        for s in ks.schema_elements() {
-            vocab.add_document(&s.retrieval_text());
-        }
-        let embedder = Embedder::new(vocab);
-        let usable = stored.filter(|v| {
-            v.dim == embedder.dim()
-                && v.examples.len() == ks.examples().len()
-                && v.instructions.len() == ks.instructions().len()
-                && v.schema.len() == ks.schema_elements().len()
-        });
-
-        let mut examples = VectorIndex::new();
-        let mut instructions = VectorIndex::new();
-        let mut schema = VectorIndex::new();
-        match usable {
-            // Each stored vector is read in place into the index's
-            // nonzero pairs.
-            Some(v) => {
-                for (pos, vec) in v.examples.iter().enumerate() {
-                    examples.insert(pos, vec);
-                }
-                for (pos, vec) in v.instructions.iter().enumerate() {
-                    instructions.insert(pos, vec);
-                }
-                for (pos, vec) in v.schema.iter().enumerate() {
-                    schema.insert(pos, vec);
-                }
+        let examples = ks.examples().iter().map(Example::retrieval_text);
+        let instructions = ks.instructions().iter().map(Instruction::retrieval_text);
+        let schema = ks
+            .schema_elements()
+            .iter()
+            .map(SchemaElement::retrieval_text);
+        let texts: Vec<String> = examples.chain(instructions).chain(schema).collect();
+        let texts = texts.iter().map(String::as_str);
+        let (embedder, vectors) = Embedder::fit_embed(texts, DEFAULT_DIM);
+        let mut vectors = vectors.into_iter();
+        let mut index_next = |n: usize| {
+            let mut index = VectorIndex::new();
+            for (pos, vector) in vectors.by_ref().take(n).enumerate() {
+                index.insert(pos, vector);
             }
-            None => {
-                for (pos, e) in ks.examples().iter().enumerate() {
-                    examples.insert(pos, embedder.embed(&e.retrieval_text()));
-                }
-                for (pos, i) in ks.instructions().iter().enumerate() {
-                    instructions.insert(pos, embedder.embed(&i.retrieval_text()));
-                }
-                for (pos, s) in ks.schema_elements().iter().enumerate() {
-                    schema.insert(pos, embedder.embed(&s.retrieval_text()));
-                }
-            }
-        }
+            index
+        };
+        let examples = index_next(ks.examples().len());
+        let instructions = index_next(ks.instructions().len());
+        let schema = index_next(ks.schema_elements().len());
         let memo = |n: usize| std::iter::repeat_with(OnceLock::new).take(n).collect();
         KnowledgeIndex {
             example_expansions: memo(ks.examples().len()),
@@ -105,31 +72,12 @@ impl KnowledgeIndex {
         }
     }
 
-    /// Build from a tenant store snapshot: the knowledge content and any
-    /// stored vectors are read through pinned buffer-pool pages, so a
-    /// cold tenant pages in without replaying its WAL and — when vectors
-    /// were written back — without re-embedding its corpus.
+    /// Build from a tenant store snapshot: the knowledge content is read
+    /// through pinned buffer-pool pages, so a cold tenant pages in without
+    /// replaying its WAL. Only the entry pages are read; vector pages a
+    /// store written by an older version may still name are not.
     pub fn from_snapshot(snapshot: &TenantSnapshot) -> Result<KnowledgeIndex, TenantStoreError> {
-        let ks = snapshot.knowledge_set()?;
-        let vectors = snapshot.vectors()?;
-        Ok(KnowledgeIndex::build_with_vectors(ks, vectors.as_ref()))
-    }
-
-    /// The embedding vectors of every indexed element, in content order —
-    /// what [`genedit_knowledge::tenants::TenantKnowledgeStore::put_vectors`]
-    /// persists so the next cold page-in skips re-embedding. They are the
-    /// vectors the index holds, densified, so nothing is embedded again
-    /// and the stored stream keeps its dense layout.
-    pub fn export_vectors(&self) -> StoredVectors {
-        let all = |index: &VectorIndex| -> Vec<Embedding> {
-            (0..index.len()).map(|pos| index.embedding(pos)).collect()
-        };
-        StoredVectors {
-            dim: self.embedder.dim(),
-            examples: all(&self.examples),
-            instructions: all(&self.instructions),
-            schema: all(&self.schema),
-        }
+        Ok(KnowledgeIndex::build(snapshot.knowledge_set()?))
     }
 
     /// The knowledge set this index was built over.
@@ -388,43 +336,32 @@ mod tests {
         assert!(idx.top_schema(&q, 5).is_empty()); // no schema elements
     }
 
-    /// `export_vectors` hands out the vectors the index holds, and those
-    /// are a fresh `embed(retrieval_text)` of every element, bit for bit —
-    /// whether the index embedded its corpus or was built from stored
-    /// vectors.
+    /// Every vector a Sports index holds is a fresh `embed(retrieval_text)`
+    /// of its element, bit for bit: the fused fit-and-embed changes none.
     #[test]
-    fn exported_vectors_are_the_retrieval_text_embeddings() {
+    fn indexed_vectors_are_the_retrieval_text_embeddings() {
         let bundle = genedit_bird::DomainBundle::build(&genedit_bird::SPORTS, (4, 2, 1), 42);
-        let built = KnowledgeIndex::build(bundle.build_knowledge());
-        let stored = built.export_vectors();
-        let reloaded = KnowledgeIndex::build_with_vectors(bundle.build_knowledge(), Some(&stored));
-        for index in [&built, &reloaded] {
-            let bits = |v: &Embedding| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-            let fresh = |text: String| bits(&index.embedder().embed(&text));
-            let ks = index.knowledge();
-            let got = index.export_vectors();
-            assert_eq!(got.dim, index.embedder().dim());
-            assert_eq!(
-                got.examples.iter().map(bits).collect::<Vec<_>>(),
-                ks.examples()
-                    .iter()
-                    .map(|e| fresh(e.retrieval_text()))
-                    .collect::<Vec<_>>()
-            );
-            assert_eq!(
-                got.instructions.iter().map(bits).collect::<Vec<_>>(),
-                (ks.instructions().iter())
-                    .map(|i| fresh(i.retrieval_text()))
-                    .collect::<Vec<_>>()
-            );
-            assert_eq!(
-                got.schema.iter().map(bits).collect::<Vec<_>>(),
-                (ks.schema_elements().iter())
-                    .map(|s| fresh(s.retrieval_text()))
-                    .collect::<Vec<_>>()
-            );
-            assert!(!got.examples.is_empty() && !got.instructions.is_empty());
-            assert!(!got.schema.is_empty());
-        }
+        let index = KnowledgeIndex::build(bundle.build_knowledge());
+        let ks = index.knowledge();
+        let bits = |v: &Embedding| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let held = |vectors: &VectorIndex| {
+            (0..vectors.len())
+                .map(|pos| bits(&vectors.embedding(pos)))
+                .collect::<Vec<_>>()
+        };
+        let fresh = |text: String| bits(&index.embedder().embed(&text));
+        let examples: Vec<_> = (ks.examples().iter())
+            .map(|e| fresh(e.retrieval_text()))
+            .collect();
+        let instructions: Vec<_> = (ks.instructions().iter())
+            .map(|i| fresh(i.retrieval_text()))
+            .collect();
+        let schema: Vec<_> = (ks.schema_elements().iter())
+            .map(|s| fresh(s.retrieval_text()))
+            .collect();
+        assert!(!examples.is_empty() && !instructions.is_empty() && !schema.is_empty());
+        assert_eq!(held(&index.examples), examples);
+        assert_eq!(held(&index.instructions), instructions);
+        assert_eq!(held(&index.schema), schema);
     }
 }

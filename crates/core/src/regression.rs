@@ -10,6 +10,7 @@ use genedit_knowledge::{
 };
 use genedit_llm::LanguageModel;
 use genedit_sql::catalog::Database;
+use genedit_sql::exec::execute_sql;
 use std::fmt;
 
 /// A golden question whose behaviour must not regress.
@@ -58,7 +59,8 @@ impl RegressionOutcome {
 }
 
 /// Execute the golden suite twice — against the deployed knowledge set and
-/// against the staged view — and diff the outcomes.
+/// against the staged view — and diff the outcomes. Each golden query's
+/// gold SQL executes once per gate.
 pub fn run_regression<M: LanguageModel>(
     pipeline: &GenEditPipeline<M>,
     db: &Database,
@@ -80,10 +82,21 @@ pub fn run_regression<M: LanguageModel>(
         after_degraded: 0,
     };
     for g in golden {
+        // The database is immutable and execution deterministic: the gold
+        // SQL runs once per question, and an after-side SQL equal to the
+        // before-side one has its verdict.
+        let gold = execute_sql(db, &g.gold_sql).ok();
+        let correct = |sql: Option<&str>| {
+            (gold.as_ref()).is_some_and(|gold| genedit_bird::score_against(db, gold, sql).0)
+        };
         let before = pipeline.generate(&g.question, &before_index, db, &[]);
-        let (before_ok, _) = genedit_bird::score_prediction(db, &g.gold_sql, before.sql.as_deref());
+        let before_ok = correct(before.sql.as_deref());
         let after = pipeline.generate(&g.question, &after_index, db, &[]);
-        let (after_ok, _) = genedit_bird::score_prediction(db, &g.gold_sql, after.sql.as_deref());
+        let after_ok = if after.sql == before.sql {
+            before_ok
+        } else {
+            correct(after.sql.as_deref())
+        };
         outcome.before_degraded += before.degraded_operator_count();
         outcome.after_degraded += after.degraded_operator_count();
         if before_ok {

@@ -207,7 +207,9 @@ pub struct PageDirectory {
     pub snapshot_len: u64,
     /// Physical slots holding entry records, in read order.
     pub entry_pages: Vec<u32>,
-    /// Physical slots holding the chunked vector stream, in read order.
+    /// Physical slots holding a chunked vector stream, in read order.
+    /// No flush writes one: a directory names vector pages only when an
+    /// older version of this store wrote it, and the next flush frees them.
     pub vector_pages: Vec<u32>,
     /// First never-allocated physical slot. Every slot below it that
     /// the directory does not name is free: a cold load derives the free
@@ -225,10 +227,9 @@ impl PageDirectory {
 }
 
 /// Embedding vectors stored alongside a tenant's entries, grouped the way
-/// the retrieval indexes consume them. Written back by the index builder
-/// via [`TenantKnowledgeStore::put_vectors`] and read through pinned
-/// pages on the next cold page-in, so retrieval never recomputes what is
-/// already durable.
+/// the retrieval indexes consume them. Only stores written by an older
+/// version hold them: an index is now built from the entries alone, and
+/// [`TenantSnapshot::vectors`] remains to read what such a store wrote.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredVectors {
     /// Embedding dimensionality (vocabulary size at fit time).
@@ -625,8 +626,8 @@ impl TenantKnowledgeStore {
             wal_len,
             snapshot_len,
             entry_pages: pages.iter().map(Page::page_no).collect(),
-            // Vectors are dropped on every mutation: they describe the old
-            // epoch's entries. The index builder writes fresh ones back.
+            // Vector pages an older store wrote describe the old epoch's
+            // entries: publishing without them frees their slots.
             vector_pages: Vec::new(),
             next_physical: state.next_physical,
         };
@@ -748,38 +749,6 @@ impl TenantKnowledgeStore {
         let mut writer = self.open_writer(tenant)?;
         writer.apply(edit)?;
         self.flush_pages(tenant, &mut state, &writer)
-    }
-
-    /// Store embedding vectors for the tenant's current entries. No-op
-    /// returning `false` if the tenant has moved past `epoch` (the
-    /// vectors describe stale entries). The entry pages are untouched —
-    /// only the vector stream and the directory are rewritten.
-    pub fn put_vectors(
-        &self,
-        tenant: &str,
-        epoch: u64,
-        vectors: &StoredVectors,
-    ) -> Result<bool, TenantStoreError> {
-        let entry = self.tenant_entry(tenant, false)?;
-        let mut state = lock(&entry);
-        if state.dir.epoch != epoch {
-            return Ok(false);
-        }
-        state.reclaim();
-        let page_size = self.config.page_size;
-        let mut pages = Vec::new();
-        for chunk in encode_vector_stream(vectors).chunks(Page::capacity(page_size)) {
-            let mut page = Page::new(PageKind::Vector, state.alloc(), epoch, page_size);
-            page.push(chunk)?;
-            pages.push(page);
-        }
-        let dir = PageDirectory {
-            vector_pages: pages.iter().map(Page::page_no).collect(),
-            next_physical: state.next_physical,
-            ..(*state.dir).clone()
-        };
-        self.publish(tenant, &mut state, &pages, dir)?;
-        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -944,9 +913,9 @@ impl TenantSnapshot {
         Ok(KnowledgeSet::from_content(self.content()?))
     }
 
-    /// Read the stored embedding vectors through pinned pages, if an
-    /// index builder wrote them back for this epoch. `None` when the
-    /// vectors were invalidated by a later mutation (or never stored).
+    /// Read the stored embedding vectors through pinned pages, if an older
+    /// version of this store wrote them for this epoch. `None` when the
+    /// directory names no vector pages, as every flush now leaves it.
     pub fn vectors(&self) -> Result<Option<StoredVectors>, TenantStoreError> {
         if self.dir.vector_pages.is_empty() {
             return Ok(None);
@@ -1015,7 +984,9 @@ fn encode_entry_records(content: &KnowledgeContent) -> Result<Vec<Vec<u8>>, Tena
 }
 
 /// `[dim u32][n_examples u32][n_instructions u32][n_schema u32]` followed
-/// by every vector's `f32` components little-endian, group by group.
+/// by every vector's `f32` components little-endian, group by group: the
+/// stream [`decode_vector_stream`] reads.
+#[cfg(test)]
 fn encode_vector_stream(v: &StoredVectors) -> Vec<u8> {
     let total = v.examples.len() + v.instructions.len() + v.schema.len();
     let mut out = Vec::with_capacity(16 + total * v.dim * 4);
@@ -1033,6 +1004,7 @@ fn encode_vector_stream(v: &StoredVectors) -> Vec<u8> {
     out
 }
 
+/// Decode a vector stream an older version of this store wrote.
 fn decode_vector_stream(bytes: &[u8]) -> Result<StoredVectors, TenantStoreError> {
     let corrupt = |what: &str| TenantStoreError::Corrupt(format!("vector stream: {what}"));
     if bytes.len() < 16 {
@@ -1285,39 +1257,39 @@ mod tests {
         );
     }
 
-    #[test]
-    fn vectors_round_trip_and_invalidate_on_commit() {
-        let mem = Arc::new(MemFs::new());
-        let store = mem_store(&mem);
-        let epoch = store.commit("t1", staged(&["a", "b"]), "seed").unwrap();
-        let vectors = StoredVectors {
-            dim: 3,
-            examples: vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]],
-            instructions: vec![],
-            schema: vec![],
+    /// Publish `vectors` as vector pages of the tenant's current epoch,
+    /// as stores did before page-ins stopped writing vectors back.
+    fn write_vectors_as_older_stores_did(
+        store: &TenantKnowledgeStore,
+        tenant: &str,
+        vectors: &StoredVectors,
+    ) -> Vec<u32> {
+        let entry = store.tenant_entry(tenant, false).unwrap();
+        let mut state = lock(&entry);
+        let (epoch, page_size) = (state.dir.epoch, store.config.page_size);
+        let mut pages = Vec::new();
+        for chunk in encode_vector_stream(vectors).chunks(Page::capacity(page_size)) {
+            let mut page = Page::new(PageKind::Vector, state.alloc(), epoch, page_size);
+            page.push(chunk).unwrap();
+            pages.push(page);
+        }
+        let dir = PageDirectory {
+            vector_pages: pages.iter().map(Page::page_no).collect(),
+            next_physical: state.next_physical,
+            ..(*state.dir).clone()
         };
-        assert!(store.put_vectors("t1", epoch, &vectors).unwrap());
-        let snap = store.snapshot("t1").unwrap();
-        assert_eq!(snap.vectors().unwrap().unwrap(), vectors);
-        drop(snap);
-        // Stale epoch: rejected.
-        let new_epoch = store.commit("t1", staged(&["c"]), "more").unwrap();
-        assert!(!store.put_vectors("t1", epoch, &vectors).unwrap());
-        // Vectors were dropped by the commit.
-        let snap = store.snapshot("t1").unwrap();
-        assert_eq!(snap.epoch(), new_epoch);
-        assert!(snap.vectors().unwrap().is_none());
-        // Cold load too.
-        store.forget("t1");
-        let snap = store.snapshot("t1").unwrap();
-        assert!(snap.vectors().unwrap().is_none());
+        store.publish(tenant, &mut state, &pages, dir).unwrap();
+        pages.iter().map(Page::page_no).collect()
     }
 
+    /// Vectors an older store wrote over several pages read back whole
+    /// after a cold load; the next commit publishes a directory without
+    /// them and frees their slots.
     #[test]
     fn vectors_survive_cold_load() {
         let mem = Arc::new(MemFs::new());
         let store = mem_store(&mem);
-        let epoch = store.commit("t1", staged(&["a"]), "seed").unwrap();
+        store.commit("t1", staged(&["a"]), "seed").unwrap();
         // Large enough to span multiple 1 KiB pages.
         let vectors = StoredVectors {
             dim: 200,
@@ -1325,10 +1297,21 @@ mod tests {
             instructions: vec![(0..200).map(|i| -(i as f32)).collect()],
             schema: vec![],
         };
-        assert!(store.put_vectors("t1", epoch, &vectors).unwrap());
+        let slots = write_vectors_as_older_stores_did(&store, "t1", &vectors);
+        assert!(slots.len() > 1);
         store.forget("t1");
         let snap = store.snapshot("t1").unwrap();
         assert_eq!(snap.vectors().unwrap().unwrap(), vectors);
+        drop(snap);
+
+        store.commit("t1", staged(&["b"]), "more").unwrap();
+        let snap = store.snapshot("t1").unwrap();
+        assert!(snap.directory().vector_pages.is_empty());
+        assert!(snap.vectors().unwrap().is_none());
+        drop(snap);
+        let entry = store.tenant_entry("t1", false).unwrap();
+        let state = lock(&entry);
+        assert!(slots.iter().all(|s| state.free_slots.contains(s)));
     }
 
     #[test]
@@ -1337,16 +1320,9 @@ mod tests {
         let store = mem_store(&mem);
         for round in 0..8 {
             for tenant in ["warm", "cold"] {
-                let epoch = store
+                store
                     .commit(tenant, staged(&[&format!("r{round}")]), "round")
                     .unwrap();
-                let vectors = StoredVectors {
-                    dim: 64,
-                    examples: vec![vec![round as f32; 64]; round + 1],
-                    instructions: vec![],
-                    schema: vec![],
-                };
-                assert!(store.put_vectors(tenant, epoch, &vectors).unwrap());
                 // The round's last flush supersedes every page above; the
                 // meta page it writes cannot list them as free yet.
                 store

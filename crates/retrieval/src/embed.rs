@@ -66,9 +66,14 @@ impl Vocabulary {
 
     /// Incorporate one document's terms into the document-frequency table.
     pub fn add_document(&mut self, text: &str) {
+        self.add_terms(&Terms::new(text));
+    }
+
+    /// [`Vocabulary::add_document`] of the text `terms` were walked from.
+    fn add_terms(&mut self, terms: &Terms) {
         self.doc_count += 1;
         // Each distinct term counts once per document.
-        let mut hashes = Terms::new(text).into_hashes();
+        let mut hashes = terms.hashes().to_vec();
         hashes.sort_unstable();
         hashes.dedup();
         for h in hashes {
@@ -128,11 +133,33 @@ impl Embedder {
         &self.vocabulary
     }
 
+    /// Fit a vocabulary over `texts` and embed each of them at `dim`
+    /// slots, walking every text's terms once for both: bit for bit
+    /// `Embedder::with_dim(Vocabulary::fit(texts), dim)` and its `embed`
+    /// of each text, in order.
+    pub fn fit_embed<'a>(
+        texts: impl IntoIterator<Item = &'a str>,
+        dim: usize,
+    ) -> (Embedder, Vec<Embedding>) {
+        let terms: Vec<Terms> = texts.into_iter().map(Terms::new).collect();
+        let mut vocabulary = Vocabulary::new();
+        for t in &terms {
+            vocabulary.add_terms(t);
+        }
+        let embedder = Embedder::with_dim(vocabulary, dim);
+        let vectors = terms.iter().map(|t| embedder.embed_terms(t)).collect();
+        (embedder, vectors)
+    }
+
     /// Embed a text into an L2-normalized vector. The zero text maps to the
     /// zero vector (cosine with anything = 0).
     pub fn embed(&self, text: &str) -> Embedding {
+        self.embed_terms(&Terms::new(text))
+    }
+
+    /// [`Embedder::embed`] of the text `terms` were walked from.
+    fn embed_terms(&self, terms: &Terms) -> Embedding {
         let mut vec = vec![0f32; self.dim];
-        let terms = Terms::new(text);
         let dim = self.dim as u64;
         // Sorted by slot, then by text: equal terms are adjacent (a run
         // is a count), and the terms of one slot add up in text order on

@@ -83,11 +83,6 @@ impl Terms {
         &self.hashes
     }
 
-    /// [`Terms::hashes`], owned.
-    pub(crate) fn into_hashes(self) -> Vec<u64> {
-        self.hashes
-    }
-
     /// Every term's text, tokens then bigrams.
     pub(crate) fn texts(&self) -> impl Iterator<Item = &str> {
         let bigrams = self.spans.windows(2).map(|pair| pair[0].start..pair[1].end);

@@ -353,6 +353,37 @@ proptest! {
         }
     }
 
+    /// The fused fit walks each text's terms once for the vocabulary and
+    /// for its vector: the vectors it hands back, and every later embed of
+    /// its embedder, equal `Vocabulary::fit` then `Embedder::embed` and the
+    /// `String`-sorting reference bit for bit — at 8 slots, where many
+    /// terms share a slot, and at 512.
+    #[test]
+    fn fit_embed_is_fit_then_embed_bit_for_bit(
+        corpus in prop::collection::vec(prop_oneof![mixed_text(), text()], 0..8),
+        queries in prop::collection::vec(prop_oneof![mixed_text(), text()], 1..4),
+    ) {
+        for dim in [8, 512] {
+            let (fused, vectors) = Embedder::fit_embed(corpus.iter().map(String::as_str), dim);
+            let vocabulary = Vocabulary::fit(corpus.iter().map(String::as_str));
+            let e = Embedder::with_dim(vocabulary, dim);
+            prop_assert_eq!(fused.dim(), dim);
+            prop_assert_eq!(fused.vocabulary().doc_count(), corpus.len());
+            prop_assert_eq!(vectors.len(), corpus.len());
+            for (text, vector) in corpus.iter().zip(&vectors) {
+                prop_assert_eq!(bits(vector), bits(&e.embed(text)), "dim {} {:?}", dim, text);
+                prop_assert_eq!(
+                    bits(vector),
+                    bits(&embed_reference(&corpus, dim, text)),
+                    "dim {} {:?}", dim, text
+                );
+            }
+            for text in corpus.iter().chain(&queries) {
+                prop_assert_eq!(bits(&fused.embed(text)), bits(&e.embed(text)), "{:?}", text);
+            }
+        }
+    }
+
     /// Nonzero-pair items score like the dense vectors they came from:
     /// the same ids in the same order with the same score bits, at 8 and
     /// 512 slots, with zero vectors among the items and as the query, and

@@ -73,12 +73,13 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     }
 
     /// Insert (or replace) an entry as the most recent, then evict the
-    /// least-recently-used ones down to `capacity`. Returns how many
-    /// were evicted.
-    pub fn insert(&mut self, key: K, value: V, capacity: usize) -> usize {
+    /// least-recently-used ones down to `capacity`. Returns the evicted
+    /// values, for the owner to drop once it has released its lock.
+    #[must_use]
+    pub fn insert(&mut self, key: K, value: V, capacity: usize) -> Vec<V> {
         self.tick += 1;
         self.map.insert(key, (value, self.tick));
-        let mut evicted = 0;
+        let mut evicted = Vec::new();
         while self.map.len() > capacity {
             // O(n) scan is fine: capacity is a small config bound, not
             // data-sized.
@@ -90,8 +91,7 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
             else {
                 break;
             };
-            self.map.remove(&coldest);
-            evicted += 1;
+            evicted.extend(self.map.remove(&coldest).map(|(value, _)| value));
         }
         evicted
     }
@@ -135,7 +135,9 @@ impl<V: Clone> EpochCache<V> {
         self.len() == 0
     }
 
-    /// Look up a key, refreshing its recency on hit.
+    /// Look up a key, refreshing its recency on hit. The clone is taken
+    /// under the cache lock: cache an `Arc` of a value that is costly to
+    /// copy.
     pub fn get(&self, key: &CacheKey) -> Option<V> {
         if self.capacity == 0 {
             return None;
@@ -144,12 +146,14 @@ impl<V: Clone> EpochCache<V> {
     }
 
     /// Insert (or refresh) an entry. Returns the number of entries
-    /// evicted to stay within capacity (0 or 1).
+    /// evicted to stay within capacity (0 or 1); they drop after the
+    /// cache lock is released.
     pub fn insert(&self, key: CacheKey, value: V) -> usize {
         if self.capacity == 0 {
             return 0;
         }
-        lock(&self.inner).insert(key, value, self.capacity)
+        let evicted = lock(&self.inner).insert(key, value, self.capacity);
+        evicted.len()
     }
 }
 

@@ -94,7 +94,9 @@ struct Shared<M> {
     metrics: Arc<MetricsRegistry>,
     /// Tail-sampling flight recorder of completed request traces.
     recorder: Option<FlightRecorder>,
-    results: EpochCache<GenerationResult>,
+    /// Validated results, shared: a hit clones the `Arc` under the cache
+    /// lock and copies the result after releasing it.
+    results: EpochCache<Arc<GenerationResult>>,
     reforms: EpochCache<String>,
     shutdown: AtomicBool,
     seq: AtomicU64,
@@ -485,6 +487,8 @@ fn serve_one<M: LanguageModel + 'static, L: LanguageModel>(
     if shared.results.capacity() > 0 {
         if let Some(result) = shared.results.get(&key) {
             shared.metrics.incr("serve.cache.hit", 1);
+            // The copy the caller owns is made outside the cache lock.
+            let result = GenerationResult::clone(&result);
             return resolve(shared, admitted, completed(result, true));
         }
         shared.metrics.incr("serve.cache.miss", 1);
@@ -527,7 +531,7 @@ fn serve_one<M: LanguageModel + 'static, L: LanguageModel>(
     // one would pin the failure for the whole epoch, answering every
     // retry of the question from the cache with the same broken SQL.
     if shared.results.capacity() > 0 && result.validated {
-        let evicted = shared.results.insert(key, result.clone());
+        let evicted = shared.results.insert(key, Arc::new(result.clone()));
         if evicted > 0 {
             shared.metrics.incr("serve.cache.evicted", evicted as u64);
         }

@@ -5,15 +5,15 @@
 //! and fsync the tenant store makes. The script mirrors the benchmark's
 //! `edit_churn` tenants — the Sports knowledge set without its three
 //! domain terms, 4 KiB pages, a 1 MiB pool — and pins, per step, what
-//! moved: a seeding commit, the vector write-back, a cold page-in
-//! (`forget` + `TenantDirectory::index_for`), an improvement commit and
-//! the page-in after it. Counts are exact and machine-independent: a
+//! moved: a seeding commit, a cold page-in (`forget` +
+//! `TenantDirectory::index_for`), an improvement commit and the page-in
+//! after it. A page-in reads the entry pages and writes nothing. Counts
+//! are exact and machine-independent: a
 //! change that checks or decodes bytes differently moves none of them; a
 //! change that reads, writes or syncs more moves them and must update
 //! this pin and say why.
 
 use genedit::bird::{Workload, SPORTS};
-use genedit::core::KnowledgeIndex;
 use genedit::knowledge::fs::MemFs;
 use genedit::knowledge::tenants::{TenantKnowledgeStore, TenantStoreConfig};
 use genedit::knowledge::{
@@ -194,16 +194,6 @@ fn tenant_session_io_is_pinned() {
         }
         store.commit(TENANT, staging, "seed").unwrap();
     });
-    let epoch = store.epoch(TENANT).unwrap();
-    let vectors = {
-        let snapshot = store.snapshot(TENANT).unwrap();
-        KnowledgeIndex::from_snapshot(&snapshot)
-            .unwrap()
-            .export_vectors()
-    };
-    step("put_vectors", &mut || {
-        assert!(store.put_vectors(TENANT, epoch, &vectors).unwrap());
-    });
     step("cold page-in", &mut || {
         store.forget(TENANT);
         directory.invalidate(TENANT);
@@ -244,14 +234,13 @@ fn tenant_session_io_is_pinned() {
     );
     let expected = "\
 seed commit: Io { reads: 1, read_bytes: 50, writes: 9, write_bytes: 57710, fsyncs: 6 } page reads 0
-put_vectors: Io { reads: 0, read_bytes: 0, writes: 24, write_bytes: 98304, fsyncs: 2 } page reads 0
-cold page-in: Io { reads: 28, read_bytes: 114688, writes: 0, write_bytes: 0, fsyncs: 0 } page reads 28
+cold page-in: Io { reads: 5, read_bytes: 20480, writes: 0, write_bytes: 0, fsyncs: 0 } page reads 5
 directory hit: Io { reads: 0, read_bytes: 0, writes: 0, write_bytes: 0, fsyncs: 0 } page reads 0
 improvement commit: Io { reads: 1, read_bytes: 29038, writes: 6, write_bytes: 21309, fsyncs: 3 } page reads 0
-post-edit page-in: Io { reads: 4, read_bytes: 16384, writes: 26, write_bytes: 106496, fsyncs: 2 } page reads 4
-cold page-in after edit: Io { reads: 30, read_bytes: 122880, writes: 0, write_bytes: 0, fsyncs: 0 } page reads 30
+post-edit page-in: Io { reads: 4, read_bytes: 16384, writes: 0, write_bytes: 0, fsyncs: 0 } page reads 4
+cold page-in after edit: Io { reads: 5, read_bytes: 20480, writes: 0, write_bytes: 0, fsyncs: 0 } page reads 5
 wal bytes per edit 276
-entry pages 4 vector pages 25
+entry pages 4 vector pages 0
 ";
     assert!(got == expected, "storage ledger moved; got\n{got}");
 }
