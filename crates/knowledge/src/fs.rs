@@ -350,6 +350,78 @@ impl StoreFs for MemFs {
     }
 }
 
+/// [`MemFs`] with switches that make one kind of operation fail while
+/// set: `len` of a file that exists, `fsync`, and `write_at`. Where
+/// [`FaultyFs`] fails by seeded schedule, a test sets a switch to fail
+/// exactly the operation it is about.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct ArmedFs {
+    pub(crate) inner: Arc<MemFs>,
+    pub(crate) len: AtomicBool,
+    pub(crate) fsync: AtomicBool,
+    pub(crate) write_at: AtomicBool,
+}
+
+#[cfg(test)]
+impl ArmedFs {
+    pub(crate) fn over(inner: &Arc<MemFs>) -> ArmedFs {
+        ArmedFs {
+            inner: Arc::clone(inner),
+            ..ArmedFs::default()
+        }
+    }
+
+    fn check(switch: &AtomicBool, op: &str) -> io::Result<()> {
+        match switch.load(Ordering::SeqCst) {
+            true => Err(io::Error::other(format!("{op} fails while armed"))),
+            false => Ok(()),
+        }
+    }
+}
+
+#[cfg(test)]
+impl StoreFs for ArmedFs {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.inner.read(path)
+    }
+    fn write_file(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        self.inner.write_file(path, data)
+    }
+    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        self.inner.append(path, data)
+    }
+    fn fsync(&self, path: &Path) -> io::Result<()> {
+        ArmedFs::check(&self.fsync, "fsync")?;
+        self.inner.fsync(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        self.inner.remove(path)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+    fn len(&self, path: &Path) -> io::Result<u64> {
+        if self.inner.exists(path) {
+            ArmedFs::check(&self.len, "len")?;
+        }
+        self.inner.len(path)
+    }
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        self.inner.truncate(path, len)
+    }
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        self.inner.read_at(path, offset, len)
+    }
+    fn write_at(&self, path: &Path, offset: u64, data: &[u8]) -> io::Result<()> {
+        ArmedFs::check(&self.write_at, "write_at")?;
+        self.inner.write_at(path, offset, data)
+    }
+}
+
 // ---------------------------------------------------------------------
 // Deterministic fault injection
 // ---------------------------------------------------------------------

@@ -22,6 +22,7 @@ use crate::fs::{io_failure, IoFailure, StoreFs};
 use crate::set::Edit;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -310,9 +311,14 @@ impl Journal {
         &self.path
     }
 
-    /// Current byte length of the journal file (0 when absent).
-    pub fn byte_len(&self) -> u64 {
-        self.fs.len(&self.path).unwrap_or(0)
+    /// Current byte length of the journal file (0 when absent). Any other
+    /// failure is an error: read as 0, it would make a live journal look
+    /// fresh, and a failed append would cut it back to nothing.
+    pub fn byte_len(&self) -> Result<u64, JournalError> {
+        match self.fs.len(&self.path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
+            len => Ok(len.map_err(io_failure("len", &self.path))?),
+        }
     }
 
     /// Append one record and fsync it.
@@ -331,7 +337,7 @@ impl Journal {
         for record in records {
             buffer.extend_from_slice(&encode_record(record)?);
         }
-        let pre_len = self.byte_len();
+        let pre_len = self.byte_len()?;
         self.fs
             .append(&self.path, &buffer)
             .map_err(io_failure("append", &self.path))?;
@@ -491,6 +497,6 @@ mod tests {
         assert_eq!(outcome.end, ScanEnd::Clean);
         assert_eq!(outcome.records, vec![JournalRecord::Edit(edit("b"))]);
         journal.reset().unwrap();
-        assert_eq!(journal.byte_len(), 0);
+        assert_eq!(journal.byte_len().unwrap(), 0);
     }
 }

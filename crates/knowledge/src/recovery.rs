@@ -238,12 +238,11 @@ pub fn recover(
     // Base state: the snapshot, if one exists and decodes.
     // ------------------------------------------------------------------
     let mut set = KnowledgeSet::new();
-    let snapshot_len = if fs.exists(snapshot_path) {
-        fs.len(snapshot_path).unwrap_or(0)
-    } else {
-        0
+    let snapshot_len = match fs.len(snapshot_path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
+        len => len.map_err(io_failure("len", snapshot_path))?,
     };
-    if fs.exists(snapshot_path) && snapshot_len > max_snapshot_bytes {
+    if snapshot_len > max_snapshot_bytes {
         tracer.warning(format!(
             "snapshot {} is {snapshot_len} bytes (limit {max_snapshot_bytes}); quarantining",
             snapshot_path.display()
@@ -412,9 +411,10 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fs::MemFs;
+    use crate::fs::{ArmedFs, MemFs};
     use crate::journal::encode_record;
     use crate::types::{FragmentKind, SourceRef, SqlFragment};
+    use std::sync::atomic::Ordering;
 
     fn edit(desc: &str) -> Edit {
         Edit::InsertExample {
@@ -551,6 +551,24 @@ mod tests {
         let (_, again) = recover(&fs, &snap, &journal, limit, None).unwrap();
         assert!(!again.repaired());
         assert!(again.quarantined.is_empty());
+    }
+
+    /// The size guard needs the snapshot's length: when it cannot be
+    /// read, recovery fails instead of reading the file unguarded.
+    #[test]
+    fn unreadable_snapshot_length_is_an_error_not_zero() {
+        let mut set = KnowledgeSet::new();
+        set.apply(edit("a")).unwrap();
+        let json = persist::to_json(&set).unwrap();
+        let mem = Arc::new(MemFs::new());
+        let armed = Arc::new(ArmedFs::over(&mem));
+        armed.len.store(true, Ordering::SeqCst);
+        let fs: Arc<dyn StoreFs> = armed;
+        let (snap, journal) = (PathBuf::from("k.json"), PathBuf::from("k.wal"));
+        fs.write_file(&snap, json.as_bytes()).unwrap();
+        let limit = json.len() as u64 - 1;
+        assert!(recover(&fs, &snap, &journal, limit, None).is_err());
+        assert_eq!(fs.read(&snap).unwrap(), json.as_bytes());
     }
 
     #[test]

@@ -4,14 +4,19 @@
 //! audited and can be used to revert back to any prior checkpoint" (§1,
 //! §4.2.2). The set is an event-sourced store: every mutation goes through
 //! [`KnowledgeSet::apply`], is recorded in the log, and the whole state is
-//! reproducible by replaying the log from empty (property-tested).
+//! reproducible by replaying the log from the set's base — empty, or the
+//! content it was built from (property-tested). The log is the history: a
+//! checkpoint is a position in it, and reverting to one replays the log up
+//! to that position onto the base.
 
 use crate::types::{
     Example, ExampleId, Instruction, InstructionId, Intent, Provenance, RetrievalStage,
     SchemaElement, SourceRef, SqlFragment,
 };
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from knowledge-set operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -176,8 +181,8 @@ pub struct CheckpointInfo {
 /// audit log and checkpoints — the unit the paged tenant store persists
 /// as page records and restores on page-in. Two sets with equal content
 /// are [`KnowledgeSet::content_eq`] regardless of edit history. It is also
-/// the set's own mutable state: kept apart from the log so that
-/// checkpoints snapshot it cheaply and equality checks stay meaningful.
+/// the set's own mutable state, kept apart from the log so that equality
+/// checks stay meaningful and a set can start from paged content.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct KnowledgeContent {
     /// All registered intents.
@@ -200,11 +205,17 @@ pub struct KnowledgeContent {
 
 /// The company-specific knowledge set (§2.1): examples, instructions, and
 /// schema elements grouped by user intents, with a full audit history.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// `state` is always `base` with `log` replayed onto it. Both are shared
+/// behind an [`Arc`]: a set built by [`KnowledgeSet::from_content`] or
+/// rewound to the start of its log holds one copy of the content until
+/// its first edit, and a clone shares the content until either side edits.
+#[derive(Debug, Clone, Default)]
 pub struct KnowledgeSet {
-    state: KnowledgeContent,
+    base: Arc<KnowledgeContent>,
+    state: Arc<KnowledgeContent>,
     log: Vec<LoggedEdit>,
-    checkpoints: Vec<(CheckpointInfo, KnowledgeContent)>,
+    checkpoints: Vec<CheckpointInfo>,
 }
 
 impl KnowledgeSet {
@@ -297,8 +308,8 @@ impl KnowledgeSet {
     }
 
     /// All live checkpoints, oldest first.
-    pub fn checkpoints(&self) -> Vec<&CheckpointInfo> {
-        self.checkpoints.iter().map(|(info, _)| info).collect()
+    pub fn checkpoints(&self) -> &[CheckpointInfo] {
+        &self.checkpoints
     }
 
     /// Current logical time.
@@ -341,7 +352,8 @@ impl KnowledgeSet {
     /// unchanged — including the logical clock — so a set that survived
     /// failed applies still replays bit-identically from its log.
     pub fn apply(&mut self, edit: Edit) -> Result<EditOutcome, KnowledgeError> {
-        let tick = self.state.tick;
+        let state = Arc::make_mut(&mut self.state);
+        let tick = state.tick;
         let outcome = match &edit {
             Edit::InsertExample {
                 intent,
@@ -350,9 +362,9 @@ impl KnowledgeSet {
                 term,
                 source,
             } => {
-                let id = ExampleId(self.state.next_example_id);
-                self.state.next_example_id += 1;
-                self.state.examples.push(Example {
+                let id = ExampleId(state.next_example_id);
+                state.next_example_id += 1;
+                state.examples.push(Example {
                     id,
                     intent: intent.clone(),
                     description: description.clone(),
@@ -372,8 +384,7 @@ impl KnowledgeSet {
                 term,
                 source,
             } => {
-                let ex = self
-                    .state
+                let ex = state
                     .examples
                     .iter_mut()
                     .find(|e| e.id == *id)
@@ -394,9 +405,9 @@ impl KnowledgeSet {
                 EditOutcome::Applied
             }
             Edit::DeleteExample { id } => {
-                let before = self.state.examples.len();
-                self.state.examples.retain(|e| e.id != *id);
-                if self.state.examples.len() == before {
+                let before = state.examples.len();
+                state.examples.retain(|e| e.id != *id);
+                if state.examples.len() == before {
                     return Err(KnowledgeError::NoSuchExample(*id));
                 }
                 EditOutcome::Applied
@@ -408,9 +419,9 @@ impl KnowledgeSet {
                 term,
                 source,
             } => {
-                let id = InstructionId(self.state.next_instruction_id);
-                self.state.next_instruction_id += 1;
-                self.state.instructions.push(Instruction {
+                let id = InstructionId(state.next_instruction_id);
+                state.next_instruction_id += 1;
+                state.instructions.push(Instruction {
                     id,
                     intent: intent.clone(),
                     text: text.clone(),
@@ -429,8 +440,7 @@ impl KnowledgeSet {
                 sql_hint,
                 source,
             } => {
-                let ins = self
-                    .state
+                let ins = state
                     .instructions
                     .iter_mut()
                     .find(|i| i.id == *id)
@@ -448,40 +458,39 @@ impl KnowledgeSet {
                 EditOutcome::Applied
             }
             Edit::DeleteInstruction { id } => {
-                let before = self.state.instructions.len();
-                self.state.instructions.retain(|i| i.id != *id);
-                if self.state.instructions.len() == before {
+                let before = state.instructions.len();
+                state.instructions.retain(|i| i.id != *id);
+                if state.instructions.len() == before {
                     return Err(KnowledgeError::NoSuchInstruction(*id));
                 }
                 EditOutcome::Applied
             }
             Edit::AddIntent(intent) => {
-                if self.intent(&intent.key).is_some() {
+                if state.intents.iter().any(|i| i.key == intent.key) {
                     return Err(KnowledgeError::DuplicateIntent(intent.key.clone()));
                 }
-                self.state.intents.push(intent.clone());
+                state.intents.push(intent.clone());
                 EditOutcome::Applied
             }
             Edit::AddSchemaElement(el) => {
                 // Idempotent on key: re-adding replaces the description.
-                if let Some(existing) = self
-                    .state
+                if let Some(existing) = state
                     .schema_elements
                     .iter_mut()
                     .find(|s| s.key() == el.key())
                 {
                     *existing = el.clone();
                 } else {
-                    self.state.schema_elements.push(el.clone());
+                    state.schema_elements.push(el.clone());
                 }
                 EditOutcome::Applied
             }
             Edit::AddRetrievalHint { stage, text } => {
-                self.state.retrieval_hints.push((*stage, text.clone()));
+                state.retrieval_hints.push((*stage, text.clone()));
                 EditOutcome::Applied
             }
         };
-        self.state.tick += 1;
+        state.tick += 1;
         self.log.push(LoggedEdit {
             seq: self.log.len() as u64,
             tick,
@@ -491,27 +500,24 @@ impl KnowledgeSet {
         Ok(outcome)
     }
 
-    /// Record a named checkpoint and return its id.
+    /// Record a named checkpoint and return its id. A checkpoint is a
+    /// position in the log; nothing is copied.
     pub fn checkpoint(&mut self, label: impl Into<String>) -> u64 {
         let id = self.checkpoints.len() as u64;
-        self.checkpoints.push((
-            CheckpointInfo {
-                id,
-                label: label.into(),
-                log_len: self.log.len(),
-            },
-            self.state.clone(),
-        ));
+        self.checkpoints.push(CheckpointInfo {
+            id,
+            label: label.into(),
+            log_len: self.log.len(),
+        });
         id
     }
 
     /// Merge a batch as a unit — what "merge these staged edits" means
     /// wherever it is said (staging, the durable store, journal replay,
     /// document refresh): record a checkpoint labelled `label`, then
-    /// apply every edit in order. If one refuses, that checkpoint is
-    /// popped and content, clock and log are restored from it, so the
-    /// set is exactly as it was — the checkpoint *is* the backup. On
-    /// success the returned id reverts the whole merge.
+    /// apply every edit in order. If one refuses, the merge is undone, so
+    /// the set is exactly as it was. On success the returned id reverts
+    /// the whole merge.
     pub fn merge(
         &mut self,
         label: impl Into<String>,
@@ -520,28 +526,47 @@ impl KnowledgeSet {
         let checkpoint = self.checkpoint(label);
         for edit in edits {
             if let Err(refused) = self.apply(edit) {
-                if let Some((info, content)) = self.checkpoints.pop() {
-                    self.state = content;
-                    self.log.truncate(info.log_len);
-                }
+                self.undo_merge(checkpoint);
                 return Err(refused);
             }
         }
         Ok(checkpoint)
     }
 
+    /// Undo the merge that recorded `checkpoint`, which must be the last
+    /// checkpoint: the set is as it was before [`KnowledgeSet::merge`].
+    /// The durable store calls this when it cannot journal a merge.
+    pub(crate) fn undo_merge(&mut self, checkpoint: u64) {
+        let idx = checkpoint as usize;
+        debug_assert_eq!(idx + 1, self.checkpoints.len(), "not the last merge");
+        self.rewind(self.checkpoints[idx].log_len, idx);
+    }
+
     /// Revert to a prior checkpoint. The log is truncated to the
     /// checkpoint position; later checkpoints are discarded.
     pub fn revert_to(&mut self, checkpoint_id: u64) -> Result<(), KnowledgeError> {
         let idx = checkpoint_id as usize;
-        if idx >= self.checkpoints.len() {
-            return Err(KnowledgeError::NoSuchCheckpoint(checkpoint_id));
-        }
-        let (info, snapshot) = self.checkpoints[idx].clone();
-        self.state = snapshot;
-        self.log.truncate(info.log_len);
-        self.checkpoints.truncate(idx + 1);
+        let info = self.checkpoints.get(idx);
+        let info = info.ok_or(KnowledgeError::NoSuchCheckpoint(checkpoint_id))?;
+        self.rewind(info.log_len, idx + 1);
         Ok(())
+    }
+
+    /// Keep the first `checkpoints` checkpoints, reset the content to the
+    /// base, and re-apply the first `log_len` logged edits, which logs
+    /// them again exactly as they were. Each was applied once onto this
+    /// same prefix, so it applies again; one that refuses can only come
+    /// from a damaged snapshot, and the log ends there.
+    fn rewind(&mut self, log_len: usize, checkpoints: usize) {
+        self.checkpoints.truncate(checkpoints);
+        let mut log = std::mem::take(&mut self.log);
+        log.truncate(log_len);
+        self.state = Arc::clone(&self.base);
+        for logged in log {
+            if self.apply(logged.edit).is_err() {
+                break;
+            }
+        }
     }
 
     /// Structural equality of the *content* (ignoring log/checkpoints).
@@ -550,19 +575,27 @@ impl KnowledgeSet {
     }
 
     /// Detach the materialized content (state without log/checkpoints).
-    /// The paged tenant store persists this as page records.
     pub fn content(&self) -> KnowledgeContent {
-        self.state.clone()
+        (*self.state).clone()
+    }
+
+    /// The materialized content, borrowed: what the paged tenant store
+    /// writes as page records.
+    pub(crate) fn state(&self) -> &KnowledgeContent {
+        &self.state
     }
 
     /// Rebuild a set from detached content with an empty log and no
     /// checkpoints. The result is [`KnowledgeSet::content_eq`] to the set
     /// the content came from, and future ids/ticks continue where the
     /// original left off (ids are never reused across a page-out/page-in
-    /// round trip).
+    /// round trip). The content becomes the set's base, which reverts
+    /// restore; the set's first edit makes its one copy.
     pub fn from_content(content: KnowledgeContent) -> KnowledgeSet {
+        let base = Arc::new(content);
         KnowledgeSet {
-            state: content,
+            state: Arc::clone(&base),
+            base,
             log: Vec::new(),
             checkpoints: Vec::new(),
         }
@@ -577,6 +610,52 @@ impl KnowledgeSet {
             schema_elements: self.state.schema_elements.len(),
             edits_logged: self.log.len(),
         }
+    }
+}
+
+/// A snapshot holds the content, the log and the checkpoint infos, plus
+/// the base when it is not empty (only a set built by
+/// [`KnowledgeSet::from_content`] has one).
+impl Serialize for KnowledgeSet {
+    fn serialize(&self) -> Value {
+        let mut fields = vec![
+            ("state".to_string(), self.state.serialize()),
+            ("log".to_string(), self.log.serialize()),
+            ("checkpoints".to_string(), self.checkpoints.serialize()),
+        ];
+        if *self.base != KnowledgeContent::default() {
+            fields.push(("base".to_string(), self.base.serialize()));
+        }
+        Value::Object(fields)
+    }
+}
+
+impl Deserialize for KnowledgeSet {
+    fn deserialize(value: &Value) -> Result<KnowledgeSet, serde::Error> {
+        let fields = (value.as_object()).ok_or_else(|| serde::Error::expected("object", value))?;
+        let checkpoints = value
+            .get("checkpoints")
+            .ok_or_else(|| serde::Error::custom("missing field `checkpoints`"))?;
+        let checkpoints = (checkpoints.as_array())
+            .ok_or_else(|| serde::Error::expected("array", checkpoints))?
+            .iter()
+            // Snapshots written while checkpoints copied the content store
+            // each one as `[info, content]`; replay recomputes the content.
+            .map(|entry| match entry.as_array() {
+                Some([info, _content]) => CheckpointInfo::deserialize(info),
+                _ => CheckpointInfo::deserialize(entry),
+            })
+            .collect::<Result<_, _>>()?;
+        let base = match value.get("base") {
+            Some(base) => KnowledgeContent::deserialize(base)?,
+            None => KnowledgeContent::default(),
+        };
+        Ok(KnowledgeSet {
+            base: Arc::new(base),
+            state: Arc::new(serde::field(fields, "state")?),
+            log: serde::field(fields, "log")?,
+            checkpoints,
+        })
     }
 }
 

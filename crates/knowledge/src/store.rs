@@ -4,13 +4,16 @@
 //! snapshot together so the knowledge set — the system's one durable,
 //! evolving asset — survives crashes with no loss window:
 //!
-//! - every mutation is **journaled and fsynced before it is visible** in
-//!   memory (classic WAL discipline; [`KnowledgeSet::check`] runs first
-//!   so an unreplayable record is never written);
+//! - every mutation is **journaled and fsynced before it is visible** to
+//!   any reader (classic WAL discipline; an edit that refuses is never
+//!   written, so the journal holds no record recovery cannot replay);
 //! - staged merges go through [`DurableKnowledgeStore::commit`], which
-//!   journals `BatchStart ‖ edits ‖ BatchCommit` as one contiguous write —
-//!   recovery replays it as the same all-or-nothing
-//!   [`KnowledgeSet::merge`] that `StagingArea::commit` runs in memory;
+//!   merges in place and then journals `BatchStart ‖ edits ‖ BatchCommit`
+//!   as one contiguous write — recovery replays it as the same
+//!   all-or-nothing [`KnowledgeSet::merge`] that `StagingArea::commit`
+//!   runs in memory, and a batch the journal refuses is undone;
+//! - the paged tenant store journals its edits and batches through the
+//!   same two helpers as this store, so there is one journaling protocol;
 //! - [`DurableKnowledgeStore::compact`] folds the journal into a fresh
 //!   snapshot (temp file, fsync, atomic rename) and resets the journal —
 //!   snapshot-plus-tail is the steady-state on-disk layout, and this is
@@ -151,7 +154,7 @@ impl DurableKnowledgeStore {
             // The replayed prefix only lives in memory once its file was
             // renamed aside; persist it now so re-opening is idempotent.
             store.compact()?;
-        } else if store.journal.byte_len() == 0 {
+        } else if store.journal.byte_len()? == 0 {
             // Start the journal generation with its epoch marker (fresh
             // store, or a stale journal recovery truncated away).
             store.write_baseline()?;
@@ -179,9 +182,10 @@ impl DurableKnowledgeStore {
         &self.recovery
     }
 
-    /// Current journal size in bytes (0 right after compaction).
-    pub fn journal_bytes(&self) -> u64 {
-        self.journal.byte_len()
+    /// Current journal size in bytes (one `Baseline` right after
+    /// compaction).
+    pub fn journal_bytes(&self) -> Result<u64, StoreError> {
+        Ok(self.journal.byte_len()?)
     }
 
     /// The **knowledge epoch**: a monotone version number that advances
@@ -199,11 +203,7 @@ impl DurableKnowledgeStore {
 
     /// Apply one edit durably: validate, journal, then apply.
     pub fn apply(&mut self, edit: Edit) -> Result<EditOutcome, StoreError> {
-        // Validate first — the journal must never hold a record that
-        // recovery cannot replay.
-        self.set.check(&edit)?;
-        self.journal.append(&JournalRecord::Edit(edit.clone()))?;
-        Ok(self.set.apply(edit)?)
+        apply_journaled(&mut self.journal, &mut self.set, edit)
     }
 
     /// Record a named checkpoint durably.
@@ -214,46 +214,22 @@ impl DurableKnowledgeStore {
         Ok(self.set.checkpoint(label))
     }
 
-    /// Merge a staging area durably. The batch is validated against a
-    /// scratch copy, journaled as `BatchStart ‖ edits ‖ BatchCommit` in
-    /// one contiguous write, and only then made visible — a crash at any
-    /// point replays either the whole merge or none of it. Returns the
-    /// pre-merge checkpoint id, like `StagingArea::commit`.
+    /// Merge a staging area durably. The batch merges in place, so one
+    /// that refuses is never journaled, then is journaled as `BatchStart ‖
+    /// edits ‖ BatchCommit` in one contiguous write, and is undone if that
+    /// append fails — a crash at any point replays either the whole merge
+    /// or none of it. Returns the pre-merge checkpoint id, like
+    /// `StagingArea::commit`.
     pub fn commit(&mut self, staging: StagingArea, label: &str) -> Result<u64, StoreError> {
-        let tracer = Tracer::new("store");
-        let span = tracer.span(genedit_telemetry::names::STORE_COMMIT);
-        // Dry-run on a scratch copy — the same merge recovery will
-        // replay — so a batch that refuses is never journaled.
-        let batch = || staging.staged().iter().map(|s| s.edit.clone());
-        let mut next = self.set.clone();
-        let checkpoint = next.merge(label, batch())?;
-        let mut records = Vec::with_capacity(staging.len() + 2);
-        records.push(JournalRecord::BatchStart {
-            label: label.to_string(),
-            count: staging.len() as u32,
-        });
-        records.extend(batch().map(JournalRecord::Edit));
-        records.push(JournalRecord::BatchCommit);
-
-        // Journal before visibility. On failure, cut any partially
-        // appended frames back off so the on-disk journal stays a clean
-        // record sequence.
-        let pre_len = self.journal.byte_len();
-        let edits = staging.len();
-        if let Err(e) = self.journal.append_batch(&records) {
-            let _ = self.journal.truncate(pre_len);
-            return Err(e.into());
-        }
-        self.set = next;
-        span.attr("edits", edits).attr("label", label);
-        span.finish();
-        if let Some(m) = &self.metrics {
-            m.incr("store.commit.merges", 1);
-            m.incr("store.commit.edits", edits as u64);
-            m.record_trace(&tracer.finish());
-        }
+        let checkpoint = commit_journaled(
+            &mut self.journal,
+            &mut self.set,
+            staging,
+            label,
+            self.metrics.as_ref(),
+        )?;
         if let Some(limit) = self.config.compact_after_bytes {
-            if self.journal.byte_len() > limit {
+            if self.journal.byte_len()? > limit {
                 self.compact()?;
             }
         }
@@ -299,13 +275,68 @@ impl DurableKnowledgeStore {
     }
 }
 
+/// Apply one edit to `set` under the WAL discipline: validate it, journal
+/// it, then apply it — the journal never holds a record recovery cannot
+/// replay, and the set never holds an edit the journal lacks.
+pub(crate) fn apply_journaled(
+    journal: &mut Journal,
+    set: &mut KnowledgeSet,
+    edit: Edit,
+) -> Result<EditOutcome, StoreError> {
+    set.check(&edit)?;
+    journal.append(&JournalRecord::Edit(edit.clone()))?;
+    Ok(set.apply(edit)?)
+}
+
+/// Merge `staging` into `set` and journal it as `BatchStart ‖ edits ‖
+/// BatchCommit` in one contiguous write and one fsync. The merge runs
+/// first, in place — the same merge recovery replays — so a batch that
+/// refuses is never journaled. If the append fails, any partly appended
+/// frames are cut back off and the merge is undone, so `set` and the
+/// journal still agree. Returns the pre-merge checkpoint id.
+pub(crate) fn commit_journaled(
+    journal: &mut Journal,
+    set: &mut KnowledgeSet,
+    staging: StagingArea,
+    label: &str,
+    metrics: Option<&Arc<MetricsRegistry>>,
+) -> Result<u64, StoreError> {
+    let tracer = Tracer::new("store");
+    let span = tracer.span(genedit_telemetry::names::STORE_COMMIT);
+    let pre_len = journal.byte_len()?;
+    let batch = || staging.staged().iter().map(|s| s.edit.clone());
+    let checkpoint = set.merge(label, batch())?;
+    let mut records = Vec::with_capacity(staging.len() + 2);
+    records.push(JournalRecord::BatchStart {
+        label: label.to_string(),
+        count: staging.len() as u32,
+    });
+    records.extend(batch().map(JournalRecord::Edit));
+    records.push(JournalRecord::BatchCommit);
+    if let Err(e) = journal.append_batch(&records) {
+        let _ = journal.truncate(pre_len);
+        set.undo_merge(checkpoint);
+        return Err(e.into());
+    }
+    let edits = staging.len();
+    span.attr("edits", edits).attr("label", label);
+    span.finish();
+    if let Some(m) = metrics {
+        m.incr("store.commit.merges", 1);
+        m.incr("store.commit.edits", edits as u64);
+        m.record_trace(&tracer.finish());
+    }
+    Ok(checkpoint)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fs::MemFs;
+    use crate::fs::{ArmedFs, MemFs};
     use crate::journal::encode_record;
     use crate::recovery::RecoveryOutcome;
     use crate::types::{FragmentKind, SourceRef, SqlFragment};
+    use std::sync::atomic::Ordering;
 
     fn edit(desc: &str) -> Edit {
         Edit::InsertExample {
@@ -361,12 +392,12 @@ mod tests {
         let mem = Arc::new(MemFs::new());
         let mut store = open_mem(&mem);
         store.apply(edit("a")).unwrap();
-        let before = store.journal_bytes();
+        let before = store.journal_bytes().unwrap();
         let err = store.apply(Edit::DeleteExample {
             id: crate::types::ExampleId(999),
         });
         assert!(matches!(err, Err(StoreError::Knowledge(_))));
-        assert_eq!(store.journal_bytes(), before, "nothing journaled");
+        assert_eq!(store.journal_bytes().unwrap(), before, "nothing journaled");
         assert_eq!(store.set().examples().len(), 1);
     }
 
@@ -376,7 +407,7 @@ mod tests {
         let mut store = open_mem(&mem);
         store.apply(edit("a")).unwrap();
         store.apply(edit("b")).unwrap();
-        let before = store.journal_bytes();
+        let before = store.journal_bytes().unwrap();
         store.compact().unwrap();
         // Only the new generation's epoch marker remains.
         let baseline_len = encode_record(&JournalRecord::Baseline {
@@ -386,7 +417,7 @@ mod tests {
         .unwrap()
         .len() as u64;
         assert!(before > baseline_len);
-        assert_eq!(store.journal_bytes(), baseline_len);
+        assert_eq!(store.journal_bytes().unwrap(), baseline_len);
         let live = store.set().clone();
         mem.crash();
         let reopened = open_mem(&mem);
@@ -417,7 +448,7 @@ mod tests {
         .unwrap()
         .len() as u64;
         assert_eq!(
-            store.journal_bytes(),
+            store.journal_bytes().unwrap(),
             baseline_len,
             "commit should have compacted"
         );
@@ -499,5 +530,85 @@ mod tests {
         assert!(metrics.counter("store.journal.appends") >= 2);
         assert_eq!(metrics.counter("store.commit.merges"), 1);
         assert_eq!(metrics.counter("store.compact.runs"), 1);
+    }
+    /// A `len` that fails on the live WAL is an error, not an empty
+    /// journal: the open refuses, and appends no `Baseline` after the
+    /// acknowledged records that the next recovery would read as damage.
+    #[test]
+    fn open_refuses_when_the_journal_length_cannot_be_read() {
+        let mem = Arc::new(MemFs::new());
+        let mut store = open_mem(&mem);
+        store.apply(edit("a")).unwrap();
+        store.apply(edit("b")).unwrap();
+        drop(store);
+        let wal = mem.read(Path::new("k.wal")).unwrap();
+        let armed = Arc::new(ArmedFs::over(&mem));
+        armed.len.store(true, Ordering::SeqCst);
+        let fs: Arc<dyn StoreFs> = armed;
+        let opened =
+            DurableKnowledgeStore::open_with(fs, "k.json", "k.wal", StoreConfig::default(), None);
+        assert!(opened.is_err());
+        assert_eq!(mem.read(Path::new("k.wal")).unwrap(), wal);
+        assert_eq!(open_mem(&mem).set().examples().len(), 2);
+    }
+
+    /// A commit that cannot read the WAL's length fails before it
+    /// appends, so a failing fsync after it cannot cut the WAL back to a
+    /// length read as 0: every edit acknowledged before survives.
+    #[test]
+    fn a_commit_that_cannot_read_the_journal_length_keeps_acked_edits() {
+        let mem = Arc::new(MemFs::new());
+        let armed = Arc::new(ArmedFs::over(&mem));
+        let fs: Arc<dyn StoreFs> = Arc::clone(&armed) as Arc<dyn StoreFs>;
+        let mut store =
+            DurableKnowledgeStore::open_with(fs, "k.json", "k.wal", StoreConfig::default(), None)
+                .unwrap();
+        store.apply(edit("a")).unwrap();
+        let mut area = StagingArea::new();
+        area.stage(edit("b"));
+        store.commit(area, "acked").unwrap();
+        let acked = store.set().clone();
+        armed.len.store(true, Ordering::SeqCst);
+        armed.fsync.store(true, Ordering::SeqCst);
+        let mut area = StagingArea::new();
+        area.stage(edit("c"));
+        assert!(store.commit(area, "refused by the disk").is_err());
+        assert!(store.set().content_eq(&acked), "a failed commit is undone");
+        assert_eq!(store.set().checkpoints().len(), acked.checkpoints().len());
+        mem.crash();
+        let reopened = open_mem(&mem);
+        assert!(reopened.set().content_eq(&acked));
+        assert_eq!(reopened.set().log().len(), 2);
+    }
+
+    /// A batch the journal refuses is undone in memory: the set is the
+    /// one before the merge, and the journal holds no frame of it.
+    #[test]
+    fn a_failed_append_undoes_the_merge() {
+        let mem = Arc::new(MemFs::new());
+        let armed = Arc::new(ArmedFs::over(&mem));
+        let fs: Arc<dyn StoreFs> = Arc::clone(&armed) as Arc<dyn StoreFs>;
+        let mut store =
+            DurableKnowledgeStore::open_with(fs, "k.json", "k.wal", StoreConfig::default(), None)
+                .unwrap();
+        store.apply(edit("a")).unwrap();
+        store.checkpoint("cp").unwrap();
+        let (before, wal) = (store.set().clone(), mem.read(Path::new("k.wal")).unwrap());
+        armed.fsync.store(true, Ordering::SeqCst);
+        let mut area = StagingArea::new();
+        area.stage(edit("b"));
+        area.stage(edit("c"));
+        assert!(store.commit(area, "unsynced").is_err());
+        armed.fsync.store(false, Ordering::SeqCst);
+        assert!(store.set().content_eq(&before));
+        assert_eq!(store.set().log(), before.log());
+        assert_eq!(store.set().checkpoints(), before.checkpoints());
+        assert_eq!(mem.read(Path::new("k.wal")).unwrap(), wal);
+        let mut area = StagingArea::new();
+        area.stage(edit("d"));
+        let cp = store.commit(area, "retried").unwrap();
+        assert_eq!(cp, 1, "the undone merge left no checkpoint behind");
+        mem.crash();
+        assert!(open_mem(&mem).set().content_eq(store.set()));
     }
 }

@@ -8,6 +8,19 @@
 //! recoverable cache — any torn, stale, or missing page is rebuilt from
 //! the WAL, never the other way around.
 //!
+//! ## Commit path
+//!
+//! A commit does not recover the tenant. It merges the batch into
+//! [`KnowledgeSet::from_content`] of the pages the current directory
+//! names — read through the pool, as a snapshot reads them — journals it
+//! through the same helper [`DurableKnowledgeStore::commit`] uses, and
+//! re-pages at epoch = the content's `tick`, which is the journal's log
+//! length. Before reading the pages it checks the directory's stamped
+//! WAL/snapshot lengths against the files, as a cold load does: a
+//! directory a failed flush left behind the WAL, or pages that do not read
+//! back, are rebuilt from the WAL first. So a commit reads its pages, not
+//! its history. Only a rebuild and a compaction replay the WAL.
+//!
 //! ## Shadow-paged flush
 //!
 //! After a durable commit, the tenant's content is re-paged with shadow
@@ -76,12 +89,15 @@
 //! ```
 
 use crate::fs::{io_failure, IoFailure, RealFs, StoreFs};
+use crate::journal::Journal;
 use crate::lock;
 use crate::page::{Page, PageError, PageKind};
 use crate::pool::{BufferPool, PageKey, PoolConfig};
 use crate::set::{Edit, KnowledgeContent, KnowledgeSet};
 use crate::staging::StagingArea;
-use crate::store::{DurableKnowledgeStore, StoreConfig, StoreError};
+use crate::store::{
+    apply_journaled, commit_journaled, DurableKnowledgeStore, StoreConfig, StoreError,
+};
 use crate::types::{Example, Instruction, Intent, RetrievalStage, SchemaElement};
 use genedit_telemetry::hash::fnv1a64;
 use genedit_telemetry::{names, MetricsRegistry, Tracer};
@@ -428,6 +444,17 @@ impl TenantKnowledgeStore {
             || self.fs.exists(&self.pages_path(tenant))
     }
 
+    /// The tenant's journal, as [`DurableKnowledgeStore`] appends to it.
+    fn journal(&self, tenant: &str) -> Journal {
+        let journal = Journal::new(Arc::clone(&self.fs), self.wal_path(tenant));
+        match &self.metrics {
+            Some(m) => journal.with_metrics(Arc::clone(m)),
+            None => journal,
+        }
+    }
+
+    /// Recover the tenant from its snapshot and WAL: what a rebuild and a
+    /// compaction start from.
     fn open_writer(&self, tenant: &str) -> Result<DurableKnowledgeStore, TenantStoreError> {
         if self.create_dirs {
             let dir = self.tenant_dir(tenant);
@@ -507,10 +534,6 @@ impl TenantKnowledgeStore {
 
         // Rebuild from the WAL (source of truth), over an empty directory:
         // slot 0 is the meta page, so allocation starts at 1.
-        if let Some(m) = &self.metrics {
-            m.incr(names::PAGE_REBUILDS, 1);
-        }
-        let writer = self.open_writer(tenant)?;
         let empty = PageDirectory {
             epoch: 0,
             wal_len: 0,
@@ -520,8 +543,17 @@ impl TenantKnowledgeStore {
             next_physical: 1,
         };
         let mut state = TenantState::at(slot, empty);
-        self.flush_pages(tenant, &mut state, &writer)?;
+        self.rebuild(tenant, &mut state)?;
         Ok(state)
+    }
+
+    /// Re-page the tenant from its WAL and snapshot, the source of truth.
+    fn rebuild(&self, tenant: &str, state: &mut TenantState) -> Result<u64, TenantStoreError> {
+        if let Some(m) = &self.metrics {
+            m.incr(names::PAGE_REBUILDS, 1);
+        }
+        let writer = self.open_writer(tenant)?;
+        self.flush_pages(tenant, state, writer.set().state())
     }
 
     /// Byte lengths of the tenant's WAL and snapshot (0 = absent): what a
@@ -578,23 +610,25 @@ impl TenantKnowledgeStore {
     // Page flush (shadow paging)
     // ------------------------------------------------------------------
 
-    /// Re-page the tenant at the state `writer` just made durable: pack
+    /// Re-page the tenant at `content`, which the WAL holds durably: pack
     /// its entries into pages at fresh physical slots and publish them
     /// under a directory stamped with the WAL/snapshot lengths they are
-    /// consistent with. Returns the epoch flushed.
+    /// consistent with. Returns the epoch flushed: the content's `tick`,
+    /// which equals the journal's log length because the tenant's set is
+    /// replayed from empty and only an applied edit advances the clock.
     fn flush_pages(
         &self,
         tenant: &str,
         state: &mut TenantState,
-        writer: &DurableKnowledgeStore,
+        content: &KnowledgeContent,
     ) -> Result<u64, TenantStoreError> {
-        let epoch = writer.epoch();
+        let epoch = content.tick;
         let (wal_len, snapshot_len) = self.durable_lens(tenant)?;
         let tracer = Tracer::new("store");
         let span = tracer.span(names::STORE_PAGE_FLUSH);
         let page_size = self.config.page_size;
 
-        let records = encode_entry_records(&writer.set().content())?;
+        let records = encode_entry_records(content)?;
         let capacity = Page::capacity(page_size);
         if let Some(r) = records.iter().find(|r| r.len() > capacity) {
             return Err(TenantStoreError::RecordTooLarge {
@@ -725,9 +759,12 @@ impl TenantKnowledgeStore {
     // ------------------------------------------------------------------
 
     /// Merge a staged batch durably for `tenant` and flush its pages.
-    /// Returns the new knowledge epoch. The WAL commit is the durability
-    /// point: a crash during the page flush is recovered by rebuilding
-    /// pages from the WAL on the next load.
+    /// Returns the new knowledge epoch. The batch merges into the content
+    /// the current pages hold and is journaled like
+    /// [`DurableKnowledgeStore::commit`] journals it; the WAL append is the
+    /// durability point: a crash during the page flush is recovered by
+    /// rebuilding pages from the WAL on the next load. A batch that
+    /// refuses leaves the WAL, the pages and the epoch as they were.
     pub fn commit(
         &self,
         tenant: &str,
@@ -736,9 +773,21 @@ impl TenantKnowledgeStore {
     ) -> Result<u64, TenantStoreError> {
         let entry = self.tenant_entry(tenant, true)?;
         let mut state = lock(&entry);
-        let mut writer = self.open_writer(tenant)?;
-        writer.commit(staging, label)?;
-        self.flush_pages(tenant, &mut state, &writer)
+        let mut set = self.current_set(tenant, &mut state)?;
+        let mut journal = self.journal(tenant);
+        commit_journaled(
+            &mut journal,
+            &mut set,
+            staging,
+            label,
+            self.metrics.as_ref(),
+        )?;
+        if let Some(limit) = self.config.store.compact_after_bytes {
+            if journal.byte_len().map_err(StoreError::from)? > limit {
+                self.open_writer(tenant)?.compact()?;
+            }
+        }
+        self.flush_pages(tenant, &mut state, set.state())
     }
 
     /// Apply one edit durably for `tenant` and flush its pages. Returns
@@ -746,9 +795,30 @@ impl TenantKnowledgeStore {
     pub fn apply(&self, tenant: &str, edit: Edit) -> Result<u64, TenantStoreError> {
         let entry = self.tenant_entry(tenant, true)?;
         let mut state = lock(&entry);
-        let mut writer = self.open_writer(tenant)?;
-        writer.apply(edit)?;
-        self.flush_pages(tenant, &mut state, &writer)
+        let mut set = self.current_set(tenant, &mut state)?;
+        apply_journaled(&mut self.journal(tenant), &mut set, edit)?;
+        self.flush_pages(tenant, &mut state, set.state())
+    }
+
+    /// The tenant's current content as a set to write through: the pages
+    /// its directory names. A directory stamped with other WAL/snapshot
+    /// lengths than the files have is stale — a flush failed or was cut
+    /// short after its WAL append — and pages that do not read back are
+    /// damaged; either way the pages are rebuilt from the WAL first, as a
+    /// cold load rebuilds them.
+    fn current_set(
+        &self,
+        tenant: &str,
+        state: &mut TenantState,
+    ) -> Result<KnowledgeSet, TenantStoreError> {
+        if (state.dir.wal_len, state.dir.snapshot_len) == self.durable_lens(tenant)? {
+            if let Ok(content) = self.read_content(tenant, state.slot, &state.dir) {
+                return Ok(KnowledgeSet::from_content(content));
+            }
+        }
+        self.rebuild(tenant, state)?;
+        let content = self.read_content(tenant, state.slot, &state.dir)?;
+        Ok(KnowledgeSet::from_content(content))
     }
 
     // ------------------------------------------------------------------
@@ -817,6 +887,51 @@ impl TenantKnowledgeStore {
         Ok(pinned.map_err(io_failure("pin page", &path))?)
     }
 
+    /// Materialize the content `dir` names by reading every entry page
+    /// through the buffer pool (pin → decode → unpin): what a snapshot
+    /// reads and what a commit writes through.
+    fn read_content(
+        &self,
+        tenant: &str,
+        tenant_slot: u64,
+        dir: &PageDirectory,
+    ) -> Result<KnowledgeContent, TenantStoreError> {
+        let mut content = KnowledgeContent::default();
+        let mut saw_meta = false;
+        for &page_no in &dir.entry_pages {
+            let pinned = self.pin_page(tenant, tenant_slot, page_no)?;
+            for record in pinned.page().records() {
+                let text = std::str::from_utf8(record)
+                    .map_err(|e| TenantStoreError::Corrupt(format!("entry record utf8: {e}")))?;
+                let record: EntryRecord = serde_json::from_str(text)
+                    .map_err(|e| TenantStoreError::Corrupt(format!("entry record: {e}")))?;
+                match record {
+                    EntryRecord::Meta {
+                        next_example_id,
+                        next_instruction_id,
+                        tick,
+                    } => {
+                        content.next_example_id = next_example_id;
+                        content.next_instruction_id = next_instruction_id;
+                        content.tick = tick;
+                        saw_meta = true;
+                    }
+                    EntryRecord::Intent(i) => content.intents.push(i),
+                    EntryRecord::Example(e) => content.examples.push(e),
+                    EntryRecord::Instruction(i) => content.instructions.push(i),
+                    EntryRecord::Schema(s) => content.schema_elements.push(s),
+                    EntryRecord::Hint(stage, text) => content.retrieval_hints.push((stage, text)),
+                }
+            }
+        }
+        if !saw_meta && !dir.entry_pages.is_empty() {
+            return Err(TenantStoreError::Corrupt(
+                "entry pages lack a Meta record".into(),
+            ));
+        }
+        Ok(content)
+    }
+
     /// Drop a tenant's in-memory state (testing aid: forces the next
     /// access to take the cold page-in path). On-disk files are untouched.
     pub fn forget(&self, tenant: &str) {
@@ -871,40 +986,7 @@ impl TenantSnapshot {
     /// Materialize the knowledge content by reading every entry page
     /// through the buffer pool (pin → decode → unpin).
     pub fn content(&self) -> Result<KnowledgeContent, TenantStoreError> {
-        let mut content = KnowledgeContent::default();
-        let mut saw_meta = false;
-        for &page_no in &self.dir.entry_pages {
-            let pinned = self.store.pin_page(&self.tenant, self.slot, page_no)?;
-            for record in pinned.page().records() {
-                let text = std::str::from_utf8(record)
-                    .map_err(|e| TenantStoreError::Corrupt(format!("entry record utf8: {e}")))?;
-                let record: EntryRecord = serde_json::from_str(text)
-                    .map_err(|e| TenantStoreError::Corrupt(format!("entry record: {e}")))?;
-                match record {
-                    EntryRecord::Meta {
-                        next_example_id,
-                        next_instruction_id,
-                        tick,
-                    } => {
-                        content.next_example_id = next_example_id;
-                        content.next_instruction_id = next_instruction_id;
-                        content.tick = tick;
-                        saw_meta = true;
-                    }
-                    EntryRecord::Intent(i) => content.intents.push(i),
-                    EntryRecord::Example(e) => content.examples.push(e),
-                    EntryRecord::Instruction(i) => content.instructions.push(i),
-                    EntryRecord::Schema(s) => content.schema_elements.push(s),
-                    EntryRecord::Hint(stage, text) => content.retrieval_hints.push((stage, text)),
-                }
-            }
-        }
-        if !saw_meta && !self.dir.entry_pages.is_empty() {
-            return Err(TenantStoreError::Corrupt(
-                "entry pages lack a Meta record".into(),
-            ));
-        }
-        Ok(content)
+        self.store.read_content(&self.tenant, self.slot, &self.dir)
     }
 
     /// Materialize the knowledge set (empty audit log; see
@@ -1060,9 +1142,11 @@ fn decode_vector_stream(bytes: &[u8]) -> Result<StoredVectors, TenantStoreError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fs::MemFs;
-    use crate::types::{FragmentKind, SourceRef, SqlFragment};
+    use crate::fs::{ArmedFs, MemFs};
+    use crate::set::KnowledgeError;
+    use crate::types::{ExampleId, FragmentKind, SourceRef, SqlFragment};
     use proptest::prelude::*;
+    use std::sync::atomic::Ordering;
 
     fn edit(desc: &str) -> Edit {
         Edit::InsertExample {
@@ -1255,6 +1339,104 @@ mod tests {
             2,
             "stale pages must lose to the WAL"
         );
+    }
+
+    /// A batch or an edit that refuses returns the knowledge error and
+    /// leaves the WAL, the pages, the directory and the epoch as they were.
+    #[test]
+    fn a_refused_write_leaves_no_trace() {
+        let mem = Arc::new(MemFs::new());
+        let store = mem_store(&mem);
+        store.commit("t1", staged(&["a", "b"]), "seed").unwrap();
+        let files = || {
+            let read = |name: &str| mem.read(&store.tenant_dir("t1").join(name)).unwrap();
+            (read("knowledge.wal"), read("pages.dat"))
+        };
+        let directory = || store.snapshot("t1").unwrap().directory().clone();
+        let before = (files(), directory(), store.epoch("t1").unwrap());
+        let missing = ExampleId(7);
+        let mut doomed = staged(&["c"]);
+        doomed.stage(Edit::DeleteExample { id: missing });
+        let refused = |result: Result<u64, TenantStoreError>| {
+            matches!(
+                result,
+                Err(TenantStoreError::Store(StoreError::Knowledge(
+                    KnowledgeError::NoSuchExample(id)
+                ))) if id == missing
+            )
+        };
+        assert!(refused(store.commit("t1", doomed, "doomed")));
+        assert!(refused(
+            store.apply("t1", Edit::DeleteExample { id: missing })
+        ));
+        assert_eq!((files(), directory(), store.epoch("t1").unwrap()), before);
+    }
+
+    /// A commit whose page flush fails after its WAL append leaves the
+    /// directory stamped with the WAL's old length. The next commit sees
+    /// the stamp disagree with the file and rebuilds from the WAL before
+    /// merging, so its epoch and its pages are what a replay of the files
+    /// gives — not the stale pages plus its own batch.
+    #[test]
+    fn a_commit_after_a_failed_flush_starts_from_the_wal() {
+        let mem = Arc::new(MemFs::new());
+        let armed = Arc::new(ArmedFs::over(&mem));
+        let store = Arc::new(TenantKnowledgeStore::new_with(
+            Arc::clone(&armed) as Arc<dyn StoreFs>,
+            "/kb",
+            mem_store(&mem).config().clone(),
+            None,
+        ));
+        store.commit("t1", staged(&["a"]), "seed").unwrap();
+        armed.write_at.store(true, Ordering::SeqCst);
+        assert!(store.commit("t1", staged(&["b"]), "flush fails").is_err());
+        armed.write_at.store(false, Ordering::SeqCst);
+        let epoch = store.commit("t1", staged(&["c"]), "next").unwrap();
+
+        let truth = DurableKnowledgeStore::open_with(
+            Arc::clone(&mem) as Arc<dyn StoreFs>,
+            "/kb/t1/knowledge.json",
+            "/kb/t1/knowledge.wal",
+            StoreConfig::default(),
+            None,
+        )
+        .unwrap();
+        assert_eq!(epoch, truth.epoch());
+        let snap = store.snapshot("t1").unwrap();
+        assert_eq!(snap.epoch(), epoch);
+        assert_eq!(snap.content().unwrap(), truth.set().content());
+    }
+
+    /// Pages are a cache: a commit over an entry page that no longer
+    /// decodes rebuilds the tenant from the WAL and commits on top, as a
+    /// fresh replay of the files would.
+    #[test]
+    fn a_commit_over_a_damaged_page_rebuilds_from_the_wal() {
+        let mem = Arc::new(MemFs::new());
+        let store = mem_store(&mem);
+        store.commit("t1", staged(&["a", "b"]), "seed").unwrap();
+        let page_no = store.snapshot("t1").unwrap().directory().entry_pages[0];
+        let path = store.pages_path("t1");
+        let offset = u64::from(page_no) * 1024 + 40;
+        let byte = mem.read_at(&path, offset, 1).unwrap()[0];
+        mem.write_at(&path, offset, &[byte ^ 0xFF]).unwrap();
+        // A restart: the meta page still matches the WAL, so the cold load
+        // trusts the directory, and the damage shows only on read.
+        let store = mem_store(&mem);
+        let epoch = store.commit("t1", staged(&["c"]), "next").unwrap();
+
+        let truth = DurableKnowledgeStore::open_with(
+            Arc::clone(&mem) as Arc<dyn StoreFs>,
+            "/kb/t1/knowledge.json",
+            "/kb/t1/knowledge.wal",
+            StoreConfig::default(),
+            None,
+        )
+        .unwrap();
+        assert_eq!(epoch, truth.epoch());
+        let content = store.snapshot("t1").unwrap().content().unwrap();
+        assert_eq!(content, truth.set().content());
+        assert_eq!(content.examples.len(), 3);
     }
 
     /// Publish `vectors` as vector pages of the tenant's current epoch,

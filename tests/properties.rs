@@ -2,7 +2,8 @@
 //! algebra, registry lookup robustness, and oracle determinism.
 
 use genedit::knowledge::{
-    Edit, FragmentKind, Intent, KnowledgeSet, SourceRef, SqlFragment, StagingArea,
+    Edit, ExampleId, FragmentKind, InstructionId, Intent, KnowledgeSet, SourceRef, SqlFragment,
+    StagingArea,
 };
 use genedit::llm::{
     CompletionRequest, Corruption, Difficulty, LanguageModel, OracleModel, Prompt, TaskKind,
@@ -62,6 +63,36 @@ fn arb_safe_edit() -> impl Strategy<Value = Edit> {
     ]
 }
 
+/// Edits that refuse when their target is missing, as well as ones that
+/// always apply.
+fn arb_edit_that_may_refuse() -> impl Strategy<Value = Edit> {
+    prop_oneof![
+        arb_safe_edit(),
+        (0u64..6).prop_map(|id| Edit::DeleteExample { id: ExampleId(id) }),
+        (0u64..6).prop_map(|id| Edit::DeleteInstruction {
+            id: InstructionId(id)
+        }),
+    ]
+}
+
+/// One call on a knowledge set; any of them may refuse.
+#[derive(Debug, Clone)]
+enum SetOp {
+    Apply(Edit),
+    Checkpoint,
+    Merge(Vec<Edit>),
+    Revert(u64),
+}
+
+fn arb_set_op() -> impl Strategy<Value = SetOp> {
+    prop_oneof![
+        arb_edit_that_may_refuse().prop_map(SetOp::Apply),
+        Just(SetOp::Checkpoint),
+        prop::collection::vec(arb_edit_that_may_refuse(), 0..5).prop_map(SetOp::Merge),
+        (0u64..6).prop_map(SetOp::Revert),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -96,6 +127,32 @@ proptest! {
         ks.revert_to(cp).unwrap();
         prop_assert!(ks.content_eq(&snapshot));
         prop_assert_eq!(ks.log().len(), snapshot.log().len());
+    }
+
+    /// The clock a tenant's epoch rests on: in a set built from empty,
+    /// only an applied edit advances the tick, so after any sequence of
+    /// applies, checkpoints, merges and reverts — refused or not — the
+    /// tick is the log length.
+    #[test]
+    fn tick_is_the_log_length(ops in prop::collection::vec(arb_set_op(), 0..40)) {
+        let mut ks = KnowledgeSet::new();
+        for op in ops {
+            match op {
+                SetOp::Apply(edit) => {
+                    let _ = ks.apply(edit);
+                }
+                SetOp::Checkpoint => {
+                    ks.checkpoint("prop");
+                }
+                SetOp::Merge(edits) => {
+                    let _ = ks.merge("prop", edits);
+                }
+                SetOp::Revert(id) => {
+                    let _ = ks.revert_to(id);
+                }
+            }
+            prop_assert_eq!(ks.tick(), ks.log().len() as u64);
+        }
     }
 
     /// Staging algebra: materialize ≡ clone-then-commit (without the

@@ -7,7 +7,10 @@
 //! domain terms, 4 KiB pages, a 1 MiB pool — and pins, per step, what
 //! moved: a seeding commit, a cold page-in (`forget` +
 //! `TenantDirectory::index_for`), an improvement commit and the page-in
-//! after it. A page-in reads the entry pages and writes nothing. Counts
+//! after it, and an improvement commit after 100 batches. A page-in reads
+//! the entry pages and writes nothing; a commit reads the entry pages it
+//! merges into, through the pool, and never the WAL, so its reads do not
+//! grow with the tenant's history. Counts
 //! are exact and machine-independent: a
 //! change that checks or decodes bytes differently moves none of them; a
 //! change that reads, writes or syncs more moves them and must update
@@ -220,8 +223,25 @@ fn tenant_session_io_is_pinned() {
         directory.invalidate(TENANT);
         directory.index_for(TENANT).unwrap();
     });
-
     let dir = store.snapshot(TENANT).unwrap().directory().clone();
+    // 99 more improvement batches, then a page-in, as before the first:
+    // a commit reads the pages it writes through, never the history.
+    for batch in 1..100 {
+        let mut staging = StagingArea::new();
+        for n in 0..edits {
+            staging.stage(improvement(batch * edits + n));
+        }
+        store.commit(TENANT, staging, "improvement step").unwrap();
+    }
+    directory.index_for(TENANT).unwrap();
+    step("improvement commit after 100 batches", &mut || {
+        let mut staging = StagingArea::new();
+        for n in 0..edits {
+            staging.stage(improvement(100 * edits + n));
+        }
+        store.commit(TENANT, staging, "improvement step").unwrap();
+    });
+
     let got = format!(
         "{}wal bytes per edit {wal_bytes_per_edit}\n\
          entry pages {} vector pages {}\n",
@@ -233,12 +253,13 @@ fn tenant_session_io_is_pinned() {
         dir.vector_pages.len(),
     );
     let expected = "\
-seed commit: Io { reads: 1, read_bytes: 50, writes: 9, write_bytes: 57710, fsyncs: 6 } page reads 0
+seed commit: Io { reads: 1, read_bytes: 4096, writes: 9, write_bytes: 57710, fsyncs: 6 } page reads 1
 cold page-in: Io { reads: 5, read_bytes: 20480, writes: 0, write_bytes: 0, fsyncs: 0 } page reads 5
 directory hit: Io { reads: 0, read_bytes: 0, writes: 0, write_bytes: 0, fsyncs: 0 } page reads 0
-improvement commit: Io { reads: 1, read_bytes: 29038, writes: 6, write_bytes: 21309, fsyncs: 3 } page reads 0
+improvement commit: Io { reads: 0, read_bytes: 0, writes: 6, write_bytes: 21309, fsyncs: 3 } page reads 0
 post-edit page-in: Io { reads: 4, read_bytes: 16384, writes: 0, write_bytes: 0, fsyncs: 0 } page reads 4
 cold page-in after edit: Io { reads: 5, read_bytes: 20480, writes: 0, write_bytes: 0, fsyncs: 0 } page reads 5
+improvement commit after 100 batches: Io { reads: 0, read_bytes: 0, writes: 26, write_bytes: 103241, fsyncs: 3 } page reads 0
 wal bytes per edit 276
 entry pages 4 vector pages 0
 ";
